@@ -86,6 +86,7 @@ def _require(condition, message, path):
 
 
 def _parse(source, chart, path) -> object:
+    _require(isinstance(source, str), f"expression {source!r} must be a string", path)
     try:
         return parse_expr(source, chart)
     except (ExpressionError, UnknownVariableError, ZeroDivisionError) as err:
@@ -101,6 +102,9 @@ def load_document(doc: dict) -> _Document:
         path = f"/charts/{idx}"
         _require(isinstance(entry, dict) and "name" in entry and "variables" in entry,
                  'chart entries need "name" and "variables"', path)
+        _require(isinstance(entry["variables"], list)
+                 and all(isinstance(v, str) for v in entry["variables"]),
+                 '"variables" must be a list of strings', f"{path}/variables")
         try:
             chart = Chart(entry["name"], entry["variables"])
         except ValueError as err:
@@ -125,6 +129,8 @@ def load_document(doc: dict) -> _Document:
         _require(entry["chart"] in out.charts,
                  f"undefined chart {entry['chart']!r}", path)
         chart = out.charts[entry["chart"]]
+        _require(isinstance(entry["coeffs"], list), '"coeffs" must be a list',
+                 f"{path}/coeffs")
         coeffs = [_parse(c, chart, f"{path}/coeffs/{k}")
                   for k, c in enumerate(entry["coeffs"])]
         _require(len(coeffs) == chart.dim,
@@ -181,6 +187,8 @@ def load_document(doc: dict) -> _Document:
         _require(kind in TASK_KINDS,
                  f"unknown task kind {kind!r}; valid kinds: {', '.join(TASK_KINDS)}",
                  f"{path}/kind")
+        _require(type(task.get("expect_rank", 0)) is int,   # bool is a subclass of int
+                 '"expect_rank" must be an integer', f"{path}/expect_rank")
         out.tasks.append(dict(task))
     return out
 
@@ -418,8 +426,6 @@ def _report_text(report: dict) -> str:
         lines.append(f"  witness: {report['witness']}")
     payload = report.get("data", {})
     if "text" in payload:
-        lines.extend("  " + line for line in payload["text"].splitlines())
-    elif "table" in payload:
         lines.extend("  " + line for line in payload["text"].splitlines())
     elif "rank" in payload:
         lines.append(f"  rank: {payload['rank']}")

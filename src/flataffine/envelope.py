@@ -82,13 +82,10 @@ def commutator_matches_brackets(conn: Connection, fields, table: SCAlgebra) -> b
     structure constants computed independently from Lie brackets of the
     fields."""
     n = table.dim
-    for i in range(n):
-        for j in range(n):
-            bracket_coords = express_in_basis(lie_bracket(fields[i], fields[j]), fields)
-            expected = [a - b for a, b in zip(table.c[i][j], table.c[j][i])]
-            if list(bracket_coords) != expected:
-                return False
-    return True
+    brackets = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(n)]
+    expected = [[a - b for a, b in zip(table.c[i][j], table.c[j][i])]
+                for i in range(n) for j in range(n)]
+    return express_in_basis(brackets, fields) == expected
 
 
 def compute_envelope(conn: Connection, ambient_fields, names, generators) -> EnvelopeReport:

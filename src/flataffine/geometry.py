@@ -36,9 +36,11 @@ class NotFlatError(ValueError):
 class NotInSpanError(ValueError):
     """A field is not a constant-coefficient combination of the given basis."""
 
-    def __init__(self, message: str, pair: tuple | None = None):
+    def __init__(self, message: str, pair: tuple | None = None,
+                 index: int | None = None):
         super().__init__(message)
         self.pair = pair
+        self.index = index
 
 
 class IATViolationError(ValueError):
@@ -401,6 +403,8 @@ def _coordinate_rows(fields):
     preserves constant-linear relations); the coordinates are the rational
     coefficients of each (component, monomial) slot, ordered deterministically.
     """
+    if not fields:
+        return []
     chart = fields[0].chart
     for f in fields:
         if f.chart != chart:
@@ -426,20 +430,23 @@ def _coordinate_rows(fields):
     return rows
 
 
-def express_in_basis(target: VectorField, basis) -> list:
-    """Constants lambda_i with target = sum lambda_i basis_i, found by clearing
-    denominators and matching monomial coefficients exactly.
+def express_in_basis(targets, basis) -> list:
+    """Constants lambda with target = sum lambda_i basis_i, one list per target.
 
-    Raises NotInSpanError when the overdetermined system is inconsistent.
+    Denominators of all targets and basis fields are cleared once and every
+    target is matched against the monomial coefficients in one exact solve.
+    Raises NotInSpanError, with the 0-based `index` of the first target that
+    is not a constant combination of the basis.
     """
-    basis = list(basis)
-    rows = _coordinate_rows([target] + basis)
-    t = rows[0]
-    columns = [[rows[1 + b][a] for b in range(len(basis))] for a in range(len(t))]
-    sol = linalg.solve(columns, t)
-    if sol is None:
-        raise NotInSpanError("target is not in the constant span of the basis")
-    return sol
+    targets, basis = list(targets), list(basis)
+    rows = _coordinate_rows(targets + basis)
+    columns = [col[len(targets):] for col in zip(*rows)]
+    solutions = linalg.solve(columns, rows[:len(targets)])
+    for index, sol in enumerate(solutions):
+        if sol is None:
+            raise NotInSpanError(
+                "target is not in the constant span of the basis", index=index)
+    return solutions
 
 
 def field_span_rank(fields) -> int:
@@ -456,17 +463,15 @@ def same_field_span(fields_a, fields_b) -> bool:
 
 
 def independent_fields(fields, names):
-    """Greedy sublist keeping each field that grows the span (overlap removal)."""
-    kept_fields, kept_names = [], []
-    current_rank = 0
-    for f, name in zip(fields, names):
-        candidate = kept_fields + [f]
-        r = linalg.rank(_coordinate_rows(candidate))
-        if r > current_rank:
-            kept_fields.append(f)
-            kept_names.append(name)
-            current_rank = r
-    return kept_names, kept_fields
+    """Sublist of the fields that grow the span, in order (overlap removal).
+
+    These are the pivot columns of the matrix with one column per field.
+    """
+    fields, names = list(fields), list(names)
+    if len(fields) != len(names):
+        raise ValueError("one name per field is required")
+    _, pivots = linalg.rref(list(zip(*_coordinate_rows(fields))))
+    return [names[p] for p in pivots], [fields[p] for p in pivots]
 
 
 # ----- the ansatz solver -------------------------------------------------------
@@ -496,21 +501,11 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
             coeffs = [RationalFunction.zero(chart) for _ in range(n)]
             coeffs[slot] = t
             candidates.append(VectorField(chart, coeffs))
-    residuals = [dict(_iat_residuals(conn, cand)) for cand in candidates]
+    residuals = [[field for _, field in _iat_residuals(conn, cand)]
+                 for cand in candidates]
     equations = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(n):
-                entries = [res[(i, j)].coeffs[k] for res in residuals]
-                common = Polynomial.one(chart)
-                for e in entries:
-                    common = poly_lcm(common, e.den)
-                cleared = [e.num * exact_div(common, e.den) for e in entries]
-                monomials = sorted({exps for p in cleared for exps in p.terms},
-                                   key=grlex_key, reverse=True)
-                for exps in monomials:
-                    equations.append(
-                        [p.terms.get(exps, Fraction(0)) for p in cleared])
+    for fields_at_pair in zip(*residuals):
+        equations.extend(zip(*_coordinate_rows(fields_at_pair)))
     null = linalg.nullspace(equations, ncols=len(candidates))
     solutions = []
     for coeffs_vec in null:
@@ -606,17 +601,14 @@ def product_table(conn: Connection, fields, names=None, *, check_iat: bool = Tru
             report = is_infinitesimal_affine(conn, f)
             if not report.holds:
                 raise IATViolationError(name, report.witness)
-    c = []
-    for i, bi in enumerate(fields):
-        row = []
-        for j, bj in enumerate(fields):
-            prod = covariant_derivative(conn, bi, bj)
-            try:
-                row.append(express_in_basis(prod, fields))
-            except NotInSpanError:
-                raise NotInSpanError(
-                    f"product {names[i]}·{names[j]} (pair ({i + 1}, {j + 1})) "
-                    "is not a constant combination of the given fields",
-                    pair=(i + 1, j + 1)) from None
-        c.append(row)
-    return SCAlgebra(names, c)
+    n = len(fields)
+    products = [covariant_derivative(conn, bi, bj) for bi in fields for bj in fields]
+    try:
+        coords = express_in_basis(products, fields)
+    except NotInSpanError as err:
+        i, j = divmod(err.index, n)
+        raise NotInSpanError(
+            f"product {names[i]}·{names[j]} (pair ({i + 1}, {j + 1})) "
+            "is not a constant combination of the given fields",
+            pair=(i + 1, j + 1)) from None
+    return SCAlgebra(names, [coords[i * n:(i + 1) * n] for i in range(n)])

@@ -65,23 +65,29 @@ def nullspace(rows, ncols: int, *, zero=_QZERO, one=_QONE):
     return rref(basis, zero=zero)[0]
 
 
-def solve(rows, rhs, *, zero=_QZERO):
-    """One exact solution of rows·x = rhs, or None when inconsistent.
+def solve(rows, rhs_list, *, zero=_QZERO):
+    """One exact solution of rows·x = b for each b in rhs_list, or None for a b
+    that is inconsistent; all are read off one rref of [rows | b1 ... bm].
 
-    Free variables are set to zero, which makes the returned solution
-    deterministic; it is the unique solution when the columns are independent.
+    Free variables are set to zero, which makes each solution deterministic;
+    it is the unique solution when the columns are independent.
     """
     if not rows:
-        return None if any(e != zero for e in rhs) else []
+        return [[] for _ in rhs_list]
     ncols = len(rows[0])
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
+    augmented = [list(r) + [b[i] for b in rhs_list] for i, r in enumerate(rows)]
     reduced, pivots = rref(augmented, zero=zero)
-    if ncols in pivots:
-        return None
-    x = [zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i][ncols]
-    return x
+    # rows past the rank of `rows` are zero on it: b is consistent iff its
+    # column is zero there
+    rank_a = sum(1 for c in pivots if c < ncols)
+    solutions = []
+    for j in range(ncols, ncols + len(rhs_list)):
+        x = [zero] * ncols
+        for i, c in enumerate(pivots[:rank_a]):
+            x[c] = reduced[i][j]
+        consistent = all(row[j] == zero for row in reduced[rank_a:])
+        solutions.append(x if consistent else None)
+    return solutions
 
 
 def invert(rows, *, zero=_QZERO, one=_QONE):

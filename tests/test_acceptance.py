@@ -102,7 +102,7 @@ def test_criterion_3_associativity_and_commutators():
             n = tbl.dim
             for i in range(n):
                 for j in range(n):
-                    bracket = express_in_basis(lie_bracket(flds[i], flds[j]), flds)
+                    [bracket] = express_in_basis([lie_bracket(flds[i], flds[j])], flds)
                     assert bracket == [a - b for a, b in zip(tbl.c[i][j], tbl.c[j][i])]
 
 
@@ -127,7 +127,7 @@ def test_criterion_5_gl2():
                 assert got == scene.f_field(p, q, r, s), (p, q, r, s)
         table16 = product_table(conn, scene.f_fields, scene.f_names)
         _, inv_fields = scene.invariant_fields()
-        generators = [express_in_basis(f, scene.f_fields) for f in inv_fields]
+        generators = express_in_basis(inv_fields, scene.f_fields)
         assert len(generators) == 8
         space = subalgebra_closure(table16, generators)
         assert space.rank == 16
@@ -223,7 +223,7 @@ def test_criterion_10_negative_controls():
                                          VectorField(CH, ("x^2", "0")))
         assert not report.holds and report.witness == (1, 1)
         with pytest.raises(NotInSpanError):
-            express_in_basis(VectorField(CH, ("x^2", "0")),
+            express_in_basis([VectorField(CH, ("x^2", "0"))],
                              [VectorField(CH, ("x", "0"))])
         bad = SCAlgebra.from_products(
             ("b1", "b2", "b3"),

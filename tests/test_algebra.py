@@ -68,7 +68,7 @@ def brute_has_inverse(A, v):
              for k in range(n)]
     stacked = [row for row in left] + [row for row in right]
     rhs = list(unit) + list(unit)
-    return solve(stacked, rhs) is not None
+    return solve(stacked, [rhs]) != [None]
 
 
 # ----- left-symmetric / associative checks --------------------------------------

@@ -297,6 +297,37 @@ def test_main_input_errors(tmp_path, capsys):
     assert main(["run", str(noschema)]) == 2
 
 
+
+def _malformed(task_id, edit):
+    """The six-field task file with only task `task_id`, changed by `edit`."""
+    doc = six_field_taskfile()
+    doc["tasks"] = [t for t in doc["tasks"] if t["id"] == task_id]
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, path", [
+    (_malformed("clos", lambda d: d["tasks"][0].update(expect_rank="5")),
+     "/tasks/0/expect_rank"),
+    (_malformed("env", lambda d: d["tasks"][0].update(expect_rank="5")),
+     "/tasks/0/expect_rank"),
+    (_malformed("clos", lambda d: d["tasks"][0].update(expect_rank=True)),
+     "/tasks/0/expect_rank"),
+    (_malformed("lsa", lambda d: d["fields"][0].update(coeffs=[1, 2])),
+     "/fields/0/coeffs/0"),
+    (_malformed("lsa", lambda d: d["charts"][0].update(variables=[1, 2])),
+     "/charts/0/variables"),
+], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
+        "field-coeffs-numbers", "chart-variables-numbers"])
+def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
+    with pytest.raises(TaskFileError) as err:
+        run_document(copy.deepcopy(doc))
+    assert err.value.path == path
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile)]) == 2
+    assert path in capsys.readouterr().err
+
 # ----- emit_table and rendering ------------------------------------------------------
 
 

@@ -97,7 +97,7 @@ def test_envelope_gl2_closure_rank16():
     table16 = product_table(conn, scene.f_fields, scene.f_names)
     assert check_associative(table16).holds
     inv_names, inv_fields = scene.invariant_fields()
-    generators = [express_in_basis(f, scene.f_fields) for f in inv_fields]
+    generators = express_in_basis(inv_fields, scene.f_fields)
     space = subalgebra_closure(table16, generators)
     assert space.rank == 16
 

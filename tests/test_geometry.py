@@ -229,7 +229,7 @@ def test_solve_outputs_are_iat_and_rref():
             coeffs[slot] = t
             candidates.append(VectorField(CH, coeffs))
     from flataffine.linalg import rref
-    coeff_matrix = [express_in_basis(sol, candidates) for sol in sols]
+    coeff_matrix = express_in_basis(sols, candidates)
     assert rref(coeff_matrix)[0] == coeff_matrix
     assert solve_iat_ansatz(conn, ansatz) == sols
 
@@ -286,7 +286,7 @@ def test_gl2_frame_round_trip_reexpresses_constants():
         for b in range(4):
             prod = covariant_derivative(scene.connection,
                                         frame_fields[a], frame_fields[b])
-            coords = express_in_basis(prod, frame_fields)
+            [coords] = express_in_basis([prod], frame_fields)
             assert coords == list(scene.constants.c[a][b])
 
 
@@ -324,7 +324,7 @@ def test_product_table_commutator_matches_brackets():
     table = product_table(conn, fields, names)
     for i in range(6):
         for j in range(6):
-            bracket = express_in_basis(lie_bracket(fields[i], fields[j]), fields)
+            [bracket] = express_in_basis([lie_bracket(fields[i], fields[j])], fields)
             expected = [a - b for a, b in zip(table.c[i][j], table.c[j][i])]
             assert bracket == expected
 
@@ -355,20 +355,20 @@ def test_product_table_requires_flat():
 
 
 def test_express_simple():
-    assert express_in_basis(vf("2*x", "0"), [vf("x", "0"), vf("0", "1")]) == \
-        [Fraction(2), Fraction(0)]
+    assert express_in_basis([vf("2*x", "0")], [vf("x", "0"), vf("0", "1")]) == \
+        [[Fraction(2), Fraction(0)]]
 
 
 def test_express_reference_table_entry():
     _, fields = six_iat_fields(CH)
     target = fields[0].scaled(2) - fields[4].scaled(2)   # 2e1- - 2C5
-    coords = express_in_basis(target, fields)
+    [coords] = express_in_basis([target], fields)
     assert coords == [Fraction(2), 0, 0, 0, Fraction(-2), 0]
 
 
 def test_express_failure_for_nonconstant_relation():
     with pytest.raises(NotInSpanError):
-        express_in_basis(vf("x^2", "0"), [vf("x", "0")])
+        express_in_basis([vf("x^2", "0")], [vf("x", "0")])
 
 
 # ----- span helpers ---------------------------------------------------------------------

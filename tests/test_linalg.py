@@ -57,8 +57,8 @@ def test_nullspace_kills_matrix_and_rank_nullity():
 
 def test_solve_consistent_and_inconsistent():
     m = [[F(1), F(2)], [F(2), F(4)]]
-    assert solve(m, [F(3), F(6)]) == [F(3), F(0)]
-    assert solve(m, [F(3), F(7)]) is None
+    assert solve(m, [[F(3), F(6)]]) == [[F(3), F(0)]]
+    assert solve(m, [[F(3), F(7)]]) == [None]
 
 
 def test_invert_round_trip_and_singular():

@@ -1,0 +1,184 @@
+"""Batched span questions against the one-question-at-a-time versions.
+
+`linalg.solve` answers many right-hand sides with one elimination and
+`independent_fields` takes the pivot columns of one elimination.  This module
+keeps the earlier single-right-hand-side solve and the greedy "keep the field
+if it grows the span" loop as oracles and compares them with the production
+code on seeded random inputs.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from flataffine import NotInSpanError, VectorField
+from flataffine.geometry import _coordinate_rows, express_in_basis, independent_fields
+from flataffine.linalg import rank, rref, solve
+from helpers import chart_xy, random_rational_function
+
+
+# ----- oracles -------------------------------------------------------------------------
+
+
+def oracle_solve(rows, rhs, *, zero=Fraction(0)):
+    """One exact solution of rows·x = rhs, or None when inconsistent."""
+    if not rows:
+        return None if any(e != zero for e in rhs) else []
+    ncols = len(rows[0])
+    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
+    reduced, pivots = rref(augmented, zero=zero)
+    if ncols in pivots:
+        return None
+    x = [zero] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = reduced[i][ncols]
+    return x
+
+
+def oracle_independent_fields(fields, names):
+    """Greedy sublist keeping each field that grows the span."""
+    kept_fields, kept_names = [], []
+    current_rank = 0
+    for f, name in zip(fields, names):
+        candidate = kept_fields + [f]
+        r = rank(_coordinate_rows(candidate))
+        if r > current_rank:
+            kept_fields.append(f)
+            kept_names.append(name)
+            current_rank = r
+    return kept_names, kept_fields
+
+
+def oracle_express(target, basis):
+    """Coordinates of one target, or None when it is outside the constant span."""
+    rows = _coordinate_rows([target] + basis)
+    columns = [[rows[1 + b][a] for b in range(len(basis))] for a in range(len(rows[0]))]
+    return oracle_solve(columns, rows[0])
+
+
+# ----- random inputs --------------------------------------------------------------------
+
+
+def low_rank_matrix(rng, nrows, ncols, r):
+    left = [[Fraction(rng.randint(-3, 3)) for _ in range(r)] for _ in range(nrows)]
+    right = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+             for _ in range(r)]
+    return [[sum(a * right[k][j] for k, a in enumerate(row)) for j in range(ncols)]
+            for row in left]
+
+
+def mixed_rhs(rng, rows, count):
+    """Right-hand sides: images rows·x (consistent) mixed with random vectors."""
+    ncols = len(rows[0])
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            x = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(ncols)]
+            out.append([sum(a * b for a, b in zip(row, x)) for row in rows])
+        else:
+            out.append([Fraction(rng.randint(-4, 4)) for _ in rows])
+    return out
+
+
+def combination(rng, chart, fields):
+    total = VectorField.zero(chart)
+    for f in fields:
+        lam = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+        if lam:
+            total = total + f.scaled(lam)
+    return total
+
+
+def field_list(rng, chart, nbase):
+    """Base fields plus duplicates and constant combinations, shuffled."""
+    base = [VectorField(chart, [random_rational_function(rng, chart, 2)
+                                for _ in range(chart.dim)]) for _ in range(nbase)]
+    fields = list(base)
+    for _ in range(nbase):
+        if rng.random() < 0.5:
+            fields.append(rng.choice(base))
+        else:
+            fields.append(combination(rng, chart, rng.sample(base, rng.randint(1, nbase))))
+    rng.shuffle(fields)
+    return fields
+
+
+# ----- comparisons ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_solve_matches_single_rhs_oracle(seed):
+    rng = random.Random(seed)
+    consistent = inconsistent = 0
+    for _ in range(25):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = low_rank_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+        rhs_list = mixed_rhs(rng, rows, rng.randint(0, 6))
+        got = solve(rows, rhs_list)
+        assert got == [oracle_solve(rows, rhs) for rhs in rhs_list]
+        consistent += sum(1 for x in got if x is not None)
+        inconsistent += sum(1 for x in got if x is None)
+    assert consistent and inconsistent
+
+
+def test_batched_solve_without_rows_or_rhs():
+    assert solve([], [[], []]) == [[], []]
+    rows = [[Fraction(1), Fraction(2)]]
+    assert solve(rows, []) == []
+    # an inconsistent first right-hand side takes a pivot; the second, a
+    # multiple of it, must still be reported inconsistent
+    rows = [[Fraction(1)], [Fraction(0)]]
+    assert solve(rows, [[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)],
+                        [Fraction(3), Fraction(0)]]) == [None, None, [Fraction(3)]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_independent_fields_matches_greedy_oracle(seed):
+    rng = random.Random(100 + seed)
+    chart = chart_xy()
+    fields = field_list(rng, chart, rng.randint(1, 4))
+    names = [f"f{i}" for i in range(len(fields))]
+    got = independent_fields(fields, names)
+    assert got == oracle_independent_fields(fields, names)
+    assert len(got[0]) == rank(_coordinate_rows(fields))
+
+
+def test_independent_fields_edge_cases():
+    chart = chart_xy()
+    zero = VectorField.zero(chart)
+    assert independent_fields([], []) == ([], [])
+    assert independent_fields([zero, zero], ["a", "b"]) == \
+        oracle_independent_fields([zero, zero], ["a", "b"]) == ([], [])
+    with pytest.raises(ValueError):
+        independent_fields([zero], ["a", "b"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_express_in_basis_matches_one_target_at_a_time(seed):
+    rng = random.Random(200 + seed)
+    chart = chart_xy()
+    basis = field_list(rng, chart, rng.randint(1, 3))
+    targets = []
+    for _ in range(6):
+        if rng.random() < 0.6:
+            targets.append(combination(rng, chart, basis))
+        else:
+            targets.append(VectorField(chart, [random_rational_function(rng, chart, 2)
+                                               for _ in range(chart.dim)]))
+    expected = [oracle_express(t, basis) for t in targets]
+    if None in expected:
+        with pytest.raises(NotInSpanError) as err:
+            express_in_basis(targets, basis)
+        assert err.value.index == expected.index(None)
+    else:
+        assert express_in_basis(targets, basis) == expected
+    inside = [t for t, e in zip(targets, expected) if e is not None]
+    assert express_in_basis(inside, basis) == [e for e in expected if e is not None]
+
+
+def test_express_in_basis_with_empty_basis():
+    chart = chart_xy()
+    assert express_in_basis([], []) == []
+    with pytest.raises(NotInSpanError) as err:
+        express_in_basis([VectorField.zero(chart), VectorField(chart, ["x", "0"])], [])
+    assert err.value.index == 1
