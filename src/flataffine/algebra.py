@@ -8,12 +8,14 @@ Conventions:
   * the serialized form is
       {"dim": n, "basis": [names], "products": [{"left": i, "right": j,
        "result": ["p/q", ...]}]}
-    with omitted products meaning zero.
+    with omitted products meaning zero; a Lie algebra (an SCAlgebra checked
+    for antisymmetry and Jacobi) writes only the pairs i < j, under "brackets".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 
@@ -35,6 +37,17 @@ class JacobiError(ValueError):
             f"Jacobi identity fails at basis triple {witness}; "
             "the product is neither associative nor left-symmetric")
         self.witness = witness
+
+
+def _lincomb(n: int, terms) -> Vector:
+    """The sum of scale * vector over (scale, vector) terms, skipping zero entries."""
+    out = [Fraction(0)] * n
+    for scale, vector in terms:
+        if scale:
+            for k, x in enumerate(vector):
+                if x:
+                    out[k] += scale * x
+    return tuple(out)
 
 
 def _to_vector(values, dim: int) -> Vector:
@@ -95,21 +108,13 @@ class SCAlgebra:
         """Bilinear product of two coordinate vectors."""
         u = _to_vector(u, self.dim)
         v = _to_vector(v, self.dim)
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                scale = ui * vj
-                for k, ck in enumerate(self.c[i][j]):
-                    if ck:
-                        out[k] += scale * ck
-        return tuple(out)
+        return _lincomb(self.dim, ((ui * vj, self.c[i][j])
+                                   for i, ui in enumerate(u) if ui
+                                   for j, vj in enumerate(v) if vj))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, SCAlgebra)
+        # a Lie algebra never equals the plain algebra with the same constants
+        return (type(other) is type(self)
                 and self.basis_names == other.basis_names
                 and self.c == other.c
                 and self.unit_index == other.unit_index)
@@ -118,22 +123,19 @@ class SCAlgebra:
         return hash((self.basis_names, self.c, self.unit_index))
 
     def __repr__(self):
-        return f"<SCAlgebra dim={self.dim} basis={self.basis_names}>"
+        return f"<{type(self).__name__} dim={self.dim} basis={self.basis_names}>"
 
     # ----- serialization --------------------------------------------------
 
+    def _entries(self, pairs) -> list:
+        """JSON entries of the nonzero products among the (i, j) pairs, 1-based."""
+        return [{"left": i + 1, "right": j + 1, "result": [str(x) for x in self.c[i][j]]}
+                for i, j in pairs if any(self.c[i][j])]
+
     def to_json_dict(self) -> dict:
-        products = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                vec = self.c[i][j]
-                if any(vec):
-                    products.append({
-                        "left": i + 1,
-                        "right": j + 1,
-                        "result": [str(x) for x in vec],
-                    })
-        doc = {"dim": self.dim, "basis": list(self.basis_names), "products": products}
+        n = self.dim
+        doc = {"dim": n, "basis": list(self.basis_names),
+               "products": self._entries((i, j) for i in range(n) for j in range(n))}
         if self.unit_index is not None:
             doc["unit"] = self.unit_index + 1
         return doc
@@ -154,63 +156,32 @@ class SCAlgebra:
         return cls(names, c, None if unit is None else unit - 1)
 
 
-class LieAlgebraSC:
-    """Bracket constants with antisymmetry and Jacobi checked at construction."""
+class LieAlgebraSC(SCAlgebra):
+    """An SCAlgebra whose product is a Lie bracket.
 
-    __slots__ = ("dim", "basis_names", "f")
+    Antisymmetry and Jacobi are checked at construction; the bracket is
+    `product` and its constants are `c`.
+    """
+
+    __slots__ = ()
 
     def __init__(self, basis_names, f):
-        self.basis_names = tuple(basis_names)
-        self.dim = len(self.basis_names)
+        super().__init__(basis_names, f)
         n = self.dim
-        self.f = tuple(tuple(_to_vector(vec, n) for vec in row) for row in f)
         for i in range(n):
             for j in range(n):
-                if any(a + b for a, b in zip(self.f[i][j], self.f[j][i])):
+                if any(a + b for a, b in zip(self.c[i][j], self.c[j][i])):
                     raise ValueError(f"bracket is not antisymmetric at ({i + 1}, {j + 1})")
-        witness = _jacobi_witness(self.f, n)
+        witness = _jacobi_witness(self)
         if witness is not None:
             raise JacobiError(witness)
 
-    def bracket(self, u, v) -> Vector:
-        u = _to_vector(u, self.dim)
-        v = _to_vector(v, self.dim)
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                scale = ui * vj
-                for k, fk in enumerate(self.f[i][j]):
-                    if fk:
-                        out[k] += scale * fk
-        return tuple(out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LieAlgebraSC)
-                and self.basis_names == other.basis_names
-                and self.f == other.f)
-
-    def __hash__(self):
-        return hash((self.basis_names, self.f))
-
-    def __repr__(self):
-        return f"<LieAlgebraSC dim={self.dim} basis={self.basis_names}>"
-
     def to_json_dict(self) -> dict:
-        brackets = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                vec = self.f[i][j]
-                if any(vec):
-                    brackets.append({
-                        "left": i + 1,
-                        "right": j + 1,
-                        "result": [str(x) for x in vec],
-                    })
-        return {"dim": self.dim, "basis": list(self.basis_names), "brackets": brackets}
+        """The brackets [b_i, b_j] with i < j; the rest follow by antisymmetry."""
+        n = self.dim
+        return {"dim": n, "basis": list(self.basis_names),
+                "brackets": self._entries((i, j) for i in range(n)
+                                          for j in range(i + 1, n))}
 
 
 class Subspace:
@@ -264,20 +235,9 @@ class Subspace:
 
 def _associator(A: SCAlgebra, i: int, j: int, k: int) -> Vector:
     """(b_i b_j) b_k - b_i (b_j b_k) as a coordinate vector."""
-    n = A.dim
-    left = [Fraction(0)] * n
-    for l, cl in enumerate(A.c[i][j]):
-        if cl:
-            for m, cm in enumerate(A.c[l][k]):
-                if cm:
-                    left[m] += cl * cm
-    right = [Fraction(0)] * n
-    for l, cl in enumerate(A.c[j][k]):
-        if cl:
-            for m, cm in enumerate(A.c[i][l]):
-                if cm:
-                    right[m] += cl * cm
-    return tuple(a - b for a, b in zip(left, right))
+    c = A.c
+    return _lincomb(A.dim, chain(((x, c[l][k]) for l, x in enumerate(c[i][j]) if x),
+                                 ((-x, c[i][l]) for l, x in enumerate(c[j][k]) if x)))
 
 
 def check_left_symmetric(A: SCAlgebra) -> CheckReport:
@@ -308,21 +268,18 @@ def check_associative(A: SCAlgebra) -> CheckReport:
     return CheckReport(True)
 
 
-def _jacobi_witness(f, n: int):
+def _jacobi_witness(L: SCAlgebra):
+    """First triple i < j < k (1-based) where Jacobi fails for the constants L.c."""
+    n, f = L.dim, L.c
     zero = (Fraction(0),) * n
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = [Fraction(0)] * n
                 # [b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]]
-                for (a, b, cidx) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = f[b][cidx]
-                    for l, il in enumerate(inner):
-                        if il:
-                            for m, fm in enumerate(f[a][l]):
-                                if fm:
-                                    total[m] += il * fm
-                if tuple(total) != zero:
+                total = _lincomb(n, ((x, f[a][l])
+                                     for a, b, d in ((i, j, k), (j, k, i), (k, i, j))
+                                     for l, x in enumerate(f[b][d])))
+                if total != zero:
                     return (i + 1, j + 1, k + 1)
     return None
 
@@ -408,15 +365,9 @@ def left_mult_matrix(A: SCAlgebra, v) -> list:
     """Matrix of x -> v·x in the basis (rows k, columns j)."""
     vec = _to_vector(v, A.dim)
     n = A.dim
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, vi in enumerate(vec):
-        if not vi:
-            continue
-        for j in range(n):
-            for k, ck in enumerate(A.c[i][j]):
-                if ck:
-                    m[k][j] += vi * ck
-    return m
+    columns = [_lincomb(n, ((vi, A.c[i][j]) for i, vi in enumerate(vec)))
+               for j in range(n)]
+    return [list(row) for row in zip(*columns)]
 
 
 def is_unit(A: SCAlgebra, v) -> bool:

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from .algebra import (
@@ -85,6 +86,21 @@ def _require(condition, message, path):
         raise TaskFileError(message, path)
 
 
+_KIND_NAMES = {str: "a string", list: "a list", int: "an integer"}
+
+
+def _typed(value, kind, what, path):
+    """`value` when it is a str, list or int (not a bool), as `kind` asks."""
+    ok = type(value) is int if kind is int else isinstance(value, kind)
+    _require(ok, f"{what} must be {_KIND_NAMES[kind]}", path)
+    return value
+
+
+def _lookup(table, name, what, path):
+    _require(isinstance(name, str) and name in table, f"undefined {what} {name!r}", path)
+    return table[name]
+
+
 def _parse(source, chart, path) -> object:
     _require(isinstance(source, str), f"expression {source!r} must be a string", path)
     try:
@@ -98,10 +114,11 @@ def load_document(doc: dict) -> _Document:
     _require(doc.get("schema") == SCHEMA_VERSION,
              f'missing or unsupported "schema" (expected {SCHEMA_VERSION})', "/schema")
     out = _Document()
-    for idx, entry in enumerate(doc.get("charts", [])):
+    for idx, entry in enumerate(_typed(doc.get("charts", []), list, '"charts"', "/charts")):
         path = f"/charts/{idx}"
         _require(isinstance(entry, dict) and "name" in entry and "variables" in entry,
                  'chart entries need "name" and "variables"', path)
+        _typed(entry["name"], str, '"name"', f"{path}/name")
         _require(isinstance(entry["variables"], list)
                  and all(isinstance(v, str) for v in entry["variables"]),
                  '"variables" must be a list of strings', f"{path}/variables")
@@ -111,10 +128,27 @@ def load_document(doc: dict) -> _Document:
             raise TaskFileError(str(err), path) from None
         _require(chart.name not in out.charts, f"duplicate chart {chart.name!r}", path)
         out.charts[chart.name] = chart
-    for idx, entry in enumerate(doc.get("algebras", [])):
+    for idx, entry in enumerate(_typed(doc.get("algebras", []), list, '"algebras"',
+                                       "/algebras")):
         path = f"/algebras/{idx}"
         _require(isinstance(entry, dict) and "name" in entry,
                  'algebra entries need a "name"', path)
+        _typed(entry["name"], str, '"name"', f"{path}/name")
+        _typed(entry.get("dim"), int, '"dim"', f"{path}/dim")
+        _require(isinstance(entry.get("basis"), list)
+                 and all(isinstance(b, str) for b in entry["basis"]),
+                 '"basis" must be a list of strings', f"{path}/basis")
+        if "unit" in entry:
+            _typed(entry["unit"], int, '"unit"', f"{path}/unit")
+        products = _typed(entry.get("products", []), list, '"products"', f"{path}/products")
+        for k, item in enumerate(products):
+            ipath = f"{path}/products/{k}"
+            _require(isinstance(item, dict), "product entries must be objects", ipath)
+            for key in ("left", "right"):
+                _typed(item.get(key), int, f'"{key}"', f"{ipath}/{key}")
+            for m, x in enumerate(_typed(item.get("result"), list, '"result"',
+                                         f"{ipath}/result")):
+                _fraction(x, f"{ipath}/result/{m}")
         try:
             algebra = SCAlgebra.from_json_dict(entry)
         except (ValueError, KeyError) as err:
@@ -122,36 +156,36 @@ def load_document(doc: dict) -> _Document:
         _require(entry["name"] not in out.algebras,
                  f"duplicate algebra {entry['name']!r}", path)
         out.algebras[entry["name"]] = algebra
-    for idx, entry in enumerate(doc.get("fields", [])):
+    for idx, entry in enumerate(_typed(doc.get("fields", []), list, '"fields"', "/fields")):
         path = f"/fields/{idx}"
         _require(isinstance(entry, dict) and {"name", "chart", "coeffs"} <= set(entry),
                  'field entries need "name", "chart" and "coeffs"', path)
-        _require(entry["chart"] in out.charts,
-                 f"undefined chart {entry['chart']!r}", path)
-        chart = out.charts[entry["chart"]]
-        _require(isinstance(entry["coeffs"], list), '"coeffs" must be a list',
-                 f"{path}/coeffs")
-        coeffs = [_parse(c, chart, f"{path}/coeffs/{k}")
-                  for k, c in enumerate(entry["coeffs"])]
+        _typed(entry["name"], str, '"name"', f"{path}/name")
+        chart = _lookup(out.charts, entry["chart"], "chart", path)
+        coeffs = [_parse(c, chart, f"{path}/coeffs/{k}") for k, c in
+                  enumerate(_typed(entry["coeffs"], list, '"coeffs"', f"{path}/coeffs"))]
         _require(len(coeffs) == chart.dim,
                  f"expected {chart.dim} coefficients", path)
         _require(entry["name"] not in out.fields,
                  f"duplicate field {entry['name']!r}", path)
         out.fields[entry["name"]] = VectorField(chart, coeffs)
         out.field_charts[entry["name"]] = chart.name
-    for idx, entry in enumerate(doc.get("connections", [])):
+    for idx, entry in enumerate(_typed(doc.get("connections", []), list, '"connections"',
+                                       "/connections")):
         path = f"/connections/{idx}"
         _require(isinstance(entry, dict) and "name" in entry and "chart" in entry,
                  'connection entries need "name" and "chart"', path)
-        _require(entry["chart"] in out.charts,
-                 f"undefined chart {entry['chart']!r}", path)
-        chart = out.charts[entry["chart"]]
+        _typed(entry["name"], str, '"name"', f"{path}/name")
+        chart = _lookup(out.charts, entry["chart"], "chart", path)
         if "christoffel" in entry:
             sparse = []
-            for k, item in enumerate(entry["christoffel"]):
+            for k, item in enumerate(_typed(entry["christoffel"], list, '"christoffel"',
+                                            f"{path}/christoffel")):
                 ipath = f"{path}/christoffel/{k}"
                 _require(isinstance(item, dict) and {"k", "i", "j", "expr"} <= set(item),
                          'christoffel entries need "k", "i", "j", "expr"', ipath)
+                for key in "kij":
+                    _typed(item[key], int, f'"{key}"', f"{ipath}/{key}")
                 sparse.append((item["k"], item["i"], item["j"],
                                _parse(item["expr"], chart, ipath)))
             try:
@@ -161,16 +195,12 @@ def load_document(doc: dict) -> _Document:
         elif "frame" in entry:
             _require("constants" in entry,
                      'frame connections need "constants" (an algebra name)', path)
-            frame_fields = []
-            for k, fname in enumerate(entry["frame"]):
-                _require(fname in out.fields, f"undefined field {fname!r}",
-                         f"{path}/frame/{k}")
-                frame_fields.append(out.fields[fname])
-            _require(entry["constants"] in out.algebras,
-                     f"undefined algebra {entry['constants']!r}", path)
+            frame = _typed(entry["frame"], list, '"frame"', f"{path}/frame")
+            frame_fields = [_lookup(out.fields, fname, "field", f"{path}/frame/{k}")
+                            for k, fname in enumerate(frame)]
+            constants = _lookup(out.algebras, entry["constants"], "algebra", path)
             try:
-                conn = connection_from_frame(Frame(frame_fields),
-                                             out.algebras[entry["constants"]])
+                conn = connection_from_frame(Frame(frame_fields), constants)
             except (ValueError, SingularFrameError) as err:
                 raise TaskFileError(str(err), path) from None
         else:
@@ -178,17 +208,17 @@ def load_document(doc: dict) -> _Document:
         _require(entry["name"] not in out.connections,
                  f"duplicate connection {entry['name']!r}", path)
         out.connections[entry["name"]] = conn
-    tasks = doc.get("tasks", [])
-    _require(isinstance(tasks, list), '"tasks" must be a list', "/tasks")
-    for idx, task in enumerate(tasks):
+    for idx, task in enumerate(_typed(doc.get("tasks", []), list, '"tasks"', "/tasks")):
         path = f"/tasks/{idx}"
         _require(isinstance(task, dict), "task must be an object", path)
         kind = task.get("kind")
         _require(kind in TASK_KINDS,
                  f"unknown task kind {kind!r}; valid kinds: {', '.join(TASK_KINDS)}",
                  f"{path}/kind")
-        _require(type(task.get("expect_rank", 0)) is int,   # bool is a subclass of int
-                 '"expect_rank" must be an integer', f"{path}/expect_rank")
+        if "expect_rank" in task:
+            _typed(task["expect_rank"], int, '"expect_rank"', f"{path}/expect_rank")
+        _require(isinstance(task.get("expect_zero", False), bool),
+                 '"expect_zero" must be true or false', f"{path}/expect_zero")
         out.tasks.append(dict(task))
     return out
 
@@ -197,26 +227,19 @@ def load_document(doc: dict) -> _Document:
 
 
 def _get_algebra(doc, task, key, path) -> SCAlgebra:
-    name = task.get(key)
-    _require(isinstance(name, str) and name in doc.algebras,
-             f"undefined algebra {name!r}", f"{path}/{key}")
-    return doc.algebras[name]
+    return _lookup(doc.algebras, task.get(key), "algebra", f"{path}/{key}")
 
 
 def _get_connection(doc, task, path) -> Connection:
-    name = task.get("connection")
-    _require(isinstance(name, str) and name in doc.connections,
-             f"undefined connection {name!r}", f"{path}/connection")
-    return doc.connections[name]
+    return _lookup(doc.connections, task.get("connection"), "connection",
+                   f"{path}/connection")
 
 
 def _get_fields(doc, task, path):
     names = task.get("fields")
     _require(isinstance(names, list) and names, 'task needs a "fields" list', f"{path}/fields")
-    fields = []
-    for k, name in enumerate(names):
-        _require(name in doc.fields, f"undefined field {name!r}", f"{path}/fields/{k}")
-        fields.append(doc.fields[name])
+    fields = [_lookup(doc.fields, name, "field", f"{path}/fields/{k}")
+              for k, name in enumerate(names)]
     return names, fields
 
 
@@ -271,9 +294,8 @@ def _run_closure(doc, task, path):
 
 def _fraction(x, path):
     try:
-        from fractions import Fraction
         return Fraction(x)
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, ZeroDivisionError) as err:
         raise TaskFileError(f"bad rational {x!r}: {err}", path) from None
 
 
@@ -291,7 +313,7 @@ def _run_tensor(compute):
         report = compute(_get_connection(doc, task, path))
         payload = _tensor_payload(report)
         if "expect_zero" in task:
-            expected = bool(task["expect_zero"])
+            expected = task["expect_zero"]
             if report.is_zero != expected:
                 witness = report.component_name(report.nonzero[0]) if report.nonzero else None
                 return False, witness, payload
@@ -302,11 +324,9 @@ def _run_tensor(compute):
 
 def _run_check_iat(doc, task, path):
     conn = _get_connection(doc, task, path)
-    name = task.get("field")
-    _require(isinstance(name, str) and name in doc.fields,
-             f"undefined field {name!r}", f"{path}/field")
+    field = _lookup(doc.fields, task.get("field"), "field", f"{path}/field")
     try:
-        report = is_infinitesimal_affine(conn, doc.fields[name])
+        report = is_infinitesimal_affine(conn, field)
     except NotFlatError as err:
         raise TaskFileError(str(err), path) from None
     return report.holds, report.witness, {}

@@ -125,9 +125,9 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     commutator = commutator_algebra(envelope)
     # the envelope is an opposite algebra, so its commutator is the negation
     # of the closure-restricted ambient commutator (= restricted Lie brackets)
-    restricted_comm = commutator_algebra(restricted)
+    r = restricted.c
     checks["envelope_commutator_is_opposite_of_restricted_brackets"] = all(
-        commutator.f[i][j] == tuple(-x for x in restricted_comm.f[i][j])
+        commutator.c[i][j] == tuple(b - a for a, b in zip(r[i][j], r[j][i]))
         for i in range(commutator.dim) for j in range(commutator.dim))
     return EnvelopeReport(
         ambient=ambient,
@@ -147,4 +147,4 @@ def verify_bi_invariant_criterion(L: LieAlgebraSC, A: SCAlgebra) -> bool:
     if not check_associative(A).holds:
         return False
     commutator = commutator_algebra(A)
-    return commutator.f == L.f
+    return commutator.c == L.c

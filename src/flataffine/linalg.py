@@ -111,10 +111,6 @@ def in_row_space(rows, vector, *, zero=_QZERO) -> bool:
     return len(extended) == len(reduced)
 
 
-def identity(n, *, zero=_QZERO, one=_QONE):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 def mat_mul(a, b, *, zero=_QZERO):
     out = []
     for row in a:

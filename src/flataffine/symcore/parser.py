@@ -11,7 +11,8 @@ Implicit multiplication is not allowed: "2x" is a syntax error, which keeps
 multi-character variables like x11 unambiguous.  Integer literals are the
 rational literals of the grammar; general rationals are spelled with the
 division operator ("3/4").  All reported offsets are byte offsets into the
-source text.
+source text.  Parentheses nest at most 200 deep, and a run of unary minus
+signs is read without recursion, so no input can exhaust the stack.
 """
 from __future__ import annotations
 
@@ -36,6 +37,10 @@ class ZeroDenominatorError(ExpressionError, ZeroDivisionError):
 
 
 _OPERATORS = set("+-*/^()")
+
+# four stack frames per level (expr, term, factor, base), well inside the
+# interpreter's default recursion limit of 1000
+_MAX_DEPTH = 200
 
 
 def tokenize(source: str):
@@ -75,6 +80,7 @@ class _Parser:
     def __init__(self, source: str, chart: Chart):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0
         self.chart = chart
 
     def peek(self):
@@ -125,10 +131,26 @@ class _Parser:
             else:
                 return value
 
+    def at_op(self, symbol: str) -> bool:
+        return self.peek()[:2] == ("op", symbol)
+
     def factor(self) -> RationalFunction:
-        value = self.base()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
+        # the grammar's nested '-' factor, read in a loop: the base takes its
+        # power, then the innermost signs negate and each takes the next
+        # power (--x^2^3 = -((-(x^2))^3)); the signs left over negate once
+        # if their count is odd
+        signs = 0
+        while self.at_op("-"):
+            self.advance()
+            signs += 1
+        value = self.power(self.base())
+        while signs and self.at_op("^"):
+            value = self.power(-value)
+            signs -= 1
+        return -value if signs % 2 else value
+
+    def power(self, value: RationalFunction) -> RationalFunction:
+        if self.at_op("^"):
             self.advance()
             kind, text, offset = self.peek()
             if kind != "num":
@@ -146,11 +168,14 @@ class _Parser:
                 raise UnknownVariableError(text, self.chart)
             return RationalFunction.variable(self.chart, text)
         if kind == "op" and text == "(":
+            if self.depth == _MAX_DEPTH:
+                raise ExprSyntaxError(
+                    f"parentheses nested more than {_MAX_DEPTH} deep", offset)
+            self.depth += 1
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
-        if kind == "op" and text == "-":
-            return -self.factor()
         raise ExprSyntaxError(
             f"expected a number, variable, '(' or '-', got {text!r}"
             if text else "unexpected end of input", offset)

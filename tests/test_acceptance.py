@@ -153,8 +153,8 @@ def test_criterion_7_left_symmetry_and_bracket():
         for algebra in cases:
             assert check_left_symmetric(algebra).holds
             lie = commutator_algebra(algebra)
-            assert lie.f[0][1] == (Fraction(0), Fraction(1))   # [e1, e2] = e2
-            assert lie.f[1][0] == (Fraction(0), Fraction(-1))
+            assert lie.c[0][1] == (Fraction(0), Fraction(1))   # [e1, e2] = e2
+            assert lie.c[1][0] == (Fraction(0), Fraction(-1))
 
 
 def test_criterion_8_flatness_verification():

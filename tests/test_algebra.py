@@ -125,14 +125,14 @@ def test_aff_line_not_associative_with_witness():
 def test_aff_line_commutator_is_aff_bracket():
     lie = commutator_algebra(aff_line_lsa())
     # [e1, e2] = e2, hand-derived by subtracting transposed constants
-    assert lie.f[0][1] == (F(0), F(1))
-    assert lie.f[1][0] == (F(0), F(-1))
+    assert lie.c[0][1] == (F(0), F(1))
+    assert lie.c[1][0] == (F(0), F(-1))
 
 
 def test_commutative_algebra_gives_abelian():
     A = SCAlgebra.from_products(("a", "b"), {("a", "b"): {"a": 1}, ("b", "a"): {"a": 1}})
     lie = commutator_algebra(A)
-    assert all(not any(vec) for row in lie.f for vec in row)
+    assert all(not any(vec) for row in lie.c for vec in row)
 
 
 def test_six_field_table_commutator_is_antisymmetrization():
@@ -141,7 +141,7 @@ def test_six_field_table_commutator_is_antisymmetrization():
     for i in range(A.dim):
         for j in range(A.dim):
             expected = tuple(a - b for a, b in zip(A.c[i][j], A.c[j][i]))
-            assert lie.f[i][j] == expected
+            assert lie.c[i][j] == expected
 
 
 def test_jacobi_error_on_non_lie_admissible():
@@ -156,8 +156,10 @@ def test_jacobi_error_on_non_lie_admissible():
 
 
 def test_lie_algebra_constructor_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"not antisymmetric at \(1, 2\)"):
         LieAlgebraSC(("a", "b"), [[[0, 0], [1, 0]], [[1, 0], [0, 0]]])
+    with pytest.raises(ValueError, match="unique"):
+        LieAlgebraSC(("a", "a"), [[[0, 0], [0, 0]], [[0, 0], [0, 0]]])
 
 
 # ----- closure --------------------------------------------------------------------

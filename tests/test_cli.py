@@ -39,9 +39,9 @@ def six_field_brackets_json(name="six-field-brackets"):
     entries = []
     for i in range(lie.dim):
         for j in range(lie.dim):
-            if any(lie.f[i][j]):
+            if any(lie.c[i][j]):
                 entries.append({"left": i + 1, "right": j + 1,
-                                "result": [str(x) for x in lie.f[i][j]]})
+                                "result": [str(x) for x in lie.c[i][j]]})
     return {"name": name, "dim": lie.dim, "basis": list(lie.basis_names),
             "products": entries}
 
@@ -317,8 +317,30 @@ def _malformed(task_id, edit):
      "/fields/0/coeffs/0"),
     (_malformed("lsa", lambda d: d["charts"][0].update(variables=[1, 2])),
      "/charts/0/variables"),
+    (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(
+        result=["1/0", "0"])), "/algebras/0/products/0/result/0"),
+    (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(left="1")),
+     "/algebras/0/products/0/left"),
+    (_malformed("lsa", lambda d: d["algebras"][0].update(basis=5)),
+     "/algebras/0/basis"),
+    (_malformed("lsa", lambda d: d.update(charts=5)), "/charts"),
+    (_malformed("clos", lambda d: d["tasks"][0].update(
+        generators=[["1/0", "0", "0", "0", "0", "0"]])), "/tasks/0/generators/0"),
+    (_malformed("lsa", lambda d: d["connections"][0].update(frame=5)),
+     "/connections/0/frame"),
+    (_malformed("lsa", lambda d: d["connections"][0].update(christoffel=[
+        {"k": "1", "i": 1, "j": 1, "expr": "1/x"}])), "/connections/0/christoffel/0/k"),
+    (_malformed("table", lambda d: d["tasks"][0].update(fields=[["a"]])),
+     "/tasks/0/fields/0"),
+    (_malformed("tor", lambda d: d["tasks"][0].update(expect_zero="false")),
+     "/tasks/0/expect_zero"),
+    (_malformed("lsa", lambda d: d["fields"][0].update(
+        coeffs=["(" * 5000 + "x" + ")" * 5000, "0"])), "/fields/0/coeffs/0"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
-        "field-coeffs-numbers", "chart-variables-numbers"])
+        "field-coeffs-numbers", "chart-variables-numbers", "algebra-result-zero-denominator",
+        "product-left-string", "algebra-basis-number", "charts-number",
+        "generator-zero-denominator", "frame-number", "christoffel-index-string",
+        "table-field-list", "expect-zero-string", "coeffs-nested-too-deep"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))

@@ -66,6 +66,27 @@ def test_unary_minus_binds_after_power():
     # '-' factor applies to the whole factor: -x^2 = -(x^2)
     assert parse_expr("-x^2", CH) == -parse_expr("x^2", CH)
     assert parse_expr("- - x", CH) == parse_expr("x", CH)
+    # each '-' takes the power that follows it: --x^2^3 = -((-(x^2))^3)
+    assert parse_expr("--x^2^3", CH) == -((-parse_expr("x^2", CH)) ** 3)
+
+
+@pytest.mark.parametrize("signs", [5000, 5001])
+def test_long_unary_minus_run(signs):
+    x = parse_expr("x", CH)
+    assert parse_expr("-" * signs + "x^2", CH) == (-1) ** signs * x ** 2
+    assert parse_expr("y - " + "-" * signs + "(x)", CH) == \
+        parse_expr("y", CH) - (-1) ** signs * x
+
+
+def test_parenthesis_depth_cap():
+    assert parse_expr("(" * 200 + "x" + ")" * 200, CH) == parse_expr("x", CH)
+    assert parse_expr("-(" * 200 + "x" + ")" * 200, CH) == parse_expr("x", CH)
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("(" * 201 + "x" + ")" * 201, CH)
+    assert err.value.offset == 200
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("x + " + "( " * 5000 + "x" + ")" * 5000, CH)
+    assert err.value.offset == 4 + 2 * 200
 
 
 def test_rationals_via_division():
