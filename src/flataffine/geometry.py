@@ -402,6 +402,9 @@ def _coordinate_rows(fields):
     All coefficients are brought over one common polynomial denominator (which
     preserves constant-linear relations); the coordinates are the rational
     coefficients of each (component, monomial) slot, ordered deterministically.
+    The common denominator is the lcm of the distinct denominators of the
+    nonzero coefficients, and each distinct denominator is divided into it
+    once; a zero coefficient (always over 1) contributes its zero numerator.
     """
     if not fields:
         return []
@@ -409,16 +412,17 @@ def _coordinate_rows(fields):
     for f in fields:
         if f.chart != chart:
             raise ValueError("all fields must share one chart")
+    dens = dict.fromkeys(c.den for f in fields for c in f.coeffs if c.num)
     common = Polynomial.one(chart)
-    for f in fields:
-        for c in f.coeffs:
-            common = poly_lcm(common, c.den)
+    for d in dens:
+        common = poly_lcm(common, d)
+    multiplier = {d: exact_div(common, d) for d in dens}
     cleared = []
     axes = set()
     for f in fields:
         polys = []
         for k, c in enumerate(f.coeffs):
-            p = c.num * exact_div(common, c.den)
+            p = c.num * multiplier[c.den] if c.num else c.num
             polys.append(p)
             for exps in p.terms:
                 axes.add((k, exps))

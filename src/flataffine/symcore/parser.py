@@ -12,7 +12,11 @@ multi-character variables like x11 unambiguous.  Integer literals are the
 rational literals of the grammar; general rationals are spelled with the
 division operator ("3/4").  All reported offsets are byte offsets into the
 source text.  Parentheses nest at most 200 deep, and a run of unary minus
-signs is read without recursion, so no input can exhaust the stack.
+signs is read without recursion, so no input can exhaust the stack.  A power
+f^n is refused when n times the degree of f exceeds 64 or n times the bit
+length of f's longest coefficient exceeds 4096, and integer literals are
+refused past Python's digit limit for int(), so no short input can take
+unbounded time either.
 """
 from __future__ import annotations
 
@@ -41,6 +45,18 @@ _OPERATORS = set("+-*/^()")
 # four stack frames per level (expr, term, factor, base), well inside the
 # interpreter's default recursion limit of 1000
 _MAX_DEPTH = 200
+
+# power caps (see the module docstring), far above the ^2 and ^3 of the
+# shipped task files; constants have degree 0, so only the bit cap stops a
+# tower such as (((9^64)^64)^64)^64
+_MAX_DEGREE = 64
+_MAX_BITS = 4096
+
+
+def _height(f: RationalFunction) -> int:
+    """Largest bit length of a numerator or denominator of f's coefficients."""
+    return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for p in (f.num, f.den) for c in p.terms.values())
 
 
 def tokenize(source: str):
@@ -74,6 +90,16 @@ def tokenize(source: str):
         raise ExprSyntaxError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _integer(text: str, offset: int) -> int:
+    # int() refuses more digits than sys.get_int_max_str_digits() with a
+    # plain ValueError
+    try:
+        return int(text)
+    except ValueError:
+        raise ExprSyntaxError(f"integer literal of {len(text)} digits is too long",
+                              offset) from None
 
 
 class _Parser:
@@ -156,13 +182,21 @@ class _Parser:
             if kind != "num":
                 raise ExprSyntaxError("exponent must be a non-negative integer", offset)
             self.advance()
-            value = value ** int(text)
+            n = _integer(text, offset)
+            degree = max(value.num.total_degree(), value.den.total_degree())
+            if degree * n > _MAX_DEGREE:
+                raise ExprSyntaxError(
+                    f"power would exceed degree {_MAX_DEGREE}", offset)
+            if _height(value) * n > _MAX_BITS:
+                raise ExprSyntaxError(
+                    f"power would exceed {_MAX_BITS}-bit coefficients", offset)
+            value = value ** n
         return value
 
     def base(self) -> RationalFunction:
         kind, text, offset = self.advance()
         if kind == "num":
-            return RationalFunction.constant(self.chart, int(text))
+            return RationalFunction.constant(self.chart, _integer(text, offset))
         if kind == "name":
             if text not in self.chart:
                 raise UnknownVariableError(text, self.chart)

@@ -91,7 +91,7 @@ class Polynomial:
         return all(not any(e) for e in self.terms)
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.chart.dim: Fraction(1)}
+        return len(self.terms) == 1 and self.terms.get((0,) * self.chart.dim) == 1
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -208,7 +208,8 @@ class RationalFunction:
         """Quotient-rule derivative, normalized."""
         dn = self.num.diff(variable)
         if self.den.is_one():
-            return RationalFunction(dn, self.den)
+            # a fraction over 1 is already in lowest terms
+            return RationalFunction._reduced(dn, self.den)
         dd = self.den.diff(variable)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 

@@ -1,6 +1,7 @@
 """Task-file runner: end-to-end runs, exit codes, determinism, table rendering."""
 import copy
 import json
+import time
 
 import pytest
 
@@ -336,11 +337,16 @@ def _malformed(task_id, edit):
      "/tasks/0/expect_zero"),
     (_malformed("lsa", lambda d: d["fields"][0].update(
         coeffs=["(" * 5000 + "x" + ")" * 5000, "0"])), "/fields/0/coeffs/0"),
+    (_malformed("lsa", lambda d: d["fields"][1].update(
+        coeffs=["0", "(x+y)^200/(x-y)^200"])), "/fields/1/coeffs/1"),
+    (_malformed("lsa", lambda d: d["fields"][0].update(coeffs=["9" * 5000, "0"])),
+     "/fields/0/coeffs/0"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "algebra-result-zero-denominator",
         "product-left-string", "algebra-basis-number", "charts-number",
         "generator-zero-denominator", "frame-number", "christoffel-index-string",
-        "table-field-list", "expect-zero-string", "coeffs-nested-too-deep"])
+        "table-field-list", "expect-zero-string", "coeffs-nested-too-deep",
+        "coeffs-power-too-high", "coeffs-literal-too-long"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))
@@ -349,6 +355,21 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     taskfile.write_text(json.dumps(doc))
     assert main(["run", str(taskfile)]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_power_past_degree_cap_fails_fast(tmp_path, capsys):
+    # the parser used to compute this power before anything could refuse it
+    # (33 s on a 2-core host)
+    doc = _malformed("lsa", lambda d: d["fields"][0].update(
+        coeffs=["(x+y)^200/(x-y)^200", "0"]))
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    started = time.process_time()
+    assert main(["run", str(taskfile)]) == 2
+    assert time.process_time() - started < 1.0
+    err = capsys.readouterr().err
+    assert "/fields/0/coeffs/0" in err and "degree 64" in err
+
 
 # ----- emit_table and rendering ------------------------------------------------------
 

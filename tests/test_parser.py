@@ -89,6 +89,26 @@ def test_parenthesis_depth_cap():
     assert err.value.offset == 4 + 2 * 200
 
 
+def test_power_caps():
+    x, y = parse_expr("x", CH), parse_expr("y", CH)
+    assert parse_expr("(x/y)^64", CH) == (x / y) ** 64
+    assert parse_expr("-x^8^8", CH) == (-x ** 8) ** 8
+    assert parse_expr("2^2048", CH) == 2 ** 2048
+    refused = {"(x+y)^200/(x-y)^200": 6, "x^65": 2, "(x^2)^33": 6, "(1/(x*y))^33": 10,
+               "--x^64^64": 7, "((9^64)^64)^64": 8, "2^4096": 2, "(x + 3^64)^64": 11,
+               "x^" + "9" * 5000: 2}
+    for source, offset in refused.items():
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(source, CH)
+        assert err.value.offset == offset, source
+
+
+def test_integer_literal_past_int_digit_limit():
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr("x + " + "7" * 5000, CH)
+    assert err.value.offset == 4
+
+
 def test_rationals_via_division():
     f = parse_expr("3/4", CH)
     assert f.is_constant() and str(f.constant_value()) == "3/4"

@@ -4,17 +4,21 @@
 `independent_fields` takes the pivot columns of one elimination.  This module
 keeps the earlier single-right-hand-side solve and the greedy "keep the field
 if it grows the span" loop as oracles and compares them with the production
-code on seeded random inputs.
+code on seeded random inputs.  It also keeps the per-slot denominator clearing
+of `_coordinate_rows`, the normalising quotient rule for polynomial
+derivatives and the dict comparison of `Polynomial.is_one` as oracles for
+their fast paths.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from flataffine import NotInSpanError, VectorField
+from flataffine import NotInSpanError, Polynomial, RationalFunction, VectorField, geometry
 from flataffine.geometry import _coordinate_rows, express_in_basis, independent_fields
 from flataffine.linalg import rank, rref, solve
-from helpers import chart_xy, random_rational_function
+from flataffine.symcore import exact_div, grlex_key, poly_lcm
+from helpers import chart_xy, random_polynomial, random_rational_function
 
 
 # ----- oracles -------------------------------------------------------------------------
@@ -47,6 +51,32 @@ def oracle_independent_fields(fields, names):
             kept_names.append(name)
             current_rank = r
     return kept_names, kept_fields
+
+
+def oracle_coordinate_rows(fields):
+    """Coordinates with one lcm and one exact division per coefficient slot."""
+    if not fields:
+        return []
+    chart = fields[0].chart
+    common = Polynomial.one(chart)
+    for f in fields:
+        for c in f.coeffs:
+            common = poly_lcm(common, c.den)
+    cleared = [[c.num * exact_div(common, c.den) for c in f.coeffs] for f in fields]
+    axes = {(k, exps) for polys in cleared for k, p in enumerate(polys) for exps in p.terms}
+    axis_list = sorted(axes, key=lambda a: (a[0],) + tuple(grlex_key(a[1])))
+    return [[polys[k].terms.get(exps, Fraction(0)) for (k, exps) in axis_list]
+            for polys in cleared]
+
+
+def oracle_diff(f, variable):
+    """The quotient rule through the normalising constructor."""
+    return RationalFunction(f.num.diff(variable) * f.den - f.num * f.den.diff(variable),
+                            f.den * f.den)
+
+
+def oracle_is_one(p):
+    return p.terms == {(0,) * p.chart.dim: Fraction(1)}
 
 
 def oracle_express(target, basis):
@@ -182,3 +212,101 @@ def test_express_in_basis_with_empty_basis():
     with pytest.raises(NotInSpanError) as err:
         express_in_basis([VectorField.zero(chart), VectorField(chart, ["x", "0"])], [])
     assert err.value.index == 1
+
+
+def shared_denominator_fields(rng, chart):
+    """Fields whose coefficients share a few denominators, with zero slots.
+
+    The pool holds 1, a constant (normalised to 1) and up to three
+    non-constant denominators, one of them possibly with an associate; some
+    coefficients are fresh random rational functions and some fields are zero.
+    """
+    pool = [Polynomial.one(chart), Polynomial.constant(chart, 3)]
+    while len(pool) < rng.randint(3, 5):
+        den = random_polynomial(rng, chart, 2, 2)
+        if not den.is_constant():
+            pool.append(den)
+    if rng.random() < 0.5:
+        pool.append(pool[-1] * Fraction(-2, 3))
+    fields = []
+    for _ in range(rng.randint(1, 8)):
+        if rng.random() < 0.15:
+            fields.append(VectorField.zero(chart))
+            continue
+        coeffs = []
+        for _ in range(chart.dim):
+            roll = rng.random()
+            if roll < 0.25:
+                coeffs.append(RationalFunction.zero(chart))
+            elif roll < 0.8:
+                coeffs.append(RationalFunction(random_polynomial(rng, chart, 2),
+                                               rng.choice(pool)))
+            else:
+                coeffs.append(random_rational_function(rng, chart, 2))
+        fields.append(VectorField(chart, coeffs))
+    return fields
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_coordinate_rows_match_per_slot_clearing(seed):
+    rng = random.Random(300 + seed)
+    chart = chart_xy()
+    distinct = 0
+    for _ in range(12):
+        fields = shared_denominator_fields(rng, chart)
+        assert _coordinate_rows(fields) == oracle_coordinate_rows(fields)
+        distinct = max(distinct, len({c.den for f in fields for c in f.coeffs if c}))
+    assert distinct >= 3
+
+
+def test_coordinate_rows_of_zero_and_polynomial_fields():
+    chart = chart_xy()
+    zero = VectorField.zero(chart)
+    assert _coordinate_rows([zero, zero]) == oracle_coordinate_rows([zero, zero]) \
+        == [[], []]
+    fields = [VectorField(chart, ["x^2", "0"]), zero, VectorField(chart, ["2", "x*y"])]
+    assert _coordinate_rows(fields) == oracle_coordinate_rows(fields)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_diff_matches_normalising_quotient_rule(seed):
+    rng = random.Random(400 + seed)
+    chart = chart_xy()
+    polynomial = 0
+    for _ in range(40):
+        if rng.random() < 0.5:
+            f = RationalFunction(random_polynomial(rng, chart))
+        else:
+            f = random_rational_function(rng, chart)
+        polynomial += f.is_polynomial()
+        for v in chart.variables:
+            got, want = f.diff(v), oracle_diff(f, v)
+            assert got.num.sorted_terms() == want.num.sorted_terms()
+            assert got.den.sorted_terms() == want.den.sorted_terms()
+    assert 0 < polynomial < 40
+
+
+def test_is_one_matches_dict_comparison():
+    chart = chart_xy()
+    x = Polynomial.variable(chart, "x")
+    cases = [Polynomial.zero(chart), Polynomial.one(chart), Polynomial.constant(chart, 2),
+             x + 1, x, Polynomial.constant(chart, Fraction(1, 2)) * 2]
+    assert [p.is_one() for p in cases] == [oracle_is_one(p) for p in cases] \
+        == [False, True, False, False, False, True]
+
+
+def test_coordinate_rows_take_one_lcm_per_distinct_denominator(monkeypatch):
+    calls = []
+
+    def counting_lcm(p, q):
+        calls.append(q)
+        return poly_lcm(p, q)
+
+    monkeypatch.setattr(geometry, "poly_lcm", counting_lcm)
+    chart = chart_xy()
+    _coordinate_rows([VectorField.zero(chart)] * 5)
+    assert calls == []
+    fields = [VectorField(chart, [f"{k}/x", f"{k}/(x*y)"]) for k in range(1, 51)]
+    rows = _coordinate_rows(fields)
+    assert sorted(map(str, calls)) == ["x", "x*y"]
+    assert rows == oracle_coordinate_rows(fields)

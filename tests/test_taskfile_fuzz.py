@@ -1,0 +1,85 @@
+"""Seeded structural mutations of the shipped task file against `load_document`.
+
+Each mutant of `docs/example-tasks.json` must either load or be refused with
+`TaskFileError` (which the CLI turns into exit code 2 and a JSON path); any
+other exception would be a traceback for the user.
+"""
+import copy
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from flataffine.cli import TaskFileError, load_document
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
+MUTANTS = 300
+SEED = 2017
+
+# one value of each JSON type, for type swaps
+JSON_VALUES = ("x", "", 7, 0, -1, 2.5, True, False, None, [], ["x"], {}, {"name": "x"})
+
+
+def _slots(value, out):
+    """Every (container, key) pair in the document, depth first."""
+    if isinstance(value, dict):
+        for key in value:
+            out.append((value, key))
+            _slots(value[key], out)
+    elif isinstance(value, list):
+        for key in range(len(value)):
+            out.append((value, key))
+            _slots(value[key], out)
+    return out
+
+
+def _names(doc):
+    """The name strings the document defines, the targets of name references."""
+    return sorted({entry["name"] for section in ("charts", "algebras", "fields",
+                                                  "connections")
+                   for entry in doc[section] if "name" in entry})
+
+
+def mutate(rng, doc, names):
+    """Apply one random mutation in place at a random slot; return its kind."""
+    container, key = rng.choice(_slots(doc, []))
+    value = container[key]
+    kind = rng.choice(("delete", "retype", "rename", "truncate", "nest"))
+    if kind == "delete":
+        del container[key]
+    elif kind == "retype":
+        container[key] = rng.choice([v for v in JSON_VALUES if type(v) is not type(value)])
+    elif kind == "rename":
+        container[key] = rng.choice(names + ["undefined", "e1", "x"])
+    elif kind == "truncate":
+        if isinstance(value, list):
+            del value[rng.randint(0, len(value)):]
+        elif isinstance(container, list):
+            del container[key:]
+        else:
+            container[key] = []
+    else:
+        container[key] = [value]
+    return kind
+
+
+def test_load_document_loads_or_refuses_every_mutant():
+    original = json.loads(EXAMPLE.read_text())
+    names = _names(original)
+    load_document(copy.deepcopy(original))
+    rng = random.Random(SEED)
+    kinds = set()
+    refused = 0
+    for i in range(MUTANTS):
+        doc = copy.deepcopy(original)
+        applied = [mutate(rng, doc, names) for _ in range(rng.randint(1, 3))]
+        kinds.update(applied)
+        try:
+            load_document(doc)
+        except TaskFileError:
+            refused += 1
+        except Exception as err:    # any other exception is the failure
+            pytest.fail(f"mutant {i} ({applied}) raised {type(err).__name__}: {err}")
+    assert kinds == {"delete", "retype", "rename", "truncate", "nest"}
+    assert 0 < refused < MUTANTS
