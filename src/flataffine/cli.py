@@ -238,9 +238,13 @@ def _get_connection(doc, task, path) -> Connection:
 def _get_fields(doc, task, path):
     names = task.get("fields")
     _require(isinstance(names, list) and names, 'task needs a "fields" list', f"{path}/fields")
-    fields = [_lookup(doc.fields, name, "field", f"{path}/fields/{k}")
-              for k, name in enumerate(names)]
-    return names, fields
+    fields = {}
+    for k, name in enumerate(names):
+        field = _lookup(doc.fields, name, "field", f"{path}/fields/{k}")
+        _require(name not in fields, f"field {name!r} is listed twice",
+                 f"{path}/fields/{k}")
+        fields[name] = field
+    return names, list(fields.values())
 
 
 def _run_check_lsa(doc, task, path):

@@ -23,11 +23,6 @@ from .polynomial import (
 from .ratfunc import RationalFunction
 
 
-def differentiate(f: RationalFunction, variable: str) -> RationalFunction:
-    """Partial derivative of a rational function (quotient rule, normalized)."""
-    return f.diff(variable)
-
-
 __all__ = [
     "Chart",
     "ChartMismatchError",
@@ -39,7 +34,6 @@ __all__ = [
     "RationalFunction",
     "UnknownVariableError",
     "ZeroDenominatorError",
-    "differentiate",
     "exact_div",
     "grlex_key",
     "parse_expr",

@@ -19,6 +19,8 @@ from .chart import Chart, require_same_chart
 # gcd-reduced, positive denominator, zero as 0/1.
 Rational = Fraction
 
+_ONE = Fraction(1)
+
 
 class ExactDivisionError(ArithmeticError):
     """A polynomial division that was expected to be exact left a remainder."""
@@ -61,12 +63,24 @@ class Polynomial:
     # ----- constructors -------------------------------------------------
 
     @classmethod
+    def _of(cls, chart: Chart, terms: dict) -> "Polynomial":
+        """Wrap terms that are already canonical, without validation or copy.
+
+        Every key must be an exponent tuple of the chart's width and every
+        value a nonzero Fraction; outside input goes through the constructor.
+        """
+        self = cls.__new__(cls)
+        self.chart = chart
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, chart: Chart) -> "Polynomial":
-        return cls(chart)
+        return cls._of(chart, {})
 
     @classmethod
     def one(cls, chart: Chart) -> "Polynomial":
-        return cls.constant(chart, 1)
+        return cls._of(chart, {(0,) * chart.dim: _ONE})
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Polynomial":
@@ -139,18 +153,12 @@ class Polynomial:
                 out[exps] = c
             else:
                 out.pop(exps, None)
-        result = Polynomial.__new__(Polynomial)
-        result.chart = self.chart
-        result.terms = out
-        return result
+        return Polynomial._of(self.chart, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        result = Polynomial.__new__(Polynomial)
-        result.chart = self.chart
-        result.terms = {e: -c for e, c in self.terms.items()}
-        return result
+        return Polynomial._of(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -170,10 +178,7 @@ class Polynomial:
                 return NotImplemented
             if not s:
                 return Polynomial.zero(self.chart)
-            result = Polynomial.__new__(Polynomial)
-            result.chart = self.chart
-            result.terms = {e: c * s for e, c in self.terms.items()}
-            return result
+            return Polynomial._of(self.chart, {e: c * s for e, c in self.terms.items()})
         require_same_chart(self, other)
         out = {}
         for e1, c1 in self.terms.items():
@@ -184,10 +189,7 @@ class Polynomial:
                     out[key] = c
                 else:
                     del out[key]
-        result = Polynomial.__new__(Polynomial)
-        result.chart = self.chart
-        result.terms = out
-        return result
+        return Polynomial._of(self.chart, out)
 
     __rmul__ = __mul__
 
@@ -228,7 +230,7 @@ class Polynomial:
             new = list(exps)
             new[axis] = k - 1
             out[tuple(new)] = coeff * k
-        return Polynomial(self.chart, out)
+        return Polynomial._of(self.chart, out)
 
     def evaluate(self, point) -> Fraction:
         """Evaluate at a mapping variable -> Fraction (exact; test oracle use)."""
@@ -317,8 +319,8 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
             raise ExactDivisionError(f"({p}) is not divisible by ({d})")
         q_coeff = rem.terms[r_exps] / d_coeff
         out[q_exps] = q_coeff
-        rem = rem - Polynomial.monomial(p.chart, q_exps, q_coeff) * d
-    return Polynomial(p.chart, out)
+        rem = rem - Polynomial._of(p.chart, {q_exps: q_coeff}) * d
+    return Polynomial._of(p.chart, out)
 
 
 def _min_exponents(p: Polynomial):
@@ -341,7 +343,7 @@ def _coefficients_wrt(p: Polynomial, axis: int):
         stripped[axis] = 0
         bucket = coeffs.setdefault(k, {})
         bucket[tuple(stripped)] = coeff
-    return {k: Polynomial(p.chart, t) for k, t in coeffs.items()}
+    return {k: Polynomial._of(p.chart, t) for k, t in coeffs.items()}
 
 
 def _lc_wrt(p: Polynomial, axis: int) -> Polynomial:
@@ -352,7 +354,7 @@ def _lc_wrt(p: Polynomial, axis: int) -> Polynomial:
             stripped = list(exps)
             stripped[axis] = 0
             terms[tuple(stripped)] = coeff
-    return Polynomial(p.chart, terms)
+    return Polynomial._of(p.chart, terms)
 
 
 def _shift(p: Polynomial, axis: int, k: int) -> Polynomial:
@@ -364,10 +366,7 @@ def _shift(p: Polynomial, axis: int, k: int) -> Polynomial:
         new = list(exps)
         new[axis] += k
         out[tuple(new)] = coeff
-    result = Polynomial.__new__(Polynomial)
-    result.chart = p.chart
-    result.terms = out
-    return result
+    return Polynomial._of(p.chart, out)
 
 
 def _content_and_primitive_wrt(p: Polynomial, axis: int):

@@ -32,40 +32,34 @@ class RationalFunction:
         require_same_chart(num, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
-        if num.is_zero():
-            self.num = num
-            self.den = Polynomial.one(num.chart)
-            return
-        g = poly_gcd(num, den)
-        if not g.is_one():
-            num = exact_div(num, g)
-            den = exact_div(den, g)
-        scale = den.content()
-        if den.leading_coefficient() < 0:
-            scale = -scale
-        if scale != 1:
-            num = num * (1 / scale)
-            den = den * (1 / scale)
-        self.num = num
-        self.den = den
+        if not num.is_zero():
+            g = poly_gcd(num, den)
+            if not g.is_one():
+                num = exact_div(num, g)
+                den = exact_div(den, g)
+        self._scale(num, den)
 
     @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """Build from a fraction already in lowest terms (skips the gcd)."""
         self = cls.__new__(cls)
+        self._scale(num, den)
+        return self
+
+    def _scale(self, num: Polynomial, den: Polynomial) -> None:
+        """Store num/den, in lowest terms, in canonical form: zero as 0/1,
+        otherwise the denominator primitive with a positive leading coefficient."""
         if num.is_zero():
-            self.num = num
-            self.den = Polynomial.one(num.chart)
-            return self
-        scale = den.content()
-        if den.leading_coefficient() < 0:
-            scale = -scale
-        if scale != 1:
-            num = num * (1 / scale)
-            den = den * (1 / scale)
+            den = Polynomial.one(num.chart)
+        else:
+            scale = den.content()
+            if den.leading_coefficient() < 0:
+                scale = -scale
+            if scale != 1:
+                num = num * (1 / scale)
+                den = den * (1 / scale)
         self.num = num
         self.den = den
-        return self
 
     @classmethod
     def zero(cls, chart: Chart) -> "RationalFunction":

@@ -341,12 +341,17 @@ def _malformed(task_id, edit):
         coeffs=["0", "(x+y)^200/(x-y)^200"])), "/fields/1/coeffs/1"),
     (_malformed("lsa", lambda d: d["fields"][0].update(coeffs=["9" * 5000, "0"])),
      "/fields/0/coeffs/0"),
+    (_malformed("env", lambda d: d["tasks"][0]["fields"].append("e1-")),
+     "/tasks/0/fields/6"),
+    (_malformed("table", lambda d: d["tasks"][0].update(fields=["e1-", "e1-"])),
+     "/tasks/0/fields/1"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "algebra-result-zero-denominator",
         "product-left-string", "algebra-basis-number", "charts-number",
         "generator-zero-denominator", "frame-number", "christoffel-index-string",
         "table-field-list", "expect-zero-string", "coeffs-nested-too-deep",
-        "coeffs-power-too-high", "coeffs-literal-too-long"])
+        "coeffs-power-too-high", "coeffs-literal-too-long", "envelope-field-repeated",
+        "table-field-repeated"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from flataffine import Chart, Polynomial, Rational
+from flataffine import Chart, Polynomial, Rational, RationalFunction
 from flataffine.symcore import ExactDivisionError, exact_div, poly_gcd, poly_lcm
-from helpers import chart_xy, random_polynomial
+from flataffine.symcore.polynomial import _coefficients_wrt, _lc_wrt
+from helpers import chart_xy, random_polynomial, random_rational_function
 
 
 def P(source_terms, chart):
@@ -173,3 +174,63 @@ def test_pow_and_scalars():
     assert (x + 1) ** 2 == x * x + 2 * x + 1
     assert 3 * x == x * 3
     assert (x + 1) - 1 == x
+
+
+# ----- trusted construction ----------------------------------------------------
+# Internal results wrap their terms without validation; the validating
+# constructor is the oracle that they are canonical.  The type check matters
+# because int 1 compares equal to Fraction(1).
+
+
+def assert_canonical(p):
+    assert Polynomial(p.chart, p.terms).terms == p.terms
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction
+        assert type(exps) is tuple and len(exps) == p.chart.dim
+
+
+def _charts():
+    return [chart_xy(), Chart("abc", ("a", "b", "c"))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("chart", _charts(), ids=["xy", "abc"])
+def test_polynomial_results_are_canonical(seed, chart):
+    rng = random.Random(seed)
+    for _ in range(12):
+        p = random_polynomial(rng, chart)
+        q = random_polynomial(rng, chart)
+        s = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        results = [p + q, p - q, p - p, -p, p * s, s * p, p * q, p ** rng.randint(0, 3),
+                   poly_gcd(p * q, q * s), poly_lcm(p, q),
+                   Polynomial.zero(chart), Polynomial.one(chart)]
+        results += [p.diff(v) for v in chart.variables]
+        if q:
+            results.append(exact_div(p * q, q))
+        for axis in range(chart.dim):
+            results += _coefficients_wrt(p, axis).values()
+            results.append(_lc_wrt(p, axis))
+        for r in results:
+            assert_canonical(r)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("chart", _charts(), ids=["xy", "abc"])
+def test_rational_function_results_are_canonical(seed, chart):
+    rng = random.Random(seed)
+    for _ in range(8):
+        f = random_rational_function(rng, chart, max_degree=2)
+        g = random_rational_function(rng, chart, max_degree=2)
+        results = [f + g, f * g, f.diff(chart.variables[0]), f.diff(chart.variables[-1])]
+        if g:
+            results.append(f / g)
+        for r in results:
+            assert_canonical(r.num)
+            assert_canonical(r.den)
+        # a coprime pair in any scaling: the gcd-free path equals the normalising one
+        s = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 3))
+        for n, d in [(f.num * s, f.den * s), (g.num, f.den * s),
+                     (Polynomial.zero(chart), g.den * s)]:
+            if n and not poly_gcd(n, d).is_one():
+                continue
+            assert RationalFunction(n, d) == RationalFunction._reduced(n, d)
