@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from math import lcm
 
 from . import linalg
 
@@ -63,16 +63,30 @@ class SCAlgebra:
     __slots__ = ("dim", "basis_names", "c", "unit_index")
 
     def __init__(self, basis_names, c, unit_index: int | None = None):
+        n = len(c)
+        if any(len(row) != n for row in c):
+            raise ValueError("structure constants must be n x n x n")
+        self._wrap(basis_names, tuple(tuple(_to_vector(vec, n) for vec in row) for row in c),
+                   unit_index)
+
+    @classmethod
+    def _of(cls, basis_names, c, unit_index: int | None = None) -> "SCAlgebra":
+        """Wrap constants that are already an n x n tuple of length-n `Fraction`
+        tuples, without coercing them again; only names and unit are checked."""
+        self = object.__new__(cls)
+        self._wrap(basis_names, c, unit_index)
+        return self
+
+    def _wrap(self, basis_names, c, unit_index):
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
         if len(set(self.basis_names)) != self.dim:
             raise ValueError("basis names must be unique")
-        n = self.dim
-        if len(c) != n or any(len(row) != n for row in c):
+        if len(c) != self.dim:
             raise ValueError("structure constants must be n x n x n")
-        self.c = tuple(tuple(_to_vector(vec, n) for vec in row) for row in c)
-        if unit_index is not None and not (0 <= unit_index < n):
+        if unit_index is not None and not (0 <= unit_index < self.dim):
             raise ValueError("unit index out of range")
+        self.c = c
         self.unit_index = unit_index
 
     @classmethod
@@ -191,22 +205,12 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, rows):
         self.ambient_dim = ambient_dim
-        reduced, _ = linalg.rref([list(r) for r in rows])
+        reduced, _ = linalg.rref([_to_vector(r, ambient_dim) for r in rows])
         self.rows = tuple(tuple(r) for r in reduced)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def contains(self, vector) -> bool:
-        vec = _to_vector(vector, self.ambient_dim)
-        return linalg.in_row_space([list(r) for r in self.rows], vec)
-
-    def coordinates_of(self, vector):
-        """Coordinates of a vector against the basis rows, or None."""
-        vec = _to_vector(vector, self.ambient_dim)
-        cols = [[row[c] for row in self.rows] for c in range(self.ambient_dim)]
-        return linalg.solve(cols, [vec])[0]
 
     def named_basis(self, ambient_names):
         """Names of the rows when the span is exactly a coordinate subspace."""
@@ -233,11 +237,24 @@ class Subspace:
 # ----- identity checks ------------------------------------------------------
 
 
-def _associator(A: SCAlgebra, i: int, j: int, k: int) -> Vector:
-    """(b_i b_j) b_k - b_i (b_j b_k) as a coordinate vector."""
-    c = A.c
-    return _lincomb(A.dim, chain(((x, c[l][k]) for l, x in enumerate(c[i][j]) if x),
-                                 ((-x, c[i][l]) for l, x in enumerate(c[j][k]) if x)))
+def _scaled_constants(A: SCAlgebra) -> list:
+    """Sparse integer constants s[i][j] = [(l, D * c[i][j][l]) for the nonzero l].
+
+    D is the lcm of the constants' denominators (1 on integer tables), so an
+    associator or a Jacobi sum computed from s is exactly D^2 times the true
+    one: every zero test and every first witness is the same.
+    """
+    D = lcm(*{x.denominator for row in A.c for vec in row for x in vec})
+    return [[[(l, x.numerator * (D // x.denominator)) for l, x in enumerate(vec) if x]
+             for vec in row] for row in A.c]
+
+
+def _accumulate(total: dict, sign: int, coeffs, rows) -> None:
+    """total += sign * sum of x * rows[l] over (l, x) in coeffs (sparse integer rows)."""
+    for l, x in coeffs:
+        x *= sign
+        for m, y in rows[l]:
+            total[m] = total.get(m, 0) + x * y
 
 
 def check_left_symmetric(A: SCAlgebra) -> CheckReport:
@@ -246,40 +263,50 @@ def check_left_symmetric(A: SCAlgebra) -> CheckReport:
     Checking on basis triples suffices by trilinearity.  The witness is the
     first failing (i, j, k) in lexicographic order, 1-based.
     """
-    n = A.dim
-    for i in range(n):
-        for j in range(n):
+    s = _scaled_constants(A)
+    cols = list(zip(*s))   # cols[k][l] = s[l][k]
+    for i, si in enumerate(s):
+        for j, sj in enumerate(s):
             if i == j:
                 continue
-            for k in range(n):
-                if _associator(A, i, j, k) != _associator(A, j, i, k):
+            for k, col in enumerate(cols):
+                # (b_i b_j) b_k - b_i (b_j b_k) - (b_j b_i) b_k + b_j (b_i b_k)
+                total = {}
+                _accumulate(total, 1, si[j], col)
+                _accumulate(total, -1, sj[k], si)
+                _accumulate(total, -1, sj[i], col)
+                _accumulate(total, 1, si[k], sj)
+                if any(total.values()):
                     return CheckReport(False, (i + 1, j + 1, k + 1))
     return CheckReport(True)
 
 
 def check_associative(A: SCAlgebra) -> CheckReport:
-    n = A.dim
-    zero = (Fraction(0),) * n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if _associator(A, i, j, k) != zero:
+    s = _scaled_constants(A)
+    cols = list(zip(*s))   # cols[k][l] = s[l][k]
+    for i, si in enumerate(s):
+        for j, sj in enumerate(s):
+            for k, col in enumerate(cols):
+                # (b_i b_j) b_k - b_i (b_j b_k)
+                total = {}
+                _accumulate(total, 1, si[j], col)
+                _accumulate(total, -1, sj[k], si)
+                if any(total.values()):
                     return CheckReport(False, (i + 1, j + 1, k + 1))
     return CheckReport(True)
 
 
 def _jacobi_witness(L: SCAlgebra):
     """First triple i < j < k (1-based) where Jacobi fails for the constants L.c."""
-    n, f = L.dim, L.c
-    zero = (Fraction(0),) * n
+    n, s = L.dim, _scaled_constants(L)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 # [b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]]
-                total = _lincomb(n, ((x, f[a][l])
-                                     for a, b, d in ((i, j, k), (j, k, i), (k, i, j))
-                                     for l, x in enumerate(f[b][d])))
-                if total != zero:
+                total = {}
+                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                    _accumulate(total, 1, s[b][d], s[a])
+                if any(total.values()):
                     return (i + 1, j + 1, k + 1)
     return None
 
@@ -329,14 +356,15 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace, basis_names=None) -> SCA
     coords = linalg.solve(cols, [A.product(u, v) for u in rows for v in rows])
     if None in coords:
         raise ValueError("subspace is not closed under the product")
-    return SCAlgebra(basis_names, [coords[i * r:(i + 1) * r] for i in range(r)])
+    return SCAlgebra._of(basis_names, tuple(tuple(tuple(v) for v in coords[i * r:(i + 1) * r])
+                                            for i in range(r)))
 
 
 def opposite(A: SCAlgebra) -> SCAlgebra:
     """Same space, reversed product: c'[i][j] = c[j][i]."""
     n = A.dim
-    c = [[A.c[j][i] for j in range(n)] for i in range(n)]
-    return SCAlgebra(A.basis_names, c, A.unit_index)
+    c = tuple(tuple(A.c[j][i] for j in range(n)) for i in range(n))
+    return SCAlgebra._of(A.basis_names, c, A.unit_index)
 
 
 def adjoin_unit(A: SCAlgebra, unit_name: str = "1") -> SCAlgebra:

@@ -48,6 +48,9 @@ from .symcore import Chart, ExpressionError, UnknownVariableError, parse_expr
 
 SCHEMA_VERSION = 1
 
+# an algebra holds dim^3 constants; the GL3 ambient table has dimension 81
+_MAX_ALGEBRA_DIM = 128
+
 TASK_KINDS = (
     "check-lsa",
     "check-associative",
@@ -134,20 +137,30 @@ def load_document(doc: dict) -> _Document:
         _require(isinstance(entry, dict) and "name" in entry,
                  'algebra entries need a "name"', path)
         _typed(entry["name"], str, '"name"', f"{path}/name")
-        _typed(entry.get("dim"), int, '"dim"', f"{path}/dim")
+        dim = _typed(entry.get("dim"), int, '"dim"', f"{path}/dim")
+        _require(dim <= _MAX_ALGEBRA_DIM, f'"dim" must be at most {_MAX_ALGEBRA_DIM}',
+                 f"{path}/dim")
         _require(isinstance(entry.get("basis"), list)
                  and all(isinstance(b, str) for b in entry["basis"]),
                  '"basis" must be a list of strings', f"{path}/basis")
         if "unit" in entry:
             _typed(entry["unit"], int, '"unit"', f"{path}/unit")
         products = _typed(entry.get("products", []), list, '"products"', f"{path}/products")
+        pairs = set()
         for k, item in enumerate(products):
             ipath = f"{path}/products/{k}"
             _require(isinstance(item, dict), "product entries must be objects", ipath)
             for key in ("left", "right"):
-                _typed(item.get(key), int, f'"{key}"', f"{ipath}/{key}")
-            for m, x in enumerate(_typed(item.get("result"), list, '"result"',
-                                         f"{ipath}/result")):
+                index = _typed(item.get(key), int, f'"{key}"', f"{ipath}/{key}")
+                _require(1 <= index <= dim, f'"{key}" must be between 1 and {dim}',
+                         f"{ipath}/{key}")
+            pair = (item["left"], item["right"])
+            _require(pair not in pairs, f"product {pair} is given twice", ipath)
+            pairs.add(pair)
+            result = _typed(item.get("result"), list, '"result"', f"{ipath}/result")
+            _require(len(result) == dim, f'"result" must have {dim} entries',
+                     f"{ipath}/result")
+            for m, x in enumerate(result):
                 _fraction(x, f"{ipath}/result/{m}")
         try:
             algebra = SCAlgebra.from_json_dict(entry)

@@ -615,4 +615,5 @@ def product_table(conn: Connection, fields, names=None, *, check_iat: bool = Tru
             f"product {names[i]}·{names[j]} (pair ({i + 1}, {j + 1})) "
             "is not a constant combination of the given fields",
             pair=(i + 1, j + 1)) from None
-    return SCAlgebra(names, [coords[i * n:(i + 1) * n] for i in range(n)])
+    return SCAlgebra._of(names, tuple(tuple(tuple(v) for v in coords[i * n:(i + 1) * n])
+                                      for i in range(n)))

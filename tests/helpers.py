@@ -20,6 +20,7 @@ from flataffine import (
     VectorField,
     connection_from_frame,
 )
+from flataffine.linalg import in_row_space, solve
 
 
 def chart_xy() -> Chart:
@@ -135,6 +136,20 @@ def alpha2_fields(chart: Chart | None = None):
 def alpha2_table_algebra() -> SCAlgebra:
     names = [name for name, _ in ALPHA2_FIELDS]
     return SCAlgebra.from_products(names, ALPHA2_TABLE)
+
+
+# ----- subspaces --------------------------------------------------------------
+
+
+def subspace_contains(space, vector) -> bool:
+    """Membership of a vector in a Subspace."""
+    return in_row_space([list(r) for r in space.rows], [Fraction(x) for x in vector])
+
+
+def subspace_coordinates(space, vector):
+    """Coordinates of a vector against a Subspace's basis rows, or None."""
+    cols = [[row[c] for row in space.rows] for c in range(space.ambient_dim)]
+    return solve(cols, [[Fraction(x) for x in vector]])[0]
 
 
 # ----- GL2 ---------------------------------------------------------------------

@@ -345,13 +345,24 @@ def _malformed(task_id, edit):
      "/tasks/0/fields/6"),
     (_malformed("table", lambda d: d["tasks"][0].update(fields=["e1-", "e1-"])),
      "/tasks/0/fields/1"),
+    (_malformed("lsa", lambda d: d["algebras"][0]["products"].append(
+        {"left": 1, "right": 1, "result": ["0", "0"]})), "/algebras/0/products/3"),
+    (_malformed("lsa", lambda d: d["algebras"][0]["products"][1].update(left=3)),
+     "/algebras/0/products/1/left"),
+    (_malformed("lsa", lambda d: d["algebras"][0]["products"][2].update(right=0)),
+     "/algebras/0/products/2/right"),
+    (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(result=["2"])),
+     "/algebras/0/products/0/result"),
+    (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(
+        result=["2", "0", "0"])), "/algebras/0/products/0/result"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "algebra-result-zero-denominator",
         "product-left-string", "algebra-basis-number", "charts-number",
         "generator-zero-denominator", "frame-number", "christoffel-index-string",
         "table-field-list", "expect-zero-string", "coeffs-nested-too-deep",
         "coeffs-power-too-high", "coeffs-literal-too-long", "envelope-field-repeated",
-        "table-field-repeated"])
+        "table-field-repeated", "product-pair-repeated", "product-left-past-dim",
+        "product-right-zero", "product-result-short", "product-result-long"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))
@@ -360,6 +371,22 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     taskfile.write_text(json.dumps(doc))
     assert main(["run", str(taskfile)]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_algebra_dim_past_cap_is_refused_before_allocation(tmp_path, capsys, monkeypatch):
+    def built(doc):
+        raise AssertionError("dim^3 constants were allocated")
+
+    monkeypatch.setattr(SCAlgebra, "from_json_dict", built)
+    doc = _malformed("lsa", lambda d: d["algebras"][0].update(
+        dim=129, basis=[f"b{k}" for k in range(129)]))
+    with pytest.raises(TaskFileError) as err:
+        run_document(copy.deepcopy(doc))
+    assert err.value.path == "/algebras/0/dim"
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile)]) == 2
+    assert "/algebras/0/dim" in capsys.readouterr().err
 
 
 def test_power_past_degree_cap_fails_fast(tmp_path, capsys):

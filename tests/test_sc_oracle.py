@@ -1,14 +1,18 @@
 """Structure-constant kernels against the dense loops they replaced.
 
-`product`, the associator, the Jacobi scan and `left_mult_matrix` all run on
-one linear-combination kernel, and `LieAlgebraSC` is a validated `SCAlgebra`
-sharing its JSON entry writer.  This module keeps the earlier hand-written
-loops as oracles and compares verdicts, lexicographically-first witnesses,
-vectors, matrices and JSON on seeded random algebras and on the matrix
-algebras M2(Q) and M3(Q) in a random rational basis.  The matrix algebras are
-associative and their commutators satisfy Jacobi, so the passing paths run
-with real cancellation; one perturbed constant moves the first witness away
-from (1, 1, 1).
+`product` and `left_mult_matrix` run on one Fraction linear-combination
+kernel; the associativity, left-symmetry and Jacobi scans run on integer
+constants scaled by their common denominator; `LieAlgebraSC` is a validated
+`SCAlgebra` sharing its JSON entry writer.  This module keeps the earlier
+hand-written Fraction loops as oracles and compares verdicts,
+lexicographically-first witnesses, vectors, matrices and JSON on seeded random
+algebras with integer and with rational constants, on the matrix algebras
+M2(Q) and M3(Q) in a random rational basis and on the GL2 ambient table.  The
+matrix algebras and the GL2 table are associative and their commutators
+satisfy Jacobi, so the passing paths run with real cancellation; one perturbed
+constant moves the first witness away from (1, 1, 1).  Algebras built by
+`product_table`, `restrict_to_subspace` and `opposite`, which skip the public
+constructor's coercion, are checked to be in its canonical form.
 """
 import random
 from fractions import Fraction
@@ -19,13 +23,26 @@ from flataffine import (
     JacobiError,
     LieAlgebraSC,
     SCAlgebra,
+    Subspace,
+    adjoin_unit,
     check_associative,
     check_left_symmetric,
     commutator_algebra,
     left_mult_matrix,
+    opposite,
+    product_table,
+    restrict_to_subspace,
+    subalgebra_closure,
 )
+from flataffine.geometry import independent_fields
 from flataffine.linalg import invert
-from helpers import random_algebra
+from helpers import (
+    GL2Scene,
+    aff_line_connection,
+    random_algebra,
+    six_field_table_algebra,
+    six_iat_fields,
+)
 
 
 # ----- oracles -------------------------------------------------------------------------
@@ -191,24 +208,72 @@ def matrix_algebra(rng, size):
     return SCAlgebra([f"b{k + 1}" for k in range(n)], c)
 
 
-def perturbed(rng, A):
-    """A copy of A with one structure constant moved by a nonzero rational."""
+def random_rational_algebra(rng, dim):
+    """Sparse constants p/q with q in 2..7, so the common denominator varies."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if rng.random() < 0.3:
+                    c[i][j][k] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(2, 7))
+    return SCAlgebra([f"b{k + 1}" for k in range(dim)], c)
+
+
+def gl2_ambient():
+    """The product table of the GL2 envelope: 7 invariant and 9 linear fields."""
+    scene = GL2Scene()
+    inv_names, inv_fields = scene.invariant_fields()
+    names, fields = independent_fields(inv_fields + scene.f_fields, inv_names + scene.f_names)
+    return product_table(scene.connection, fields, names, check_iat=False)
+
+
+def perturbed(rng, A, fractional=False):
+    """A copy of A with one structure constant moved by a nonzero rational
+    (a non-integer one when `fractional`)."""
     n = A.dim
     c = [[list(vec) for vec in row] for row in A.c]
     i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-    c[i][j][k] += rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+    delta = rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+    while fractional and delta.denominator == 1:
+        delta = rng.choice((-1, 1)) * Fraction(rng.randint(1, 6), rng.randint(2, 7))
+    c[i][j][k] += delta
     return SCAlgebra(A.basis_names, c)
+
+
+def rescaled(rng, A):
+    """A in the basis lambda_k b_k: c[i][j][k] becomes lambda_i lambda_j / lambda_k
+    times it, so an associative A stays associative with mixed denominators."""
+    lam = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(A.dim)]
+    return SCAlgebra(A.basis_names, [[[lam[i] * lam[j] / lam[k] * x for k, x in enumerate(vec)]
+                                      for j, vec in enumerate(row)]
+                                     for i, row in enumerate(A.c)])
+
+
+GL2_AMBIENT = gl2_ambient()
 
 
 def inputs():
     for seed in range(12):
         yield f"random-{seed}", random_algebra(random.Random(seed), 2 + seed % 4)
+    for seed in range(8):
+        yield f"rational-{seed}", random_rational_algebra(random.Random(seed), 2 + seed % 4)
     # M3 (dimension 9, dense constants) takes seconds per scan, so one seed
     for size, seed in ((2, 0), (2, 1), (2, 2), (3, 0)):
         rng = random.Random(100 + seed)
         M = matrix_algebra(rng, size)
         yield f"M{size}-{seed}", M
         yield f"M{size}-{seed}-perturbed", perturbed(rng, M)
+        if size == 2:
+            yield f"M2-{seed}-rescaled", rescaled(rng, M)
+    yield "GL2", GL2_AMBIENT
+    rng = random.Random(200)
+    for seed in range(10):
+        yield f"GL2-perturbed-{seed}", perturbed(rng, GL2_AMBIENT, fractional=True)
+    # a full oracle scan of a passing 16-dim table takes most of a second, so the
+    # rescaled GL2 table (mixed denominators) enters only perturbed
+    GL2_rescaled = rescaled(rng, GL2_AMBIENT)
+    for seed in range(3):
+        yield f"GL2-rescaled-perturbed-{seed}", perturbed(rng, GL2_rescaled, fractional=True)
 
 
 CASES = dict(inputs())
@@ -222,7 +287,7 @@ def test_identity_checks_match_oracle(name, A):
     associative, left_symmetric = check_associative(A), check_left_symmetric(A)
     assert (associative.holds, associative.witness) == oracle_check_associative(A)
     assert (left_symmetric.holds, left_symmetric.witness) == oracle_check_left_symmetric(A)
-    if name.startswith("M") and not name.endswith("perturbed"):
+    if name.startswith(("M", "GL2")) and "perturbed" not in name:
         assert associative.holds and left_symmetric.holds
 
 
@@ -230,7 +295,7 @@ def test_identity_checks_match_oracle(name, A):
 def test_commutator_and_jacobi_match_oracle(name, A):
     f = oracle_commutator_constants(A)
     expected = oracle_jacobi_witness(f, A.dim)
-    if name.startswith("M") and not name.endswith("perturbed"):
+    if name.startswith(("M", "GL2")) and "perturbed" not in name:
         assert expected is None
     if expected is None:
         lie = commutator_algebra(A)
@@ -262,3 +327,41 @@ def test_lie_json_keeps_brackets_with_i_below_j():
     assert doc == oracle_lie_json(lie)
     assert doc["brackets"] and all(e["left"] < e["right"] for e in doc["brackets"])
     assert "products" not in doc
+
+
+# ----- canonical form of the algebras built without the public constructor ------------
+
+
+def built_algebras():
+    rng = random.Random(300)
+    yield "table-gl2", GL2_AMBIENT
+    names, fields = six_iat_fields()
+    table = product_table(aff_line_connection(), fields, names)
+    yield "table-six", table
+    yield "opposite-six", opposite(table)
+    yield "opposite-unital", opposite(adjoin_unit(table))
+    closure = subalgebra_closure(table, [table.basis_vector(0), table.basis_vector(1)])
+    yield "restricted-six", restrict_to_subspace(table, closure)
+    # plain int rows (the closure of e1-, e2- scaled): the subspace holds Fractions
+    rows = [[2 * int(i == k) for i in range(6)] for k in range(5)]
+    yield "restricted-int-rows", restrict_to_subspace(six_field_table_algebra(),
+                                                      Subspace(6, rows))
+    for seed in range(6):
+        A = CASES[f"rational-{seed}"]
+        gens = [[Fraction(rng.randint(-2, 2)) for _ in range(A.dim)] for _ in range(2)]
+        yield f"restricted-rational-{seed}", restrict_to_subspace(A, subalgebra_closure(A, gens))
+        yield f"opposite-rational-{seed}", opposite(A)
+
+
+BUILT = dict(built_algebras())
+
+
+@pytest.mark.parametrize("name, A", BUILT.items(), ids=list(BUILT))
+def test_built_algebras_are_canonical(name, A):
+    assert A == SCAlgebra(A.basis_names, A.c, A.unit_index)
+    assert type(A.c) is tuple and len(A.c) == A.dim
+    for row in A.c:
+        assert type(row) is tuple and len(row) == A.dim
+        for vec in row:
+            assert type(vec) is tuple and len(vec) == A.dim
+            assert all(type(x) is Fraction for x in vec)
