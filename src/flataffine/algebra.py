@@ -186,9 +186,7 @@ class LieAlgebraSC(SCAlgebra):
             for j in range(n):
                 if any(a + b for a, b in zip(self.c[i][j], self.c[j][i])):
                     raise ValueError(f"bracket is not antisymmetric at ({i + 1}, {j + 1})")
-        witness = _jacobi_witness(self)
-        if witness is not None:
-            raise JacobiError(witness)
+        _require_jacobi(self)
 
     def to_json_dict(self) -> dict:
         """The brackets [b_i, b_j] with i < j; the rest follow by antisymmetry."""
@@ -296,8 +294,9 @@ def check_associative(A: SCAlgebra) -> CheckReport:
     return CheckReport(True)
 
 
-def _jacobi_witness(L: SCAlgebra):
-    """First triple i < j < k (1-based) where Jacobi fails for the constants L.c."""
+def _require_jacobi(L: SCAlgebra) -> None:
+    """Raise JacobiError at the first triple i < j < k (1-based) where Jacobi
+    fails for the constants L.c."""
     n, s = L.dim, _scaled_constants(L)
     for i in range(n):
         for j in range(i + 1, n):
@@ -307,8 +306,7 @@ def _jacobi_witness(L: SCAlgebra):
                 for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
                     _accumulate(total, 1, s[b][d], s[a])
                 if any(total.values()):
-                    return (i + 1, j + 1, k + 1)
-    return None
+                    raise JacobiError((i + 1, j + 1, k + 1))
 
 
 def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
@@ -319,9 +317,11 @@ def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
     left-symmetric.
     """
     n = A.dim
-    f = [[tuple(a - b for a, b in zip(A.c[i][j], A.c[j][i])) for j in range(n)]
-         for i in range(n)]
-    return LieAlgebraSC(A.basis_names, f)
+    f = tuple(tuple(tuple(a - b for a, b in zip(A.c[i][j], A.c[j][i])) for j in range(n))
+              for i in range(n))
+    lie = LieAlgebraSC._of(A.basis_names, f)   # antisymmetric by construction
+    _require_jacobi(lie)
+    return lie
 
 
 # ----- subspaces and constructions ------------------------------------------

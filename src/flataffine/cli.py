@@ -50,6 +50,10 @@ SCHEMA_VERSION = 1
 
 # an algebra holds dim^3 constants; the GL3 ambient table has dimension 81
 _MAX_ALGEBRA_DIM = 128
+# a connection holds dim^3 Christoffel symbols; GL4's chart has 16 variables
+_MAX_CHART_VARIABLES = 16
+# solve-iat has terms x dim candidate fields; the GL3 ansatz has 9 x 9 = 81
+_MAX_ANSATZ_SIZE = 256
 
 TASK_KINDS = (
     "check-lsa",
@@ -125,6 +129,9 @@ def load_document(doc: dict) -> _Document:
         _require(isinstance(entry["variables"], list)
                  and all(isinstance(v, str) for v in entry["variables"]),
                  '"variables" must be a list of strings', f"{path}/variables")
+        _require(len(entry["variables"]) <= _MAX_CHART_VARIABLES,
+                 f'a chart has at most {_MAX_CHART_VARIABLES} "variables"',
+                 f"{path}/variables")
         try:
             chart = Chart(entry["name"], entry["variables"])
         except ValueError as err:
@@ -354,6 +361,9 @@ def _run_solve_iat(doc, task, path):
     ansatz = task.get("ansatz")
     _require(isinstance(ansatz, list) and ansatz, 'task needs an "ansatz" list',
              f"{path}/ansatz")
+    _require(len(ansatz) * conn.chart.dim <= _MAX_ANSATZ_SIZE,
+             f'"ansatz" terms times chart variables must be at most {_MAX_ANSATZ_SIZE}',
+             f"{path}/ansatz")
     terms = [_parse(t, conn.chart, f"{path}/ansatz/{k}") for k, t in enumerate(ansatz)]
     try:
         fields = solve_iat_ansatz(conn, terms)
@@ -446,15 +456,6 @@ _RUNNERS = {
     "envelope": _run_envelope,
     "bi-invariant-check": _run_bi_invariant,
 }
-
-
-def emit_table(algebra: SCAlgebra, format: str = "text") -> str:
-    """Render a multiplication table; rows are the left factor."""
-    if format == "text":
-        return render_table_text(algebra)
-    if format == "json":
-        return json.dumps(algebra.to_json_dict(), indent=2)
-    raise ValueError(f"unknown format {format!r} (expected 'text' or 'json')")
 
 
 def _report_text(report: dict) -> str:

@@ -96,14 +96,6 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def apply(self, f: RationalFunction) -> RationalFunction:
-        """Directional derivative X(f)."""
-        out = RationalFunction.zero(self.chart)
-        for var, c in zip(self.chart.variables, self.coeffs):
-            if c:
-                out = out + c * f.diff(var)
-        return out
-
     def __add__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
@@ -143,9 +135,13 @@ class VectorField:
 
 
 class Connection:
-    """A linear connection given by Christoffel symbols (no symmetry assumed)."""
+    """A linear connection given by Christoffel symbols (no symmetry assumed).
 
-    __slots__ = ("chart", "gamma", "_torsion", "_curvature")
+    `_rows[i][k]` lists the nonzero (m, gamma[i][m][k]) in ascending m: the
+    symbols that `_nabla_coordinate` contracts, derived once from `gamma`.
+    """
+
+    __slots__ = ("chart", "gamma", "_rows", "_torsion", "_curvature")
 
     def __init__(self, chart: Chart, gamma):
         n = chart.dim
@@ -155,6 +151,8 @@ class Connection:
         self.chart = chart
         self.gamma = tuple(tuple(tuple(_as_rf(chart, g) for g in vec)
                                  for vec in row) for row in gamma)
+        self._rows = tuple(tuple(tuple((m, row[m][k]) for m in range(n) if row[m][k])
+                                 for k in range(n)) for row in self.gamma)
         self._torsion = None
         self._curvature = None
 
@@ -244,30 +242,43 @@ class IATReport:
 # ----- basic operations ------------------------------------------------------
 
 
+def _nabla_coordinate(conn: Connection, axis: int, coeffs) -> list:
+    """Components of nabla_{d_axis} Y from those of Y:
+    d_axis Y^k + sum_m gamma[axis][m][k] Y^m.
+
+    The one place where Christoffel symbols meet field components; a zero
+    component is not differentiated.
+    """
+    var = conn.chart.variables[axis]
+    out = []
+    for c, row in zip(coeffs, conn._rows[axis]):
+        total = c.diff(var) if c else c
+        for m, g in row:
+            if coeffs[m]:
+                total = total + g * coeffs[m]
+        out.append(total)
+    return out
+
+
+def _combination(chart: Chart, terms) -> list:
+    """Components of sum w * V over (w, V) terms, V a component list; zero
+    weights and zero entries are skipped."""
+    out = [RationalFunction.zero(chart)] * chart.dim
+    for w, vector in terms:
+        if w:
+            for k, v in enumerate(vector):
+                if v:
+                    out[k] = out[k] + v * w
+    return out
+
+
 def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> VectorField:
-    """nabla_X Y with components sum_i X^i d_i Y^k + sum_{i,j} gamma[i][j][k] X^i Y^j."""
+    """nabla_X Y = sum_i X^i nabla_{d_i} Y."""
     require_same_chart(conn, X)
     require_same_chart(conn, Y)
-    chart = conn.chart
-    n = chart.dim
-    out = [RationalFunction.zero(chart) for _ in range(n)]
-    for i, xi in enumerate(X.coeffs):
-        if xi.is_zero():
-            continue
-        var = chart.variables[i]
-        for k in range(n):
-            dk = Y.coeffs[k].diff(var)
-            if dk:
-                out[k] = out[k] + xi * dk
-        for j, yj in enumerate(Y.coeffs):
-            if yj.is_zero():
-                continue
-            xy = xi * yj
-            for k in range(n):
-                g = conn.gamma[i][j][k]
-                if g:
-                    out[k] = out[k] + g * xy
-    return VectorField(chart, out)
+    return VectorField(conn.chart, _combination(
+        conn.chart, ((xi, _nabla_coordinate(conn, i, Y.coeffs))
+                     for i, xi in enumerate(X.coeffs) if xi)))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -307,29 +318,20 @@ def torsion(conn: Connection) -> TensorReport:
 def curvature(conn: Connection) -> TensorReport:
     """Components R^l_{ijk} of R(d_i, d_j) d_k.
 
-    R^l_{ijk} = d_i gamma^l_{jk} - d_j gamma^l_{ik}
-                + sum_m (gamma^l_{im} gamma^m_{jk} - gamma^l_{jm} gamma^m_{ik}).
+    Coordinate fields commute and nabla_{d_j} d_k has components gamma[j][k],
+    so R(d_i, d_j) d_k = nabla_{d_i} gamma[j][k] - nabla_{d_j} gamma[i][k].
     """
     if conn._curvature is None:
-        chart = conn.chart
-        n = chart.dim
+        n = conn.chart.dim
+        nabla = [[[_nabla_coordinate(conn, i, conn.gamma[j][k]) for k in range(n)]
+                  for j in range(n)] for i in range(n)]
         comps = {}
         for l in range(n):
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
-                        term = conn.gamma[j][k][l].diff(chart.variables[i]) \
-                            - conn.gamma[i][k][l].diff(chart.variables[j])
-                        for m in range(n):
-                            a = conn.gamma[i][m][l]
-                            b = conn.gamma[j][k][m]
-                            if a and b:
-                                term = term + a * b
-                            a = conn.gamma[j][m][l]
-                            b = conn.gamma[i][k][m]
-                            if a and b:
-                                term = term - a * b
-                        comps[(l + 1, i + 1, j + 1, k + 1)] = term
+                        comps[(l + 1, i + 1, j + 1, k + 1)] = \
+                            nabla[i][j][k][l] - nabla[j][i][k][l]
         conn._curvature = TensorReport("curvature", comps)
     return conn._curvature
 
@@ -342,22 +344,6 @@ def is_flat_affine(conn: Connection) -> bool:
 # ----- infinitesimal affine transformations ----------------------------------
 
 
-def _nabla_coordinate(conn: Connection, axis: int, X: VectorField) -> VectorField:
-    """nabla_{d_axis} X without building the coordinate field."""
-    chart = conn.chart
-    var = chart.variables[axis]
-    n = chart.dim
-    out = []
-    for k in range(n):
-        total = X.coeffs[k].diff(var)
-        for m, xm in enumerate(X.coeffs):
-            g = conn.gamma[axis][m][k]
-            if g and xm:
-                total = total + g * xm
-        out.append(total)
-    return VectorField(chart, out)
-
-
 def _iat_residuals(conn: Connection, X: VectorField):
     """Residual fields of the flat-case criterion, one per coordinate pair (i, j).
 
@@ -367,16 +353,14 @@ def _iat_residuals(conn: Connection, X: VectorField):
     """
     chart = conn.chart
     n = chart.dim
-    first = [_nabla_coordinate(conn, j, X) for j in range(n)]
+    first = [_nabla_coordinate(conn, j, X.coeffs) for j in range(n)]
     residuals = []
     for i in range(n):
         for j in range(n):
             field = _nabla_coordinate(conn, i, first[j])
-            for m in range(n):
-                g = conn.gamma[i][j][m]
-                if g:
-                    field = field - first[m].scaled(g)
-            residuals.append(((i + 1, j + 1), field))
+            correction = _combination(chart, zip(conn.gamma[i][j], first))
+            residuals.append(((i + 1, j + 1), VectorField(
+                chart, [a - b if b else a for a, b in zip(field, correction)])))
     return residuals
 
 
@@ -453,19 +437,6 @@ def express_in_basis(targets, basis) -> list:
     return solutions
 
 
-def field_span_rank(fields) -> int:
-    return linalg.rank(_coordinate_rows(list(fields)))
-
-
-def same_field_span(fields_a, fields_b) -> bool:
-    """Equality of the constant-coefficient spans of two field lists."""
-    fields_a, fields_b = list(fields_a), list(fields_b)
-    rows = _coordinate_rows(fields_a + fields_b)
-    ra, _ = linalg.rref(rows[:len(fields_a)])
-    rb, _ = linalg.rref(rows[len(fields_a):])
-    return ra == rb
-
-
 def independent_fields(fields, names):
     """Sublist of the fields that grow the span, in order (overlap removal).
 
@@ -511,18 +482,9 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     for fields_at_pair in zip(*residuals):
         equations.extend(zip(*_coordinate_rows(fields_at_pair)))
     null = linalg.nullspace(equations, ncols=len(candidates))
-    solutions = []
-    for coeffs_vec in null:
-        comps = []
-        for slot in range(n):
-            total = RationalFunction.zero(chart)
-            for t_idx, t in enumerate(terms):
-                lam = coeffs_vec[slot * len(terms) + t_idx]
-                if lam:
-                    total = total + t * lam
-            comps.append(total)
-        solutions.append(VectorField(chart, comps))
-    return solutions
+    return [VectorField(chart, _combination(
+                chart, zip(coeffs_vec, (cand.coeffs for cand in candidates))))
+            for coeffs_vec in null]
 
 
 # ----- frames, product tables --------------------------------------------------
@@ -541,44 +503,32 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
         raise ValueError("structure constants must match the frame dimension")
     zero = RationalFunction.zero(chart)
     one = RationalFunction.one(chart)
-    A = [[f.coeffs[i] for i in range(n)] for f in frame.fields]
+    A = [list(f.coeffs) for f in frame.fields]
     try:
         A_inv = linalg.invert(A, zero=zero, one=one)
     except ValueError:
         raise SingularFrameError("frame matrix is singular") from None
     A_inv_t = [[A_inv[j][i] for j in range(n)] for i in range(n)]
+    # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} A[a][i] A[b][j] gamma[i][j], so the
+    # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
+    expected = [[_combination(chart, zip(constants.c[a][b], A)) for b in range(n)]
+                for a in range(n)]
+    grads = [[[c.diff(var) if c else c for c in row] for var in chart.variables]
+             for row in A]
+    q = [[[e - d for e, d in zip(expected[a][b], _combination(chart, zip(A[a], grads[b])))]
+          for b in range(n)] for a in range(n)]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
-        q = []
-        for a in range(n):
-            q_row = []
-            for b in range(n):
-                total = zero
-                for m in range(n):
-                    cm = constants.c[a][b][m]
-                    if cm:
-                        total = total + A[m][k] * cm
-                for i in range(n):
-                    if A[a][i]:
-                        d = A[b][k].diff(chart.variables[i])
-                        if d:
-                            total = total - A[a][i] * d
-                q_row.append(total)
-            q.append(q_row)
-        g_k = linalg.mat_mul(linalg.mat_mul(A_inv, q, zero=zero), A_inv_t, zero=zero)
+        q_k = [[q[a][b][k] for b in range(n)] for a in range(n)]
+        g_k = linalg.mat_mul(linalg.mat_mul(A_inv, q_k, zero=zero), A_inv_t, zero=zero)
         for i in range(n):
             for j in range(n):
                 gamma[i][j][k] = g_k[i][j]
     conn = Connection(chart, gamma)
     for a in range(n):
         for b in range(n):
-            expected = VectorField.zero(chart)
-            for m in range(n):
-                cm = constants.c[a][b][m]
-                if cm:
-                    expected = expected + frame.fields[m].scaled(cm)
             got = covariant_derivative(conn, frame.fields[a], frame.fields[b])
-            if got != expected:
+            if list(got.coeffs) != expected[a][b]:
                 raise AssertionError(
                     f"frame round-trip failed at pair ({a + 1}, {b + 1})")
     return conn

@@ -8,6 +8,7 @@ fields.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -20,7 +21,9 @@ from flataffine import (
     VectorField,
     connection_from_frame,
 )
-from flataffine.linalg import in_row_space, solve
+from flataffine.geometry import _coordinate_rows
+from flataffine.linalg import in_row_space, rank, rref, solve
+from flataffine.render import render_table_text
 
 
 def chart_xy() -> Chart:
@@ -136,6 +139,40 @@ def alpha2_fields(chart: Chart | None = None):
 def alpha2_table_algebra() -> SCAlgebra:
     names = [name for name, _ in ALPHA2_FIELDS]
     return SCAlgebra.from_products(names, ALPHA2_TABLE)
+
+
+# ----- field spans and tables ------------------------------------------------------
+
+
+def apply_field(X: VectorField, f: RationalFunction) -> RationalFunction:
+    """Directional derivative X(f)."""
+    out = RationalFunction.zero(X.chart)
+    for var, c in zip(X.chart.variables, X.coeffs):
+        if c:
+            out = out + c * f.diff(var)
+    return out
+
+
+def field_span_rank(fields) -> int:
+    return rank(_coordinate_rows(list(fields)))
+
+
+def same_field_span(fields_a, fields_b) -> bool:
+    """Equality of the constant-coefficient spans of two field lists."""
+    fields_a, fields_b = list(fields_a), list(fields_b)
+    rows = _coordinate_rows(fields_a + fields_b)
+    ra, _ = rref(rows[:len(fields_a)])
+    rb, _ = rref(rows[len(fields_a):])
+    return ra == rb
+
+
+def emit_table(algebra: SCAlgebra, format: str = "text") -> str:
+    """Render a multiplication table; rows are the left factor."""
+    if format == "text":
+        return render_table_text(algebra)
+    if format == "json":
+        return json.dumps(algebra.to_json_dict(), indent=2)
+    raise ValueError(f"unknown format {format!r} (expected 'text' or 'json')")
 
 
 # ----- subspaces --------------------------------------------------------------

@@ -6,16 +6,16 @@ import time
 import pytest
 
 from flataffine import SCAlgebra, commutator_algebra
+from flataffine import cli
 from flataffine.cli import (
     TASK_KINDS,
     TaskFileError,
     _RUNNERS,
-    emit_table,
     load_document,
     main,
     run_document,
 )
-from helpers import SIX_IAT_FIELDS, six_field_table_algebra
+from helpers import SIX_IAT_FIELDS, emit_table, six_field_table_algebra
 
 
 def lsa11_json(name="aff-lsa"):
@@ -318,6 +318,10 @@ def _malformed(task_id, edit):
      "/fields/0/coeffs/0"),
     (_malformed("lsa", lambda d: d["charts"][0].update(variables=[1, 2])),
      "/charts/0/variables"),
+    (_malformed("lsa", lambda d: d["charts"][0].update(
+        variables=[f"x{k}" for k in range(17)])), "/charts/0/variables"),
+    (_malformed("solve", lambda d: d["tasks"][0].update(ansatz=["x"] * 129)),
+     "/tasks/0/ansatz"),
     (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(
         result=["1/0", "0"])), "/algebras/0/products/0/result/0"),
     (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(left="1")),
@@ -356,7 +360,8 @@ def _malformed(task_id, edit):
     (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(
         result=["2", "0", "0"])), "/algebras/0/products/0/result"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
-        "field-coeffs-numbers", "chart-variables-numbers", "algebra-result-zero-denominator",
+        "field-coeffs-numbers", "chart-variables-numbers", "chart-variables-past-cap",
+        "ansatz-past-cap", "algebra-result-zero-denominator",
         "product-left-string", "algebra-basis-number", "charts-number",
         "generator-zero-denominator", "frame-number", "christoffel-index-string",
         "table-field-list", "expect-zero-string", "coeffs-nested-too-deep",
@@ -387,6 +392,21 @@ def test_algebra_dim_past_cap_is_refused_before_allocation(tmp_path, capsys, mon
     taskfile.write_text(json.dumps(doc))
     assert main(["run", str(taskfile)]) == 2
     assert "/algebras/0/dim" in capsys.readouterr().err
+
+
+def test_chart_and_ansatz_caps(monkeypatch):
+    def solved(conn, terms):
+        raise AssertionError("the ansatz system was built")
+
+    monkeypatch.setattr(cli, "solve_iat_ansatz", solved)
+    variables = [f"x{k}" for k in range(16)]
+    doc = {"schema": 1, "charts": [{"name": "c", "variables": variables}],
+           "connections": [{"name": "flat", "chart": "c", "christoffel": []}],
+           "tasks": [{"kind": "solve-iat", "connection": "flat", "ansatz": variables + ["1"]}]}
+    assert load_document(copy.deepcopy(doc)).charts["c"].dim == 16
+    with pytest.raises(TaskFileError) as err:    # 17 terms x 16 variables = 272
+        run_document(doc)
+    assert err.value.path == "/tasks/0/ansatz"
 
 
 def test_power_past_degree_cap_fails_fast(tmp_path, capsys):

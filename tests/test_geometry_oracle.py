@@ -1,0 +1,306 @@
+"""The covariant-derivative kernel against the hand-written sums it replaced.
+
+`covariant_derivative`, `curvature` and the IAT residuals all contract
+Christoffel symbols through one kernel, `geometry._nabla_coordinate`, on the
+sparse rows `Connection._rows`; `connection_from_frame` builds its products
+with `geometry._combination`.  This module keeps the earlier versions, each
+of which wrote the contraction out by hand over the dense `gamma`, as oracles
+and compares them value by value on seeded random connections in dimensions
+1 to 3 (all-zero, sparse and dense symbols, polynomial and non-polynomial
+entries), on fields with zero slots, on the half-plane frame connections and
+on the GL2 frame connection.
+"""
+import random
+
+import pytest
+
+from flataffine import (
+    Chart,
+    Connection,
+    Frame,
+    RationalFunction,
+    TensorReport,
+    VectorField,
+    connection_from_frame,
+    covariant_derivative,
+    curvature,
+)
+from flataffine.geometry import _iat_residuals, _nabla_coordinate
+from flataffine import linalg
+from flataffine.symcore import require_same_chart
+from helpers import (
+    GL2Scene,
+    aff_frame,
+    aff_line_lsa,
+    alpha_family,
+    chart_xy,
+    random_algebra,
+    random_polynomial,
+    six_iat_fields,
+)
+
+
+# ----- oracles -------------------------------------------------------------------------
+
+
+def oracle_covariant_derivative(conn, X, Y):
+    """nabla_X Y with components sum_i X^i d_i Y^k + sum_{i,j} gamma[i][j][k] X^i Y^j."""
+    require_same_chart(conn, X)
+    require_same_chart(conn, Y)
+    chart = conn.chart
+    n = chart.dim
+    out = [RationalFunction.zero(chart) for _ in range(n)]
+    for i, xi in enumerate(X.coeffs):
+        if xi.is_zero():
+            continue
+        var = chart.variables[i]
+        for k in range(n):
+            dk = Y.coeffs[k].diff(var)
+            if dk:
+                out[k] = out[k] + xi * dk
+        for j, yj in enumerate(Y.coeffs):
+            if yj.is_zero():
+                continue
+            xy = xi * yj
+            for k in range(n):
+                g = conn.gamma[i][j][k]
+                if g:
+                    out[k] = out[k] + g * xy
+    return VectorField(chart, out)
+
+
+def oracle_curvature(conn):
+    """Components R^l_{ijk} of R(d_i, d_j) d_k (computed afresh, not cached).
+
+    R^l_{ijk} = d_i gamma^l_{jk} - d_j gamma^l_{ik}
+                + sum_m (gamma^l_{im} gamma^m_{jk} - gamma^l_{jm} gamma^m_{ik}).
+    """
+    chart = conn.chart
+    n = chart.dim
+    comps = {}
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    term = conn.gamma[j][k][l].diff(chart.variables[i]) \
+                        - conn.gamma[i][k][l].diff(chart.variables[j])
+                    for m in range(n):
+                        a = conn.gamma[i][m][l]
+                        b = conn.gamma[j][k][m]
+                        if a and b:
+                            term = term + a * b
+                        a = conn.gamma[j][m][l]
+                        b = conn.gamma[i][k][m]
+                        if a and b:
+                            term = term - a * b
+                    comps[(l + 1, i + 1, j + 1, k + 1)] = term
+    return TensorReport("curvature", comps)
+
+
+def oracle_nabla_coordinate(conn, axis, X):
+    """nabla_{d_axis} X without building the coordinate field."""
+    chart = conn.chart
+    var = chart.variables[axis]
+    n = chart.dim
+    out = []
+    for k in range(n):
+        total = X.coeffs[k].diff(var)
+        for m, xm in enumerate(X.coeffs):
+            g = conn.gamma[axis][m][k]
+            if g and xm:
+                total = total + g * xm
+        out.append(total)
+    return VectorField(chart, out)
+
+
+def oracle_iat_residuals(conn, X):
+    """residual(i, j) = nabla_{d_i} nabla_{d_j} X - nabla_{(nabla_{d_i} d_j)} X."""
+    chart = conn.chart
+    n = chart.dim
+    first = [oracle_nabla_coordinate(conn, j, X) for j in range(n)]
+    residuals = []
+    for i in range(n):
+        for j in range(n):
+            field = oracle_nabla_coordinate(conn, i, first[j])
+            for m in range(n):
+                g = conn.gamma[i][j][m]
+                if g:
+                    field = field - first[m].scaled(g)
+            residuals.append(((i + 1, j + 1), field))
+    return residuals
+
+
+def oracle_connection_from_frame(frame, constants):
+    """The connection with nabla_{E_a} E_b = sum_k c[a][b][k] E_k on the frame."""
+    chart = frame.chart
+    n = chart.dim
+    zero = RationalFunction.zero(chart)
+    one = RationalFunction.one(chart)
+    A = [[f.coeffs[i] for i in range(n)] for f in frame.fields]
+    A_inv = linalg.invert(A, zero=zero, one=one)
+    A_inv_t = [[A_inv[j][i] for j in range(n)] for i in range(n)]
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        q = []
+        for a in range(n):
+            q_row = []
+            for b in range(n):
+                total = zero
+                for m in range(n):
+                    cm = constants.c[a][b][m]
+                    if cm:
+                        total = total + A[m][k] * cm
+                for i in range(n):
+                    if A[a][i]:
+                        d = A[b][k].diff(chart.variables[i])
+                        if d:
+                            total = total - A[a][i] * d
+                q_row.append(total)
+            q.append(q_row)
+        g_k = linalg.mat_mul(linalg.mat_mul(A_inv, q, zero=zero), A_inv_t, zero=zero)
+        for i in range(n):
+            for j in range(n):
+                gamma[i][j][k] = g_k[i][j]
+    conn = Connection(chart, gamma)
+    for a in range(n):
+        for b in range(n):
+            expected = VectorField.zero(chart)
+            for m in range(n):
+                cm = constants.c[a][b][m]
+                if cm:
+                    expected = expected + frame.fields[m].scaled(cm)
+            got = oracle_covariant_derivative(conn, frame.fields[a], frame.fields[b])
+            if got != expected:
+                raise AssertionError(
+                    f"frame round-trip failed at pair ({a + 1}, {b + 1})")
+    return conn
+
+
+# ----- inputs --------------------------------------------------------------------------
+
+
+CHARTS = {1: Chart("line", ("x",)), 2: Chart("plane", ("x", "y")),
+          3: Chart("space", ("x", "y", "z"))}
+
+
+def random_entry(rng, chart, rational):
+    """A polynomial of degree at most 1, divided by x or x + 1 (x the first
+    variable) when `rational`; small, so second covariant derivatives stay cheap."""
+    entry = RationalFunction(random_polynomial(rng, chart, max_degree=1, max_terms=2))
+    if rational:
+        entry = entry / (RationalFunction.variable(chart, chart.variables[0])
+                         + rng.randint(0, 1))
+    return entry
+
+
+def random_connection(rng, chart, density, rational):
+    """Each symbol is nonzero with probability `density`."""
+    n = chart.dim
+    return Connection(chart, [[[random_entry(rng, chart, rational) if rng.random() < density
+                                else 0 for _ in range(n)] for _ in range(n)]
+                               for _ in range(n)])
+
+
+def random_fields(rng, chart, count):
+    """The zero field, each coordinate field, then fields with random zero slots."""
+    n = chart.dim
+    fields = [VectorField.zero(chart)] + [VectorField.coordinate(chart, i) for i in range(n)]
+    for _ in range(count):
+        fields.append(VectorField(chart, [
+            random_entry(rng, chart, rng.random() < 0.5) if rng.random() < 0.6 else 0
+            for _ in range(n)]))
+    return fields
+
+
+CASES = {}
+for _dim in (1, 2, 3):
+    CASES[f"dim{_dim}-zero"] = (_dim, 0.0, False)
+    for _density, _label in ((0.25, "sparse"), (1.0, "dense")):
+        for _rational in (False, True):
+            CASES[f"dim{_dim}-{_label}-{'rational' if _rational else 'polynomial'}"] = \
+                (_dim, _density, _rational)
+
+
+def case_connection(name):
+    dim, density, rational = CASES[name]
+    rng = random.Random(name)
+    return rng, random_connection(rng, CHARTS[dim], density, rational)
+
+
+# ----- comparisons ---------------------------------------------------------------------
+
+
+def assert_kernel_matches(conn, fields):
+    n = conn.chart.dim
+    for X in fields:
+        for axis in range(n):
+            assert _nabla_coordinate(conn, axis, X.coeffs) == \
+                list(oracle_nabla_coordinate(conn, axis, X).coeffs)
+        assert _iat_residuals(conn, X) == oracle_iat_residuals(conn, X)
+        for Y in fields:
+            assert covariant_derivative(conn, X, Y) == oracle_covariant_derivative(conn, X, Y)
+
+
+def assert_curvature_matches(conn):
+    got = curvature(conn).components
+    expected = oracle_curvature(conn).components
+    assert list(got) == list(expected)
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_random_connection_matches_oracles(name):
+    rng, conn = case_connection(name)
+    assert_curvature_matches(conn)
+    assert_kernel_matches(conn, random_fields(rng, conn.chart, 1))
+
+
+def test_rows_list_the_nonzero_symbols_in_order():
+    _, conn = case_connection("dim3-sparse-rational")
+    n = conn.chart.dim
+    for i in range(n):
+        for k in range(n):
+            assert conn._rows[i][k] == tuple((m, conn.gamma[i][m][k])
+                                             for m in range(n) if conn.gamma[i][m][k])
+    assert any(len(conn._rows[i][k]) not in (0, n) for i in range(n) for k in range(n))
+    zero = Connection.zero(CHARTS[2])
+    assert zero._rows == (((), ()), ((), ()))
+
+
+@pytest.mark.parametrize("algebra", [aff_line_lsa(), alpha_family(2), alpha_family(-1)],
+                         ids=["aff-lsa", "alpha2", "alpha-1"])
+def test_halfplane_frame_connections_match_oracles(algebra):
+    frame = aff_frame(chart_xy())
+    conn = connection_from_frame(frame, algebra)
+    assert conn == oracle_connection_from_frame(frame, algebra)
+    assert_curvature_matches(conn)
+    _, fields = six_iat_fields(chart_xy())
+    assert_kernel_matches(conn, fields + random_fields(random.Random(1), chart_xy(), 2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_frame_connections_match_oracle(seed):
+    rng = random.Random(seed)
+    chart = CHARTS[2]
+    while True:
+        fields = [VectorField(chart, [random_entry(rng, chart, False) for _ in range(2)])
+                  for _ in range(2)]
+        try:
+            frame = Frame(fields)
+        except ValueError:
+            continue
+        break
+    algebra = random_algebra(rng, 2)
+    conn = connection_from_frame(frame, algebra)
+    assert conn == oracle_connection_from_frame(frame, algebra)
+    assert_curvature_matches(conn)
+
+
+def test_gl2_frame_connection_matches_oracles():
+    scene = GL2Scene()
+    conn = scene.connection
+    assert conn == oracle_connection_from_frame(scene.frame, scene.constants)
+    assert_curvature_matches(conn)
+    _, invariant = scene.invariant_fields()
+    fields = invariant[:3] + scene.f_fields[:3] + random_fields(random.Random(2), scene.chart, 1)
+    assert_kernel_matches(conn, fields)

@@ -1,8 +1,10 @@
-"""Seeded structural mutations of the shipped task file against `load_document`.
+"""Seeded structural mutations of the shipped task file against `load_document`
+and the CLI.
 
 Each mutant of `docs/example-tasks.json` must either load or be refused with
 `TaskFileError` (which the CLI turns into exit code 2 and a JSON path); any
-other exception would be a traceback for the user.
+other exception would be a traceback for the user.  A seeded subset of the
+mutants that load is run end to end by `main`, which must return 0, 1 or 2.
 """
 import copy
 import json
@@ -11,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from flataffine.cli import TaskFileError, load_document
+from flataffine.cli import TaskFileError, load_document, main
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
 MUTANTS = 300
 SEED = 2017
+RUN_MUTANTS = 20    # about 0.1 s each
 
 # one value of each JSON type, for type swaps
 JSON_VALUES = ("x", "", 7, 0, -1, 2.5, True, False, None, [], ["x"], {}, {"name": "x"})
@@ -83,3 +86,26 @@ def test_load_document_loads_or_refuses_every_mutant():
             pytest.fail(f"mutant {i} ({applied}) raised {type(err).__name__}: {err}")
     assert kinds == {"delete", "retype", "rename", "truncate", "nest"}
     assert 0 < refused < MUTANTS
+
+
+def test_main_runs_loading_mutants_to_an_exit_code(tmp_path):
+    original = json.loads(EXAMPLE.read_text())
+    names = _names(original)
+    rng = random.Random(SEED + 1)
+    taskfile = tmp_path / "tasks.json"
+    codes = []
+    while len(codes) < RUN_MUTANTS:
+        doc = copy.deepcopy(original)
+        applied = [mutate(rng, doc, names) for _ in range(rng.randint(1, 3))]
+        try:
+            load_document(copy.deepcopy(doc))
+        except TaskFileError:
+            continue
+        taskfile.write_text(json.dumps(doc))
+        try:
+            code = main(["run", str(taskfile)])
+        except Exception as err:    # any exception is the failure
+            pytest.fail(f"mutant {len(codes)} ({applied}) raised {type(err).__name__}: {err}")
+        assert code in (0, 1, 2), applied
+        codes.append(code)
+    assert len(set(codes)) > 1
