@@ -120,8 +120,10 @@ class SCAlgebra:
 
     def product(self, u, v) -> Vector:
         """Bilinear product of two coordinate vectors."""
-        u = _to_vector(u, self.dim)
-        v = _to_vector(v, self.dim)
+        return self._product(_to_vector(u, self.dim), _to_vector(v, self.dim))
+
+    def _product(self, u, v) -> Vector:
+        """`product` of two vectors that are already length-dim `Fraction` sequences."""
         return _lincomb(self.dim, ((ui * vj, self.c[i][j])
                                    for i, ui in enumerate(u) if ui
                                    for j, vj in enumerate(v) if vj))
@@ -337,7 +339,7 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     vectors = [list(_to_vector(g, A.dim)) for g in generators]
     rows, _ = linalg.rref(vectors)
     for _ in range(A.dim + 1):
-        products = [list(A.product(u, v)) for u in rows for v in rows]
+        products = [list(A._product(u, v)) for u in rows for v in rows]
         new_rows, _ = linalg.rref(rows + products)
         if len(new_rows) == len(rows):
             return Subspace(A.dim, rows)
@@ -353,7 +355,7 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace, basis_names=None) -> SCA
         named = space.named_basis(A.basis_names)
         basis_names = named if named is not None else [f"v{i + 1}" for i in range(r)]
     cols = [[row[c] for row in rows] for c in range(space.ambient_dim)]
-    coords = linalg.solve(cols, [A.product(u, v) for u in rows for v in rows])
+    coords = linalg.solve(cols, [A._product(u, v) for u in rows for v in rows])
     if None in coords:
         raise ValueError("subspace is not closed under the product")
     return SCAlgebra._of(basis_names, tuple(tuple(tuple(v) for v in coords[i * r:(i + 1) * r])

@@ -12,7 +12,7 @@ memoized on the connection since they are queried by every higher-level check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -211,13 +211,15 @@ class Frame:
 
 @dataclass(frozen=True)
 class TensorReport:
-    """Dense tensor components keyed by 1-based index tuples, plus a zero flag."""
+    """Dense tensor components keyed by 1-based index tuples, plus a zero flag
+    that is computed once, when the report is built."""
     kind: str
     components: dict
+    is_zero: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_zero(self) -> bool:
-        return all(rf.is_zero() for rf in self.components.values())
+    def __post_init__(self):
+        object.__setattr__(self, "is_zero",
+                           all(rf.is_zero() for rf in self.components.values()))
 
     @property
     def nonzero(self) -> list:
@@ -260,10 +262,10 @@ def _nabla_coordinate(conn: Connection, axis: int, coeffs) -> list:
     return out
 
 
-def _combination(chart: Chart, terms) -> list:
+def _combination(zero: RationalFunction, terms) -> list:
     """Components of sum w * V over (w, V) terms, V a component list; zero
-    weights and zero entries are skipped."""
-    out = [RationalFunction.zero(chart)] * chart.dim
+    weights and zero entries are skipped.  `zero` is the chart's zero."""
+    out = [zero] * zero.chart.dim
     for w, vector in terms:
         if w:
             for k, v in enumerate(vector):
@@ -277,8 +279,8 @@ def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> Ve
     require_same_chart(conn, X)
     require_same_chart(conn, Y)
     return VectorField(conn.chart, _combination(
-        conn.chart, ((xi, _nabla_coordinate(conn, i, Y.coeffs))
-                     for i, xi in enumerate(X.coeffs) if xi)))
+        RationalFunction.zero(conn.chart), ((xi, _nabla_coordinate(conn, i, Y.coeffs))
+                                            for i, xi in enumerate(X.coeffs) if xi)))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -345,22 +347,23 @@ def is_flat_affine(conn: Connection) -> bool:
 
 
 def _iat_residuals(conn: Connection, X: VectorField):
-    """Residual fields of the flat-case criterion, one per coordinate pair (i, j).
+    """Residuals of the flat-case criterion as ((i, j), components) pairs, one
+    per coordinate pair (1-based).
 
     residual(i, j) = nabla_{d_i} nabla_{d_j} X - nabla_{(nabla_{d_i} d_j)} X;
     X is infinitesimal affine iff all residuals vanish (sufficient on
     coordinate pairs by function-linearity of both sides).
     """
-    chart = conn.chart
-    n = chart.dim
+    n = conn.chart.dim
+    zero = RationalFunction.zero(conn.chart)
     first = [_nabla_coordinate(conn, j, X.coeffs) for j in range(n)]
     residuals = []
     for i in range(n):
         for j in range(n):
-            field = _nabla_coordinate(conn, i, first[j])
-            correction = _combination(chart, zip(conn.gamma[i][j], first))
-            residuals.append(((i + 1, j + 1), VectorField(
-                chart, [a - b if b else a for a, b in zip(field, correction)])))
+            second = _nabla_coordinate(conn, i, first[j])
+            correction = _combination(zero, zip(conn.gamma[i][j], first))
+            residuals.append(((i + 1, j + 1),
+                              [a - b if b else a for a, b in zip(second, correction)]))
     return residuals
 
 
@@ -371,8 +374,8 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
         raise NotFlatError(
             "the infinitesimal-affine criterion on coordinate pairs is only "
             "equivalent to the general one for flat affine connections")
-    for pair, field in _iat_residuals(conn, X):
-        if not field.is_zero():
+    for pair, residual in _iat_residuals(conn, X):
+        if any(residual):
             return IATReport(False, pair)
     return IATReport(True)
 
@@ -381,7 +384,18 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
 
 
 def _coordinate_rows(fields):
-    """Exact coordinates of fields over a shared monomial basis.
+    """Exact coordinates of fields over a shared monomial basis."""
+    if not fields:
+        return []
+    chart = fields[0].chart
+    for f in fields:
+        if f.chart != chart:
+            raise ValueError("all fields must share one chart")
+    return _component_rows(chart, [f.coeffs for f in fields])
+
+
+def _component_rows(chart: Chart, vectors):
+    """`_coordinate_rows` of component lists that are already on `chart`.
 
     All coefficients are brought over one common polynomial denominator (which
     preserves constant-linear relations); the coordinates are the rational
@@ -390,22 +404,16 @@ def _coordinate_rows(fields):
     nonzero coefficients, and each distinct denominator is divided into it
     once; a zero coefficient (always over 1) contributes its zero numerator.
     """
-    if not fields:
-        return []
-    chart = fields[0].chart
-    for f in fields:
-        if f.chart != chart:
-            raise ValueError("all fields must share one chart")
-    dens = dict.fromkeys(c.den for f in fields for c in f.coeffs if c.num)
+    dens = dict.fromkeys(c.den for coeffs in vectors for c in coeffs if c.num)
     common = Polynomial.one(chart)
     for d in dens:
         common = poly_lcm(common, d)
     multiplier = {d: exact_div(common, d) for d in dens}
     cleared = []
     axes = set()
-    for f in fields:
+    for coeffs in vectors:
         polys = []
-        for k, c in enumerate(f.coeffs):
+        for k, c in enumerate(coeffs):
             p = c.num * multiplier[c.den] if c.num else c.num
             polys.append(p)
             for exps in p.terms:
@@ -470,20 +478,21 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     probe = [VectorField(chart, [t] + [0] * (n - 1)) for t in terms]
     if linalg.rank(_coordinate_rows(probe)) != len(terms):
         raise ValueError("ansatz terms are linearly dependent")
+    zero = RationalFunction.zero(chart)
     candidates = []
     for slot in range(n):
         for t in terms:
-            coeffs = [RationalFunction.zero(chart) for _ in range(n)]
+            coeffs = [zero] * n
             coeffs[slot] = t
             candidates.append(VectorField(chart, coeffs))
-    residuals = [[field for _, field in _iat_residuals(conn, cand)]
+    residuals = [[residual for _, residual in _iat_residuals(conn, cand)]
                  for cand in candidates]
     equations = []
-    for fields_at_pair in zip(*residuals):
-        equations.extend(zip(*_coordinate_rows(fields_at_pair)))
+    for residuals_at_pair in zip(*residuals):
+        equations.extend(zip(*_component_rows(chart, residuals_at_pair)))
     null = linalg.nullspace(equations, ncols=len(candidates))
     return [VectorField(chart, _combination(
-                chart, zip(coeffs_vec, (cand.coeffs for cand in candidates))))
+                zero, zip(coeffs_vec, (cand.coeffs for cand in candidates))))
             for coeffs_vec in null]
 
 
@@ -511,11 +520,11 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     A_inv_t = [[A_inv[j][i] for j in range(n)] for i in range(n)]
     # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} A[a][i] A[b][j] gamma[i][j], so the
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
-    expected = [[_combination(chart, zip(constants.c[a][b], A)) for b in range(n)]
+    expected = [[_combination(zero, zip(constants.c[a][b], A)) for b in range(n)]
                 for a in range(n)]
     grads = [[[c.diff(var) if c else c for c in row] for var in chart.variables]
              for row in A]
-    q = [[[e - d for e, d in zip(expected[a][b], _combination(chart, zip(A[a], grads[b])))]
+    q = [[[e - d for e, d in zip(expected[a][b], _combination(zero, zip(A[a], grads[b])))]
           for b in range(n)] for a in range(n)]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):

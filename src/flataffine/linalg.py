@@ -2,11 +2,14 @@
 
 Works with any element type supporting +, -, *, / and truthiness (Fraction,
 RationalFunction).  Pass `zero` and `one` when the field is not the rationals.
-Matrices are lists of row lists; no input is mutated.
+Matrices are lists of row lists; no input is mutated.  Over the rationals (a
+`Fraction` zero, the default) the entries may be ints or Fractions, every
+elimination runs on integer rows and every result entry is a `Fraction`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _QZERO = Fraction(0)
 _QONE = Fraction(1)
@@ -16,8 +19,11 @@ def rref(rows, *, zero=_QZERO):
     """Reduced row-echelon form.
 
     Returns (reduced_rows, pivot_columns) with zero rows dropped.  Over an
-    exact field the result is canonical for the row space.
+    exact field the result is canonical for the row space.  Q runs on the
+    integer kernel `_rref_q`; the loop below serves the other fields.
     """
+    if isinstance(zero, Fraction):
+        return _rref_q(rows)
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -44,6 +50,46 @@ def rref(rows, *, zero=_QZERO):
         if r == len(m):
             break
     return m[:r], pivots
+
+
+def _rref_q(rows):
+    """rref over Q by fraction-free Gauss-Jordan elimination.
+
+    Each row is scaled to integers by the lcm of its denominators, and every
+    row combination a*row_i - b*row_r is divided by its content, so the rows
+    stay primitive.  Row spaces and pivots are those of the rational matrix;
+    the canonical rows are built once at the end, pivot row / pivot entry.
+    """
+    m = []
+    for row in rows:
+        dens = [e.denominator for e in row]
+        d = lcm(*dens)
+        m.append([e.numerator for e in row] if d == 1 else
+                 [e.numerator * (d // q) for e, q in zip(row, dens)])
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        prow = m[r]
+        a = prow[c]
+        for i, row in enumerate(m):
+            b = row[c]
+            if b and i != r:
+                g = gcd(a, b)
+                a_g, b_g = a // g, b // g
+                row = [a_g * x - b_g * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+    return [[Fraction(x, row[c]) if x else _QZERO for x in row]
+            for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows, *, zero=_QZERO) -> int:

@@ -10,8 +10,10 @@ from flataffine import (
     IATViolationError,
     NotFlatError,
     NotInSpanError,
+    RationalFunction,
     SCAlgebra,
     SingularFrameError,
+    TensorReport,
     VectorField,
     check_associative,
     connection_from_frame,
@@ -152,6 +154,20 @@ def test_is_flat_affine_matches_tensor_flags():
     for conn in suite:
         assert is_flat_affine(conn) == (torsion(conn).is_zero and curvature(conn).is_zero)
     assert not is_flat_affine(Connection.from_sparse(CH, [(1, 1, 2, "1")]))
+
+
+def test_tensor_zero_flags_are_computed_once_per_report(monkeypatch):
+    conn = alpha_connection(2, CH)
+    assert is_flat_affine(conn)
+    calls = []
+    original = RationalFunction.is_zero
+    monkeypatch.setattr(RationalFunction, "is_zero",
+                        lambda self: calls.append(1) or original(self))
+    for _ in range(3):
+        assert is_flat_affine(conn)
+    assert calls == []
+    assert TensorReport("torsion", {(1, 1, 1): rf("0")}) == \
+        TensorReport("torsion", {(1, 1, 1): rf("0")})
 
 
 # ----- infinitesimal affine transformations -------------------------------------------

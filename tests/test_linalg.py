@@ -82,6 +82,21 @@ def test_in_row_space():
     assert not in_row_space(m, [F(0), F(0), F(1)])
 
 
+def test_int_and_mixed_rows_give_fraction_results():
+    rows_q = [[F(2), F(1), F(0)], [F(4), F(2), F(3)], [F(6), F(3), F(3)]]
+    rows_int = [[2, 1, 0], [4, 2, 3], [6, 3, 3]]
+    rows_mixed = [[2, F(1), 0], [F(4), 2, F(3)], [6, F(3), 3]]
+    assert rref([[2, 1]]) == ([[F(1), Fraction(1, 2)]], [0])
+    rhs = [[F(1), F(5), F(6)], [F(1), F(0), F(0)]]
+    for rows in (rows_int, rows_mixed):
+        assert rref(rows) == rref(rows_q)
+        assert solve(rows, rhs) == solve(rows_q, rhs) == [[Fraction(1, 2), F(0), F(1)], None]
+        assert nullspace(rows, 3) == nullspace(rows_q, 3) == [[F(1), F(-2), F(0)]]
+        assert solve(rows, [[1, 5, 6]]) == solve(rows_q, [rhs[0]])
+        for result in (rref(rows)[0], solve(rows, rhs)[:1], nullspace(rows, 3)):
+            assert all(type(x) is Fraction for row in result for x in row)
+
+
 def test_over_rational_function_field():
     ch = chart_xy()
     zero = RationalFunction.zero(ch)
