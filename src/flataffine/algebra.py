@@ -50,6 +50,15 @@ def _lincomb(n: int, terms) -> Vector:
     return tuple(out)
 
 
+def _difference(u: Vector, v: Vector) -> Vector:
+    """u - v for `Fraction` tuples, subtracting only where v is nonzero."""
+    out = list(u)
+    for k, x in enumerate(v):
+        if x:
+            out[k] -= x
+    return tuple(out)
+
+
 def _to_vector(values, dim: int) -> Vector:
     vec = tuple(Fraction(v) for v in values)
     if len(vec) != dim:
@@ -319,8 +328,7 @@ def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
     left-symmetric.
     """
     n = A.dim
-    f = tuple(tuple(tuple(a - b for a, b in zip(A.c[i][j], A.c[j][i])) for j in range(n))
-              for i in range(n))
+    f = tuple(tuple(_difference(A.c[i][j], A.c[j][i]) for j in range(n)) for i in range(n))
     lie = LieAlgebraSC._of(A.basis_names, f)   # antisymmetric by construction
     _require_jacobi(lie)
     return lie

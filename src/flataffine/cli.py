@@ -255,12 +255,21 @@ def _get_connection(doc, task, path) -> Connection:
                    f"{path}/connection")
 
 
-def _get_fields(doc, task, path):
+def _get_field(doc, name, conn, path) -> VectorField:
+    """The field `name`, which must live on the chart of `conn`."""
+    field = _lookup(doc.fields, name, "field", path)
+    _require(field.chart == conn.chart,
+             f"field {name!r} is on chart {field.chart.name!r}, not on the "
+             f"connection's chart {conn.chart.name!r}", path)
+    return field
+
+
+def _get_fields(doc, task, conn, path):
     names = task.get("fields")
     _require(isinstance(names, list) and names, 'task needs a "fields" list', f"{path}/fields")
     fields = {}
     for k, name in enumerate(names):
-        field = _lookup(doc.fields, name, "field", f"{path}/fields/{k}")
+        field = _get_field(doc, name, conn, f"{path}/fields/{k}")
         _require(name not in fields, f"field {name!r} is listed twice",
                  f"{path}/fields/{k}")
         fields[name] = field
@@ -348,7 +357,7 @@ def _run_tensor(compute):
 
 def _run_check_iat(doc, task, path):
     conn = _get_connection(doc, task, path)
-    field = _lookup(doc.fields, task.get("field"), "field", f"{path}/field")
+    field = _get_field(doc, task.get("field"), conn, f"{path}/field")
     try:
         report = is_infinitesimal_affine(conn, field)
     except NotFlatError as err:
@@ -378,7 +387,7 @@ def _run_solve_iat(doc, task, path):
 
 def _run_product_table(doc, task, path):
     conn = _get_connection(doc, task, path)
-    names, fields = _get_fields(doc, task, path)
+    names, fields = _get_fields(doc, task, conn, path)
     try:
         table = product_table(conn, fields, names)
     except NotFlatError as err:
@@ -402,7 +411,7 @@ def _run_product_table(doc, task, path):
 
 def _run_envelope(doc, task, path):
     conn = _get_connection(doc, task, path)
-    names, fields = _get_fields(doc, task, path)
+    names, fields = _get_fields(doc, task, conn, path)
     gens = task.get("generators")
     _require(isinstance(gens, list) and gens, 'task needs "generators"',
              f"{path}/generators")

@@ -14,6 +14,7 @@ from .algebra import (
     LieAlgebraSC,
     SCAlgebra,
     Subspace,
+    _difference,
     check_associative,
     commutator_algebra,
     opposite,
@@ -80,11 +81,17 @@ class EnvelopeReport:
 def commutator_matches_brackets(conn: Connection, fields, table: SCAlgebra) -> bool:
     """Cross-check that antisymmetrized product-table constants equal the
     structure constants computed independently from Lie brackets of the
-    fields."""
+    fields.
+
+    Only the pairs i < j are computed.  `lie_bracket` is exactly
+    antisymmetric ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and
+    `express_in_basis` is linear, so at a mirrored pair both sides are the
+    negations of those at (i, j), and on the diagonal both sides are zero.
+    """
     n = table.dim
-    brackets = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(n)]
-    expected = [[a - b for a, b in zip(table.c[i][j], table.c[j][i])]
-                for i in range(n) for j in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
+    expected = [list(_difference(table.c[i][j], table.c[j][i])) for i, j in pairs]
     return express_in_basis(brackets, fields) == expected
 
 
@@ -127,7 +134,7 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     # of the closure-restricted ambient commutator (= restricted Lie brackets)
     r = restricted.c
     checks["envelope_commutator_is_opposite_of_restricted_brackets"] = all(
-        commutator.c[i][j] == tuple(b - a for a, b in zip(r[i][j], r[j][i]))
+        commutator.c[i][j] == _difference(r[j][i], r[i][j])
         for i in range(commutator.dim) for j in range(commutator.dim))
     return EnvelopeReport(
         ambient=ambient,

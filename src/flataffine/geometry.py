@@ -28,6 +28,8 @@ from .symcore import (
     require_same_chart,
 )
 
+_ZERO = Fraction(0)   # shared by every empty cell of `_component_rows`
+
 
 class NotFlatError(ValueError):
     """An operation that is only meaningful for flat affine connections."""
@@ -422,7 +424,7 @@ def _component_rows(chart: Chart, vectors):
     axis_list = sorted(axes, key=lambda a: (a[0],) + tuple(grlex_key(a[1])))
     rows = []
     for polys in cleared:
-        rows.append([polys[k].terms.get(exps, Fraction(0)) for (k, exps) in axis_list])
+        rows.append([polys[k].terms.get(exps, _ZERO) for (k, exps) in axis_list])
     return rows
 
 
@@ -564,8 +566,15 @@ def product_table(conn: Connection, fields, names=None, *, check_iat: bool = Tru
             report = is_infinitesimal_affine(conn, f)
             if not report.holds:
                 raise IATViolationError(name, report.witness)
+    for f in fields:
+        require_same_chart(conn, f)
     n = len(fields)
-    products = [covariant_derivative(conn, bi, bj) for bi in fields for bj in fields]
+    zero = RationalFunction.zero(conn.chart)
+    # nabla[j][a] = nabla_{d_a} X_j, so nabla_{X_i} X_j = sum_a X_i^a nabla[j][a]
+    nabla = [[_nabla_coordinate(conn, a, f.coeffs) for a in range(conn.chart.dim)]
+             for f in fields]
+    products = [VectorField(conn.chart, _combination(zero, zip(bi.coeffs, nabla[j])))
+                for bi in fields for j in range(n)]
     try:
         coords = express_in_basis(products, fields)
     except NotInSpanError as err:

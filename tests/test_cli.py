@@ -307,6 +307,15 @@ def _malformed(task_id, edit):
     return doc
 
 
+def _foreign_field(task_id, edit):
+    """`_malformed`, plus a chart "uv" and a field "D1" on it."""
+    def add_and_edit(doc):
+        doc["charts"].append({"name": "uv", "variables": ["u", "v"]})
+        doc["fields"].append({"name": "D1", "chart": "uv", "coeffs": ["u", "0"]})
+        edit(doc)
+    return _malformed(task_id, add_and_edit)
+
+
 @pytest.mark.parametrize("doc, path", [
     (_malformed("clos", lambda d: d["tasks"][0].update(expect_rank="5")),
      "/tasks/0/expect_rank"),
@@ -359,6 +368,12 @@ def _malformed(task_id, edit):
      "/algebras/0/products/0/result"),
     (_malformed("lsa", lambda d: d["algebras"][0]["products"][0].update(
         result=["2", "0", "0"])), "/algebras/0/products/0/result"),
+    (_foreign_field("iat-c6", lambda d: d["tasks"][0].update(field="D1")),
+     "/tasks/0/field"),
+    (_foreign_field("table", lambda d: d["tasks"][0]["fields"].insert(2, "D1")),
+     "/tasks/0/fields/2"),
+    (_foreign_field("env", lambda d: d["tasks"][0]["fields"].append("D1")),
+     "/tasks/0/fields/6"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "chart-variables-past-cap",
         "ansatz-past-cap", "algebra-result-zero-denominator",
@@ -367,7 +382,8 @@ def _malformed(task_id, edit):
         "table-field-list", "expect-zero-string", "coeffs-nested-too-deep",
         "coeffs-power-too-high", "coeffs-literal-too-long", "envelope-field-repeated",
         "table-field-repeated", "product-pair-repeated", "product-left-past-dim",
-        "product-right-zero", "product-result-short", "product-result-long"])
+        "product-right-zero", "product-result-short", "product-result-long",
+        "iat-field-other-chart", "table-field-other-chart", "envelope-field-other-chart"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))

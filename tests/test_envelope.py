@@ -115,6 +115,22 @@ def test_envelope_gl2_via_orchestrator():
     assert all(report.checks.values())
 
 
+def test_final_check_catches_a_missing_opposite(monkeypatch):
+    # with `opposite` returning its argument, the envelope's commutator is the
+    # restricted one, not its negation: only the last check can see that
+    from flataffine import envelope
+    monkeypatch.setattr(envelope, "opposite", lambda algebra: algebra)
+    scene = GL2Scene()
+    from flataffine.geometry import independent_fields
+    inv_names, inv_fields = scene.invariant_fields()
+    names, fields = independent_fields(inv_fields + scene.f_fields,
+                                       inv_names + scene.f_names)
+    generators = [n for n in names if n.startswith("E")]
+    report = compute_envelope(scene.connection, fields, names, generators)
+    failed = [name for name, ok in report.checks.items() if not ok]
+    assert failed == ["envelope_commutator_is_opposite_of_restricted_brackets"]
+
+
 def test_envelope_report_json():
     conn = aff_line_connection(chart_xy())
     names, fields = six_iat_fields(chart_xy())

@@ -5,6 +5,9 @@ Each mutant of `docs/example-tasks.json` must either load or be refused with
 `TaskFileError` (which the CLI turns into exit code 2 and a JSON path); any
 other exception would be a traceback for the user.  A seeded subset of the
 mutants that load is run end to end by `main`, which must return 0, 1 or 2.
+
+The base document gets a second chart with the same variables, so that a
+`rename` can move a field onto a chart that is not its connection's.
 """
 import copy
 import json
@@ -22,6 +25,13 @@ RUN_MUTANTS = 20    # about 0.1 s each
 
 # one value of each JSON type, for type swaps
 JSON_VALUES = ("x", "", 7, 0, -1, 2.5, True, False, None, [], ["x"], {}, {"name": "x"})
+
+
+def _base_document():
+    """The shipped task file plus a second chart, "halfplane2"."""
+    doc = json.loads(EXAMPLE.read_text())
+    doc["charts"].append({"name": "halfplane2", "variables": ["x", "y"]})
+    return doc
 
 
 def _slots(value, out):
@@ -68,7 +78,7 @@ def mutate(rng, doc, names):
 
 
 def test_load_document_loads_or_refuses_every_mutant():
-    original = json.loads(EXAMPLE.read_text())
+    original = _base_document()
     names = _names(original)
     load_document(copy.deepcopy(original))
     rng = random.Random(SEED)
@@ -89,7 +99,7 @@ def test_load_document_loads_or_refuses_every_mutant():
 
 
 def test_main_runs_loading_mutants_to_an_exit_code(tmp_path):
-    original = json.loads(EXAMPLE.read_text())
+    original = _base_document()
     names = _names(original)
     rng = random.Random(SEED + 1)
     taskfile = tmp_path / "tasks.json"
