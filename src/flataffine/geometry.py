@@ -506,20 +506,20 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
 
     Extends by function-linearity in the first slot and the Leibniz rule in the
     second; the result is post-verified against the defining products for every
-    frame pair.
+    frame pair.  With A the frame matrix and q[a][b] = E_a E_b - E_a(E_b) the
+    Christoffel part of each defining product, gamma[i][j] = sum_{a,b}
+    A^-1[i][a] A^-1[j][b] q[a][b], and A^-1 is taken only when some q[a][b] is
+    nonzero.  On an affine chart of the connection, one in which its
+    Christoffel symbols vanish (GL(n) in matrix coordinates with E_a E_b the
+    matrix product), every defining product is the plain derivative E_a(E_b),
+    so q and gamma are zero; `Frame` has already proved A nonsingular.
     """
     chart = frame.chart
     n = chart.dim
     if constants.dim != n:
         raise ValueError("structure constants must match the frame dimension")
     zero = RationalFunction.zero(chart)
-    one = RationalFunction.one(chart)
     A = [list(f.coeffs) for f in frame.fields]
-    try:
-        A_inv = linalg.invert(A, zero=zero, one=one)
-    except ValueError:
-        raise SingularFrameError("frame matrix is singular") from None
-    A_inv_t = [[A_inv[j][i] for j in range(n)] for i in range(n)]
     # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} A[a][i] A[b][j] gamma[i][j], so the
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
     expected = [[_combination(zero, zip(constants.c[a][b], A)) for b in range(n)]
@@ -528,13 +528,18 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
              for row in A]
     q = [[[e - d for e, d in zip(expected[a][b], _combination(zero, zip(A[a], grads[b])))]
           for b in range(n)] for a in range(n)]
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        q_k = [[q[a][b][k] for b in range(n)] for a in range(n)]
-        g_k = linalg.mat_mul(linalg.mat_mul(A_inv, q_k, zero=zero), A_inv_t, zero=zero)
-        for i in range(n):
-            for j in range(n):
-                gamma[i][j][k] = g_k[i][j]
+    if any(e for row in q for vec in row for e in vec):
+        try:
+            A_inv = linalg.invert(A, zero=zero, one=RationalFunction.one(chart))
+        except ValueError:
+            raise SingularFrameError("frame matrix is singular") from None
+        # both contractions skip zero weights and zero entries
+        half = [[_combination(zero, zip(A_inv[i], (q[a][b] for a in range(n))))
+                 for b in range(n)] for i in range(n)]
+        gamma = [[_combination(zero, zip(A_inv[j], half[i])) for j in range(n)]
+                 for i in range(n)]
+    else:
+        gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
     conn = Connection(chart, gamma)
     for a in range(n):
         for b in range(n):

@@ -40,11 +40,15 @@ def rref(rows, *, zero=_QZERO):
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [e / pv for e in m[r]]
+        m[r] = [e / pv if e else e for e in m[r]]
+        # a - f*b is a wherever the pivot row has b = 0
+        support = [(j, b) for j, b in enumerate(m[r]) if b]
         for i in range(len(m)):
             if i != r and m[i][c] != zero:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                row = m[i]
+                for j, b in support:
+                    row[j] = row[j] - f * b
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -156,16 +160,3 @@ def in_row_space(rows, vector, *, zero=_QZERO) -> bool:
     extended, _ = rref(reduced + [list(vector)], zero=zero)
     return len(extended) == len(reduced)
 
-
-def mat_mul(a, b, *, zero=_QZERO):
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(len(b[0])):
-            s = zero
-            for k, e in enumerate(row):
-                if e != zero:
-                    s = s + e * b[k][j]
-            out_row.append(s)
-        out.append(out_row)
-    return out

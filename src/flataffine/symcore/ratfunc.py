@@ -108,6 +108,11 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         require_same_chart(self, other)
+        # a canonical operand plus zero is already the canonical sum
+        if not other.num.terms:
+            return self
+        if not self.num.terms:
+            return other
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
@@ -140,8 +145,10 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         require_same_chart(self, other)
-        if self.num.is_zero() or other.num.is_zero():
-            return RationalFunction.zero(self.chart)
+        if not self.num.terms:
+            return self
+        if not other.num.terms:
+            return other
         # cross-reduce so the product of reduced fractions stays reduced
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)

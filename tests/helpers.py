@@ -8,9 +8,11 @@ fields.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 from flataffine import (
     Chart,
@@ -24,6 +26,8 @@ from flataffine import (
 from flataffine.geometry import _coordinate_rows
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
+
+BENCH_SCENE = Path(__file__).resolve().parent.parent / "bench" / "scene.py"
 
 
 def chart_xy() -> Chart:
@@ -175,7 +179,22 @@ def emit_table(algebra: SCAlgebra, format: str = "text") -> str:
     raise ValueError(f"unknown format {format!r} (expected 'text' or 'json')")
 
 
-# ----- subspaces --------------------------------------------------------------
+# ----- matrices and subspaces ---------------------------------------------------
+
+
+def mat_mul(a, b, *, zero=Fraction(0)):
+    """The matrix product a·b over any exact field; zero entries of a are skipped."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            s = zero
+            for k, e in enumerate(row):
+                if e != zero:
+                    s = s + e * b[k][j]
+            out_row.append(s)
+        out.append(out_row)
+    return out
 
 
 def subspace_contains(space, vector) -> bool:
@@ -251,6 +270,15 @@ class GL2Scene:
             names.append(f"E-{r}{s}")
             fields.append(self.e_minus(r, s))
         return names, fields
+
+
+def gln_scene(n: int, frame_order=None):
+    """`GLnScene(n, frame_order)` of bench/scene.py, the GL(n) scene that the
+    benchmark's workloads run on."""
+    spec = importlib.util.spec_from_file_location("bench_scene", BENCH_SCENE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.GLnScene(n, frame_order)
 
 
 # ----- randomized instances ------------------------------------------------------

@@ -18,10 +18,11 @@ from flataffine import (
     opposite,
     subalgebra_closure,
 )
-from flataffine.linalg import mat_mul, solve
+from flataffine.linalg import solve
 from helpers import (
     aff_line_lsa,
     alpha_family,
+    mat_mul,
     random_algebra,
     six_field_table_algebra,
     subspace_contains,

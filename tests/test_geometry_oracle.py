@@ -8,7 +8,11 @@ of which wrote the contraction out by hand over the dense `gamma`, as oracles
 and compares them value by value on seeded random connections in dimensions
 1 to 3 (all-zero, sparse and dense symbols, polynomial and non-polynomial
 entries), on fields with zero slots, on the half-plane frame connections and
-on the GL2 frame connection.
+on the GL2 frame connection.  `connection_from_frame` is compared with the
+earlier version, which inverted the frame matrix and multiplied dense
+matrices for every frame, on seeded frames in dimensions 1 to 3 and on the
+GL3 frame; it now inverts the frame matrix only when some Christoffel part is
+nonzero.
 """
 import random
 
@@ -19,6 +23,7 @@ from flataffine import (
     Connection,
     Frame,
     RationalFunction,
+    SingularFrameError,
     TensorReport,
     VectorField,
     connection_from_frame,
@@ -34,6 +39,8 @@ from helpers import (
     aff_line_lsa,
     alpha_family,
     chart_xy,
+    gln_scene,
+    mat_mul,
     random_algebra,
     random_polynomial,
     six_iat_fields,
@@ -157,7 +164,7 @@ def oracle_connection_from_frame(frame, constants):
                             total = total - A[a][i] * d
                 q_row.append(total)
             q.append(q_row)
-        g_k = linalg.mat_mul(linalg.mat_mul(A_inv, q, zero=zero), A_inv_t, zero=zero)
+        g_k = mat_mul(mat_mul(A_inv, q, zero=zero), A_inv_t, zero=zero)
         for i in range(n):
             for j in range(n):
                 gamma[i][j][k] = g_k[i][j]
@@ -305,3 +312,88 @@ def test_gl2_frame_connection_matches_oracles():
     _, invariant = scene.invariant_fields()
     fields = invariant[:3] + scene.f_fields[:3] + random_fields(random.Random(2), scene.chart, 1)
     assert_kernel_matches(conn, fields)
+
+
+def random_frame(rng, chart, rational):
+    """A seeded frame whose coefficients are zero or one term of degree at most 1,
+    divided by x or x + 1 when `rational`; singular draws are skipped.  Dense
+    binomial entries make some 3 x 3 frame connections take seconds."""
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        e = RationalFunction(random_polynomial(rng, chart, max_degree=1, max_terms=1))
+        if rational:
+            e = e / (RationalFunction.variable(chart, chart.variables[0]) + rng.randint(0, 1))
+        return e
+
+    while True:
+        fields = [VectorField(chart, [entry() for _ in range(chart.dim)])
+                  for _ in range(chart.dim)]
+        try:
+            return Frame(fields)
+        except SingularFrameError:
+            continue
+
+
+@pytest.fixture
+def invert_calls(monkeypatch):
+    """The arguments of each `linalg.invert` call made in the test, in order."""
+    calls = []
+    original = linalg.invert
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "invert", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("rational", [False, True], ids=["polynomial", "rational"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_seeded_frame_connections_match_oracle(dim, rational, seed, invert_calls):
+    rng = random.Random(f"frame-{dim}-{rational}-{seed}")
+    frame = random_frame(rng, CHARTS[dim], rational)
+    algebra = random_algebra(rng, dim)
+    conn = connection_from_frame(frame, algebra)
+    # a frame on an affine chart of its connection (gamma = 0) needs no inverse
+    assert len(invert_calls) == any(g for row in conn.gamma for vec in row for g in vec)
+    assert conn == oracle_connection_from_frame(frame, algebra)
+
+
+@pytest.mark.parametrize("order_seed", [None, 7], ids=["rows-order", "seeded-order"])
+def test_gl3_frame_connection_matches_oracle(order_seed):
+    pairs = [(r, s) for r in range(1, 4) for s in range(1, 4)]
+    order = None if order_seed is None else random.Random(order_seed).sample(pairs, 9)
+    scene = gln_scene(3, order)
+    conn = scene.connect()
+    assert conn == oracle_connection_from_frame(scene.frame, scene.constants)
+    assert conn == Connection.zero(scene.chart)
+
+
+def test_frame_matrix_is_inverted_only_for_a_christoffel_part(invert_calls):
+    gl2 = GL2Scene()
+    gln_scene(3).connect()
+    assert invert_calls == []
+    assert gl2.connection == Connection.zero(gl2.chart)
+    conn = connection_from_frame(aff_frame(chart_xy()), aff_line_lsa())
+    assert len(invert_calls) == 1
+    assert conn != Connection.zero(chart_xy())
+
+
+def test_singular_frames_are_refused():
+    chart = CHARTS[3]
+    x, y, z = (RationalFunction.variable(chart, v) for v in chart.variables)
+    rows = [[x, y / z, x], [x * y, 1 / (x + 1), z]]
+    # the third row is x/y times the first plus z times the second
+    rows.append([x / y * a + z * b for a, b in zip(*rows)])
+    fields = [VectorField(chart, row) for row in rows]
+    with pytest.raises(SingularFrameError):
+        Frame(fields)
+    # past the constructor, a singular frame matrix is still refused where
+    # the Christoffel part needs its inverse
+    frame = Frame.__new__(Frame)
+    frame.chart, frame.fields = chart, tuple(fields)
+    with pytest.raises(SingularFrameError):
+        connection_from_frame(frame, random_algebra(random.Random(3), 3))

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from flataffine import RationalFunction
-from flataffine.linalg import in_row_space, invert, mat_mul, nullspace, rank, rref, solve
+from flataffine.linalg import in_row_space, invert, nullspace, rank, rref, solve
 from flataffine.symcore import parse_expr
-from helpers import chart_xy
+from helpers import chart_xy, mat_mul
 
 
 def F(x):

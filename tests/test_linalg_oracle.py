@@ -11,14 +11,21 @@ seeded matrices: denominators 1 to 12 with zero rows and zero columns, the
 all-zero and the empty matrix, wide sparse 0/±1 matrices shaped like the GL2
 system [A | b1 ... b256], tall 272 x 16 ones, rank-deficient products and
 numerators near 2^200.  Every entry of a result must be a `Fraction`.
+
+The oracle is also the earlier form of the generic loop that serves every
+other field, which now updates and divides only the nonzero entries of the
+pivot row; `rref`, `rank` and `invert` are compared with their earlier selves
+over the rational functions too: dense, sparse, wide, tall, rank-deficient and
+zero matrices over Q(x, y), and the GL2 frame matrix in seeded row orders.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from flataffine import linalg
+from flataffine import Chart, RationalFunction, linalg
 from flataffine.linalg import in_row_space, invert, nullspace, rank, rref, solve
+from helpers import GL2Scene, mat_mul, random_polynomial
 
 
 def oracle_rref(rows, *, zero=Fraction(0)):
@@ -93,7 +100,7 @@ def mat_vec(m, x):
 def low_rank_matrix(rng, rows, cols, inner):
     left = rational_matrix(rng, rows, inner, density=1.0)
     right = rational_matrix(rng, inner, cols, density=1.0)
-    return linalg.mat_mul(left, right)
+    return mat_mul(left, right)
 
 
 def big_matrix(rng, rows, cols):
@@ -137,8 +144,7 @@ CASES = {
     "low-rank-6x6": lambda rng: low_rank_matrix(rng, 6, 6, 4),
     "big-4x5": lambda rng: big_matrix(rng, 4, 5),
     "big-5x5": lambda rng: big_matrix(rng, 5, 5),
-    "big-low-rank-5x6": lambda rng: linalg.mat_mul(big_matrix(rng, 5, 2),
-                                                   big_matrix(rng, 2, 6)),
+    "big-low-rank-5x6": lambda rng: mat_mul(big_matrix(rng, 5, 2), big_matrix(rng, 2, 6)),
 }
 SEEDS = (1, 2, 3)
 SQUARE = ("rational-6x6", "rational-dense-5x5", "rational-1x1", "zero-1x1",
@@ -255,3 +261,84 @@ def test_empty_matrix(earlier):
     assert invert([]) == earlier(invert, []) == []
     assert in_row_space([], [Fraction(1)]) == earlier(in_row_space, [], [Fraction(1)])
     assert rref([[], []]) == oracle_rref([[], []]) == ([], [])
+
+
+# ----- the generic loop over Q(x, y) -----------------------------------------------
+
+
+QX = Chart("qx", ("x", "y"))
+QX_ZERO = RationalFunction.zero(QX)
+
+
+def rf_entry(rng):
+    """A quotient of two random polynomials of degree at most 1."""
+    den = random_polynomial(rng, QX, max_degree=1, max_terms=2)
+    while den.is_zero():
+        den = random_polynomial(rng, QX, max_degree=1, max_terms=2)
+    return RationalFunction(random_polynomial(rng, QX, max_degree=1, max_terms=3), den)
+
+
+def rf_matrix(rng, rows, cols, density):
+    return [[rf_entry(rng) if rng.random() < density else QX_ZERO for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def rf_low_rank(rng, rows, cols):
+    """The last row is a Q(x, y)-combination of the others."""
+    m = rf_matrix(rng, rows - 1, cols, 0.6)
+    weights = [rf_entry(rng) for _ in m]
+    m.append([sum((w * row[k] for w, row in zip(weights, m)), QX_ZERO)
+              for k in range(cols)])
+    return m
+
+
+def gl2_frame_matrix(rng):
+    rows = [list(f.coeffs) for f in GL2Scene().frame.fields]
+    rng.shuffle(rows)
+    return rows
+
+
+QX_CASES = {
+    "dense-3x3": lambda rng: rf_matrix(rng, 3, 3, 1.0),
+    "sparse-3x3": lambda rng: rf_matrix(rng, 3, 3, 0.4),
+    "wide-2x5": lambda rng: rf_matrix(rng, 2, 5, 0.5),
+    "tall-4x2": lambda rng: rf_matrix(rng, 4, 2, 0.6),
+    "low-rank-3x3": lambda rng: rf_low_rank(rng, 3, 3),
+    "low-rank-3x4": lambda rng: rf_low_rank(rng, 3, 4),
+    "zero-row-3x3": lambda rng: rf_matrix(rng, 2, 3, 0.8) + [[QX_ZERO] * 3],
+    "zero-2x2": lambda rng: [[QX_ZERO] * 2 for _ in range(2)],
+    "gl2-frame-4x4": gl2_frame_matrix,
+}
+QX_SQUARE = ("dense-3x3", "sparse-3x3", "low-rank-3x3", "zero-row-3x3", "zero-2x2",
+             "gl2-frame-4x4")
+
+
+def qx_case(name, seed):
+    """The matrix with the zero and one of its entries' field."""
+    m = QX_CASES[name](random.Random(f"qx-{name}-{seed}"))
+    chart = m[0][0].chart
+    return m, RationalFunction.zero(chart), RationalFunction.one(chart)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", list(QX_CASES))
+def test_generic_rref_matches_the_oracle(name, seed):
+    m, zero, _ = qx_case(name, seed)
+    expected = oracle_rref(m, zero=zero)
+    assert rref(m, zero=zero) == expected
+    assert rank(m, zero=zero) == len(expected[0])
+    if name.startswith("low-rank"):
+        assert len(expected[0]) < len(m)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", QX_SQUARE)
+def test_generic_invert_matches_the_oracle(name, seed, earlier):
+    m, zero, one = qx_case(name, seed)
+    try:
+        expected = earlier(invert, m, zero=zero, one=one)
+    except ValueError:
+        with pytest.raises(ValueError):
+            invert(m, zero=zero, one=one)
+        return
+    assert invert(m, zero=zero, one=one) == expected

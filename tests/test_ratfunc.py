@@ -119,3 +119,53 @@ def test_powers():
     assert rf("1/x") ** 2 == rf("1/x^2")
     assert rf("x + 1") ** 0 == rf("1")
     assert rf("x") ** -1 == rf("1/x")
+
+
+# ----- zero operands -----------------------------------------------------------
+
+
+def slow_sum(a, b):
+    """a + b by the general formula, which normalizes the result afresh."""
+    return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def slow_product(a, b):
+    return RationalFunction(a.num * b.num, a.den * b.den)
+
+
+def assert_canonical_equal(got, expected):
+    assert isinstance(got, RationalFunction)
+    assert got.chart == expected.chart
+    assert got.num == expected.num and got.den == expected.den
+
+
+ZEROS = [lambda ch: RationalFunction.zero(ch), lambda ch: 0, lambda ch: Fraction(0)]
+
+
+@pytest.mark.parametrize("make_zero", ZEROS, ids=["rational-function", "int", "fraction"])
+def test_zero_operands_give_the_canonical_result(make_zero):
+    rng = random.Random(101)
+    ch = chart_xy()
+    zero_rf = RationalFunction.zero(ch)
+    corpus = [rf("y^3/x"), rf("-2*x + 1/3"), rf("7"), zero_rf] + \
+        [random_rational_function(rng, ch) for _ in range(8)]
+    for x in corpus:
+        z = make_zero(ch)
+        z_rf = RationalFunction.constant(ch, z) if not isinstance(z, RationalFunction) else z
+        for got, expected in ((x + z, slow_sum(x, z_rf)), (z + x, slow_sum(z_rf, x)),
+                              (x - z, slow_sum(x, -z_rf)), (z - x, slow_sum(z_rf, -x)),
+                              (x * z, slow_product(x, z_rf)), (z * x, slow_product(z_rf, x))):
+            assert_canonical_equal(got, expected)
+        for product in (x * z, z * x):
+            assert product.num.is_zero() and product.den.is_one()
+    assert_canonical_equal(zero_rf + zero_rf, zero_rf)
+    assert (zero_rf - zero_rf).den.is_one()
+
+
+def test_zero_on_another_chart_is_refused():
+    x = rf("x")
+    other = RationalFunction.zero(plane_chart())
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((x, other), (other, x), (RationalFunction.zero(chart_xy()), other)):
+            with pytest.raises(ChartMismatchError):
+                op(a, b)
