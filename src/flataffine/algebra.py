@@ -99,13 +99,6 @@ class SCAlgebra:
         self.unit_index = unit_index
 
     @classmethod
-    def zero_algebra(cls, basis_names) -> "SCAlgebra":
-        names = tuple(basis_names)
-        n = len(names)
-        z = [[[0] * n for _ in range(n)] for _ in range(n)]
-        return cls(names, z)
-
-    @classmethod
     def from_products(cls, basis_names, products, unit: str | None = None) -> "SCAlgebra":
         """Build from a sparse table {(left_name, right_name): {name: coeff}}."""
         names = tuple(basis_names)

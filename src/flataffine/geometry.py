@@ -28,7 +28,7 @@ from .symcore import (
     require_same_chart,
 )
 
-_ZERO = Fraction(0)   # shared by every empty cell of `_component_rows`
+_ZERO = Fraction(0)   # shared by every empty cell of the coordinate rows and equations
 
 
 class NotFlatError(ValueError):
@@ -350,18 +350,21 @@ def is_flat_affine(conn: Connection) -> bool:
 
 def _iat_residuals(conn: Connection, X: VectorField):
     """Residuals of the flat-case criterion as ((i, j), components) pairs, one
-    per coordinate pair (1-based).
+    per coordinate pair with i <= j (1-based), in row-major order.
 
     residual(i, j) = nabla_{d_i} nabla_{d_j} X - nabla_{(nabla_{d_i} d_j)} X;
     X is infinitesimal affine iff all residuals vanish (sufficient on
-    coordinate pairs by function-linearity of both sides).
+    coordinate pairs by function-linearity of both sides).  Every caller
+    requires a flat connection, on which residual(i, j) - residual(j, i) =
+    R(d_i, d_j) X - nabla_{T(d_i, d_j)} X = 0, so the pairs i > j repeat
+    earlier ones; the first failing pair in row-major order has i <= j.
     """
     n = conn.chart.dim
     zero = RationalFunction.zero(conn.chart)
     first = [_nabla_coordinate(conn, j, X.coeffs) for j in range(n)]
     residuals = []
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             second = _nabla_coordinate(conn, i, first[j])
             correction = _combination(zero, zip(conn.gamma[i][j], first))
             residuals.append(((i + 1, j + 1),
@@ -466,11 +469,26 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     """Basis of infinitesimal affine transformations within an ansatz space.
 
     The ansatz is one list of rational-function terms applied to every
-    coefficient slot.  The residuals of the flat-case criterion are linear in
-    the unknown coefficients; clearing polynomial denominators and collecting
-    monomial coefficients gives an exact linear system whose nullspace is
-    returned, one field per nullspace basis vector (coefficient vectors in
-    reduced row-echelon form).
+    coefficient slot, so the unknowns are the coefficients of the candidates
+    t·d_s, one per (slot s, term t).  The residuals of the flat-case criterion
+    are linear in X, so each candidate's residual is built on its own, from
+    one derivative table per term (d_j t, and d_i d_j t for i <= j) and the
+    nonzero Christoffel symbols, with their first derivatives taken once per
+    call:
+
+        first[j]^k = delta_ks d_j t + gamma[j][s][k] t,
+        residual(i, j)^k = delta_ks d_i d_j t + (d_i gamma[j][s][k]) t
+                           + gamma[j][s][k] d_i t
+                           + sum_m gamma[i][m][k] first[j]^m
+                           - sum_l gamma[i][j][l] first[l]^k.
+
+    The connection is flat, so residual(i, j) = residual(j, i) and only the
+    pairs i <= j give equations.  At each pair, clearing polynomial
+    denominators and collecting monomial coefficients of the candidates whose
+    residual is nonzero gives exact linear equations (zero in every other
+    candidate's column); the nullspace of the system is returned, one field
+    per nullspace basis vector (coefficient vectors in reduced row-echelon
+    form, candidates ordered slot by slot, then by term).
     """
     if not is_flat_affine(conn):
         raise NotFlatError("the ansatz solver requires a flat affine connection")
@@ -481,21 +499,61 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     if linalg.rank(_coordinate_rows(probe)) != len(terms):
         raise ValueError("ansatz terms are linearly dependent")
     zero = RationalFunction.zero(chart)
-    candidates = []
-    for slot in range(n):
-        for t in terms:
-            coeffs = [zero] * n
-            coeffs[slot] = t
-            candidates.append(VectorField(chart, coeffs))
-    residuals = [[residual for _, residual in _iat_residuals(conn, cand)]
-                 for cand in candidates]
+    variables = chart.variables
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # gamma_at[j][s] lists the nonzero (k, gamma[j][s][k]); d_gamma holds
+    # d_i gamma[j][s][k] for those symbols only
+    gamma_at = [[tuple((k, g) for k, g in enumerate(vec) if g) for vec in row]
+                for row in conn.gamma]
+    d_gamma = {(i, j, s, k): g.diff(var)
+               for j in range(n) for s in range(n) for k, g in gamma_at[j][s]
+               for i, var in enumerate(variables)}
+    tables = []
+    for t in terms:
+        d1 = [t.diff(var) for var in variables]
+        tables.append((t, d1, {(i, j): d1[j].diff(variables[i]) if d1[j] else zero
+                               for i, j in pairs}))
+    # residuals[p][c]: components of candidate c's residual at pairs[p]
+    residuals = [[] for _ in pairs]
+    for s in range(n):
+        for t, d1, d2 in tables:
+            first = []
+            for j in range(n):
+                comps = [zero] * n
+                comps[s] = d1[j]
+                for k, g in gamma_at[j][s]:
+                    comps[k] = comps[k] + g * t
+                first.append(comps)
+            for (i, j), at_pair in zip(pairs, residuals):
+                res = [zero] * n
+                res[s] = d2[i, j]
+                for k, g in gamma_at[j][s]:
+                    res[k] = res[k] + d_gamma[i, j, s, k] * t + g * d1[i]
+                for k, row in enumerate(conn._rows[i]):
+                    for m, g in row:
+                        if first[j][m]:
+                            res[k] = res[k] + g * first[j][m]
+                for l, g in gamma_at[i][j]:
+                    for k, v in enumerate(first[l]):
+                        if v:
+                            res[k] = res[k] - g * v
+                at_pair.append(res)
+    size = len(terms)
+    ncols = n * size
     equations = []
-    for residuals_at_pair in zip(*residuals):
-        equations.extend(zip(*_component_rows(chart, residuals_at_pair)))
-    null = linalg.nullspace(equations, ncols=len(candidates))
-    return [VectorField(chart, _combination(
-                zero, zip(coeffs_vec, (cand.coeffs for cand in candidates))))
-            for coeffs_vec in null]
+    for at_pair in residuals:
+        live = [c for c, res in enumerate(at_pair) if any(res)]
+        if not live:
+            continue
+        for coords in zip(*_component_rows(chart, [at_pair[c] for c in live])):
+            row = [_ZERO] * ncols
+            for c, x in zip(live, coords):
+                row[c] = x
+            equations.append(row)
+    # component s of a solution is sum_a lambda[s, a] t_a
+    return [VectorField(chart, [sum((t * w for w, t in zip(vec[s * size:(s + 1) * size], terms)
+                                     if w), zero) for s in range(n)])
+            for vec in linalg.nullspace(equations, ncols=ncols)]
 
 
 # ----- frames, product tables --------------------------------------------------

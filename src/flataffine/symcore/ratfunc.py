@@ -87,16 +87,8 @@ class RationalFunction:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
-        return self.num.leading_coefficient() if self.num.terms else Fraction(0)
 
     def __bool__(self) -> bool:
         return not self.num.is_zero()

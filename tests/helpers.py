@@ -145,6 +145,26 @@ def alpha2_table_algebra() -> SCAlgebra:
     return SCAlgebra.from_products(names, ALPHA2_TABLE)
 
 
+def zero_algebra(basis_names) -> SCAlgebra:
+    """The algebra on the given basis whose products are all zero."""
+    n = len(tuple(basis_names))
+    return SCAlgebra(basis_names, [[[0] * n for _ in range(n)] for _ in range(n)])
+
+
+# ----- rational functions ----------------------------------------------------------
+
+
+def is_polynomial(f: RationalFunction) -> bool:
+    return f.den.is_one()
+
+
+def constant_value(f: RationalFunction) -> Fraction:
+    """The value of a constant rational function."""
+    if not f.is_constant():
+        raise ValueError(f"{f} is not a constant")
+    return f.num.leading_coefficient() if f.num.terms else Fraction(0)
+
+
 # ----- field spans and tables ------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from helpers import (
     six_field_table_algebra,
     subspace_contains,
     subspace_coordinates,
+    zero_algebra,
 )
 
 
@@ -87,7 +88,7 @@ def test_aff_line_is_left_symmetric():
 
 
 def test_zero_product_is_left_symmetric():
-    assert check_left_symmetric(SCAlgebra.zero_algebra(("a", "b"))).holds
+    assert check_left_symmetric(zero_algebra(("a", "b"))).holds
 
 
 def test_derived_case_matches_brute_force():
@@ -231,7 +232,7 @@ def test_opposite_preserves_associativity_verdict_random():
 
 
 def test_adjoin_unit_dual_numbers():
-    A = adjoin_unit(SCAlgebra.zero_algebra(("e",)))
+    A = adjoin_unit(zero_algebra(("e",)))
     assert A.dim == 2
     assert A.basis_names == ("e", "1")
     assert A.unit_index == 1

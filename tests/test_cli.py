@@ -15,7 +15,7 @@ from flataffine.cli import (
     main,
     run_document,
 )
-from helpers import SIX_IAT_FIELDS, emit_table, six_field_table_algebra
+from helpers import SIX_IAT_FIELDS, emit_table, six_field_table_algebra, zero_algebra
 
 
 def lsa11_json(name="aff-lsa"):
@@ -461,7 +461,7 @@ def test_emit_table_six_field():
 
 
 def test_emit_table_zero_algebra():
-    text = emit_table(SCAlgebra.zero_algebra(("a", "b")), "text")
+    text = emit_table(zero_algebra(("a", "b")), "text")
     rows = text.splitlines()[2:]
     for row in rows:
         cells = [c.strip() for c in row.split("|")[1:]]

@@ -3,7 +3,6 @@ import pytest
 
 from flataffine import (
     LieAlgebraSC,
-    SCAlgebra,
     check_associative,
     commutator_algebra,
     compute_envelope,
@@ -23,6 +22,7 @@ from helpers import (
     alpha2_fields,
     six_field_table_algebra,
     subspace_contains,
+    zero_algebra,
 )
 
 
@@ -171,10 +171,10 @@ def test_bi_invariant_false_for_aff_line_lsa():
 
 def test_bi_invariant_trivial_case():
     lie = LieAlgebraSC(("a",), [[[0]]])
-    assert verify_bi_invariant_criterion(lie, SCAlgebra.zero_algebra(("a",)))
+    assert verify_bi_invariant_criterion(lie, zero_algebra(("a",)))
 
 
 def test_bi_invariant_dimension_mismatch():
     lie = LieAlgebraSC(("a",), [[[0]]])
     with pytest.raises(ValueError):
-        verify_bi_invariant_criterion(lie, SCAlgebra.zero_algebra(("a", "b")))
+        verify_bi_invariant_criterion(lie, zero_algebra(("a", "b")))

@@ -11,7 +11,6 @@ from flataffine import (
     NotFlatError,
     NotInSpanError,
     RationalFunction,
-    SCAlgebra,
     SingularFrameError,
     TensorReport,
     VectorField,
@@ -42,6 +41,7 @@ from helpers import (
     plane_chart,
     six_field_table_algebra,
     alpha2_table_algebra,
+    zero_algebra,
 )
 
 CH = chart_xy()
@@ -268,7 +268,7 @@ def test_solve_rejects_dependent_ansatz():
 
 def test_trivial_frame_zero_constants():
     frame = Frame([vf("1", "0"), vf("0", "1")])
-    conn = connection_from_frame(frame, SCAlgebra.zero_algebra(("a", "b")))
+    conn = connection_from_frame(frame, zero_algebra(("a", "b")))
     assert conn == Connection.zero(CH)
 
 

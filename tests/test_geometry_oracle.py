@@ -13,8 +13,18 @@ earlier version, which inverted the frame matrix and multiplied dense
 matrices for every frame, on seeded frames in dimensions 1 to 3 and on the
 GL3 frame; it now inverts the frame matrix only when some Christoffel part is
 nonzero.
+
+`solve_iat_ansatz` is compared with the earlier solver, which ran the full
+residual over all n^2 coordinate pairs on every one-slot candidate t·d_s, on
+the half-plane frame connections with shuffled subsets of the example
+ansatz, on the zero connection with random polynomial and rational terms and
+on the GL2 and GL3 frame connections.  Both the solver and `_iat_residuals`
+use only the pairs i <= j, which the flatness of every connection they accept
+makes sufficient; two tests check that reason on the oracle itself.
 """
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +32,7 @@ from flataffine import (
     Chart,
     Connection,
     Frame,
+    NotFlatError,
     RationalFunction,
     SingularFrameError,
     TensorReport,
@@ -29,22 +40,36 @@ from flataffine import (
     connection_from_frame,
     covariant_derivative,
     curvature,
+    is_flat_affine,
+    is_infinitesimal_affine,
+    solve_iat_ansatz,
 )
-from flataffine.geometry import _iat_residuals, _nabla_coordinate
+from flataffine.geometry import (
+    _component_rows,
+    _coordinate_rows,
+    _iat_residuals,
+    _nabla_coordinate,
+)
 from flataffine import linalg
 from flataffine.symcore import require_same_chart
 from helpers import (
     GL2Scene,
     aff_frame,
+    aff_line_connection,
     aff_line_lsa,
+    alpha_connection,
     alpha_family,
     chart_xy,
+    field_span_rank,
     gln_scene,
     mat_mul,
     random_algebra,
     random_polynomial,
+    random_rational_function,
     six_iat_fields,
 )
+
+EXAMPLE_TASKS = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
 
 
 # ----- oracles -------------------------------------------------------------------------
@@ -135,6 +160,41 @@ def oracle_iat_residuals(conn, X):
                     field = field - first[m].scaled(g)
             residuals.append(((i + 1, j + 1), field))
     return residuals
+
+
+def oracle_solve_iat_ansatz(conn, ansatz):
+    """Nullspace basis of the IAT equations on the one-slot candidates t·d_s
+    (slot-major), from each candidate's residuals over all n^2 pairs."""
+    if not is_flat_affine(conn):
+        raise NotFlatError("the ansatz solver requires a flat affine connection")
+    chart = conn.chart
+    n = chart.dim
+    probe = [VectorField(chart, [t] + [0] * (n - 1)) for t in ansatz]
+    if linalg.rank(_coordinate_rows(probe)) != len(probe):
+        raise ValueError("ansatz terms are linearly dependent")
+    zero = RationalFunction.zero(chart)
+    candidates = [VectorField(chart, [p.coeffs[0] if k == slot else zero for k in range(n)])
+                  for slot in range(n) for p in probe]
+    residuals = [[list(field.coeffs) for _, field in oracle_iat_residuals(conn, cand)]
+                 for cand in candidates]
+    equations = []
+    for residuals_at_pair in zip(*residuals):
+        equations.extend(zip(*_component_rows(chart, residuals_at_pair)))
+    solutions = []
+    for vec in linalg.nullspace(equations, ncols=len(candidates)):
+        field = VectorField.zero(chart)
+        for w, cand in zip(vec, candidates):
+            if w:
+                field = field + cand.scaled(w)
+        solutions.append(field)
+    return solutions
+
+
+def oracle_witness(conn, X):
+    """The first pair, in row-major order over all n^2 pairs, whose residual
+    is nonzero; None when X is infinitesimal affine."""
+    return next((pair for pair, field in oracle_iat_residuals(conn, X)
+                 if not field.is_zero()), None)
 
 
 def oracle_connection_from_frame(frame, constants):
@@ -244,7 +304,8 @@ def assert_kernel_matches(conn, fields):
             assert _nabla_coordinate(conn, axis, X.coeffs) == \
                 list(oracle_nabla_coordinate(conn, axis, X).coeffs)
         assert _iat_residuals(conn, X) == [(pair, list(field.coeffs))
-                                           for pair, field in oracle_iat_residuals(conn, X)]
+                                           for pair, field in oracle_iat_residuals(conn, X)
+                                           if pair[0] <= pair[1]]
         for Y in fields:
             assert covariant_derivative(conn, X, Y) == oracle_covariant_derivative(conn, X, Y)
 
@@ -397,3 +458,116 @@ def test_singular_frames_are_refused():
     frame.chart, frame.fields = chart, tuple(fields)
     with pytest.raises(SingularFrameError):
         connection_from_frame(frame, random_algebra(random.Random(3), 3))
+
+
+# ----- the ansatz solver -----------------------------------------------------------------
+
+
+def example_ansatz():
+    task = next(t for t in json.loads(EXAMPLE_TASKS.read_text())["tasks"]
+                if t["kind"] == "solve-iat")
+    return task["ansatz"]
+
+
+def flat_halfplane_connections():
+    """The flat half-plane frame connections; every one has nonzero symbols
+    with nonzero derivatives."""
+    conns = {f"alpha{a}": alpha_connection(a) for a in (-1, 1, 2, 3)}
+    conns["aff-lsa"] = aff_line_connection()
+    return conns
+
+
+def independent_terms(rng, chart, count, rational):
+    """The constant 1 and the first variable, then random terms up to `count` in
+    all, each independent of those before it; about half of them rational
+    functions when `rational`."""
+    terms = [RationalFunction.one(chart), RationalFunction.variable(chart, chart.variables[0])]
+    while len(terms) < count:
+        if rational and rng.random() < 0.5:
+            t = random_rational_function(rng, chart, max_degree=2)
+        else:
+            t = RationalFunction(random_polynomial(rng, chart))
+        probe = [VectorField(chart, [s] + [0] * (chart.dim - 1)) for s in terms + [t]]
+        if field_span_rank(probe) == len(probe):
+            terms.append(t)
+    return terms
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", ["alpha-1", "alpha1", "alpha2", "alpha3", "aff-lsa"])
+def test_solver_matches_oracle_on_halfplane_connections(name, seed):
+    conn = flat_halfplane_connections()[name]
+    rng = random.Random(f"{name}-{seed}")
+    ansatz = example_ansatz()
+    ansatz = rng.sample(ansatz, rng.randint(len(ansatz) - 4, len(ansatz)))
+    solutions = solve_iat_ansatz(conn, ansatz)
+    assert solutions == oracle_solve_iat_ansatz(conn, ansatz)
+    assert solutions
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("rational", [False, True], ids=["polynomial", "rational"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_solver_matches_oracle_on_the_zero_connection(dim, rational, seed):
+    rng = random.Random(f"zero-{dim}-{rational}-{seed}")
+    chart = CHARTS[dim]
+    conn = Connection.zero(chart)
+    ansatz = independent_terms(rng, chart, 6, rational)
+    solutions = solve_iat_ansatz(conn, ansatz)
+    assert solutions == oracle_solve_iat_ansatz(conn, ansatz)
+    # 1 and x in every slot are always solutions
+    assert len(solutions) >= 2 * dim
+
+
+def test_solver_matches_oracle_on_gl2():
+    scene = gln_scene(2)
+    ansatz = [f"x{r}{s}" for (r, s) in scene.pairs] + ["1", "x11*x22"]
+    solutions = solve_iat_ansatz(scene.connect(), ansatz)
+    assert solutions == oracle_solve_iat_ansatz(scene.connect(), ansatz)
+    assert len(solutions) == 4 * 5
+
+
+@pytest.mark.parametrize("order_seed", [None, 7], ids=["rows-order", "seeded-order"])
+def test_solver_matches_oracle_on_gl3(order_seed):
+    pairs = [(r, s) for r in range(1, 4) for s in range(1, 4)]
+    rng = random.Random(order_seed)
+    order = None if order_seed is None else rng.sample(pairs, 9)
+    scene = gln_scene(3, order)
+    conn = scene.connect()
+    ansatz = [f"x{r}{s}" for (r, s) in pairs]
+    if order_seed is not None:
+        # one term with a nonzero second derivative, so one pair has equations
+        rng.shuffle(ansatz)
+        ansatz.append("x12^2")
+    solutions = solve_iat_ansatz(conn, ansatz)
+    assert solutions == oracle_solve_iat_ansatz(conn, ansatz)
+    assert set(solutions) == set(scene.f_fields)
+
+
+@pytest.mark.parametrize("name", ["alpha-1", "alpha1", "alpha2", "alpha3", "aff-lsa"])
+def test_oracle_residuals_are_symmetric_on_flat_connections(name):
+    conn = flat_halfplane_connections()[name]
+    _, fields = six_iat_fields(conn.chart)
+    for X in fields + random_fields(random.Random(name), conn.chart, 3):
+        residuals = dict(oracle_iat_residuals(conn, X))
+        for (i, j), field in residuals.items():
+            assert field == residuals[j, i]
+
+
+def test_witness_is_the_first_failure_of_the_full_scan():
+    cases = []
+    for name, conn in flat_halfplane_connections().items():
+        rng = random.Random(name)
+        for _ in range(3):
+            cases.append((conn, VectorField(conn.chart, [
+                random_polynomial(rng, conn.chart) for _ in range(2)])))
+    scene = gln_scene(3)
+    cases.append((scene.connect(), VectorField(scene.chart, ["x11^2"] + [0] * 8)))
+    failures = 0
+    for conn, X in cases:
+        report = is_infinitesimal_affine(conn, X)
+        expected = oracle_witness(conn, X)
+        assert report.holds == (expected is None)
+        assert report.witness == expected
+        failures += not report.holds
+    assert failures == len(cases)
