@@ -348,13 +348,13 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     raise AssertionError("closure iteration ended on a non-closed span")
 
 
-def restrict_to_subspace(A: SCAlgebra, space: Subspace, basis_names=None) -> SCAlgebra:
-    """The algebra induced on a product-closed subspace, in row coordinates."""
+def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
+    """The algebra induced on a product-closed subspace, in row coordinates,
+    with the ambient names when the rows are basis vectors and v1 ... vr
+    otherwise."""
     rows = space.rows
     r = len(rows)
-    if basis_names is None:
-        named = space.named_basis(A.basis_names)
-        basis_names = named if named is not None else [f"v{i + 1}" for i in range(r)]
+    basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(r)]
     cols = [[row[c] for row in rows] for c in range(space.ambient_dim)]
     coords = linalg.solve(cols, [A._product(u, v) for u in rows for v in rows])
     if None in coords:

@@ -55,21 +55,6 @@ _MAX_CHART_VARIABLES = 16
 # solve-iat has terms x dim candidate fields; the GL3 ansatz has 9 x 9 = 81
 _MAX_ANSATZ_SIZE = 256
 
-TASK_KINDS = (
-    "check-lsa",
-    "check-associative",
-    "commutator",
-    "closure",
-    "torsion",
-    "curvature",
-    "check-iat",
-    "solve-iat",
-    "product-table",
-    "envelope",
-    "bi-invariant-check",
-)
-
-
 class TaskFileError(ValueError):
     """Schema violation, with a path into the offending part of the document."""
 
@@ -82,8 +67,7 @@ class _Document:
     def __init__(self):
         self.charts = {}
         self.algebras = {}
-        self.fields = {}       # name -> VectorField
-        self.field_charts = {}  # name -> chart name
+        self.fields = {}  # name -> VectorField
         self.connections = {}
         self.tasks = []
 
@@ -116,16 +100,27 @@ def _parse(source, chart, path) -> object:
         raise TaskFileError(f"bad expression {source!r}: {err}", path) from None
 
 
+def _entries(doc, section, what, keys, table):
+    """(path, entry) for each entry of the named section `section`: an object
+    with `keys` (the first is "name") whose name is a string not yet in
+    `table`.  The name is checked before the caller builds the entry."""
+    needed = ", ".join(f'"{key}"' for key in keys)
+    for idx, entry in enumerate(_typed(doc.get(section, []), list, f'"{section}"',
+                                       f"/{section}")):
+        path = f"/{section}/{idx}"
+        _require(isinstance(entry, dict) and all(key in entry for key in keys),
+                 f"{what} entries need {needed}", path)
+        name = _typed(entry["name"], str, '"name"', f"{path}/name")
+        _require(name not in table, f"duplicate {what} {name!r}", path)
+        yield path, entry
+
+
 def load_document(doc: dict) -> _Document:
     _require(isinstance(doc, dict), "task file must be a JSON object", "/")
     _require(doc.get("schema") == SCHEMA_VERSION,
              f'missing or unsupported "schema" (expected {SCHEMA_VERSION})', "/schema")
     out = _Document()
-    for idx, entry in enumerate(_typed(doc.get("charts", []), list, '"charts"', "/charts")):
-        path = f"/charts/{idx}"
-        _require(isinstance(entry, dict) and "name" in entry and "variables" in entry,
-                 'chart entries need "name" and "variables"', path)
-        _typed(entry["name"], str, '"name"', f"{path}/name")
+    for path, entry in _entries(doc, "charts", "chart", ("name", "variables"), out.charts):
         _require(isinstance(entry["variables"], list)
                  and all(isinstance(v, str) for v in entry["variables"]),
                  '"variables" must be a list of strings', f"{path}/variables")
@@ -133,17 +128,10 @@ def load_document(doc: dict) -> _Document:
                  f'a chart has at most {_MAX_CHART_VARIABLES} "variables"',
                  f"{path}/variables")
         try:
-            chart = Chart(entry["name"], entry["variables"])
+            out.charts[entry["name"]] = Chart(entry["name"], entry["variables"])
         except ValueError as err:
             raise TaskFileError(str(err), path) from None
-        _require(chart.name not in out.charts, f"duplicate chart {chart.name!r}", path)
-        out.charts[chart.name] = chart
-    for idx, entry in enumerate(_typed(doc.get("algebras", []), list, '"algebras"',
-                                       "/algebras")):
-        path = f"/algebras/{idx}"
-        _require(isinstance(entry, dict) and "name" in entry,
-                 'algebra entries need a "name"', path)
-        _typed(entry["name"], str, '"name"', f"{path}/name")
+    for path, entry in _entries(doc, "algebras", "algebra", ("name",), out.algebras):
         dim = _typed(entry.get("dim"), int, '"dim"', f"{path}/dim")
         _require(dim <= _MAX_ALGEBRA_DIM, f'"dim" must be at most {_MAX_ALGEBRA_DIM}',
                  f"{path}/dim")
@@ -170,32 +158,19 @@ def load_document(doc: dict) -> _Document:
             for m, x in enumerate(result):
                 _fraction(x, f"{ipath}/result/{m}")
         try:
-            algebra = SCAlgebra.from_json_dict(entry)
+            out.algebras[entry["name"]] = SCAlgebra.from_json_dict(entry)
         except (ValueError, KeyError) as err:
             raise TaskFileError(f"bad algebra: {err}", path) from None
-        _require(entry["name"] not in out.algebras,
-                 f"duplicate algebra {entry['name']!r}", path)
-        out.algebras[entry["name"]] = algebra
-    for idx, entry in enumerate(_typed(doc.get("fields", []), list, '"fields"', "/fields")):
-        path = f"/fields/{idx}"
-        _require(isinstance(entry, dict) and {"name", "chart", "coeffs"} <= set(entry),
-                 'field entries need "name", "chart" and "coeffs"', path)
-        _typed(entry["name"], str, '"name"', f"{path}/name")
+    for path, entry in _entries(doc, "fields", "field", ("name", "chart", "coeffs"),
+                                out.fields):
         chart = _lookup(out.charts, entry["chart"], "chart", path)
         coeffs = [_parse(c, chart, f"{path}/coeffs/{k}") for k, c in
                   enumerate(_typed(entry["coeffs"], list, '"coeffs"', f"{path}/coeffs"))]
         _require(len(coeffs) == chart.dim,
                  f"expected {chart.dim} coefficients", path)
-        _require(entry["name"] not in out.fields,
-                 f"duplicate field {entry['name']!r}", path)
         out.fields[entry["name"]] = VectorField(chart, coeffs)
-        out.field_charts[entry["name"]] = chart.name
-    for idx, entry in enumerate(_typed(doc.get("connections", []), list, '"connections"',
-                                       "/connections")):
-        path = f"/connections/{idx}"
-        _require(isinstance(entry, dict) and "name" in entry and "chart" in entry,
-                 'connection entries need "name" and "chart"', path)
-        _typed(entry["name"], str, '"name"', f"{path}/name")
+    for path, entry in _entries(doc, "connections", "connection", ("name", "chart"),
+                                out.connections):
         chart = _lookup(out.charts, entry["chart"], "chart", path)
         if "christoffel" in entry:
             sparse = []
@@ -225,8 +200,6 @@ def load_document(doc: dict) -> _Document:
                 raise TaskFileError(str(err), path) from None
         else:
             raise TaskFileError('connection needs "christoffel" or "frame"', path)
-        _require(entry["name"] not in out.connections,
-                 f"duplicate connection {entry['name']!r}", path)
         out.connections[entry["name"]] = conn
     for idx, task in enumerate(_typed(doc.get("tasks", []), list, '"tasks"', "/tasks")):
         path = f"/tasks/{idx}"
@@ -276,14 +249,11 @@ def _get_fields(doc, task, conn, path):
     return names, list(fields.values())
 
 
-def _run_check_lsa(doc, task, path):
-    report = check_left_symmetric(_get_algebra(doc, task, "algebra", path))
-    return report.holds, report.witness, {}
-
-
-def _run_check_associative(doc, task, path):
-    report = check_associative(_get_algebra(doc, task, "algebra", path))
-    return report.holds, report.witness, {}
+def _run_check(check):
+    def runner(doc, task, path):
+        report = check(_get_algebra(doc, task, "algebra", path))
+        return report.holds, report.witness, {}
+    return runner
 
 
 def _run_commutator(doc, task, path):
@@ -453,8 +423,8 @@ def _run_bi_invariant(doc, task, path):
 
 
 _RUNNERS = {
-    "check-lsa": _run_check_lsa,
-    "check-associative": _run_check_associative,
+    "check-lsa": _run_check(check_left_symmetric),
+    "check-associative": _run_check(check_associative),
     "commutator": _run_commutator,
     "closure": _run_closure,
     "torsion": _run_tensor(torsion),
@@ -465,6 +435,7 @@ _RUNNERS = {
     "envelope": _run_envelope,
     "bi-invariant-check": _run_bi_invariant,
 }
+TASK_KINDS = tuple(_RUNNERS)
 
 
 def _report_text(report: dict) -> str:

@@ -368,7 +368,7 @@ def _iat_residuals(conn: Connection, X: VectorField):
             second = _nabla_coordinate(conn, i, first[j])
             correction = _combination(zero, zip(conn.gamma[i][j], first))
             residuals.append(((i + 1, j + 1),
-                              [a - b if b else a for a, b in zip(second, correction)]))
+                              [a - b for a, b in zip(second, correction)]))
     return residuals
 
 
@@ -608,7 +608,7 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     return conn
 
 
-def product_table(conn: Connection, fields, names=None, *, check_iat: bool = True) -> SCAlgebra:
+def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     """Structure constants of the product X·Y = nabla_X Y on the given fields.
 
     Requires a flat connection, fields that are infinitesimal affine
@@ -624,13 +624,10 @@ def product_table(conn: Connection, fields, names=None, *, check_iat: bool = Tru
     if not is_flat_affine(conn):
         raise NotFlatError("the induced product is only associative for "
                            "flat affine connections")
-    if check_iat:
-        for name, f in zip(names, fields):
-            report = is_infinitesimal_affine(conn, f)
-            if not report.holds:
-                raise IATViolationError(name, report.witness)
-    for f in fields:
-        require_same_chart(conn, f)
+    for name, f in zip(names, fields):   # also refuses a field on another chart
+        report = is_infinitesimal_affine(conn, f)
+        if not report.holds:
+            raise IATViolationError(name, report.witness)
     n = len(fields)
     zero = RationalFunction.zero(conn.chart)
     # nabla[j][a] = nabla_{d_a} X_j, so nabla_{X_i} X_j = sum_a X_i^a nabla[j][a]

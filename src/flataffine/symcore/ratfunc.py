@@ -127,6 +127,9 @@ class RationalFunction:
         other = _coerce(self.chart, other)
         if other is None:
             return NotImplemented
+        require_same_chart(self, other)
+        if not other.num.terms:
+            return self
         return self + (-other)
 
     def __rsub__(self, other):

@@ -394,6 +394,64 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [
+    ("charts", "name"), ("charts", "variables"), ("algebras", "name"), ("fields", "name"),
+    ("fields", "chart"), ("fields", "coeffs"), ("connections", "name"),
+    ("connections", "chart")])
+def test_entries_without_a_required_key_are_refused(tmp_path, capsys, section, key):
+    doc = _malformed("lsa", lambda d: d[section][0].pop(key))
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == f"/{section}/0"
+    assert "entries need" in str(err.value) and f'"{key}"' in str(err.value)
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile)]) == 2
+    assert f"error: /{section}/0: " in capsys.readouterr().err
+
+
+def _repeat(section, index, **changes):
+    """An edit appending a copy of entry `index` of `section`, with `changes`."""
+    def edit(doc):
+        doc[section].append(dict(copy.deepcopy(doc[section][index]), **changes))
+    return edit
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_repeat("charts", 0), "/charts/1"),
+    (_repeat("charts", 0, variables=["x", "x"]), "/charts/1"),
+    (_repeat("algebras", 0), "/algebras/3"),
+    (_repeat("algebras", 1, dim=129), "/algebras/3"),
+    (_repeat("fields", 3), "/fields/8"),
+    (_repeat("fields", 0, coeffs=["x^", "0"]), "/fields/8"),
+    (_repeat("connections", 0), "/connections/1"),
+    (_repeat("connections", 0, frame=["e1+", "e1+"]), "/connections/1"),
+], ids=["chart", "chart-bad-body", "algebra", "algebra-bad-body", "field",
+        "field-bad-body", "connection", "connection-bad-body"])
+def test_repeated_names_are_refused_at_the_second_entry(tmp_path, capsys, edit, path):
+    doc = _malformed("lsa", edit)
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == path
+    assert "duplicate" in str(err.value)
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile)]) == 2
+    assert f"error: {path}: duplicate" in capsys.readouterr().err
+
+
+def test_a_repeated_frame_connection_is_built_once(monkeypatch):
+    build = cli.connection_from_frame
+    calls = []
+    monkeypatch.setattr(cli, "connection_from_frame",
+                        lambda *args: calls.append(1) or build(*args))
+    doc = _malformed("lsa", _repeat("connections", 0))
+    with pytest.raises(TaskFileError) as err:
+        load_document(doc)
+    assert err.value.path == "/connections/1"
+    assert len(calls) == 1
+
+
 def test_algebra_dim_past_cap_is_refused_before_allocation(tmp_path, capsys, monkeypatch):
     def built(doc):
         raise AssertionError("dim^3 constants were allocated")

@@ -2,7 +2,9 @@
 import pytest
 
 from flataffine import (
+    Connection,
     LieAlgebraSC,
+    VectorField,
     check_associative,
     commutator_algebra,
     compute_envelope,
@@ -11,7 +13,14 @@ from flataffine import (
     verify_bi_invariant_criterion,
 )
 from flataffine.envelope import OPPOSITE_CONVENTION
-from flataffine.geometry import express_in_basis, product_table
+from flataffine.geometry import (
+    IATViolationError,
+    NotFlatError,
+    express_in_basis,
+    is_flat_affine,
+    is_infinitesimal_affine,
+    product_table,
+)
 from helpers import (
     GL2Scene,
     alpha_connection,
@@ -149,6 +158,40 @@ def test_envelope_unknown_generator():
     names, fields = six_iat_fields(chart_xy())
     with pytest.raises(KeyError):
         compute_envelope(conn, fields, names, ["nope"])
+
+
+def test_envelope_records_flatness_and_iat_first():
+    conn = aff_line_connection(chart_xy())
+    names, fields = six_iat_fields(chart_xy())
+    report = compute_envelope(conn, fields, names, ["e1-", "e2-"])
+    assert list(report.checks)[:7] == ["flat_affine"] + [f"iat:{n}" for n in names]
+    assert list(report.checks)[7:] == [
+        "ambient_associative", "ambient_commutator_matches_lie_brackets",
+        "closure_product_closed", "envelope_associative",
+        "envelope_commutator_is_opposite_of_restricted_brackets"]
+
+
+def test_envelope_refuses_a_non_flat_connection():
+    chart = chart_xy()
+    conn = Connection.from_sparse(chart, [(1, 1, 2, "1")])
+    assert not is_flat_affine(conn)
+    names, fields = six_iat_fields(chart)
+    with pytest.raises(NotFlatError):
+        compute_envelope(conn, fields, names, ["e1-", "e2-"])
+
+
+def test_envelope_names_the_first_non_iat_field():
+    chart = chart_xy()
+    conn = aff_line_connection(chart)
+    names, fields = six_iat_fields(chart)
+    bad = VectorField(chart, ["x^2", "0"])
+    report = is_infinitesimal_affine(conn, bad)
+    assert not report.holds
+    with pytest.raises(IATViolationError) as err:
+        compute_envelope(conn, fields[:2] + [bad] + fields[2:],
+                         names[:2] + ["bad"] + names[2:], ["e1-", "e2-"])
+    assert err.value.field_name == "bad"
+    assert err.value.witness == report.witness
 
 
 # ----- bi-invariant criterion -------------------------------------------------------

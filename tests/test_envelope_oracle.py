@@ -184,8 +184,8 @@ def commutator_outcome(compute, table):
 @pytest.mark.parametrize("kind, seed", SCENES, ids=[f"{k}-{s}" for k, s in SCENES])
 def test_envelope_steps_match_oracles(kind, seed):
     conn, fields, names = make_scene(kind, seed)
-    table = product_table(conn, fields, names, check_iat=False)
-    assert table == oracle_product_table(conn, fields, names, check_iat=False)
+    table = product_table(conn, fields, names)
+    assert table == oracle_product_table(conn, fields, names)
     if kind == "frame":
         assert any(x.denominator > 1 for row in table.c for vec in row for x in vec)
     assert commutator_matches_brackets(conn, fields, table) is True
@@ -196,7 +196,7 @@ def test_envelope_steps_match_oracles(kind, seed):
 @pytest.mark.parametrize("kind, seed", SCENES, ids=[f"{k}-{s}" for k, s in SCENES])
 def test_one_entry_perturbations_get_the_oracle_verdicts(kind, seed):
     conn, fields, names = make_scene(kind, seed)
-    table = product_table(conn, fields, names, check_iat=False)
+    table = product_table(conn, fields, names)
     rng = random.Random(seed)
     n = table.dim
     i, j = sorted(rng.sample(range(n), 2))
@@ -234,15 +234,14 @@ def test_product_table_errors_match_oracle():
             table(conn, subset, ["e1-", "C6"])
         assert err.value.pair == (1, 1)
         assert str(err.value).startswith("product e1-·e1- (pair (1, 1))")
-    # a field on another chart, with and without the IAT tests first
+    # a field on another chart
     foreign = VectorField(Chart("uv", ("u", "v")), ["u", "v"])
-    for check_iat in (True, False):
-        messages = set()
-        for table in (product_table, oracle_product_table):
-            with pytest.raises(ChartMismatchError) as err:
-                table(conn, fields[:3] + [foreign] + fields[3:], check_iat=check_iat)
-            messages.add(str(err.value))
-        assert messages == {"charts differ: 'halfplane' vs 'uv'"}
+    messages = set()
+    for table in (product_table, oracle_product_table):
+        with pytest.raises(ChartMismatchError) as err:
+            table(conn, fields[:3] + [foreign] + fields[3:])
+        messages.add(str(err.value))
+    assert messages == {"charts differ: 'halfplane' vs 'uv'"}
 
 
 # ----- the identities the shortcuts rest on -------------------------------------------------
@@ -276,11 +275,14 @@ def test_cross_check_takes_one_bracket_per_pair(monkeypatch):
 def test_product_table_takes_one_derivative_per_field_and_axis(monkeypatch):
     conn, fields, names = halfplane_scene()
     assert is_flat_affine(conn)   # the flatness tensors are cached from here on
+    # count the table's own derivatives, not those of its IAT tests
+    monkeypatch.setattr(geometry, "is_infinitesimal_affine",
+                        lambda conn, X: geometry.IATReport(True))
     kernel = geometry._nabla_coordinate
     calls = []
     monkeypatch.setattr(geometry, "_nabla_coordinate",
                         lambda *args: calls.append(1) or kernel(*args))
-    product_table(conn, fields, names, check_iat=False)
+    product_table(conn, fields, names)
     assert len(calls) == len(fields) * conn.chart.dim
 
 

@@ -169,3 +169,15 @@ def test_zero_on_another_chart_is_refused():
         for a, b in ((x, other), (other, x), (RationalFunction.zero(chart_xy()), other)):
             with pytest.raises(ChartMismatchError):
                 op(a, b)
+
+
+@pytest.mark.parametrize("make_zero", ZEROS, ids=["rational-function", "int", "fraction"])
+def test_subtracting_zero_negates_nothing(monkeypatch, make_zero):
+    ch = chart_xy()
+    x = rf("y^3/x")
+    negate = RationalFunction.__neg__
+    calls = []
+    monkeypatch.setattr(RationalFunction, "__neg__",
+                        lambda self: calls.append(1) or negate(self))
+    assert x - make_zero(ch) is x
+    assert calls == []

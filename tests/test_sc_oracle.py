@@ -224,7 +224,7 @@ def gl2_ambient():
     scene = GL2Scene()
     inv_names, inv_fields = scene.invariant_fields()
     names, fields = independent_fields(inv_fields + scene.f_fields, inv_names + scene.f_names)
-    return product_table(scene.connection, fields, names, check_iat=False)
+    return product_table(scene.connection, fields, names)
 
 
 def perturbed(rng, A, fractional=False):
