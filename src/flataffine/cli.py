@@ -355,6 +355,15 @@ def _run_solve_iat(doc, task, path):
     return None, None, payload
 
 
+def _table_failure(err):
+    """Verdict, witness and payload of a product table that cannot be built:
+    the field name and failing pair of a field that is not an infinitesimal
+    affine transformation, or the pair whose product leaves the span."""
+    if isinstance(err, IATViolationError):
+        return False, (err.field_name,) + tuple(err.witness), {"error": str(err)}
+    return False, err.pair, {"error": str(err)}
+
+
 def _run_product_table(doc, task, path):
     conn = _get_connection(doc, task, path)
     names, fields = _get_fields(doc, task, conn, path)
@@ -362,10 +371,8 @@ def _run_product_table(doc, task, path):
         table = product_table(conn, fields, names)
     except NotFlatError as err:
         raise TaskFileError(str(err), path) from None
-    except IATViolationError as err:
-        return False, (err.field_name,) + tuple(err.witness), {"error": str(err)}
-    except NotInSpanError as err:
-        return False, err.pair, {"error": str(err)}
+    except (IATViolationError, NotInSpanError) as err:
+        return _table_failure(err)
     payload = {"table": table.to_json_dict(), "text": render_table_text(table)}
     if "expect" in task:
         expected = _get_algebra(doc, task, "expect", path)
@@ -393,7 +400,7 @@ def _run_envelope(doc, task, path):
     except NotFlatError as err:
         raise TaskFileError(str(err), path) from None
     except (IATViolationError, NotInSpanError) as err:
-        return False, getattr(err, "witness", None), {"error": str(err)}
+        return _table_failure(err)
     payload = report.to_json_dict()
     payload["text"] = report.to_text()
     verdict = all(report.checks.values())

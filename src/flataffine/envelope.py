@@ -21,7 +21,7 @@ from .algebra import (
     restrict_to_subspace,
     subalgebra_closure,
 )
-from .geometry import Connection, express_in_basis, lie_bracket, product_table
+from .geometry import Connection, _bracket, _partials, express_in_basis, product_table
 from .render import render_table_text
 
 OPPOSITE_CONVENTION = ("envelope constants are the opposite of the ambient "
@@ -74,14 +74,19 @@ def commutator_matches_brackets(conn: Connection, fields, table: SCAlgebra) -> b
     structure constants computed independently from Lie brackets of the
     fields.
 
-    Only the pairs i < j are computed.  `lie_bracket` is exactly
+    The brackets use plain partial derivatives, not the product's nabla, so
+    the check does not rest on what it verifies.  Each field's derivative
+    table d_a X^k is taken once (`geometry._partials`) and every bracket is
+    read from two tables by `geometry._bracket`, the kernel `lie_bracket`
+    wraps.  Only the pairs i < j are computed: the kernel is exactly
     antisymmetric ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and
     `express_in_basis` is linear, so at a mirrored pair both sides are the
     negations of those at (i, j), and on the diagonal both sides are zero.
     """
     n = table.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
+    d = [_partials(f) for f in fields]
+    brackets = [_bracket(fields[i], d[i], fields[j], d[j]) for i, j in pairs]
     expected = [list(_difference(table.c[i][j], table.c[j][i])) for i, j in pairs]
     return express_in_basis(brackets, fields) == expected
 

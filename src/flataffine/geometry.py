@@ -285,24 +285,34 @@ def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> Ve
                                             for i, xi in enumerate(X.coeffs) if xi)))
 
 
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^k = sum_i (X^i d_i Y^k - Y^i d_i X^k)."""
+def _partials(X: VectorField) -> list:
+    """The derivative table d[a][k] = d_a X^k, one derivative per axis and
+    nonzero component (a zero component is its own derivative)."""
+    return [[c.diff(var) if c else c for c in X.coeffs] for var in X.chart.variables]
+
+
+def _bracket(X: VectorField, dX, Y: VectorField, dY) -> VectorField:
+    """[X, Y]^k = sum_a (X^a dY[a][k] - Y^a dX[a][k]), from the derivative
+    tables dX = _partials(X) and dY = _partials(Y); the one bracket kernel."""
     require_same_chart(X, Y)
     chart = X.chart
-    n = chart.dim
-    out = [RationalFunction.zero(chart) for _ in range(n)]
-    for i, var in enumerate(chart.variables):
-        xi, yi = X.coeffs[i], Y.coeffs[i]
-        for k in range(n):
-            if xi:
-                d = Y.coeffs[k].diff(var)
-                if d:
-                    out[k] = out[k] + xi * d
-            if yi:
-                d = X.coeffs[k].diff(var)
-                if d:
-                    out[k] = out[k] - yi * d
+    out = [RationalFunction.zero(chart)] * chart.dim
+    for xa, ya, dxa, dya in zip(X.coeffs, Y.coeffs, dX, dY):
+        for k in range(chart.dim):
+            if xa and dya[k]:
+                out[k] = out[k] + xa * dya[k]
+            if ya and dxa[k]:
+                out[k] = out[k] - ya * dxa[k]
     return VectorField(chart, out)
+
+
+def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y]^k = sum_i (X^i d_i Y^k - Y^i d_i X^k).
+
+    Callers that bracket one field with many others build its `_partials`
+    table once and call `_bracket` directly.
+    """
+    return _bracket(X, _partials(X), Y, _partials(Y))
 
 
 def torsion(conn: Connection) -> TensorReport:
@@ -582,8 +592,7 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
     expected = [[_combination(zero, zip(constants.c[a][b], A)) for b in range(n)]
                 for a in range(n)]
-    grads = [[[c.diff(var) if c else c for c in row] for var in chart.variables]
-             for row in A]
+    grads = [_partials(f) for f in frame.fields]
     q = [[[e - d for e, d in zip(expected[a][b], _combination(zero, zip(A[a], grads[b])))]
           for b in range(n)] for a in range(n)]
     if any(e for row in q for vec in row for e in vec):

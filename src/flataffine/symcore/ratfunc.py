@@ -4,6 +4,13 @@ Normalization: numerator and denominator are divided by their polynomial gcd,
 then both are scaled so the denominator has coprime integer coefficients and a
 positive graded-lex leading coefficient.  After that, structural equality is
 semantic equality.
+
+When every denominator involved is the polynomial 1, the gcd and the scaling
+are skipped: sums, products and derivatives of polynomials are built over 1
+directly.  That is exact, not a shortcut: 1 is a unit, so p/1 is in lowest
+terms, and 1 is already primitive with a positive leading coefficient, so the
+general path would return the same canonical p/1.  A product with one true
+denominator still takes the cross-gcd.
 """
 from __future__ import annotations
 
@@ -51,7 +58,7 @@ class RationalFunction:
         otherwise the denominator primitive with a positive leading coefficient."""
         if num.is_zero():
             den = Polynomial.one(num.chart)
-        else:
+        elif not den.is_one():
             scale = den.content()
             if den.leading_coefficient() < 0:
                 scale = -scale
@@ -106,6 +113,8 @@ class RationalFunction:
         if not self.num.terms:
             return other
         if self.den == other.den:
+            if self.den.is_one():
+                return RationalFunction._reduced(self.num + other.num, self.den)
             return RationalFunction(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
         if g.is_one():
@@ -144,6 +153,8 @@ class RationalFunction:
             return self
         if not other.num.terms:
             return other
+        if self.den.is_one() and other.den.is_one():
+            return RationalFunction._reduced(self.num * other.num, self.den)
         # cross-reduce so the product of reduced fractions stays reduced
         g1 = poly_gcd(self.num, other.den)
         g2 = poly_gcd(other.num, self.den)

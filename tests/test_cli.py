@@ -165,6 +165,26 @@ def test_commutator_jacobi_failure_is_negative_verdict():
     assert reports[0]["witness"] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("fields, witness", [
+    (["e1-", "C6"], [1, 1]),            # e1-·e1- = e1- + C5 leaves the span
+    (["e1-", "e1+"], ["e1+", 2, 2]),    # x d/dx is not an IAT of nabla11
+])
+def test_envelope_and_product_table_report_the_same_witness(fields, witness):
+    doc = six_field_taskfile()
+    doc["tasks"] = [
+        {"id": "table", "kind": "product-table", "connection": "nabla11",
+         "fields": fields},
+        {"id": "env", "kind": "envelope", "connection": "nabla11",
+         "fields": fields, "generators": ["e1-"]},
+    ]
+    code, reports = run_document(doc)
+    assert code == 1
+    for report in reports:
+        assert report["status"] == "fail"
+        assert report["witness"] == witness
+    assert reports[0]["data"] == reports[1]["data"]
+
+
 def test_perturbed_connection_torsion_fails_with_named_component():
     doc = {
         "schema": 1,

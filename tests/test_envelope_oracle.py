@@ -1,12 +1,14 @@
 """The envelope's cross-checks against the all-pairs versions they replaced.
 
 `commutator_matches_brackets` takes the Lie brackets and the constant
-differences c[i][j] - c[j][i] for the pairs i < j only, `commutator_algebra`
-subtracts only where c[j][i] is nonzero, and `product_table` takes one
-nabla_{d_a} X_j per field and axis instead of one `covariant_derivative` per
-pair.  This module keeps the earlier versions as oracles and compares
-results, verdicts and errors on the GL2 scene, the six half-plane fields and
-seeded frame connections, including tables with one perturbed entry.
+differences c[i][j] - c[j][i] for the pairs i < j only, each bracket from one
+derivative table per field, `commutator_algebra` subtracts only where c[j][i]
+is nonzero, and `product_table` takes one nabla_{d_a} X_j per field and axis
+instead of one `covariant_derivative` per pair.  This module keeps the
+earlier versions as oracles and compares results, verdicts and errors on the
+GL2 scene, the six half-plane fields and seeded frame connections, including
+tables with one perturbed entry, and the bracket kernel on GL2, GL3 and
+half-plane fields.
 """
 import random
 from fractions import Fraction
@@ -17,6 +19,7 @@ from flataffine import (
     Chart,
     LieAlgebraSC,
     NotFlatError,
+    RationalFunction,
     SCAlgebra,
     VectorField,
     commutator_algebra,
@@ -37,7 +40,7 @@ from flataffine.geometry import (
     is_infinitesimal_affine,
     product_table,
 )
-from flataffine.symcore import ChartMismatchError
+from flataffine.symcore import ChartMismatchError, require_same_chart
 from helpers import (
     GL2Scene,
     aff_frame,
@@ -45,6 +48,7 @@ from helpers import (
     aff_line_lsa,
     alpha_family,
     chart_xy,
+    gln_scene,
     random_rational_function,
     six_iat_fields,
 )
@@ -53,12 +57,32 @@ from helpers import (
 # ----- oracles -------------------------------------------------------------------------
 
 
+def oracle_lie_bracket(X, Y):
+    """[X, Y]^k = sum_i (X^i d_i Y^k - Y^i d_i X^k)."""
+    require_same_chart(X, Y)
+    chart = X.chart
+    n = chart.dim
+    out = [RationalFunction.zero(chart) for _ in range(n)]
+    for i, var in enumerate(chart.variables):
+        xi, yi = X.coeffs[i], Y.coeffs[i]
+        for k in range(n):
+            if xi:
+                d = Y.coeffs[k].diff(var)
+                if d:
+                    out[k] = out[k] + xi * d
+            if yi:
+                d = X.coeffs[k].diff(var)
+                if d:
+                    out[k] = out[k] - yi * d
+    return VectorField(chart, out)
+
+
 def oracle_commutator_matches_brackets(conn, fields, table):
     """Cross-check that antisymmetrized product-table constants equal the
     structure constants computed independently from Lie brackets of the
     fields."""
     n = table.dim
-    brackets = [lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(n)]
+    brackets = [oracle_lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(n)]
     expected = [[a - b for a, b in zip(table.c[i][j], table.c[j][i])]
                 for i in range(n) for j in range(n)]
     return express_in_basis(brackets, fields) == expected
@@ -260,16 +284,48 @@ def test_lie_bracket_is_exactly_antisymmetric(seed):
         assert lie_bracket(X, X).is_zero()
         for Y in fields:
             assert lie_bracket(Y, X) == -lie_bracket(X, Y)
+            assert lie_bracket(X, Y) == oracle_lie_bracket(X, Y)
+
+
+def bracket_fields(kind):
+    """Fields to bracket: the six half-plane fields (true denominators 1/x and
+    y^3/x), the GL2 invariant and linear fields, or a seeded GL3 sample."""
+    if kind == "halfplane":
+        return halfplane_scene()[1]
+    if kind == "gl2":
+        scene = GL2Scene()
+        return scene.invariant_fields()[1] + scene.f_fields
+    scene = gln_scene(3)
+    return random.Random(kind).sample(scene.invariant_fields()[1] + scene.f_fields, 12)
+
+
+@pytest.mark.parametrize("kind", ["halfplane", "gl2", "gl3"])
+def test_bracket_kernel_matches_oracle(kind):
+    fields = bracket_fields(kind)
+    tables = [geometry._partials(f) for f in fields]
+    for X, dX in zip(fields, tables):
+        for Y, dY in zip(fields, tables):
+            expected = oracle_lie_bracket(X, Y)
+            assert lie_bracket(X, Y) == expected
+            assert geometry._bracket(X, dX, Y, dY) == expected
 
 
 def test_cross_check_takes_one_bracket_per_pair(monkeypatch):
     conn, fields, names = halfplane_scene()
     table = product_table(conn, fields, names)
-    calls = []
-    monkeypatch.setattr(envelope, "lie_bracket",
-                        lambda X, Y: calls.append(1) or lie_bracket(X, Y))
+    kernel = geometry._bracket
+    brackets = []
+    monkeypatch.setattr(envelope, "_bracket",
+                        lambda *args: brackets.append(1) or kernel(*args))
+    diff = RationalFunction.diff
+    diffs = []
+    monkeypatch.setattr(RationalFunction, "diff",
+                        lambda self, var: diffs.append(1) or diff(self, var))
     assert commutator_matches_brackets(conn, fields, table)
-    assert len(calls) == 6 * 5 // 2
+    assert len(brackets) == 6 * 5 // 2
+    # at most one derivative per (field, axis, nonzero component)
+    nonzero = sum(1 for f in fields for c in f.coeffs if c)
+    assert 0 < len(diffs) <= nonzero * conn.chart.dim
 
 
 def test_product_table_takes_one_derivative_per_field_and_axis(monkeypatch):

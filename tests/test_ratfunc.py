@@ -6,7 +6,7 @@ import pytest
 
 from flataffine import Polynomial, RationalFunction
 from flataffine.symcore import ChartMismatchError, parse_expr
-from helpers import chart_xy, plane_chart, random_rational_function
+from helpers import chart_xy, plane_chart, random_polynomial, random_rational_function
 
 
 def rf(source):
@@ -181,3 +181,48 @@ def test_subtracting_zero_negates_nothing(monkeypatch, make_zero):
                         lambda self: calls.append(1) or negate(self))
     assert x - make_zero(ch) is x
     assert calls == []
+
+
+# ----- operands over 1 --------------------------------------------------------------
+
+
+def slow_diff(a, variable):
+    """The quotient rule, normalized afresh."""
+    return RationalFunction(a.num.diff(variable) * a.den - a.num * a.den.diff(variable),
+                            a.den * a.den)
+
+
+def test_polynomial_fast_paths_match_the_general_path():
+    rng = random.Random(113)
+    ch = chart_xy()
+    polynomials = [rf("x"), rf("-2*x + 1/3"), rf("7"), rf("-y^2/4")] + \
+        [RationalFunction(random_polynomial(rng, ch)) for _ in range(8)]
+    rationals = [rf("y^3/x"), rf("1/x"), rf("x/(x + 1)")] + \
+        [random_rational_function(rng, ch) for _ in range(4)]
+    assert all(p.den.is_one() for p in polynomials)
+    assert not any(r.den.is_one() for r in rationals[:3])
+    for a in polynomials + rationals:
+        for b in polynomials + rationals:
+            assert_canonical_equal(a + b, slow_sum(a, b))
+            assert_canonical_equal(a - b, slow_sum(a, -b))
+            assert_canonical_equal(a * b, slow_product(a, b))
+        for variable in ch.variables:
+            assert_canonical_equal(a.diff(variable), slow_diff(a, variable))
+    # a true denominator against a polynomial still cancels through the cross-gcd
+    assert_canonical_equal(rf("x/(x + 1)") * rf("2*x + 2"), rf("2*x"))
+    assert_canonical_equal(rf("(x^2 - y^2)/3") * rf("x/(x + y)"), rf("(x^2 - x*y)/3"))
+
+
+def test_polynomial_sums_and_products_take_no_gcd(monkeypatch):
+    from flataffine.symcore import ratfunc
+    a, b = rf("x^2 - 3*y"), rf("2*x*y + 1/2")
+    total, product = rf("x^2 + 2*x*y - 3*y + 1/2"), rf("2*x^3*y + x^2/2 - 6*x*y^2 - 3/2*y")
+    over, factor, x = rf("x/(x + 1)"), rf("x + 1"), rf("x")
+    gcd = ratfunc.poly_gcd
+    calls = []
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    assert_canonical_equal(a + b, total)
+    assert_canonical_equal(a * b, product)
+    assert calls == []
+    assert_canonical_equal(over * factor, x)
+    assert calls   # a rational operand still takes the cross-gcd
