@@ -380,7 +380,7 @@ def _run_product_table(doc, task, path):
                  "expected table has a different dimension", f"{path}/expect")
         for i in range(table.dim):
             for j in range(table.dim):
-                if table.c[i][j] != expected.c[i][j]:
+                if table.rows[i][j] != expected.rows[i][j]:
                     return False, (i + 1, j + 1), payload
         return True, None, payload
     return None, None, payload
@@ -417,7 +417,7 @@ def _run_bi_invariant(doc, task, path):
     bracket_source = _get_algebra(doc, task, "lie", path)
     algebra = _get_algebra(doc, task, "algebra", path)
     try:
-        lie = LieAlgebraSC(bracket_source.basis_names, bracket_source.c)
+        lie = LieAlgebraSC._checked(bracket_source.basis_names, bracket_source.rows)
     except ValueError as err:
         raise TaskFileError(
             f'algebra {task.get("lie")!r} does not define a Lie bracket: {err}',

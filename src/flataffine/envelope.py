@@ -15,6 +15,7 @@ from .algebra import (
     SCAlgebra,
     Subspace,
     _difference,
+    _row,
     check_associative,
     commutator_algebra,
     opposite,
@@ -82,13 +83,14 @@ def commutator_matches_brackets(conn: Connection, fields, table: SCAlgebra) -> b
     antisymmetric ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and
     `express_in_basis` is linear, so at a mirrored pair both sides are the
     negations of those at (i, j), and on the diagonal both sides are zero.
+    Both sides are compared as sparse rows of the table.
     """
-    n = table.dim
+    n, rows = table.dim, table.rows
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     d = [_partials(f) for f in fields]
     brackets = [_bracket(fields[i], d[i], fields[j], d[j]) for i, j in pairs]
-    expected = [list(_difference(table.c[i][j], table.c[j][i])) for i, j in pairs]
-    return express_in_basis(brackets, fields) == expected
+    return all(_row(got) == _difference(rows[i][j], rows[j][i])
+               for got, (i, j) in zip(express_in_basis(brackets, fields), pairs))
 
 
 def compute_envelope(conn: Connection, ambient_fields, names, generators) -> EnvelopeReport:
@@ -120,9 +122,9 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     commutator = commutator_algebra(envelope)
     # the envelope is an opposite algebra, so its commutator is the negation
     # of the closure-restricted ambient commutator (= restricted Lie brackets)
-    r = restricted.c
+    r = restricted.rows
     checks["envelope_commutator_is_opposite_of_restricted_brackets"] = all(
-        commutator.c[i][j] == _difference(r[j][i], r[i][j])
+        commutator.rows[i][j] == _difference(r[j][i], r[i][j])
         for i in range(commutator.dim) for j in range(commutator.dim))
     return EnvelopeReport(
         ambient=ambient,
@@ -142,4 +144,4 @@ def verify_bi_invariant_criterion(L: LieAlgebraSC, A: SCAlgebra) -> bool:
     if not check_associative(A).holds:
         return False
     commutator = commutator_algebra(A)
-    return commutator.c == L.c
+    return commutator.rows == L.rows

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import SCAlgebra
+from .algebra import SCAlgebra, _row
 from .symcore import (
     Chart,
     Polynomial,
@@ -29,6 +29,7 @@ from .symcore import (
 )
 
 _ZERO = Fraction(0)   # shared by every empty cell of the coordinate rows and equations
+_MINUS_ONE = Fraction(-1)
 
 
 class NotFlatError(ValueError):
@@ -402,19 +403,22 @@ def _coordinate_rows(fields):
     """Exact coordinates of fields over a shared monomial basis."""
     if not fields:
         return []
+    return _component_rows(fields[0].chart, _field_coeffs(fields))
+
+
+def _field_coeffs(fields):
+    """The component lists of fields that share one chart."""
     chart = fields[0].chart
     for f in fields:
         if f.chart != chart:
             raise ValueError("all fields must share one chart")
-    return _component_rows(chart, [f.coeffs for f in fields])
+    return [f.coeffs for f in fields]
 
 
-def _component_rows(chart: Chart, vectors):
-    """`_coordinate_rows` of component lists that are already on `chart`.
+def _cleared(chart: Chart, vectors):
+    """The numerators of component lists brought over one common polynomial
+    denominator, which preserves constant-linear relations.
 
-    All coefficients are brought over one common polynomial denominator (which
-    preserves constant-linear relations); the coordinates are the rational
-    coefficients of each (component, monomial) slot, ordered deterministically.
     The common denominator is the lcm of the distinct denominators of the
     nonzero coefficients, and each distinct denominator is divided into it
     once; a zero coefficient (always over 1) contributes its zero numerator.
@@ -423,53 +427,91 @@ def _component_rows(chart: Chart, vectors):
     common = Polynomial.one(chart)
     for d in dens:
         common = poly_lcm(common, d)
+    if common.is_one():   # every denominator is 1: nothing to clear
+        return [[c.num for c in coeffs] for coeffs in vectors]
     multiplier = {d: exact_div(common, d) for d in dens}
-    cleared = []
-    axes = set()
-    for coeffs in vectors:
-        polys = []
-        for k, c in enumerate(coeffs):
-            p = c.num * multiplier[c.den] if c.num else c.num
-            polys.append(p)
-            for exps in p.terms:
-                axes.add((k, exps))
-        cleared.append(polys)
+    return [[c.num * multiplier[c.den] if c.num else c.num for c in coeffs]
+            for coeffs in vectors]
+
+
+def _component_rows(chart: Chart, vectors):
+    """`_coordinate_rows` of component lists that are already on `chart`.
+
+    The coordinates are the rational coefficients of each (component,
+    monomial) slot of the `_cleared` numerators, ordered deterministically.
+    """
+    cleared = _cleared(chart, vectors)
+    axes = {(k, exps) for polys in cleared for k, p in enumerate(polys) for exps in p.terms}
     axis_list = sorted(axes, key=lambda a: (a[0],) + tuple(grlex_key(a[1])))
+    return [[polys[k].terms.get(exps, _ZERO) for (k, exps) in axis_list]
+            for polys in cleared]
+
+
+def _sparse_coordinate_rows(fields):
+    """The coordinates of `_coordinate_rows` as dicts {slot: x} over the
+    nonzero entries, for `linalg._Echelon`; the (component, monomial) slots
+    are numbered in the order they are met, since no span question depends
+    on the order of the slots."""
+    if not fields:
+        return []
+    slots = {}
     rows = []
-    for polys in cleared:
-        rows.append([polys[k].terms.get(exps, _ZERO) for (k, exps) in axis_list])
+    for polys in _cleared(fields[0].chart, _field_coeffs(fields)):
+        row = {}
+        for k, p in enumerate(polys):
+            for exps, x in p.terms.items():
+                row[slots.setdefault((k, exps), len(slots))] = x
+        rows.append(row)
     return rows
 
 
 def express_in_basis(targets, basis) -> list:
     """Constants lambda with target = sum lambda_i basis_i, one list per target.
 
-    Denominators of all targets and basis fields are cleared once and every
-    target is matched against the monomial coefficients in one exact solve.
-    Raises NotInSpanError, with the 0-based `index` of the first target that
-    is not a constant combination of the basis.
+    Denominators of all targets and basis fields are cleared once.  The basis
+    is reduced once to an echelon basis (`linalg._Echelon`), each basis field
+    b carrying -1 in a label column of its own past every coordinate slot, so
+    every echelon row records its combination of basis fields.  A target t
+    reduces to the label entries lambda, since t - sum_b lambda_b basis_b = 0.
+    The label columns are numbered down, so a basis field that depends on the
+    ones before it takes its own label column as pivot, and its coefficient,
+    an entry at a pivot column of the residual, is zero.  Raises
+    NotInSpanError, with the 0-based `index` of the first target that is not
+    a constant combination of the basis.
     """
     targets, basis = list(targets), list(basis)
-    rows = _coordinate_rows(targets + basis)
-    columns = [col[len(targets):] for col in zip(*rows)]
-    solutions = linalg.solve(columns, rows[:len(targets)])
-    for index, sol in enumerate(solutions):
-        if sol is None:
-            raise NotInSpanError(
-                "target is not in the constant span of the basis", index=index)
+    rows = _sparse_coordinate_rows(targets + basis)
+    n = len(basis)
+    top = sum(map(len, rows))   # no slot number reaches it
+    echelon = linalg._Echelon()
+    for b, row in enumerate(rows[len(targets):]):
+        row[top + n - b] = _MINUS_ONE
+        echelon.add(row)
+    solutions = []
+    for index, row in enumerate(rows[:len(targets)]):
+        solution = [_ZERO] * n
+        for m, x in echelon.reduce(row).items():
+            if m <= top:
+                raise NotInSpanError(
+                    "target is not in the constant span of the basis", index=index)
+            solution[top + n - m] = x
+        solutions.append(solution)
     return solutions
 
 
 def independent_fields(fields, names):
     """Sublist of the fields that grow the span, in order (overlap removal).
 
-    These are the pivot columns of the matrix with one column per field.
+    A field is kept when it is not in the echelon span of the fields kept
+    before it (the pivot columns of the matrix with one column per field).
     """
     fields, names = list(fields), list(names)
     if len(fields) != len(names):
         raise ValueError("one name per field is required")
-    _, pivots = linalg.rref(list(zip(*_coordinate_rows(fields))))
-    return [names[p] for p in pivots], [fields[p] for p in pivots]
+    echelon = linalg._Echelon()
+    kept = [k for k, row in enumerate(_sparse_coordinate_rows(fields))
+            if echelon.add(row) is not None]
+    return [names[k] for k in kept], [fields[k] for k in kept]
 
 
 # ----- the ansatz solver -------------------------------------------------------
@@ -590,8 +632,8 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     A = [list(f.coeffs) for f in frame.fields]
     # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} A[a][i] A[b][j] gamma[i][j], so the
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
-    expected = [[_combination(zero, zip(constants.c[a][b], A)) for b in range(n)]
-                for a in range(n)]
+    expected = [[_combination(zero, ((x, A[k]) for k, x in constants.rows[a][b]))
+                 for b in range(n)] for a in range(n)]
     grads = [_partials(f) for f in frame.fields]
     q = [[[e - d for e, d in zip(expected[a][b], _combination(zero, zip(A[a], grads[b])))]
           for b in range(n)] for a in range(n)]
@@ -652,5 +694,5 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
             f"product {names[i]}·{names[j]} (pair ({i + 1}, {j + 1})) "
             "is not a constant combination of the given fields",
             pair=(i + 1, j + 1)) from None
-    return SCAlgebra._of(names, tuple(tuple(tuple(v) for v in coords[i * n:(i + 1) * n])
-                                      for i in range(n)))
+    cells = [_row(v) for v in coords]
+    return SCAlgebra._of(names, tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))

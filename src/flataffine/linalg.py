@@ -1,10 +1,15 @@
-"""Dense exact linear algebra over any exact field.
+"""Exact linear algebra: dense over any exact field, sparse over Q.
 
-Works with any element type supporting +, -, *, / and truthiness (Fraction,
-RationalFunction).  Pass `zero` and `one` when the field is not the rationals.
-Matrices are lists of row lists; no input is mutated.  Over the rationals (a
-`Fraction` zero, the default) the entries may be ints or Fractions, every
-elimination runs on integer rows and every result entry is a `Fraction`.
+The dense functions work with any element type supporting +, -, *, / and
+truthiness (Fraction, RationalFunction).  Pass `zero` and `one` when the
+field is not the rationals.  Matrices are lists of row lists; no input is
+mutated.  Over the rationals (a `Fraction` zero, the default) the entries may
+be ints or Fractions, every elimination runs on integer rows and every result
+entry is a `Fraction`.
+
+`_Echelon` is the sparse kernel over Q that answers every span question of
+the algebra and envelope layers: it holds a span as fully reduced echelon
+rows, so the work follows the nonzero entries.
 """
 from __future__ import annotations
 
@@ -120,7 +125,9 @@ def solve(rows, rhs_list, *, zero=_QZERO):
     that is inconsistent; all are read off one rref of [rows | b1 ... bm].
 
     Free variables are set to zero, which makes each solution deterministic;
-    it is the unique solution when the columns are independent.
+    it is the unique solution when the columns are independent.  No library
+    code calls it (spans go through `_Echelon`); it stays because the
+    benchmark's tracer patches it by name.
     """
     if not rows:
         return [[] for _ in rhs_list]
@@ -156,7 +163,67 @@ def invert(rows, *, zero=_QZERO, one=_QONE):
 
 
 def in_row_space(rows, vector, *, zero=_QZERO) -> bool:
+    """Whether vector lies in the row space of rows.  No library code calls
+    it; it stays because the benchmark's tracer patches it by name."""
     reduced, _ = rref(rows, zero=zero)
     extended, _ = rref(reduced + [list(vector)], zero=zero)
     return len(extended) == len(reduced)
 
+
+def _sub_scaled(out: dict, x, row: dict) -> None:
+    """out -= x * row for sparse vectors {column: value}, dropping the zeros."""
+    for m, y in row.items():
+        z = out.get(m, _QZERO) - x * y
+        if z:
+            out[m] = z
+        else:
+            del out[m]
+
+
+class _Echelon:
+    """A subspace of Q^n held as sparse, fully reduced echelon rows.
+
+    Vectors are dicts {column: Fraction} without zero entries.  `rows` maps
+    each pivot column p to its row: entry 1 at p and no entry at any other
+    row's pivot column.  So a vector v of the span is sum_p v[p] * rows[p]:
+    its coordinates are its own entries at the pivot columns, and reducing v
+    is one pass over them, with no cascade.  A new row takes the lowest column
+    of its residual as pivot, so the rows sorted by pivot are the span's
+    canonical reduced row-echelon basis.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, vec: dict) -> dict:
+        """The residual vec - sum_p vec[p] * rows[p]; empty iff vec is in the span."""
+        out = dict(vec)
+        rows = self.rows
+        for p, x in vec.items():
+            row = rows.get(p)
+            if row is not None:
+                _sub_scaled(out, x, row)
+        return out
+
+    def add(self, vec: dict):
+        """Add vec to the span and return its new row (a dict no later call
+        changes), or None when vec is in the span already."""
+        res = self.reduce(vec)
+        if not res:
+            return None
+        p = min(res)
+        pv = res[p]
+        row = {m: y / pv for m, y in res.items()}
+        # back-substitution: clear column p from the other rows (new dicts, so
+        # a row handed out earlier never changes)
+        rows = self.rows
+        for q, other in list(rows.items()):
+            x = other.get(p)
+            if x:
+                other = dict(other)
+                _sub_scaled(other, x, row)
+                rows[q] = other
+        rows[p] = row
+        return row

@@ -11,8 +11,13 @@ def format_combination(vector, names) -> str:
 
     Examples: "0", "e1", "-C4", "2*e1 - 2*C5", "(3/2)*C3 + C4".
     """
+    return _format_terms(zip(vector, names))
+
+
+def _format_terms(terms) -> str:
+    """`format_combination` of (coefficient, name) terms."""
     parts = []
-    for coeff, name in zip(vector, names):
+    for coeff, name in terms:
         coeff = Fraction(coeff)
         if not coeff:
             continue
@@ -37,7 +42,7 @@ def render_table_text(A: SCAlgebra) -> str:
     for i, row_name in enumerate(names):
         row = [row_name]
         for j in range(A.dim):
-            row.append(format_combination(A.c[i][j], names))
+            row.append(_format_terms((x, names[k]) for k, x in A.rows[i][j]))
         cells.append(row)
     widths = [max(len(r[c]) for r in cells) for c in range(len(cells[0]))]
     lines = []

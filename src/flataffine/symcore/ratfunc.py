@@ -6,10 +6,11 @@ positive graded-lex leading coefficient.  After that, structural equality is
 semantic equality.
 
 When every denominator involved is the polynomial 1, the gcd and the scaling
-are skipped: sums, products and derivatives of polynomials are built over 1
-directly.  That is exact, not a shortcut: 1 is a unit, so p/1 is in lowest
-terms, and 1 is already primitive with a positive leading coefficient, so the
-general path would return the same canonical p/1.  A product with one true
+are skipped: a polynomial given without a denominator, and sums, products
+and derivatives of polynomials, are built over 1 directly.  That is exact,
+not a shortcut: 1 is a unit, so p/1 is in lowest terms, and 1 is already
+primitive with a positive leading coefficient, so the general path would
+return the same canonical p/1.  A product with one true
 denominator still takes the cross-gcd.
 """
 from __future__ import annotations
@@ -34,8 +35,9 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
-        if den is None:
-            den = Polynomial.one(num.chart)
+        if den is None:   # num/1 is in lowest terms: no gcd
+            self._scale(num, Polynomial.one(num.chart))
+            return
         require_same_chart(num, den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")

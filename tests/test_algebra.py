@@ -364,3 +364,10 @@ def test_json_round_trip():
     doc = six_field_table_algebra().to_json_dict()
     assert all(isinstance(x, str) for entry in doc["products"] for x in entry["result"])
     assert min(entry["left"] for entry in doc["products"]) == 1
+
+
+def test_lie_from_json_dict_builds_no_unchecked_lie_algebra():
+    # neither table is antisymmetric, so no LieAlgebraSC may come of it
+    for A in (aff_line_lsa(), six_field_table_algebra()):
+        with pytest.raises((TypeError, ValueError)):
+            LieAlgebraSC.from_json_dict(A.to_json_dict())

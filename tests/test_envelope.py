@@ -1,4 +1,7 @@
 """Envelope orchestration: closures, opposite convention, bi-invariant criterion."""
+import hashlib
+import json
+
 import pytest
 
 from flataffine import (
@@ -17,6 +20,7 @@ from flataffine.geometry import (
     IATViolationError,
     NotFlatError,
     express_in_basis,
+    independent_fields,
     is_flat_affine,
     is_infinitesimal_affine,
     product_table,
@@ -25,6 +29,7 @@ from helpers import (
     GL2Scene,
     alpha_connection,
     chart_xy,
+    gln_scene,
     aff_line_lsa,
     aff_line_connection,
     six_iat_fields,
@@ -221,3 +226,26 @@ def test_bi_invariant_dimension_mismatch():
     lie = LieAlgebraSC(("a",), [[[0]]])
     with pytest.raises(ValueError):
         verify_bi_invariant_criterion(lie, zero_algebra(("a", "b")))
+
+
+# SHA-256 of json.dumps(report.to_json_dict()) for the GL3 envelope below, as
+# computed by the dense-constant implementation this one replaced
+GL3_ENVELOPE_SHA256 = "64419bfdb3dc8f6b566a648f736f7ba8a2d25b416a764e594dba4edfdaf98047"
+
+
+def test_gl3_envelope_at_scale():
+    scene = gln_scene(3)
+    inv_names, inv_fields = scene.invariant_fields()
+    names, fields = independent_fields(inv_fields + scene.f_fields,
+                                       inv_names + scene.f_names)
+    generators = [name for name in names if name.startswith("E")]
+    assert len(names) == 81 and len(generators) == 17
+    report = compute_envelope(scene.connect(), fields, names, generators)
+    assert report.closure.rank == 81
+    assert all(outcome is True for outcome in report.checks.values())
+    doc = report.to_json_dict()
+    report.to_text()
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == GL3_ENVELOPE_SHA256
+    # the library reads the sparse rows only: no dense view was built
+    for algebra in (report.ambient, report.envelope, report.commutator):
+        assert algebra._c is None

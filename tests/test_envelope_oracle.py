@@ -29,7 +29,7 @@ from flataffine import (
     solve_iat_ansatz,
 )
 from flataffine import envelope, geometry
-from flataffine.algebra import JacobiError, _require_jacobi
+from flataffine.algebra import JacobiError
 from flataffine.envelope import commutator_matches_brackets
 from flataffine.geometry import (
     IATViolationError,
@@ -93,9 +93,7 @@ def oracle_commutator_algebra(A):
     n = A.dim
     f = tuple(tuple(tuple(a - b for a, b in zip(A.c[i][j], A.c[j][i])) for j in range(n))
               for i in range(n))
-    lie = LieAlgebraSC._of(A.basis_names, f)   # antisymmetric by construction
-    _require_jacobi(lie)
-    return lie
+    return LieAlgebraSC(A.basis_names, f)   # checks antisymmetry and Jacobi
 
 
 def oracle_product_table(conn, fields, names=None, *, check_iat=True):
@@ -124,8 +122,7 @@ def oracle_product_table(conn, fields, names=None, *, check_iat=True):
             f"product {names[i]}·{names[j]} (pair ({i + 1}, {j + 1})) "
             "is not a constant combination of the given fields",
             pair=(i + 1, j + 1)) from None
-    return SCAlgebra._of(names, tuple(tuple(tuple(v) for v in coords[i * n:(i + 1) * n])
-                                      for i in range(n)))
+    return SCAlgebra(names, [coords[i * n:(i + 1) * n] for i in range(n)])
 
 
 # ----- scenes ----------------------------------------------------------------------------
@@ -191,7 +188,7 @@ def perturbed(table, i, j, k):
     vec = list(c[i][j])
     vec[k] += 1
     c[i][j] = tuple(vec)
-    return SCAlgebra._of(table.basis_names, tuple(tuple(row) for row in c))
+    return SCAlgebra(table.basis_names, c)
 
 
 def commutator_outcome(compute, table):

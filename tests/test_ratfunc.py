@@ -226,3 +226,25 @@ def test_polynomial_sums_and_products_take_no_gcd(monkeypatch):
     assert calls == []
     assert_canonical_equal(over * factor, x)
     assert calls   # a rational operand still takes the cross-gcd
+
+
+def test_a_polynomial_without_denominator_takes_no_gcd(monkeypatch):
+    from flataffine.symcore import ratfunc
+    ch = chart_xy()
+    expected = RationalFunction(Polynomial.variable(ch, "x") * 3, Polynomial.one(ch))
+    gcd = ratfunc.poly_gcd
+    calls = []
+    monkeypatch.setattr(ratfunc, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+    x = RationalFunction.variable(ch, "x")
+    product = x * 3   # the int operand is coerced to a RationalFunction
+    assert calls == []
+    assert_canonical_equal(product, expected)
+
+
+def test_a_polynomial_without_denominator_matches_the_general_path():
+    rng = random.Random(117)
+    ch = chart_xy()
+    polynomials = [Polynomial.zero(ch), Polynomial.one(ch), Polynomial.constant(ch, -2)] + \
+        [random_polynomial(rng, ch) for _ in range(20)]
+    for p in polynomials:
+        assert_canonical_equal(RationalFunction(p), RationalFunction(p, Polynomial.one(ch)))

@@ -1,18 +1,22 @@
 """Structure-constant kernels against the dense loops they replaced.
 
-`product` and `left_mult_matrix` run on one Fraction linear-combination
-kernel; the associativity, left-symmetry and Jacobi scans run on integer
-constants scaled by their common denominator; `LieAlgebraSC` is a validated
-`SCAlgebra` sharing its JSON entry writer.  This module keeps the earlier
-hand-written Fraction loops as oracles and compares verdicts,
-lexicographically-first witnesses, vectors, matrices and JSON on seeded random
-algebras with integer and with rational constants, on the matrix algebras
+`SCAlgebra` stores its constants as sparse rows, rows[i][j] = ((k, x), ...)
+over the nonzero x; `product`, `left_mult_matrix`, serialisation and the
+commutator read them, and the dense `c` is only a derived view.  The
+associativity, left-symmetry and Jacobi scans run on integer constants scaled
+by their common denominator, over the triples where a term can be nonzero;
+`LieAlgebraSC` is a validated `SCAlgebra` sharing its JSON entry writer.
+This module keeps the earlier dense Fraction loops, the dense `_product` among
+them, as oracles and compares verdicts, lexicographically-first witnesses,
+vectors, matrices and JSON on seeded random algebras with integer and with
+rational constants, on sparse matrix-unit algebras, on the matrix algebras
 M2(Q) and M3(Q) in a random rational basis and on the GL2 ambient table.  The
 matrix algebras and the GL2 table are associative and their commutators
 satisfy Jacobi, so the passing paths run with real cancellation; one perturbed
 constant moves the first witness away from (1, 1, 1).  Algebras built by
-`product_table`, `restrict_to_subspace` and `opposite`, which skip the public
-constructor's coercion, are checked to be in its canonical form.
+`product_table`, `restrict_to_subspace`, `opposite` and `adjoin_unit`, which
+skip the public constructor's coercion, are checked to be in its canonical
+form.
 """
 import random
 from fractions import Fraction
@@ -61,6 +65,24 @@ def oracle_product(A, u, v):
                 if ck:
                     out[k] += scale * ck
     return tuple(out)
+
+
+def oracle_lincomb(n, terms):
+    """The sum of scale * vector over (scale, vector) terms, skipping zero entries."""
+    out = [Fraction(0)] * n
+    for scale, vector in terms:
+        if scale:
+            for k, x in enumerate(vector):
+                if x:
+                    out[k] += scale * x
+    return tuple(out)
+
+
+def oracle_dense_product(A, u, v):
+    """The dense `SCAlgebra._product` of Fraction vectors, over the cells of c."""
+    return oracle_lincomb(A.dim, ((ui * vj, A.c[i][j])
+                                  for i, ui in enumerate(u) if ui
+                                  for j, vj in enumerate(v) if vj))
 
 
 def oracle_associator(A, i, j, k):
@@ -208,6 +230,20 @@ def matrix_algebra(rng, size):
     return SCAlgebra([f"b{k + 1}" for k in range(n)], c)
 
 
+def unit_matrix_algebra(size, strict=False):
+    """M_size(Q), or its strictly upper triangular part, in the matrix-unit
+    basis E_pq E_rs = [q == r] E_ps: associative, with few nonzero cells."""
+    units = [(p, q) for p in range(size) for q in range(size) if not strict or p < q]
+    index = {u: k for k, u in enumerate(units)}
+    n = len(units)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for a, (p, q) in enumerate(units):
+        for b, (r, t) in enumerate(units):
+            if q == r:
+                c[a][b][index[p, t]] = Fraction(1)
+    return SCAlgebra([f"E{p + 1}{q + 1}" for p, q in units], c)
+
+
 def random_rational_algebra(rng, dim):
     """Sparse constants p/q with q in 2..7, so the common denominator varies."""
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
@@ -265,6 +301,13 @@ def inputs():
         yield f"M{size}-{seed}-perturbed", perturbed(rng, M)
         if size == 2:
             yield f"M2-{seed}-rescaled", rescaled(rng, M)
+    for size, strict in ((3, False), (4, True)):
+        M = unit_matrix_algebra(size, strict)
+        name = f"units-{size}{'-strict' if strict else ''}"
+        yield name, M
+        rng = random.Random(150 + size)
+        for seed in range(4):
+            yield f"{name}-perturbed-{seed}", perturbed(rng, M, fractional=seed % 2 == 1)
     yield "GL2", GL2_AMBIENT
     rng = random.Random(200)
     for seed in range(10):
@@ -316,7 +359,10 @@ def test_products_and_matrices_match_oracle(name, A):
     rng = random.Random(name)
     for _ in range(5):
         u, v = random_vector(rng, A.dim), random_vector(rng, A.dim)
-        assert A.product(u, v) == oracle_product(A, u, v)
+        assert A.product(u, v) == oracle_product(A, u, v) == oracle_dense_product(A, u, v)
+        sparse = A._product({k: x for k, x in enumerate(u) if x},
+                            {k: x for k, x in enumerate(v) if x})
+        assert sparse == {k: x for k, x in enumerate(oracle_dense_product(A, u, v)) if x}
         assert left_mult_matrix(A, v) == oracle_left_mult_matrix(A, v)
     assert A.to_json_dict() == oracle_algebra_json(A)
 
@@ -339,7 +385,9 @@ def built_algebras():
     table = product_table(aff_line_connection(), fields, names)
     yield "table-six", table
     yield "opposite-six", opposite(table)
+    yield "unital-six", adjoin_unit(table)
     yield "opposite-unital", opposite(adjoin_unit(table))
+    yield "commutator-six", commutator_algebra(table)
     closure = subalgebra_closure(table, [table.basis_vector(0), table.basis_vector(1)])
     yield "restricted-six", restrict_to_subspace(table, closure)
     # plain int rows (the closure of e1-, e2- scaled): the subspace holds Fractions
@@ -358,7 +406,15 @@ BUILT = dict(built_algebras())
 
 @pytest.mark.parametrize("name, A", BUILT.items(), ids=list(BUILT))
 def test_built_algebras_are_canonical(name, A):
-    assert A == SCAlgebra(A.basis_names, A.c, A.unit_index)
+    assert A.rows == SCAlgebra(A.basis_names, A.c, A.unit_index).rows
+    assert type(A.rows) is tuple and len(A.rows) == A.dim
+    for row in A.rows:
+        assert type(row) is tuple and len(row) == A.dim
+        for cell in row:
+            assert type(cell) is tuple
+            assert [k for k, _ in cell] == sorted({k for k, _ in cell})
+            assert all(type(k) is int and 0 <= k < A.dim for k, _ in cell)
+            assert all(type(x) is Fraction and x for _, x in cell)
     assert type(A.c) is tuple and len(A.c) == A.dim
     for row in A.c:
         assert type(row) is tuple and len(row) == A.dim

@@ -1,20 +1,36 @@
-"""Batched span questions against the one-question-at-a-time versions.
+"""Span questions against the versions they replaced.
 
-`linalg.solve` answers many right-hand sides with one elimination and
-`independent_fields` takes the pivot columns of one elimination.  This module
-keeps the earlier single-right-hand-side solve and the greedy "keep the field
-if it grows the span" loop as oracles and compares them with the production
-code on seeded random inputs.  It also keeps the per-slot denominator clearing
-of `_coordinate_rows`, the normalising quotient rule for polynomial
-derivatives and the dict comparison of `Polynomial.is_one` as oracles for
-their fast paths.
+Every span question of the algebra and envelope layers now goes through one
+sparse, fully reduced echelon kernel over Q (`linalg._Echelon`):
+`express_in_basis` reduces the basis once and reads each target off it,
+`independent_fields` keeps the fields that add a pivot, `subalgebra_closure`
+runs semi-naive rounds and `restrict_to_subspace` reads coordinates at the
+pivot columns.  This module keeps the earlier versions as oracles: the
+single-right-hand-side solve, the greedy "keep the field if it grows the
+span" loop, the `solve`-based `express_in_basis` and `restrict_to_subspace`
+and the `rref`-rounds `subalgebra_closure`, and compares them with the
+production code on seeded random inputs.  It also keeps the per-slot
+denominator clearing of `_coordinate_rows`, the normalising quotient rule for
+polynomial derivatives and the dict comparison of `Polynomial.is_one` as
+oracles for their fast paths.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from flataffine import NotInSpanError, Polynomial, RationalFunction, VectorField, geometry
+from flataffine import (
+    NotInSpanError,
+    Polynomial,
+    RationalFunction,
+    SCAlgebra,
+    Subspace,
+    VectorField,
+    geometry,
+    restrict_to_subspace,
+    subalgebra_closure,
+)
+from flataffine.algebra import _to_vector
 from flataffine.geometry import _coordinate_rows, express_in_basis, independent_fields
 from flataffine.linalg import rank, rref, solve
 from flataffine.symcore import exact_div, grlex_key, poly_lcm
@@ -84,6 +100,45 @@ def oracle_express(target, basis):
     rows = _coordinate_rows([target] + basis)
     columns = [[rows[1 + b][a] for b in range(len(basis))] for a in range(len(rows[0]))]
     return oracle_solve(columns, rows[0])
+
+
+def oracle_express_in_basis(targets, basis):
+    """All targets in one exact solve against the basis columns."""
+    targets, basis = list(targets), list(basis)
+    rows = _coordinate_rows(targets + basis)
+    columns = [col[len(targets):] for col in zip(*rows)]
+    solutions = solve(columns, rows[:len(targets)])
+    for index, sol in enumerate(solutions):
+        if sol is None:
+            raise NotInSpanError(
+                "target is not in the constant span of the basis", index=index)
+    return solutions
+
+
+def oracle_subalgebra_closure(A, generators):
+    """Rounds of span <- span + span·span, each one rref of the rows and all
+    their products, until the rank stays."""
+    vectors = [list(_to_vector(g, A.dim)) for g in generators]
+    rows, _ = rref(vectors)
+    for _ in range(A.dim + 1):
+        products = [list(A.product(u, v)) for u in rows for v in rows]
+        new_rows, _ = rref(rows + products)
+        if len(new_rows) == len(rows):
+            return Subspace(A.dim, rows)
+        rows = new_rows
+    raise AssertionError("closure iteration ended on a non-closed span")
+
+
+def oracle_restrict_to_subspace(A, space):
+    """Every product of two rows solved against the rows in one `solve`."""
+    rows = space.rows
+    r = len(rows)
+    basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(r)]
+    cols = [[row[c] for row in rows] for c in range(space.ambient_dim)]
+    coords = solve(cols, [A.product(u, v) for u in rows for v in rows])
+    if None in coords:
+        raise ValueError("subspace is not closed under the product")
+    return SCAlgebra(basis_names, [coords[i * r:(i + 1) * r] for i in range(r)])
 
 
 # ----- random inputs --------------------------------------------------------------------
@@ -310,3 +365,147 @@ def test_coordinate_rows_take_one_lcm_per_distinct_denominator(monkeypatch):
     rows = _coordinate_rows(fields)
     assert sorted(map(str, calls)) == ["x", "x*y"]
     assert rows == oracle_coordinate_rows(fields)
+
+
+# ----- the echelon kernel in the algebra layer -------------------------------------------
+
+
+def sparse_algebra(rng, dim, *, fractional, nilpotent):
+    """Constants with few nonzero cells; `nilpotent` keeps c[i][j][k] = 0
+    unless k > max(i, j), so closures of late basis vectors stay small."""
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(max(i, j) + 1 if nilpotent else 0, dim):
+                if rng.random() < 0.2:
+                    c[i][j][k] = Fraction(rng.choice((-3, -1, 1, 2)),
+                                          rng.randint(1, 4) if fractional else 1)
+    return SCAlgebra([f"b{k + 1}" for k in range(dim)], c)
+
+
+def sparse_vector(rng, dim, start=0):
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            if k >= start and rng.random() < 0.4 else Fraction(0) for k in range(dim)]
+
+
+def restrict_outcome(restrict, A, space):
+    try:
+        return restrict(A, space)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_closure_and_restriction_match_rref_and_solve_oracles(seed):
+    rng = random.Random(500 + seed)
+    dim = rng.randint(3, 7)
+    A = sparse_algebra(rng, dim, fractional=seed % 2 == 1, nilpotent=seed % 3 != 0)
+    partial = not_closed = 0
+    for _ in range(6):
+        start = rng.randrange(dim) if seed % 3 != 0 else 0
+        gens = [sparse_vector(rng, dim, start) for _ in range(rng.randint(0, 3))]
+        closure = subalgebra_closure(A, gens)
+        assert closure == oracle_subalgebra_closure(A, gens)
+        assert type(closure.rows) is tuple
+        assert all(type(x) is Fraction for row in closure.rows for x in row)
+        partial += closure.rank < dim
+        restricted = restrict_to_subspace(A, closure)
+        assert restricted == oracle_restrict_to_subspace(A, closure)
+        # a random span, usually not closed: the same algebra or the same error
+        space = Subspace(dim, [sparse_vector(rng, dim) for _ in range(rng.randint(1, dim))])
+        got = restrict_outcome(restrict_to_subspace, A, space)
+        assert got == restrict_outcome(oracle_restrict_to_subspace, A, space)
+        not_closed += isinstance(got, str)
+    if seed % 3 != 0:
+        assert partial
+    if seed % 3 == 0:
+        assert not_closed
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_closure_multiplies_new_vectors_by_old_ones_on_both_sides(left):
+    # b1·b1 = b2, and b3 is only b2·b1 (left) or only b1·b2: the product of
+    # the second round's new vector b2 with the old b1, in one order
+    c = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][0][1] = Fraction(1)
+    if left:
+        c[1][0][2] = Fraction(1)
+    else:
+        c[0][1][2] = Fraction(1)
+    A = SCAlgebra(["b1", "b2", "b3"], c)
+    closure = subalgebra_closure(A, [[1, 0, 0]])
+    assert closure.rank == 3
+    assert closure == oracle_subalgebra_closure(A, [[1, 0, 0]])
+
+
+def test_restriction_of_a_span_that_is_not_closed_raises():
+    # b1·b1 = b2 leaves span{b1}
+    A = SCAlgebra(["b1", "b2"], [[[0, 1], [0, 0]], [[0, 0], [0, 0]]])
+    space = Subspace(2, [[1, 0]])
+    for restrict in (restrict_to_subspace, oracle_restrict_to_subspace):
+        with pytest.raises(ValueError, match="not closed"):
+            restrict(A, space)
+
+
+def test_subspace_rows_are_the_canonical_rref():
+    rng = random.Random(600)
+    for _ in range(30):
+        dim = rng.randint(1, 6)
+        vectors = [sparse_vector(rng, dim) for _ in range(rng.randint(0, 5))]
+        reduced, _ = rref([list(v) for v in vectors])
+        assert Subspace(dim, vectors).rows == tuple(tuple(r) for r in reduced)
+
+
+# ----- the echelon kernel in the coordinate layer ----------------------------------------
+
+
+def express_outcome(express, targets, basis):
+    try:
+        return express(targets, basis)
+    except NotInSpanError as err:
+        return ("not in span", err.index)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_express_in_basis_matches_the_solve_oracle(seed):
+    rng = random.Random(700 + seed)
+    chart = chart_xy()
+    outside = dependent = 0
+    for _ in range(4):
+        basis = field_list(rng, chart, rng.randint(1, 3))
+        targets = [combination(rng, chart, basis) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            targets.insert(rng.randint(0, len(targets)), VectorField(
+                chart, [random_rational_function(rng, chart, 2) for _ in range(chart.dim)]))
+        got = express_outcome(express_in_basis, targets, basis)
+        assert got == express_outcome(oracle_express_in_basis, targets, basis)
+        if isinstance(got, tuple):
+            outside += 1
+            continue
+        # a basis field that depends on the ones before it gets coefficient zero
+        kept = set(independent_fields(basis, list(range(len(basis))))[0])
+        dependent += len(basis) - len(kept)
+        for solution in got:
+            assert len(solution) == len(basis)
+            assert all(x == 0 for b, x in enumerate(solution) if b not in kept)
+            assert all(type(x) is Fraction for x in solution)
+    assert outside or dependent
+
+
+def test_express_in_basis_edge_cases_match_the_solve_oracle():
+    chart = chart_xy()
+    x_field, y_field = VectorField(chart, ["x", "0"]), VectorField(chart, ["0", "y"])
+    cases = [([], []), ([VectorField.zero(chart)], []), ([x_field], []),
+             ([x_field, x_field.scaled(2)], [x_field, x_field.scaled(3)]),
+             ([y_field, x_field], [x_field])]
+    for targets, basis in cases:
+        assert express_outcome(express_in_basis, targets, basis) == \
+            express_outcome(oracle_express_in_basis, targets, basis)
+    assert express_in_basis([x_field.scaled(2)], [x_field, x_field.scaled(3)]) == \
+        [[Fraction(2), Fraction(0)]]
+    assert express_outcome(express_in_basis, [y_field, x_field], [x_field]) == \
+        ("not in span", 0)
+    # with no nonzero coordinate at all, each solution still has one entry per
+    # basis field (the solve oracle returned empty lists here)
+    zero = VectorField.zero(chart)
+    assert express_in_basis([zero], [zero, zero]) == [[Fraction(0), Fraction(0)]]
