@@ -54,6 +54,9 @@ _MAX_ALGEBRA_DIM = 128
 _MAX_CHART_VARIABLES = 16
 # solve-iat has terms x dim candidate fields; the GL3 ansatz has 9 x 9 = 81
 _MAX_ANSATZ_SIZE = 256
+# a task id names its report files <id>.json and <id>.txt in --out; 200 bytes
+# leaves room for the suffix within the usual 255-byte limit on a file name
+_MAX_ID_BYTES = 200
 
 class TaskFileError(ValueError):
     """Schema violation, with a path into the offending part of the document."""
@@ -201,9 +204,21 @@ def load_document(doc: dict) -> _Document:
         else:
             raise TaskFileError('connection needs "christoffel" or "frame"', path)
         out.connections[entry["name"]] = conn
+    ids = set()
     for idx, task in enumerate(_typed(doc.get("tasks", []), list, '"tasks"', "/tasks")):
         path = f"/tasks/{idx}"
         _require(isinstance(task, dict), "task must be an object", path)
+        task_id = task.get("id", f"t{idx + 1}")
+        _require(type(task_id) in (str, int), '"id" must be a string or an integer',
+                 f"{path}/id")
+        task_id = str(task_id)
+        _require(task_id.isprintable() and 0 < len(task_id.encode()) <= _MAX_ID_BYTES
+                 and task_id not in (".", "..") and "/" not in task_id
+                 and "\\" not in task_id,
+                 f'"id" must be a file name: 1 to {_MAX_ID_BYTES} bytes of printable '
+                 'characters without "/" or "\\", and not "." or ".."', f"{path}/id")
+        _require(task_id not in ids, f"duplicate task id {task_id!r}", f"{path}/id")
+        ids.add(task_id)
         kind = task.get("kind")
         _require(kind in TASK_KINDS,
                  f"unknown task kind {kind!r}; valid kinds: {', '.join(TASK_KINDS)}",
@@ -212,7 +227,7 @@ def load_document(doc: dict) -> _Document:
             _typed(task["expect_rank"], int, '"expect_rank"', f"{path}/expect_rank")
         _require(isinstance(task.get("expect_zero", False), bool),
                  '"expect_zero" must be true or false', f"{path}/expect_zero")
-        out.tasks.append(dict(task))
+        out.tasks.append(dict(task, id=task_id))
     return out
 
 
@@ -478,13 +493,12 @@ def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = F
     any_negative = False
     for index, task in enumerate(document.tasks):
         path = f"/tasks/{index}"
-        task_id = str(task.get("id", f"t{index + 1}"))
         started = time.perf_counter()
         verdict, witness, payload = _RUNNERS[task["kind"]](document, task, path)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         status = "ok" if verdict is None else ("pass" if verdict else "fail")
         report = {
-            "id": task_id,
+            "id": task["id"],
             "kind": task["kind"],
             "status": status,
             "verdict": verdict,

@@ -22,13 +22,12 @@ from .symcore import (
     Polynomial,
     RationalFunction,
     exact_div,
-    grlex_key,
     parse_expr,
     poly_lcm,
     require_same_chart,
 )
 
-_ZERO = Fraction(0)   # shared by every empty cell of the coordinate rows and equations
+_ZERO = Fraction(0)   # shared by the empty cells of equations and solutions
 _MINUS_ONE = Fraction(-1)
 
 
@@ -399,22 +398,6 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
 # ----- constant-coefficient span machinery ------------------------------------
 
 
-def _coordinate_rows(fields):
-    """Exact coordinates of fields over a shared monomial basis."""
-    if not fields:
-        return []
-    return _component_rows(fields[0].chart, _field_coeffs(fields))
-
-
-def _field_coeffs(fields):
-    """The component lists of fields that share one chart."""
-    chart = fields[0].chart
-    for f in fields:
-        if f.chart != chart:
-            raise ValueError("all fields must share one chart")
-    return [f.coeffs for f in fields]
-
-
 def _cleared(chart: Chart, vectors):
     """The numerators of component lists brought over one common polynomial
     denominator, which preserves constant-linear relations.
@@ -434,29 +417,19 @@ def _cleared(chart: Chart, vectors):
             for coeffs in vectors]
 
 
-def _component_rows(chart: Chart, vectors):
-    """`_coordinate_rows` of component lists that are already on `chart`.
-
-    The coordinates are the rational coefficients of each (component,
-    monomial) slot of the `_cleared` numerators, ordered deterministically.
-    """
-    cleared = _cleared(chart, vectors)
-    axes = {(k, exps) for polys in cleared for k, p in enumerate(polys) for exps in p.terms}
-    axis_list = sorted(axes, key=lambda a: (a[0],) + tuple(grlex_key(a[1])))
-    return [[polys[k].terms.get(exps, _ZERO) for (k, exps) in axis_list]
-            for polys in cleared]
-
-
-def _sparse_coordinate_rows(fields):
-    """The coordinates of `_coordinate_rows` as dicts {slot: x} over the
-    nonzero entries, for `linalg._Echelon`; the (component, monomial) slots
-    are numbered in the order they are met, since no span question depends
-    on the order of the slots."""
+def _coordinate_rows(fields):
+    """Exact coordinates of fields that share one chart, for `linalg._Echelon`:
+    one dict {slot: x} per field, over the nonzero rational coefficients of
+    each (component, monomial) slot of the `_cleared` numerators.  The slots
+    are numbered as met, since no span question depends on their order."""
     if not fields:
         return []
+    chart = fields[0].chart
+    if any(f.chart != chart for f in fields):
+        raise ValueError("all fields must share one chart")
     slots = {}
     rows = []
-    for polys in _cleared(fields[0].chart, _field_coeffs(fields)):
+    for polys in _cleared(chart, [f.coeffs for f in fields]):
         row = {}
         for k, p in enumerate(polys):
             for exps, x in p.terms.items():
@@ -480,7 +453,7 @@ def express_in_basis(targets, basis) -> list:
     a constant combination of the basis.
     """
     targets, basis = list(targets), list(basis)
-    rows = _sparse_coordinate_rows(targets + basis)
+    rows = _coordinate_rows(targets + basis)
     n = len(basis)
     top = sum(map(len, rows))   # no slot number reaches it
     echelon = linalg._Echelon()
@@ -509,7 +482,7 @@ def independent_fields(fields, names):
     if len(fields) != len(names):
         raise ValueError("one name per field is required")
     echelon = linalg._Echelon()
-    kept = [k for k, row in enumerate(_sparse_coordinate_rows(fields))
+    kept = [k for k, row in enumerate(_coordinate_rows(fields))
             if echelon.add(row) is not None]
     return [names[k] for k in kept], [fields[k] for k in kept]
 
@@ -548,7 +521,7 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     n = chart.dim
     terms = [_as_rf(chart, t) for t in ansatz]
     probe = [VectorField(chart, [t] + [0] * (n - 1)) for t in terms]
-    if linalg.rank(_coordinate_rows(probe)) != len(terms):
+    if len(independent_fields(probe, terms)[0]) != len(terms):
         raise ValueError("ansatz terms are linearly dependent")
     zero = RationalFunction.zero(chart)
     variables = chart.variables
@@ -595,13 +568,14 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     equations = []
     for at_pair in residuals:
         live = [c for c, res in enumerate(at_pair) if any(res)]
-        if not live:
-            continue
-        for coords in zip(*_component_rows(chart, [at_pair[c] for c in live])):
-            row = [_ZERO] * ncols
-            for c, x in zip(live, coords):
-                row[c] = x
-            equations.append(row)
+        slots = {}   # (component, monomial) -> its equation at this pair
+        for c, polys in zip(live, _cleared(chart, [at_pair[c] for c in live])):
+            for k, p in enumerate(polys):
+                for exps, x in p.terms.items():
+                    if (k, exps) not in slots:
+                        slots[k, exps] = [_ZERO] * ncols
+                    slots[k, exps][c] = x
+        equations.extend(slots.values())
     # component s of a solution is sum_a lambda[s, a] t_a
     return [VectorField(chart, [sum((t * w for w, t in zip(vec[s * size:(s + 1) * size], terms)
                                      if w), zero) for s in range(n)])

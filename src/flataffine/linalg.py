@@ -1,20 +1,19 @@
 """Exact linear algebra: dense over any exact field, sparse over Q.
 
-The dense functions work with any element type supporting +, -, *, / and
-truthiness (Fraction, RationalFunction).  Pass `zero` and `one` when the
-field is not the rationals.  Matrices are lists of row lists; no input is
-mutated.  Over the rationals (a `Fraction` zero, the default) the entries may
-be ints or Fractions, every elimination runs on integer rows and every result
-entry is a `Fraction`.
+The dense functions other than `nullspace` (Q only) work with any element
+type supporting +, -, *, / and truthiness (Fraction, RationalFunction); pass
+`zero` (and `one` to `invert`) when the field is not the rationals.  Matrices
+are lists of row lists; no input is mutated.  Over Q (a `Fraction` zero, the
+default) the entries may be ints or Fractions and every result entry is a
+`Fraction`.
 
-`_Echelon` is the sparse kernel over Q that answers every span question of
-the algebra and envelope layers: it holds a span as fully reduced echelon
-rows, so the work follows the nonzero entries.
+`_Echelon`, a span held as sparse, fully reduced echelon rows, is the one
+elimination over Q: it answers every span question of the algebra and
+envelope layers, and `rref` over Q runs on it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 _QZERO = Fraction(0)
 _QONE = Fraction(1)
@@ -24,11 +23,17 @@ def rref(rows, *, zero=_QZERO):
     """Reduced row-echelon form.
 
     Returns (reduced_rows, pivot_columns) with zero rows dropped.  Over an
-    exact field the result is canonical for the row space.  Q runs on the
-    integer kernel `_rref_q`; the loop below serves the other fields.
+    exact field the result is canonical for the row space.  Over Q the rows
+    go, as sparse dicts, into one `_Echelon`, whose rows sorted by pivot are
+    that canonical form; the loop below serves the other fields.
     """
     if isinstance(zero, Fraction):
-        return _rref_q(rows)
+        echelon = _Echelon()
+        for row in rows:
+            echelon.add({c: Fraction(x) for c, x in enumerate(row) if x})
+        pivots = sorted(echelon.rows)
+        columns = range(len(rows[0]) if rows else 0)
+        return [[echelon.rows[p].get(c, _QZERO) for c in columns] for p in pivots], pivots
     m = [list(r) for r in rows]
     if not m:
         return [], []
@@ -36,11 +41,7 @@ def rref(rows, *, zero=_QZERO):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c] != zero:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
@@ -61,63 +62,23 @@ def rref(rows, *, zero=_QZERO):
     return m[:r], pivots
 
 
-def _rref_q(rows):
-    """rref over Q by fraction-free Gauss-Jordan elimination.
-
-    Each row is scaled to integers by the lcm of its denominators, and every
-    row combination a*row_i - b*row_r is divided by its content, so the rows
-    stay primitive.  Row spaces and pivots are those of the rational matrix;
-    the canonical rows are built once at the end, pivot row / pivot entry.
-    """
-    m = []
-    for row in rows:
-        dens = [e.denominator for e in row]
-        d = lcm(*dens)
-        m.append([e.numerator for e in row] if d == 1 else
-                 [e.numerator * (d // q) for e, q in zip(row, dens)])
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        prow = m[r]
-        a = prow[c]
-        for i, row in enumerate(m):
-            b = row[c]
-            if b and i != r:
-                g = gcd(a, b)
-                a_g, b_g = a // g, b // g
-                row = [a_g * x - b_g * y for x, y in zip(row, prow)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-    return [[Fraction(x, row[c]) if x else _QZERO for x in row]
-            for row, c in zip(m, pivots)], pivots
-
-
 def rank(rows, *, zero=_QZERO) -> int:
     return len(rref(rows, zero=zero)[0])
 
 
-def nullspace(rows, ncols: int, *, zero=_QZERO, one=_QONE):
-    """Basis of the right nullspace, returned in reduced row-echelon form."""
-    reduced, pivots = rref(rows, zero=zero)
+def nullspace(rows, ncols: int):
+    """Basis of the right nullspace over Q, returned in reduced row-echelon form."""
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free:
-        v = [zero] * ncols
-        v[f] = one
+        v = [_QZERO] * ncols
+        v[f] = _QONE
         for i, pc in enumerate(pivots):
-            v[pc] = zero - reduced[i][f]
+            v[pc] = -reduced[i][f]
         basis.append(v)
-    return rref(basis, zero=zero)[0]
+    return rref(basis)[0]
 
 
 def solve(rows, rhs_list, *, zero=_QZERO):

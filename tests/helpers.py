@@ -23,9 +23,10 @@ from flataffine import (
     VectorField,
     connection_from_frame,
 )
-from flataffine.geometry import _coordinate_rows
+from flataffine.geometry import _ZERO, _cleared
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
+from flataffine.symcore import grlex_key
 
 BENCH_SCENE = Path(__file__).resolve().parent.parent / "bench" / "scene.py"
 
@@ -177,14 +178,47 @@ def apply_field(X: VectorField, f: RationalFunction) -> RationalFunction:
     return out
 
 
+def dense_coordinate_rows(fields):
+    """Exact coordinates of fields over a shared monomial basis.
+
+    The dense coordinate layer that `geometry._coordinate_rows` (sparse rows,
+    slots numbered as met) replaced; an oracle for it and for the solvers
+    built on it."""
+    if not fields:
+        return []
+    return dense_component_rows(fields[0].chart, _field_coeffs(fields))
+
+
+def _field_coeffs(fields):
+    """The component lists of fields that share one chart."""
+    chart = fields[0].chart
+    for f in fields:
+        if f.chart != chart:
+            raise ValueError("all fields must share one chart")
+    return [f.coeffs for f in fields]
+
+
+def dense_component_rows(chart: Chart, vectors):
+    """`dense_coordinate_rows` of component lists that are already on `chart`.
+
+    The coordinates are the rational coefficients of each (component,
+    monomial) slot of the `_cleared` numerators, ordered deterministically.
+    """
+    cleared = _cleared(chart, vectors)
+    axes = {(k, exps) for polys in cleared for k, p in enumerate(polys) for exps in p.terms}
+    axis_list = sorted(axes, key=lambda a: (a[0],) + tuple(grlex_key(a[1])))
+    return [[polys[k].terms.get(exps, _ZERO) for (k, exps) in axis_list]
+            for polys in cleared]
+
+
 def field_span_rank(fields) -> int:
-    return rank(_coordinate_rows(list(fields)))
+    return rank(dense_coordinate_rows(list(fields)))
 
 
 def same_field_span(fields_a, fields_b) -> bool:
     """Equality of the constant-coefficient spans of two field lists."""
     fields_a, fields_b = list(fields_a), list(fields_b)
-    rows = _coordinate_rows(fields_a + fields_b)
+    rows = dense_coordinate_rows(fields_a + fields_b)
     ra, _ = rref(rows[:len(fields_a)])
     rb, _ = rref(rows[len(fields_a):])
     return ra == rb

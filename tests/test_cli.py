@@ -460,6 +460,57 @@ def test_repeated_names_are_refused_at_the_second_entry(tmp_path, capsys, edit, 
     assert f"error: {path}: duplicate" in capsys.readouterr().err
 
 
+def _with_task_ids(*ids):
+    """The six-field task file with one check-lsa task per entry of `ids`; the
+    task of an entry None has no "id" and takes the default."""
+    doc = _malformed("lsa", lambda d: None)
+    [task] = doc["tasks"]
+    del task["id"]
+    doc["tasks"] = [task if i is None else dict(task, id=i) for i in ids]
+    return doc
+
+
+@pytest.mark.parametrize("ids, path", [
+    (["../escaped"], "/tasks/0/id"),
+    (["lsa", "a/b"], "/tasks/1/id"),
+    (["a\\b"], "/tasks/0/id"),
+    (["a\0b"], "/tasks/0/id"),
+    (["a\nb"], "/tasks/0/id"),
+    (["\ud800"], "/tasks/0/id"),
+    (["x" * 201], "/tasks/0/id"),
+    ([""], "/tasks/0/id"),
+    (["."], "/tasks/0/id"),
+    ([".."], "/tasks/0/id"),
+    ([{"x": 1}], "/tasks/0/id"),
+    ([True], "/tasks/0/id"),
+    ([1.5], "/tasks/0/id"),
+    ([None, ["t1"]], "/tasks/1/id"),
+    (["lsa", "lsa"], "/tasks/1/id"),
+    (["t2", None], "/tasks/1/id"),
+    ([2, "2"], "/tasks/1/id"),
+], ids=["parent-dir", "slash", "backslash", "nul", "newline", "lone-surrogate",
+        "past-cap", "empty", "dot", "dot-dot", "object", "bool", "float", "list",
+        "repeated", "explicit-meets-default", "integer-meets-string"])
+def test_task_ids_that_are_not_one_new_file_name_are_refused(tmp_path, capsys, ids, path):
+    doc = _with_task_ids(*ids)
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == path
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["tasks.json"]
+
+
+def test_integer_and_default_task_ids_name_the_report_files(tmp_path):
+    code, reports = run_document(_with_task_ids(7, None, "x" * 200), out_dir=tmp_path)
+    assert code == 0
+    assert [r["id"] for r in reports] == ["7", "t2", "x" * 200]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{i}.{ext}" for i in ("7", "t2", "x" * 200) for ext in ("json", "txt"))
+
+
 def test_a_repeated_frame_connection_is_built_once(monkeypatch):
     build = cli.connection_from_frame
     calls = []

@@ -48,6 +48,7 @@ from helpers import (
     aff_line_lsa,
     alpha_family,
     chart_xy,
+    dense_coordinate_rows,
     gln_scene,
     random_rational_function,
     six_iat_fields,
@@ -341,7 +342,7 @@ def test_product_table_takes_one_derivative_per_field_and_axis(monkeypatch):
 
 def test_zero_components_share_one_object():
     _, fields, _ = halfplane_scene()
-    rows = geometry._coordinate_rows(fields)
+    rows = dense_coordinate_rows(fields)
     zeros = {id(x) for row in rows for x in row if x == 0}
     assert len(zeros) == 1
     assert all(type(x) is Fraction for row in rows for x in row)

@@ -390,6 +390,14 @@ def test_express_failure_for_nonconstant_relation():
         express_in_basis([vf("x^2", "0")], [vf("x", "0")])
 
 
+def test_span_questions_refuse_fields_on_two_charts():
+    other = VectorField(plane_chart(), ["x", "0"])
+    with pytest.raises(ValueError, match="all fields must share one chart"):
+        express_in_basis([vf("x", "0")], [other])
+    with pytest.raises(ValueError, match="all fields must share one chart"):
+        independent_fields([vf("x", "0"), other], ["a", "b"])
+
+
 # ----- span helpers ---------------------------------------------------------------------
 
 

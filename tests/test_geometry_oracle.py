@@ -44,12 +44,7 @@ from flataffine import (
     is_infinitesimal_affine,
     solve_iat_ansatz,
 )
-from flataffine.geometry import (
-    _component_rows,
-    _coordinate_rows,
-    _iat_residuals,
-    _nabla_coordinate,
-)
+from flataffine.geometry import _iat_residuals, _nabla_coordinate
 from flataffine import linalg
 from flataffine.symcore import require_same_chart
 from helpers import (
@@ -60,6 +55,8 @@ from helpers import (
     alpha_connection,
     alpha_family,
     chart_xy,
+    dense_component_rows,
+    dense_coordinate_rows,
     field_span_rank,
     gln_scene,
     mat_mul,
@@ -170,7 +167,7 @@ def oracle_solve_iat_ansatz(conn, ansatz):
     chart = conn.chart
     n = chart.dim
     probe = [VectorField(chart, [t] + [0] * (n - 1)) for t in ansatz]
-    if linalg.rank(_coordinate_rows(probe)) != len(probe):
+    if linalg.rank(dense_coordinate_rows(probe)) != len(probe):
         raise ValueError("ansatz terms are linearly dependent")
     zero = RationalFunction.zero(chart)
     candidates = [VectorField(chart, [p.coeffs[0] if k == slot else zero for k in range(n)])
@@ -179,7 +176,7 @@ def oracle_solve_iat_ansatz(conn, ansatz):
                  for cand in candidates]
     equations = []
     for residuals_at_pair in zip(*residuals):
-        equations.extend(zip(*_component_rows(chart, residuals_at_pair)))
+        equations.extend(zip(*dense_component_rows(chart, residuals_at_pair)))
     solutions = []
     for vec in linalg.nullspace(equations, ncols=len(candidates)):
         field = VectorField.zero(chart)

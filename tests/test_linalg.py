@@ -87,6 +87,7 @@ def test_int_and_mixed_rows_give_fraction_results():
     rows_int = [[2, 1, 0], [4, 2, 3], [6, 3, 3]]
     rows_mixed = [[2, F(1), 0], [F(4), 2, F(3)], [6, F(3), 3]]
     assert rref([[2, 1]]) == ([[F(1), Fraction(1, 2)]], [0])
+    assert rref([[]]) == rref([[0, 0]]) == ([], [])
     rhs = [[F(1), F(5), F(6)], [F(1), F(0), F(0)]]
     for rows in (rows_int, rows_mixed):
         assert rref(rows) == rref(rows_q)

@@ -1,8 +1,8 @@
-"""The integer rref kernel over Q against the Fraction loop it replaced.
+"""The sparse echelon rref over Q against the earlier dense Fraction loop.
 
-Over the rationals `linalg.rref` scales each row to integers by the lcm of its
-denominators, eliminates with primitive integer rows and divides by the pivots
-once at the end.  This module keeps the earlier Fraction Gauss-Jordan loop
+Over the rationals `linalg.rref` adds the rows, as sparse dicts, to one
+`linalg._Echelon` and reads the canonical rows off it, sorted by pivot and made
+dense.  This module keeps the earlier dense Fraction Gauss-Jordan loop
 verbatim as `oracle_rref`.  `rank`, `solve`, `nullspace`, `invert` and
 `in_row_space` are all built on `rref`, so their earlier results are those of
 the same functions with `linalg.rref` replaced by the oracle.  Every function

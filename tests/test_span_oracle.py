@@ -12,9 +12,13 @@ and the `rref`-rounds `subalgebra_closure`, and compares them with the
 production code on seeded random inputs.  It also keeps the per-slot
 denominator clearing of `_coordinate_rows`, the normalising quotient rule for
 polynomial derivatives and the dict comparison of `Polynomial.is_one` as
-oracles for their fast paths.
+oracles for their fast paths.  `_coordinate_rows` numbers its slots as it
+meets them, so its rows are compared with the oracle's dense rows up to the
+order of the columns.  The earlier oracles read the dense coordinate rows,
+which are kept in `helpers.dense_coordinate_rows`.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,7 +38,13 @@ from flataffine.algebra import _to_vector
 from flataffine.geometry import _coordinate_rows, express_in_basis, independent_fields
 from flataffine.linalg import rank, rref, solve
 from flataffine.symcore import exact_div, grlex_key, poly_lcm
-from helpers import chart_xy, is_polynomial, random_polynomial, random_rational_function
+from helpers import (
+    chart_xy,
+    dense_coordinate_rows,
+    is_polynomial,
+    random_polynomial,
+    random_rational_function,
+)
 
 
 # ----- oracles -------------------------------------------------------------------------
@@ -61,7 +71,7 @@ def oracle_independent_fields(fields, names):
     current_rank = 0
     for f, name in zip(fields, names):
         candidate = kept_fields + [f]
-        r = rank(_coordinate_rows(candidate))
+        r = rank(dense_coordinate_rows(candidate))
         if r > current_rank:
             kept_fields.append(f)
             kept_names.append(name)
@@ -85,6 +95,18 @@ def oracle_coordinate_rows(fields):
             for polys in cleared]
 
 
+def same_up_to_slot_numbering(rows, dense):
+    """Whether the sparse rows {slot: x} hold no zero entry, number their
+    slots 0, 1, ..., and, made dense, have the columns of the dense rows in
+    some order."""
+    slots = sorted({s for row in rows for s in row})
+    if slots != list(range(len(slots))) or len(rows) != len(dense) \
+            or not all(x for row in rows for x in row.values()):
+        return False
+    made_dense = [[row.get(s, Fraction(0)) for s in slots] for row in rows]
+    return Counter(zip(*made_dense)) == Counter(zip(*dense))
+
+
 def oracle_diff(f, variable):
     """The quotient rule through the normalising constructor."""
     return RationalFunction(f.num.diff(variable) * f.den - f.num * f.den.diff(variable),
@@ -97,7 +119,7 @@ def oracle_is_one(p):
 
 def oracle_express(target, basis):
     """Coordinates of one target, or None when it is outside the constant span."""
-    rows = _coordinate_rows([target] + basis)
+    rows = dense_coordinate_rows([target] + basis)
     columns = [[rows[1 + b][a] for b in range(len(basis))] for a in range(len(rows[0]))]
     return oracle_solve(columns, rows[0])
 
@@ -105,7 +127,7 @@ def oracle_express(target, basis):
 def oracle_express_in_basis(targets, basis):
     """All targets in one exact solve against the basis columns."""
     targets, basis = list(targets), list(basis)
-    rows = _coordinate_rows(targets + basis)
+    rows = dense_coordinate_rows(targets + basis)
     columns = [col[len(targets):] for col in zip(*rows)]
     solutions = solve(columns, rows[:len(targets)])
     for index, sol in enumerate(solutions):
@@ -225,7 +247,7 @@ def test_independent_fields_matches_greedy_oracle(seed):
     names = [f"f{i}" for i in range(len(fields))]
     got = independent_fields(fields, names)
     assert got == oracle_independent_fields(fields, names)
-    assert len(got[0]) == rank(_coordinate_rows(fields))
+    assert len(got[0]) == rank(dense_coordinate_rows(fields))
 
 
 def test_independent_fields_edge_cases():
@@ -309,7 +331,8 @@ def test_coordinate_rows_match_per_slot_clearing(seed):
     distinct = 0
     for _ in range(12):
         fields = shared_denominator_fields(rng, chart)
-        assert _coordinate_rows(fields) == oracle_coordinate_rows(fields)
+        assert same_up_to_slot_numbering(_coordinate_rows(fields),
+                                         oracle_coordinate_rows(fields))
         distinct = max(distinct, len({c.den for f in fields for c in f.coeffs if c}))
     assert distinct >= 3
 
@@ -317,10 +340,11 @@ def test_coordinate_rows_match_per_slot_clearing(seed):
 def test_coordinate_rows_of_zero_and_polynomial_fields():
     chart = chart_xy()
     zero = VectorField.zero(chart)
-    assert _coordinate_rows([zero, zero]) == oracle_coordinate_rows([zero, zero]) \
-        == [[], []]
+    assert _coordinate_rows([zero, zero]) == [{}, {}]
+    assert oracle_coordinate_rows([zero, zero]) == [[], []]
     fields = [VectorField(chart, ["x^2", "0"]), zero, VectorField(chart, ["2", "x*y"])]
-    assert _coordinate_rows(fields) == oracle_coordinate_rows(fields)
+    assert same_up_to_slot_numbering(_coordinate_rows(fields),
+                                     oracle_coordinate_rows(fields))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -364,7 +388,7 @@ def test_coordinate_rows_take_one_lcm_per_distinct_denominator(monkeypatch):
     fields = [VectorField(chart, [f"{k}/x", f"{k}/(x*y)"]) for k in range(1, 51)]
     rows = _coordinate_rows(fields)
     assert sorted(map(str, calls)) == ["x", "x*y"]
-    assert rows == oracle_coordinate_rows(fields)
+    assert same_up_to_slot_numbering(rows, oracle_coordinate_rows(fields))
 
 
 # ----- the echelon kernel in the algebra layer -------------------------------------------
