@@ -256,9 +256,10 @@ class LieAlgebraSC(SCAlgebra):
 
 
 class Subspace:
-    """A subspace of Q^n held as reduced row-echelon basis rows (canonical)."""
+    """A subspace of Q^n held as reduced row-echelon basis rows (canonical),
+    with the `linalg._Echelon` they were read from."""
 
-    __slots__ = ("ambient_dim", "rows")
+    __slots__ = ("ambient_dim", "rows", "_echelon")
 
     def __init__(self, ambient_dim: int, rows):
         echelon = linalg._Echelon()
@@ -275,6 +276,7 @@ class Subspace:
 
     def _set(self, ambient_dim, echelon):
         self.ambient_dim = ambient_dim
+        self._echelon = echelon
         # sorted by pivot, the echelon rows are the reduced row-echelon basis
         self.rows = tuple(_dense(ambient_dim, echelon.rows[p].items())
                           for p in sorted(echelon.rows))
@@ -473,10 +475,9 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
     lies in the span iff w - sum_a w[p_a] row_a is zero, which is checked for
     every product.
     """
-    vectors = [_sparse(row) for row in space.rows]
-    pivots = [min(v) for v in vectors]
-    echelon = linalg._Echelon()
-    echelon.rows = dict(zip(pivots, vectors))   # already fully reduced
+    echelon = space._echelon
+    pivots = sorted(echelon.rows)
+    vectors = [echelon.rows[p] for p in pivots]
     basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
     rows = []
     for u in vectors:
@@ -532,7 +533,4 @@ def is_unit(A: SCAlgebra, v) -> bool:
     """
     if A.unit_index is None:
         raise ValueError("algebra has no designated unit element")
-    echelon = linalg._Echelon()
-    for row in left_mult_matrix(A, v):
-        echelon.add(_sparse(row))
-    return len(echelon.rows) == A.dim
+    return linalg.rank(left_mult_matrix(A, v)) == A.dim

@@ -194,7 +194,7 @@ def load_document(doc: dict) -> _Document:
             _require("constants" in entry,
                      'frame connections need "constants" (an algebra name)', path)
             frame = _typed(entry["frame"], list, '"frame"', f"{path}/frame")
-            frame_fields = [_lookup(out.fields, fname, "field", f"{path}/frame/{k}")
+            frame_fields = [_get_field(out, fname, chart, f"{path}/frame/{k}")
                             for k, fname in enumerate(frame)]
             constants = _lookup(out.algebras, entry["constants"], "algebra", path)
             try:
@@ -243,12 +243,12 @@ def _get_connection(doc, task, path) -> Connection:
                    f"{path}/connection")
 
 
-def _get_field(doc, name, conn, path) -> VectorField:
-    """The field `name`, which must live on the chart of `conn`."""
+def _get_field(doc, name, chart, path) -> VectorField:
+    """The field `name`, which must live on `chart`, its connection's."""
     field = _lookup(doc.fields, name, "field", path)
-    _require(field.chart == conn.chart,
+    _require(field.chart == chart,
              f"field {name!r} is on chart {field.chart.name!r}, not on the "
-             f"connection's chart {conn.chart.name!r}", path)
+             f"connection's chart {chart.name!r}", path)
     return field
 
 
@@ -257,7 +257,7 @@ def _get_fields(doc, task, conn, path):
     _require(isinstance(names, list) and names, 'task needs a "fields" list', f"{path}/fields")
     fields = {}
     for k, name in enumerate(names):
-        field = _get_field(doc, name, conn, f"{path}/fields/{k}")
+        field = _get_field(doc, name, conn.chart, f"{path}/fields/{k}")
         _require(name not in fields, f"field {name!r} is listed twice",
                  f"{path}/fields/{k}")
         fields[name] = field
@@ -342,7 +342,7 @@ def _run_tensor(compute):
 
 def _run_check_iat(doc, task, path):
     conn = _get_connection(doc, task, path)
-    field = _get_field(doc, task.get("field"), conn, f"{path}/field")
+    field = _get_field(doc, task.get("field"), conn.chart, f"{path}/field")
     try:
         report = is_infinitesimal_affine(conn, field)
     except NotFlatError as err:
@@ -544,8 +544,10 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: cannot read {args.taskfile}: {err}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as err:
-        print(f"error: {args.taskfile} is not valid JSON: {err}", file=sys.stderr)
+    except (ValueError, RecursionError) as err:
+        # besides JSONDecodeError: bytes that are not UTF-8, an integer
+        # literal past Python's digit limit, or nesting past the recursion limit
+        print(f"error: {args.taskfile} cannot be parsed as JSON: {err}", file=sys.stderr)
         return 2
     try:
         code, reports = run_document(doc, out_dir=args.out, fmt=args.format,

@@ -115,7 +115,9 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     generator_vectors = [ambient.basis_vector(ambient.basis_index(g))
                          for g in generator_names]
     closure = subalgebra_closure(ambient, generator_vectors)
-    checks["closure_product_closed"] = True  # post-verified inside the closure
+    # closed by construction; restrict_to_subspace tests every product of two
+    # basis rows for membership in the span and raises if one leaves it
+    checks["closure_product_closed"] = True
     restricted = restrict_to_subspace(ambient, closure)
     envelope = opposite(restricted)
     checks["envelope_associative"] = check_associative(envelope).holds

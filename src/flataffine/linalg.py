@@ -1,15 +1,15 @@
-"""Exact linear algebra: dense over any exact field, sparse over Q.
+"""Exact linear algebra over any exact field, on one sparse elimination.
 
-The dense functions other than `nullspace` (Q only) work with any element
-type supporting +, -, *, / and truthiness (Fraction, RationalFunction); pass
-`zero` (and `one` to `invert`) when the field is not the rationals.  Matrices
-are lists of row lists; no input is mutated.  Over Q (a `Fraction` zero, the
+The functions other than `nullspace` (Q only) work with any element type
+supporting +, -, *, / and truthiness (Fraction, RationalFunction); pass `zero`
+(and `one` to `invert`) when the field is not the rationals.  Matrices are
+lists of row lists; no input is mutated.  Over Q (a `Fraction` zero, the
 default) the entries may be ints or Fractions and every result entry is a
 `Fraction`.
 
 `_Echelon`, a span held as sparse, fully reduced echelon rows, is the one
-elimination over Q: it answers every span question of the algebra and
-envelope layers, and `rref` over Q runs on it.
+elimination for every field: `rref`, and so every function here, runs on it,
+and it answers every span question of the algebra and envelope layers.
 """
 from __future__ import annotations
 
@@ -23,43 +23,18 @@ def rref(rows, *, zero=_QZERO):
     """Reduced row-echelon form.
 
     Returns (reduced_rows, pivot_columns) with zero rows dropped.  Over an
-    exact field the result is canonical for the row space.  Over Q the rows
-    go, as sparse dicts, into one `_Echelon`, whose rows sorted by pivot are
-    that canonical form; the loop below serves the other fields.
+    exact field the result is canonical for the row space: the rows go, as
+    sparse dicts, into one `_Echelon`, whose rows sorted by pivot are that
+    canonical form, made dense with `zero`.  Over Q each entry is coerced
+    with `Fraction`, as ints would divide to floats.
     """
-    if isinstance(zero, Fraction):
-        echelon = _Echelon()
-        for row in rows:
-            echelon.add({c: Fraction(x) for c, x in enumerate(row) if x})
-        pivots = sorted(echelon.rows)
-        columns = range(len(rows[0]) if rows else 0)
-        return [[echelon.rows[p].get(c, _QZERO) for c in columns] for p in pivots], pivots
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [e / pv if e else e for e in m[r]]
-        # a - f*b is a wherever the pivot row has b = 0
-        support = [(j, b) for j, b in enumerate(m[r]) if b]
-        for i in range(len(m)):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                row = m[i]
-                for j, b in support:
-                    row[j] = row[j] - f * b
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    entry = Fraction if isinstance(zero, Fraction) else (lambda x: x)
+    echelon = _Echelon()
+    for row in rows:
+        echelon.add({c: entry(x) for c, x in enumerate(row) if x})
+    pivots = sorted(echelon.rows)
+    columns = range(len(rows[0]) if rows else 0)
+    return [[echelon.rows[p].get(c, zero) for c in columns] for p in pivots], pivots
 
 
 def rank(rows, *, zero=_QZERO) -> int:
@@ -109,7 +84,8 @@ def solve(rows, rhs_list, *, zero=_QZERO):
 
 
 def invert(rows, *, zero=_QZERO, one=_QONE):
-    """Matrix inverse by Gauss-Jordan; raises ValueError on singular input."""
+    """Matrix inverse, read off the rref of [rows | I]; raises ValueError on
+    singular input."""
     n = len(rows)
     augmented = []
     for i, r in enumerate(rows):
@@ -134,7 +110,7 @@ def in_row_space(rows, vector, *, zero=_QZERO) -> bool:
 def _sub_scaled(out: dict, x, row: dict) -> None:
     """out -= x * row for sparse vectors {column: value}, dropping the zeros."""
     for m, y in row.items():
-        z = out.get(m, _QZERO) - x * y
+        z = out[m] - x * y if m in out else -(x * y)
         if z:
             out[m] = z
         else:
@@ -142,9 +118,10 @@ def _sub_scaled(out: dict, x, row: dict) -> None:
 
 
 class _Echelon:
-    """A subspace of Q^n held as sparse, fully reduced echelon rows.
+    """A subspace of F^n, over any exact field F, held as sparse, fully
+    reduced echelon rows.
 
-    Vectors are dicts {column: Fraction} without zero entries.  `rows` maps
+    Vectors are dicts {column: value} without zero entries.  `rows` maps
     each pivot column p to its row: entry 1 at p and no entry at any other
     row's pivot column.  So a vector v of the span is sum_p v[p] * rows[p]:
     its coordinates are its own entries at the pivot columns, and reducing v

@@ -1,7 +1,9 @@
 """Task-file runner: end-to-end runs, exit codes, determinism, table rendering."""
 import copy
+import hashlib
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -96,12 +98,23 @@ def test_six_field_scene_end_to_end(tmp_path):
     assert (tmp_path / "env.txt").exists()
 
 
+# SHA-256 over the shipped task file's reports, in file order: each one as
+# json.dumps(report, indent=2) without "elapsed_ms", then its `_report_text`,
+# each followed by a newline; the same under every PYTHONHASHSEED
+EXAMPLE_REPORTS_SHA256 = "78c25dbb3fbeb151a4a40690f41fb2dabee01e7f62dc1e2fd914bd16e1614442"
+
+
 def test_shipped_example_taskfile_runs_clean():
-    from pathlib import Path
     shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
     code, reports = run_document(json.loads(shipped.read_text()))
     assert code == 0
     assert len(reports) == len(six_field_taskfile()["tasks"])
+    digest = hashlib.sha256()
+    for report in reports:
+        report = {key: value for key, value in report.items() if key != "elapsed_ms"}
+        digest.update((json.dumps(report, indent=2) + "\n"
+                       + cli._report_text(report) + "\n").encode())
+    assert digest.hexdigest() == EXAMPLE_REPORTS_SHA256
 
 
 def test_corrupted_reference_entry_names_cell(tmp_path):
@@ -318,6 +331,18 @@ def test_main_input_errors(tmp_path, capsys):
     assert main(["run", str(noschema)]) == 2
 
 
+@pytest.mark.parametrize("content", [
+    b'{"schema": 1, "tasks": [], "x": ' + b"1" * 4301 + b"}",
+    b"[" * 200_000,
+    b'{"schema": 1, "tasks": [], "x": "\xff"}',
+], ids=["integer-past-digit-limit", "nesting-past-recursion-limit", "not-utf-8"])
+def test_main_refuses_unparsable_json_with_exit_2(tmp_path, capsys, content):
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_bytes(content)
+    assert main(["run", str(taskfile)]) == 2
+    assert f"error: {taskfile} cannot be parsed as JSON" in capsys.readouterr().err
+
+
 
 def _malformed(task_id, edit):
     """The six-field task file with only task `task_id`, changed by `edit`."""
@@ -394,6 +419,10 @@ def _foreign_field(task_id, edit):
      "/tasks/0/fields/2"),
     (_foreign_field("env", lambda d: d["tasks"][0]["fields"].append("D1")),
      "/tasks/0/fields/6"),
+    (_foreign_field("lsa", lambda d: d["connections"][0].update(chart="uv")),
+     "/connections/0/frame/0"),
+    (_foreign_field("lsa", lambda d: d["connections"][0].update(frame=["e1+", "D1"])),
+     "/connections/0/frame/1"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "chart-variables-past-cap",
         "ansatz-past-cap", "algebra-result-zero-denominator",
@@ -403,7 +432,8 @@ def _foreign_field(task_id, edit):
         "coeffs-power-too-high", "coeffs-literal-too-long", "envelope-field-repeated",
         "table-field-repeated", "product-pair-repeated", "product-left-past-dim",
         "product-right-zero", "product-result-short", "product-result-long",
-        "iat-field-other-chart", "table-field-other-chart", "envelope-field-other-chart"])
+        "iat-field-other-chart", "table-field-other-chart", "envelope-field-other-chart",
+        "frame-on-other-chart", "frame-field-other-chart"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))

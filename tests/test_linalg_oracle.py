@@ -1,21 +1,21 @@
-"""The sparse echelon rref over Q against the earlier dense Fraction loop.
+"""The sparse echelon rref over every exact field against the earlier dense loop.
 
-Over the rationals `linalg.rref` adds the rows, as sparse dicts, to one
-`linalg._Echelon` and reads the canonical rows off it, sorted by pivot and made
-dense.  This module keeps the earlier dense Fraction Gauss-Jordan loop
-verbatim as `oracle_rref`.  `rank`, `solve`, `nullspace`, `invert` and
-`in_row_space` are all built on `rref`, so their earlier results are those of
-the same functions with `linalg.rref` replaced by the oracle.  Every function
-is compared with its earlier self, value by value and pivot by pivot, on
-seeded matrices: denominators 1 to 12 with zero rows and zero columns, the
-all-zero and the empty matrix, wide sparse 0/±1 matrices shaped like the GL2
-system [A | b1 ... b256], tall 272 x 16 ones, rank-deficient products and
-numerators near 2^200.  Every entry of a result must be a `Fraction`.
+`linalg.rref` adds the rows, as sparse dicts, to one `linalg._Echelon` and
+reads the canonical rows off it, sorted by pivot and made dense.  This module
+keeps the earlier dense Fraction Gauss-Jordan loop verbatim as `oracle_rref`.
+`rank`, `solve`, `nullspace`, `invert` and `in_row_space` are all built on
+`rref`, so their earlier results are those of the same functions with
+`linalg.rref` replaced by the oracle.  Every function is compared with its
+earlier self, value by value and pivot by pivot, on seeded matrices:
+denominators 1 to 12 with zero rows and zero columns, the all-zero and the
+empty matrix, wide sparse 0/±1 matrices shaped like the GL2 system
+[A | b1 ... b256], tall 272 x 16 ones, rank-deficient products and numerators
+near 2^200.  Every entry of a result must be a `Fraction`.
 
-The oracle is also the earlier form of the generic loop that serves every
-other field, which now updates and divides only the nonzero entries of the
-pivot row; `rref`, `rank` and `invert` are compared with their earlier selves
-over the rational functions too: dense, sparse, wide, tall, rank-deficient and
+The oracle is also the earlier dense loop over every other field, which
+`rref` over the rational functions ran until it moved onto `_Echelon` as well;
+`rref`, `rank` and `invert` are compared with their earlier selves over the
+rational functions too: dense, sparse, wide, tall, rank-deficient and
 zero matrices over Q(x, y), and the GL2 frame matrix in seeded row orders.
 """
 import random
@@ -263,7 +263,7 @@ def test_empty_matrix(earlier):
     assert rref([[], []]) == oracle_rref([[], []]) == ([], [])
 
 
-# ----- the generic loop over Q(x, y) -----------------------------------------------
+# ----- the echelon over Q(x, y) ---------------------------------------------------
 
 
 QX = Chart("qx", ("x", "y"))
