@@ -55,11 +55,6 @@ def _to_vector(values, dim: int) -> Vector:
     return vec
 
 
-def _row(vec) -> Row:
-    """The sparse row of a dense vector."""
-    return tuple((k, x) for k, x in enumerate(vec) if x)
-
-
 def _sparse(vec) -> dict:
     """A dense vector as a dict {k: x} over its nonzero entries."""
     return {k: x for k, x in enumerate(vec) if x}
@@ -97,8 +92,9 @@ class SCAlgebra:
         n = len(c)
         if any(len(row) != n for row in c):
             raise ValueError("structure constants must be n x n x n")
-        self._wrap(basis_names, tuple(tuple(_row(_to_vector(vec, n)) for vec in row)
-                                      for row in c), unit_index)
+        rows = tuple(tuple(tuple((k, x) for k, x in enumerate(_to_vector(vec, n)) if x)
+                           for vec in row) for row in c)
+        self._wrap(basis_names, rows, unit_index)
 
     @classmethod
     def _of(cls, basis_names, rows, unit_index: int | None = None) -> "SCAlgebra":

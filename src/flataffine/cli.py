@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -30,6 +31,7 @@ from .algebra import (
 from .envelope import compute_envelope, verify_bi_invariant_criterion
 from .geometry import (
     Connection,
+    DependentFieldsError,
     Frame,
     IATViolationError,
     NotFlatError,
@@ -310,10 +312,17 @@ def _run_closure(doc, task, path):
     return None, None, payload
 
 
+# Fraction() also reads exponents, and "1e999999999" has no time bound
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(x, path):
+    """A rational given as a JSON integer or as a string "p/q" or "p"."""
+    _require(type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x),
+             f'bad rational {x!r}: write an integer, "p" or "p/q"', path)
     try:
         return Fraction(x)
-    except (ValueError, TypeError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
         raise TaskFileError(f"bad rational {x!r}: {err}", path) from None
 
 
@@ -386,6 +395,8 @@ def _run_product_table(doc, task, path):
         table = product_table(conn, fields, names)
     except NotFlatError as err:
         raise TaskFileError(str(err), path) from None
+    except DependentFieldsError as err:
+        raise TaskFileError(str(err), f"{path}/fields/{err.index}") from None
     except (IATViolationError, NotInSpanError) as err:
         return _table_failure(err)
     payload = {"table": table.to_json_dict(), "text": render_table_text(table)}
@@ -414,6 +425,8 @@ def _run_envelope(doc, task, path):
         report = compute_envelope(conn, fields, names, gens)
     except NotFlatError as err:
         raise TaskFileError(str(err), path) from None
+    except DependentFieldsError as err:
+        raise TaskFileError(str(err), f"{path}/fields/{err.index}") from None
     except (IATViolationError, NotInSpanError) as err:
         return _table_failure(err)
     payload = report.to_json_dict()

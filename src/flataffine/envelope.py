@@ -15,7 +15,6 @@ from .algebra import (
     SCAlgebra,
     Subspace,
     _difference,
-    _row,
     check_associative,
     commutator_algebra,
     opposite,
@@ -83,13 +82,14 @@ def commutator_matches_brackets(conn: Connection, fields, table: SCAlgebra) -> b
     antisymmetric ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and
     `express_in_basis` is linear, so at a mirrored pair both sides are the
     negations of those at (i, j), and on the diagonal both sides are zero.
-    Both sides are compared as sparse rows of the table.
+    Both sides are compared as rows in the table's stored form, which
+    `express_in_basis` returns.
     """
     n, rows = table.dim, table.rows
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     d = [_partials(f) for f in fields]
     brackets = [_bracket(fields[i], d[i], fields[j], d[j]) for i, j in pairs]
-    return all(_row(got) == _difference(rows[i][j], rows[j][i])
+    return all(got == _difference(rows[i][j], rows[j][i])
                for got, (i, j) in zip(express_in_basis(brackets, fields), pairs))
 
 
@@ -105,7 +105,8 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     for g in generator_names:
         if g not in names:
             raise KeyError(f"generator {g!r} is not among the ambient field names")
-    # product_table raises NotFlatError or IATViolationError unless these hold
+    # product_table raises NotFlatError or IATViolationError unless these hold,
+    # and DependentFieldsError unless the fields are a basis of their span
     ambient = product_table(conn, fields, names)
     checks = {"flat_affine": True}
     checks.update((f"iat:{name}", True) for name in names)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import SCAlgebra, _row
+from .algebra import SCAlgebra
 from .symcore import (
     Chart,
     Polynomial,
@@ -27,7 +27,7 @@ from .symcore import (
     require_same_chart,
 )
 
-_ZERO = Fraction(0)   # shared by the empty cells of equations and solutions
+_ZERO = Fraction(0)   # shared by the empty cells of the ansatz equations
 _MINUS_ONE = Fraction(-1)
 
 
@@ -42,6 +42,14 @@ class NotInSpanError(ValueError):
                  index: int | None = None):
         super().__init__(message)
         self.pair = pair
+        self.index = index
+
+
+class DependentFieldsError(ValueError):
+    """A field is a constant combination of the fields listed before it."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
         self.index = index
 
 
@@ -439,7 +447,9 @@ def _coordinate_rows(fields):
 
 
 def express_in_basis(targets, basis) -> list:
-    """Constants lambda with target = sum lambda_i basis_i, one list per target.
+    """Constants lambda with target = sum lambda_k basis_k, one row per target
+    in `SCAlgebra.rows`' stored form: a tuple of (k, lambda_k) pairs in
+    ascending k, one per nonzero `Fraction` lambda_k.
 
     Denominators of all targets and basis fields are cleared once.  The basis
     is reduced once to an echelon basis (`linalg._Echelon`), each basis field
@@ -462,13 +472,11 @@ def express_in_basis(targets, basis) -> list:
         echelon.add(row)
     solutions = []
     for index, row in enumerate(rows[:len(targets)]):
-        solution = [_ZERO] * n
-        for m, x in echelon.reduce(row).items():
-            if m <= top:
-                raise NotInSpanError(
-                    "target is not in the constant span of the basis", index=index)
-            solution[top + n - m] = x
-        solutions.append(solution)
+        residual = echelon.reduce(row)
+        if residual and min(residual) <= top:
+            raise NotInSpanError(
+                "target is not in the constant span of the basis", index=index)
+        solutions.append(tuple(sorted((top + n - m, x) for m, x in residual.items())))
     return solutions
 
 
@@ -636,9 +644,11 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
 def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     """Structure constants of the product X·Y = nabla_X Y on the given fields.
 
-    Requires a flat connection, fields that are infinitesimal affine
-    transformations and a product-closed span; fails loudly (naming the pair)
-    when a product falls outside the constant span.
+    Requires a flat connection, fields that are linearly independent over the
+    constants (else DependentFieldsError, with the 0-based `index` of the first
+    field in the span of those before it), fields that are infinitesimal
+    affine transformations and a product-closed span; fails loudly (naming the
+    pair) when a product falls outside the constant span.
     """
     fields = list(fields)
     if names is None:
@@ -649,11 +659,19 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     if not is_flat_affine(conn):
         raise NotFlatError("the induced product is only associative for "
                            "flat affine connections")
-    for name, f in zip(names, fields):   # also refuses a field on another chart
+    n = len(fields)
+    for f in fields:   # the span test below needs one chart
+        require_same_chart(conn, f)
+    kept, _ = independent_fields(fields, range(n))
+    if len(kept) < n:
+        index = min(set(range(n)).difference(kept))
+        raise DependentFieldsError(
+            f"field {names[index]!r} is a constant combination of the fields "
+            "before it", index)
+    for name, f in zip(names, fields):
         report = is_infinitesimal_affine(conn, f)
         if not report.holds:
             raise IATViolationError(name, report.witness)
-    n = len(fields)
     zero = RationalFunction.zero(conn.chart)
     # nabla[j][a] = nabla_{d_a} X_j, so nabla_{X_i} X_j = sum_a X_i^a nabla[j][a]
     nabla = [[_nabla_coordinate(conn, a, f.coeffs) for a in range(conn.chart.dim)]
@@ -668,5 +686,4 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
             f"product {names[i]}·{names[j]} (pair ({i + 1}, {j + 1})) "
             "is not a constant combination of the given fields",
             pair=(i + 1, j + 1)) from None
-    cells = [_row(v) for v in coords]
-    return SCAlgebra._of(names, tuple(tuple(cells[i * n:(i + 1) * n]) for i in range(n)))
+    return SCAlgebra._of(names, tuple(tuple(coords[i * n:(i + 1) * n]) for i in range(n)))

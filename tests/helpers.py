@@ -22,6 +22,7 @@ from flataffine import (
     SCAlgebra,
     VectorField,
     connection_from_frame,
+    express_in_basis,
 )
 from flataffine.geometry import _ZERO, _cleared
 from flataffine.linalg import in_row_space, rank, rref, solve
@@ -187,6 +188,20 @@ def dense_coordinate_rows(fields):
     if not fields:
         return []
     return dense_component_rows(fields[0].chart, _field_coeffs(fields))
+
+
+def dense_express(targets, basis) -> list:
+    """`express_in_basis` with its rows made dense: one list of len(basis)
+    `Fraction`s per target, where the rows hold (k, x) pairs for the nonzero x
+    only.  The form the solve oracles return."""
+    basis = list(basis)
+    solutions = []
+    for row in express_in_basis(targets, basis):
+        solution = [_ZERO] * len(basis)
+        for k, x in row:
+            solution[k] = x
+        solutions.append(solution)
+    return solutions
 
 
 def _field_coeffs(fields):

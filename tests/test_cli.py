@@ -361,6 +361,35 @@ def _foreign_field(task_id, edit):
     return _malformed(task_id, add_and_edit)
 
 
+def _doubled_field(task_id):
+    """`_malformed`, plus a field "2e2-" = 2 * e2- listed third in the
+    task's fields, after e1- and e2-."""
+    def add_and_edit(doc):
+        doc["fields"].append({"name": "2e2-", "chart": "halfplane", "coeffs": ["0", "2"]})
+        doc["tasks"][0]["fields"].insert(2, "2e2-")
+    return _malformed(task_id, add_and_edit)
+
+
+def _line_taskfile(task):
+    """Fields f = x d/dx and g = 2x d/dx on the line, the zero connection, and
+    one task on both fields: they span a 1-dimensional algebra, not 2."""
+    return {
+        "schema": 1,
+        "charts": [{"name": "line", "variables": ["x"]}],
+        "fields": [{"name": "f", "chart": "line", "coeffs": ["x"]},
+                   {"name": "g", "chart": "line", "coeffs": ["2*x"]}],
+        "connections": [{"name": "flat", "chart": "line", "christoffel": []}],
+        "tasks": [dict(task, connection="flat", fields=["f", "g"])],
+    }
+
+
+def _result(value):
+    """An edit setting the first entry of the first product's result."""
+    def edit(doc):
+        doc["algebras"][0]["products"][0]["result"][0] = value
+    return edit
+
+
 @pytest.mark.parametrize("doc, path", [
     (_malformed("clos", lambda d: d["tasks"][0].update(expect_rank="5")),
      "/tasks/0/expect_rank"),
@@ -423,6 +452,19 @@ def _foreign_field(task_id, edit):
      "/connections/0/frame/0"),
     (_foreign_field("lsa", lambda d: d["connections"][0].update(frame=["e1+", "D1"])),
      "/connections/0/frame/1"),
+    (_doubled_field("table"), "/tasks/0/fields/2"),
+    (_doubled_field("env"), "/tasks/0/fields/2"),
+    (_line_taskfile({"kind": "product-table"}), "/tasks/0/fields/1"),
+    (_line_taskfile({"kind": "envelope", "generators": ["g"]}), "/tasks/0/fields/1"),
+    (_malformed("lsa", _result("1e5")), "/algebras/0/products/0/result/0"),
+    (_malformed("lsa", _result("1.5")), "/algebras/0/products/0/result/0"),
+    (_malformed("lsa", _result(0.5)), "/algebras/0/products/0/result/0"),
+    (_malformed("lsa", _result(True)), "/algebras/0/products/0/result/0"),
+    (_malformed("lsa", _result(" 1")), "/algebras/0/products/0/result/0"),
+    (_malformed("clos", lambda d: d["tasks"][0].update(
+        generators=[["1e5", "0", "0", "0", "0", "0"]])), "/tasks/0/generators/0"),
+    (_malformed("clos", lambda d: d["tasks"][0].update(
+        generators=[[False, "0", "0", "0", "0", "0"]])), "/tasks/0/generators/0"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "chart-variables-past-cap",
         "ansatz-past-cap", "algebra-result-zero-denominator",
@@ -433,7 +475,10 @@ def _foreign_field(task_id, edit):
         "table-field-repeated", "product-pair-repeated", "product-left-past-dim",
         "product-right-zero", "product-result-short", "product-result-long",
         "iat-field-other-chart", "table-field-other-chart", "envelope-field-other-chart",
-        "frame-on-other-chart", "frame-field-other-chart"])
+        "frame-on-other-chart", "frame-field-other-chart", "table-field-dependent",
+        "envelope-field-dependent", "line-table-dependent", "line-envelope-dependent",
+        "result-exponent", "result-decimal-point", "result-float", "result-bool",
+        "result-space", "generator-exponent", "generator-bool"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))
@@ -442,6 +487,17 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     taskfile.write_text(json.dumps(doc))
     assert main(["run", str(taskfile)]) == 2
     assert path in capsys.readouterr().err
+
+
+def test_rational_with_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
+    # Fraction("1e999999999") would build a 415 MB integer before answering
+    doc = _malformed("lsa", _result("1e999999999"))
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    started = time.process_time()
+    assert main(["run", str(taskfile)]) == 2
+    assert time.process_time() - started < 0.5
+    assert "error: /algebras/0/products/0/result/0: bad rational" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, key", [

@@ -19,7 +19,6 @@ from flataffine.envelope import OPPOSITE_CONVENTION
 from flataffine.geometry import (
     IATViolationError,
     NotFlatError,
-    express_in_basis,
     independent_fields,
     is_flat_affine,
     is_infinitesimal_affine,
@@ -27,6 +26,7 @@ from flataffine.geometry import (
 )
 from helpers import (
     GL2Scene,
+    dense_express,
     alpha_connection,
     chart_xy,
     gln_scene,
@@ -112,7 +112,7 @@ def test_envelope_gl2_closure_rank16():
     table16 = product_table(conn, scene.f_fields, scene.f_names)
     assert check_associative(table16).holds
     inv_names, inv_fields = scene.invariant_fields()
-    generators = express_in_basis(inv_fields, scene.f_fields)
+    generators = dense_express(inv_fields, scene.f_fields)
     space = subalgebra_closure(table16, generators)
     assert space.rank == 16
 

@@ -49,6 +49,7 @@ from helpers import (
     alpha_family,
     chart_xy,
     dense_coordinate_rows,
+    dense_express,
     gln_scene,
     random_rational_function,
     six_iat_fields,
@@ -86,7 +87,7 @@ def oracle_commutator_matches_brackets(conn, fields, table):
     brackets = [oracle_lie_bracket(fields[i], fields[j]) for i in range(n) for j in range(n)]
     expected = [[a - b for a, b in zip(table.c[i][j], table.c[j][i])]
                 for i in range(n) for j in range(n)]
-    return express_in_basis(brackets, fields) == expected
+    return dense_express(brackets, fields) == expected
 
 
 def oracle_commutator_algebra(A):
@@ -116,7 +117,7 @@ def oracle_product_table(conn, fields, names=None, *, check_iat=True):
     n = len(fields)
     products = [covariant_derivative(conn, bi, bj) for bi in fields for bj in fields]
     try:
-        coords = express_in_basis(products, fields)
+        coords = dense_express(products, fields)
     except NotInSpanError as err:
         i, j = divmod(err.index, n)
         raise NotInSpanError(
@@ -213,6 +214,16 @@ def test_envelope_steps_match_oracles(kind, seed):
     assert commutator_matches_brackets(conn, fields, table) is True
     assert oracle_commutator_matches_brackets(conn, fields, table) is True
     assert commutator_algebra(table) == oracle_commutator_algebra(table)
+
+
+@pytest.mark.parametrize("kind, seed", SCENES, ids=[f"{k}-{s}" for k, s in SCENES])
+def test_product_table_rows_are_the_express_in_basis_rows(kind, seed):
+    conn, fields, names = make_scene(kind, seed)
+    table = product_table(conn, fields, names)
+    products = [covariant_derivative(conn, bi, bj) for bi in fields for bj in fields]
+    rows = express_in_basis(products, fields)
+    n = len(fields)
+    assert table.rows == tuple(tuple(rows[i * n:(i + 1) * n]) for i in range(n))
 
 
 @pytest.mark.parametrize("kind, seed", SCENES, ids=[f"{k}-{s}" for k, s in SCENES])

@@ -6,6 +6,7 @@ import pytest
 
 from flataffine import (
     Connection,
+    DependentFieldsError,
     Frame,
     IATViolationError,
     NotFlatError,
@@ -30,6 +31,7 @@ from flataffine.geometry import independent_fields
 from flataffine.symcore import ChartMismatchError, parse_expr
 from helpers import (
     GL2Scene,
+    dense_express,
     alpha_connection,
     apply_field,
     chart_xy,
@@ -248,7 +250,7 @@ def test_solve_outputs_are_iat_and_rref():
             coeffs[slot] = t
             candidates.append(VectorField(CH, coeffs))
     from flataffine.linalg import rref
-    coeff_matrix = express_in_basis(sols, candidates)
+    coeff_matrix = dense_express(sols, candidates)
     assert rref(coeff_matrix)[0] == coeff_matrix
     assert solve_iat_ansatz(conn, ansatz) == sols
 
@@ -305,7 +307,7 @@ def test_gl2_frame_round_trip_reexpresses_constants():
         for b in range(4):
             prod = covariant_derivative(scene.connection,
                                         frame_fields[a], frame_fields[b])
-            [coords] = express_in_basis([prod], frame_fields)
+            [coords] = dense_express([prod], frame_fields)
             assert coords == list(scene.constants.c[a][b])
 
 
@@ -343,7 +345,7 @@ def test_product_table_commutator_matches_brackets():
     table = product_table(conn, fields, names)
     for i in range(6):
         for j in range(6):
-            [bracket] = express_in_basis([lie_bracket(fields[i], fields[j])], fields)
+            [bracket] = dense_express([lie_bracket(fields[i], fields[j])], fields)
             expected = [a - b for a, b in zip(table.c[i][j], table.c[j][i])]
             assert bracket == expected
 
@@ -364,6 +366,20 @@ def test_product_table_rejects_non_iat_field():
     assert err.value.witness == (1, 1)
 
 
+def test_product_table_refuses_dependent_fields_before_the_iat_tests():
+    conn = Connection.zero(CH)
+    # the third field is 2 * the second; the fourth is not infinitesimal affine
+    fields = [vf("1", "0"), vf("x", "0"), vf("2*x", "0"), vf("x^2", "0")]
+    with pytest.raises(DependentFieldsError) as err:
+        product_table(conn, fields, ["dx", "f", "g", "bad"])
+    assert err.value.index == 2
+    assert str(err.value) == \
+        "field 'g' is a constant combination of the fields before it"
+    with pytest.raises(DependentFieldsError) as err:
+        product_table(conn, [vf("0", "0"), vf("1", "0")], ["zero", "dx"])
+    assert err.value.index == 0
+
+
 def test_product_table_requires_flat():
     with pytest.raises(NotFlatError):
         product_table(Connection.from_sparse(CH, [(1, 1, 2, "1")]),
@@ -374,14 +390,14 @@ def test_product_table_requires_flat():
 
 
 def test_express_simple():
-    assert express_in_basis([vf("2*x", "0")], [vf("x", "0"), vf("0", "1")]) == \
+    assert dense_express([vf("2*x", "0")], [vf("x", "0"), vf("0", "1")]) == \
         [[Fraction(2), Fraction(0)]]
 
 
 def test_express_reference_table_entry():
     _, fields = six_iat_fields(CH)
     target = fields[0].scaled(2) - fields[4].scaled(2)   # 2e1- - 2C5
-    [coords] = express_in_basis([target], fields)
+    [coords] = dense_express([target], fields)
     assert coords == [Fraction(2), 0, 0, 0, Fraction(-2), 0]
 
 

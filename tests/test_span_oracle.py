@@ -7,15 +7,18 @@ sparse, fully reduced echelon kernel over Q (`linalg._Echelon`):
 runs semi-naive rounds and `restrict_to_subspace` reads coordinates at the
 pivot columns.  This module keeps the earlier versions as oracles: the
 single-right-hand-side solve, the greedy "keep the field if it grows the
-span" loop, the `solve`-based `express_in_basis` and `restrict_to_subspace`
-and the `rref`-rounds `subalgebra_closure`, and compares them with the
-production code on seeded random inputs.  It also keeps the per-slot
-denominator clearing of `_coordinate_rows`, the normalising quotient rule for
-polynomial derivatives and the dict comparison of `Polynomial.is_one` as
-oracles for their fast paths.  `_coordinate_rows` numbers its slots as it
-meets them, so its rows are compared with the oracle's dense rows up to the
-order of the columns.  The earlier oracles read the dense coordinate rows,
-which are kept in `helpers.dense_coordinate_rows`.
+span" loop, `express_in_basis` and `restrict_to_subspace` on `solve`, and the
+`rref`-rounds `subalgebra_closure`, and compares them with the production code
+on seeded random inputs.  `express_in_basis` answers in `SCAlgebra.rows`'
+stored form: its rows are checked for that form, and made dense
+(`helpers.dense_express`) they are compared with the oracle's solution lists.
+The module also keeps the per-slot denominator clearing of
+`_coordinate_rows`, the normalising quotient rule for polynomial derivatives
+and the dict comparison of `Polynomial.is_one` as oracles for their fast
+paths.  `_coordinate_rows` numbers its slots as it meets them, so its rows
+are compared with the oracle's dense rows up to the order of the columns.
+The earlier oracles read the dense coordinate rows, which are kept in
+`helpers.dense_coordinate_rows`.
 """
 import random
 from collections import Counter
@@ -41,6 +44,7 @@ from flataffine.symcore import exact_div, grlex_key, poly_lcm
 from helpers import (
     chart_xy,
     dense_coordinate_rows,
+    dense_express,
     is_polynomial,
     random_polynomial,
     random_rational_function,
@@ -278,9 +282,10 @@ def test_express_in_basis_matches_one_target_at_a_time(seed):
             express_in_basis(targets, basis)
         assert err.value.index == expected.index(None)
     else:
-        assert express_in_basis(targets, basis) == expected
+        assert dense_express(targets, basis) == expected
     inside = [t for t, e in zip(targets, expected) if e is not None]
-    assert express_in_basis(inside, basis) == [e for e in expected if e is not None]
+    assert dense_express(inside, basis) == [e for e in expected if e is not None]
+    assert all(is_stored_row(row, len(basis)) for row in express_in_basis(inside, basis))
 
 
 def test_express_in_basis_with_empty_basis():
@@ -483,6 +488,17 @@ def test_subspace_rows_are_the_canonical_rref():
 # ----- the echelon kernel in the coordinate layer ----------------------------------------
 
 
+def is_stored_row(row, n) -> bool:
+    """Whether `row` is in `SCAlgebra.rows`' stored form over n basis
+    elements: a tuple of (k, x) pairs in ascending k < n, x a nonzero
+    `Fraction`."""
+    return (type(row) is tuple
+            and all(type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
+                    and type(pair[1]) is Fraction and pair[1] for pair in row)
+            and all(0 <= k < n for k, _ in row)
+            and all(a[0] < b[0] for a, b in zip(row, row[1:])))
+
+
 def express_outcome(express, targets, basis):
     try:
         return express(targets, basis)
@@ -501,11 +517,12 @@ def test_express_in_basis_matches_the_solve_oracle(seed):
         if rng.random() < 0.5:
             targets.insert(rng.randint(0, len(targets)), VectorField(
                 chart, [random_rational_function(rng, chart, 2) for _ in range(chart.dim)]))
-        got = express_outcome(express_in_basis, targets, basis)
+        got = express_outcome(dense_express, targets, basis)
         assert got == express_outcome(oracle_express_in_basis, targets, basis)
         if isinstance(got, tuple):
             outside += 1
             continue
+        assert all(is_stored_row(row, len(basis)) for row in express_in_basis(targets, basis))
         # a basis field that depends on the ones before it gets coefficient zero
         kept = set(independent_fields(basis, list(range(len(basis))))[0])
         dependent += len(basis) - len(kept)
@@ -523,13 +540,13 @@ def test_express_in_basis_edge_cases_match_the_solve_oracle():
              ([x_field, x_field.scaled(2)], [x_field, x_field.scaled(3)]),
              ([y_field, x_field], [x_field])]
     for targets, basis in cases:
-        assert express_outcome(express_in_basis, targets, basis) == \
+        assert express_outcome(dense_express, targets, basis) == \
             express_outcome(oracle_express_in_basis, targets, basis)
-    assert express_in_basis([x_field.scaled(2)], [x_field, x_field.scaled(3)]) == \
+    assert dense_express([x_field.scaled(2)], [x_field, x_field.scaled(3)]) == \
         [[Fraction(2), Fraction(0)]]
     assert express_outcome(express_in_basis, [y_field, x_field], [x_field]) == \
         ("not in span", 0)
     # with no nonzero coordinate at all, each solution still has one entry per
     # basis field (the solve oracle returned empty lists here)
     zero = VectorField.zero(chart)
-    assert express_in_basis([zero], [zero, zero]) == [[Fraction(0), Fraction(0)]]
+    assert dense_express([zero], [zero, zero]) == [[Fraction(0), Fraction(0)]]
