@@ -18,6 +18,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -46,6 +47,21 @@ class JacobiError(ValueError):
             f"Jacobi identity fails at basis triple {witness}; "
             "the product is neither associative nor left-symmetric")
         self.witness = witness
+
+
+# Fraction() also reads exponents, and "1e999999999" has no time bound
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(x) -> Fraction:
+    """A rational given as an integer (not a bool) or a string "p/q" or "p";
+    ValueError for anything else, a zero denominator included."""
+    if not (type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ValueError(f'bad rational {x!r}: write an integer, "p" or "p/q"')
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
+        raise ValueError(f"bad rational {x!r}: {err}") from None
 
 
 def _to_vector(values, dim: int) -> Vector:
@@ -200,6 +216,8 @@ class SCAlgebra:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SCAlgebra":
+        """The algebra `to_json_dict` wrote; each result entry must pass
+        `parse_rational`."""
         n = doc["dim"]
         names = tuple(doc["basis"])
         if len(names) != n:
@@ -209,7 +227,7 @@ class SCAlgebra:
             i, j = entry["left"] - 1, entry["right"] - 1
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"product index out of range: {entry}")
-            c[i][j] = [Fraction(x) for x in entry["result"]]
+            c[i][j] = [parse_rational(x) for x in entry["result"]]
         unit = doc.get("unit")
         return cls(names, c, None if unit is None else unit - 1)
 

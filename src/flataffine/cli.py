@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import (
@@ -26,6 +24,7 @@ from .algebra import (
     check_associative,
     check_left_symmetric,
     commutator_algebra,
+    parse_rational,
     subalgebra_closure,
 )
 from .envelope import compute_envelope, verify_bi_invariant_criterion
@@ -121,6 +120,7 @@ def _entries(doc, section, what, keys, table):
 
 
 def load_document(doc: dict) -> _Document:
+    """The document, every name resolved and every task's inputs checked."""
     _require(isinstance(doc, dict), "task file must be a JSON object", "/")
     _require(doc.get("schema") == SCHEMA_VERSION,
              f'missing or unsupported "schema" (expected {SCHEMA_VERSION})', "/schema")
@@ -160,11 +160,12 @@ def load_document(doc: dict) -> _Document:
             result = _typed(item.get("result"), list, '"result"', f"{ipath}/result")
             _require(len(result) == dim, f'"result" must have {dim} entries',
                      f"{ipath}/result")
-            for m, x in enumerate(result):
-                _fraction(x, f"{ipath}/result/{m}")
         try:
             out.algebras[entry["name"]] = SCAlgebra.from_json_dict(entry)
         except (ValueError, KeyError) as err:
+            for k, item in enumerate(products):     # the path of a bad rational
+                for m, x in enumerate(item["result"]):
+                    _fraction(x, f"{path}/products/{k}/result/{m}")
             raise TaskFileError(f"bad algebra: {err}", path) from None
     for path, entry in _entries(doc, "fields", "field", ("name", "chart", "coeffs"),
                                 out.fields):
@@ -229,20 +230,12 @@ def load_document(doc: dict) -> _Document:
             _typed(task["expect_rank"], int, '"expect_rank"', f"{path}/expect_rank")
         _require(isinstance(task.get("expect_zero", False), bool),
                  '"expect_zero" must be true or false', f"{path}/expect_zero")
-        out.tasks.append(dict(task, id=task_id))
+        out.tasks.append(dict(_task_inputs(out, task, path), id=task_id, kind=kind))
     return out
-
-
-# ----- task runners -----------------------------------------------------------
 
 
 def _get_algebra(doc, task, key, path) -> SCAlgebra:
     return _lookup(doc.algebras, task.get(key), "algebra", f"{path}/{key}")
-
-
-def _get_connection(doc, task, path) -> Connection:
-    return _lookup(doc.connections, task.get("connection"), "connection",
-                   f"{path}/connection")
 
 
 def _get_field(doc, name, chart, path) -> VectorField:
@@ -254,51 +247,107 @@ def _get_field(doc, name, chart, path) -> VectorField:
     return field
 
 
-def _get_fields(doc, task, conn, path):
-    names = task.get("fields")
-    _require(isinstance(names, list) and names, 'task needs a "fields" list', f"{path}/fields")
-    fields = {}
-    for k, name in enumerate(names):
-        field = _get_field(doc, name, conn.chart, f"{path}/fields/{k}")
-        _require(name not in fields, f"field {name!r} is listed twice",
-                 f"{path}/fields/{k}")
-        fields[name] = field
-    return names, list(fields.values())
+def _generator_vector(algebra, g, path):
+    """A closure generator: a basis name or a rational vector of the algebra."""
+    if isinstance(g, str):
+        try:
+            return algebra.basis_vector(algebra.basis_index(g))
+        except KeyError as err:
+            raise TaskFileError(str(err), path) from None
+    _require(isinstance(g, list) and len(g) == algebra.dim,
+             f"generator vectors need length {algebra.dim}", path)
+    return [_fraction(x, path) for x in g]
+
+
+def _task_inputs(doc, task, path) -> dict:
+    """The inputs of `task` by key, resolved against the document and checked,
+    so that its runner only computes."""
+    kind = task["kind"]
+    inputs = {key: task[key] for key in ("expect_rank", "expect_zero") if key in task}
+    if kind in ("check-lsa", "check-associative", "commutator", "closure",
+                "bi-invariant-check"):
+        algebra = inputs["algebra"] = _get_algebra(doc, task, "algebra", path)
+    else:
+        conn = inputs["connection"] = _lookup(doc.connections, task.get("connection"),
+                                              "connection", f"{path}/connection")
+    if kind == "bi-invariant-check":
+        source = _get_algebra(doc, task, "lie", path)
+        try:
+            inputs["lie"] = LieAlgebraSC._checked(source.basis_names, source.rows)
+        except ValueError as err:
+            raise TaskFileError(f"algebra {task['lie']!r} does not define a Lie bracket: "
+                                f"{err}", f"{path}/lie") from None
+        _require(source.dim == algebra.dim, f"dimension mismatch: Lie algebra has "
+                 f"{source.dim}, algebra has {algebra.dim}", f"{path}/lie")
+    elif kind == "check-iat":
+        inputs["field"] = _get_field(doc, task.get("field"), conn.chart, f"{path}/field")
+    elif kind == "solve-iat":
+        ansatz = task.get("ansatz")
+        _require(isinstance(ansatz, list) and ansatz, 'task needs an "ansatz" list',
+                 f"{path}/ansatz")
+        _require(len(ansatz) * conn.chart.dim <= _MAX_ANSATZ_SIZE,
+                 f'"ansatz" terms times chart variables must be at most '
+                 f"{_MAX_ANSATZ_SIZE}", f"{path}/ansatz")
+        inputs["ansatz"] = [_parse(t, conn.chart, f"{path}/ansatz/{k}")
+                            for k, t in enumerate(ansatz)]
+    elif kind in ("product-table", "envelope"):
+        names = task.get("fields")
+        _require(isinstance(names, list) and names, 'task needs a "fields" list',
+                 f"{path}/fields")
+        fields = {}
+        for k, name in enumerate(names):
+            field = _get_field(doc, name, conn.chart, f"{path}/fields/{k}")
+            _require(name not in fields, f"field {name!r} is listed twice",
+                     f"{path}/fields/{k}")
+            fields[name] = field
+        inputs["fields"] = names, list(fields.values())
+        if "expect" in task:
+            inputs["expect"] = _get_algebra(doc, task, "expect", path)
+        if kind == "envelope":
+            gens = inputs["generators"] = task.get("generators")
+            _require(isinstance(gens, list) and gens, 'task needs "generators"',
+                     f"{path}/generators")
+            for k, g in enumerate(gens):
+                _require(g in names, f"generator {g!r} is not among the task fields",
+                         f"{path}/generators/{k}")
+    elif kind == "closure":
+        gens = task.get("generators")
+        _require(isinstance(gens, list) and gens, 'task needs "generators"',
+                 f"{path}/generators")
+        inputs["generators"] = [_generator_vector(algebra, g, f"{path}/generators/{k}")
+                                for k, g in enumerate(gens)]
+    return inputs
+
+
+def _fraction(x, path):
+    """`parse_rational`, with its error at `path`."""
+    try:
+        return parse_rational(x)
+    except ValueError as err:
+        raise TaskFileError(str(err), path) from None
+
+
+# ----- task runners -----------------------------------------------------------
 
 
 def _run_check(check):
-    def runner(doc, task, path):
-        report = check(_get_algebra(doc, task, "algebra", path))
+    def runner(task):
+        report = check(task["algebra"])
         return report.holds, report.witness, {}
     return runner
 
 
-def _run_commutator(doc, task, path):
-    algebra = _get_algebra(doc, task, "algebra", path)
+def _run_commutator(task):
     try:
-        lie = commutator_algebra(algebra)
+        lie = commutator_algebra(task["algebra"])
     except JacobiError as err:
         return False, err.witness, {"error": "jacobi identity fails"}
     return None, None, {"lie": lie.to_json_dict()}
 
 
-def _run_closure(doc, task, path):
-    algebra = _get_algebra(doc, task, "algebra", path)
-    gens = task.get("generators")
-    _require(isinstance(gens, list) and gens, 'task needs "generators"', f"{path}/generators")
-    vectors = []
-    for k, g in enumerate(gens):
-        if isinstance(g, str):
-            try:
-                vectors.append(algebra.basis_vector(algebra.basis_index(g)))
-            except KeyError as err:
-                raise TaskFileError(str(err), f"{path}/generators/{k}") from None
-        else:
-            _require(isinstance(g, list) and len(g) == algebra.dim,
-                     f"generator vectors need length {algebra.dim}",
-                     f"{path}/generators/{k}")
-            vectors.append([_fraction(x, f"{path}/generators/{k}") for x in g])
-    space = subalgebra_closure(algebra, vectors)
+def _run_closure(task):
+    algebra = task["algebra"]
+    space = subalgebra_closure(algebra, task["generators"])
     payload = {
         "rank": space.rank,
         "rows": [[str(x) for x in row] for row in space.rows],
@@ -312,20 +361,6 @@ def _run_closure(doc, task, path):
     return None, None, payload
 
 
-# Fraction() also reads exponents, and "1e999999999" has no time bound
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _fraction(x, path):
-    """A rational given as a JSON integer or as a string "p/q" or "p"."""
-    _require(type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x),
-             f'bad rational {x!r}: write an integer, "p" or "p/q"', path)
-    try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
-        raise TaskFileError(f"bad rational {x!r}: {err}", path) from None
-
-
 def _tensor_payload(report):
     return {
         "zero": report.is_zero,
@@ -336,8 +371,8 @@ def _tensor_payload(report):
 
 
 def _run_tensor(compute):
-    def runner(doc, task, path):
-        report = compute(_get_connection(doc, task, path))
+    def runner(task):
+        report = compute(task["connection"])
         payload = _tensor_payload(report)
         if "expect_zero" in task:
             expected = task["expect_zero"]
@@ -349,29 +384,13 @@ def _run_tensor(compute):
     return runner
 
 
-def _run_check_iat(doc, task, path):
-    conn = _get_connection(doc, task, path)
-    field = _get_field(doc, task.get("field"), conn.chart, f"{path}/field")
-    try:
-        report = is_infinitesimal_affine(conn, field)
-    except NotFlatError as err:
-        raise TaskFileError(str(err), path) from None
+def _run_check_iat(task):
+    report = is_infinitesimal_affine(task["connection"], task["field"])
     return report.holds, report.witness, {}
 
 
-def _run_solve_iat(doc, task, path):
-    conn = _get_connection(doc, task, path)
-    ansatz = task.get("ansatz")
-    _require(isinstance(ansatz, list) and ansatz, 'task needs an "ansatz" list',
-             f"{path}/ansatz")
-    _require(len(ansatz) * conn.chart.dim <= _MAX_ANSATZ_SIZE,
-             f'"ansatz" terms times chart variables must be at most {_MAX_ANSATZ_SIZE}',
-             f"{path}/ansatz")
-    terms = [_parse(t, conn.chart, f"{path}/ansatz/{k}") for k, t in enumerate(ansatz)]
-    try:
-        fields = solve_iat_ansatz(conn, terms)
-    except ValueError as err:   # non-flat connection, dependent ansatz
-        raise TaskFileError(str(err), path) from None
+def _run_solve_iat(task):
+    fields = solve_iat_ansatz(task["connection"], task["ansatz"])
     payload = {
         "dimension": len(fields),
         "fields": [{"coeffs": [str(c) for c in f.coeffs]} for f in fields],
@@ -388,22 +407,14 @@ def _table_failure(err):
     return False, err.pair, {"error": str(err)}
 
 
-def _run_product_table(doc, task, path):
-    conn = _get_connection(doc, task, path)
-    names, fields = _get_fields(doc, task, conn, path)
-    try:
-        table = product_table(conn, fields, names)
-    except NotFlatError as err:
-        raise TaskFileError(str(err), path) from None
-    except DependentFieldsError as err:
-        raise TaskFileError(str(err), f"{path}/fields/{err.index}") from None
-    except (IATViolationError, NotInSpanError) as err:
-        return _table_failure(err)
+def _run_product_table(task):
+    names, fields = task["fields"]
+    table = product_table(task["connection"], fields, names)
     payload = {"table": table.to_json_dict(), "text": render_table_text(table)}
     if "expect" in task:
-        expected = _get_algebra(doc, task, "expect", path)
-        _require(expected.dim == table.dim,
-                 "expected table has a different dimension", f"{path}/expect")
+        expected = task["expect"]
+        if expected.dim != table.dim:
+            return False, ("dim", table.dim, expected.dim), payload
         for i in range(table.dim):
             for j in range(table.dim):
                 if table.rows[i][j] != expected.rows[i][j]:
@@ -412,23 +423,9 @@ def _run_product_table(doc, task, path):
     return None, None, payload
 
 
-def _run_envelope(doc, task, path):
-    conn = _get_connection(doc, task, path)
-    names, fields = _get_fields(doc, task, conn, path)
-    gens = task.get("generators")
-    _require(isinstance(gens, list) and gens, 'task needs "generators"',
-             f"{path}/generators")
-    for k, g in enumerate(gens):
-        _require(g in names, f"generator {g!r} is not among the task fields",
-                 f"{path}/generators/{k}")
-    try:
-        report = compute_envelope(conn, fields, names, gens)
-    except NotFlatError as err:
-        raise TaskFileError(str(err), path) from None
-    except DependentFieldsError as err:
-        raise TaskFileError(str(err), f"{path}/fields/{err.index}") from None
-    except (IATViolationError, NotInSpanError) as err:
-        return _table_failure(err)
+def _run_envelope(task):
+    names, fields = task["fields"]
+    report = compute_envelope(task["connection"], fields, names, task["generators"])
     payload = report.to_json_dict()
     payload["text"] = report.to_text()
     verdict = all(report.checks.values())
@@ -441,20 +438,8 @@ def _run_envelope(doc, task, path):
     return verdict, witness, payload
 
 
-def _run_bi_invariant(doc, task, path):
-    bracket_source = _get_algebra(doc, task, "lie", path)
-    algebra = _get_algebra(doc, task, "algebra", path)
-    try:
-        lie = LieAlgebraSC._checked(bracket_source.basis_names, bracket_source.rows)
-    except ValueError as err:
-        raise TaskFileError(
-            f'algebra {task.get("lie")!r} does not define a Lie bracket: {err}',
-            f"{path}/lie") from None
-    try:
-        verdict = verify_bi_invariant_criterion(lie, algebra)
-    except ValueError as err:
-        raise TaskFileError(str(err), path) from None
-    return verdict, None, {}
+def _run_bi_invariant(task):
+    return verify_bi_invariant_criterion(task["lie"], task["algebra"]), None, {}
 
 
 _RUNNERS = {
@@ -505,9 +490,16 @@ def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = F
     reports = []
     any_negative = False
     for index, task in enumerate(document.tasks):
-        path = f"/tasks/{index}"
         started = time.perf_counter()
-        verdict, witness, payload = _RUNNERS[task["kind"]](document, task, path)
+        try:
+            verdict, witness, payload = _RUNNERS[task["kind"]](task)
+        except NotFlatError as err:
+            raise TaskFileError(str(err), f"/tasks/{index}") from None
+        except DependentFieldsError as err:
+            key = "ansatz" if task["kind"] == "solve-iat" else "fields"
+            raise TaskFileError(str(err), f"/tasks/{index}/{key}/{err.index}") from None
+        except (IATViolationError, NotInSpanError) as err:
+            verdict, witness, payload = _table_failure(err)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         status = "ok" if verdict is None else ("pass" if verdict else "fail")
         report = {

@@ -46,7 +46,8 @@ class NotInSpanError(ValueError):
 
 
 class DependentFieldsError(ValueError):
-    """A field is a constant combination of the fields listed before it."""
+    """A field, or an ansatz term, is a constant combination of those listed
+    before it; `index` is its 0-based position."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
@@ -521,7 +522,9 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     residual is nonzero gives exact linear equations (zero in every other
     candidate's column); the nullspace of the system is returned, one field
     per nullspace basis vector (coefficient vectors in reduced row-echelon
-    form, candidates ordered slot by slot, then by term).
+    form, candidates ordered slot by slot, then by term).  Dependent terms
+    raise DependentFieldsError at the first term in the span of those before
+    it.
     """
     if not is_flat_affine(conn):
         raise NotFlatError("the ansatz solver requires a flat affine connection")
@@ -529,8 +532,10 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     n = chart.dim
     terms = [_as_rf(chart, t) for t in ansatz]
     probe = [VectorField(chart, [t] + [0] * (n - 1)) for t in terms]
-    if len(independent_fields(probe, terms)[0]) != len(terms):
-        raise ValueError("ansatz terms are linearly dependent")
+    kept, _ = independent_fields(probe, range(len(terms)))
+    if len(kept) != len(terms):
+        raise DependentFieldsError("ansatz terms are linearly dependent",
+                                   min(set(range(len(terms))).difference(kept)))
     zero = RationalFunction.zero(chart)
     variables = chart.variables
     pairs = [(i, j) for i in range(n) for j in range(i, n)]

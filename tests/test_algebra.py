@@ -1,5 +1,6 @@
 """Structure-constant algebra: identity checks, closure, units, serialization."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -371,3 +372,15 @@ def test_lie_from_json_dict_builds_no_unchecked_lie_algebra():
     for A in (aff_line_lsa(), six_field_table_algebra()):
         with pytest.raises((TypeError, ValueError)):
             LieAlgebraSC.from_json_dict(A.to_json_dict())
+
+
+@pytest.mark.parametrize("entry", ["1e999999999", "1.5", 0.5, True, " 1", "1/0"])
+def test_from_json_dict_refuses_what_is_not_a_rational(entry):
+    doc = {"dim": 1, "basis": ["e"], "products": [{"left": 1, "right": 1, "result": [entry]}]}
+    started = time.process_time()
+    with pytest.raises(ValueError, match="bad rational"):
+        SCAlgebra.from_json_dict(doc)
+    # Fraction("1e999999999") would build a 415 MB integer before answering
+    assert time.process_time() - started < 0.5
+    doc["products"][0]["result"] = ["-3/4"]
+    assert SCAlgebra.from_json_dict(doc).rows == ((((0, Fraction(-3, 4)),),),)

@@ -132,6 +132,14 @@ def test_corrupted_reference_entry_names_cell(tmp_path):
     assert reports[0]["witness"] == [2, 6]
 
 
+def test_expected_table_of_another_dimension_is_a_negative_verdict():
+    doc = six_field_taskfile()
+    doc["tasks"] = [dict(t, expect="aff-lsa") for t in doc["tasks"] if t["id"] == "table"]
+    code, reports = run_document(doc)
+    assert code == 1
+    assert reports[0]["witness"] == ["dim", 6, 2]
+
+
 def test_empty_task_list():
     code, reports = run_document({"schema": 1, "tasks": []})
     assert code == 0 and reports == []
@@ -271,8 +279,9 @@ def test_dependent_ansatz_is_input_error():
         "tasks": [{"id": "t", "kind": "solve-iat", "connection": "flat",
                    "ansatz": ["x", "2*x"]}],
     }
-    with pytest.raises(TaskFileError):
+    with pytest.raises(TaskFileError) as err:
         run_document(doc)
+    assert err.value.path == "/tasks/0/ansatz/1"
 
 
 def test_nonflat_connection_is_input_error():
@@ -489,6 +498,60 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     assert path in capsys.readouterr().err
 
 
+# the cases above whose error is in a task kind's own inputs: its field or
+# fields, generators or ansatz
+RUNNER_SIDE_CASES = {
+    "ansatz-past-cap", "generator-zero-denominator", "table-field-list",
+    "envelope-field-repeated", "table-field-repeated", "iat-field-other-chart",
+    "table-field-other-chart", "envelope-field-other-chart", "generator-exponent",
+    "generator-bool"}
+_MALFORMED_CASES = test_malformed_values_are_input_errors.pytestmark[0]
+
+
+@pytest.mark.parametrize("doc, path", [
+    case for case, case_id in zip(_MALFORMED_CASES.args[1], _MALFORMED_CASES.kwargs["ids"])
+    if case_id in RUNNER_SIDE_CASES], ids=[
+    case_id for case_id in _MALFORMED_CASES.kwargs["ids"] if case_id in RUNNER_SIDE_CASES])
+def test_load_document_alone_refuses_task_inputs(doc, path):
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == path
+
+
+def test_an_input_error_in_the_last_task_stops_the_first(monkeypatch):
+    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
+    doc = json.loads(shipped.read_text())
+    doc["tasks"][10]["lie"] = "undefined"
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == "/tasks/10/lie"
+    called = []
+    for kind in TASK_KINDS:
+        monkeypatch.setitem(_RUNNERS, kind, lambda task: called.append(task["kind"]))
+    with pytest.raises(TaskFileError) as err:
+        run_document(doc)
+    assert err.value.path == "/tasks/10/lie"
+    assert called == []
+
+
+def test_fail_fast_still_refuses_a_malformed_later_task(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "algebras": [lsa11_json()],
+        "tasks": [
+            {"id": "bad", "kind": "check-associative", "algebra": "aff-lsa"},
+            {"id": "typo", "kind": "check-lsa", "algebra": "aff-lsb"},
+        ],
+    }
+    with pytest.raises(TaskFileError) as err:
+        run_document(copy.deepcopy(doc), fail_fast=True)
+    assert err.value.path == "/tasks/1/algebra"
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile), "--fail-fast"]) == 2
+    assert "error: /tasks/1/algebra: undefined algebra 'aff-lsb'" in capsys.readouterr().err
+
+
 def test_rational_with_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
     # Fraction("1e999999999") would build a 415 MB integer before answering
     doc = _malformed("lsa", _result("1e999999999"))
@@ -633,10 +696,12 @@ def test_chart_and_ansatz_caps(monkeypatch):
     variables = [f"x{k}" for k in range(16)]
     doc = {"schema": 1, "charts": [{"name": "c", "variables": variables}],
            "connections": [{"name": "flat", "chart": "c", "christoffel": []}],
-           "tasks": [{"kind": "solve-iat", "connection": "flat", "ansatz": variables + ["1"]}]}
+           "tasks": [{"kind": "solve-iat", "connection": "flat", "ansatz": list(variables)}]}
+    # 16 terms x 16 variables = 256, exactly at the cap
     assert load_document(copy.deepcopy(doc)).charts["c"].dim == 16
+    doc["tasks"][0]["ansatz"].append("1")
     with pytest.raises(TaskFileError) as err:    # 17 terms x 16 variables = 272
-        run_document(doc)
+        load_document(doc)
     assert err.value.path == "/tasks/0/ansatz"
 
 
