@@ -39,6 +39,7 @@ from .geometry import (
     VectorField,
     connection_from_frame,
     curvature,
+    is_flat_affine,
     is_infinitesimal_affine,
     product_table,
     solve_iat_ansatz,
@@ -259,6 +260,12 @@ def _generator_vector(algebra, g, path):
     return [_fraction(x, path) for x in g]
 
 
+# the kinds whose computation needs a flat connection, with the message of
+# the NotFlatError it would raise
+_NEEDS_FLAT = {"check-iat": NotFlatError.IAT, "solve-iat": NotFlatError.ANSATZ,
+               "product-table": NotFlatError.PRODUCT, "envelope": NotFlatError.PRODUCT}
+
+
 def _task_inputs(doc, task, path) -> dict:
     """The inputs of `task` by key, resolved against the document and checked,
     so that its runner only computes."""
@@ -316,6 +323,10 @@ def _task_inputs(doc, task, path) -> dict:
                  f"{path}/generators")
         inputs["generators"] = [_generator_vector(algebra, g, f"{path}/generators/{k}")
                                 for k, g in enumerate(gens)]
+    # last, as it is the one check that computes (torsion and curvature,
+    # cached on the connection for the task that runs)
+    if kind in _NEEDS_FLAT:
+        _require(is_flat_affine(conn), _NEEDS_FLAT[kind], path)
     return inputs
 
 
@@ -493,8 +504,6 @@ def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = F
         started = time.perf_counter()
         try:
             verdict, witness, payload = _RUNNERS[task["kind"]](task)
-        except NotFlatError as err:
-            raise TaskFileError(str(err), f"/tasks/{index}") from None
         except DependentFieldsError as err:
             key = "ansatz" if task["kind"] == "solve-iat" else "fields"
             raise TaskFileError(str(err), f"/tasks/{index}/{key}/{err.index}") from None

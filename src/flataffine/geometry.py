@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 from .algebra import SCAlgebra
@@ -32,7 +33,15 @@ _MINUS_ONE = Fraction(-1)
 
 
 class NotFlatError(ValueError):
-    """An operation that is only meaningful for flat affine connections."""
+    """An operation that is only meaningful for flat affine connections.
+
+    The class attributes are the messages of the operations that need one.
+    """
+
+    IAT = ("the infinitesimal-affine criterion on coordinate pairs is only "
+           "equivalent to the general one for flat affine connections")
+    ANSATZ = "the ansatz solver requires a flat affine connection"
+    PRODUCT = "the induced product is only associative for flat affine connections"
 
 
 class NotInSpanError(ValueError):
@@ -195,8 +204,38 @@ class Connection:
         return f"<Connection on {self.chart.name!r}>"
 
 
+def _primes(count: int) -> list:
+    """The first `count` primes."""
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _full_rank_at_primes(chart: Chart, matrix) -> bool:
+    """Whether a square matrix of rational functions has full rank over Q at
+    the point with the i-th prime at the i-th chart variable; False, not an
+    error, when a denominator vanishes there."""
+    point = dict(zip(chart.variables, _primes(chart.dim)))
+    try:
+        values = [[c.evaluate(point) for c in row] for row in matrix]
+    except ZeroDivisionError:
+        return False
+    return linalg.rank(values) == len(matrix)
+
+
 class Frame:
-    """n vector fields whose coefficient matrix is invertible as rational functions."""
+    """n vector fields whose coefficient matrix is invertible as rational functions.
+
+    The matrix is proved nonsingular at one fixed integer point, the i-th
+    prime at the i-th chart variable: full rank over Q there means a nonzero
+    determinant in Q(x).  Only when a denominator vanishes at that point, or
+    the rank there is short, is the rank taken over Q(x), so a singular
+    matrix raises SingularFrameError.  Nothing is random.
+    """
 
     __slots__ = ("chart", "fields")
 
@@ -211,9 +250,9 @@ class Frame:
         for f in fields:
             if f.chart != chart:
                 raise ValueError("all frame fields must share the chart")
-        matrix = [[f.coeffs[i] for i in range(chart.dim)] for f in fields]
-        zero = RationalFunction.zero(chart)
-        if linalg.rank(matrix, zero=zero) != chart.dim:
+        matrix = [f.coeffs for f in fields]
+        if not _full_rank_at_primes(chart, matrix) and \
+                linalg.rank(matrix, zero=RationalFunction.zero(chart)) != chart.dim:
             raise SingularFrameError(
                 "frame coefficient matrix is singular over the rational functions")
         self.chart = chart
@@ -271,6 +310,15 @@ def _nabla_coordinate(conn: Connection, axis: int, coeffs) -> list:
                 total = total + g * coeffs[m]
         out.append(total)
     return out
+
+
+def _add_at(vec: dict, k: int, x) -> None:
+    """vec[k] += x on a sparse vector {k: value}, which keeps no zero entry."""
+    total = vec[k] + x if k in vec else x
+    if total:
+        vec[k] = total
+    else:
+        vec.pop(k, None)
 
 
 def _combination(zero: RationalFunction, terms) -> list:
@@ -343,18 +391,25 @@ def curvature(conn: Connection) -> TensorReport:
 
     Coordinate fields commute and nabla_{d_j} d_k has components gamma[j][k],
     so R(d_i, d_j) d_k = nabla_{d_i} gamma[j][k] - nabla_{d_j} gamma[i][k].
+    A zero gamma[j][k] has zero derivatives, so only the nonzero ones are
+    differentiated: each nabla_{d_i} gamma[j][k] is added at (l, i, j, k) and
+    subtracted at (l, j, i, k), and the pairs i = j cancel.
     """
     if conn._curvature is None:
         n = conn.chart.dim
-        nabla = [[[_nabla_coordinate(conn, i, conn.gamma[j][k]) for k in range(n)]
-                  for j in range(n)] for i in range(n)]
-        comps = {}
-        for l in range(n):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        comps[(l + 1, i + 1, j + 1, k + 1)] = \
-                            nabla[i][j][k][l] - nabla[j][i][k][l]
+        axes = range(1, n + 1)
+        comps = dict.fromkeys(product(axes, repeat=4), RationalFunction.zero(conn.chart))
+        for j, row in enumerate(conn.gamma, 1):
+            for k, vec in enumerate(row, 1):
+                if not any(vec):
+                    continue
+                for i in axes:
+                    if i == j:
+                        continue
+                    for l, x in enumerate(_nabla_coordinate(conn, i - 1, vec), 1):
+                        if x:
+                            comps[l, i, j, k] = comps[l, i, j, k] + x
+                            comps[l, j, i, k] = comps[l, j, i, k] - x
         conn._curvature = TensorReport("curvature", comps)
     return conn._curvature
 
@@ -387,7 +442,7 @@ def _iat_residuals(conn: Connection, X: VectorField):
             second = _nabla_coordinate(conn, i, first[j])
             correction = _combination(zero, zip(conn.gamma[i][j], first))
             residuals.append(((i + 1, j + 1),
-                              [a - b for a, b in zip(second, correction)]))
+                              [a - b if b else a for a, b in zip(second, correction)]))
     return residuals
 
 
@@ -395,9 +450,7 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
     """Flat-case infinitesimal-affine test; requires a flat affine connection."""
     require_same_chart(conn, X)
     if not is_flat_affine(conn):
-        raise NotFlatError(
-            "the infinitesimal-affine criterion on coordinate pairs is only "
-            "equivalent to the general one for flat affine connections")
+        raise NotFlatError(NotFlatError.IAT)
     for pair, residual in _iat_residuals(conn, X):
         if any(residual):
             return IATReport(False, pair)
@@ -527,7 +580,7 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     it.
     """
     if not is_flat_affine(conn):
-        raise NotFlatError("the ansatz solver requires a flat affine connection")
+        raise NotFlatError(NotFlatError.ANSATZ)
     chart = conn.chart
     n = chart.dim
     terms = [_as_rf(chart, t) for t in ansatz]
@@ -551,38 +604,35 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
         d1 = [t.diff(var) for var in variables]
         tables.append((t, d1, {(i, j): d1[j].diff(variables[i]) if d1[j] else zero
                                for i, j in pairs}))
-    # residuals[p][c]: components of candidate c's residual at pairs[p]
+    # residuals[p] lists (c, components) for each candidate c whose residual
+    # at pairs[p] is nonzero; first and res are sparse {k: value}
     residuals = [[] for _ in pairs]
-    for s in range(n):
-        for t, d1, d2 in tables:
-            first = []
-            for j in range(n):
-                comps = [zero] * n
-                comps[s] = d1[j]
-                for k, g in gamma_at[j][s]:
-                    comps[k] = comps[k] + g * t
-                first.append(comps)
-            for (i, j), at_pair in zip(pairs, residuals):
-                res = [zero] * n
-                res[s] = d2[i, j]
-                for k, g in gamma_at[j][s]:
-                    res[k] = res[k] + d_gamma[i, j, s, k] * t + g * d1[i]
-                for k, row in enumerate(conn._rows[i]):
-                    for m, g in row:
-                        if first[j][m]:
-                            res[k] = res[k] + g * first[j][m]
-                for l, g in gamma_at[i][j]:
-                    for k, v in enumerate(first[l]):
-                        if v:
-                            res[k] = res[k] - g * v
-                at_pair.append(res)
+    for c, (s, (t, d1, d2)) in enumerate(product(range(n), tables)):
+        first = []
+        for j in range(n):
+            comps = {s: d1[j]} if d1[j] else {}
+            for k, g in gamma_at[j][s]:
+                _add_at(comps, k, g * t)
+            first.append(comps)
+        for (i, j), at_pair in zip(pairs, residuals):
+            res = {s: d2[i, j]} if d2[i, j] else {}
+            for k, g in gamma_at[j][s]:
+                _add_at(res, k, d_gamma[i, j, s, k] * t + g * d1[i])
+            for k, row in enumerate(conn._rows[i]):
+                for m, g in row:
+                    if m in first[j]:
+                        _add_at(res, k, g * first[j][m])
+            for l, g in gamma_at[i][j]:
+                for k, v in first[l].items():
+                    _add_at(res, k, -(g * v))
+            if res:
+                at_pair.append((c, [res.get(k, zero) for k in range(n)]))
     size = len(terms)
     ncols = n * size
     equations = []
     for at_pair in residuals:
-        live = [c for c, res in enumerate(at_pair) if any(res)]
         slots = {}   # (component, monomial) -> its equation at this pair
-        for c, polys in zip(live, _cleared(chart, [at_pair[c] for c in live])):
+        for (c, _), polys in zip(at_pair, _cleared(chart, [res for _, res in at_pair])):
             for k, p in enumerate(polys):
                 for exps, x in p.terms.items():
                     if (k, exps) not in slots:
@@ -662,8 +712,7 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     if len(names) != len(fields):
         raise ValueError("one name per field is required")
     if not is_flat_affine(conn):
-        raise NotFlatError("the induced product is only associative for "
-                           "flat affine connections")
+        raise NotFlatError(NotFlatError.PRODUCT)
     n = len(fields)
     for f in fields:   # the span test below needs one chart
         require_same_chart(conn, f)

@@ -233,7 +233,7 @@ class Polynomial:
         return Polynomial._of(self.chart, out)
 
     def evaluate(self, point) -> Fraction:
-        """Evaluate at a mapping variable -> Fraction (exact; test oracle use)."""
+        """Evaluate at a mapping variable -> Fraction (exact)."""
         values = [Fraction(point[v]) for v in self.chart.variables]
         total = Fraction(0)
         for exps, coeff in self.terms.items():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from flataffine import SCAlgebra, commutator_algebra
+from flataffine import Connection, NotFlatError, SCAlgebra, commutator_algebra
 from flataffine import cli
 from flataffine.cli import (
     TASK_KINDS,
@@ -18,6 +18,8 @@ from flataffine.cli import (
     run_document,
 )
 from helpers import SIX_IAT_FIELDS, emit_table, six_field_table_algebra, zero_algebra
+
+SHIPPED = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
 
 
 def lsa11_json(name="aff-lsa"):
@@ -105,8 +107,7 @@ EXAMPLE_REPORTS_SHA256 = "78c25dbb3fbeb151a4a40690f41fb2dabee01e7f62dc1e2fd914bd
 
 
 def test_shipped_example_taskfile_runs_clean():
-    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
-    code, reports = run_document(json.loads(shipped.read_text()))
+    code, reports = run_document(json.loads(SHIPPED.read_text()))
     assert code == 0
     assert len(reports) == len(six_field_taskfile()["tasks"])
     digest = hashlib.sha256()
@@ -519,8 +520,7 @@ def test_load_document_alone_refuses_task_inputs(doc, path):
 
 
 def test_an_input_error_in_the_last_task_stops_the_first(monkeypatch):
-    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
-    doc = json.loads(shipped.read_text())
+    doc = json.loads(SHIPPED.read_text())
     doc["tasks"][10]["lie"] = "undefined"
     with pytest.raises(TaskFileError) as err:
         load_document(copy.deepcopy(doc))
@@ -532,6 +532,44 @@ def test_an_input_error_in_the_last_task_stops_the_first(monkeypatch):
         run_document(doc)
     assert err.value.path == "/tasks/10/lie"
     assert called == []
+
+
+def _non_flat_example():
+    """The shipped task file, its connection replaced by one with torsion."""
+    doc = json.loads(SHIPPED.read_text())
+    doc["connections"][0] = {"name": "nabla11", "chart": "halfplane",
+                             "christoffel": [{"k": 1, "i": 1, "j": 2, "expr": "1"}]}
+    return doc
+
+
+def test_a_non_flat_connection_is_refused_before_the_first_task(monkeypatch):
+    doc = _non_flat_example()
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == "/tasks/3"    # the first check-iat task
+    called = []
+    for kind in TASK_KINDS:
+        monkeypatch.setitem(_RUNNERS, kind, lambda task: called.append(task["kind"]))
+    with pytest.raises(TaskFileError) as err:
+        run_document(doc)
+    assert err.value.path == "/tasks/3"
+    assert called == []
+
+
+@pytest.mark.parametrize("index", [3, 4, 8, 9],
+                         ids=["check-iat", "product-table", "solve-iat", "envelope"])
+def test_a_non_flat_connection_is_refused_with_the_message_of_its_computation(index):
+    doc = _non_flat_example()
+    doc["tasks"] = [doc["tasks"][index]]
+    with pytest.raises(TaskFileError) as err:
+        load_document(doc)
+    flat = json.loads(SHIPPED.read_text())
+    flat["tasks"] = doc["tasks"]
+    task = load_document(flat).tasks[0]
+    torsion = Connection.from_sparse(task["connection"].chart, [(1, 1, 2, "1")])
+    with pytest.raises(NotFlatError) as raised:
+        _RUNNERS[task["kind"]](dict(task, connection=torsion))
+    assert str(err.value) == f"/tasks/0: {raised.value}"
 
 
 def test_fail_fast_still_refuses_a_malformed_later_task(tmp_path, capsys):

@@ -12,7 +12,10 @@ on the GL2 frame connection.  `connection_from_frame` is compared with the
 earlier version, which inverted the frame matrix and multiplied dense
 matrices for every frame, on seeded frames in dimensions 1 to 3 and on the
 GL3 frame; it now inverts the frame matrix only when some Christoffel part is
-nonzero.
+nonzero.  `Frame` proves its matrix nonsingular by its rank at one integer
+point and takes the rank over Q(x) only when that point cannot; its verdict
+is compared with the rank over Q(x) on seeded dense binomial matrices,
+singular ones included.
 
 `solve_iat_ansatz` is compared with the earlier solver, which ran the full
 residual over all n^2 coordinate pairs on every one-slot candidate t·d_s, on
@@ -24,6 +27,7 @@ makes sufficient; two tests check that reason on the oracle itself.
 """
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -321,6 +325,22 @@ def test_random_connection_matches_oracles(name):
     assert_kernel_matches(conn, random_fields(rng, conn.chart, 1))
 
 
+def test_curvature_of_one_christoffel_vector_off_the_diagonal():
+    """Only gamma[1][3] is nonzero, so each R^l_{i13} = d_i gamma[1][3]^l has
+    its mirror R^l_{1i3} = -R^l_{i13}; both must be there."""
+    chart = CHARTS[3]
+    x, y, z = (RationalFunction.variable(chart, v) for v in chart.variables)
+    gamma = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    gamma[0][2] = [y, x * z, 1 / (x + 1)]
+    conn = Connection(chart, gamma)
+    assert_curvature_matches(conn)
+    report = curvature(conn)
+    # d_y gamma[1][3] = (1, 0, 0) and d_z gamma[1][3] = (0, x, 0)
+    assert report.nonzero == [(1, 1, 2, 3), (1, 2, 1, 3), (2, 1, 3, 3), (2, 3, 1, 3)]
+    assert report.component(1, 2, 1, 3) == -report.component(1, 1, 2, 3) == 1
+    assert report.component(2, 3, 1, 3) == -report.component(2, 1, 3, 3) == x
+
+
 def test_rows_list_the_nonzero_symbols_in_order():
     _, conn = case_connection("dim3-sparse-rational")
     n = conn.chart.dim
@@ -455,6 +475,72 @@ def test_singular_frames_are_refused():
     frame.chart, frame.fields = chart, tuple(fields)
     with pytest.raises(SingularFrameError):
         connection_from_frame(frame, random_algebra(random.Random(3), 3))
+
+
+@pytest.fixture
+def symbolic_rank_calls(monkeypatch):
+    """The matrices of each `linalg.rank` call over Q(x) made in the test, in order."""
+    calls = []
+    original = linalg.rank
+
+    def counting(rows, **kwargs):
+        if not isinstance(kwargs.get("zero", Fraction(0)), Fraction):
+            calls.append(rows)
+        return original(rows, **kwargs)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    return calls
+
+
+def test_frames_are_proved_nonsingular_at_a_point(symbolic_rank_calls):
+    gln_scene(3)
+    frames = [random_frame(random.Random(f"frame-{dim}-{rational}-{seed}"), CHARTS[dim],
+                           rational)
+              for dim in (1, 2, 3) for rational in (False, True) for seed in range(2)]
+    del symbolic_rank_calls[:]   # a singular draw that random_frame skipped
+    for frame in frames:
+        assert Frame(frame.fields).fields == frame.fields
+    assert symbolic_rank_calls == []
+
+
+@pytest.mark.parametrize("dim, rows", [
+    (1, [["x - 2"]]),                      # the point is (2): det x - 2 vanishes there
+    (2, [["y", "x"], ["3", "2"]]),         # the point is (2, 3): det 2y - 3x
+    (1, [["1/(x - 2)"]]),                  # a denominator vanishes at the point
+    (2, [["x", "1/(y - 3)"], ["1", "0"]]),
+], ids=["det-1", "det-2", "denominator-1", "denominator-2"])
+def test_a_frame_the_point_cannot_certify_takes_the_symbolic_rank(dim, rows,
+                                                                  symbolic_rank_calls):
+    chart = CHARTS[dim]
+    fields = [VectorField(chart, row) for row in rows]
+    assert Frame(fields).fields == tuple(fields)
+    assert len(symbolic_rank_calls) == 1
+
+
+def test_frame_verdict_matches_the_symbolic_rank():
+    """Seeded dense binomial 2 x 2 and 3 x 3 matrices, every other one made
+    singular by a row that is a Q(x) combination of the others."""
+    verdicts = []
+    for dim in (2, 3):
+        chart = CHARTS[dim]
+        zero = RationalFunction.zero(chart)
+        for seed in range(8):
+            rng = random.Random(f"certificate-{dim}-{seed}")
+            rows = [[random_entry(rng, chart, rng.random() < 0.5) for _ in range(dim)]
+                    for _ in range(dim)]
+            if seed % 2:
+                weights = [random_entry(rng, chart, True) for _ in range(dim - 1)]
+                rows[-1] = [sum((w * row[c] for w, row in zip(weights, rows)), zero)
+                            for c in range(dim)]
+            nonsingular = linalg.rank(rows, zero=zero) == dim
+            fields = [VectorField(chart, row) for row in rows]
+            if nonsingular:
+                assert Frame(fields).fields == tuple(fields)
+            else:
+                with pytest.raises(SingularFrameError):
+                    Frame(fields)
+            verdicts.append(nonsingular)
+    assert True in verdicts and False in verdicts
 
 
 # ----- the ansatz solver -----------------------------------------------------------------
