@@ -28,7 +28,6 @@ from .symcore import (
     require_same_chart,
 )
 
-_ZERO = Fraction(0)   # shared by the empty cells of the ansatz equations
 _MINUS_ONE = Fraction(-1)
 
 
@@ -105,8 +104,18 @@ class VectorField:
         self.coeffs = coeffs
 
     @classmethod
+    def _of(cls, chart: Chart, coeffs) -> "VectorField":
+        """Wrap coefficients that are already canonical, without coercion or
+        checks: chart.dim RationalFunctions on `chart`, the output of a kernel;
+        outside input goes through the constructor."""
+        self = cls.__new__(cls)
+        self.chart = chart
+        self.coeffs = tuple(coeffs)
+        return self
+
+    @classmethod
     def zero(cls, chart: Chart) -> "VectorField":
-        return cls(chart, [RationalFunction.zero(chart)] * chart.dim)
+        return cls._of(chart, (RationalFunction.zero(chart),) * chart.dim)
 
     @classmethod
     def coordinate(cls, chart: Chart, axis: int) -> "VectorField":
@@ -120,23 +129,23 @@ class VectorField:
         if not isinstance(other, VectorField):
             return NotImplemented
         require_same_chart(self, other)
-        return VectorField(self.chart,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return VectorField._of(self.chart,
+                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
         require_same_chart(self, other)
-        return VectorField(self.chart,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return VectorField._of(self.chart,
+                               [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return VectorField(self.chart, [-c for c in self.coeffs])
+        return VectorField._of(self.chart, [-c for c in self.coeffs])
 
     def scaled(self, factor) -> "VectorField":
         """Multiply by a scalar or rational function."""
         f = _as_rf(self.chart, factor)
-        return VectorField(self.chart, [f * c for c in self.coeffs])
+        return VectorField._of(self.chart, [f * c for c in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VectorField)
@@ -157,8 +166,9 @@ class VectorField:
 class Connection:
     """A linear connection given by Christoffel symbols (no symmetry assumed).
 
-    `_rows[i][k]` lists the nonzero (m, gamma[i][m][k]) in ascending m: the
-    symbols that `_nabla_coordinate` contracts, derived once from `gamma`.
+    `_rows[i][m]` lists the nonzero (k, gamma[i][m][k]) in ascending k, the
+    sparse components of nabla_{d_i} d_m: the symbols that the kernels
+    contract, derived once from `gamma`.
     """
 
     __slots__ = ("chart", "gamma", "_rows", "_torsion", "_curvature")
@@ -171,8 +181,8 @@ class Connection:
         self.chart = chart
         self.gamma = tuple(tuple(tuple(_as_rf(chart, g) for g in vec)
                                  for vec in row) for row in gamma)
-        self._rows = tuple(tuple(tuple((m, row[m][k]) for m in range(n) if row[m][k])
-                                 for k in range(n)) for row in self.gamma)
+        self._rows = tuple(tuple(tuple((k, g) for k, g in enumerate(vec) if g)
+                                 for vec in row) for row in self.gamma)
         self._torsion = None
         self._curvature = None
 
@@ -294,22 +304,16 @@ class IATReport:
 # ----- basic operations ------------------------------------------------------
 
 
-def _nabla_coordinate(conn: Connection, axis: int, coeffs) -> list:
-    """Components of nabla_{d_axis} Y from those of Y:
-    d_axis Y^k + sum_m gamma[axis][m][k] Y^m.
+def _sparse(coeffs) -> dict:
+    """The sparse vector {k: value} of a component list, without zero entries."""
+    return {k: c for k, c in enumerate(coeffs) if c}
 
-    The one place where Christoffel symbols meet field components; a zero
-    component is not differentiated.
-    """
-    var = conn.chart.variables[axis]
-    out = []
-    for c, row in zip(coeffs, conn._rows[axis]):
-        total = c.diff(var) if c else c
-        for m, g in row:
-            if coeffs[m]:
-                total = total + g * coeffs[m]
-        out.append(total)
-    return out
+
+def _field(zero: RationalFunction, vec: dict) -> VectorField:
+    """The vector field of a sparse vector {k: value} on the chart of `zero`,
+    the chart's zero, which fills the missing components."""
+    chart = zero.chart
+    return VectorField._of(chart, [vec.get(k, zero) for k in range(chart.dim)])
 
 
 def _add_at(vec: dict, k: int, x) -> None:
@@ -321,15 +325,33 @@ def _add_at(vec: dict, k: int, x) -> None:
         vec.pop(k, None)
 
 
-def _combination(zero: RationalFunction, terms) -> list:
-    """Components of sum w * V over (w, V) terms, V a component list; zero
-    weights and zero entries are skipped.  `zero` is the chart's zero."""
-    out = [zero] * zero.chart.dim
+def _combination(terms) -> dict:
+    """sum w * V over (w, V) terms, each V a sparse vector {k: value}, as a
+    sparse vector; zero weights are skipped."""
+    out = {}
     for w, vector in terms:
         if w:
-            for k, v in enumerate(vector):
-                if v:
-                    out[k] = out[k] + v * w
+            for k, v in vector.items():
+                _add_at(out, k, v * w)
+    return out
+
+
+def _nabla_coordinate(conn: Connection, axis: int, vec: dict) -> dict:
+    """nabla_{d_axis} Y from the sparse components {m: Y^m} of Y, as sparse
+    components: d_axis Y^m at m plus Y^m gamma[axis][m][k] at each k.
+
+    The one place where Christoffel symbols meet field components; only the
+    nonzero components are differentiated and contracted.
+    """
+    var = conn.chart.variables[axis]
+    rows = conn._rows[axis]
+    out = {}
+    for m, c in vec.items():
+        d = c.diff(var)
+        if d:
+            _add_at(out, m, d)
+        for k, g in rows[m]:
+            _add_at(out, k, g * c)
     return out
 
 
@@ -337,9 +359,10 @@ def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> Ve
     """nabla_X Y = sum_i X^i nabla_{d_i} Y."""
     require_same_chart(conn, X)
     require_same_chart(conn, Y)
-    return VectorField(conn.chart, _combination(
-        RationalFunction.zero(conn.chart), ((xi, _nabla_coordinate(conn, i, Y.coeffs))
-                                            for i, xi in enumerate(X.coeffs) if xi)))
+    vec = _sparse(Y.coeffs)
+    return _field(RationalFunction.zero(conn.chart),
+                  _combination((xi, _nabla_coordinate(conn, i, vec))
+                               for i, xi in enumerate(X.coeffs) if xi))
 
 
 def _partials(X: VectorField) -> list:
@@ -360,7 +383,7 @@ def _bracket(X: VectorField, dX, Y: VectorField, dY) -> VectorField:
                 out[k] = out[k] + xa * dya[k]
             if ya and dxa[k]:
                 out[k] = out[k] - ya * dxa[k]
-    return VectorField(chart, out)
+    return VectorField._of(chart, out)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -373,15 +396,27 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def torsion(conn: Connection) -> TensorReport:
-    """Components T^k_{ij} = gamma^k_{ij} - gamma^k_{ji}."""
+    """Components T^k_{ij} = gamma^k_{ij} - gamma^k_{ji}.
+
+    Only the pairs with a nonzero gamma[i][j][k] or gamma[j][i][k] are
+    subtracted: each nonzero symbol off the diagonal i = j sets T^k_{ij},
+    and T^k_{ji} = -gamma[i][j][k] when its mirror symbol is zero; every
+    other component is zero.
+    """
     if conn._torsion is None:
         n = conn.chart.dim
-        comps = {}
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    comps[(k + 1, i + 1, j + 1)] = \
-                        conn.gamma[i][j][k] - conn.gamma[j][i][k]
+        gamma = conn.gamma
+        comps = dict.fromkeys(product(range(1, n + 1), repeat=3),
+                              RationalFunction.zero(conn.chart))
+        for i, row in enumerate(conn._rows):
+            for j, vec in enumerate(row):
+                if i == j:
+                    continue
+                for k, g in vec:
+                    mirror = gamma[j][i][k]
+                    comps[k + 1, i + 1, j + 1] = g - mirror
+                    if not mirror:
+                        comps[k + 1, j + 1, i + 1] = -g
         conn._torsion = TensorReport("torsion", comps)
     return conn._torsion
 
@@ -397,19 +432,19 @@ def curvature(conn: Connection) -> TensorReport:
     """
     if conn._curvature is None:
         n = conn.chart.dim
-        axes = range(1, n + 1)
-        comps = dict.fromkeys(product(axes, repeat=4), RationalFunction.zero(conn.chart))
-        for j, row in enumerate(conn.gamma, 1):
+        comps = dict.fromkeys(product(range(1, n + 1), repeat=4),
+                              RationalFunction.zero(conn.chart))
+        for j, row in enumerate(conn._rows, 1):
             for k, vec in enumerate(row, 1):
-                if not any(vec):
+                if not vec:
                     continue
-                for i in axes:
+                vec = dict(vec)
+                for i in range(1, n + 1):
                     if i == j:
                         continue
-                    for l, x in enumerate(_nabla_coordinate(conn, i - 1, vec), 1):
-                        if x:
-                            comps[l, i, j, k] = comps[l, i, j, k] + x
-                            comps[l, j, i, k] = comps[l, j, i, k] - x
+                    for l, x in _nabla_coordinate(conn, i - 1, vec).items():
+                        comps[l + 1, i, j, k] = comps[l + 1, i, j, k] + x
+                        comps[l + 1, j, i, k] = comps[l + 1, j, i, k] - x
         conn._curvature = TensorReport("curvature", comps)
     return conn._curvature
 
@@ -424,7 +459,8 @@ def is_flat_affine(conn: Connection) -> bool:
 
 def _iat_residuals(conn: Connection, X: VectorField):
     """Residuals of the flat-case criterion as ((i, j), components) pairs, one
-    per coordinate pair with i <= j (1-based), in row-major order.
+    per coordinate pair with i <= j (1-based), in row-major order; the
+    components are sparse {k: value}, empty when the residual vanishes.
 
     residual(i, j) = nabla_{d_i} nabla_{d_j} X - nabla_{(nabla_{d_i} d_j)} X;
     X is infinitesimal affine iff all residuals vanish (sufficient on
@@ -432,17 +468,20 @@ def _iat_residuals(conn: Connection, X: VectorField):
     requires a flat connection, on which residual(i, j) - residual(j, i) =
     R(d_i, d_j) X - nabla_{T(d_i, d_j)} X = 0, so the pairs i > j repeat
     earlier ones; the first failing pair in row-major order has i <= j.
+    Only nonzero components and symbols are visited.
     """
     n = conn.chart.dim
-    zero = RationalFunction.zero(conn.chart)
-    first = [_nabla_coordinate(conn, j, X.coeffs) for j in range(n)]
+    vec = _sparse(X.coeffs)
+    first = [_nabla_coordinate(conn, j, vec) for j in range(n)]
     residuals = []
     for i in range(n):
         for j in range(i, n):
-            second = _nabla_coordinate(conn, i, first[j])
-            correction = _combination(zero, zip(conn.gamma[i][j], first))
-            residuals.append(((i + 1, j + 1),
-                              [a - b if b else a for a, b in zip(second, correction)]))
+            res = _nabla_coordinate(conn, i, first[j])
+            # minus nabla_{(nabla_{d_i} d_j)} X = sum_l gamma[i][j][l] first[l]
+            for l, g in conn._rows[i][j]:
+                for k, v in first[l].items():
+                    _add_at(res, k, -(g * v))
+            residuals.append(((i + 1, j + 1), res))
     return residuals
 
 
@@ -452,7 +491,7 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
     if not is_flat_affine(conn):
         raise NotFlatError(NotFlatError.IAT)
     for pair, residual in _iat_residuals(conn, X):
-        if any(residual):
+        if residual:
             return IATReport(False, pair)
     return IATReport(True)
 
@@ -570,34 +609,36 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
                            - sum_l gamma[i][j][l] first[l]^k.
 
     The connection is flat, so residual(i, j) = residual(j, i) and only the
-    pairs i <= j give equations.  At each pair, clearing polynomial
-    denominators and collecting monomial coefficients of the candidates whose
-    residual is nonzero gives exact linear equations (zero in every other
-    candidate's column); the nullspace of the system is returned, one field
-    per nullspace basis vector (coefficient vectors in reduced row-echelon
-    form, candidates ordered slot by slot, then by term).  Dependent terms
-    raise DependentFieldsError at the first term in the span of those before
-    it.
+    pairs i <= j give equations.  Every `first` and residual is sparse, and
+    only nonzero symbols (`Connection._rows`) are visited.  At each pair,
+    clearing polynomial denominators and collecting monomial coefficients of
+    the candidates whose residual is nonzero gives exact linear equations,
+    sparse dicts {candidate: coefficient} that go straight into one
+    `linalg._Echelon`.  Its nullspace (`linalg._nullspace_rows`, which
+    `linalg.nullspace` also uses) is returned, one field per basis vector
+    (coefficient vectors in reduced row-echelon form, candidates ordered slot
+    by slot, then by term), each built from its nonzero weights.  Dependent
+    terms raise DependentFieldsError at the first term in the span of those
+    before it.
     """
     if not is_flat_affine(conn):
         raise NotFlatError(NotFlatError.ANSATZ)
     chart = conn.chart
     n = chart.dim
     terms = [_as_rf(chart, t) for t in ansatz]
-    probe = [VectorField(chart, [t] + [0] * (n - 1)) for t in terms]
+    zero = RationalFunction.zero(chart)
+    probe = [VectorField._of(chart, (t,) + (zero,) * (n - 1)) for t in terms]
     kept, _ = independent_fields(probe, range(len(terms)))
     if len(kept) != len(terms):
         raise DependentFieldsError("ansatz terms are linearly dependent",
                                    min(set(range(len(terms))).difference(kept)))
-    zero = RationalFunction.zero(chart)
     variables = chart.variables
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    # gamma_at[j][s] lists the nonzero (k, gamma[j][s][k]); d_gamma holds
+    # rows[j][s] lists the nonzero (k, gamma[j][s][k]); d_gamma holds
     # d_i gamma[j][s][k] for those symbols only
-    gamma_at = [[tuple((k, g) for k, g in enumerate(vec) if g) for vec in row]
-                for row in conn.gamma]
+    rows = conn._rows
     d_gamma = {(i, j, s, k): g.diff(var)
-               for j in range(n) for s in range(n) for k, g in gamma_at[j][s]
+               for j in range(n) for s in range(n) for k, g in rows[j][s]
                for i, var in enumerate(variables)}
     tables = []
     for t in terms:
@@ -611,38 +652,37 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
         first = []
         for j in range(n):
             comps = {s: d1[j]} if d1[j] else {}
-            for k, g in gamma_at[j][s]:
+            for k, g in rows[j][s]:
                 _add_at(comps, k, g * t)
             first.append(comps)
         for (i, j), at_pair in zip(pairs, residuals):
             res = {s: d2[i, j]} if d2[i, j] else {}
-            for k, g in gamma_at[j][s]:
+            for k, g in rows[j][s]:
                 _add_at(res, k, d_gamma[i, j, s, k] * t + g * d1[i])
-            for k, row in enumerate(conn._rows[i]):
-                for m, g in row:
-                    if m in first[j]:
-                        _add_at(res, k, g * first[j][m])
-            for l, g in gamma_at[i][j]:
+            for m, v in first[j].items():
+                for k, g in rows[i][m]:
+                    _add_at(res, k, g * v)
+            for l, g in rows[i][j]:
                 for k, v in first[l].items():
                     _add_at(res, k, -(g * v))
             if res:
-                at_pair.append((c, [res.get(k, zero) for k in range(n)]))
-    size = len(terms)
-    ncols = n * size
-    equations = []
+                at_pair.append((c, res))
+    # one sparse equation {c: x} per (component, monomial) at each pair
+    echelon = linalg._Echelon()
     for at_pair in residuals:
-        slots = {}   # (component, monomial) -> its equation at this pair
-        for (c, _), polys in zip(at_pair, _cleared(chart, [res for _, res in at_pair])):
-            for k, p in enumerate(polys):
+        slots = {}
+        for (c, res), polys in zip(at_pair, _cleared(chart, [res.values() for _, res in at_pair])):
+            for k, p in zip(res, polys):
                 for exps, x in p.terms.items():
-                    if (k, exps) not in slots:
-                        slots[k, exps] = [_ZERO] * ncols
-                    slots[k, exps][c] = x
-        equations.extend(slots.values())
-    # component s of a solution is sum_a lambda[s, a] t_a
-    return [VectorField(chart, [sum((t * w for w, t in zip(vec[s * size:(s + 1) * size], terms)
-                                     if w), zero) for s in range(n)])
-            for vec in linalg.nullspace(equations, ncols=ncols)]
+                    slots.setdefault((k, exps), {})[c] = x
+        for equation in slots.values():
+            echelon.add(equation)
+    # candidate c is t_a·d_s with (s, a) = divmod(c, len(terms)), the sparse
+    # vector {s: t_a}; a solution is built from its nonzero weights
+    size = len(terms)
+    return [_field(zero, _combination((w, {c // size: terms[c % size]})
+                                      for c, w in row.items()))
+            for row in linalg._nullspace_rows(echelon, n * size)]
 
 
 # ----- frames, product tables --------------------------------------------------
@@ -652,45 +692,59 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     """The connection with nabla_{E_a} E_b = sum_k c[a][b][k] E_k on the frame.
 
     Extends by function-linearity in the first slot and the Leibniz rule in the
-    second; the result is post-verified against the defining products for every
-    frame pair.  With A the frame matrix and q[a][b] = E_a E_b - E_a(E_b) the
+    second.  With A the frame matrix and q[a][b] = E_a E_b - E_a(E_b) the
     Christoffel part of each defining product, gamma[i][j] = sum_{a,b}
     A^-1[i][a] A^-1[j][b] q[a][b], and A^-1 is taken only when some q[a][b] is
     nonzero.  On an affine chart of the connection, one in which its
     Christoffel symbols vanish (GL(n) in matrix coordinates with E_a E_b the
     matrix product), every defining product is the plain derivative E_a(E_b),
     so q and gamma are zero; `Frame` has already proved A nonsingular.
+
+    Frame fields, products, q and gamma are sparse {k: value} vectors.  The
+    result is post-verified against the defining products at every one of
+    the n^2 frame pairs, through the connection's own kernel rather than the
+    derivatives q was built from: one `_nabla_coordinate` table per field E_b,
+    contracted with each E_a, must give E_a E_b, else AssertionError names
+    the first failing pair (a, b) in row-major order.
     """
     chart = frame.chart
     n = chart.dim
     if constants.dim != n:
         raise ValueError("structure constants must match the frame dimension")
     zero = RationalFunction.zero(chart)
-    A = [list(f.coeffs) for f in frame.fields]
-    # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} A[a][i] A[b][j] gamma[i][j], so the
+    E = [_sparse(f.coeffs) for f in frame.fields]
+    # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} E_a^i E_b^j gamma[i][j], so the
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
-    expected = [[_combination(zero, ((x, A[k]) for k, x in constants.rows[a][b]))
+    expected = [[_combination((x, E[k]) for k, x in constants.rows[a][b])
                  for b in range(n)] for a in range(n)]
-    grads = [_partials(f) for f in frame.fields]
-    q = [[[e - d for e, d in zip(expected[a][b], _combination(zero, zip(A[a], grads[b])))]
-          for b in range(n)] for a in range(n)]
-    if any(e for row in q for vec in row for e in vec):
+    # E_a(E_b) = sum_i E_a^i d_i E_b, from the frame's derivative tables
+    grads = [[_sparse(d) for d in _partials(f)] for f in frame.fields]
+    q = [[dict(expected[a][b]) for b in range(n)] for a in range(n)]
+    for a, b in product(range(n), repeat=2):
+        for i, x in E[a].items():
+            for k, d in grads[b][i].items():
+                _add_at(q[a][b], k, -(x * d))
+    if any(vec for row in q for vec in row):
+        A = [f.coeffs for f in frame.fields]
         try:
             A_inv = linalg.invert(A, zero=zero, one=RationalFunction.one(chart))
         except ValueError:
             raise SingularFrameError("frame matrix is singular") from None
-        # both contractions skip zero weights and zero entries
-        half = [[_combination(zero, zip(A_inv[i], (q[a][b] for a in range(n))))
+        half = [[_combination(zip(A_inv[i], (q[a][b] for a in range(n))))
                  for b in range(n)] for i in range(n)]
-        gamma = [[_combination(zero, zip(A_inv[j], half[i])) for j in range(n)]
-                 for i in range(n)]
+        gamma = [[[_combination(zip(A_inv[j], half[i])).get(k, zero) for k in range(n)]
+                  for j in range(n)] for i in range(n)]
     else:
         gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
     conn = Connection(chart, gamma)
+    # the round trip through the connection's own kernel, which takes its
+    # own derivatives: table[b][i] = nabla_{d_i} E_b, and
+    # nabla_{E_a} E_b = sum_i E_a^i table[b][i]
+    table = [[_nabla_coordinate(conn, i, E[b]) for i in range(n)] for b in range(n)]
     for a in range(n):
         for b in range(n):
-            got = covariant_derivative(conn, frame.fields[a], frame.fields[b])
-            if list(got.coeffs) != expected[a][b]:
+            got = _combination((x, table[b][i]) for i, x in E[a].items())
+            if got != expected[a][b]:
                 raise AssertionError(
                     f"frame round-trip failed at pair ({a + 1}, {b + 1})")
     return conn
@@ -728,10 +782,11 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
             raise IATViolationError(name, report.witness)
     zero = RationalFunction.zero(conn.chart)
     # nabla[j][a] = nabla_{d_a} X_j, so nabla_{X_i} X_j = sum_a X_i^a nabla[j][a]
-    nabla = [[_nabla_coordinate(conn, a, f.coeffs) for a in range(conn.chart.dim)]
-             for f in fields]
-    products = [VectorField(conn.chart, _combination(zero, zip(bi.coeffs, nabla[j])))
-                for bi in fields for j in range(n)]
+    vecs = [_sparse(f.coeffs) for f in fields]
+    nabla = [[_nabla_coordinate(conn, a, vec) for a in range(conn.chart.dim)]
+             for vec in vecs]
+    products = [_field(zero, _combination((x, nabla[j][a]) for a, x in vi.items()))
+                for vi in vecs for j in range(n)]
     try:
         coords = express_in_basis(products, fields)
     except NotInSpanError as err:

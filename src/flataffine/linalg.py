@@ -42,18 +42,15 @@ def rank(rows, *, zero=_QZERO) -> int:
 
 
 def nullspace(rows, ncols: int):
-    """Basis of the right nullspace over Q, returned in reduced row-echelon form."""
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_QZERO] * ncols
-        v[f] = _QONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][f]
-        basis.append(v)
-    return rref(basis)[0]
+    """Basis of the right nullspace over Q, returned in reduced row-echelon form.
+
+    The rows are those of `_nullspace_rows`, made dense; the ansatz solver
+    reads that helper directly on its own sparse equations.
+    """
+    echelon = _Echelon()
+    for row in rows:
+        echelon.add({c: Fraction(x) for c, x in enumerate(row) if x})
+    return [[r.get(c, _QZERO) for c in range(ncols)] for r in _nullspace_rows(echelon, ncols)]
 
 
 def solve(rows, rhs_list, *, zero=_QZERO):
@@ -115,6 +112,27 @@ def _sub_scaled(out: dict, x, row: dict) -> None:
             out[m] = z
         else:
             del out[m]
+
+
+def _nullspace_rows(echelon: "_Echelon", ncols: int) -> list:
+    """The right nullspace in Q^ncols of the span `echelon` holds, as the rows
+    of its reduced row-echelon basis: sparse dicts sorted by pivot.
+
+    Each free column f (no pivot there) gives the vector with 1 at f and
+    -rows[p][f] at each pivot column p; every entry of a fully reduced row
+    off its own pivot is at a free column.  Those vectors go into a second
+    `_Echelon`, so the basis is the canonical one.
+    """
+    pivots = echelon.rows
+    basis = {f: {f: _QONE} for f in range(ncols) if f not in pivots}
+    for p, row in pivots.items():
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    null = _Echelon()
+    for vec in basis.values():
+        null.add(vec)
+    return [null.rows[p] for p in sorted(null.rows)]
 
 
 class _Echelon:

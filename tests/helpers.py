@@ -24,10 +24,12 @@ from flataffine import (
     connection_from_frame,
     express_in_basis,
 )
-from flataffine.geometry import _ZERO, _cleared
+from flataffine.geometry import _cleared
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
 from flataffine.symcore import grlex_key
+
+_ZERO = Fraction(0)   # shared by the empty cells of the dense oracle rows
 
 BENCH_SCENE = Path(__file__).resolve().parent.parent / "bench" / "scene.py"
 

@@ -1,14 +1,18 @@
 """The covariant-derivative kernel against the hand-written sums it replaced.
 
-`covariant_derivative`, `curvature` and the IAT residuals all contract
-Christoffel symbols through one kernel, `geometry._nabla_coordinate`, on the
-sparse rows `Connection._rows`; `connection_from_frame` builds its products
-with `geometry._combination`.  This module keeps the earlier versions, each
-of which wrote the contraction out by hand over the dense `gamma`, as oracles
-and compares them value by value on seeded random connections in dimensions
-1 to 3 (all-zero, sparse and dense symbols, polynomial and non-polynomial
-entries), on fields with zero slots, on the half-plane frame connections and
-on the GL2 frame connection.  `connection_from_frame` is compared with the
+`covariant_derivative`, `curvature`, the IAT residuals, `product_table` and
+the round trip of `connection_from_frame` all contract Christoffel symbols
+through one kernel, `geometry._nabla_coordinate`, on the sparse rows
+`Connection._rows` and sparse field components {k: value}; the kernel's
+outputs are made dense here before they are compared.  `connection_from_frame`
+builds its products with `geometry._combination`.  This module keeps the
+earlier versions, each of which wrote the contraction out by hand over the
+dense `gamma`, as oracles and compares them value by value on seeded random
+connections in dimensions 1 to 3 (all-zero, sparse and dense symbols,
+polynomial and non-polynomial entries), on fields with zero slots, on the
+half-plane frame connections and on the GL2 frame connection.  Two tests
+break the frame connection on purpose, through a lost derivative or a wrong
+inverse, and check that its round trip refuses the result.  `connection_from_frame` is compared with the
 earlier version, which inverted the frame matrix and multiplied dense
 matrices for every frame, on seeded frames in dimensions 1 to 3 and on the
 GL3 frame; it now inverts the frame matrix only when some Christoffel part is
@@ -49,7 +53,7 @@ from flataffine import (
     solve_iat_ansatz,
 )
 from flataffine.geometry import _iat_residuals, _nabla_coordinate
-from flataffine import linalg
+from flataffine import geometry, linalg
 from flataffine.symcore import require_same_chart
 from helpers import (
     GL2Scene,
@@ -298,15 +302,24 @@ def case_connection(name):
 # ----- comparisons ---------------------------------------------------------------------
 
 
+def dense(chart, vec):
+    """The component list of a kernel's sparse vector {k: value}, which must
+    hold no zero entry."""
+    assert all(vec.values())
+    return [vec.get(k, RationalFunction.zero(chart)) for k in range(chart.dim)]
+
+
 def assert_kernel_matches(conn, fields):
-    n = conn.chart.dim
+    chart = conn.chart
+    n = chart.dim
     for X in fields:
+        vec = {k: c for k, c in enumerate(X.coeffs) if c}
         for axis in range(n):
-            assert _nabla_coordinate(conn, axis, X.coeffs) == \
+            assert dense(chart, _nabla_coordinate(conn, axis, vec)) == \
                 list(oracle_nabla_coordinate(conn, axis, X).coeffs)
-        assert _iat_residuals(conn, X) == [(pair, list(field.coeffs))
-                                           for pair, field in oracle_iat_residuals(conn, X)
-                                           if pair[0] <= pair[1]]
+        assert [(pair, dense(chart, res)) for pair, res in _iat_residuals(conn, X)] == \
+            [(pair, list(field.coeffs)) for pair, field in oracle_iat_residuals(conn, X)
+             if pair[0] <= pair[1]]
         for Y in fields:
             assert covariant_derivative(conn, X, Y) == oracle_covariant_derivative(conn, X, Y)
 
@@ -345,10 +358,10 @@ def test_rows_list_the_nonzero_symbols_in_order():
     _, conn = case_connection("dim3-sparse-rational")
     n = conn.chart.dim
     for i in range(n):
-        for k in range(n):
-            assert conn._rows[i][k] == tuple((m, conn.gamma[i][m][k])
-                                             for m in range(n) if conn.gamma[i][m][k])
-    assert any(len(conn._rows[i][k]) not in (0, n) for i in range(n) for k in range(n))
+        for m in range(n):
+            assert conn._rows[i][m] == tuple((k, conn.gamma[i][m][k])
+                                             for k in range(n) if conn.gamma[i][m][k])
+    assert any(len(conn._rows[i][m]) not in (0, n) for i in range(n) for m in range(n))
     zero = Connection.zero(CHARTS[2])
     assert zero._rows == (((), ()), ((), ()))
 
@@ -458,6 +471,50 @@ def test_frame_matrix_is_inverted_only_for_a_christoffel_part(invert_calls):
     conn = connection_from_frame(aff_frame(chart_xy()), aff_line_lsa())
     assert len(invert_calls) == 1
     assert conn != Connection.zero(chart_xy())
+
+
+ROUND_TRIP_FAILED = r"^frame round-trip failed at pair \(\d, \d\)$"
+
+
+def test_round_trip_refuses_a_connection_built_from_a_wrong_derivative(monkeypatch):
+    """On the GL2 frame every Christoffel part q is zero.  A frame gradient
+    table that lost one derivative makes q, and so gamma, nonzero; the round
+    trip takes its own derivatives, so it must refuse that connection."""
+    scene = GL2Scene()
+    original = geometry._partials
+    dropped = []
+
+    def lossy(X):
+        table = original(X)
+        if not dropped:
+            a, k = next((a, k) for a, row in enumerate(table)
+                        for k, d in enumerate(row) if d)
+            table[a][k] = RationalFunction.zero(X.chart)
+            dropped.append((a, k))
+        return table
+
+    monkeypatch.setattr(geometry, "_partials", lossy)
+    with pytest.raises(AssertionError, match=ROUND_TRIP_FAILED):
+        connection_from_frame(scene.frame, scene.constants)
+    assert len(dropped) == 1
+
+
+def test_round_trip_refuses_a_connection_built_from_a_wrong_inverse(monkeypatch):
+    """On the alpha = 2 half-plane frame q is nonzero, so gamma is read
+    through the inverse frame matrix; one wrong entry there must be caught."""
+    original = linalg.invert
+    calls = []
+
+    def perturbed(*args, **kwargs):
+        inverse = original(*args, **kwargs)
+        inverse[0][0] = inverse[0][0] + 1
+        calls.append(1)
+        return inverse
+
+    monkeypatch.setattr(linalg, "invert", perturbed)
+    with pytest.raises(AssertionError, match=ROUND_TRIP_FAILED):
+        connection_from_frame(aff_frame(chart_xy()), alpha_family(2))
+    assert calls == [1]
 
 
 def test_singular_frames_are_refused():
