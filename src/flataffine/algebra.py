@@ -76,9 +76,9 @@ def _sparse(vec) -> dict:
     return {k: x for k, x in enumerate(vec) if x}
 
 
-def _dense(n: int, items) -> Vector:
-    """The length-n `Fraction` tuple with the (k, x) items and zeros elsewhere."""
-    out = [_ZERO] * n
+def _dense(n: int, items, zero=_ZERO) -> Vector:
+    """The length-n tuple with the (k, x) items and `zero` elsewhere."""
+    out = [zero] * n
     for k, x in items:
         out[k] = x
     return tuple(out)
@@ -200,10 +200,11 @@ class SCAlgebra:
     # ----- serialization --------------------------------------------------
 
     def _entries(self, pairs) -> list:
-        """JSON entries of the nonzero products among the (i, j) pairs, 1-based."""
+        """JSON entries of the nonzero products among the (i, j) pairs, 1-based;
+        every zero coefficient is the one shared string "0"."""
         n, rows = self.dim, self.rows
         return [{"left": i + 1, "right": j + 1,
-                 "result": [str(x) for x in _dense(n, rows[i][j])]}
+                 "result": list(_dense(n, ((k, str(x)) for k, x in rows[i][j]), "0"))}
                 for i, j in pairs if rows[i][j]]
 
     def to_json_dict(self) -> dict:

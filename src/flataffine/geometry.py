@@ -12,7 +12,7 @@ memoized on the connection since they are queried by every higher-level check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -271,22 +271,26 @@ class Frame:
 
 @dataclass(frozen=True)
 class TensorReport:
-    """Dense tensor components keyed by 1-based index tuples, plus a zero flag
-    that is computed once, when the report is built."""
+    """The nonzero tensor components on a chart, keyed by 1-based index tuples;
+    a component that cancelled to zero is dropped when the report is built."""
     kind: str
     components: dict
-    is_zero: bool = field(init=False, repr=False, compare=False)
+    chart: Chart
 
     def __post_init__(self):
-        object.__setattr__(self, "is_zero",
-                           all(rf.is_zero() for rf in self.components.values()))
+        object.__setattr__(self, "components",
+                           {idx: rf for idx, rf in self.components.items() if rf})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.components
 
     @property
     def nonzero(self) -> list:
-        return sorted(idx for idx, rf in self.components.items() if not rf.is_zero())
+        return sorted(self.components)
 
     def component(self, *idx) -> RationalFunction:
-        return self.components[idx]
+        return self.components.get(idx) or RationalFunction.zero(self.chart)
 
     def component_name(self, idx) -> str:
         upper, lower = idx[0], idx[1:]
@@ -316,8 +320,8 @@ def _field(zero: RationalFunction, vec: dict) -> VectorField:
     return VectorField._of(chart, [vec.get(k, zero) for k in range(chart.dim)])
 
 
-def _add_at(vec: dict, k: int, x) -> None:
-    """vec[k] += x on a sparse vector {k: value}, which keeps no zero entry."""
+def _add_at(vec: dict, k, x) -> None:
+    """vec[k] += x on a sparse vector or tensor {k: value}, which keeps no zero entry."""
     total = vec[k] + x if k in vec else x
     if total:
         vec[k] = total
@@ -404,10 +408,8 @@ def torsion(conn: Connection) -> TensorReport:
     other component is zero.
     """
     if conn._torsion is None:
-        n = conn.chart.dim
         gamma = conn.gamma
-        comps = dict.fromkeys(product(range(1, n + 1), repeat=3),
-                              RationalFunction.zero(conn.chart))
+        comps = {}
         for i, row in enumerate(conn._rows):
             for j, vec in enumerate(row):
                 if i == j:
@@ -417,7 +419,7 @@ def torsion(conn: Connection) -> TensorReport:
                     comps[k + 1, i + 1, j + 1] = g - mirror
                     if not mirror:
                         comps[k + 1, j + 1, i + 1] = -g
-        conn._torsion = TensorReport("torsion", comps)
+        conn._torsion = TensorReport("torsion", comps, conn.chart)
     return conn._torsion
 
 
@@ -432,8 +434,7 @@ def curvature(conn: Connection) -> TensorReport:
     """
     if conn._curvature is None:
         n = conn.chart.dim
-        comps = dict.fromkeys(product(range(1, n + 1), repeat=4),
-                              RationalFunction.zero(conn.chart))
+        comps = {}
         for j, row in enumerate(conn._rows, 1):
             for k, vec in enumerate(row, 1):
                 if not vec:
@@ -443,9 +444,9 @@ def curvature(conn: Connection) -> TensorReport:
                     if i == j:
                         continue
                     for l, x in _nabla_coordinate(conn, i - 1, vec).items():
-                        comps[l + 1, i, j, k] = comps[l + 1, i, j, k] + x
-                        comps[l + 1, j, i, k] = comps[l + 1, j, i, k] - x
-        conn._curvature = TensorReport("curvature", comps)
+                        _add_at(comps, (l + 1, i, j, k), x)
+                        _add_at(comps, (l + 1, j, i, k), -x)
+        conn._curvature = TensorReport("curvature", comps, conn.chart)
     return conn._curvature
 
 

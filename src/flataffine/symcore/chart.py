@@ -1,7 +1,9 @@
 """Coordinate charts: a named, ordered tuple of variable identifiers.
 
 The variable order is fixed for the chart's lifetime; it determines the
-graded-lexicographic monomial order used everywhere else.
+graded-lexicographic monomial order used everywhere else.  A chart stores its
+dimension and the exponent tuple of the constant monomial, (0,) * dim, once,
+so the polynomial kernels read them instead of rebuilding them.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ class ChartMismatchError(ValueError):
 
 
 class Chart:
-    __slots__ = ("name", "variables", "_index")
+    __slots__ = ("name", "variables", "_index", "dim", "constant_exps")
 
     def __init__(self, name: str, variables):
         variables = tuple(variables)
@@ -31,10 +33,8 @@ class Chart:
         self.name = name
         self.variables = variables
         self._index = {v: i for i, v in enumerate(variables)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.variables)
+        self.dim = len(variables)
+        self.constant_exps = (0,) * self.dim
 
     def axis(self, variable: str) -> int:
         """0-based position of a variable; raises UnknownVariableError."""
@@ -60,6 +60,6 @@ class Chart:
 
 def require_same_chart(a, b) -> None:
     """Raise ChartMismatchError unless both values live on the same chart."""
-    if a.chart != b.chart:
+    if a.chart is not b.chart and a.chart != b.chart:
         raise ChartMismatchError(
             f"charts differ: {a.chart.name!r} vs {b.chart.name!r}")

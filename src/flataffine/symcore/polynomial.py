@@ -4,6 +4,11 @@ A polynomial is a map from exponent vectors to nonzero Fraction coefficients.
 Printing and leading-term selection use descending graded-lexicographic order
 in the chart's variable order, which makes the printed form canonical.
 
+The arithmetic kernels update one fresh dict in place: each term costs one
+membership test, a key that cancels is dropped at once, and exact division and
+the pseudo-remainder keep their remainder in a single dict.  Every stored
+coefficient stays a nonzero Fraction.
+
 The gcd is computed by a fraction-free subresultant remainder sequence on the
 last chart variable that actually occurs, recursing on the coefficients; no
 floating point enters anywhere.
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import add as _add, sub as _sub
 
 from .chart import Chart, require_same_chart
 
@@ -37,6 +43,20 @@ def _coerce_scalar(value):
     if isinstance(value, int):
         return Fraction(value)
     return None
+
+
+def _add_scaled(out: dict, shift, scale: Fraction, terms) -> None:
+    """out += scale * x^shift * terms, in place, for (exponents, coefficient)
+    pairs `terms`; a coefficient that cancels leaves no key behind."""
+    for exps, c in terms:
+        key = tuple(map(_add, shift, exps))
+        c = scale * c
+        if key in out:
+            c += out[key]
+            if not c:
+                del out[key]
+                continue
+        out[key] = c
 
 
 class Polynomial:
@@ -80,11 +100,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, chart: Chart) -> "Polynomial":
-        return cls._of(chart, {(0,) * chart.dim: _ONE})
+        return cls._of(chart, {chart.constant_exps: _ONE})
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Polynomial":
-        return cls(chart, {(0,) * chart.dim: Fraction(value)})
+        return cls(chart, {chart.constant_exps: Fraction(value)})
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> "Polynomial":
@@ -102,10 +122,11 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        terms = self.terms
+        return not terms or len(terms) == 1 and self.chart.constant_exps in terms
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get((0,) * self.chart.dim) == 1
+        return len(self.terms) == 1 and self.terms.get(self.chart.constant_exps) == 1
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -140,20 +161,7 @@ class Polynomial:
     # ----- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
-            s = _coerce_scalar(other)
-            if s is None:
-                return NotImplemented
-            other = Polynomial.constant(self.chart, s)
-        require_same_chart(self, other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            c = out.get(exps, Fraction(0)) + coeff
-            if c:
-                out[exps] = c
-            else:
-                out.pop(exps, None)
-        return Polynomial._of(self.chart, out)
+        return self._plus(other, False)
 
     __radd__ = __add__
 
@@ -161,12 +169,27 @@ class Polynomial:
         return Polynomial._of(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        return self._plus(other, True)
+
+    def _plus(self, other, subtract: bool):
+        """self + other, or self - other, in one copy of self's terms."""
         if not isinstance(other, Polynomial):
             s = _coerce_scalar(other)
             if s is None:
                 return NotImplemented
             other = Polynomial.constant(self.chart, s)
-        return self + (-other)
+        require_same_chart(self, other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            if exps in out:
+                c = out[exps] - c if subtract else out[exps] + c
+                if not c:
+                    del out[exps]
+                    continue
+            elif subtract:
+                c = -c
+            out[exps] = c
+        return Polynomial._of(self.chart, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -181,14 +204,9 @@ class Polynomial:
             return Polynomial._of(self.chart, {e: c * s for e, c in self.terms.items()})
         require_same_chart(self, other)
         out = {}
+        terms = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(key, Fraction(0)) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
+            _add_scaled(out, e1, c1, terms)
         return Polynomial._of(self.chart, out)
 
     __rmul__ = __mul__
@@ -213,7 +231,7 @@ class Polynomial:
             return NotImplemented
         if not s:
             return not self.terms
-        return self.terms == {(0,) * self.chart.dim: s}
+        return len(self.terms) == 1 and self.terms.get(self.chart.constant_exps) == s
 
     def __hash__(self):
         return hash((self.chart, tuple(self.sorted_terms())))
@@ -310,16 +328,19 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
         return p * (1 / d.leading_coefficient())
     d_exps = d.leading_exponents()
     d_coeff = d.terms[d_exps]
-    rem = p
+    # q * lt(d) cancels the remainder's leading term exactly, so each step pops
+    # that term and adds r * (-tail / lc(d)), where r is the popped coefficient
+    tail = [(e, -c / d_coeff) for e, c in d.terms.items() if e != d_exps]
+    rem = dict(p.terms)
     out = {}
-    while not rem.is_zero():
-        r_exps = rem.leading_exponents()
-        q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
+    while rem:
+        r_exps = max(rem, key=grlex_key)
+        q_exps = tuple(map(_sub, r_exps, d_exps))
         if any(e < 0 for e in q_exps):
             raise ExactDivisionError(f"({p}) is not divisible by ({d})")
-        q_coeff = rem.terms[r_exps] / d_coeff
-        out[q_exps] = q_coeff
-        rem = rem - Polynomial._of(p.chart, {q_exps: q_coeff}) * d
+        r_coeff = rem.pop(r_exps)
+        out[q_exps] = r_coeff / d_coeff
+        _add_scaled(rem, q_exps, r_coeff, tail)
     return Polynomial._of(p.chart, out)
 
 
@@ -357,18 +378,6 @@ def _lc_wrt(p: Polynomial, axis: int) -> Polynomial:
     return Polynomial._of(p.chart, terms)
 
 
-def _shift(p: Polynomial, axis: int, k: int) -> Polynomial:
-    """Multiply by variable^k."""
-    if k == 0:
-        return p
-    out = {}
-    for exps, coeff in p.terms.items():
-        new = list(exps)
-        new[axis] += k
-        out[tuple(new)] = coeff
-    return Polynomial._of(p.chart, out)
-
-
 def _content_and_primitive_wrt(p: Polynomial, axis: int):
     """Split p = content * primitive with respect to one variable.
 
@@ -391,12 +400,28 @@ def _prem(a: Polynomial, b: Polynomial, axis: int) -> Polynomial:
     """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a  mod  b, in one variable."""
     db = b.degree_in(axis)
     lcb = _lc_wrt(b, axis)
-    rem = a
+    # each step is rem <- lcb * rem - lc(rem) x^(dr - db) * b, whose degree-dr
+    # parts cancel exactly, so only the lower parts are multiplied
+    lcb_terms = lcb.terms.items()
+    b_low = [(e, -c) for e, c in b.terms.items() if e[axis] < db]
+    rem = a.terms
     steps = a.degree_in(axis) - db + 1
-    while not rem.is_zero() and rem.degree_in(axis) >= db:
-        dr = rem.degree_in(axis)
-        rem = lcb * rem - _shift(_lc_wrt(rem, axis) * b, axis, dr - db)
+    while rem:
+        dr = max(e[axis] for e in rem)
+        if dr < db:
+            break
+        out = {}
+        low = [(e, c) for e, c in rem.items() if e[axis] < dr]
+        for e, c in lcb_terms:
+            _add_scaled(out, e, c, low)
+        for e, c in rem.items():
+            if e[axis] == dr:
+                shift = list(e)
+                shift[axis] -= db
+                _add_scaled(out, shift, c, b_low)
+        rem = out
         steps -= 1
+    rem = Polynomial._of(a.chart, rem)
     if steps > 0:
         rem = (lcb ** steps) * rem
     return rem

@@ -371,6 +371,17 @@ def random_polynomial(rng, chart: Chart, max_degree: int = 3, max_terms: int = 4
     return Polynomial(chart, {e: c for e, c in terms.items() if c})
 
 
+def assert_canonical(p):
+    """Internal results wrap their terms without validation; the validating
+    constructor is the oracle that they are canonical.  The type check matters
+    because int 1 compares equal to Fraction(1)."""
+    from flataffine import Polynomial
+    assert Polynomial(p.chart, p.terms).terms == p.terms
+    for exps, coeff in p.terms.items():
+        assert type(coeff) is Fraction
+        assert type(exps) is tuple and len(exps) == p.chart.dim
+
+
 def random_rational_function(rng, chart: Chart, max_degree: int = 3):
     num = random_polynomial(rng, chart, max_degree)
     den = random_polynomial(rng, chart, max_degree=2, max_terms=2)

@@ -168,8 +168,8 @@ def test_tensor_zero_flags_are_computed_once_per_report(monkeypatch):
     for _ in range(3):
         assert is_flat_affine(conn)
     assert calls == []
-    assert TensorReport("torsion", {(1, 1, 1): rf("0")}) == \
-        TensorReport("torsion", {(1, 1, 1): rf("0")})
+    assert TensorReport("torsion", {(1, 1, 1): rf("0")}, CH) == \
+        TensorReport("torsion", {}, CH)
 
 
 # ----- infinitesimal affine transformations -------------------------------------------

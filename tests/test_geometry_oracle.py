@@ -43,7 +43,6 @@ from flataffine import (
     NotFlatError,
     RationalFunction,
     SingularFrameError,
-    TensorReport,
     VectorField,
     connection_from_frame,
     covariant_derivative,
@@ -107,7 +106,8 @@ def oracle_covariant_derivative(conn, X, Y):
 
 
 def oracle_curvature(conn):
-    """Components R^l_{ijk} of R(d_i, d_j) d_k (computed afresh, not cached).
+    """All n^4 components R^l_{ijk} of R(d_i, d_j) d_k, zeros included, as a
+    dict keyed by 1-based index tuples (computed afresh, not cached).
 
     R^l_{ijk} = d_i gamma^l_{jk} - d_j gamma^l_{ik}
                 + sum_m (gamma^l_{im} gamma^m_{jk} - gamma^l_{jm} gamma^m_{ik}).
@@ -131,7 +131,7 @@ def oracle_curvature(conn):
                         if a and b:
                             term = term - a * b
                     comps[(l + 1, i + 1, j + 1, k + 1)] = term
-    return TensorReport("curvature", comps)
+    return comps
 
 
 def oracle_nabla_coordinate(conn, axis, X):
@@ -325,10 +325,13 @@ def assert_kernel_matches(conn, fields):
 
 
 def assert_curvature_matches(conn):
-    got = curvature(conn).components
-    expected = oracle_curvature(conn).components
-    assert list(got) == list(expected)
-    assert got == expected
+    """The report holds exactly the oracle's nonzero components, and reads
+    every other component as zero."""
+    report = curvature(conn)
+    expected = oracle_curvature(conn)
+    assert report.components == {idx: rf for idx, rf in expected.items() if rf}
+    assert all(report.component(*idx) == rf for idx, rf in expected.items())
+    assert report.is_zero == (not any(expected.values()))
 
 
 @pytest.mark.parametrize("name", list(CASES))

@@ -7,7 +7,8 @@ import pytest
 from flataffine import Chart, Polynomial, Rational, RationalFunction
 from flataffine.symcore import ExactDivisionError, exact_div, poly_gcd, poly_lcm
 from flataffine.symcore.polynomial import _coefficients_wrt, _lc_wrt
-from helpers import chart_xy, random_polynomial, random_rational_function
+from helpers import assert_canonical, chart_xy, random_polynomial, \
+    random_rational_function
 
 
 def P(source_terms, chart):
@@ -177,16 +178,8 @@ def test_pow_and_scalars():
 
 
 # ----- trusted construction ----------------------------------------------------
-# Internal results wrap their terms without validation; the validating
-# constructor is the oracle that they are canonical.  The type check matters
-# because int 1 compares equal to Fraction(1).
-
-
-def assert_canonical(p):
-    assert Polynomial(p.chart, p.terms).terms == p.terms
-    for exps, coeff in p.terms.items():
-        assert type(coeff) is Fraction
-        assert type(exps) is tuple and len(exps) == p.chart.dim
+# Internal results wrap their terms without validation; `assert_canonical`
+# checks them against the validating constructor.
 
 
 def _charts():
