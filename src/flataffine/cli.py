@@ -46,7 +46,7 @@ from .geometry import (
     torsion,
 )
 from .render import render_table_text
-from .symcore import Chart, ExpressionError, UnknownVariableError, parse_expr
+from .symcore import Chart, ExpressionError, RationalFunction, UnknownVariableError, parse_expr
 
 SCHEMA_VERSION = 1
 
@@ -134,9 +134,14 @@ def load_document(doc: dict) -> _Document:
                  f'a chart has at most {_MAX_CHART_VARIABLES} "variables"',
                  f"{path}/variables")
         try:
-            out.charts[entry["name"]] = Chart(entry["name"], entry["variables"])
+            chart = Chart(entry["name"], entry["variables"])
         except ValueError as err:
             raise TaskFileError(str(err), path) from None
+        for k, var in enumerate(chart.variables):   # the grammar must read it back
+            vpath = f"{path}/variables/{k}"
+            _require(_parse(var, chart, vpath) == RationalFunction.variable(chart, var),
+                     f"variable {var!r} reads as an expression, not a name", vpath)
+        out.charts[entry["name"]] = chart
     for path, entry in _entries(doc, "algebras", "algebra", ("name",), out.algebras):
         dim = _typed(entry.get("dim"), int, '"dim"', f"{path}/dim")
         _require(dim <= _MAX_ALGEBRA_DIM, f'"dim" must be at most {_MAX_ALGEBRA_DIM}',
@@ -180,7 +185,7 @@ def load_document(doc: dict) -> _Document:
                                 out.connections):
         chart = _lookup(out.charts, entry["chart"], "chart", path)
         if "christoffel" in entry:
-            sparse = []
+            sparse = {}
             for k, item in enumerate(_typed(entry["christoffel"], list, '"christoffel"',
                                             f"{path}/christoffel")):
                 ipath = f"{path}/christoffel/{k}"
@@ -188,12 +193,13 @@ def load_document(doc: dict) -> _Document:
                          'christoffel entries need "k", "i", "j", "expr"', ipath)
                 for key in "kij":
                     _typed(item[key], int, f'"{key}"', f"{ipath}/{key}")
-                sparse.append((item["k"], item["i"], item["j"],
-                               _parse(item["expr"], chart, ipath)))
-            try:
-                conn = Connection.from_sparse(chart, sparse)
-            except ValueError as err:
-                raise TaskFileError(str(err), path) from None
+                    _require(1 <= item[key] <= chart.dim,
+                             f'"{key}" must be between 1 and {chart.dim}', f"{ipath}/{key}")
+                index = (item["k"], item["i"], item["j"])
+                _require(index not in sparse, f"Christoffel symbol {index} is given twice",
+                         ipath)
+                sparse[index] = _parse(item["expr"], chart, ipath)
+            conn = Connection.from_sparse(chart, [idx + (g,) for idx, g in sparse.items()])
         elif "frame" in entry:
             _require("constants" in entry,
                      'frame connections need "constants" (an algebra name)', path)

@@ -4,8 +4,9 @@ Conventions:
   * a connection stores Christoffel symbols as gamma[i][j][k], meaning
     nabla_{d_i} d_j = sum_k gamma[i][j][k] d_k (0-based internally);
   * all indices in reports, witnesses and tensor component names are 1-based;
-  * vector fields are coefficient lists of rational functions, one per chart
-    variable.
+  * a vector field stores its nonzero components as a sparse vector
+    {k: value}, the form every kernel reads and returns; the dense
+    coefficient list is a view derived on demand.
 
 Everything is a pure function of immutable values; the flatness tensors are
 memoized on the connection since they are queried by every higher-level check.
@@ -90,32 +91,40 @@ def _as_rf(chart: Chart, value) -> RationalFunction:
 
 
 class VectorField:
-    __slots__ = ("chart", "coeffs")
+    """A vector field sum_k X^k d/dx_k stored as its nonzero components:
+    `components` maps a 0-based k to X^k and holds no zero value, so equal
+    fields have equal dicts; `coeffs` is the dense view, derived on demand."""
+
+    __slots__ = ("chart", "components")
 
     def __init__(self, chart: Chart, coeffs):
         coeffs = tuple(_as_rf(chart, c) for c in coeffs)
         if len(coeffs) != chart.dim:
             raise ValueError(
                 f"expected {chart.dim} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if c.chart != chart:
-                raise ValueError("coefficient chart does not match the field chart")
+        if any(c.chart != chart for c in coeffs):
+            raise ValueError("coefficient chart does not match the field chart")
         self.chart = chart
-        self.coeffs = coeffs
+        self.components = {k: c for k, c in enumerate(coeffs) if c}
 
     @classmethod
-    def _of(cls, chart: Chart, coeffs) -> "VectorField":
-        """Wrap coefficients that are already canonical, without coercion or
-        checks: chart.dim RationalFunctions on `chart`, the output of a kernel;
+    def _of(cls, chart: Chart, components: dict) -> "VectorField":
+        """Wrap a sparse vector {k: value} that a kernel has just built, without
+        coercion or checks: 0-based k, nonzero RationalFunctions on `chart`;
         outside input goes through the constructor."""
         self = cls.__new__(cls)
         self.chart = chart
-        self.coeffs = tuple(coeffs)
+        self.components = components
         return self
+
+    @property
+    def coeffs(self) -> tuple:
+        zero = RationalFunction.zero(self.chart)
+        return tuple(self.components.get(k, zero) for k in range(self.chart.dim))
 
     @classmethod
     def zero(cls, chart: Chart) -> "VectorField":
-        return cls._of(chart, (RationalFunction.zero(chart),) * chart.dim)
+        return cls._of(chart, {})
 
     @classmethod
     def coordinate(cls, chart: Chart, axis: int) -> "VectorField":
@@ -123,40 +132,41 @@ class VectorField:
         return cls(chart, [1 if i == axis else 0 for i in range(chart.dim)])
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.components
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
         require_same_chart(self, other)
-        return VectorField._of(self.chart,
-                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        out = dict(self.components)
+        for k, c in other.components.items():
+            _add_at(out, k, c)
+        return VectorField._of(self.chart, out)
 
     def __sub__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        require_same_chart(self, other)
-        return VectorField._of(self.chart,
-                               [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __neg__(self):
-        return VectorField._of(self.chart, [-c for c in self.coeffs])
+        return VectorField._of(self.chart, {k: -c for k, c in self.components.items()})
 
     def scaled(self, factor) -> "VectorField":
         """Multiply by a scalar or rational function."""
         f = _as_rf(self.chart, factor)
-        return VectorField._of(self.chart, [f * c for c in self.coeffs])
+        return VectorField._of(self.chart,
+                               {k: f * c for k, c in self.components.items()} if f else {})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, VectorField)
-                and self.chart == other.chart and self.coeffs == other.coeffs)
+                and self.chart == other.chart and self.components == other.components)
 
     def __hash__(self):
         return hash((self.chart, self.coeffs))
 
     def __str__(self) -> str:
-        parts = [f"({c})*d/d{v}" for v, c in zip(self.chart.variables, self.coeffs)
-                 if not c.is_zero()]
+        parts = [f"({self.components[k]})*d/d{self.chart.variables[k]}"
+                 for k in sorted(self.components)]
         return " + ".join(parts) if parts else "0"
 
     def __repr__(self):
@@ -308,18 +318,6 @@ class IATReport:
 # ----- basic operations ------------------------------------------------------
 
 
-def _sparse(coeffs) -> dict:
-    """The sparse vector {k: value} of a component list, without zero entries."""
-    return {k: c for k, c in enumerate(coeffs) if c}
-
-
-def _field(zero: RationalFunction, vec: dict) -> VectorField:
-    """The vector field of a sparse vector {k: value} on the chart of `zero`,
-    the chart's zero, which fills the missing components."""
-    chart = zero.chart
-    return VectorField._of(chart, [vec.get(k, zero) for k in range(chart.dim)])
-
-
 def _add_at(vec: dict, k, x) -> None:
     """vec[k] += x on a sparse vector or tensor {k: value}, which keeps no zero entry."""
     total = vec[k] + x if k in vec else x
@@ -363,31 +361,30 @@ def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> Ve
     """nabla_X Y = sum_i X^i nabla_{d_i} Y."""
     require_same_chart(conn, X)
     require_same_chart(conn, Y)
-    vec = _sparse(Y.coeffs)
-    return _field(RationalFunction.zero(conn.chart),
-                  _combination((xi, _nabla_coordinate(conn, i, vec))
-                               for i, xi in enumerate(X.coeffs) if xi))
+    return VectorField._of(conn.chart, _combination(
+        (xi, _nabla_coordinate(conn, i, Y.components)) for i, xi in X.components.items()))
 
 
 def _partials(X: VectorField) -> list:
-    """The derivative table d[a][k] = d_a X^k, one derivative per axis and
-    nonzero component (a zero component is its own derivative)."""
-    return [[c.diff(var) if c else c for c in X.coeffs] for var in X.chart.variables]
+    """The derivative table d[a] = {k: d_a X^k}, one sparse vector per axis,
+    with one derivative per axis and nonzero component."""
+    return [{k: d for k, c in X.components.items() if (d := c.diff(var))}
+            for var in X.chart.variables]
 
 
 def _bracket(X: VectorField, dX, Y: VectorField, dY) -> VectorField:
     """[X, Y]^k = sum_a (X^a dY[a][k] - Y^a dX[a][k]), from the derivative
-    tables dX = _partials(X) and dY = _partials(Y); the one bracket kernel."""
+    tables dX = _partials(X) and dY = _partials(Y), over the nonzero (a, k)
+    only; the one bracket kernel."""
     require_same_chart(X, Y)
-    chart = X.chart
-    out = [RationalFunction.zero(chart)] * chart.dim
-    for xa, ya, dxa, dya in zip(X.coeffs, Y.coeffs, dX, dY):
-        for k in range(chart.dim):
-            if xa and dya[k]:
-                out[k] = out[k] + xa * dya[k]
-            if ya and dxa[k]:
-                out[k] = out[k] - ya * dxa[k]
-    return VectorField._of(chart, out)
+    out = {}
+    for a, xa in X.components.items():
+        for k, d in dY[a].items():
+            _add_at(out, k, xa * d)
+    for a, ya in Y.components.items():
+        for k, d in dX[a].items():
+            _add_at(out, k, -(ya * d))
+    return VectorField._of(X.chart, out)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -472,8 +469,7 @@ def _iat_residuals(conn: Connection, X: VectorField):
     Only nonzero components and symbols are visited.
     """
     n = conn.chart.dim
-    vec = _sparse(X.coeffs)
-    first = [_nabla_coordinate(conn, j, vec) for j in range(n)]
+    first = [_nabla_coordinate(conn, j, X.components) for j in range(n)]
     residuals = []
     for i in range(n):
         for j in range(i, n):
@@ -501,22 +497,21 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
 
 
 def _cleared(chart: Chart, vectors):
-    """The numerators of component lists brought over one common polynomial
-    denominator, which preserves constant-linear relations.
+    """The numerators of sparse vectors {k: value} brought over one common
+    polynomial denominator, as sparse vectors {k: numerator}, which preserves
+    constant-linear relations.
 
     The common denominator is the lcm of the distinct denominators of the
-    nonzero coefficients, and each distinct denominator is divided into it
-    once; a zero coefficient (always over 1) contributes its zero numerator.
+    components, and each distinct denominator is divided into it once.
     """
-    dens = dict.fromkeys(c.den for coeffs in vectors for c in coeffs if c.num)
+    dens = dict.fromkeys(c.den for vec in vectors for c in vec.values())
     common = Polynomial.one(chart)
     for d in dens:
         common = poly_lcm(common, d)
     if common.is_one():   # every denominator is 1: nothing to clear
-        return [[c.num for c in coeffs] for coeffs in vectors]
+        return [{k: c.num for k, c in vec.items()} for vec in vectors]
     multiplier = {d: exact_div(common, d) for d in dens}
-    return [[c.num * multiplier[c.den] if c.num else c.num for c in coeffs]
-            for coeffs in vectors]
+    return [{k: c.num * multiplier[c.den] for k, c in vec.items()} for vec in vectors]
 
 
 def _coordinate_rows(fields):
@@ -531,9 +526,9 @@ def _coordinate_rows(fields):
         raise ValueError("all fields must share one chart")
     slots = {}
     rows = []
-    for polys in _cleared(chart, [f.coeffs for f in fields]):
+    for polys in _cleared(chart, [f.components for f in fields]):
         row = {}
-        for k, p in enumerate(polys):
+        for k, p in polys.items():
             for exps, x in p.terms.items():
                 row[slots.setdefault((k, exps), len(slots))] = x
         rows.append(row)
@@ -627,8 +622,7 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     chart = conn.chart
     n = chart.dim
     terms = [_as_rf(chart, t) for t in ansatz]
-    zero = RationalFunction.zero(chart)
-    probe = [VectorField._of(chart, (t,) + (zero,) * (n - 1)) for t in terms]
+    probe = [VectorField._of(chart, {0: t} if t else {}) for t in terms]
     kept, _ = independent_fields(probe, range(len(terms)))
     if len(kept) != len(terms):
         raise DependentFieldsError("ansatz terms are linearly dependent",
@@ -644,8 +638,7 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     tables = []
     for t in terms:
         d1 = [t.diff(var) for var in variables]
-        tables.append((t, d1, {(i, j): d1[j].diff(variables[i]) if d1[j] else zero
-                               for i, j in pairs}))
+        tables.append((t, d1, {(i, j): d1[j] and d1[j].diff(variables[i]) for i, j in pairs}))
     # residuals[p] lists (c, components) for each candidate c whose residual
     # at pairs[p] is nonzero; first and res are sparse {k: value}
     residuals = [[] for _ in pairs]
@@ -672,8 +665,8 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     echelon = linalg._Echelon()
     for at_pair in residuals:
         slots = {}
-        for (c, res), polys in zip(at_pair, _cleared(chart, [res.values() for _, res in at_pair])):
-            for k, p in zip(res, polys):
+        for (c, _), polys in zip(at_pair, _cleared(chart, [res for _, res in at_pair])):
+            for k, p in polys.items():
                 for exps, x in p.terms.items():
                     slots.setdefault((k, exps), {})[c] = x
         for equation in slots.values():
@@ -681,8 +674,8 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     # candidate c is t_a·d_s with (s, a) = divmod(c, len(terms)), the sparse
     # vector {s: t_a}; a solution is built from its nonzero weights
     size = len(terms)
-    return [_field(zero, _combination((w, {c // size: terms[c % size]})
-                                      for c, w in row.items()))
+    return [VectorField._of(chart, _combination((w, {c // size: terms[c % size]})
+                                                for c, w in row.items()))
             for row in linalg._nullspace_rows(echelon, n * size)]
 
 
@@ -713,13 +706,13 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     if constants.dim != n:
         raise ValueError("structure constants must match the frame dimension")
     zero = RationalFunction.zero(chart)
-    E = [_sparse(f.coeffs) for f in frame.fields]
+    E = [f.components for f in frame.fields]
     # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} E_a^i E_b^j gamma[i][j], so the
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
     expected = [[_combination((x, E[k]) for k, x in constants.rows[a][b])
                  for b in range(n)] for a in range(n)]
     # E_a(E_b) = sum_i E_a^i d_i E_b, from the frame's derivative tables
-    grads = [[_sparse(d) for d in _partials(f)] for f in frame.fields]
+    grads = [_partials(f) for f in frame.fields]
     q = [[dict(expected[a][b]) for b in range(n)] for a in range(n)]
     for a, b in product(range(n), repeat=2):
         for i, x in E[a].items():
@@ -781,13 +774,13 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
         report = is_infinitesimal_affine(conn, f)
         if not report.holds:
             raise IATViolationError(name, report.witness)
-    zero = RationalFunction.zero(conn.chart)
+    chart = conn.chart
     # nabla[j][a] = nabla_{d_a} X_j, so nabla_{X_i} X_j = sum_a X_i^a nabla[j][a]
-    vecs = [_sparse(f.coeffs) for f in fields]
-    nabla = [[_nabla_coordinate(conn, a, vec) for a in range(conn.chart.dim)]
-             for vec in vecs]
-    products = [_field(zero, _combination((x, nabla[j][a]) for a, x in vi.items()))
-                for vi in vecs for j in range(n)]
+    nabla = [[_nabla_coordinate(conn, a, f.components) for a in range(chart.dim)]
+             for f in fields]
+    products = [VectorField._of(chart, _combination((x, nabla[j][a])
+                                                    for a, x in f.components.items()))
+                for f in fields for j in range(n)]
     try:
         coords = express_in_basis(products, fields)
     except NotInSpanError as err:

@@ -24,10 +24,9 @@ from flataffine import (
     connection_from_frame,
     express_in_basis,
 )
-from flataffine.geometry import _cleared
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
-from flataffine.symcore import grlex_key
+from flataffine.symcore import Polynomial, exact_div, grlex_key, poly_lcm
 
 _ZERO = Fraction(0)   # shared by the empty cells of the dense oracle rows
 
@@ -219,9 +218,14 @@ def dense_component_rows(chart: Chart, vectors):
     """`dense_coordinate_rows` of component lists that are already on `chart`.
 
     The coordinates are the rational coefficients of each (component,
-    monomial) slot of the `_cleared` numerators, ordered deterministically.
+    monomial) slot of the numerators over the lcm of all denominators, ordered
+    deterministically.  The dense clearing that `geometry._cleared` (sparse
+    vectors) replaced, kept here as the oracle's own.
     """
-    cleared = _cleared(chart, vectors)
+    common = Polynomial.one(chart)
+    for den in dict.fromkeys(c.den for coeffs in vectors for c in coeffs if c):
+        common = poly_lcm(common, den)
+    cleared = [[c.num * exact_div(common, c.den) for c in coeffs] for coeffs in vectors]
     axes = {(k, exps) for polys in cleared for k, p in enumerate(polys) for exps in p.terms}
     axis_list = sorted(axes, key=lambda a: (a[0],) + tuple(grlex_key(a[1])))
     return [[polys[k].terms.get(exps, _ZERO) for (k, exps) in axis_list]

@@ -400,6 +400,13 @@ def _result(value):
     return edit
 
 
+def _christoffel(*entries):
+    """An edit giving the first connection these Christoffel entries."""
+    def edit(doc):
+        doc["connections"][0].update(christoffel=list(entries))
+    return edit
+
+
 @pytest.mark.parametrize("doc, path", [
     (_malformed("clos", lambda d: d["tasks"][0].update(expect_rank="5")),
      "/tasks/0/expect_rank"),
@@ -475,6 +482,22 @@ def _result(value):
         generators=[["1e5", "0", "0", "0", "0", "0"]])), "/tasks/0/generators/0"),
     (_malformed("clos", lambda d: d["tasks"][0].update(
         generators=[[False, "0", "0", "0", "0", "0"]])), "/tasks/0/generators/0"),
+    (_malformed("lsa", _christoffel({"k": 1, "i": 1, "j": 1, "expr": "1"},
+                                    {"k": 1, "i": 1, "j": 1, "expr": "0"})),
+     "/connections/0/christoffel/1"),
+    (_malformed("lsa", _christoffel({"k": 3, "i": 1, "j": 1, "expr": "1"})),
+     "/connections/0/christoffel/0/k"),
+    (_malformed("lsa", _christoffel({"k": 1, "i": 1, "j": 2, "expr": "1"},
+                                    {"k": 1, "i": 0, "j": 1, "expr": "1"})),
+     "/connections/0/christoffel/1/i"),
+    (_malformed("lsa", _christoffel({"k": 2, "i": 2, "j": 3, "expr": "x"})),
+     "/connections/0/christoffel/0/j"),
+    (_malformed("lsa", lambda d: d["charts"][0].update(variables=["1", "y"])),
+     "/charts/0/variables/0"),
+    (_malformed("lsa", lambda d: d["charts"][0].update(variables=["x", ""])),
+     "/charts/0/variables/1"),
+    (_malformed("lsa", lambda d: d["charts"][0].update(variables=["x y", "x"])),
+     "/charts/0/variables/0"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "chart-variables-past-cap",
         "ansatz-past-cap", "algebra-result-zero-denominator",
@@ -488,7 +511,9 @@ def _result(value):
         "frame-on-other-chart", "frame-field-other-chart", "table-field-dependent",
         "envelope-field-dependent", "line-table-dependent", "line-envelope-dependent",
         "result-exponent", "result-decimal-point", "result-float", "result-bool",
-        "result-space", "generator-exponent", "generator-bool"])
+        "result-space", "generator-exponent", "generator-bool", "christoffel-repeated",
+        "christoffel-k-past-dim", "christoffel-i-zero", "christoffel-j-past-dim",
+        "chart-variable-integer", "chart-variable-empty", "chart-variable-two-names"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))

@@ -28,6 +28,12 @@ ansatz, on the zero connection with random polynomial and rational terms and
 on the GL2 and GL3 frame connections.  Both the solver and `_iat_residuals`
 use only the pairs i <= j, which the flatness of every connection they accept
 makes sufficient; two tests check that reason on the oracle itself.
+
+A field stores only its nonzero components, and `==` compares those dicts,
+so the last tests check that field arithmetic, brackets, covariant
+derivatives, product-table products and solver outputs keep no zero value,
+including results that cancel, and that equal fields hash alike whatever the
+order of their keys.
 """
 import json
 import random
@@ -49,6 +55,7 @@ from flataffine import (
     curvature,
     is_flat_affine,
     is_infinitesimal_affine,
+    lie_bracket,
     solve_iat_ansatz,
 )
 from flataffine.geometry import _iat_residuals, _nabla_coordinate
@@ -490,9 +497,8 @@ def test_round_trip_refuses_a_connection_built_from_a_wrong_derivative(monkeypat
     def lossy(X):
         table = original(X)
         if not dropped:
-            a, k = next((a, k) for a, row in enumerate(table)
-                        for k, d in enumerate(row) if d)
-            table[a][k] = RationalFunction.zero(X.chart)
+            a, k = next((a, k) for a, row in enumerate(table) for k in row)
+            del table[a][k]
             dropped.append((a, k))
         return table
 
@@ -714,3 +720,75 @@ def test_witness_is_the_first_failure_of_the_full_scan():
         assert report.witness == expected
         failures += not report.holds
     assert failures == len(cases)
+
+
+# ----- the stored form of a field ----------------------------------------------------------
+
+
+def assert_stored(field):
+    """`components` holds 0-based keys inside the chart and no zero value,
+    which `==` rests on, and agrees with the dense view."""
+    assert all(0 <= k < field.chart.dim and c for k, c in field.components.items())
+    assert VectorField(field.chart, field.coeffs) == field
+
+
+@pytest.mark.parametrize("name", ["dim1-dense-rational", "dim2-sparse-polynomial",
+                                  "dim3-dense-rational"])
+def test_field_results_keep_no_zero_component(name):
+    rng, conn = case_connection(name)
+    chart = conn.chart
+    zero = VectorField.zero(chart)
+    fields = random_fields(rng, chart, 3)
+    for X in fields:
+        cancelled = [X - X, X + -X, -X + X, X.scaled(0), lie_bracket(X, X)]
+        for Z in cancelled:
+            assert_stored(Z)
+            assert Z == zero and Z.is_zero() and str(Z) == "0"
+        for Y in fields:
+            # X + (Y - X) cancels X's components wherever Y has none
+            results = [X + Y, X - Y, -X, X.scaled(random_entry(rng, chart, True)),
+                       lie_bracket(X, Y), covariant_derivative(conn, X, Y), X + (Y - X)]
+            for Z in results:
+                assert_stored(Z)
+            assert X + (Y - X) == Y
+
+
+def test_products_and_solutions_keep_no_zero_component(monkeypatch):
+    """The products that `product_table` hands to `express_in_basis`, some of
+    which cancel to zero, and the fields `solve_iat_ansatz` returns."""
+    conn = aff_line_connection()
+    names, fields = six_iat_fields(conn.chart)
+    products = []
+
+    def capture(targets, basis):
+        products.extend(targets)
+        return express(targets, basis)
+
+    express = geometry.express_in_basis
+    monkeypatch.setattr(geometry, "express_in_basis", capture)
+    geometry.product_table(conn, fields, names)
+    assert len(products) == 36
+    for Z in products:
+        assert_stored(Z)
+    assert VectorField.zero(conn.chart) in products
+    for name, conn in flat_halfplane_connections().items():
+        solutions = solve_iat_ansatz(conn, example_ansatz())
+        assert solutions
+        for Z in solutions:
+            assert_stored(Z)
+
+
+def test_equal_fields_have_equal_hashes_in_any_key_order():
+    rng, conn = case_connection("dim3-dense-rational")
+    for X in random_fields(rng, conn.chart, 4):
+        reordered = VectorField._of(X.chart, dict(reversed(list(X.components.items()))))
+        rebuilt = VectorField(X.chart, X.coeffs)
+        assert reordered == X == rebuilt
+        assert hash(reordered) == hash(X) == hash(rebuilt)
+        assert str(reordered) == str(X) == str(rebuilt)
+    chart = CHARTS[3]
+    a, b = RationalFunction.variable(chart, "x"), RationalFunction.constant(chart, 2)
+    X, Y = VectorField._of(chart, {2: a, 0: b}), VectorField._of(chart, {0: b, 2: a})
+    assert X == Y == VectorField(chart, [b, 0, a])
+    assert hash(X) == hash(Y) == hash(VectorField(chart, [b, 0, a]))
+    assert str(X) == str(Y) == "(2)*d/dx + (x)*d/dz"
