@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from . import linalg
@@ -338,22 +339,43 @@ def _scaled_constants(A: SCAlgebra) -> list:
             for row in A.rows]
 
 
-def _nonzero_columns(s) -> list:
-    """nz[l] = the set of k with s[l][k] nonzero."""
-    return [{k for k, cell in enumerate(row) if cell} for row in s]
+def _first_failure(A: SCAlgebra, pairs, terms):
+    """The first basis triple (i, j, k), 1-based, at which an identity fails,
+    or None; one pass per basis pair (i, j) of `pairs`, in lexicographic order.
 
-
-def _accumulate(total: dict, sign: int, coeffs, rows) -> None:
-    """total += sign * sum of x * rows[l] over (l, x) in coeffs (sparse integer rows)."""
-    for l, x in coeffs:
-        x *= sign
-        for m, y in rows[l]:
-            total[m] = total.get(m, 0) + x * y
-
-
-# Each scan visits, for every (i, j), only the k at which some term of its
-# identity can be nonzero, in ascending order: every skipped triple has all
-# terms zero, so the verdict and the first witness are those of the full scan.
+    terms(s, neg, i, j), on the integer constants s and their negation neg,
+    gives (coeffs, composites, low): the identity at (i, j, k) for every k at
+    once is the map sum_l x L_l over (l, x) in coeffs, plus L_a L_b over
+    (s[a] or neg[a], b) in composites, where L_l: b_k -> b_l b_k, at the
+    k >= low only.  A pass sums it in one dict over the keys k * n + m (the
+    coefficient of b_m at k), and its first witness is its smallest k with a
+    nonzero entry, so the verdict and witness are those of the triple scan.
+    Each L_l is flattened once, over its nonzero constants in ascending (k, m).
+    """
+    s, n = _scaled_constants(A), A.dim
+    # keys[k][m] = k * n + m, each int built once: every term reads the same
+    # objects, so no key is allocated in the loops and lookups match by identity
+    keys = [list(range(k * n, k * n + n)) for k in range(n)]
+    flat = [[(keys[k][m], y) for k, cell in enumerate(row) for m, y in cell] for row in s]
+    split = [[(keys[k], m, y) for k, cell in enumerate(row) for m, y in cell] for row in s]
+    # start[l][k]: the first entry of flat[l] and of split[l] at k or past it
+    start = [list(accumulate(map(len, row), initial=0)) for row in s]
+    neg = [[tuple((m, -y) for m, y in cell) for cell in row] for row in s]
+    for i, j in pairs:
+        coeffs, composites, low = terms(s, neg, i, j)
+        total = {}
+        get = total.get
+        for l, x in coeffs:
+            for key, y in flat[l][start[l][low]:] if low else flat[l]:
+                total[key] = get(key, 0) + x * y
+        for outer, b in composites:
+            for row_keys, l, x in split[b][start[b][low]:] if low else split[b]:
+                for m, y in outer[l]:
+                    key = row_keys[m]
+                    total[key] = get(key, 0) + x * y
+        if any(total.values()):
+            return i + 1, j + 1, min(key for key, x in total.items() if x) // n + 1
+    return None
 
 
 def check_left_symmetric(A: SCAlgebra) -> CheckReport:
@@ -362,68 +384,39 @@ def check_left_symmetric(A: SCAlgebra) -> CheckReport:
     Checking on basis triples suffices by trilinearity.  The witness is the
     first failing (i, j, k) in lexicographic order, 1-based.
     """
-    s = _scaled_constants(A)
-    cols = list(zip(*s))   # cols[k][l] = s[l][k]
-    nz = _nonzero_columns(s)
-    for i, si in enumerate(s):
-        for j, sj in enumerate(s):
-            if i == j:
-                continue
-            # the terms need b_i b_k, b_j b_k, or b_l b_k with l in the
-            # support of b_i b_j or of b_j b_i, to be nonzero
-            ks = nz[i].union(nz[j], *(nz[l] for l, _ in si[j]), *(nz[l] for l, _ in sj[i]))
-            for k in sorted(ks):
-                col = cols[k]
-                # (b_i b_j) b_k - b_i (b_j b_k) - (b_j b_i) b_k + b_j (b_i b_k)
-                total = {}
-                _accumulate(total, 1, si[j], col)
-                _accumulate(total, -1, sj[k], si)
-                _accumulate(total, -1, sj[i], col)
-                _accumulate(total, 1, si[k], sj)
-                if any(total.values()):
-                    return CheckReport(False, (i + 1, j + 1, k + 1))
-    return CheckReport(True)
+    n = A.dim
+    # (b_i b_j) b_k - b_i (b_j b_k) - (b_j b_i) b_k + b_j (b_i b_k)
+    witness = _first_failure(A, ((i, j) for i in range(n) for j in range(n) if i != j),
+                             lambda s, neg, i, j: (s[i][j] + neg[j][i],
+                                                   ((neg[i], j), (s[j], i)), 0))
+    return CheckReport(witness is None, witness)
 
 
 def check_associative(A: SCAlgebra) -> CheckReport:
-    s = _scaled_constants(A)
-    cols = list(zip(*s))   # cols[k][l] = s[l][k]
-    nz = _nonzero_columns(s)
-    for i, si in enumerate(s):
-        for j, sj in enumerate(s):
-            # the terms need b_j b_k, or b_l b_k with l in the support of
-            # b_i b_j, to be nonzero
-            ks = nz[j].union(*(nz[l] for l, _ in si[j]))
-            for k in sorted(ks):
-                # (b_i b_j) b_k - b_i (b_j b_k)
-                total = {}
-                _accumulate(total, 1, si[j], cols[k])
-                _accumulate(total, -1, sj[k], si)
-                if any(total.values()):
-                    return CheckReport(False, (i + 1, j + 1, k + 1))
-    return CheckReport(True)
+    """Associativity on basis triples; the witness is the first failing
+    (i, j, k) in lexicographic order, 1-based."""
+    n = A.dim
+    # (b_i b_j) b_k - b_i (b_j b_k)
+    witness = _first_failure(A, ((i, j) for i in range(n) for j in range(n)),
+                             lambda s, neg, i, j: (s[i][j], ((neg[i], j),), 0))
+    return CheckReport(witness is None, witness)
 
 
 def _require_jacobi(L: SCAlgebra) -> None:
     """Raise JacobiError at the first triple i < j < k (1-based) where Jacobi
-    fails for the constants of L."""
-    n, s = L.dim, _scaled_constants(L)
-    nz = _nonzero_columns(s)
-    nz_left = _nonzero_columns(list(zip(*s)))   # nz_left[i] = {k : s[k][i] nonzero}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # the terms need [b_i, b_j], [b_j, b_k] or [b_k, b_i] to be nonzero
-            if s[i][j]:
-                ks = range(j + 1, n)
-            else:
-                ks = sorted(k for k in nz[j] | nz_left[i] if k > j)
-            for k in ks:
-                # [b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]]
-                total = {}
-                for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-                    _accumulate(total, 1, s[b][d], s[a])
-                if any(total.values()):
-                    raise JacobiError((i + 1, j + 1, k + 1))
+    fails for the constants of L, which must be antisymmetric.
+
+    By antisymmetry the Jacobi sum at (i, j, k),
+    [b_i,[b_j,b_k]] + [b_j,[b_k,b_i]] + [b_k,[b_i,b_j]], is
+    (ad_i ad_j - ad_j ad_i - ad_[b_i, b_j]) b_k.  At k <= j it is a sum with a
+    repeated index, which is zero, or the sum at a triple whose pair came
+    earlier and passed; so only k > j is read.
+    """
+    n = L.dim
+    witness = _first_failure(L, ((i, j) for i in range(n) for j in range(i + 1, n)),
+                             lambda s, neg, i, j: (neg[i][j], ((s[i], j), (neg[j], i)), j + 1))
+    if witness is not None:
+        raise JacobiError(witness)
 
 
 def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
@@ -433,13 +426,10 @@ def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
     do not satisfy Jacobi, which signals the input is neither associative nor
     left-symmetric.
     """
-    n, rows = A.dim, A.rows
-    f = [[()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            f[i][j] = _difference(rows[i][j], rows[j][i])
-            f[j][i] = _negated(f[i][j])
-    lie = LieAlgebraSC._of(A.basis_names, tuple(map(tuple, f)))   # antisymmetric
+    rows = A.rows
+    # row i against column i, which holds c[j][i]; f[j][i] is exactly -f[i][j]
+    f = tuple(tuple(map(_difference, row, col)) for row, col in zip(rows, zip(*rows)))
+    lie = LieAlgebraSC._of(A.basis_names, f)
     _require_jacobi(lie)
     return lie
 
@@ -488,10 +478,12 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
     w = sum_a lambda_a row_a of the span has w[p_a] = lambda_a: the
     coordinates of a product are its entries at the pivot columns, and it
     lies in the span iff w - sum_a w[p_a] row_a is zero, which is checked for
-    every product.
+    every product.  The coordinates are read over the support of w, through
+    the map p_a -> a.
     """
     echelon = space._echelon
     pivots = sorted(echelon.rows)
+    index = {p: a for a, p in enumerate(pivots)}
     vectors = [echelon.rows[p] for p in pivots]
     basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
     rows = []
@@ -501,7 +493,7 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
             w = A._product(u, v)
             if echelon.reduce(w):
                 raise ValueError("subspace is not closed under the product")
-            row.append(tuple((a, w[p]) for a, p in enumerate(pivots) if p in w))
+            row.append(tuple(sorted((index[p], x) for p, x in w.items() if p in index)))
         rows.append(tuple(row))
     return SCAlgebra._of(basis_names, tuple(rows))
 

@@ -203,13 +203,18 @@ class Connection:
 
     @classmethod
     def from_sparse(cls, chart: Chart, entries) -> "Connection":
-        """Build from sparse entries (k, i, j, expr) with 1-based indices."""
+        """Build from sparse entries (k, i, j, expr) with 1-based indices, each
+        (k, i, j) at most once."""
         n = chart.dim
         gamma = [[[RationalFunction.zero(chart) for _ in range(n)]
                   for _ in range(n)] for _ in range(n)]
+        seen = set()
         for k, i, j, expr in entries:
             if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"Christoffel index out of range: ({k},{i},{j})")
+            if (k, i, j) in seen:
+                raise ValueError(f"Christoffel symbol ({k},{i},{j}) is given twice")
+            seen.add((k, i, j))
             gamma[i - 1][j - 1][k - 1] = _as_rf(chart, expr)
         return cls(chart, gamma)
 
@@ -455,10 +460,17 @@ def is_flat_affine(conn: Connection) -> bool:
 # ----- infinitesimal affine transformations ----------------------------------
 
 
-def _iat_residuals(conn: Connection, X: VectorField):
-    """Residuals of the flat-case criterion as ((i, j), components) pairs, one
-    per coordinate pair with i <= j (1-based), in row-major order; the
-    components are sparse {k: value}, empty when the residual vanishes.
+def _first_derivatives(conn: Connection, X: VectorField) -> list:
+    """The table first[a] = nabla_{d_a} X, one sparse vector per axis."""
+    return [_nabla_coordinate(conn, a, X.components) for a in range(conn.chart.dim)]
+
+
+def _iat_residuals(conn: Connection, first):
+    """Residuals of the flat-case criterion for a field X, from its table
+    first = _first_derivatives(conn, X), as ((i, j), components) pairs, one
+    per coordinate pair with i <= j (1-based), in row-major order and each
+    computed as it is read; the components are sparse {k: value}, empty when
+    the residual vanishes.
 
     residual(i, j) = nabla_{d_i} nabla_{d_j} X - nabla_{(nabla_{d_i} d_j)} X;
     X is infinitesimal affine iff all residuals vanish (sufficient on
@@ -469,8 +481,6 @@ def _iat_residuals(conn: Connection, X: VectorField):
     Only nonzero components and symbols are visited.
     """
     n = conn.chart.dim
-    first = [_nabla_coordinate(conn, j, X.components) for j in range(n)]
-    residuals = []
     for i in range(n):
         for j in range(i, n):
             res = _nabla_coordinate(conn, i, first[j])
@@ -478,8 +488,12 @@ def _iat_residuals(conn: Connection, X: VectorField):
             for l, g in conn._rows[i][j]:
                 for k, v in first[l].items():
                     _add_at(res, k, -(g * v))
-            residuals.append(((i + 1, j + 1), res))
-    return residuals
+            yield (i + 1, j + 1), res
+
+
+def _iat_witness(conn: Connection, first):
+    """The first pair of `_iat_residuals` with a nonzero residual, or None."""
+    return next((pair for pair, res in _iat_residuals(conn, first) if res), None)
 
 
 def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
@@ -487,10 +501,8 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
     require_same_chart(conn, X)
     if not is_flat_affine(conn):
         raise NotFlatError(NotFlatError.IAT)
-    for pair, residual in _iat_residuals(conn, X):
-        if residual:
-            return IATReport(False, pair)
-    return IATReport(True)
+    pair = _iat_witness(conn, _first_derivatives(conn, X))
+    return IATReport(pair is None, pair)
 
 
 # ----- constant-coefficient span machinery ------------------------------------
@@ -770,14 +782,16 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
         raise DependentFieldsError(
             f"field {names[index]!r} is a constant combination of the fields "
             "before it", index)
+    # nabla[j][a] = nabla_{d_a} X_j, so nabla_{X_i} X_j = sum_a X_i^a nabla[j][a];
+    # the IAT test of X_j reads the same table
+    nabla = []
     for name, f in zip(names, fields):
-        report = is_infinitesimal_affine(conn, f)
-        if not report.holds:
-            raise IATViolationError(name, report.witness)
+        first = _first_derivatives(conn, f)
+        pair = _iat_witness(conn, first)
+        if pair is not None:
+            raise IATViolationError(name, pair)
+        nabla.append(first)
     chart = conn.chart
-    # nabla[j][a] = nabla_{d_a} X_j, so nabla_{X_i} X_j = sum_a X_i^a nabla[j][a]
-    nabla = [[_nabla_coordinate(conn, a, f.components) for a in range(chart.dim)]
-             for f in fields]
     products = [VectorField._of(chart, _combination((x, nabla[j][a])
                                                     for a, x in f.components.items()))
                 for f in fields for j in range(n)]

@@ -4,7 +4,8 @@
 differences c[i][j] - c[j][i] for the pairs i < j only, each bracket from one
 derivative table per field, `commutator_algebra` subtracts only where c[j][i]
 is nonzero, and `product_table` takes one nabla_{d_a} X_j per field and axis
-instead of one `covariant_derivative` per pair.  This module keeps the
+instead of one `covariant_derivative` per pair, the same table that the
+field's infinitesimal-affine test reads.  This module keeps the
 earlier versions as oracles and compares results, verdicts and errors on the
 GL2 scene, the six half-plane fields and seeded frame connections, including
 tables with one perturbed entry, and the bracket kernel on GL2, GL3 and
@@ -340,15 +341,33 @@ def test_cross_check_takes_one_bracket_per_pair(monkeypatch):
 def test_product_table_takes_one_derivative_per_field_and_axis(monkeypatch):
     conn, fields, names = halfplane_scene()
     assert is_flat_affine(conn)   # the flatness tensors are cached from here on
-    # count the table's own derivatives, not those of its IAT tests
-    monkeypatch.setattr(geometry, "is_infinitesimal_affine",
-                        lambda conn, X: geometry.IATReport(True))
     kernel = geometry._nabla_coordinate
     calls = []
     monkeypatch.setattr(geometry, "_nabla_coordinate",
                         lambda *args: calls.append(1) or kernel(*args))
     product_table(conn, fields, names)
-    assert len(calls) == len(fields) * conn.chart.dim
+    # the IAT tests take nabla_{d_a} X once per field and axis, and one more per
+    # pair a <= b; the products read the same first table and take none
+    dim = conn.chart.dim
+    assert len(calls) == len(fields) * (dim + dim * (dim + 1) // 2) == 30
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_product_table_names_the_first_non_iat_field(order):
+    conn, fields, names = halfplane_scene()
+    chart = conn.chart
+    bad = [VectorField(chart, ["x^2", "0"]), VectorField(chart, ["0", "y^2"])]
+    first, second = order
+    fields = fields[:2] + [bad[first]] + fields[2:] + [bad[second]]
+    names = names[:2] + [f"q{first}"] + names[2:] + [f"q{second}"]
+    expected = is_infinitesimal_affine(conn, bad[first])
+    assert not expected.holds and not is_infinitesimal_affine(conn, bad[second]).holds
+    with pytest.raises(IATViolationError) as err:
+        product_table(conn, fields, names)
+    assert (err.value.field_name, err.value.witness) == (f"q{first}", expected.witness)
+    with pytest.raises(IATViolationError) as oracle:
+        oracle_product_table(conn, fields, names)
+    assert str(err.value) == str(oracle.value)
 
 
 def test_zero_components_share_one_object():

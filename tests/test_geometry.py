@@ -1,5 +1,6 @@
 """Geometry operations: covariant derivatives, flatness tensors, the
 infinitesimal-affine test and ansatz solver, frames and product tables."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,18 @@ def test_torsion_free_bracket_identity_on_37_fields():
 
 
 # ----- torsion / curvature / flatness -----------------------------------------------
+
+
+@pytest.mark.parametrize("entries", [
+    [(1, 1, 1, "1"), (1, 1, 1, "0")],
+    [(2, 1, 2, "x"), (1, 1, 1, "y"), (2, 1, 2, "x")],
+])
+def test_from_sparse_refuses_a_repeated_symbol(entries):
+    k, i, j, _ = entries[-1]
+    with pytest.raises(ValueError, match=re.escape(f"({k},{i},{j}) is given twice")):
+        Connection.from_sparse(plane_chart(), entries)
+    # the same entries without the repeat are accepted
+    Connection.from_sparse(plane_chart(), entries[:-1])
 
 
 def test_torsion_zero_and_perturbed():

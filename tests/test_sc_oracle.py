@@ -4,19 +4,26 @@
 over the nonzero x; `product`, `left_mult_matrix`, serialisation and the
 commutator read them, and the dense `c` is only a derived view.  The
 associativity, left-symmetry and Jacobi scans run on integer constants scaled
-by their common denominator, over the triples where a term can be nonzero;
+by their common denominator, one pass per basis pair (i, j) that sums the
+identity for every k at once and reports the pair's smallest failing k;
 `LieAlgebraSC` is a validated `SCAlgebra` sharing its JSON entry writer.
 This module keeps the earlier dense Fraction loops, the dense `_product` among
 them, as oracles and compares verdicts, lexicographically-first witnesses,
 vectors, matrices and JSON on seeded random algebras with integer and with
-rational constants, on sparse matrix-unit algebras, on the matrix algebras
+rational constants, on seeded sparse rational algebras (dimension 2 to 6,
+density 0.05 to 0.4), on sparse matrix-unit algebras, on the matrix algebras
 M2(Q) and M3(Q) in a random rational basis and on the GL2 ambient table.  The
 matrix algebras and the GL2 table are associative and their commutators
 satisfy Jacobi, so the passing paths run with real cancellation; one perturbed
-constant moves the first witness away from (1, 1, 1).  Algebras built by
-`product_table`, `restrict_to_subspace`, `opposite` and `adjoin_unit`, which
-skip the public constructor's coercion, are checked to be in its canonical
-form.
+constant moves the first witness away from (1, 1, 1).  Seeded cases whose
+first failing pair fails only past its smallest k, while a later pair fails at
+its smallest k, check that the scans report the pair first and then the k.
+`restrict_to_subspace`, which reads each product's coordinates over its
+support through a pivot map, is compared with the loop over every pivot on
+closures whose echelon rows are not basis vectors and on a span that is not
+closed.  Algebras built by `product_table`, `restrict_to_subspace`,
+`opposite` and `adjoin_unit`, which skip the public constructor's coercion,
+are checked to be in its canonical form.
 """
 import random
 from fractions import Fraction
@@ -187,6 +194,51 @@ def oracle_commutator_constants(A):
             for i in range(n)]
 
 
+def oracle_failures(A, kind):
+    """Every failing basis triple (0-based, lexicographic) of one scan: the
+    associator, the left-symmetric identity, or Jacobi for the commutators."""
+    n = A.dim
+    zero = (Fraction(0),) * n
+    if kind == "associative":
+        return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
+                if oracle_associator(A, i, j, k) != zero]
+    if kind == "left-symmetric":
+        return [(i, j, k) for i in range(n) for j in range(n) if i != j for k in range(n)
+                if oracle_associator(A, i, j, k) != oracle_associator(A, j, i, k)]
+    f = oracle_commutator_constants(A)
+    L = SCAlgebra(A.basis_names, f)
+    return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+            if oracle_jacobi_witness_at(L, i, j, k)]
+
+
+def oracle_jacobi_witness_at(L, i, j, k):
+    """True iff the Jacobi sum of L at (i, j, k) is nonzero."""
+    total = [Fraction(0)] * L.dim
+    for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, il in enumerate(L.c[b][d]):
+            for m, fm in enumerate(L.c[a][l]):
+                total[m] += il * fm
+    return any(total)
+
+
+def oracle_restrict_to_subspace(A, space):
+    """The restriction loop that read every product at every pivot column."""
+    echelon = space._echelon
+    pivots = sorted(echelon.rows)
+    vectors = [echelon.rows[p] for p in pivots]
+    basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
+    rows = []
+    for u in vectors:
+        row = []
+        for v in vectors:
+            w = A._product(u, v)
+            if echelon.reduce(w):
+                raise ValueError("subspace is not closed under the product")
+            row.append(tuple((a, w[p]) for a, p in enumerate(pivots) if p in w))
+        rows.append(tuple(row))
+    return SCAlgebra._of(basis_names, tuple(rows))
+
+
 # ----- inputs --------------------------------------------------------------------------
 
 
@@ -252,6 +304,20 @@ def random_rational_algebra(rng, dim):
             for k in range(dim):
                 if rng.random() < 0.3:
                     c[i][j][k] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(2, 7))
+    return SCAlgebra([f"b{k + 1}" for k in range(dim)], c)
+
+
+def sparse_rational_algebra(seed):
+    """Dimension 2 to 6, each constant nonzero with a seeded probability
+    between 0.05 and 0.4, with values p/q, q in 1..5."""
+    rng = random.Random(f"sparse-{seed}")
+    dim, density = rng.randint(2, 6), rng.uniform(0.05, 0.4)
+    c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                if rng.random() < density:
+                    c[i][j][k] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 5))
     return SCAlgebra([f"b{k + 1}" for k in range(dim)], c)
 
 
@@ -365,6 +431,108 @@ def test_products_and_matrices_match_oracle(name, A):
         assert sparse == {k: x for k, x in enumerate(oracle_dense_product(A, u, v)) if x}
         assert left_mult_matrix(A, v) == oracle_left_mult_matrix(A, v)
     assert A.to_json_dict() == oracle_algebra_json(A)
+
+
+SCANS = ("associative", "left-symmetric", "jacobi")
+
+
+def scan_witness(A, kind):
+    """The first witness of one library scan, 0-based, or None when it holds."""
+    if kind == "jacobi":
+        try:
+            commutator_algebra(A)
+        except JacobiError as err:
+            with pytest.raises(JacobiError) as again:
+                LieAlgebraSC(A.basis_names, oracle_commutator_constants(A))
+            assert again.value.witness == err.witness
+            return tuple(x - 1 for x in err.witness)
+        return None
+    report = (check_associative if kind == "associative" else check_left_symmetric)(A)
+    assert report.holds is (report.witness is None)
+    return None if report.holds else tuple(x - 1 for x in report.witness)
+
+
+def fails_late(kind, failures):
+    """True when the first failing pair fails only past its smallest k (1, or
+    j + 1 for Jacobi) and a later pair fails at its smallest k."""
+    def smallest(j):
+        return j + 1 if kind == "jacobi" else 0
+    i, j, k = failures[0]
+    return k > smallest(j) and any((a, b) > (i, j) and c == smallest(b)
+                                   for a, b, c in failures)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_sparse_rational_scans_match_oracle(seed):
+    A = sparse_rational_algebra(seed)
+    for kind in SCANS:
+        failures = oracle_failures(A, kind)
+        assert scan_witness(A, kind) == (failures[0] if failures else None)
+
+
+@pytest.mark.parametrize("kind", SCANS)
+def test_a_pair_failing_late_comes_before_a_later_pair_failing_early(kind):
+    # a scan that stopped at the first pair failing at its smallest k, or
+    # that read k in another order, would report the later pair
+    found = 0
+    for seed in range(60, 1000):
+        A = sparse_rational_algebra(seed)
+        failures = oracle_failures(A, kind)
+        if failures and fails_late(kind, failures):
+            assert scan_witness(A, kind) == failures[0]
+            found += 1
+            if found == 8:
+                return
+    pytest.fail(f"only {found} seeded {kind} cases fail late")
+
+
+def restriction_cases():
+    """Closures in seeded rational algebras, the whole space included, and
+    proper closures of one or two generators, whose echelon rows are not
+    basis vectors."""
+    for seed in range(4):
+        A = CASES[f"rational-{seed}"]
+        rng = random.Random(f"restrict-{seed}")
+        gens = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(A.dim)]
+                for _ in range(2)]
+        yield f"rational-{seed}", A, subalgebra_closure(A, gens)
+    for name, count in (("M2-0", 1), ("M2-1", 1), ("M2-0-rescaled", 1), ("M3-0", 1),
+                        ("units-3", 1), ("units-4-strict", 1), ("units-4-strict", 2)):
+        A = CASES[name]
+        rng = random.Random(f"restrict-{name}-{count}")
+        gens = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(A.dim)]
+                for _ in range(count)]
+        yield f"{name}-{count}", A, subalgebra_closure(A, gens)
+
+
+RESTRICTIONS = {name: (A, space) for name, A, space in restriction_cases()}
+
+
+@pytest.mark.parametrize("name", RESTRICTIONS)
+def test_restriction_matches_the_all_pivot_loop(name):
+    A, space = RESTRICTIONS[name]
+    restricted = restrict_to_subspace(A, space)
+    assert restricted == oracle_restrict_to_subspace(A, space)
+    assert restricted.rows == SCAlgebra(restricted.basis_names, restricted.c).rows
+    if not name.startswith("rational"):
+        assert 0 < space.rank < A.dim
+        assert space.named_basis(A.basis_names) is None
+        assert any(x not in (0, 1) for row in space.rows for x in row)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restriction_to_a_span_that_is_not_closed(seed):
+    rng = random.Random(f"open-{seed}")
+    A = CASES[f"M2-{seed % 3}"]
+    u, v = ([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(A.dim)]
+            for _ in range(2))
+    space = Subspace(A.dim, [u, v])
+    assert subalgebra_closure(A, [u, v]).rank > space.rank
+    with pytest.raises(ValueError) as oracle:
+        oracle_restrict_to_subspace(A, space)
+    with pytest.raises(ValueError) as err:
+        restrict_to_subspace(A, space)
+    assert str(err.value) == str(oracle.value)
 
 
 def test_lie_json_keeps_brackets_with_i_below_j():
