@@ -224,14 +224,19 @@ class SCAlgebra:
         names = tuple(doc["basis"])
         if len(names) != n:
             raise ValueError("basis length does not match dim")
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        given = {}   # the last entry for a pair wins
         for entry in doc.get("products", ()):
             i, j = entry["left"] - 1, entry["right"] - 1
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"product index out of range: {entry}")
-            c[i][j] = [parse_rational(x) for x in entry["result"]]
+            given[i, j] = [parse_rational(x) for x in entry["result"]]
+        rows = [[()] * n for _ in range(n)]
+        for (i, j), vec in sorted(given.items()):
+            if len(vec) != n:
+                raise ValueError(f"expected a vector of length {n}, got {len(vec)}")
+            rows[i][j] = tuple((k, x) for k, x in enumerate(vec) if x)
         unit = doc.get("unit")
-        return cls(names, c, None if unit is None else unit - 1)
+        return cls._of(names, tuple(map(tuple, rows)), None if unit is None else unit - 1)
 
 
 class LieAlgebraSC(SCAlgebra):
@@ -262,6 +267,18 @@ class LieAlgebraSC(SCAlgebra):
                 if rows[i][j] != _negated(rows[j][i]):
                     raise ValueError(f"bracket is not antisymmetric at ({i + 1}, {j + 1})")
         _require_jacobi(self)
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "LieAlgebraSC":
+        """The Lie algebra whose "products" list gives both [b_i, b_j] and
+        [b_j, b_i], as a task file does; antisymmetry and Jacobi are checked.
+        The "brackets" that `to_json_dict` writes are refused, not read as
+        an algebra with no products."""
+        if "brackets" in doc:
+            raise ValueError('a Lie algebra is read from "products", not "brackets"')
+        lie = super().from_json_dict(doc)
+        lie._require_lie()
+        return lie
 
     def to_json_dict(self) -> dict:
         """The brackets [b_i, b_j] with i < j; the rest follow by antisymmetry."""

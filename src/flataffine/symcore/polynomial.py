@@ -9,6 +9,18 @@ membership test, a key that cancels is dropped at once, and exact division and
 the pseudo-remainder keep their remainder in a single dict.  Every stored
 coefficient stays a nonzero Fraction.
 
+Shortcuts that return the general path's value (one line of proof each):
+
+- a product with one term c*x^e shifts exponents by e and scales by c: the
+  shift is injective, so no keys collide and nothing cancels;
+- exact division by c*x^e shifts by -e and divides by c: each term of p must
+  be a multiple of x^e on its own, the test the general path makes term by term;
+- the gcd with a monomial is x^m, m the least exponent of each variable in
+  both: a monomial's divisors are monomials, and x^m divides every term;
+- a longer division pops its remainder's leading term from a heap of
+  exponents: every key of the remainder has an entry, and entries whose key
+  has cancelled are skipped.
+
 The gcd is computed by a fraction-free subresultant remainder sequence on the
 last chart variable that actually occurs, recursing on the coefficients; no
 floating point enters anywhere.
@@ -17,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add as _add, sub as _sub
+from operator import add as _add, neg as _neg, sub as _sub
 
 from .chart import Chart, require_same_chart
 
@@ -43,6 +55,22 @@ def _coerce_scalar(value):
     if isinstance(value, int):
         return Fraction(value)
     return None
+
+
+def _descending(exps):
+    """Heap key: ascending order of these keys is descending graded-lex order."""
+    return (-sum(exps), tuple(map(_neg, exps)), exps)
+
+
+def _times_term(terms: dict, exps, coeff: Fraction) -> dict:
+    """terms * coeff * x^exps as a fresh dict, in the order of `terms`."""
+    if any(exps):
+        if coeff == 1:
+            return {tuple(map(_add, e, exps)): c for e, c in terms.items()}
+        return {tuple(map(_add, e, exps)): c * coeff for e, c in terms.items()}
+    if coeff == 1:
+        return dict(terms)
+    return {e: c * coeff for e, c in terms.items()}
 
 
 def _add_scaled(out: dict, shift, scale: Fraction, terms) -> None:
@@ -203,6 +231,12 @@ class Polynomial:
                 return Polynomial.zero(self.chart)
             return Polynomial._of(self.chart, {e: c * s for e, c in self.terms.items()})
         require_same_chart(self, other)
+        if len(other.terms) == 1:
+            ((exps, coeff),) = other.terms.items()
+            return Polynomial._of(self.chart, _times_term(self.terms, exps, coeff))
+        if len(self.terms) == 1:
+            ((exps, coeff),) = self.terms.items()
+            return Polynomial._of(self.chart, _times_term(other.terms, exps, coeff))
         out = {}
         terms = other.terms.items()
         for e1, c1 in self.terms.items():
@@ -326,33 +360,46 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
         return p
     if d.is_constant():
         return p * (1 / d.leading_coefficient())
+    if len(d.terms) == 1:
+        ((d_exps, d_coeff),) = d.terms.items()
+        out = {}
+        for exps, c in p.terms.items():
+            q_exps = tuple(map(_sub, exps, d_exps))
+            if min(q_exps) < 0:
+                raise ExactDivisionError(f"({p}) is not divisible by ({d})")
+            out[q_exps] = c if d_coeff == 1 else c / d_coeff
+        return Polynomial._of(p.chart, out)
     d_exps = d.leading_exponents()
     d_coeff = d.terms[d_exps]
     # q * lt(d) cancels the remainder's leading term exactly, so each step pops
     # that term and adds r * (-tail / lc(d)), where r is the popped coefficient
     tail = [(e, -c / d_coeff) for e, c in d.terms.items() if e != d_exps]
+    from heapq import heapify, heappop, heappush   # loaded by long divisions only
     rem = dict(p.terms)
+    heap = [_descending(e) for e in rem]
+    heapify(heap)
     out = {}
     while rem:
-        r_exps = max(rem, key=grlex_key)
+        r_exps = heappop(heap)[2]
+        if r_exps not in rem:   # cancelled since it was pushed
+            continue
         q_exps = tuple(map(_sub, r_exps, d_exps))
-        if any(e < 0 for e in q_exps):
+        if min(q_exps) < 0:
             raise ExactDivisionError(f"({p}) is not divisible by ({d})")
         r_coeff = rem.pop(r_exps)
         out[q_exps] = r_coeff / d_coeff
-        _add_scaled(rem, q_exps, r_coeff, tail)
+        for exps, c in tail:
+            key = tuple(map(_add, q_exps, exps))
+            c = r_coeff * c
+            if key in rem:
+                c += rem[key]
+                if not c:
+                    del rem[key]
+                    continue
+            else:
+                heappush(heap, _descending(key))
+            rem[key] = c
     return Polynomial._of(p.chart, out)
-
-
-def _min_exponents(p: Polynomial):
-    """Per-variable minimum exponent over all terms (the monomial content)."""
-    mins = None
-    for exps in p.terms:
-        if mins is None:
-            mins = list(exps)
-        else:
-            mins = [min(a, b) for a, b in zip(mins, exps)]
-    return mins
 
 
 def _coefficients_wrt(p: Polynomial, axis: int):
@@ -469,10 +516,10 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
         return Polynomial.one(p.chart)
     if p.terms == q.terms:
         return p.canonical_associate()
-    # monomial fast path: gcd with a single term is the per-variable minimum
+    # monomial fast path: the per-variable minimum over the terms of both
+    # (p.terms != q.terms, so min gets at least two exponent vectors)
     if len(p.terms) == 1 or len(q.terms) == 1:
-        mins = [min(a, b) for a, b in zip(_min_exponents(p), _min_exponents(q))]
-        return Polynomial.monomial(p.chart, mins)
+        return Polynomial._of(p.chart, {tuple(map(min, *p.terms, *q.terms)): _ONE})
     axis = max(ax for ax in range(p.chart.dim)
                if p.degree_in(ax) > 0 or q.degree_in(ax) > 0)
     cp, pp = _content_and_primitive_wrt(p, axis)

@@ -12,6 +12,18 @@ not a shortcut: 1 is a unit, so p/1 is in lowest terms, and 1 is already
 primitive with a positive leading coefficient, so the general path would
 return the same canonical p/1.  A product with one true
 denominator still takes the cross-gcd.
+
+Canonical operands n1/d1 and n2/d2 are in lowest terms, which makes more work
+redundant (one line of proof each):
+
+- over coprime denominators the sum is in lowest terms (Henrici): a prime
+  factor of d1 divides n1*d2 + n2*d1 only if it divides n1 or d2;
+- otherwise, with g = gcd(d1, d2) = d1/e1 = d2/e2, n = n1*e2 + n2*e1 is coprime
+  to e1 and e2 as above, so gcd(n, g*e1*e2) = gcd(n, g), the only gcd taken;
+- along a variable d does not contain, d' = 0, so (n'd - nd')/d^2 = n'/d,
+  reduced by gcd(n', d);
+- a one-term denominator c*x^e has content |c| and leading coefficient c, so
+  scaling divides by c alone.
 """
 from __future__ import annotations
 
@@ -19,6 +31,8 @@ from fractions import Fraction
 
 from .chart import Chart, require_same_chart
 from .polynomial import Polynomial, exact_div, poly_gcd
+
+_ONE = Fraction(1)
 
 
 def _coerce(chart: Chart, value):
@@ -60,7 +74,12 @@ class RationalFunction:
         otherwise the denominator primitive with a positive leading coefficient."""
         if num.is_zero():
             den = Polynomial.one(num.chart)
-        elif not den.is_one():
+        elif len(den.terms) == 1:   # c*x^e: num/c over x^e
+            ((exps, c),) = den.terms.items()
+            if c != 1:
+                num = Polynomial._of(num.chart, {e: x / c for e, x in num.terms.items()})
+                den = Polynomial._of(num.chart, {exps: _ONE})
+        else:
             scale = den.content()
             if den.leading_coefficient() < 0:
                 scale = -scale
@@ -120,11 +139,18 @@ class RationalFunction:
             return RationalFunction(self.num + other.num, self.den)
         g = poly_gcd(self.den, other.den)
         if g.is_one():
-            return RationalFunction(self.num * other.den + other.num * self.den,
-                                    self.den * other.den)
-        d1 = exact_div(self.den, g)
-        d2 = exact_div(other.den, g)
-        return RationalFunction(self.num * d2 + other.num * d1, self.den * d2)
+            return RationalFunction._reduced(self.num * other.den + other.num * self.den,
+                                             self.den * other.den)
+        e1 = exact_div(self.den, g)
+        e2 = exact_div(other.den, g)
+        num = self.num * e2 + other.num * e1
+        d1 = self.den
+        if num.terms:
+            h = poly_gcd(num, g)
+            if not h.is_one():   # h divides g, hence d1
+                num = exact_div(num, h)
+                d1 = exact_div(d1, h)
+        return RationalFunction._reduced(num, d1 * e2)
 
     __radd__ = __add__
 
@@ -220,6 +246,8 @@ class RationalFunction:
             # a fraction over 1 is already in lowest terms
             return RationalFunction._reduced(dn, self.den)
         dd = self.den.diff(variable)
+        if not dd.terms:
+            return RationalFunction(dn, self.den)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 
     def evaluate(self, point) -> Fraction:

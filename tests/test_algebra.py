@@ -384,3 +384,42 @@ def test_from_json_dict_refuses_what_is_not_a_rational(entry):
     assert time.process_time() - started < 0.5
     doc["products"][0]["result"] = ["-3/4"]
     assert SCAlgebra.from_json_dict(doc).rows == ((((0, Fraction(-3, 4)),),),)
+
+
+def test_from_json_dict_builds_the_entries_it_is_given():
+    doc = {"dim": 2, "basis": ["e", "f"], "products": [
+        {"left": 1, "right": 2, "result": ["1"]},          # replaced below
+        {"left": 1, "right": 2, "result": ["0", "-2/3"]},
+        {"left": 2, "right": 2, "result": ["0", "0"]}]}
+    A = SCAlgebra.from_json_dict(doc)
+    assert A.rows == (((), ((1, Fraction(-2, 3)),)), ((), ()))
+    assert A == SCAlgebra(("e", "f"), [[[0, 0], [0, Fraction(-2, 3)]], [[0, 0], [0, 0]]])
+    doc["products"].append({"left": 2, "right": 1, "result": ["1"]})
+    with pytest.raises(ValueError, match="expected a vector of length 2, got 1"):
+        SCAlgebra.from_json_dict(doc)
+    doc["products"][-1] = {"left": 3, "right": 1, "result": ["1", "0"]}
+    with pytest.raises(ValueError, match="product index out of range"):
+        SCAlgebra.from_json_dict(doc)
+    # the work follows the entries given, not dim^3
+    names = [f"b{k}" for k in range(128)]
+    started = time.process_time()
+    big = SCAlgebra.from_json_dict({"dim": 128, "basis": names, "products": [
+        {"left": 1, "right": 128, "result": ["0"] * 127 + ["5"]}]})
+    assert time.process_time() - started < 0.5
+    assert big.rows[0][127] == ((127, Fraction(5)),)
+    assert sum(1 for row in big.rows for cell in row if cell) == 1
+
+
+def test_lie_from_json_dict_checks_what_it_builds():
+    lie = commutator_algebra(six_field_table_algebra())
+    doc = lie.to_json_dict()
+    with pytest.raises(ValueError, match="brackets"):
+        LieAlgebraSC.from_json_dict(doc)
+    del doc["brackets"]
+    doc["products"] = [{"left": i + 1, "right": j + 1,
+                        "result": [str(x) for x in lie.c[i][j]]}
+                       for i in range(lie.dim) for j in range(lie.dim) if lie.rows[i][j]]
+    assert LieAlgebraSC.from_json_dict(doc) == lie
+    doc["products"] = [{"left": 1, "right": 2, "result": ["0"] * (lie.dim - 1) + ["1"]}]
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        LieAlgebraSC.from_json_dict(doc)

@@ -2,6 +2,10 @@
 import copy
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -828,3 +832,23 @@ def test_emit_table_round_trip_through_json():
 def test_emit_table_bad_format():
     with pytest.raises(ValueError):
         emit_table(six_field_table_algebra(), "yaml")
+
+
+def test_empty_dim_128_algebras_load_within_a_cpu_limit(tmp_path):
+    # three algebras at the dim cap and no task: loading must follow the
+    # product entries given, not build dim^3 constants for each algebra
+    doc = {"schema": 1, "algebras": [
+        {"name": f"A{a}", "dim": 128, "basis": [f"e{i}" for i in range(1, 129)]}
+        for a in range(1, 4)]}
+    taskfile = tmp_path / "empty-128.json"
+    taskfile.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def limit_cpu():
+        resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+    done = subprocess.run([sys.executable, "-m", "flataffine", "run", str(taskfile)],
+                          env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit_cpu,
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0, done.stderr

@@ -1,0 +1,301 @@
+"""Dual-route verification of the canonical-operand shortcuts.
+
+`RationalFunction` sums, products, derivatives and canonical scaling, and the
+one-term paths of `Polynomial.__mul__`, `exact_div` and `poly_gcd`, skip work
+that canonical operands make unnecessary (see the symcore module docstrings).
+The oracles below are the kernels as they were before those shortcuts: the
+general product for every operand, division by the largest remainder term
+found by a scan, the gcd with a monomial through the validating constructor,
+a scale by content and sign for every denominator, a sum normalised by a full
+gcd, and the quotient rule for every derivative.  Both routes must give
+equal, canonical results, and exact division must refuse the same inputs.
+"""
+import random
+from fractions import Fraction
+
+import pytest
+
+from flataffine import Chart, Polynomial, RationalFunction
+from flataffine.symcore import ExactDivisionError, exact_div, grlex_key, poly_gcd
+from flataffine.symcore.polynomial import _add_scaled
+from helpers import assert_canonical, random_polynomial
+
+
+# ----- the earlier kernels (test oracles only) ------------------------------------
+
+
+def oracle_poly_mul(p, q):
+    out = {}
+    terms = q.terms.items()
+    for e1, c1 in p.terms.items():
+        _add_scaled(out, e1, c1, terms)
+    return Polynomial._of(p.chart, out)
+
+
+def oracle_exact_div(p, d):
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if p.is_zero():
+        return p
+    if d.is_constant():
+        return p * (1 / d.leading_coefficient())
+    d_exps = d.leading_exponents()
+    d_coeff = d.terms[d_exps]
+    tail = [(e, -c / d_coeff) for e, c in d.terms.items() if e != d_exps]
+    rem = dict(p.terms)
+    out = {}
+    while rem:
+        r_exps = max(rem, key=grlex_key)
+        q_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
+        if any(e < 0 for e in q_exps):
+            raise ExactDivisionError(f"({p}) is not divisible by ({d})")
+        r_coeff = rem.pop(r_exps)
+        out[q_exps] = r_coeff / d_coeff
+        _add_scaled(rem, q_exps, r_coeff, tail)
+    return Polynomial._of(p.chart, out)
+
+
+def oracle_gcd(p, q):
+    """`poly_gcd` with its earlier monomial branch; the other branches are
+    the production ones, checked against a primitive PRS in test_gcd_oracle."""
+    if (p.is_zero() or q.is_zero() or p.is_constant() or q.is_constant()
+            or p.terms == q.terms or (len(p.terms) > 1 and len(q.terms) > 1)):
+        return poly_gcd(p, q)
+    mins = None
+    for exps in list(p.terms) + list(q.terms):
+        mins = list(exps) if mins is None else [min(a, b) for a, b in zip(mins, exps)]
+    return Polynomial.monomial(p.chart, mins)
+
+
+def oracle_scale(num, den):
+    if num.is_zero():
+        den = Polynomial.one(num.chart)
+    elif not den.is_one():
+        scale = den.content()
+        if den.leading_coefficient() < 0:
+            scale = -scale
+        if scale != 1:
+            num = num * (1 / scale)
+            den = den * (1 / scale)
+    return num, den
+
+
+def oracle_reduced(num, den):
+    out = RationalFunction.__new__(RationalFunction)
+    out.num, out.den = oracle_scale(num, den)
+    return out
+
+
+def oracle_rf(num, den):
+    """The constructor: divide by the full gcd, then scale."""
+    if not num.is_zero():
+        g = oracle_gcd(num, den)
+        if not g.is_one():
+            num = oracle_exact_div(num, g)
+            den = oracle_exact_div(den, g)
+    return oracle_reduced(num, den)
+
+
+def oracle_add(a, b):
+    if not b.num.terms:
+        return a
+    if not a.num.terms:
+        return b
+    if a.den == b.den:
+        if a.den.is_one():
+            return oracle_reduced(a.num + b.num, a.den)
+        return oracle_rf(a.num + b.num, a.den)
+    g = oracle_gcd(a.den, b.den)
+    if g.is_one():
+        return oracle_rf(oracle_poly_mul(a.num, b.den) + oracle_poly_mul(b.num, a.den),
+                         oracle_poly_mul(a.den, b.den))
+    d1 = oracle_exact_div(a.den, g)
+    d2 = oracle_exact_div(b.den, g)
+    return oracle_rf(oracle_poly_mul(a.num, d2) + oracle_poly_mul(b.num, d1),
+                     oracle_poly_mul(a.den, d2))
+
+
+def oracle_neg(a):
+    return oracle_reduced(-a.num, a.den)
+
+
+def oracle_mul(a, b):
+    if not a.num.terms:
+        return a
+    if not b.num.terms:
+        return b
+    if a.den.is_one() and b.den.is_one():
+        return oracle_reduced(oracle_poly_mul(a.num, b.num), a.den)
+    g1 = oracle_gcd(a.num, b.den)
+    g2 = oracle_gcd(b.num, a.den)
+    n1 = a.num if g1.is_one() else oracle_exact_div(a.num, g1)
+    d2 = b.den if g1.is_one() else oracle_exact_div(b.den, g1)
+    n2 = b.num if g2.is_one() else oracle_exact_div(b.num, g2)
+    d1 = a.den if g2.is_one() else oracle_exact_div(a.den, g2)
+    return oracle_reduced(oracle_poly_mul(n1, n2), oracle_poly_mul(d1, d2))
+
+
+def oracle_diff(a, variable):
+    dn = a.num.diff(variable)
+    if a.den.is_one():
+        return oracle_reduced(dn, a.den)
+    dd = a.den.diff(variable)
+    return oracle_rf(oracle_poly_mul(dn, a.den) - oracle_poly_mul(a.num, dd),
+                     oracle_poly_mul(a.den, a.den))
+
+
+# ----- seeded operands ----------------------------------------------------------------
+
+CHART = Chart("xyz", ("x", "y", "z"))
+X, Y, Z = (Polynomial.variable(CHART, v) for v in CHART.variables)
+
+
+def _monomial(rng, coeff):
+    return Polynomial.monomial(CHART, [rng.randint(0, 2), rng.randint(0, 2), 0], coeff)
+
+
+def _denominators(rng):
+    """Monomials with coefficients +-c, constants, coprime multi-term ones and
+    ones sharing a factor; none contains z, so d/dz takes the short path."""
+    c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    shared = X + rng.randint(1, 3)
+    return [_monomial(rng, c), _monomial(rng, -c), _monomial(rng, 1), X,
+            Polynomial.constant(CHART, c), Polynomial.constant(CHART, -c),
+            Polynomial.one(CHART),
+            X + 1, Y - 2, X * Y + 1, -2 * X + 3 * Y,
+            shared * (Y + 1), shared * (X - Y), X * X * shared, X * (X - 1)]
+
+
+def _operands(rng):
+    """Canonical n/d over every denominator, through the oracle constructor,
+    then pairs whose sum cancels: a and -a, and n/(g*e1), n/(g*e2) with
+    n(e1 + e2) divisible by a factor of g = gcd of the denominators."""
+    out = []
+    for den in _denominators(rng):
+        num = random_polynomial(rng, CHART)
+        out.append(oracle_rf(num, den))
+    out.append(oracle_neg(out[0]))
+    out.append(oracle_neg(out[8]))
+    r = rng.randint(1, 4) * Y + rng.randint(1, 4)
+    for g in (X, X * X):
+        out.append(oracle_rf(r, oracle_poly_mul(g, X + 1)))
+        out.append(oracle_rf(r, oracle_poly_mul(g, X - 1)))
+    # d/dx of (x*y + 1)/y is y/y: the short path still cancels
+    out.append(oracle_rf(X * Y + 1, Y))
+    out.append(oracle_reduced(Polynomial.zero(CHART), Polynomial.one(CHART)))
+    return out
+
+
+def _same_rf(got, expected):
+    for p in (got.num, got.den, expected.num, expected.den):
+        assert_canonical(p)
+    assert got.num.terms == expected.num.terms and got.den.terms == expected.den.terms
+
+
+def _same_poly(got, expected, order=True):
+    assert_canonical(got)
+    assert got.terms == expected.terms
+    if order:
+        assert list(got.terms) == list(expected.terms)
+
+
+def _division_outcome(divide, p, d):
+    try:
+        return divide(p, d)
+    except ExactDivisionError:
+        return ExactDivisionError
+
+
+# ----- rational functions -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sums_products_and_derivatives_match_the_oracles(seed):
+    rng = random.Random(f"ratfunc-{seed}")
+    operands = _operands(rng)
+    for a in operands:
+        for b in operands:
+            _same_rf(a + b, oracle_add(a, b))
+            _same_rf(a - b, oracle_add(a, oracle_neg(b)))
+            _same_rf(a * b, oracle_mul(a, b))
+        for variable in CHART.variables:
+            _same_rf(a.diff(variable), oracle_diff(a, variable))
+
+
+def test_the_operands_reach_every_shortcut():
+    operands = _operands(random.Random("ratfunc-0"))
+    dens = [a.den for a in operands]
+    assert any(len(d.terms) == 1 and not d.is_one() for d in dens)
+    assert any(d.is_one() for d in dens)
+    # sums that cancel to 0, and a sum whose numerator shares a factor of g
+    assert any(not (a + b).num.terms for a in operands for b in operands if a.num.terms)
+    r1, r2 = operands[-6], operands[-5]
+    assert not poly_gcd(r1.den, r2.den).is_one()
+    total = r1 + r2
+    assert total.den.terms == oracle_poly_mul(X + 1, X - 1).terms
+    # d/dx of (x*y + 1)/y cancels to 1
+    assert operands[-2].diff("x") == 1
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scaling_a_one_term_denominator_matches_the_oracle(seed):
+    rng = random.Random(f"scale-{seed}")
+    for _ in range(20):
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+        num = random_polynomial(rng, CHART)
+        for den in (_monomial(rng, c), Polynomial.constant(CHART, c)):
+            if poly_gcd(num, den).is_one():
+                _same_rf(RationalFunction._reduced(num, den), oracle_reduced(num, den))
+            _same_rf(RationalFunction(num, den), oracle_rf(num, den))
+
+
+# ----- one-term polynomial kernels ------------------------------------------------
+
+
+def _polynomials(rng):
+    """Multi-term polynomials and one-term ones: monomials with coefficient 1
+    and +-c, constants, 1 and 0."""
+    c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+    return [random_polynomial(rng, CHART), random_polynomial(rng, CHART, max_terms=6),
+            _monomial(rng, 1), _monomial(rng, c), _monomial(rng, -c),
+            Polynomial.constant(CHART, -c), Polynomial.one(CHART), Polynomial.zero(CHART)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_products_match_the_general_product_in_value_and_order(seed):
+    rng = random.Random(f"poly-mul-{seed}")
+    polys = _polynomials(rng) + _polynomials(rng)
+    for p in polys:
+        for q in polys:
+            _same_poly(p * q, oracle_poly_mul(p, q))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_division_matches_the_oracle_and_refuses_the_same_inputs(seed):
+    rng = random.Random(f"poly-div-{seed}")
+    polys = _polynomials(rng)
+    divisors = [d for d in polys + _polynomials(rng) if d]
+    refused = divided = 0
+    for d in divisors:
+        dividends = [oracle_poly_mul(p, d) for p in polys] + polys
+        dividends += [m + polys[0] for m in dividends[:3]]
+        for p in dividends:
+            got = _division_outcome(exact_div, p, d)
+            expected = _division_outcome(oracle_exact_div, p, d)
+            if expected is ExactDivisionError:
+                refused += 1
+                assert got is ExactDivisionError
+            else:
+                divided += 1
+                # one-term divisors keep the dividend's order, not the scan's
+                _same_poly(got, expected, order=len(d.terms) > 1)
+    assert refused and divided
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_gcd_with_a_monomial_matches_the_oracle(seed):
+    rng = random.Random(f"poly-gcd-{seed}")
+    polys = _polynomials(rng) + [X * Y, X * X * Z + X * Y, 3 * Y * Z - Y]
+    for p in polys:
+        for q in polys:
+            _same_poly(poly_gcd(p, q), oracle_gcd(p, q))
