@@ -219,7 +219,10 @@ class SCAlgebra:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SCAlgebra":
         """The algebra `to_json_dict` wrote; each result entry must pass
-        `parse_rational`."""
+        `parse_rational`.  The "brackets" of `LieAlgebraSC.to_json_dict` are
+        refused, not read as an algebra with no products."""
+        if "brackets" in doc:
+            raise ValueError('an algebra is read from "products", not "brackets"')
         n = doc["dim"]
         names = tuple(doc["basis"])
         if len(names) != n:
@@ -272,10 +275,7 @@ class LieAlgebraSC(SCAlgebra):
     def from_json_dict(cls, doc: dict) -> "LieAlgebraSC":
         """The Lie algebra whose "products" list gives both [b_i, b_j] and
         [b_j, b_i], as a task file does; antisymmetry and Jacobi are checked.
-        The "brackets" that `to_json_dict` writes are refused, not read as
-        an algebra with no products."""
-        if "brackets" in doc:
-            raise ValueError('a Lie algebra is read from "products", not "brackets"')
+        The "brackets" that `to_json_dict` writes are refused."""
         lie = super().from_json_dict(doc)
         lie._require_lie()
         return lie

@@ -151,6 +151,8 @@ def load_document(doc: dict) -> _Document:
                  '"basis" must be a list of strings', f"{path}/basis")
         if "unit" in entry:
             _typed(entry["unit"], int, '"unit"', f"{path}/unit")
+        _require("brackets" not in entry, 'an algebra is read from "products", '
+                 'not "brackets"', f"{path}/brackets")
         products = _typed(entry.get("products", []), list, '"products"', f"{path}/products")
         pairs = set()
         for k, item in enumerate(products):

@@ -3,7 +3,11 @@
 The variable order is fixed for the chart's lifetime; it determines the
 graded-lexicographic monomial order used everywhere else.  A chart stores its
 dimension and the exponent tuple of the constant monomial, (0,) * dim, once,
-so the polynomial kernels read them instead of rebuilding them.
+so the polynomial kernels read them instead of rebuilding them.  For the same
+reason it holds the canonical polynomial 1 and rational functions 0 and 1,
+built on first use by `Polynomial.one`, `RationalFunction.zero` and
+`RationalFunction.one`; values are never changed in place, so all callers
+share them.
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ class ChartMismatchError(ValueError):
 
 
 class Chart:
-    __slots__ = ("name", "variables", "_index", "dim", "constant_exps")
+    __slots__ = ("name", "variables", "_index", "dim", "constant_exps",
+                 "_one", "_rf_zero", "_rf_one")
 
     def __init__(self, name: str, variables):
         variables = tuple(variables)
@@ -35,6 +40,7 @@ class Chart:
         self._index = {v: i for i, v in enumerate(variables)}
         self.dim = len(variables)
         self.constant_exps = (0,) * self.dim
+        self._one = self._rf_zero = self._rf_one = None
 
     def axis(self, variable: str) -> int:
         """0-based position of a variable; raises UnknownVariableError."""

@@ -19,7 +19,11 @@ Shortcuts that return the general path's value (one line of proof each):
   both: a monomial's divisors are monomials, and x^m divides every term;
 - a longer division pops its remainder's leading term from a heap of
   exponents: every key of the remainder has an entry, and entries whose key
-  has cancelled are skipped.
+  has cancelled are skipped;
+- `one` returns the chart's shared 1, built once: no kernel changes a
+  polynomial's terms after it is built;
+- evaluation converts a coordinate to Fraction only where a term's exponent
+  uses it: the other factors are x^0 = 1, which the general product skips too.
 
 The gcd is computed by a fraction-free subresultant remainder sequence on the
 last chart variable that actually occurs, recursing on the coefficients; no
@@ -37,6 +41,7 @@ from .chart import Chart, require_same_chart
 # gcd-reduced, positive denominator, zero as 0/1.
 Rational = Fraction
 
+_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -128,7 +133,11 @@ class Polynomial:
 
     @classmethod
     def one(cls, chart: Chart) -> "Polynomial":
-        return cls._of(chart, {chart.constant_exps: _ONE})
+        """The chart's shared 1."""
+        one = chart._one
+        if one is None:
+            one = chart._one = cls._of(chart, {chart.constant_exps: _ONE})
+        return one
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "Polynomial":
@@ -285,14 +294,15 @@ class Polynomial:
         return Polynomial._of(self.chart, out)
 
     def evaluate(self, point) -> Fraction:
-        """Evaluate at a mapping variable -> Fraction (exact)."""
-        values = [Fraction(point[v]) for v in self.chart.variables]
-        total = Fraction(0)
+        """Evaluate at a mapping variable -> Fraction (exact).  Every chart
+        variable is read; a value is converted only where a term uses it."""
+        values = [point[v] for v in self.chart.variables]
+        total = _ZERO
         for exps, coeff in self.terms.items():
             term = coeff
             for val, e in zip(values, exps):
                 if e:
-                    term *= val ** e
+                    term *= Fraction(val) ** e
             total += term
         return total
 

@@ -23,7 +23,15 @@ redundant (one line of proof each):
 - along a variable d does not contain, d' = 0, so (n'd - nd')/d^2 = n'/d,
   reduced by gcd(n', d);
 - a one-term denominator c*x^e has content |c| and leading coefficient c, so
-  scaling divides by c alone.
+  scaling divides by c alone;
+- a product with a scalar c is the operand for c = 1, 0 for c = 0, and
+  otherwise (c*n)/d: c is a unit, so c*n/d is in lowest terms and the
+  canonical d is kept;
+- `zero` and `one` return the chart's shared 0/1 and 1/1, and every result
+  that is 0 (a vanishing derivative over 1, a sum that cancels) is the
+  shared 0: no operation changes a rational function after it is built;
+- evaluation over the denominator 1 is the numerator's value: n/1 = n, and
+  1 never vanishes.
 """
 from __future__ import annotations
 
@@ -63,8 +71,18 @@ class RationalFunction:
         self._scale(num, den)
 
     @classmethod
+    def _of(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """Wrap a num/den that is already canonical, without checks."""
+        self = cls.__new__(cls)
+        self.num = num
+        self.den = den
+        return self
+
+    @classmethod
     def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         """Build from a fraction already in lowest terms (skips the gcd)."""
+        if not num.terms:
+            return cls.zero(num.chart)
         self = cls.__new__(cls)
         self._scale(num, den)
         return self
@@ -91,11 +109,19 @@ class RationalFunction:
 
     @classmethod
     def zero(cls, chart: Chart) -> "RationalFunction":
-        return cls(Polynomial.zero(chart))
+        """The chart's shared 0."""
+        zero = chart._rf_zero
+        if zero is None:
+            zero = chart._rf_zero = cls._of(Polynomial.zero(chart), Polynomial.one(chart))
+        return zero
 
     @classmethod
     def one(cls, chart: Chart) -> "RationalFunction":
-        return cls(Polynomial.one(chart))
+        """The chart's shared 1."""
+        one = chart._rf_one
+        if one is None:
+            one = chart._rf_one = cls._of(Polynomial.one(chart), Polynomial.one(chart))
+        return one
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "RationalFunction":
@@ -155,10 +181,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RationalFunction._of(-self.num, self.den)
 
     def __sub__(self, other):
         other = _coerce(self.chart, other)
@@ -173,6 +196,12 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 1 or not self.num.terms:
+                return self
+            if not other:
+                return RationalFunction.zero(self.chart)
+            return RationalFunction._of(self.num * other, self.den)
         other = _coerce(self.chart, other)
         if other is None:
             return NotImplemented
@@ -251,6 +280,8 @@ class RationalFunction:
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 
     def evaluate(self, point) -> Fraction:
+        if self.den.is_one():
+            return self.num.evaluate(point)
         den = self.den.evaluate(point)
         if not den:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")

@@ -413,8 +413,9 @@ def test_from_json_dict_builds_the_entries_it_is_given():
 def test_lie_from_json_dict_checks_what_it_builds():
     lie = commutator_algebra(six_field_table_algebra())
     doc = lie.to_json_dict()
-    with pytest.raises(ValueError, match="brackets"):
-        LieAlgebraSC.from_json_dict(doc)
+    for cls in (SCAlgebra, LieAlgebraSC):
+        with pytest.raises(ValueError, match="brackets"):
+            cls.from_json_dict(doc)
     del doc["brackets"]
     doc["products"] = [{"left": i + 1, "right": j + 1,
                         "result": [str(x) for x in lie.c[i][j]]}

@@ -630,6 +630,22 @@ def test_rational_with_a_huge_exponent_exits_2_at_once(tmp_path, capsys):
     assert "error: /algebras/0/products/0/result/0: bad rational" in capsys.readouterr().err
 
 
+def test_an_algebra_written_with_brackets_exits_2(tmp_path, capsys):
+    # the key LieAlgebraSC.to_json_dict writes; it once loaded as the zero algebra
+    doc = {"schema": 1, "algebras": [{"name": "L", "dim": 2, "basis": ["a", "b"],
+                                      "brackets": [{"left": 1, "right": 2,
+                                                    "result": ["0", "1"]}]}],
+           "tasks": [{"kind": "check-associative", "algebra": "L"}]}
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == "/algebras/0/brackets"
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile)]) == 2
+    assert ('error: /algebras/0/brackets: an algebra is read from "products"'
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("section, key", [
     ("charts", "name"), ("charts", "variables"), ("algebras", "name"), ("fields", "name"),
     ("fields", "chart"), ("fields", "coeffs"), ("connections", "name"),

@@ -9,16 +9,33 @@ found by a scan, the gcd with a monomial through the validating constructor,
 a scale by content and sign for every denominator, a sum normalised by a full
 gcd, and the quotient rule for every derivative.  Both routes must give
 equal, canonical results, and exact division must refuse the same inputs.
+
+The scalar product, the derivative and evaluation are also checked against
+the kernels as they were before the shared constants: a scalar coerced to a
+rational function and multiplied by the general product, a derivative that
+builds a fresh 0, and evaluation that converts every coordinate.  Each check
+is run on hand-made mutants of the new paths as well, and must catch them.
 """
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from flataffine import Chart, Polynomial, RationalFunction
+from flataffine import (
+    Chart,
+    Polynomial,
+    RationalFunction,
+    VectorField,
+    is_flat_affine,
+    is_infinitesimal_affine,
+    solve_iat_ansatz,
+)
+from flataffine.cli import run_document
 from flataffine.symcore import ExactDivisionError, exact_div, grlex_key, poly_gcd
 from flataffine.symcore.polynomial import _add_scaled
-from helpers import assert_canonical, random_polynomial
+from helpers import assert_canonical, gln_scene, random_polynomial
 
 
 # ----- the earlier kernels (test oracles only) ------------------------------------
@@ -299,3 +316,239 @@ def test_gcd_with_a_monomial_matches_the_oracle(seed):
     for p in polys:
         for q in polys:
             _same_poly(poly_gcd(p, q), oracle_gcd(p, q))
+
+
+# ----- scalar products, derivatives and evaluation before the shared constants -----
+
+
+def oracle_zero(chart):
+    return RationalFunction(Polynomial.zero(chart))
+
+
+def oracle_scalar_mul(a, c):
+    """The `_coerce` route: c as a rational function, then the general product."""
+    return oracle_mul(a, RationalFunction(Polynomial.constant(a.chart, c)))
+
+
+def oracle_parent_diff(a, variable):
+    """The derivative before the shared 0, through the general constructor
+    (whose division keeps the production term order)."""
+    dn = a.num.diff(variable)
+    if a.den.is_one():
+        return oracle_reduced(dn, a.den)
+    dd = a.den.diff(variable)
+    if not dd.terms:
+        return RationalFunction(dn, a.den)
+    return RationalFunction(dn * a.den - a.num * dd, a.den * a.den)
+
+
+def oracle_poly_evaluate(p, point):
+    values = [Fraction(point[v]) for v in p.chart.variables]
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for val, e in zip(values, exps):
+            if e:
+                term *= val ** e
+        total += term
+    return total
+
+
+def oracle_rf_evaluate(a, point):
+    den = oracle_poly_evaluate(a.den, point)
+    if not den:
+        raise ZeroDivisionError("denominator vanishes at the evaluation point")
+    return oracle_poly_evaluate(a.num, point) / den
+
+
+SCALARS = (0, 1, -1, 3, -2, Fraction(0), Fraction(1), Fraction(-1), Fraction(4),
+           Fraction(2, 3), Fraction(-5, 7))
+
+POINTS = ({"x": 2, "y": -1, "z": 3}, {"x": Fraction(1, 2), "y": Fraction(-3, 4), "z": 0},
+          {"x": "2/3", "y": 5, "z": Fraction(7)}, {"x": 0, "y": 2, "z": 1},
+          {"x": 1, "y": 2, "z": 1}, {"x": 1, "y": 2}, {"y": 1, "z": 1})
+
+
+def _same_rf_in_order(got, expected):
+    _same_rf(got, expected)
+    assert list(got.num.terms) == list(expected.num.terms)
+    assert list(got.den.terms) == list(expected.den.terms)
+
+
+def _check_scalar_products(mul, operands):
+    for a in operands:
+        for c in SCALARS:
+            got = mul(a, c)
+            _same_rf_in_order(got, oracle_scalar_mul(a, c))
+            if c == 1 or not a.num.terms:
+                assert got is a
+            elif not c:
+                assert got is RationalFunction.zero(a.chart)
+
+
+def _check_derivatives(diff, operands):
+    for a in operands:
+        for variable in CHART.variables:
+            got = diff(a, variable)
+            _same_rf_in_order(got, oracle_parent_diff(a, variable))
+            if a.den.is_one() and not got.num.terms:
+                assert got is RationalFunction.zero(a.chart)
+
+
+def _outcome(evaluate, *args):
+    try:
+        value = evaluate(*args)
+    except (KeyError, ZeroDivisionError) as err:
+        return type(err), err.args
+    assert type(value) is Fraction
+    return value
+
+
+def _check_evaluation(poly_evaluate, rf_evaluate, operands):
+    outcomes = set()
+    for a in operands:
+        for point in POINTS:
+            for p in (a.num, a.den):
+                got = _outcome(poly_evaluate, p, point)
+                assert got == _outcome(oracle_poly_evaluate, p, point)
+            got = _outcome(rf_evaluate, a, point)
+            assert got == _outcome(oracle_rf_evaluate, a, point)
+            outcomes.add(got if isinstance(got, tuple) else Fraction)
+    # values, vanishing denominators and missing coordinates all occur
+    assert outcomes == {Fraction, (ZeroDivisionError, ("denominator vanishes at the "
+                                                       "evaluation point",)),
+                        (KeyError, ("z",)), (KeyError, ("x",))}
+
+
+def _mul_without_one(a, c):
+    if not a.num.terms:
+        return a
+    if not c:
+        return RationalFunction.zero(a.chart)
+    return RationalFunction._of(a.num * c, a.den)
+
+
+def _mul_without_zero(a, c):
+    return a if c == 1 or not a.num.terms else RationalFunction._of(a.num * c, a.den)
+
+
+def _mul_rescaling_den(a, c):
+    return a if c == 1 or not a.num.terms else RationalFunction._of(a.num * c, a.den * c)
+
+
+def _diff_fresh_zero(a, variable):
+    if a.den.is_one():
+        return RationalFunction(a.num.diff(variable))
+    return a.diff(variable)
+
+
+def _diff_unreduced(a, variable):
+    if not a.den.diff(variable).terms:
+        return RationalFunction._of(a.num.diff(variable), a.den)
+    return a.diff(variable)
+
+
+def _evaluate_used_only(p, point):
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(p.chart.variables, exps):
+            if e:
+                term *= Fraction(point[v]) ** e
+        total += term
+    return total
+
+
+def _evaluate_int_zero(p, point):
+    return p.evaluate(point) if p.terms else 0
+
+
+def _rf_evaluate_skipping_den(a, point):
+    return a.num.evaluate(point) / Fraction(1) if len(a.den.terms) == 1 \
+        else a.evaluate(point)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scalar_products_match_the_coerce_route(seed):
+    operands = _operands(random.Random(f"ratfunc-{seed}"))
+    _check_scalar_products(lambda a, c: a * c, operands)
+    _check_scalar_products(lambda a, c: c * a, operands)
+
+
+@pytest.mark.parametrize("mutant", [_mul_without_one, _mul_without_zero,
+                                    _mul_rescaling_den])
+def test_the_scalar_product_check_catches_mutants(mutant):
+    with pytest.raises(AssertionError):
+        _check_scalar_products(mutant, _operands(random.Random("ratfunc-0")))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_derivatives_match_the_parent_derivative_in_order(seed):
+    _check_derivatives(RationalFunction.diff, _operands(random.Random(f"ratfunc-{seed}")))
+
+
+@pytest.mark.parametrize("mutant", [_diff_fresh_zero, _diff_unreduced])
+def test_the_derivative_check_catches_mutants(mutant):
+    with pytest.raises(AssertionError):
+        _check_derivatives(mutant, _operands(random.Random("ratfunc-0")))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_evaluation_matches_the_oracle_and_raises_the_same_errors(seed):
+    _check_evaluation(Polynomial.evaluate, RationalFunction.evaluate,
+                      _operands(random.Random(f"ratfunc-{seed}")))
+
+
+@pytest.mark.parametrize("poly_evaluate, rf_evaluate", [
+    (_evaluate_used_only, RationalFunction.evaluate),
+    (_evaluate_int_zero, RationalFunction.evaluate),
+    (Polynomial.evaluate, _rf_evaluate_skipping_den),
+], ids=["reads-used-variables-only", "int-zero", "skips-one-term-denominators"])
+def test_the_evaluation_check_catches_mutants(poly_evaluate, rf_evaluate):
+    with pytest.raises(AssertionError):
+        _check_evaluation(poly_evaluate, rf_evaluate,
+                          _operands(random.Random("ratfunc-0")))
+
+
+# ----- the shared constants ---------------------------------------------------------
+
+
+def test_shared_constants_are_built_once_and_never_changed(monkeypatch):
+    assert RationalFunction.zero(CHART) is RationalFunction.zero(CHART)
+    assert RationalFunction.one(CHART) is RationalFunction.one(CHART)
+    assert Polynomial.one(CHART) is Polynomial.one(CHART)
+    assert RationalFunction.zero(CHART) == oracle_zero(CHART)
+    charts = []
+    chart_init = Chart.__init__
+
+    def recording_init(self, *args):
+        chart_init(self, *args)
+        charts.append(self)
+
+    monkeypatch.setattr(Chart, "__init__", recording_init)
+    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
+    code, _ = run_document(json.loads(shipped.read_text()))
+    assert code == 0
+    scene = gln_scene(3)
+    conn = scene.connect()
+    assert is_flat_affine(conn)
+    _, fields = scene.invariant_fields()
+    control = VectorField(scene.chart, ["x11^2"] + ["0"] * 8)
+    assert all(is_infinitesimal_affine(conn, f).holds for f in fields)
+    assert not is_infinitesimal_affine(conn, control).holds
+    assert len(solve_iat_ansatz(conn, list(scene.chart.variables))) == 81
+    monkeypatch.undo()
+    filled = [0, 0, 0]
+    for chart in charts + [CHART]:
+        one = {chart.constant_exps: Fraction(1)}
+        if chart._one is not None:
+            filled[0] += 1
+            assert chart._one.terms == one
+        if chart._rf_zero is not None:
+            filled[1] += 1
+            assert chart._rf_zero.num.terms == {} and chart._rf_zero.den.terms == one
+        if chart._rf_one is not None:
+            filled[2] += 1
+            assert chart._rf_one.num.terms == one and chart._rf_one.den.terms == one
+    assert scene.chart in charts and scene.chart._rf_zero is not None
+    assert min(filled) >= 2
