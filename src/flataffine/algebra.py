@@ -8,6 +8,10 @@ Conventions:
   * `c`, the dense tuple with c[i][j][k] the coefficient of basis_k in
     basis_i · basis_j, is a view derived from the rows on first access, for
     callers outside the library;
+  * the integer constants D * c, with D the lcm of the denominators
+    (`_scaled_constants`), are derived on first use as well, and kept: the
+    identity scans, `product`, the closure and the restriction all multiply
+    through them;
   * every witness and every JSON index is reported 1-based, matching the
     mathematical indexing of the checks;
   * the serialized form is
@@ -102,7 +106,7 @@ def _negated(u: Row) -> Row:
 class SCAlgebra:
     """An algebra presented by structure constants; no identity is assumed."""
 
-    __slots__ = ("dim", "basis_names", "rows", "unit_index", "_c")
+    __slots__ = ("dim", "basis_names", "rows", "unit_index", "_c", "_scaled")
 
     def __init__(self, basis_names, c, unit_index: int | None = None):
         """Build from dense constants c[i][j][k] (any values `Fraction` accepts)."""
@@ -133,7 +137,7 @@ class SCAlgebra:
             raise ValueError("unit index out of range")
         self.rows = rows
         self.unit_index = unit_index
-        self._c = None
+        self._c = self._scaled = None
 
     @property
     def c(self) -> tuple:
@@ -168,21 +172,25 @@ class SCAlgebra:
     def product(self, u, v) -> Vector:
         """Bilinear product of two coordinate vectors."""
         n = self.dim
-        return _dense(n, self._product(_sparse(_to_vector(u, n)),
-                                       _sparse(_to_vector(v, n))).items())
+        (u, du), (v, dv) = (linalg._integral(_sparse(_to_vector(w, n))) for w in (u, v))
+        return _dense(n, linalg._read(self._product(u, v),
+                                      _scaled_constants(self)[0] * du * dv).items())
 
     def _product(self, u: dict, v: dict) -> dict:
-        """`product` of two sparse vectors {k: x}, as a sparse vector."""
+        """D times the product of two integer sparse vectors {k: x}, where
+        D = `_scaled_constants(self)[0]`: an integer sparse vector, read off
+        the integer constants."""
+        s = _scaled_constants(self)[1]
         out = {}
-        rows = self.rows
+        get = out.get
         for i, x in u.items():
-            row = rows[i]
+            row = s[i]
             for j, y in v.items():
                 cell = row[j]
                 if cell:
                     xy = x * y
                     for k, z in cell:
-                        out[k] = out.get(k, _ZERO) + xy * z
+                        out[k] = get(k, 0) + xy * z
         return {k: x for k, x in out.items() if x}
 
     def __eq__(self, other) -> bool:
@@ -289,30 +297,31 @@ class LieAlgebraSC(SCAlgebra):
 
 
 class Subspace:
-    """A subspace of Q^n held as reduced row-echelon basis rows (canonical),
-    with the `linalg._Echelon` they were read from."""
+    """A subspace of Q^n held as its reduced row-echelon basis `rows`
+    (canonical, `Fraction` entries), read off the `linalg._QSpan` it keeps:
+    each primitive integer row over its pivot entry, the one place a
+    `Fraction` is built.  The form is unique, so these are the rows a
+    division-based elimination gives."""
 
-    __slots__ = ("ambient_dim", "rows", "_echelon")
+    __slots__ = ("ambient_dim", "rows", "_span")
 
     def __init__(self, ambient_dim: int, rows):
-        echelon = linalg._Echelon()
+        span = linalg._QSpan()
         for r in rows:
-            echelon.add(_sparse(_to_vector(r, ambient_dim)))
-        self._set(ambient_dim, echelon)
+            span.add(linalg._integral(_sparse(_to_vector(r, ambient_dim)))[0])
+        self._set(ambient_dim, span)
 
     @classmethod
-    def _of(cls, ambient_dim: int, echelon) -> "Subspace":
-        """The span of a `linalg._Echelon` over Q^ambient_dim."""
+    def _of(cls, ambient_dim: int, span) -> "Subspace":
+        """The span of a `linalg._QSpan` over Q^ambient_dim."""
         self = object.__new__(cls)
-        self._set(ambient_dim, echelon)
+        self._set(ambient_dim, span)
         return self
 
-    def _set(self, ambient_dim, echelon):
+    def _set(self, ambient_dim, span):
         self.ambient_dim = ambient_dim
-        self._echelon = echelon
-        # sorted by pivot, the echelon rows are the reduced row-echelon basis
-        self.rows = tuple(_dense(ambient_dim, echelon.rows[p].items())
-                          for p in sorted(echelon.rows))
+        self._span = span
+        self.rows = tuple(_dense(ambient_dim, row.items()) for row in span.basis())
 
     @property
     def rank(self) -> int:
@@ -343,17 +352,21 @@ class Subspace:
 # ----- identity checks ------------------------------------------------------
 
 
-def _scaled_constants(A: SCAlgebra) -> list:
-    """Sparse integer constants s[i][j] = ((l, D * c[i][j][l]), ...), read
-    from the stored rows (so over the nonzero l, ascending).
+def _scaled_constants(A: SCAlgebra) -> tuple:
+    """(D, s): the sparse integer constants s[i][j] = ((l, D * c[i][j][l]),
+    ...), read from the stored rows (so over the nonzero l, ascending), with D
+    the lcm of the constants' denominators (1 on integer tables).  Built on
+    first use and kept in the algebra's `_scaled` slot, as `c` is kept.
 
-    D is the lcm of the constants' denominators (1 on integer tables), so an
-    associator or a Jacobi sum computed from s is exactly D^2 times the true
-    one: every zero test and every first witness is the same.
+    An associator or a Jacobi sum computed from s is exactly D^2 times the
+    true one, so every zero test and every first witness is the same; a
+    product of integer vectors through s is D times the true one.
     """
-    D = lcm(*{x.denominator for row in A.rows for cell in row for _, x in cell})
-    return [[tuple((l, x.numerator * (D // x.denominator)) for l, x in cell) for cell in row]
-            for row in A.rows]
+    if A._scaled is None:
+        D = lcm(*{x.denominator for row in A.rows for cell in row for _, x in cell})
+        A._scaled = D, tuple(tuple(tuple((l, x.numerator * (D // x.denominator)) for l, x in cell)
+                                   for cell in row) for row in A.rows)
+    return A._scaled
 
 
 def _first_failure(A: SCAlgebra, pairs, terms):
@@ -369,7 +382,7 @@ def _first_failure(A: SCAlgebra, pairs, terms):
     nonzero entry, so the verdict and witness are those of the triple scan.
     Each L_l is flattened once, over its nonzero constants in ascending (k, m).
     """
-    s, n = _scaled_constants(A), A.dim
+    s, n = _scaled_constants(A)[1], A.dim
     # keys[k][m] = k * n + m, each int built once: every term reads the same
     # objects, so no key is allocated in the loops and lookups match by identity
     keys = [list(range(k * n, k * n + n)) for k in range(n)]
@@ -457,8 +470,12 @@ def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
 def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     """Smallest subspace containing the generators and closed under the product.
 
-    The span S is held as one echelon basis (`linalg._Echelon`), spanned by
-    the vectors added to it so far.  The rounds are semi-naive: a round
+    The span S is held as one echelon basis of integer rows
+    (`linalg._QSpan`), spanned by the vectors added to it so far: the
+    generators cleared of denominators, then integer products of its rows
+    (`SCAlgebra._product`), each a nonzero multiple of the true product, so
+    a `Fraction` is built only when the `Subspace` reads its rows.  The
+    rounds are semi-naive: a round
     multiplies only the pairs with a vector added in the previous round
     (new·new, new·old, old·new), reduces each product once and adds the ones
     that leave S.  An old·old pair was multiplied in an earlier round, so its
@@ -468,18 +485,18 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     is a product within it.  Each round that goes on grows the rank, so a
     round adds nothing after at most dim rounds.
     """
-    echelon = linalg._Echelon()
-    new = [echelon.add(_sparse(_to_vector(g, A.dim))) for g in generators]
+    span = linalg._QSpan()
+    new = [span.add(linalg._integral(_sparse(_to_vector(g, A.dim)))[0]) for g in generators]
     new = [u for u in new if u is not None]
     old = []
     for _ in range(A.dim + 1):
         if not new:
-            return Subspace._of(A.dim, echelon)
+            return Subspace._of(A.dim, span)
         pairs = [(u, v) for u in new for v in old + new] + [(u, v) for u in old for v in new]
         old += new
         new = []
         for u, v in pairs:
-            row = echelon.add(A._product(u, v))
+            row = span.add(A._product(u, v))
             if row is not None:
                 new.append(row)
     raise AssertionError("closure rounds went on past the dimension")
@@ -497,20 +514,27 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
     lies in the span iff w - sum_a w[p_a] row_a is zero, which is checked for
     every product.  The coordinates are read over the support of w, through
     the map p_a -> a.
+
+    The products are taken in integers: the span's row r_a is row_a times
+    its pivot entry r_a[p_a], and `SCAlgebra._product` scales by D, so the
+    integer product of r_a and r_b is D r_a[p_a] r_b[p_b] times row_a row_b.
+    A coordinate, the one `Fraction` built, is its entry over that scale.
     """
-    echelon = space._echelon
-    pivots = sorted(echelon.rows)
+    span = space._span
+    pivots = sorted(span.rows)
     index = {p: a for a, p in enumerate(pivots)}
-    vectors = [echelon.rows[p] for p in pivots]
+    vectors = [span.rows[p] for p in pivots]
+    D = _scaled_constants(A)[0]
     basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
     rows = []
-    for u in vectors:
+    for u, p in zip(vectors, pivots):
         row = []
-        for v in vectors:
+        for v, q in zip(vectors, pivots):
             w = A._product(u, v)
-            if echelon.reduce(w):
+            if span.reduce(w)[0]:
                 raise ValueError("subspace is not closed under the product")
-            row.append(tuple(sorted((index[p], x) for p, x in w.items() if p in index)))
+            coords = {index[m]: x for m, x in w.items() if m in index}
+            row.append(tuple(sorted(linalg._read(coords, D * u[p] * v[q]).items())))
         rows.append(tuple(row))
     return SCAlgebra._of(basis_names, tuple(rows))
 

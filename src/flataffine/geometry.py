@@ -29,8 +29,6 @@ from .symcore import (
     require_same_chart,
 )
 
-_MINUS_ONE = Fraction(-1)
-
 
 class NotFlatError(ValueError):
     """An operation that is only meaningful for flat affine connections.
@@ -509,9 +507,10 @@ def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
 
 
 def _cleared(chart: Chart, vectors):
-    """The numerators of sparse vectors {k: value} brought over one common
-    polynomial denominator, as sparse vectors {k: numerator}, which preserves
-    constant-linear relations.
+    """(common, multiplier, numerators) for sparse vectors {k: value}: their
+    common polynomial denominator, {d: common / d} (None when common is 1),
+    and their numerators over it as sparse vectors {k: numerator}, which
+    preserves constant-linear relations.
 
     The common denominator is the lcm of the distinct denominators of the
     components, and each distinct denominator is divided into it once.
@@ -521,24 +520,18 @@ def _cleared(chart: Chart, vectors):
     for d in dens:
         common = poly_lcm(common, d)
     if common.is_one():   # every denominator is 1: nothing to clear
-        return [{k: c.num for k, c in vec.items()} for vec in vectors]
+        return common, None, [{k: c.num for k, c in vec.items()} for vec in vectors]
     multiplier = {d: exact_div(common, d) for d in dens}
-    return [{k: c.num * multiplier[c.den] for k, c in vec.items()} for vec in vectors]
+    return common, multiplier, [{k: c.num * multiplier[c.den] for k, c in vec.items()}
+                                for vec in vectors]
 
 
-def _coordinate_rows(fields):
-    """Exact coordinates of fields that share one chart, for `linalg._Echelon`:
-    one dict {slot: x} per field, over the nonzero rational coefficients of
-    each (component, monomial) slot of the `_cleared` numerators.  The slots
-    are numbered as met, since no span question depends on their order."""
-    if not fields:
-        return []
-    chart = fields[0].chart
-    if any(f.chart != chart for f in fields):
-        raise ValueError("all fields must share one chart")
-    slots = {}
+def _slot_rows(numerators, slots: dict) -> list:
+    """One dict {slot: x} per sparse polynomial vector, over the nonzero
+    rational coefficients of each (component, monomial) slot; `slots` numbers
+    the slots, and one it does not hold yet is numbered as met."""
     rows = []
-    for polys in _cleared(chart, [f.components for f in fields]):
+    for polys in numerators:
         row = {}
         for k, p in polys.items():
             for exps, x in p.terms.items():
@@ -547,38 +540,117 @@ def _coordinate_rows(fields):
     return rows
 
 
+def _chart_of(fields) -> Chart:
+    """The chart of a nonempty list of fields; ValueError unless they share it."""
+    chart = fields[0].chart
+    if any(f.chart != chart for f in fields):
+        raise ValueError("all fields must share one chart")
+    return chart
+
+
+def _coordinate_rows(fields):
+    """Exact coordinates of fields that share one chart: the `_slot_rows` of
+    their numerators over one common denominator.  The slots are numbered as
+    met, since no span question depends on their order."""
+    if not fields:
+        return []
+    return _slot_rows(_cleared(_chart_of(fields), [f.components for f in fields])[2], {})
+
+
+class _FieldSpan:
+    """The constant span of fields on one chart, reduced once to an echelon
+    basis (`linalg._QSpan`) that names the dependent fields and expresses
+    targets in the fields.
+
+    The columns are the (component, monomial) slots of `_coordinate_rows`,
+    and field b also carries -1 in a label column of its own past every
+    slot, numbered down, so every row records its combination of fields.  A
+    field in the span of those before it takes its own label column as
+    pivot: `dependent` lists those fields, 0-based.  A target in the span has
+    every denominator dividing the fields' common one and every monomial at
+    one of their slots; otherwise it reduces to the label entries lambda,
+    since t - sum_b lambda_b field_b = 0, and a dependent field's entry, at a
+    pivot column, is zero.  On the independent fields lambda is unique, so
+    no column order or row scaling changes it.  Rows are made integral (a
+    label entry scales with its row); a coefficient becomes a `Fraction`
+    only when it is read out.
+    """
+
+    __slots__ = ("dependent", "_common", "_multiplier", "_slots", "_top", "_last", "_span")
+
+    def __init__(self, chart: Chart, fields):
+        self._common, self._multiplier, numerators = _cleared(chart, [f.components for f in fields])
+        self._slots = {}
+        rows = _slot_rows(numerators, self._slots)
+        # slot columns are below top; field b's label column is last - b
+        self._top = top = len(self._slots)
+        self._last = top + len(rows) - 1
+        self._span = span = linalg._QSpan()
+        self.dependent = []
+        for b, row in enumerate(rows):
+            row, scale = linalg._integral(row)
+            row[self._last - b] = -scale
+            if min(span.add(row)) >= top:
+                self.dependent.append(b)
+
+    def _row(self, components):
+        """A target's integer row and its scale over the fields' slots and
+        common denominator, or None when a denominator does not divide the
+        common one or a monomial is at no slot."""
+        multiplier, slots, common = self._multiplier, self._slots, self._common
+        row = {}
+        for k, c in components.items():
+            num = c.num
+            if multiplier is None:
+                if not c.den.is_one():
+                    return None
+            else:
+                m = multiplier.get(c.den)
+                if m is None:
+                    if poly_lcm(common, c.den) != common:
+                        return None
+                    m = multiplier[c.den] = exact_div(common, c.den)
+                num = num * m
+            for exps, x in num.terms.items():
+                slot = slots.get((k, exps))
+                if slot is None:
+                    return None
+                row[slot] = x
+        return linalg._integral(row)
+
+    def coordinates(self, targets) -> list:
+        """`express_in_basis` of the targets in the fields."""
+        solutions = []
+        for index, t in enumerate(targets):
+            row = self._row(t.components)
+            if row is not None:
+                residual, scale = self._span.reduce(*row)
+                if not residual or min(residual) >= self._top:
+                    solutions.append(tuple(sorted(
+                        (self._last - m, x) for m, x in linalg._read(residual, scale).items())))
+                    continue
+            raise NotInSpanError(
+                "target is not in the constant span of the basis", index=index)
+        return solutions
+
+
 def express_in_basis(targets, basis) -> list:
     """Constants lambda with target = sum lambda_k basis_k, one row per target
     in `SCAlgebra.rows`' stored form: a tuple of (k, lambda_k) pairs in
     ascending k, one per nonzero `Fraction` lambda_k.
 
-    Denominators of all targets and basis fields are cleared once.  The basis
-    is reduced once to an echelon basis (`linalg._Echelon`), each basis field
-    b carrying -1 in a label column of its own past every coordinate slot, so
-    every echelon row records its combination of basis fields.  A target t
-    reduces to the label entries lambda, since t - sum_b lambda_b basis_b = 0.
-    The label columns are numbered down, so a basis field that depends on the
-    ones before it takes its own label column as pivot, and its coefficient,
-    an entry at a pivot column of the residual, is zero.  Raises
-    NotInSpanError, with the 0-based `index` of the first target that is not
-    a constant combination of the basis.
+    The basis is reduced once (`_FieldSpan`), and each target is read off it.
+    A basis field that depends on the ones before it gets coefficient zero.
+    The rows are integer vectors, and a coefficient is built as a `Fraction`
+    only when it is read out; the coefficients on independent fields are
+    unique, so they are those any exact elimination gives.
+    Raises NotInSpanError, with the 0-based `index` of the first target that
+    is not a constant combination of the basis.
     """
     targets, basis = list(targets), list(basis)
-    rows = _coordinate_rows(targets + basis)
-    n = len(basis)
-    top = sum(map(len, rows))   # no slot number reaches it
-    echelon = linalg._Echelon()
-    for b, row in enumerate(rows[len(targets):]):
-        row[top + n - b] = _MINUS_ONE
-        echelon.add(row)
-    solutions = []
-    for index, row in enumerate(rows[:len(targets)]):
-        residual = echelon.reduce(row)
-        if residual and min(residual) <= top:
-            raise NotInSpanError(
-                "target is not in the constant span of the basis", index=index)
-        solutions.append(tuple(sorted((top + n - m, x) for m, x in residual.items())))
-    return solutions
+    if not targets + basis:
+        return []
+    return _FieldSpan(_chart_of(targets + basis), basis).coordinates(targets)
 
 
 def independent_fields(fields, names):
@@ -590,9 +662,9 @@ def independent_fields(fields, names):
     fields, names = list(fields), list(names)
     if len(fields) != len(names):
         raise ValueError("one name per field is required")
-    echelon = linalg._Echelon()
+    span = linalg._QSpan()
     kept = [k for k, row in enumerate(_coordinate_rows(fields))
-            if echelon.add(row) is not None]
+            if span.add(linalg._integral(row)[0]) is not None]
     return [names[k] for k in kept], [fields[k] for k in kept]
 
 
@@ -621,9 +693,10 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     only nonzero symbols (`Connection._rows`) are visited.  At each pair,
     clearing polynomial denominators and collecting monomial coefficients of
     the candidates whose residual is nonzero gives exact linear equations,
-    sparse dicts {candidate: coefficient} that go straight into one
-    `linalg._Echelon`.  Its nullspace (`linalg._nullspace_rows`, which
-    `linalg.nullspace` also uses) is returned, one field per basis vector
+    sparse dicts {candidate: coefficient} that go, cleared of their
+    denominators, into one `linalg._QSpan`.  Its nullspace
+    (`linalg._nullspace_rows`, which `linalg.nullspace` also uses) is
+    returned, one field per basis vector
     (coefficient vectors in reduced row-echelon form, candidates ordered slot
     by slot, then by term), each built from its nonzero weights.  Dependent
     terms raise DependentFieldsError at the first term in the span of those
@@ -674,21 +747,22 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
             if res:
                 at_pair.append((c, res))
     # one sparse equation {c: x} per (component, monomial) at each pair
-    echelon = linalg._Echelon()
+    span = linalg._QSpan()
     for at_pair in residuals:
         slots = {}
-        for (c, _), polys in zip(at_pair, _cleared(chart, [res for _, res in at_pair])):
+        numerators = _cleared(chart, [res for _, res in at_pair])[2]
+        for (c, _), polys in zip(at_pair, numerators):
             for k, p in polys.items():
                 for exps, x in p.terms.items():
                     slots.setdefault((k, exps), {})[c] = x
         for equation in slots.values():
-            echelon.add(equation)
+            span.add(linalg._integral(equation)[0])
     # candidate c is t_a·d_s with (s, a) = divmod(c, len(terms)), the sparse
     # vector {s: t_a}; a solution is built from its nonzero weights
     size = len(terms)
     return [VectorField._of(chart, _combination((w, {c // size: terms[c % size]})
                                                 for c, w in row.items()))
-            for row in linalg._nullspace_rows(echelon, n * size)]
+            for row in linalg._nullspace_rows(span, n * size)]
 
 
 # ----- frames, product tables --------------------------------------------------
@@ -774,11 +848,13 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     if not is_flat_affine(conn):
         raise NotFlatError(NotFlatError.PRODUCT)
     n = len(fields)
-    for f in fields:   # the span test below needs one chart
+    for f in fields:   # the span below needs one chart
         require_same_chart(conn, f)
-    kept, _ = independent_fields(fields, range(n))
-    if len(kept) < n:
-        index = min(set(range(n)).difference(kept))
+    # the basis is reduced once, before any IAT test: it tells a dependent
+    # field first, and the products are read off it
+    basis = _FieldSpan(conn.chart, fields)
+    if basis.dependent:
+        index = basis.dependent[0]
         raise DependentFieldsError(
             f"field {names[index]!r} is a constant combination of the fields "
             "before it", index)
@@ -796,7 +872,7 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
                                                     for a, x in f.components.items()))
                 for f in fields for j in range(n)]
     try:
-        coords = express_in_basis(products, fields)
+        coords = basis.coordinates(products)
     except NotInSpanError as err:
         i, j = divmod(err.index, n)
         raise NotInSpanError(

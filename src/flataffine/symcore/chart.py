@@ -4,10 +4,11 @@ The variable order is fixed for the chart's lifetime; it determines the
 graded-lexicographic monomial order used everywhere else.  A chart stores its
 dimension and the exponent tuple of the constant monomial, (0,) * dim, once,
 so the polynomial kernels read them instead of rebuilding them.  For the same
-reason it holds the canonical polynomial 1 and rational functions 0 and 1,
-built on first use by `Polynomial.one`, `RationalFunction.zero` and
-`RationalFunction.one`; values are never changed in place, so all callers
-share them.
+reason it holds the canonical polynomial 1, the rational functions 0 and 1
+and one rational function per variable, built on first use by
+`Polynomial.one`, `RationalFunction.zero`, `RationalFunction.one` and
+`RationalFunction.variable`; values are never changed in place, so all
+callers share them.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ class ChartMismatchError(ValueError):
 
 class Chart:
     __slots__ = ("name", "variables", "_index", "dim", "constant_exps",
-                 "_one", "_rf_zero", "_rf_one")
+                 "_one", "_rf_zero", "_rf_one", "_rf_variables")
 
     def __init__(self, name: str, variables):
         variables = tuple(variables)
@@ -41,6 +42,7 @@ class Chart:
         self.dim = len(variables)
         self.constant_exps = (0,) * self.dim
         self._one = self._rf_zero = self._rf_one = None
+        self._rf_variables = [None] * self.dim
 
     def axis(self, variable: str) -> int:
         """0-based position of a variable; raises UnknownVariableError."""

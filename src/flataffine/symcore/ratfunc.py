@@ -27,9 +27,12 @@ redundant (one line of proof each):
 - a product with a scalar c is the operand for c = 1, 0 for c = 0, and
   otherwise (c*n)/d: c is a unit, so c*n/d is in lowest terms and the
   canonical d is kept;
-- `zero` and `one` return the chart's shared 0/1 and 1/1, and every result
-  that is 0 (a vanishing derivative over 1, a sum that cancels) is the
-  shared 0: no operation changes a rational function after it is built;
+- `zero` and `one` return the chart's shared 0/1 and 1/1, `variable` the
+  chart's shared x/1, and every result that is 0 (a vanishing derivative
+  over a denominator free of the variable, a sum that cancels) is the shared
+  0: no operation changes a rational function after it is built;
+- a variable x/1 and a constant c/1 are canonical as built: 1 is a unit
+  and primitive with a positive leading coefficient;
 - evaluation over the denominator 1 is the numerator's value: n/1 = n, and
   1 never vanishes.
 """
@@ -49,7 +52,7 @@ def _coerce(chart: Chart, value):
     if isinstance(value, Polynomial):
         return RationalFunction(value)
     if isinstance(value, (int, Fraction)):
-        return RationalFunction(Polynomial.constant(chart, value))
+        return RationalFunction.constant(chart, value)
     return None
 
 
@@ -125,11 +128,23 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, chart: Chart, value) -> "RationalFunction":
-        return cls(Polynomial.constant(chart, value))
+        """c/1, or the chart's shared 0 for c = 0."""
+        value = Fraction(value)
+        if not value:
+            return cls.zero(chart)
+        return cls._of(Polynomial._of(chart, {chart.constant_exps: value}), Polynomial.one(chart))
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> "RationalFunction":
-        return cls(Polynomial.variable(chart, name))
+        """The chart's shared x/1; UnknownVariableError for a name not on it."""
+        axis = chart.axis(name)
+        var = chart._rf_variables[axis]
+        if var is None:
+            exps = [0] * chart.dim
+            exps[axis] = 1
+            var = chart._rf_variables[axis] = cls._of(
+                Polynomial._of(chart, {tuple(exps): _ONE}), Polynomial.one(chart))
+        return var
 
     @property
     def chart(self) -> Chart:
@@ -276,6 +291,8 @@ class RationalFunction:
             return RationalFunction._reduced(dn, self.den)
         dd = self.den.diff(variable)
         if not dd.terms:
+            if not dn.terms:
+                return RationalFunction.zero(self.chart)
             return RationalFunction(dn, self.den)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 

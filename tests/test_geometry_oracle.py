@@ -755,18 +755,18 @@ def test_field_results_keep_no_zero_component(name):
 
 
 def test_products_and_solutions_keep_no_zero_component(monkeypatch):
-    """The products that `product_table` hands to `express_in_basis`, some of
+    """The products that `product_table` reads off its basis span, some of
     which cancel to zero, and the fields `solve_iat_ansatz` returns."""
     conn = aff_line_connection()
     names, fields = six_iat_fields(conn.chart)
     products = []
 
-    def capture(targets, basis):
+    def capture(span, targets):
         products.extend(targets)
-        return express(targets, basis)
+        return coordinates(span, targets)
 
-    express = geometry.express_in_basis
-    monkeypatch.setattr(geometry, "express_in_basis", capture)
+    coordinates = geometry._FieldSpan.coordinates
+    monkeypatch.setattr(geometry._FieldSpan, "coordinates", capture)
     geometry.product_table(conn, fields, names)
     assert len(products) == 36
     for Z in products:

@@ -1,7 +1,9 @@
 """The sparse echelon rref over every exact field against the earlier dense loop.
 
-`linalg.rref` adds the rows, as sparse dicts, to one `linalg._Echelon` and
-reads the canonical rows off it, sorted by pivot and made dense.  This module
+`linalg.rref` adds the rows, as sparse dicts, to one span kernel
+(`linalg._QSpan`, on integer rows, over Q; `linalg._Echelon` over any other
+field) and reads the canonical rows off it, sorted by pivot and made dense.
+`tests/test_qspan_oracle.py` compares the two kernels directly.  This module
 keeps the earlier dense Fraction Gauss-Jordan loop verbatim as `oracle_rref`.
 `rank`, `solve`, `nullspace`, `invert` and `in_row_space` are all built on
 `rref`, so their earlier results are those of the same functions with

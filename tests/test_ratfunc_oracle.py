@@ -15,6 +15,9 @@ the kernels as they were before the shared constants: a scalar coerced to a
 rational function and multiplied by the general product, a derivative that
 builds a fresh 0, and evaluation that converts every coordinate.  Each check
 is run on hand-made mutants of the new paths as well, and must catch them.
+A chart's variables and constants are compared with the validating
+constructor, and each variable, and every zero result, must be the chart's
+shared value.
 """
 import json
 import random
@@ -33,7 +36,8 @@ from flataffine import (
     solve_iat_ansatz,
 )
 from flataffine.cli import run_document
-from flataffine.symcore import ExactDivisionError, exact_div, grlex_key, poly_gcd
+from flataffine.symcore import ExactDivisionError, UnknownVariableError, exact_div, \
+    grlex_key, poly_gcd
 from flataffine.symcore.polynomial import _add_scaled
 from helpers import assert_canonical, gln_scene, random_polynomial
 
@@ -387,12 +391,16 @@ def _check_scalar_products(mul, operands):
 
 
 def _check_derivatives(diff, operands):
+    zero_over_den = 0
     for a in operands:
         for variable in CHART.variables:
             got = diff(a, variable)
             _same_rf_in_order(got, oracle_parent_diff(a, variable))
-            if a.den.is_one() and not got.num.terms:
+            if not got.num.terms:
                 assert got is RationalFunction.zero(a.chart)
+                zero_over_den += not a.den.is_one()
+    # a zero derivative over a denominator other than 1 occurs
+    assert zero_over_den
 
 
 def _outcome(evaluate, *args):
@@ -442,6 +450,12 @@ def _diff_fresh_zero(a, variable):
     return a.diff(variable)
 
 
+def _diff_fresh_zero_over_den(a, variable):
+    if not a.num.diff(variable).terms and not a.den.diff(variable).terms:
+        return RationalFunction(Polynomial.zero(a.chart), Polynomial.one(a.chart))
+    return a.diff(variable)
+
+
 def _diff_unreduced(a, variable):
     if not a.den.diff(variable).terms:
         return RationalFunction._of(a.num.diff(variable), a.den)
@@ -487,7 +501,8 @@ def test_derivatives_match_the_parent_derivative_in_order(seed):
     _check_derivatives(RationalFunction.diff, _operands(random.Random(f"ratfunc-{seed}")))
 
 
-@pytest.mark.parametrize("mutant", [_diff_fresh_zero, _diff_unreduced])
+@pytest.mark.parametrize("mutant", [_diff_fresh_zero, _diff_fresh_zero_over_den,
+                                    _diff_unreduced])
 def test_the_derivative_check_catches_mutants(mutant):
     with pytest.raises(AssertionError):
         _check_derivatives(mutant, _operands(random.Random("ratfunc-0")))
@@ -552,3 +567,49 @@ def test_shared_constants_are_built_once_and_never_changed(monkeypatch):
             assert chart._rf_one.num.terms == one and chart._rf_one.den.terms == one
     assert scene.chart in charts and scene.chart._rf_zero is not None
     assert min(filled) >= 2
+
+
+def _check_variables_and_constants(variable, constant):
+    for chart in (CHART, Chart("w", ("w",))):
+        for name in chart.variables:
+            got = variable(chart, name)
+            _same_rf_in_order(got, RationalFunction(Polynomial.variable(chart, name)))
+            assert got is variable(chart, name)
+            assert got is chart._rf_variables[chart.axis(name)]
+        for c in SCALARS + ("2/3",):
+            got = constant(chart, c)
+            _same_rf_in_order(got, RationalFunction(Polynomial.constant(chart, c)))
+            assert all(type(x) is Fraction for x in got.num.terms.values())
+            if not Fraction(c):
+                assert got is RationalFunction.zero(chart)
+        with pytest.raises(UnknownVariableError):
+            variable(chart, "v")
+
+
+def test_variables_and_constants_are_canonical_and_shared():
+    _check_variables_and_constants(RationalFunction.variable, RationalFunction.constant)
+
+
+def _variable_fresh(chart, name):
+    return RationalFunction(Polynomial.variable(chart, name))
+
+
+def _constant_fresh_zero(chart, c):
+    return RationalFunction(Polynomial.constant(chart, c))
+
+
+def _constant_int(chart, c):
+    if not Fraction(c):
+        return RationalFunction.zero(chart)
+    return RationalFunction._of(Polynomial._of(chart, {chart.constant_exps: c}),
+                                Polynomial.one(chart))
+
+
+@pytest.mark.parametrize("variable, constant", [
+    (_variable_fresh, RationalFunction.constant),
+    (RationalFunction.variable, _constant_fresh_zero),
+    (RationalFunction.variable, _constant_int),
+], ids=["fresh-variable", "fresh-zero-constant", "unconverted-constant"])
+def test_the_variable_and_constant_check_catches_mutants(variable, constant):
+    with pytest.raises(AssertionError):
+        _check_variables_and_constants(variable, constant)

@@ -18,10 +18,13 @@ satisfy Jacobi, so the passing paths run with real cancellation; one perturbed
 constant moves the first witness away from (1, 1, 1).  Seeded cases whose
 first failing pair fails only past its smallest k, while a later pair fails at
 its smallest k, check that the scans report the pair first and then the k.
-`restrict_to_subspace`, which reads each product's coordinates over its
-support through a pivot map, is compared with the loop over every pivot on
-closures whose echelon rows are not basis vectors and on a span that is not
-closed.  Algebras built by `product_table`, `restrict_to_subspace`,
+`restrict_to_subspace`, which multiplies the closure's integer rows and
+reads each product's coordinates over its support through a pivot map, is
+compared with the loop over every pivot, run on a division `_Echelon` and
+dense Fraction products, on closures whose echelon rows are not basis vectors
+and on a span that is not closed.  `_product`, the integer kernel behind
+`product`, must give D du dv times the oracle product of u and v, for the
+algebra's denominator lcm D and the vectors' du and dv.  Algebras built by `product_table`, `restrict_to_subspace`,
 `opposite` and `adjoin_unit`, which skip the public constructor's coercion,
 are checked to be in its canonical form.
 """
@@ -46,7 +49,8 @@ from flataffine import (
     subalgebra_closure,
 )
 from flataffine.geometry import independent_fields
-from flataffine.linalg import invert
+from flataffine.algebra import _scaled_constants
+from flataffine.linalg import _Echelon, _integral, invert
 from helpers import (
     GL2Scene,
     aff_line_connection,
@@ -222,8 +226,12 @@ def oracle_jacobi_witness_at(L, i, j, k):
 
 
 def oracle_restrict_to_subspace(A, space):
-    """The restriction loop that read every product at every pivot column."""
-    echelon = space._echelon
+    """The restriction loop that read every product at every pivot column,
+    on a division `_Echelon` built from the space's `Fraction` rows and on
+    dense `Fraction` products, so no integer kernel is under it."""
+    echelon = _Echelon()
+    for row in space.rows:
+        echelon.add({k: x for k, x in enumerate(row) if x})
     pivots = sorted(echelon.rows)
     vectors = [echelon.rows[p] for p in pivots]
     basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
@@ -231,7 +239,9 @@ def oracle_restrict_to_subspace(A, space):
     for u in vectors:
         row = []
         for v in vectors:
-            w = A._product(u, v)
+            dense = oracle_dense_product(A, [u.get(k, 0) for k in range(A.dim)],
+                                         [v.get(k, 0) for k in range(A.dim)])
+            w = {k: x for k, x in enumerate(dense) if x}
             if echelon.reduce(w):
                 raise ValueError("subspace is not closed under the product")
             row.append(tuple((a, w[p]) for a, p in enumerate(pivots) if p in w))
@@ -426,9 +436,13 @@ def test_products_and_matrices_match_oracle(name, A):
     for _ in range(5):
         u, v = random_vector(rng, A.dim), random_vector(rng, A.dim)
         assert A.product(u, v) == oracle_product(A, u, v) == oracle_dense_product(A, u, v)
-        sparse = A._product({k: x for k, x in enumerate(u) if x},
-                            {k: x for k, x in enumerate(v) if x})
-        assert sparse == {k: x for k, x in enumerate(oracle_dense_product(A, u, v)) if x}
+        # the integer kernel: D du dv times the product of u and v
+        (iu, du), (iv, dv) = (_integral({k: x for k, x in enumerate(w) if x}) for w in (u, v))
+        sparse = A._product(iu, iv)
+        assert all(type(x) is int for x in sparse.values())
+        scale = _scaled_constants(A)[0] * du * dv
+        assert sparse == {k: x * scale
+                          for k, x in enumerate(oracle_dense_product(A, u, v)) if x}
         assert left_mult_matrix(A, v) == oracle_left_mult_matrix(A, v)
     assert A.to_json_dict() == oracle_algebra_json(A)
 

@@ -1,8 +1,9 @@
 """Span questions against the versions they replaced.
 
 Every span question of the algebra and envelope layers now goes through one
-sparse, fully reduced echelon kernel over Q (`linalg._Echelon`):
-`express_in_basis` reduces the basis once and reads each target off it,
+sparse, fully reduced echelon kernel over Q, on integer rows
+(`linalg._QSpan`): `express_in_basis` reduces the basis once and reads each
+target off it,
 `independent_fields` keeps the fields that add a pivot, `subalgebra_closure`
 runs semi-naive rounds and `restrict_to_subspace` reads coordinates at the
 pivot columns.  This module keeps the earlier versions as oracles: the
@@ -550,3 +551,29 @@ def test_express_in_basis_edge_cases_match_the_solve_oracle():
     # basis field (the solve oracle returned empty lists here)
     zero = VectorField.zero(chart)
     assert dense_express([zero], [zero, zero]) == [[Fraction(0), Fraction(0)]]
+
+
+def test_targets_are_read_over_the_basis_denominator():
+    """A target is cleared over the basis's common denominator: one with a
+    denominator no basis component has but that divides it, one whose
+    denominator does not divide it, one with a monomial at no basis slot and
+    one over a polynomial basis, each against the solve oracle."""
+    chart = chart_xy()
+    basis = [VectorField(chart, ["1/x + 1/y", "0"]), VectorField(chart, ["1/y", "0"])]
+    polynomial_basis = [VectorField(chart, ["x", "0"]), VectorField(chart, ["0", "y"])]
+    cases = [
+        ([VectorField(chart, ["1/x", "0"])], basis),
+        ([VectorField(chart, ["2/x - 3/y", "0"]), VectorField(chart, ["1/(x+1)", "0"])], basis),
+        ([VectorField(chart, ["1/y", "0"]), VectorField(chart, ["0", "1/y"])], basis),
+        ([VectorField(chart, ["x", "y"]), VectorField(chart, ["1/x", "0"])], polynomial_basis),
+        ([VectorField(chart, ["x^2", "0"])], polynomial_basis),
+    ]
+    for targets, fields in cases:
+        got = express_outcome(dense_express, targets, fields)
+        assert got == express_outcome(oracle_express_in_basis, targets, fields)
+    assert dense_express([VectorField(chart, ["1/x", "0"])], basis) == \
+        [[Fraction(1), Fraction(-1)]]
+    assert express_outcome(express_in_basis, cases[1][0], basis) == ("not in span", 1)
+    assert express_outcome(express_in_basis, cases[2][0], basis) == ("not in span", 1)
+    assert express_outcome(express_in_basis, cases[3][0], polynomial_basis) == \
+        ("not in span", 1)
