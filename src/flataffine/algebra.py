@@ -147,18 +147,21 @@ class SCAlgebra:
             self._c = tuple(tuple(_dense(n, cell) for cell in row) for row in self.rows)
         return self._c
 
-    @classmethod
-    def from_products(cls, basis_names, products, unit: str | None = None) -> "SCAlgebra":
-        """Build from a sparse table {(left_name, right_name): {name: coeff}}."""
+    @staticmethod
+    def from_products(basis_names, products, unit: str | None = None) -> "SCAlgebra":
+        """Build from a sparse table {(left_name, right_name): {name: coeff}};
+        only the given entries are read, and zero coefficients are dropped.
+        The result is a plain SCAlgebra, also when called on a subclass."""
         names = tuple(basis_names)
         n = len(names)
         index = {name: i for i, name in enumerate(names)}
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        rows = [[()] * n for _ in range(n)]
         for (left, right), combo in products.items():
-            row = c[index[left]][index[right]]
-            for name, coeff in combo.items():
-                row[index[name]] = Fraction(coeff)
-        return cls(names, c, index[unit] if unit is not None else None)
+            i, j = index[left], index[right]
+            cell = {index[name]: Fraction(coeff) for name, coeff in combo.items()}
+            rows[i][j] = tuple((k, x) for k, x in sorted(cell.items()) if x)
+        return SCAlgebra._of(names, tuple(map(tuple, rows)),
+                             index[unit] if unit is not None else None)
 
     def basis_index(self, name: str) -> int:
         try:

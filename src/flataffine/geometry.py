@@ -100,7 +100,7 @@ class VectorField:
         if len(coeffs) != chart.dim:
             raise ValueError(
                 f"expected {chart.dim} coefficients, got {len(coeffs)}")
-        if any(c.chart != chart for c in coeffs):
+        if any(c.chart is not chart and c.chart != chart for c in coeffs):
             raise ValueError("coefficient chart does not match the field chart")
         self.chart = chart
         self.components = {k: c for k, c in enumerate(coeffs) if c}
@@ -671,36 +671,96 @@ def independent_fields(fields, names):
 # ----- the ansatz solver -------------------------------------------------------
 
 
+def _hessian(conn: Connection, d1, number, curved) -> dict:
+    """H_t(i, j) = d_i d_j t - sum_l gamma[i][j][l] d_l t at the pairs i <= j
+    where it is nonzero, keyed by pair number, from d1 = [d_a t]; `number`
+    and `curved` are those of `solve_iat_ansatz`."""
+    variables = conn.chart.variables
+    out = {}
+    for j, dj in enumerate(d1):
+        if dj:
+            for i in range(j + 1):
+                h = dj.diff(variables[i])
+                if h:
+                    out[number[i][j]] = h
+    for p, symbols in curved:
+        for l, g in symbols:
+            if d1[l]:
+                _add_at(out, p, -(g * d1[l]))
+    return out
+
+
+def _slot_terms(conn: Connection, s: int, number, curved):
+    """(spread, A) for slot s, the parts of a candidate t·d_s's residuals
+    that do not depend on t.
+
+    spread[a] lists (p, m, g) with g = gamma[j][s][m]: the middle term
+    g d_a t lands at the pair number p of (min(a, j), max(a, j)), component
+    m, and twice when a = j, where both middle terms of the residual are
+    that term.  A = {p: {k: A_s(i, j)^k}} at the pairs where it is nonzero:
+
+        A_s(i, j)^k = d_i gamma[j][s][k] + sum_m gamma[j][s][m] gamma[i][m][k]
+                      - sum_l gamma[i][j][l] gamma[l][s][k].
+    """
+    n = conn.chart.dim
+    variables = conn.chart.variables
+    rows = conn._rows
+    spread = [[] for _ in range(n)]
+    A = {}
+    for j in range(n):
+        for m, g in rows[j][s]:
+            for a in range(n):
+                spread[a].append((number[a][j], m, g + g if a == j else g))
+            for i in range(j + 1):
+                vec = A.setdefault(number[i][j], {})
+                d = g.diff(variables[i])
+                if d:
+                    _add_at(vec, m, d)
+                for k, h in rows[i][m]:
+                    _add_at(vec, k, g * h)
+    for p, symbols in curved:
+        vec = A.setdefault(p, {})
+        for l, g in symbols:
+            for k, h in rows[l][s]:
+                _add_at(vec, k, -(g * h))
+    return spread, {p: vec for p, vec in A.items() if vec}
+
+
 def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     """Basis of infinitesimal affine transformations within an ansatz space.
 
     The ansatz is one list of rational-function terms applied to every
     coefficient slot, so the unknowns are the coefficients of the candidates
     t·d_s, one per (slot s, term t).  The residuals of the flat-case criterion
-    are linear in X, so each candidate's residual is built on its own, from
-    one derivative table per term (d_j t, and d_i d_j t for i <= j) and the
-    nonzero Christoffel symbols, with their first derivatives taken once per
-    call:
+    are linear in X, so each candidate's residual is built on its own.  With
+    first[j]^k = delta_ks d_j t + gamma[j][s][k] t, the residual
+    nabla_{d_i} first[j] - sum_l gamma[i][j][l] first[l] expands to
 
-        first[j]^k = delta_ks d_j t + gamma[j][s][k] t,
-        residual(i, j)^k = delta_ks d_i d_j t + (d_i gamma[j][s][k]) t
-                           + gamma[j][s][k] d_i t
-                           + sum_m gamma[i][m][k] first[j]^m
-                           - sum_l gamma[i][j][l] first[l]^k.
+        residual(i, j)^k = delta_ks H_t(i, j) + gamma[j][s][k] d_i t
+                           + gamma[i][s][k] d_j t + A_s(i, j)^k t,
 
-    The connection is flat, so residual(i, j) = residual(j, i) and only the
-    pairs i <= j give equations.  Every `first` and residual is sparse, and
-    only nonzero symbols (`Connection._rows`) are visited.  At each pair,
-    clearing polynomial denominators and collecting monomial coefficients of
-    the candidates whose residual is nonzero gives exact linear equations,
-    sparse dicts {candidate: coefficient} that go, cleared of their
-    denominators, into one `linalg._QSpan`.  Its nullspace
+    where H_t (`_hessian`) depends on the term alone and is taken once per
+    term, and A_s (`_slot_terms`) on the slot and the connection alone, taken
+    once per slot.  The connection is flat, so residual(i, j) =
+    residual(j, i) and only the pairs i <= j give equations.  Each
+    candidate's residuals are built sparsely, keyed by pair: H_t at its
+    nonzero pairs, the middle terms from the nonzero d_a t and the nonzero
+    symbols gamma[b][s] (the pair (a, b) lands on (min, max), twice when
+    a = b), and A_s t where A_s is nonzero.
+
+    At each pair, clearing polynomial denominators and collecting monomial
+    coefficients of the candidates whose residual is nonzero gives exact
+    linear equations, sparse dicts {candidate: coefficient} that go, cleared
+    of their denominators, into one `linalg._QSpan`.  Its nullspace
     (`linalg._nullspace_rows`, which `linalg.nullspace` also uses) is
-    returned, one field per basis vector
-    (coefficient vectors in reduced row-echelon form, candidates ordered slot
-    by slot, then by term), each built from its nonzero weights.  Dependent
-    terms raise DependentFieldsError at the first term in the span of those
-    before it.
+    returned, one field per basis vector (coefficient vectors in reduced
+    row-echelon form, candidates ordered slot by slot, then by term), each
+    built from its nonzero weights.  Every residual is a canonical
+    `RationalFunction`, whatever the order its parts were summed in, so each
+    pair has one common denominator and one set of equations, in some order;
+    the reduced echelon form is unique, so the output does not depend on
+    that order.  Dependent terms raise DependentFieldsError at the first
+    term in the span of those before it.
     """
     if not is_flat_affine(conn):
         raise NotFlatError(NotFlatError.ANSATZ)
@@ -712,40 +772,36 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     if len(kept) != len(terms):
         raise DependentFieldsError("ansatz terms are linearly dependent",
                                    min(set(range(len(terms))).difference(kept)))
-    variables = chart.variables
+    # number[a][b] numbers the pair (min(a, b), max(a, b)) in row-major
+    # order; curved lists (number, nonzero gamma[i][j]) for the pairs i <= j
+    # that have Christoffel symbols
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    # rows[j][s] lists the nonzero (k, gamma[j][s][k]); d_gamma holds
-    # d_i gamma[j][s][k] for those symbols only
-    rows = conn._rows
-    d_gamma = {(i, j, s, k): g.diff(var)
-               for j in range(n) for s in range(n) for k, g in rows[j][s]
-               for i, var in enumerate(variables)}
+    number = [[0] * n for _ in range(n)]
+    for p, (i, j) in enumerate(pairs):
+        number[i][j] = number[j][i] = p
+    curved = [(p, conn._rows[i][j]) for p, (i, j) in enumerate(pairs) if conn._rows[i][j]]
+    slot_terms = [_slot_terms(conn, s, number, curved) for s in range(n)]
     tables = []
     for t in terms:
-        d1 = [t.diff(var) for var in variables]
-        tables.append((t, d1, {(i, j): d1[j] and d1[j].diff(variables[i]) for i, j in pairs}))
+        d1 = [t.diff(var) for var in chart.variables]
+        tables.append((t, [(a, da) for a, da in enumerate(d1) if da],
+                       _hessian(conn, d1, number, curved)))
     # residuals[p] lists (c, components) for each candidate c whose residual
-    # at pairs[p] is nonzero; first and res are sparse {k: value}
+    # at pairs[p] is nonzero, in ascending c; components are sparse {k: value}
     residuals = [[] for _ in pairs]
-    for c, (s, (t, d1, d2)) in enumerate(product(range(n), tables)):
-        first = []
-        for j in range(n):
-            comps = {s: d1[j]} if d1[j] else {}
-            for k, g in rows[j][s]:
-                _add_at(comps, k, g * t)
-            first.append(comps)
-        for (i, j), at_pair in zip(pairs, residuals):
-            res = {s: d2[i, j]} if d2[i, j] else {}
-            for k, g in rows[j][s]:
-                _add_at(res, k, d_gamma[i, j, s, k] * t + g * d1[i])
-            for m, v in first[j].items():
-                for k, g in rows[i][m]:
-                    _add_at(res, k, g * v)
-            for l, g in rows[i][j]:
-                for k, v in first[l].items():
-                    _add_at(res, k, -(g * v))
-            if res:
-                at_pair.append((c, res))
+    for c, (s, (t, partials, hessian)) in enumerate(product(range(n), tables)):
+        spread, A = slot_terms[s]
+        res = {p: {s: h} for p, h in hessian.items()}
+        for a, da in partials:
+            for p, k, g in spread[a]:
+                _add_at(res.setdefault(p, {}), k, g * da)
+        for p, vec in A.items():
+            at = res.setdefault(p, {})
+            for k, x in vec.items():
+                _add_at(at, k, x * t)
+        for p, vec in res.items():
+            if vec:
+                residuals[p].append((c, vec))
     # one sparse equation {c: x} per (component, monomial) at each pair
     span = linalg._QSpan()
     for at_pair in residuals:

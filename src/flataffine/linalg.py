@@ -157,20 +157,26 @@ def _nullspace_rows(span: "_QSpan", ncols: int) -> list:
 
     Each free column f (no pivot there) gives the vector with 1 at f and
     -rows[p][f] / rows[p][p] at each pivot column p; every entry of a fully
-    reduced row off its own pivot is at a free column.  Those vectors go into
-    a second `_QSpan`, so the basis is the canonical one.
+    reduced row off its own pivot is at a free column.  The vectors of the
+    free columns that some row touches go into a second `_QSpan`, so their
+    basis is the canonical one.  An untouched free column f gives the unit
+    vector e_f, which is already a reduced row: every other vector, and so
+    every row of that basis, is 0 at f, and e_f is 0 at their pivots.  So
+    the unit rows are merged in by pivot (a row's least column) without
+    being reduced.
     """
     pivots = span.rows
-    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    touched = {}
     for p, row in pivots.items():
         a = row[p]
         for f, x in row.items():
             if f != p:
-                basis[f][p] = -x if a == 1 else Fraction(-x, a)
+                touched.setdefault(f, {f: 1})[p] = -x if a == 1 else Fraction(-x, a)
     null = _QSpan()
-    for vec in basis.values():
-        null.add(_integral(vec)[0])
-    return null.basis()
+    for f in sorted(touched):
+        null.add(_integral(touched[f])[0])
+    units = [{f: _QONE} for f in range(ncols) if f not in pivots and f not in touched]
+    return sorted(null.basis() + units, key=min)
 
 
 class _QSpan:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from flataffine import (
+    Chart,
     Connection,
     DependentFieldsError,
     Frame,
@@ -425,6 +426,19 @@ def test_span_questions_refuse_fields_on_two_charts():
         express_in_basis([vf("x", "0")], [other])
     with pytest.raises(ValueError, match="all fields must share one chart"):
         independent_fields([vf("x", "0"), other], ["a", "b"])
+
+
+def test_field_coefficients_on_an_equal_chart_are_accepted():
+    """The constructor tests chart identity first and equality after it, as
+    `require_same_chart` does: a coefficient on an equal but distinct chart
+    is accepted, one on another chart is refused."""
+    twin = Chart(CH.name, CH.variables)
+    assert twin is not CH and twin == CH
+    X = VectorField(CH, [parse_expr("x", twin), parse_expr("y^2", CH)])
+    assert X == vf("x", "y^2") and X.chart is CH
+    for other in (plane_chart(), Chart(CH.name, ("x", "z"))):
+        with pytest.raises(ValueError, match="coefficient chart does not match"):
+            VectorField(CH, [parse_expr("x", other), "0"])
 
 
 # ----- span helpers ---------------------------------------------------------------------

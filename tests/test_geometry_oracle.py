@@ -27,7 +27,20 @@ the half-plane frame connections with shuffled subsets of the example
 ansatz, on the zero connection with random polynomial and rational terms and
 on the GL2 and GL3 frame connections.  Both the solver and `_iat_residuals`
 use only the pairs i <= j, which the flatness of every connection they accept
-makes sufficient; two tests check that reason on the oracle itself.
+makes sufficient; two tests check that reason on the oracle itself.  The
+solver now sums each candidate's residuals from per-term Hessians
+(`geometry._hessian`) and per-slot connection terms (`geometry._slot_terms`);
+the solver before that split, and the `linalg._nullspace_rows` that reduced
+every free column's vector, are kept verbatim as oracles too.  They are
+compared on shuffled ansätze over the half-plane and GL3 connections and
+over the flat connection of a commuting frame on three variables, whose
+symbols are nonzero and not all constant, with polynomial and rational
+terms that make the Hessian's correction, the middle terms and the
+connection terms each nonzero; four hand-made mutants of those parts
+(no doubling at a = b, either gamma-gamma sum dropped, no Hessian
+correction) must change the solver's output.  `_nullspace_rows` is compared
+on the empty span, on spans with untouched and with touched free columns
+and on spans with no free column.
 
 A field stores only its nonzero components, and `==` compares those dicts,
 so the last tests check that field arithmetic, brackets, covariant
@@ -38,6 +51,7 @@ order of their keys.
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -58,7 +72,7 @@ from flataffine import (
     lie_bracket,
     solve_iat_ansatz,
 )
-from flataffine.geometry import _first_derivatives, _iat_residuals, _nabla_coordinate
+from flataffine.geometry import _add_at, _first_derivatives, _iat_residuals, _nabla_coordinate
 from flataffine import geometry, linalg
 from flataffine.symcore import require_same_chart
 from helpers import (
@@ -78,6 +92,7 @@ from helpers import (
     random_polynomial,
     random_rational_function,
     six_iat_fields,
+    zero_algebra,
 )
 
 EXAMPLE_TASKS = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
@@ -200,6 +215,82 @@ def oracle_solve_iat_ansatz(conn, ansatz):
                 field = field + cand.scaled(w)
         solutions.append(field)
     return solutions
+
+
+def previous_nullspace_rows(span, ncols):
+    """`linalg._nullspace_rows` before unit rows were merged in by pivot:
+    every free column's vector goes through the second `_QSpan`."""
+    pivots = span.rows
+    basis = {f: {f: 1} for f in range(ncols) if f not in pivots}
+    for p, row in pivots.items():
+        a = row[p]
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x if a == 1 else Fraction(-x, a)
+    null = linalg._QSpan()
+    for vec in basis.values():
+        null.add(linalg._integral(vec)[0])
+    return null.basis()
+
+
+def previous_solve_iat_ansatz(conn, ansatz):
+    """The solver before its residuals were split into per-term Hessians and
+    per-slot connection terms: each candidate's first derivatives and
+    residuals built on their own, at every pair i <= j."""
+    if not is_flat_affine(conn):
+        raise NotFlatError(NotFlatError.ANSATZ)
+    chart = conn.chart
+    n = chart.dim
+    terms = [geometry._as_rf(chart, t) for t in ansatz]
+    probe = [VectorField._of(chart, {0: t} if t else {}) for t in terms]
+    kept, _ = geometry.independent_fields(probe, range(len(terms)))
+    if len(kept) != len(terms):
+        raise geometry.DependentFieldsError("ansatz terms are linearly dependent",
+                                            min(set(range(len(terms))).difference(kept)))
+    variables = chart.variables
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    rows = conn._rows
+    d_gamma = {(i, j, s, k): g.diff(var)
+               for j in range(n) for s in range(n) for k, g in rows[j][s]
+               for i, var in enumerate(variables)}
+    tables = []
+    for t in terms:
+        d1 = [t.diff(var) for var in variables]
+        tables.append((t, d1, {(i, j): d1[j] and d1[j].diff(variables[i]) for i, j in pairs}))
+    residuals = [[] for _ in pairs]
+    for c, (s, (t, d1, d2)) in enumerate(product(range(n), tables)):
+        first = []
+        for j in range(n):
+            comps = {s: d1[j]} if d1[j] else {}
+            for k, g in rows[j][s]:
+                _add_at(comps, k, g * t)
+            first.append(comps)
+        for (i, j), at_pair in zip(pairs, residuals):
+            res = {s: d2[i, j]} if d2[i, j] else {}
+            for k, g in rows[j][s]:
+                _add_at(res, k, d_gamma[i, j, s, k] * t + g * d1[i])
+            for m, v in first[j].items():
+                for k, g in rows[i][m]:
+                    _add_at(res, k, g * v)
+            for l, g in rows[i][j]:
+                for k, v in first[l].items():
+                    _add_at(res, k, -(g * v))
+            if res:
+                at_pair.append((c, res))
+    span = linalg._QSpan()
+    for at_pair in residuals:
+        slots = {}
+        numerators = geometry._cleared(chart, [res for _, res in at_pair])[2]
+        for (c, _), polys in zip(at_pair, numerators):
+            for k, p in polys.items():
+                for exps, x in p.terms.items():
+                    slots.setdefault((k, exps), {})[c] = x
+        for equation in slots.values():
+            span.add(linalg._integral(equation)[0])
+    size = len(terms)
+    return [VectorField._of(chart, geometry._combination((w, {c // size: terms[c % size]})
+                                                         for c, w in row.items()))
+            for row in previous_nullspace_rows(span, n * size)]
 
 
 def oracle_witness(conn, X):
@@ -692,6 +783,172 @@ def test_solver_matches_oracle_on_gl3(order_seed):
     solutions = solve_iat_ansatz(conn, ansatz)
     assert solutions == oracle_solve_iat_ansatz(conn, ansatz)
     assert set(solutions) == set(scene.f_fields)
+
+
+def commuting_frame_connection():
+    """The flat connection of the commuting frame d_x + 2x d_y + (y - x^2) d_z,
+    d_y + x d_z, d_z with zero constants: its four nonzero symbols are
+    gamma[x][x] = -2 d_y + 4x d_z and gamma[x][y] = gamma[y][x] = -d_z."""
+    chart = CHARTS[3]
+    frame = Frame([VectorField(chart, ["1", "2*x", "y - x^2"]),
+                   VectorField(chart, ["0", "1", "x"]), VectorField(chart, ["0", "0", "1"])])
+    return connection_from_frame(frame, zero_algebra(("e1", "e2", "e3")))
+
+
+# polynomial terms, whose span holds 1 and the affine coordinates x, y - x^2
+# and z - x*y + x^3 of the frame, and rational ones, whose equations have
+# denominators
+COMMUTING_FRAME_ANSATZ = ["1", "x", "y", "z", "x^2", "x*y", "x^3", "y^2", "x*z",
+                          "1/(x + 1)", "y/(x + 1)", "z/(y + 2)"]
+
+
+def test_the_commuting_frame_connection_reaches_every_residual_part():
+    conn = commuting_frame_connection()
+    chart = conn.chart
+    assert is_flat_affine(conn)
+    x = RationalFunction.variable(chart, "x")
+    symbols = [g for row in conn.gamma for vec in row for g in vec if g]
+    assert len(symbols) == 4 and 4 * x in symbols
+    n = chart.dim
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    number = [[pairs.index((min(a, b), max(a, b))) for b in range(n)] for a in range(n)]
+    curved = [(p, conn._rows[i][j]) for p, (i, j) in enumerate(pairs) if conn._rows[i][j]]
+    slot_terms = [geometry._slot_terms(conn, s, number, curved) for s in range(n)]
+    assert any(A for _, A in slot_terms)
+    # some gamma[a][s] d_a t lands on the diagonal pair (a, a), doubled
+    middle = diagonal = hessian = corrected = False
+    for t in COMMUTING_FRAME_ANSATZ:
+        t = geometry.parse_expr(t, chart)
+        d1 = [t.diff(v) for v in chart.variables]
+        for spread, _ in slot_terms:
+            for a in range(n):
+                if d1[a] and spread[a]:
+                    middle = True
+                    diagonal |= any(p == number[a][a] for p, _, _ in spread[a])
+        H = geometry._hessian(conn, d1, number, curved)
+        plain = {number[i][j]: d1[j].diff(chart.variables[i]) for i, j in pairs}
+        hessian |= bool(H)
+        corrected |= H != {p: h for p, h in plain.items() if h}
+    assert middle and diagonal and hessian and corrected
+
+
+def test_solver_matches_oracles_on_the_commuting_frame_connection():
+    conn = commuting_frame_connection()
+    solutions = solve_iat_ansatz(conn, COMMUTING_FRAME_ANSATZ)
+    assert solutions == previous_solve_iat_ansatz(conn, COMMUTING_FRAME_ANSATZ)
+    assert solutions == oracle_solve_iat_ansatz(conn, COMMUTING_FRAME_ANSATZ)
+    assert len(solutions) >= 3
+    assert all(is_infinitesimal_affine(conn, X).holds for X in solutions)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solver_matches_the_previous_solver(seed):
+    """Shuffled ansatz orders on the commuting frame, the half-plane and GL3
+    connections, with rational terms in the first two."""
+    rng = random.Random(f"previous-{seed}")
+    cases = [(commuting_frame_connection(), list(COMMUTING_FRAME_ANSATZ))]
+    cases += [(conn, example_ansatz()) for conn in flat_halfplane_connections().values()]
+    pairs = [(r, s) for r in range(1, 4) for s in range(1, 4)]
+    scene = gln_scene(3, rng.sample(pairs, 9))
+    cases.append((scene.connect(), [f"x{r}{s}" for r, s in pairs] + ["x12^2", "1"]))
+    for conn, ansatz in cases:
+        rng.shuffle(ansatz)
+        assert solve_iat_ansatz(conn, ansatz) == previous_solve_iat_ansatz(conn, ansatz)
+
+
+def mutant_hessian(conn, d1, number, curved):
+    """H_t without its gamma correction: the plain second derivatives."""
+    out = {}
+    for j, dj in enumerate(d1):
+        for i in range(j + 1):
+            h = dj.diff(conn.chart.variables[i])
+            if h:
+                out[number[i][j]] = h
+    return out
+
+
+def mutant_slot_terms(mutation):
+    """`_slot_terms` with one fault: "no-doubling" adds gamma[b][s] d_a t once
+    at a = b, "no-first-sum" and "no-second-sum" drop a gamma-gamma sum of A."""
+    def slot_terms(conn, s, number, curved):
+        n = conn.chart.dim
+        rows = conn._rows
+        spread = [[] for _ in range(n)]
+        A = {}
+        for j in range(n):
+            for m, g in rows[j][s]:
+                for a in range(n):
+                    doubled = a == j and mutation != "no-doubling"
+                    spread[a].append((number[a][j], m, g + g if doubled else g))
+                for i in range(j + 1):
+                    vec = A.setdefault(number[i][j], {})
+                    d = g.diff(conn.chart.variables[i])
+                    if d:
+                        _add_at(vec, m, d)
+                    if mutation != "no-first-sum":
+                        for k, h in rows[i][m]:
+                            _add_at(vec, k, g * h)
+        if mutation != "no-second-sum":
+            for p, symbols in curved:
+                vec = A.setdefault(p, {})
+                for l, g in symbols:
+                    for k, h in rows[l][s]:
+                        _add_at(vec, k, -(g * h))
+        return spread, {p: vec for p, vec in A.items() if vec}
+    return slot_terms
+
+
+@pytest.mark.parametrize("mutant", ["no-doubling", "no-first-sum", "no-second-sum",
+                                    "no-hessian-correction"])
+def test_the_oracles_catch_mutants_of_the_residual_parts(mutant, monkeypatch):
+    conn = commuting_frame_connection()
+    expected = previous_solve_iat_ansatz(conn, COMMUTING_FRAME_ANSATZ)
+    assert solve_iat_ansatz(conn, COMMUTING_FRAME_ANSATZ) == expected
+    if mutant == "no-hessian-correction":
+        monkeypatch.setattr(geometry, "_hessian", mutant_hessian)
+    else:
+        monkeypatch.setattr(geometry, "_slot_terms", mutant_slot_terms(mutant))
+    assert solve_iat_ansatz(conn, COMMUTING_FRAME_ANSATZ) != expected
+
+
+def nullspace_spans():
+    """{name: (span, ncols)}: the empty span, spans whose free columns no row
+    touches, spans with no free column, and seeded sparse spans."""
+    rng = random.Random("nullspace")
+    cases = {"empty-0": ([], 0), "empty-5": ([], 5),
+             "units": ([[0, 2, 0, 0], [0, 0, 0, 3]], 4),
+             "untouched-and-touched": ([[1, 0, 2, 0, 0], [0, 1, Fraction(-1, 3), 0, 0]], 5),
+             "full": ([[2, 1, 0], [1, 1, 1], [0, 0, 5]], 3),
+             "full-identity": ([[1, 0], [0, 1]], 2)}
+    for seed in range(6):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 12)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.3 else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        cases[f"seeded-{seed}"] = (rows, ncols)
+    return {name: (linalg._q_span(rows), ncols) for name, (rows, ncols) in cases.items()}
+
+
+NULLSPACE_SPANS = nullspace_spans()
+
+
+@pytest.mark.parametrize("span, ncols", NULLSPACE_SPANS.values(), ids=list(NULLSPACE_SPANS))
+def test_nullspace_rows_match_the_previous_kernel(span, ncols):
+    rows = linalg._nullspace_rows(span, ncols)
+    assert rows == previous_nullspace_rows(span, ncols)
+    assert all(type(x) is Fraction for row in rows for x in row.values())
+    assert [min(row) for row in rows] == sorted(min(row) for row in rows)
+
+
+def test_nullspace_families_reach_every_case():
+    kinds = set()
+    for span, ncols in NULLSPACE_SPANS.values():
+        free = [f for f in range(ncols) if f not in span.rows]
+        touched = {f for p, row in span.rows.items() for f in row if f != p}
+        kinds.add("untouched" if set(free) - touched else "none-untouched")
+        kinds.add("touched" if touched else "none-touched")
+        kinds.add("free" if free else "no-free")
+    assert kinds == {"untouched", "none-untouched", "touched", "none-touched", "free",
+                     "no-free"}
 
 
 @pytest.mark.parametrize("name", ["alpha-1", "alpha1", "alpha2", "alpha3", "aff-lsa"])

@@ -26,7 +26,11 @@ and on a span that is not closed.  `_product`, the integer kernel behind
 `product`, must give D du dv times the oracle product of u and v, for the
 algebra's denominator lcm D and the vectors' du and dv.  Algebras built by `product_table`, `restrict_to_subspace`,
 `opposite` and `adjoin_unit`, which skip the public constructor's coercion,
-are checked to be in its canonical form.
+are checked to be in its canonical form.  `SCAlgebra.from_products`, which
+reads only the entries it is given, is compared with the dense dim^3 build
+through the public constructor on seeded tables and on each error that
+build raises (an unknown name, unit or coefficient type, a bad coefficient
+string, a repeated basis name).
 """
 import random
 from fractions import Fraction
@@ -603,3 +607,91 @@ def test_built_algebras_are_canonical(name, A):
         for vec in row:
             assert type(vec) is tuple and len(vec) == A.dim
             assert all(type(x) is Fraction for x in vec)
+
+
+# ----- from_products: the entries given, against the dense build ------------------------
+
+
+def oracle_from_products(basis_names, products, unit=None):
+    """`SCAlgebra.from_products` as a dense dim^3 build through the public
+    constructor, which coerces every entry."""
+    names = tuple(basis_names)
+    n = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (left, right), combo in products.items():
+        row = c[index[left]][index[right]]
+        for name, coeff in combo.items():
+            row[index[name]] = Fraction(coeff)
+    return SCAlgebra(names, c, index[unit] if unit is not None else None)
+
+
+def random_products(rng, names):
+    """A seeded sparse table whose coefficients are ints, Fractions and
+    strings, zeros among them; a cell may be an empty dict."""
+    coefficients = [0, 1, -2, Fraction(3, 4), Fraction(0), "5/6", "-1", "0", Fraction(-7, 3)]
+    products = {}
+    for left in names:
+        for right in names:
+            if rng.random() < 0.4:
+                products[left, right] = {name: rng.choice(coefficients)
+                                         for name in rng.sample(names, rng.randint(0, min(3, len(names))))}
+    return products
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as err:   # the two builds must raise alike
+        return type(err), str(err)
+
+
+FROM_PRODUCTS = {}
+for _seed in range(8):
+    _rng = random.Random(f"from-products-{_seed}")
+    _names = [f"b{k}" for k in range(_rng.randint(1, 6))]
+    FROM_PRODUCTS[f"seeded-{_seed}"] = (_names, random_products(_rng, _names),
+                                        _rng.choice([None] + _names))
+_names = ["a", "b"]
+FROM_PRODUCTS.update({
+    "unknown-left": (_names, {("a", "a"): {"a": 1}, ("c", "a"): {"a": 1}}, None),
+    "unknown-right": (_names, {("a", "c"): {"a": 1}}, None),
+    "unknown-result": (_names, {("a", "b"): {"a": 1, "z": 2}}, None),
+    "unknown-unit": (_names, {("a", "b"): {"a": 1}}, "u"),
+    "bad-string": (_names, {("a", "b"): {"a": "1/x"}}, None),
+    "zero-denominator": (_names, {("a", "b"): {"a": "1/0"}}, None),
+    "none-coefficient": (_names, {("b", "b"): {"b": None}}, None),
+    "list-coefficient": (_names, {("b", "a"): {"a": 1, "b": [1]}}, None),
+    "repeated-name": (["a", "b", "a"], {("a", "b"): {"b": 1}}, None),
+    "empty-table": (_names, {}, "b"),
+})
+
+
+@pytest.mark.parametrize("names, products, unit", FROM_PRODUCTS.values(),
+                         ids=list(FROM_PRODUCTS))
+def test_from_products_matches_the_dense_build(names, products, unit):
+    got = outcome(SCAlgebra.from_products, names, products, unit)
+    expected = outcome(oracle_from_products, names, products, unit)
+    if isinstance(expected, SCAlgebra):
+        assert got == expected
+        assert got.rows == expected.rows and got.unit_index == expected.unit_index
+        assert all(type(x) is Fraction and x for row in got.rows for cell in row
+                   for _, x in cell)
+    else:
+        assert got == expected
+
+
+def test_from_products_cases_reach_every_error():
+    kinds = set()
+    for case in FROM_PRODUCTS.values():
+        result = outcome(oracle_from_products, *case)
+        kinds.add(result[0] if isinstance(result, tuple) else type(result))
+    assert kinds == {SCAlgebra, KeyError, ValueError, TypeError, ZeroDivisionError}
+
+
+def test_from_products_on_a_subclass_builds_a_plain_algebra():
+    """No `LieAlgebraSC` is built without its checks: this table is not
+    antisymmetric."""
+    A = LieAlgebraSC.from_products(("a", "b"), {("a", "b"): {"a": 1}})
+    assert type(A) is SCAlgebra
+    assert A == SCAlgebra.from_products(("a", "b"), {("a", "b"): {"a": 1}})
