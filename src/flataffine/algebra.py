@@ -61,10 +61,14 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 def parse_rational(x) -> Fraction:
     """A rational given as an integer (not a bool) or a string "p/q" or "p";
     ValueError for anything else, a zero denominator included."""
-    if not (type(x) is int or isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        raise ValueError(f'bad rational {x!r}: write an integer, "p" or "p/q"')
-    try:
+    if type(x) is int:
         return Fraction(x)
+    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ValueError(f'bad rational {x!r}: write an integer, "p" or "p/q"')
+    # the grammar's p and q are int() literals: Fraction(x) reads the same value
+    p, _, q = x.partition("/")
+    try:
+        return Fraction(int(p), int(q) if q else 1)
     except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
         raise ValueError(f"bad rational {x!r}: {err}") from None
 

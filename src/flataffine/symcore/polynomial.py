@@ -277,7 +277,7 @@ class Polynomial:
         return len(self.terms) == 1 and self.terms.get(self.chart.constant_exps) == s
 
     def __hash__(self):
-        return hash((self.chart, tuple(self.sorted_terms())))
+        return hash((self.chart, frozenset(self.terms.items())))
 
     # ----- calculus -------------------------------------------------------
 

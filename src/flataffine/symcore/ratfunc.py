@@ -35,6 +35,17 @@ redundant (one line of proof each):
   and primitive with a positive leading coefficient;
 - evaluation over the denominator 1 is the numerator's value: n/1 = n, and
   1 never vanishes.
+
+Each value keeps the partial derivatives it has been asked for, one per
+variable: the first `diff(x)` runs the quotient rule above and stores its
+result, and every later `diff(x)` returns that same object.  The memo is exact
+because the value is immutable: `num` and `den` are set only while it is
+built, and polynomial terms are never written after that (an AST test
+over the package holds every module to both), so the quotient rule on the
+same operands would build an equal canonical result.  The memo
+starts unset, so building a value costs nothing more, and no partial is
+taken that was not asked for.  The chart's shared 0, 1 and variables, which
+every derivative table meets again, thus differentiate once per variable.
 """
 from __future__ import annotations
 
@@ -57,7 +68,7 @@ def _coerce(chart: Chart, value):
 
 
 class RationalFunction:
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_partials")
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:   # num/1 is in lowest terms: no gcd
@@ -284,7 +295,16 @@ class RationalFunction:
     # ----- calculus ---------------------------------------------------------
 
     def diff(self, variable: str) -> "RationalFunction":
-        """Quotient-rule derivative, normalized."""
+        """Quotient-rule derivative, normalized; taken once per variable."""
+        partials = getattr(self, "_partials", None)   # unset until the first one
+        if partials is None:
+            partials = self._partials = {}
+        elif variable in partials:
+            return partials[variable]
+        out = partials[variable] = self._quotient_rule(variable)
+        return out
+
+    def _quotient_rule(self, variable: str) -> "RationalFunction":
         dn = self.num.diff(variable)
         if self.den.is_one():
             # a fraction over 1 is already in lowest terms

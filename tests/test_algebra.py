@@ -19,6 +19,7 @@ from flataffine import (
     opposite,
     subalgebra_closure,
 )
+from flataffine.algebra import parse_rational
 from flataffine.linalg import solve
 from helpers import (
     aff_line_lsa,
@@ -384,6 +385,52 @@ def test_from_json_dict_refuses_what_is_not_a_rational(entry):
     assert time.process_time() - started < 0.5
     doc["products"][0]["result"] = ["-3/4"]
     assert SCAlgebra.from_json_dict(doc).rows == ((((0, Fraction(-3, 4)),),),)
+
+
+def _rational_literals(rng):
+    """Strings of the accepted language [+-]?[0-9]+(/[0-9]+)?: signs, leading
+    zeros, zero numerators and denominators, and literals past int()'s
+    4300-digit limit in either place."""
+    def digits(n):
+        return "".join(rng.choice("0123456789") for _ in range(n))
+
+    out = ["1/0", "-0/0", "+7/00", "0", "-0", "007/010", "1" * 5000,
+           "-1/" + "2" * 5000, "3" * 4300, "1/" + "9" * 4301]
+    for _ in range(300):
+        literal = rng.choice(("", "+", "-")) + digits(rng.randint(1, 30))
+        if rng.random() < 0.6:
+            literal += "/" + digits(rng.randint(1, 30))
+        out.append(literal)
+    return out
+
+
+def _outcome(parse, x):
+    try:
+        return parse(x)
+    except (ValueError, ZeroDivisionError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_rational_reads_what_fraction_reads(seed):
+    # Fraction(str) is the oracle for the accepted language; its errors are
+    # reported with the same texts
+    def oracle(x):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ValueError(f"bad rational {x!r}: {err}") from None
+
+    outcomes = set()
+    for x in _rational_literals(random.Random(f"rational-{seed}")):
+        got = _outcome(parse_rational, x)
+        assert got == _outcome(oracle, x)
+        if isinstance(got, Fraction):
+            outcomes.add(Fraction)
+        else:
+            outcomes.add(got[1].partition(": ")[2].partition("(")[0].split()[0])
+    # values, zero denominators and over-long literals all occur
+    assert outcomes == {Fraction, "Fraction", "Exceeds"}
 
 
 def test_from_json_dict_builds_the_entries_it_is_given():

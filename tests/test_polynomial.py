@@ -44,6 +44,25 @@ def test_graded_lex_printing_canonical():
     assert str(p) == "x^2 - 3*x*y + y + 1"
 
 
+def test_equal_polynomials_hash_equal_whatever_their_term_order():
+    rng = random.Random(1202)
+    ch = chart_xy()
+    for _ in range(25):
+        p = random_polynomial(rng, ch, max_terms=6)
+        items = list(p.terms.items())
+        rng.shuffle(items)
+        q = Polynomial(ch, dict(items))
+        r = Polynomial(ch, dict(reversed(items)))
+        assert p == q == r
+        assert hash(p) == hash(q) == hash(r)
+        assert len({p, q, r}) == 1
+    # arithmetic inserts terms in operand order: x + y and y + x differ in it
+    x, y = Polynomial.variable(ch, "x"), Polynomial.variable(ch, "y")
+    assert list((x + y).terms) != list((y + x).terms)
+    assert hash(x + y) == hash(y + x)
+    assert {x + y: 1}.get(Polynomial(ch, {(0, 1): 1, (1, 0): 1})) == 1
+
+
 def test_arithmetic_identities_random():
     rng = random.Random(1201)
     ch = chart_xy()

@@ -18,9 +18,18 @@ is run on hand-made mutants of the new paths as well, and must catch them.
 A chart's variables and constants are compared with the validating
 constructor, and each variable, and every zero result, must be the chart's
 shared value.
+
+`diff` keeps each partial derivative it takes.  Its oracle is the quotient
+rule without the memo, run afresh on every request; the memo must give the
+same canonical result, the same object on every later request, and no entry
+for a variable it refuses.  After real workloads, every memo entry still
+held by a live rational function must equal the oracle's derivative of its
+owner.
 """
+import gc
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -613,3 +622,177 @@ def _constant_int(chart, c):
 def test_the_variable_and_constant_check_catches_mutants(variable, constant):
     with pytest.raises(AssertionError):
         _check_variables_and_constants(variable, constant)
+
+
+# ----- the derivative memo ------------------------------------------------------------
+
+
+def oracle_quotient_rule(a, variable):
+    """`diff` without its memo: the quotient rule with the canonical-operand
+    shortcuts, taken afresh on every call."""
+    dn = a.num.diff(variable)
+    if a.den.is_one():
+        return RationalFunction._reduced(dn, a.den)
+    dd = a.den.diff(variable)
+    if not dd.terms:
+        if not dn.terms:
+            return RationalFunction.zero(a.chart)
+        return RationalFunction(dn, a.den)
+    return RationalFunction(dn * a.den - a.num * dd, a.den * a.den)
+
+
+def _memo_operands(rng):
+    """Polynomials, the `_operands` over monomial and multi-term denominators,
+    and the chart's shared 0, 1 and variables."""
+    polynomials = [RationalFunction(random_polynomial(rng, CHART)) for _ in range(6)]
+    shared = [RationalFunction.zero(CHART), RationalFunction.one(CHART)]
+    shared += [RationalFunction.variable(CHART, v) for v in CHART.variables]
+    return polynomials + _operands(rng) + shared
+
+
+def _check_memo(diff, operands, rng):
+    requests = [(a, v) for a in operands for v in CHART.variables] * 3
+    rng.shuffle(requests)
+    first = {}
+    for a, variable in requests:
+        got = diff(a, variable)
+        _same_rf_in_order(got, oracle_quotient_rule(a, variable))
+        assert first.setdefault((id(a), variable), got) is got
+    assert len(first) == len(operands) * len(CHART.variables)
+
+
+def _memo_ignoring_the_variable():
+    memo = {}
+
+    def diff(a, variable):
+        if id(a) not in memo:
+            memo[id(a)] = oracle_quotient_rule(a, variable)
+        return memo[id(a)]
+    return diff
+
+
+def _memo_ignoring_the_owner():
+    memo = {}
+
+    def diff(a, variable):
+        if variable not in memo:
+            memo[variable] = oracle_quotient_rule(a, variable)
+        return memo[variable]
+    return diff
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_memo_gives_the_quotient_rule_once_per_variable(seed):
+    rng = random.Random(f"memo-{seed}")
+    operands = _memo_operands(rng)
+    dens = [a.den for a in operands]
+    assert any(d.is_one() for d in dens)
+    assert any(len(d.terms) == 1 and not d.is_one() for d in dens)
+    assert any(len(d.terms) > 1 for d in dens)
+    _check_memo(RationalFunction.diff, operands, rng)
+
+
+@pytest.mark.parametrize("mutant", [oracle_quotient_rule, _memo_ignoring_the_variable(),
+                                    _memo_ignoring_the_owner()],
+                         ids=["no-memo", "ignores-the-variable", "ignores-the-owner"])
+def test_the_memo_check_catches_mutants(mutant):
+    rng = random.Random("memo-0")
+    with pytest.raises(AssertionError):
+        _check_memo(mutant, _memo_operands(rng), rng)
+
+
+def test_a_repeated_request_returns_the_same_object():
+    a = oracle_rf(X * X * Y + 1, X + Y)
+    assert getattr(a, "_partials", None) is None
+    dx = a.diff("x")
+    assert a.diff("x") is dx and a._partials == {"x": dx}
+    assert a.diff("y") is a.diff("y") is not dx
+    z = RationalFunction.variable(CHART, "z")
+    assert z.diff("z") is z.diff("z") == 1
+
+
+def test_an_unknown_variable_raises_and_caches_nothing():
+    fresh = oracle_rf(X + 1, Y - 2)
+    used = oracle_rf(X * Y + 1, Y)
+    dy = used.diff("y")
+    for a in (fresh, used, RationalFunction.variable(CHART, "x"), RationalFunction.zero(CHART)):
+        before = dict(getattr(a, "_partials", None) or {})
+        for _ in range(2):
+            with pytest.raises(UnknownVariableError):
+                a.diff("w")
+        assert (getattr(a, "_partials", None) or {}) == before
+    assert used.diff("y") is dy
+
+
+def _gl3_pass():
+    """The gl3-iat pass of the benchmark, on the scene's own frame order."""
+    scene = gln_scene(3)
+    conn = scene.connect()
+    assert is_flat_affine(conn)
+    _, fields = scene.invariant_fields()
+    control = VectorField(scene.chart, ["x11^2"] + ["0"] * 8)
+    assert all(is_infinitesimal_affine(conn, f).holds for f in fields)
+    assert not is_infinitesimal_affine(conn, control).holds
+    solutions = solve_iat_ansatz(conn, list(scene.chart.variables))
+    assert len(solutions) == 81
+    return conn, fields, control, solutions
+
+
+def test_a_gl3_pass_takes_each_derivative_at_most_once(monkeypatch):
+    taken = Counter()
+    owners = []   # keeps every owner alive, so that no id is reused
+    quotient_rule = RationalFunction._quotient_rule
+
+    def counting_quotient_rule(self, variable):
+        owners.append(self)
+        taken[id(self), variable] += 1
+        return quotient_rule(self, variable)
+
+    requests = []
+    diff = RationalFunction.diff
+    monkeypatch.setattr(RationalFunction, "_quotient_rule", counting_quotient_rule)
+    monkeypatch.setattr(RationalFunction, "diff",
+                        lambda self, var: requests.append(1) or diff(self, var))
+    _gl3_pass()
+    assert taken and max(taken.values()) == 1
+    # most requests are answered from the memo
+    assert len(requests) > 2 * len(taken)
+
+
+def test_the_shipped_document_gives_the_same_reports_twice_in_one_process():
+    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
+    doc = shipped.read_text()
+    runs = []
+    for _ in range(2):
+        code, reports = run_document(json.loads(doc))
+        assert code == 0
+        runs.append([json.dumps({k: v for k, v in r.items() if k != "elapsed_ms"})
+                     for r in reports])
+    assert len(runs[0]) == 11 and runs[0] == runs[1]
+
+
+def test_every_live_memo_entry_is_its_owners_derivative(monkeypatch):
+    charts = []
+    chart_init = Chart.__init__
+
+    def recording_init(self, *args):
+        chart_init(self, *args)
+        charts.append(self)   # keeps the chart's shared values and their memos
+
+    monkeypatch.setattr(Chart, "__init__", recording_init)
+    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
+    code, _ = run_document(json.loads(shipped.read_text()))
+    assert code == 0
+    kept = _gl3_pass()
+    monkeypatch.undo()
+    entries = Counter()
+    for owner in gc.get_objects():
+        if type(owner) is not RationalFunction:
+            continue
+        for variable, d in (getattr(owner, "_partials", None) or {}).items():
+            _same_rf_in_order(d, oracle_quotient_rule(owner, variable))
+            assert owner.diff(variable) is d
+            entries[owner.chart.name] += 1
+    gl3_chart = kept[0].chart
+    assert entries[gl3_chart.name] > 100
+    assert sum(entries[c.name] for c in charts if c is not gl3_chart) > 10
