@@ -44,6 +44,7 @@ from flataffine import (
     is_infinitesimal_affine,
     solve_iat_ansatz,
 )
+from flataffine import cli
 from flataffine.cli import run_document
 from flataffine.symcore import ExactDivisionError, UnknownVariableError, exact_div, \
     grlex_key, poly_gcd
@@ -177,6 +178,7 @@ def oracle_diff(a, variable):
 # ----- seeded operands ----------------------------------------------------------------
 
 CHART = Chart("xyz", ("x", "y", "z"))
+SHIPPED = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
 X, Y, Z = (Polynomial.variable(CHART, v) for v in CHART.variables)
 
 
@@ -550,17 +552,9 @@ def test_shared_constants_are_built_once_and_never_changed(monkeypatch):
         charts.append(self)
 
     monkeypatch.setattr(Chart, "__init__", recording_init)
-    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
-    code, _ = run_document(json.loads(shipped.read_text()))
+    code, _ = run_document(json.loads(SHIPPED.read_text()))
     assert code == 0
-    scene = gln_scene(3)
-    conn = scene.connect()
-    assert is_flat_affine(conn)
-    _, fields = scene.invariant_fields()
-    control = VectorField(scene.chart, ["x11^2"] + ["0"] * 8)
-    assert all(is_infinitesimal_affine(conn, f).holds for f in fields)
-    assert not is_infinitesimal_affine(conn, control).holds
-    assert len(solve_iat_ansatz(conn, list(scene.chart.variables))) == 81
+    gl3_chart = _gl3_pass()[0].chart
     monkeypatch.undo()
     filled = [0, 0, 0]
     for chart in charts + [CHART]:
@@ -574,7 +568,7 @@ def test_shared_constants_are_built_once_and_never_changed(monkeypatch):
         if chart._rf_one is not None:
             filled[2] += 1
             assert chart._rf_one.num.terms == one and chart._rf_one.den.terms == one
-    assert scene.chart in charts and scene.chart._rf_zero is not None
+    assert gl3_chart in charts and gl3_chart._rf_zero is not None
     assert min(filled) >= 2
 
 
@@ -661,23 +655,15 @@ def _check_memo(diff, operands, rng):
     assert len(first) == len(operands) * len(CHART.variables)
 
 
-def _memo_ignoring_the_variable():
+def _memo_keyed_by(key):
+    """A mutant memo that files each derivative under key(a, variable)."""
     memo = {}
 
     def diff(a, variable):
-        if id(a) not in memo:
-            memo[id(a)] = oracle_quotient_rule(a, variable)
-        return memo[id(a)]
-    return diff
-
-
-def _memo_ignoring_the_owner():
-    memo = {}
-
-    def diff(a, variable):
-        if variable not in memo:
-            memo[variable] = oracle_quotient_rule(a, variable)
-        return memo[variable]
+        k = key(a, variable)
+        if k not in memo:
+            memo[k] = oracle_quotient_rule(a, variable)
+        return memo[k]
     return diff
 
 
@@ -692,8 +678,9 @@ def test_the_memo_gives_the_quotient_rule_once_per_variable(seed):
     _check_memo(RationalFunction.diff, operands, rng)
 
 
-@pytest.mark.parametrize("mutant", [oracle_quotient_rule, _memo_ignoring_the_variable(),
-                                    _memo_ignoring_the_owner()],
+@pytest.mark.parametrize("mutant", [oracle_quotient_rule,
+                                    _memo_keyed_by(lambda a, variable: id(a)),
+                                    _memo_keyed_by(lambda a, variable: variable)],
                          ids=["no-memo", "ignores-the-variable", "ignores-the-owner"])
 def test_the_memo_check_catches_mutants(mutant):
     rng = random.Random("memo-0")
@@ -760,8 +747,7 @@ def test_a_gl3_pass_takes_each_derivative_at_most_once(monkeypatch):
 
 
 def test_the_shipped_document_gives_the_same_reports_twice_in_one_process():
-    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
-    doc = shipped.read_text()
+    doc = SHIPPED.read_text()
     runs = []
     for _ in range(2):
         code, reports = run_document(json.loads(doc))
@@ -772,17 +758,12 @@ def test_the_shipped_document_gives_the_same_reports_twice_in_one_process():
 
 
 def test_every_live_memo_entry_is_its_owners_derivative(monkeypatch):
-    charts = []
-    chart_init = Chart.__init__
-
-    def recording_init(self, *args):
-        chart_init(self, *args)
-        charts.append(self)   # keeps the chart's shared values and their memos
-
-    monkeypatch.setattr(Chart, "__init__", recording_init)
-    shipped = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
-    code, _ = run_document(json.loads(shipped.read_text()))
-    assert code == 0
+    documents = []   # keeps the loaded connections and fields, and their memos
+    load_document = cli.load_document
+    monkeypatch.setattr(cli, "load_document",
+                        lambda doc: documents.append(load_document(doc)) or documents[-1])
+    code, _ = run_document(json.loads(SHIPPED.read_text()))
+    assert code == 0 and len(documents) == 1
     kept = _gl3_pass()
     monkeypatch.undo()
     entries = Counter()
@@ -792,7 +773,7 @@ def test_every_live_memo_entry_is_its_owners_derivative(monkeypatch):
         for variable, d in (getattr(owner, "_partials", None) or {}).items():
             _same_rf_in_order(d, oracle_quotient_rule(owner, variable))
             assert owner.diff(variable) is d
-            entries[owner.chart.name] += 1
+            entries[id(owner.chart)] += 1
     gl3_chart = kept[0].chart
-    assert entries[gl3_chart.name] > 100
-    assert sum(entries[c.name] for c in charts if c is not gl3_chart) > 10
+    assert entries[id(gl3_chart)] > 100
+    assert sum(entries[id(chart)] for chart in documents[0].charts.values()) > 50
