@@ -39,7 +39,8 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of an identity scan: holds, or the first failing triple (1-based)."""
+    """A verdict: holds, or the first failing basis tuple (1-based): a triple
+    of an identity scan, or a coordinate pair of the IAT test (`IATReport`)."""
     holds: bool
     witness: tuple | None = None
 
@@ -313,10 +314,7 @@ class Subspace:
     __slots__ = ("ambient_dim", "rows", "_span")
 
     def __init__(self, ambient_dim: int, rows):
-        span = linalg._QSpan()
-        for r in rows:
-            span.add(linalg._integral(_sparse(_to_vector(r, ambient_dim)))[0])
-        self._set(ambient_dim, span)
+        self._set(ambient_dim, linalg._q_span(_to_vector(r, ambient_dim) for r in rows))
 
     @classmethod
     def _of(cls, ambient_dim: int, span) -> "Subspace":

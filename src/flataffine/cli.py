@@ -349,9 +349,10 @@ def _fraction(x, path):
 # ----- task runners -----------------------------------------------------------
 
 
-def _run_check(check):
+def _run_check(check, *inputs):
+    """The runner of a verdict task: the `CheckReport` of check on the task's inputs."""
     def runner(task):
-        report = check(task["algebra"])
+        report = check(*(task[name] for name in inputs))
         return report.holds, report.witness, {}
     return runner
 
@@ -401,11 +402,6 @@ def _run_tensor(compute):
             return True, None, payload
         return None, None, payload
     return runner
-
-
-def _run_check_iat(task):
-    report = is_infinitesimal_affine(task["connection"], task["field"])
-    return report.holds, report.witness, {}
 
 
 def _run_solve_iat(task):
@@ -462,13 +458,13 @@ def _run_bi_invariant(task):
 
 
 _RUNNERS = {
-    "check-lsa": _run_check(check_left_symmetric),
-    "check-associative": _run_check(check_associative),
+    "check-lsa": _run_check(check_left_symmetric, "algebra"),
+    "check-associative": _run_check(check_associative, "algebra"),
     "commutator": _run_commutator,
     "closure": _run_closure,
     "torsion": _run_tensor(torsion),
     "curvature": _run_tensor(curvature),
-    "check-iat": _run_check_iat,
+    "check-iat": _run_check(is_infinitesimal_affine, "connection", "field"),
     "solve-iat": _run_solve_iat,
     "product-table": _run_product_table,
     "envelope": _run_envelope,

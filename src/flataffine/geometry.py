@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import linalg
-from .algebra import SCAlgebra
+from .algebra import CheckReport, SCAlgebra
 from .symcore import (
     Chart,
     Polynomial,
@@ -311,11 +311,8 @@ class TensorReport:
         return f"{letter}^{upper}_{{{','.join(str(i) for i in lower)}}}"
 
 
-@dataclass(frozen=True)
-class IATReport:
-    """Eq.-style infinitesimal-affine check: holds, or first failing (i, j)."""
-    holds: bool
-    witness: tuple | None = None
+# the infinitesimal-affine verdict: holds, or the first failing coordinate pair
+IATReport = CheckReport
 
 
 # ----- basic operations ------------------------------------------------------
@@ -526,20 +523,6 @@ def _cleared(chart: Chart, vectors):
                                 for vec in vectors]
 
 
-def _slot_rows(numerators, slots: dict) -> list:
-    """One dict {slot: x} per sparse polynomial vector, over the nonzero
-    rational coefficients of each (component, monomial) slot; `slots` numbers
-    the slots, and one it does not hold yet is numbered as met."""
-    rows = []
-    for polys in numerators:
-        row = {}
-        for k, p in polys.items():
-            for exps, x in p.terms.items():
-                row[slots.setdefault((k, exps), len(slots))] = x
-        rows.append(row)
-    return rows
-
-
 def _chart_of(fields) -> Chart:
     """The chart of a nonempty list of fields; ValueError unless they share it."""
     chart = fields[0].chart
@@ -548,42 +531,44 @@ def _chart_of(fields) -> Chart:
     return chart
 
 
-def _coordinate_rows(fields):
-    """Exact coordinates of fields that share one chart: the `_slot_rows` of
-    their numerators over one common denominator.  The slots are numbered as
-    met, since no span question depends on their order."""
-    if not fields:
-        return []
-    return _slot_rows(_cleared(_chart_of(fields), [f.components for f in fields])[2], {})
-
-
 class _FieldSpan:
     """The constant span of fields on one chart, reduced once to an echelon
     basis (`linalg._QSpan`) that names the dependent fields and expresses
-    targets in the fields.
+    targets in the fields: the one place where fields become integer rows,
+    for `independent_fields`, the ansatz probe, `product_table` and
+    `express_in_basis`.
 
-    The columns are the (component, monomial) slots of `_coordinate_rows`,
-    and field b also carries -1 in a label column of its own past every
-    slot, numbered down, so every row records its combination of fields.  A
-    field in the span of those before it takes its own label column as
-    pivot: `dependent` lists those fields, 0-based.  A target in the span has
-    every denominator dividing the fields' common one and every monomial at
-    one of their slots; otherwise it reduces to the label entries lambda,
-    since t - sum_b lambda_b field_b = 0, and a dependent field's entry, at a
-    pivot column, is zero.  On the independent fields lambda is unique, so
-    no column order or row scaling changes it.  Rows are made integral (a
-    label entry scales with its row); a coefficient becomes a `Fraction`
-    only when it is read out.
+    The columns are the (component, monomial) slots of the numerators over the
+    fields' common denominator (`_cleared`), numbered as met (no span question
+    depends on their order), and field b also carries -1 in a label column of
+    its own past every slot, numbered down, so every row records its
+    combination of fields.  A field in the span of those before it takes its
+    own label column as pivot: `dependent` lists those fields, 0-based.  A
+    target in the span has every denominator dividing the fields' common one
+    and every monomial at one of their slots; otherwise it reduces to the
+    label entries lambda, since t - sum_b lambda_b field_b = 0, and a
+    dependent field's entry, at a pivot column, is zero.  On the independent
+    fields lambda is unique, so no column order or row scaling changes it.
+    Rows are made integral (a label entry scales with its row); a coefficient
+    becomes a `Fraction` only when it is read out.
     """
 
     __slots__ = ("dependent", "_common", "_multiplier", "_slots", "_top", "_last", "_span")
 
     def __init__(self, chart: Chart, fields):
         self._common, self._multiplier, numerators = _cleared(chart, [f.components for f in fields])
-        self._slots = {}
-        rows = _slot_rows(numerators, self._slots)
+        # one row {slot: x} per field, over the nonzero rational coefficients
+        # of its numerators
+        self._slots = slots = {}
+        rows = []
+        for polys in numerators:
+            row = {}
+            for k, p in polys.items():
+                for exps, x in p.terms.items():
+                    row[slots.setdefault((k, exps), len(slots))] = x
+            rows.append(row)
         # slot columns are below top; field b's label column is last - b
-        self._top = top = len(self._slots)
+        self._top = top = len(slots)
         self._last = top + len(rows) - 1
         self._span = span = linalg._QSpan()
         self.dependent = []
@@ -656,15 +641,16 @@ def express_in_basis(targets, basis) -> list:
 def independent_fields(fields, names):
     """Sublist of the fields that grow the span, in order (overlap removal).
 
-    A field is kept when it is not in the echelon span of the fields kept
-    before it (the pivot columns of the matrix with one column per field).
+    A field is kept unless it is a constant combination of the fields before
+    it, the fields that `_FieldSpan.dependent` names.
     """
     fields, names = list(fields), list(names)
     if len(fields) != len(names):
         raise ValueError("one name per field is required")
-    span = linalg._QSpan()
-    kept = [k for k, row in enumerate(_coordinate_rows(fields))
-            if span.add(linalg._integral(row)[0]) is not None]
+    if not fields:
+        return [], []
+    dependent = set(_FieldSpan(_chart_of(fields), fields).dependent)
+    kept = [k for k in range(len(fields)) if k not in dependent]
     return [names[k] for k in kept], [fields[k] for k in kept]
 
 
@@ -760,18 +746,17 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     pair has one common denominator and one set of equations, in some order;
     the reduced echelon form is unique, so the output does not depend on
     that order.  Dependent terms raise DependentFieldsError at the first
-    term in the span of those before it.
+    term in the span of those before it, read off one `_FieldSpan` of the
+    fields t·d_1.
     """
     if not is_flat_affine(conn):
         raise NotFlatError(NotFlatError.ANSATZ)
     chart = conn.chart
     n = chart.dim
     terms = [_as_rf(chart, t) for t in ansatz]
-    probe = [VectorField._of(chart, {0: t} if t else {}) for t in terms]
-    kept, _ = independent_fields(probe, range(len(terms)))
-    if len(kept) != len(terms):
-        raise DependentFieldsError("ansatz terms are linearly dependent",
-                                   min(set(range(len(terms))).difference(kept)))
+    probe = _FieldSpan(chart, [VectorField._of(chart, {0: t} if t else {}) for t in terms])
+    if probe.dependent:
+        raise DependentFieldsError("ansatz terms are linearly dependent", probe.dependent[0])
     # number[a][b] numbers the pair (min(a, b), max(a, b)) in row-major
     # order; curved lists (number, nonzero gamma[i][j]) for the pairs i <= j
     # that have Christoffel symbols

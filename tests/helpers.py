@@ -3,8 +3,8 @@
 The recurring scenes: the half-plane chart with the invariant frame
 e1+ = x*d/dx, e2+ = x*d/dy, the six-field ambient basis it supports together
 with its multiplication table, a one-parameter family of left-symmetric
-products on the same frame, and the GL2 chart with left/right invariant
-fields.
+products on the same frame, and the GL(n) scene of the benchmark
+(`gln_scene`).
 """
 from __future__ import annotations
 
@@ -183,7 +183,7 @@ def apply_field(X: VectorField, f: RationalFunction) -> RationalFunction:
 def dense_coordinate_rows(fields):
     """Exact coordinates of fields over a shared monomial basis.
 
-    The dense coordinate layer that `geometry._coordinate_rows` (sparse rows,
+    The dense coordinate layer that `geometry._FieldSpan` (sparse rows,
     slots numbered as met) replaced; an oracle for it and for the solvers
     built on it."""
     if not fields:
@@ -287,7 +287,12 @@ def subspace_coordinates(space, vector):
 
 
 class GL2Scene:
-    """Chart, invariant frames and the bi-invariant connection on GL2."""
+    """Chart, invariant frames and the bi-invariant connection on GL2.
+
+    The tests use `gln_scene(2)`.  This class stays only as the independent
+    reference that `bench/test_bench.py` compares `GLnScene(2)` with; it goes
+    when that test does.
+    """
 
     def __init__(self):
         n = 2

@@ -33,12 +33,12 @@ from flataffine import (
 )
 from flataffine.symcore import parse_expr
 from helpers import (
-    GL2Scene,
     dense_express,
     alpha_connection,
     alpha_family,
     apply_field,
     chart_xy,
+    gln_scene,
     aff_line_lsa,
     aff_line_connection,
     six_iat_fields,
@@ -121,8 +121,8 @@ def test_criterion_4_generic_case_alpha2():
 
 def test_criterion_5_gl2():
     with criterion(5, "GL2: closed-form products for all 16 tuples; closure rank 16"):
-        scene = GL2Scene()
-        conn = scene.connection
+        scene = gln_scene(2)
+        conn = scene.connect()
         for (p, q) in scene.pairs:
             for (r, s) in scene.pairs:
                 got = covariant_derivative(conn, scene.e_plus(p, q),

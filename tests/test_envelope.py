@@ -25,7 +25,6 @@ from flataffine.geometry import (
     product_table,
 )
 from helpers import (
-    GL2Scene,
     dense_express,
     alpha_connection,
     chart_xy,
@@ -107,8 +106,8 @@ def test_envelope_commutator_conventions():
 
 
 def test_envelope_gl2_closure_rank16():
-    scene = GL2Scene()
-    conn = scene.connection
+    scene = gln_scene(2)
+    conn = scene.connect()
     table16 = product_table(conn, scene.f_fields, scene.f_names)
     assert check_associative(table16).holds
     inv_names, inv_fields = scene.invariant_fields()
@@ -118,13 +117,13 @@ def test_envelope_gl2_closure_rank16():
 
 
 def test_envelope_gl2_via_orchestrator():
-    scene = GL2Scene()
+    scene = gln_scene(2)
     from flataffine.geometry import independent_fields
     inv_names, inv_fields = scene.invariant_fields()
     names, fields = independent_fields(inv_fields + scene.f_fields,
                                        inv_names + scene.f_names)
     generators = [n for n in names if n.startswith("E")]
-    report = compute_envelope(scene.connection, fields, names, generators)
+    report = compute_envelope(scene.connect(), fields, names, generators)
     assert report.closure.rank == 16
     assert all(report.checks.values())
 
@@ -134,13 +133,13 @@ def test_final_check_catches_a_missing_opposite(monkeypatch):
     # restricted one, not its negation: only the last check can see that
     from flataffine import envelope
     monkeypatch.setattr(envelope, "opposite", lambda algebra: algebra)
-    scene = GL2Scene()
+    scene = gln_scene(2)
     from flataffine.geometry import independent_fields
     inv_names, inv_fields = scene.invariant_fields()
     names, fields = independent_fields(inv_fields + scene.f_fields,
                                        inv_names + scene.f_names)
     generators = [n for n in names if n.startswith("E")]
-    report = compute_envelope(scene.connection, fields, names, generators)
+    report = compute_envelope(scene.connect(), fields, names, generators)
     failed = [name for name, ok in report.checks.items() if not ok]
     assert failed == ["envelope_commutator_is_opposite_of_restricted_brackets"]
 

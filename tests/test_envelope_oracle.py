@@ -43,7 +43,6 @@ from flataffine.geometry import (
 )
 from flataffine.symcore import ChartMismatchError, require_same_chart
 from helpers import (
-    GL2Scene,
     aff_frame,
     aff_line_connection,
     aff_line_lsa,
@@ -134,7 +133,7 @@ def oracle_product_table(conn, fields, names=None, *, check_iat=True):
 def gl2_scene(seed):
     """The GL2 connection and the 16 fields the envelope keeps, in a seeded order."""
     rng = random.Random(seed)
-    scene = GL2Scene()
+    scene = gln_scene(2)
     inv_names, inv_fields = scene.invariant_fields()
     inv = list(zip(inv_names, inv_fields))
     lin = list(zip(scene.f_names, scene.f_fields))
@@ -142,7 +141,7 @@ def gl2_scene(seed):
     rng.shuffle(lin)
     names, fields = zip(*(inv + lin))
     names, fields = independent_fields(fields, names)
-    return scene.connection, fields, names
+    return scene.connect(), fields, names
 
 
 def frame_scene(seed):
@@ -303,7 +302,7 @@ def bracket_fields(kind):
     if kind == "halfplane":
         return halfplane_scene()[1]
     if kind == "gl2":
-        scene = GL2Scene()
+        scene = gln_scene(2)
         return scene.invariant_fields()[1] + scene.f_fields
     scene = gln_scene(3)
     return random.Random(kind).sample(scene.invariant_fields()[1] + scene.f_fields, 12)

@@ -32,13 +32,13 @@ from flataffine import (
 from flataffine.geometry import independent_fields
 from flataffine.symcore import ChartMismatchError, parse_expr
 from helpers import (
-    GL2Scene,
     dense_express,
     alpha_connection,
     apply_field,
     chart_xy,
     aff_line_connection,
     field_span_rank,
+    gln_scene,
     same_field_span,
     six_iat_fields,
     alpha2_fields,
@@ -305,8 +305,8 @@ def test_singular_frame_rejected():
 
 
 def test_gl2_closed_form_and_round_trip():
-    scene = GL2Scene()
-    conn = scene.connection
+    scene = gln_scene(2)
+    conn = scene.connect()
     assert is_flat_affine(conn)
     for (p, q) in scene.pairs:
         for (r, s) in scene.pairs:
@@ -315,11 +315,12 @@ def test_gl2_closed_form_and_round_trip():
 
 
 def test_gl2_frame_round_trip_reexpresses_constants():
-    scene = GL2Scene()
+    scene = gln_scene(2)
+    conn = scene.connect()
     frame_fields = list(scene.frame.fields)
     for a in range(4):
         for b in range(4):
-            prod = covariant_derivative(scene.connection,
+            prod = covariant_derivative(conn,
                                         frame_fields[a], frame_fields[b])
             [coords] = dense_express([prod], frame_fields)
             assert coords == list(scene.constants.c[a][b])
@@ -451,7 +452,7 @@ def test_field_span_rank():
 
 
 def test_independent_fields_dedups_gl2_union():
-    scene = GL2Scene()
+    scene = gln_scene(2)
     names, fields = scene.invariant_fields()
     all_names = names + scene.f_names
     all_fields = fields + scene.f_fields

@@ -76,7 +76,6 @@ from flataffine.geometry import _add_at, _first_derivatives, _iat_residuals, _na
 from flataffine import geometry, linalg
 from flataffine.symcore import require_same_chart
 from helpers import (
-    GL2Scene,
     aff_frame,
     aff_line_connection,
     aff_line_lsa,
@@ -498,8 +497,8 @@ def test_random_frame_connections_match_oracle(seed):
 
 
 def test_gl2_frame_connection_matches_oracles():
-    scene = GL2Scene()
-    conn = scene.connection
+    scene = gln_scene(2)
+    conn = scene.connect()
     assert conn == oracle_connection_from_frame(scene.frame, scene.constants)
     assert_curvature_matches(conn)
     _, invariant = scene.invariant_fields()
@@ -566,10 +565,11 @@ def test_gl3_frame_connection_matches_oracle(order_seed):
 
 
 def test_frame_matrix_is_inverted_only_for_a_christoffel_part(invert_calls):
-    gl2 = GL2Scene()
+    gl2 = gln_scene(2)
+    gl2_connection = gl2.connect()
     gln_scene(3).connect()
     assert invert_calls == []
-    assert gl2.connection == Connection.zero(gl2.chart)
+    assert gl2_connection == Connection.zero(gl2.chart)
     conn = connection_from_frame(aff_frame(chart_xy()), aff_line_lsa())
     assert len(invert_calls) == 1
     assert conn != Connection.zero(chart_xy())
@@ -582,7 +582,7 @@ def test_round_trip_refuses_a_connection_built_from_a_wrong_derivative(monkeypat
     """On the GL2 frame every Christoffel part q is zero.  A frame gradient
     table that lost one derivative makes q, and so gamma, nonzero; the round
     trip takes its own derivatives, so it must refuse that connection."""
-    scene = GL2Scene()
+    scene = gln_scene(2)
     original = geometry._partials
     dropped = []
 

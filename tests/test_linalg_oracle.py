@@ -27,7 +27,7 @@ import pytest
 
 from flataffine import Chart, RationalFunction, linalg
 from flataffine.linalg import in_row_space, invert, nullspace, rank, rref, solve
-from helpers import GL2Scene, mat_mul, random_polynomial
+from helpers import gln_scene, mat_mul, random_polynomial
 
 
 def oracle_rref(rows, *, zero=Fraction(0)):
@@ -295,7 +295,7 @@ def rf_low_rank(rng, rows, cols):
 
 
 def gl2_frame_matrix(rng):
-    rows = [list(f.coeffs) for f in GL2Scene().frame.fields]
+    rows = [list(f.coeffs) for f in gln_scene(2).frame.fields]
     rng.shuffle(rows)
     return rows
 

@@ -56,8 +56,8 @@ from flataffine.geometry import independent_fields
 from flataffine.algebra import _scaled_constants
 from flataffine.linalg import _Echelon, _integral, invert
 from helpers import (
-    GL2Scene,
     aff_line_connection,
+    gln_scene,
     random_algebra,
     six_field_table_algebra,
     six_iat_fields,
@@ -337,10 +337,10 @@ def sparse_rational_algebra(seed):
 
 def gl2_ambient():
     """The product table of the GL2 envelope: 7 invariant and 9 linear fields."""
-    scene = GL2Scene()
+    scene = gln_scene(2)
     inv_names, inv_fields = scene.invariant_fields()
     names, fields = independent_fields(inv_fields + scene.f_fields, inv_names + scene.f_names)
-    return product_table(scene.connection, fields, names)
+    return product_table(scene.connect(), fields, names)
 
 
 def perturbed(rng, A, fractional=False):

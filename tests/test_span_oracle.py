@@ -13,13 +13,13 @@ span" loop, `express_in_basis` and `restrict_to_subspace` on `solve`, and the
 on seeded random inputs.  `express_in_basis` answers in `SCAlgebra.rows`'
 stored form: its rows are checked for that form, and made dense
 (`helpers.dense_express`) they are compared with the oracle's solution lists.
-The module also keeps the per-slot denominator clearing of
-`_coordinate_rows`, the normalising quotient rule for polynomial derivatives
-and the dict comparison of `Polynomial.is_one` as oracles for their fast
-paths.  `_coordinate_rows` numbers its slots as it meets them, so its rows
-are compared with the oracle's dense rows up to the order of the columns.
-The earlier oracles read the dense coordinate rows, which are kept in
-`helpers.dense_coordinate_rows`.
+The module also keeps the per-slot denominator clearing that `_cleared`
+replaced, the normalising quotient rule for polynomial derivatives and the
+dict comparison of `Polynomial.is_one` as oracles for their fast paths.
+`_FieldSpan` numbers the slots of the cleared numerators as it meets them, so
+its rows are compared with the oracle's dense rows up to the order of the
+columns.  The earlier oracles read the dense coordinate rows, which are kept
+in `helpers.dense_coordinate_rows`.
 """
 import random
 from collections import Counter
@@ -28,6 +28,8 @@ from fractions import Fraction
 import pytest
 
 from flataffine import (
+    Connection,
+    DependentFieldsError,
     NotInSpanError,
     Polynomial,
     RationalFunction,
@@ -35,11 +37,14 @@ from flataffine import (
     Subspace,
     VectorField,
     geometry,
+    parse_expr,
+    product_table,
     restrict_to_subspace,
+    solve_iat_ansatz,
     subalgebra_closure,
 )
 from flataffine.algebra import _to_vector
-from flataffine.geometry import _coordinate_rows, express_in_basis, independent_fields
+from flataffine.geometry import _cleared, _FieldSpan, express_in_basis, independent_fields
 from flataffine.linalg import rank, rref, solve
 from flataffine.symcore import exact_div, grlex_key, poly_lcm
 from helpers import (
@@ -265,6 +270,83 @@ def test_independent_fields_edge_cases():
         independent_fields([zero], ["a", "b"])
 
 
+DENOMINATED = ("1/(x+1)", "y/(x+1)", "x*y + 1/(y+2)", "x/(y+2) - 1/(x+1)")
+
+
+def plant_dependents(rng, fresh, zero, scale, size):
+    """`size` items, fresh ones but for two or three planted at random
+    positions: a zero, a scaled earlier item or a rational combination of
+    earlier items (a zero where none comes earlier)."""
+    planted = set(rng.sample(range(size), rng.randint(2, 3)))
+    items = []
+    for position in range(size):
+        roll = rng.random()
+        if position not in planted:
+            items.append(fresh())
+        elif not items or roll < 0.2:
+            items.append(zero)
+        elif roll < 0.5:
+            items.append(scale(rng.choice(items), Fraction(rng.choice((-3, -1, 2, 5)),
+                                                           rng.randint(1, 4))))
+        else:
+            total = zero
+            for item in rng.sample(items, rng.randint(1, len(items))):
+                total = total + scale(item, Fraction(rng.choice((-2, -1, 1, 3)),
+                                                     rng.randint(1, 3)))
+            items.append(total)
+    return items
+
+
+def fresh_term(rng, chart):
+    """A random rational function, or a polynomial plus a multiple of a term
+    whose denominator is not 1."""
+    if rng.random() < 0.5:
+        return random_rational_function(rng, chart, 2)
+    return (RationalFunction(random_polynomial(rng, chart, 2))
+            + parse_expr(rng.choice(DENOMINATED), chart) * Fraction(rng.randint(1, 5)))
+
+
+def first_dropped(kept, names):
+    """The first name that a kept sublist leaves out, and how many it leaves out."""
+    dropped = [name for name in names if name not in kept]
+    return dropped[0], len(dropped)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dependent_index_is_the_first_one_the_greedy_oracle_drops(seed):
+    """`solve_iat_ansatz` and `product_table` report the first dependent
+    entry, not a later one: every list holds at least two."""
+    rng = random.Random(800 + seed)
+    chart = chart_xy()
+    conn = Connection.zero(chart)
+    for _ in range(4):
+        terms = plant_dependents(rng, lambda: fresh_term(rng, chart),
+                                 RationalFunction.zero(chart), lambda t, lam: t * lam,
+                                 rng.randint(3, 7))
+        probe = [VectorField(chart, [t, 0]) for t in terms]
+        index, count = first_dropped(
+            oracle_independent_fields(probe, range(len(terms)))[0], range(len(terms)))
+        assert count >= 2
+        with pytest.raises(DependentFieldsError, match="ansatz terms are linearly dependent") \
+                as err:
+            solve_iat_ansatz(conn, terms)
+        assert err.value.index == index
+
+        fields = plant_dependents(
+            rng, lambda: VectorField(chart, [fresh_term(rng, chart), fresh_term(rng, chart)]),
+            VectorField.zero(chart), lambda f, lam: f.scaled(lam), rng.randint(3, 7))
+        names = [f"f{k}" for k in range(len(fields))]
+        kept = independent_fields(fields, names)
+        assert kept == oracle_independent_fields(fields, names)
+        name, count = first_dropped(kept[0], names)
+        assert count >= 2
+        with pytest.raises(DependentFieldsError) as err:
+            product_table(conn, fields, names)
+        assert err.value.index == names.index(name)
+        assert str(err.value) == \
+            f"field {name!r} is a constant combination of the fields before it"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_express_in_basis_matches_one_target_at_a_time(seed):
     rng = random.Random(200 + seed)
@@ -330,6 +412,23 @@ def shared_denominator_fields(rng, chart):
     return fields
 
 
+def dense_numerators(numerators):
+    """`_cleared`'s sparse numerators made dense in the oracle's column order."""
+    axes = {(k, exps) for polys in numerators for k, p in polys.items() for exps in p.terms}
+    axis_list = sorted(axes, key=lambda a: (a[0],) + tuple(grlex_key(a[1])))
+    return [[polys[k].terms.get(exps, Fraction(0)) if k in polys else Fraction(0)
+             for (k, exps) in axis_list] for polys in numerators]
+
+
+def span_rows(chart, fields):
+    """The rows {slot: x} of the fields' cleared numerators, at the slots
+    that `_FieldSpan` numbered."""
+    slots = _FieldSpan(chart, fields)._slots
+    numerators = _cleared(chart, [f.components for f in fields])[2]
+    return [{slots[(k, exps)]: x for k, p in polys.items() for exps, x in p.terms.items()}
+            for polys in numerators]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_coordinate_rows_match_per_slot_clearing(seed):
     rng = random.Random(300 + seed)
@@ -337,8 +436,10 @@ def test_coordinate_rows_match_per_slot_clearing(seed):
     distinct = 0
     for _ in range(12):
         fields = shared_denominator_fields(rng, chart)
-        assert same_up_to_slot_numbering(_coordinate_rows(fields),
-                                         oracle_coordinate_rows(fields))
+        numerators = _cleared(chart, [f.components for f in fields])[2]
+        assert all(p for polys in numerators for p in polys.values())
+        assert dense_numerators(numerators) == oracle_coordinate_rows(fields)
+        assert same_up_to_slot_numbering(span_rows(chart, fields), oracle_coordinate_rows(fields))
         distinct = max(distinct, len({c.den for f in fields for c in f.coeffs if c}))
     assert distinct >= 3
 
@@ -346,11 +447,14 @@ def test_coordinate_rows_match_per_slot_clearing(seed):
 def test_coordinate_rows_of_zero_and_polynomial_fields():
     chart = chart_xy()
     zero = VectorField.zero(chart)
-    assert _coordinate_rows([zero, zero]) == [{}, {}]
+    assert _cleared(chart, [zero.components, zero.components])[2] == [{}, {}]
+    assert _FieldSpan(chart, [zero, zero])._slots == {}
     assert oracle_coordinate_rows([zero, zero]) == [[], []]
     fields = [VectorField(chart, ["x^2", "0"]), zero, VectorField(chart, ["2", "x*y"])]
-    assert same_up_to_slot_numbering(_coordinate_rows(fields),
-                                     oracle_coordinate_rows(fields))
+    common, multiplier, numerators = _cleared(chart, [f.components for f in fields])
+    assert common.is_one() and multiplier is None
+    assert dense_numerators(numerators) == oracle_coordinate_rows(fields)
+    assert same_up_to_slot_numbering(span_rows(chart, fields), oracle_coordinate_rows(fields))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -389,12 +493,17 @@ def test_coordinate_rows_take_one_lcm_per_distinct_denominator(monkeypatch):
 
     monkeypatch.setattr(geometry, "poly_lcm", counting_lcm)
     chart = chart_xy()
-    _coordinate_rows([VectorField.zero(chart)] * 5)
+    _cleared(chart, [{}] * 5)
+    _FieldSpan(chart, [VectorField.zero(chart)] * 5)
     assert calls == []
     fields = [VectorField(chart, [f"{k}/x", f"{k}/(x*y)"]) for k in range(1, 51)]
-    rows = _coordinate_rows(fields)
+    numerators = _cleared(chart, [f.components for f in fields])[2]
     assert sorted(map(str, calls)) == ["x", "x*y"]
-    assert same_up_to_slot_numbering(rows, oracle_coordinate_rows(fields))
+    assert dense_numerators(numerators) == oracle_coordinate_rows(fields)
+    calls.clear()
+    _FieldSpan(chart, fields)
+    assert sorted(map(str, calls)) == ["x", "x*y"]
+    assert same_up_to_slot_numbering(span_rows(chart, fields), oracle_coordinate_rows(fields))
 
 
 # ----- the echelon kernel in the algebra layer -------------------------------------------
