@@ -150,7 +150,9 @@ def load_document(doc: dict) -> _Document:
                  and all(isinstance(b, str) for b in entry["basis"]),
                  '"basis" must be a list of strings', f"{path}/basis")
         if "unit" in entry:
-            _typed(entry["unit"], int, '"unit"', f"{path}/unit")
+            unit = _typed(entry["unit"], int, '"unit"', f"{path}/unit")
+            _require(1 <= unit <= dim, f'"unit" must be between 1 and {dim}',
+                     f"{path}/unit")
         _require("brackets" not in entry, 'an algebra is read from "products", '
                  'not "brackets"', f"{path}/brackets")
         products = _typed(entry.get("products", []), list, '"products"', f"{path}/products")
@@ -262,7 +264,7 @@ def _generator_vector(algebra, g, path):
         try:
             return algebra.basis_vector(algebra.basis_index(g))
         except KeyError as err:
-            raise TaskFileError(str(err), path) from None
+            raise TaskFileError(err.args[0], path) from None
     _require(isinstance(g, list) and len(g) == algebra.dim,
              f"generator vectors need length {algebra.dim}", path)
     return [_fraction(x, path) for x in g]

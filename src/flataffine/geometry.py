@@ -14,13 +14,13 @@ memoized on the connection since they are queried by every higher-level check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from . import linalg
 from .algebra import CheckReport, SCAlgebra
 from .symcore import (
     Chart,
+    ExactDivisionError,
     Polynomial,
     RationalFunction,
     exact_div,
@@ -28,6 +28,7 @@ from .symcore import (
     poly_lcm,
     require_same_chart,
 )
+from .symcore.ratfunc import _coerce
 
 
 class NotFlatError(ValueError):
@@ -79,13 +80,11 @@ class SingularFrameError(ValueError):
 def _as_rf(chart: Chart, value) -> RationalFunction:
     if isinstance(value, RationalFunction):
         return value
-    if isinstance(value, Polynomial):
-        return RationalFunction(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction.constant(chart, value)
     if isinstance(value, str):
         return parse_expr(value, chart)
-    raise TypeError(f"cannot interpret {value!r} as a rational function")
+    if (coerced := _coerce(chart, value)) is None:
+        raise TypeError(f"cannot interpret {value!r} as a rational function")
+    return coerced
 
 
 class VectorField:
@@ -461,12 +460,13 @@ def _first_derivatives(conn: Connection, X: VectorField) -> list:
 
 
 def _iat_residuals(conn: Connection, first):
-    """Residuals of the flat-case criterion for a field X, from its table
-    first = _first_derivatives(conn, X), as ((i, j), components) pairs, one
-    per coordinate pair with i <= j (1-based), in row-major order and each
-    computed as it is read; the components are sparse {k: value}, empty when
-    the residual vanishes.
+    """Residuals nabla_{d_i} Y[j] - sum_l gamma[i][j][l] Y[l] over a table
+    Y = first of sparse vectors {k: value}, one per axis, as ((i, j),
+    components) pairs, one per coordinate pair with i <= j (1-based), in
+    row-major order and each computed as it is read; the components are
+    sparse {k: value}, empty when the residual vanishes.
 
+    On Y = _first_derivatives(conn, X) they are the flat-case criterion's
     residual(i, j) = nabla_{d_i} nabla_{d_j} X - nabla_{(nabla_{d_i} d_j)} X;
     X is infinitesimal affine iff all residuals vanish (sufficient on
     coordinate pairs by function-linearity of both sides).  Every caller
@@ -592,9 +592,10 @@ class _FieldSpan:
             else:
                 m = multiplier.get(c.den)
                 if m is None:
-                    if poly_lcm(common, c.den) != common:
+                    try:
+                        m = multiplier[c.den] = exact_div(common, c.den)
+                    except ExactDivisionError:
                         return None
-                    m = multiplier[c.den] = exact_div(common, c.den)
                 num = num * m
             for exps, x in num.terms.items():
                 slot = slots.get((k, exps))
@@ -676,7 +677,7 @@ def _hessian(conn: Connection, d1, number, curved) -> dict:
     return out
 
 
-def _slot_terms(conn: Connection, s: int, number, curved):
+def _slot_terms(conn: Connection, s: int, number):
     """(spread, A) for slot s, the parts of a candidate t·d_s's residuals
     that do not depend on t.
 
@@ -684,32 +685,22 @@ def _slot_terms(conn: Connection, s: int, number, curved):
     g d_a t lands at the pair number p of (min(a, j), max(a, j)), component
     m, and twice when a = j, where both middle terms of the residual are
     that term.  A = {p: {k: A_s(i, j)^k}} at the pairs where it is nonzero:
+    the residuals of d_s itself, whose table is nabla_{d_j} d_s = gamma[j][s]
+    (`_iat_residuals`), so empty when every gamma[j][s] is zero:
 
-        A_s(i, j)^k = d_i gamma[j][s][k] + sum_m gamma[j][s][m] gamma[i][m][k]
-                      - sum_l gamma[i][j][l] gamma[l][s][k].
+        A_s(i, j) = nabla_{d_i} gamma[j][s] - sum_l gamma[i][j][l] gamma[l][s].
     """
     n = conn.chart.dim
-    variables = conn.chart.variables
     rows = conn._rows
     spread = [[] for _ in range(n)]
-    A = {}
     for j in range(n):
         for m, g in rows[j][s]:
             for a in range(n):
                 spread[a].append((number[a][j], m, g + g if a == j else g))
-            for i in range(j + 1):
-                vec = A.setdefault(number[i][j], {})
-                d = g.diff(variables[i])
-                if d:
-                    _add_at(vec, m, d)
-                for k, h in rows[i][m]:
-                    _add_at(vec, k, g * h)
-    for p, symbols in curved:
-        vec = A.setdefault(p, {})
-        for l, g in symbols:
-            for k, h in rows[l][s]:
-                _add_at(vec, k, -(g * h))
-    return spread, {p: vec for p, vec in A.items() if vec}
+    if not any(rows[j][s] for j in range(n)):
+        return spread, {}
+    residuals = _iat_residuals(conn, [dict(rows[j][s]) for j in range(n)])
+    return spread, {p: res for p, (_, res) in enumerate(residuals) if res}
 
 
 def solve_iat_ansatz(conn: Connection, ansatz) -> list:
@@ -718,21 +709,21 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     The ansatz is one list of rational-function terms applied to every
     coefficient slot, so the unknowns are the coefficients of the candidates
     t·d_s, one per (slot s, term t).  The residuals of the flat-case criterion
-    are linear in X, so each candidate's residual is built on its own.  With
-    first[j]^k = delta_ks d_j t + gamma[j][s][k] t, the residual
-    nabla_{d_i} first[j] - sum_l gamma[i][j][l] first[l] expands to
+    are linear in X, so each candidate's residual is built on its own.  The
+    Leibniz rule gives first[j] = (d_j t) d_s + t gamma[j][s] and expands the
+    residual nabla_{d_i} first[j] - sum_l gamma[i][j][l] first[l] to
 
         residual(i, j)^k = delta_ks H_t(i, j) + gamma[j][s][k] d_i t
                            + gamma[i][s][k] d_j t + A_s(i, j)^k t,
 
     where H_t (`_hessian`) depends on the term alone and is taken once per
-    term, and A_s (`_slot_terms`) on the slot and the connection alone, taken
-    once per slot.  The connection is flat, so residual(i, j) =
-    residual(j, i) and only the pairs i <= j give equations.  Each
-    candidate's residuals are built sparsely, keyed by pair: H_t at its
-    nonzero pairs, the middle terms from the nonzero d_a t and the nonzero
-    symbols gamma[b][s] (the pair (a, b) lands on (min, max), twice when
-    a = b), and A_s t where A_s is nonzero.
+    term, and A_s (`_slot_terms`), the residual of d_s, on the slot and the
+    connection alone, taken once per slot.  The connection is flat, so
+    residual(i, j) = residual(j, i) and only the pairs i <= j give
+    equations.  Each candidate's residuals are built sparsely, keyed by
+    pair: H_t at its nonzero pairs, the middle terms from the nonzero d_a t
+    and the nonzero symbols gamma[b][s] (the pair (a, b) lands on
+    (min, max), twice when a = b), and A_s t where A_s is nonzero.
 
     At each pair, clearing polynomial denominators and collecting monomial
     coefficients of the candidates whose residual is nonzero gives exact
@@ -765,7 +756,7 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     for p, (i, j) in enumerate(pairs):
         number[i][j] = number[j][i] = p
     curved = [(p, conn._rows[i][j]) for p, (i, j) in enumerate(pairs) if conn._rows[i][j]]
-    slot_terms = [_slot_terms(conn, s, number, curved) for s in range(n)]
+    slot_terms = [_slot_terms(conn, s, number) for s in range(n)]
     tables = []
     for t in terms:
         d1 = [t.diff(var) for var in chart.variables]

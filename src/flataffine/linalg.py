@@ -157,24 +157,25 @@ def _nullspace_rows(span: "_QSpan", ncols: int) -> list:
 
     Each free column f (no pivot there) gives the vector with 1 at f and
     -rows[p][f] / rows[p][p] at each pivot column p; every entry of a fully
-    reduced row off its own pivot is at a free column.  The vectors of the
-    free columns that some row touches go into a second `_QSpan`, so their
-    basis is the canonical one.  An untouched free column f gives the unit
-    vector e_f, which is already a reduced row: every other vector, and so
-    every row of that basis, is 0 at f, and e_f is 0 at their pivots.  So
-    the unit rows are merged in by pivot (a row's least column) without
-    being reduced.
+    reduced row off its own pivot is at a free column.  The vector of a free
+    column that some row touches, times the lcm of those rows' pivot
+    entries, is an integer vector; these go into a second `_QSpan`, which
+    makes each primitive, so their basis is the canonical one.  An untouched
+    free column f gives the unit vector e_f, which is already a reduced row:
+    every other vector, and so every row of that basis, is 0 at f, and e_f
+    is 0 at their pivots.  So the unit rows are merged in by pivot (a row's
+    least column) without being reduced.
     """
     pivots = span.rows
     touched = {}
     for p, row in pivots.items():
-        a = row[p]
         for f, x in row.items():
             if f != p:
-                touched.setdefault(f, {f: 1})[p] = -x if a == 1 else Fraction(-x, a)
+                touched.setdefault(f, {})[p] = x
     null = _QSpan()
-    for f in sorted(touched):
-        null.add(_integral(touched[f])[0])
+    for f, column in sorted(touched.items()):
+        L = lcm(*[pivots[p][p] for p in column])
+        null.add({f: L} | {p: -x * (L // pivots[p][p]) for p, x in column.items()})
     units = [{f: _QONE} for f in range(ncols) if f not in pivots and f not in touched]
     return sorted(null.basis() + units, key=min)
 

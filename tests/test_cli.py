@@ -502,6 +502,16 @@ def _christoffel(*entries):
      "/charts/0/variables/1"),
     (_malformed("lsa", lambda d: d["charts"][0].update(variables=["x y", "x"])),
      "/charts/0/variables/0"),
+    (_malformed("lsa", lambda d: d["algebras"][0].update(unit=0)), "/algebras/0/unit"),
+    (_malformed("lsa", lambda d: d["algebras"][0].update(unit=3)), "/algebras/0/unit"),
+    (_malformed("clos", lambda d: d["tasks"][0].update(generators=["nope"])),
+     "/tasks/0/generators/0"),
+    (_malformed("lsa", lambda d: d["connections"][0].update(frame=["e1+", "e1+"])),
+     "/connections/0"),
+    (_malformed("lsa", lambda d: d["connections"][0].update(constants="six-field-table")),
+     "/connections/0"),
+    (_malformed("lsa", lambda d: d["connections"].append(
+        {"name": "c2", "chart": "halfplane"})), "/connections/1"),
 ], ids=["closure-rank-string", "envelope-rank-string", "closure-rank-bool",
         "field-coeffs-numbers", "chart-variables-numbers", "chart-variables-past-cap",
         "ansatz-past-cap", "algebra-result-zero-denominator",
@@ -517,7 +527,9 @@ def _christoffel(*entries):
         "result-exponent", "result-decimal-point", "result-float", "result-bool",
         "result-space", "generator-exponent", "generator-bool", "christoffel-repeated",
         "christoffel-k-past-dim", "christoffel-i-zero", "christoffel-j-past-dim",
-        "chart-variable-integer", "chart-variable-empty", "chart-variable-two-names"])
+        "chart-variable-integer", "chart-variable-empty", "chart-variable-two-names",
+        "algebra-unit-zero", "algebra-unit-past-dim", "generator-unknown-name",
+        "frame-singular", "frame-constants-wrong-dim", "connection-without-symbols"])
 def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
     with pytest.raises(TaskFileError) as err:
         run_document(copy.deepcopy(doc))
@@ -534,7 +546,7 @@ RUNNER_SIDE_CASES = {
     "ansatz-past-cap", "generator-zero-denominator", "table-field-list",
     "envelope-field-repeated", "table-field-repeated", "iat-field-other-chart",
     "table-field-other-chart", "envelope-field-other-chart", "generator-exponent",
-    "generator-bool"}
+    "generator-bool", "generator-unknown-name"}
 _MALFORMED_CASES = test_malformed_values_are_input_errors.pytestmark[0]
 
 
@@ -546,6 +558,72 @@ def test_load_document_alone_refuses_task_inputs(doc, path):
     with pytest.raises(TaskFileError) as err:
         load_document(copy.deepcopy(doc))
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_malformed("clos", lambda d: d["tasks"][0].update(generators=["nope"])),
+     "/tasks/0/generators/0: no basis element named 'nope'"),
+    (_malformed("lsa", lambda d: d["algebras"][0].update(unit=0)),
+     '/algebras/0/unit: "unit" must be between 1 and 2'),
+    (_malformed("lsa", lambda d: d["algebras"][0].update(unit=3)),
+     '/algebras/0/unit: "unit" must be between 1 and 2'),
+], ids=["generator-unknown-name", "algebra-unit-zero", "algebra-unit-past-dim"])
+def test_input_errors_print_one_unquoted_message_at_their_path(tmp_path, capsys, doc,
+                                                                message):
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _without(task_id, key):
+    """The six-field task file with only task `task_id`, without `key`."""
+    return _malformed(task_id, lambda d: d["tasks"][0].pop(key))
+
+
+def _torsion_of_a_perturbed_connection():
+    """The torsion task of test_perturbed_connection_torsion_fails_with_named_component."""
+    return {
+        "schema": 1,
+        "charts": [{"name": "plane", "variables": ["x", "y"]}],
+        "connections": [{"name": "bad", "chart": "plane",
+                         "christoffel": [{"k": 1, "i": 1, "j": 2, "expr": "1"}]}],
+        "tasks": [{"id": "t", "kind": "torsion", "connection": "bad",
+                   "expect_zero": True}],
+    }
+
+
+def _table_leaving_the_span():
+    doc = six_field_taskfile()
+    doc["tasks"] = [{"id": "table", "kind": "product-table", "connection": "nabla11",
+                     "fields": ["e1-", "C6"]}]
+    return doc
+
+
+@pytest.mark.parametrize("doc, code, status, witness, lines", [
+    (_without("tor", "expect_zero"), 0, "ok", None, ["  zero: True"]),
+    (_without("table", "expect"), 0, "ok", None, ["  e1- | e1- + C5 | C4  | 0  | C4 | "
+                                                  "2*C5 | 2*C6"]),
+    (_malformed("env", lambda d: d["tasks"][0].update(expect_rank=4)), 1, "fail",
+     ["rank", 5, 4], ["  witness: ['rank', 5, 4]", "  closure rank: 5 (ambient dimension 6)"]),
+    (_torsion_of_a_perturbed_connection(), 1, "fail", "T^1_{1,2}",
+     ["  witness: T^1_{1,2}", "  zero: False", "  T^1_{1,2} = 1", "  T^1_{2,1} = -1"]),
+    (_table_leaving_the_span(), 1, "fail", [1, 1],
+     ["  witness: [1, 1]", "  error: product e1-·e1- (pair (1, 1)) is not a constant "
+      "combination of the given fields"]),
+], ids=["torsion-without-expect-zero", "table-without-expect", "envelope-wrong-rank",
+        "torsion-nonzero-components", "table-error"])
+def test_reports_carry_their_documented_outcome(tmp_path, doc, code, status, witness, lines):
+    """Verdict tasks without their expectation report status ok; a wrong
+    envelope rank, a nonzero tensor and a product that leaves the span fail
+    with their witness, and the text report writes each of them out."""
+    got, (report,) = run_document(copy.deepcopy(doc), out_dir=tmp_path, fmt="text")
+    assert got == code
+    assert (report["status"], report["witness"]) == (status, witness)
+    assert report["verdict"] is {"ok": None, "fail": False}[status]
+    text = (tmp_path / f"{report['id']}.txt").read_text().splitlines()
+    assert text[0] == f"task {report['id']} ({report['kind']}): {status}"
+    assert [line for line in lines if line not in text] == []
 
 
 def test_an_input_error_in_the_last_task_stops_the_first(monkeypatch):

@@ -38,9 +38,16 @@ symbols are nonzero and not all constant, with polynomial and rational
 terms that make the Hessian's correction, the middle terms and the
 connection terms each nonzero; four hand-made mutants of those parts
 (no doubling at a = b, either gamma-gamma sum dropped, no Hessian
-correction) must change the solver's output.  `_nullspace_rows` is compared
-on the empty span, on spans with untouched and with touched free columns
-and on spans with no free column.
+correction) must change the solver's output.  `_slot_terms` now reads its
+connection term A_s off `_iat_residuals`, as the residual table of the
+coordinate field d_s; the version that wrote out the derivatives and both
+gamma-gamma sums by hand is kept verbatim as `previous_slot_terms` and
+compared slot by slot on the commuting-frame, half-plane, GL2 and GL3
+connections, where A_s is also checked against the residuals of d_s.
+`_nullspace_rows`, which now builds each touched free column's vector in
+integers, is compared with the version that built it from `Fraction`s on
+the empty span, on spans with untouched and with touched free columns and
+on spans with no free column.
 
 A field stores only its nonzero components, and `==` compares those dicts,
 so the last tests check that field arithmetic, brackets, covariant
@@ -290,6 +297,45 @@ def previous_solve_iat_ansatz(conn, ansatz):
     return [VectorField._of(chart, geometry._combination((w, {c // size: terms[c % size]})
                                                          for c, w in row.items()))
             for row in previous_nullspace_rows(span, n * size)]
+
+
+def previous_slot_terms(conn, s, number, curved):
+    """`geometry._slot_terms` before A_s was read off `_iat_residuals`: the
+    derivatives and both gamma-gamma sums written out by hand, over the
+    (number, nonzero gamma[i][j]) pairs `curved`."""
+    n = conn.chart.dim
+    variables = conn.chart.variables
+    rows = conn._rows
+    spread = [[] for _ in range(n)]
+    A = {}
+    for j in range(n):
+        for m, g in rows[j][s]:
+            for a in range(n):
+                spread[a].append((number[a][j], m, g + g if a == j else g))
+            for i in range(j + 1):
+                vec = A.setdefault(number[i][j], {})
+                d = g.diff(variables[i])
+                if d:
+                    _add_at(vec, m, d)
+                for k, h in rows[i][m]:
+                    _add_at(vec, k, g * h)
+    for p, symbols in curved:
+        vec = A.setdefault(p, {})
+        for l, g in symbols:
+            for k, h in rows[l][s]:
+                _add_at(vec, k, -(g * h))
+    return spread, {p: vec for p, vec in A.items() if vec}
+
+
+def pair_numbering(conn):
+    """(number, curved) as `solve_iat_ansatz` builds them: number[a][b] is
+    the row-major number of the pair (min(a, b), max(a, b)), and curved
+    lists (number, nonzero gamma[i][j]) for the pairs i <= j."""
+    n = conn.chart.dim
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    number = [[pairs.index((min(a, b), max(a, b))) for b in range(n)] for a in range(n)]
+    curved = [(p, conn._rows[i][j]) for p, (i, j) in enumerate(pairs) if conn._rows[i][j]]
+    return number, curved
 
 
 def oracle_witness(conn, X):
@@ -711,8 +757,8 @@ def example_ansatz():
 
 
 def flat_halfplane_connections():
-    """The flat half-plane frame connections; every one has nonzero symbols
-    with nonzero derivatives."""
+    """The flat half-plane frame connections; every one but alpha1, whose
+    symbols are all zero, has nonzero symbols with nonzero derivatives."""
     conns = {f"alpha{a}": alpha_connection(a) for a in (-1, 1, 2, 3)}
     conns["aff-lsa"] = aff_line_connection()
     return conns
@@ -811,9 +857,8 @@ def test_the_commuting_frame_connection_reaches_every_residual_part():
     assert len(symbols) == 4 and 4 * x in symbols
     n = chart.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    number = [[pairs.index((min(a, b), max(a, b))) for b in range(n)] for a in range(n)]
-    curved = [(p, conn._rows[i][j]) for p, (i, j) in enumerate(pairs) if conn._rows[i][j]]
-    slot_terms = [geometry._slot_terms(conn, s, number, curved) for s in range(n)]
+    number, curved = pair_numbering(conn)
+    slot_terms = [geometry._slot_terms(conn, s, number) for s in range(n)]
     assert any(A for _, A in slot_terms)
     # some gamma[a][s] d_a t lands on the diagonal pair (a, a), doubled
     middle = diagonal = hessian = corrected = False
@@ -830,6 +875,36 @@ def test_the_commuting_frame_connection_reaches_every_residual_part():
         hessian |= bool(H)
         corrected |= H != {p: h for p, h in plain.items() if h}
     assert middle and diagonal and hessian and corrected
+
+
+def slot_term_connection(name):
+    """The commuting-frame connection, a half-plane frame connection by name,
+    or the GL2 or GL3 frame connection ("gl2", "gl3")."""
+    if name == "commuting-frame":
+        return commuting_frame_connection()
+    if name in ("gl2", "gl3"):
+        return gln_scene(int(name[2])).connect()
+    return flat_halfplane_connections()[name]
+
+
+@pytest.mark.parametrize("name", ["commuting-frame", "alpha-1", "alpha1", "alpha2",
+                                  "alpha3", "aff-lsa", "gl2", "gl3"])
+def test_slot_terms_match_the_previous_kernel_and_the_residuals_of_d_s(name):
+    """Slot by slot, `_slot_terms` gives the spread and A of the hand-written
+    version, and A is the residual table of the coordinate field d_s."""
+    conn = slot_term_connection(name)
+    chart = conn.chart
+    number, curved = pair_numbering(conn)
+    parts = []
+    for s in range(chart.dim):
+        spread, A = geometry._slot_terms(conn, s, number)
+        assert (spread, A) == previous_slot_terms(conn, s, number, curved)
+        first = _first_derivatives(conn, VectorField.coordinate(chart, s))
+        assert A == {p: res for p, (_, res) in enumerate(_iat_residuals(conn, first)) if res}
+        parts.append(bool(A))
+    # alpha1 and the frame connections of GL(n) have no symbol, so every A
+    # is empty; the others have some nonzero A
+    assert any(parts) == (name not in ("alpha1", "gl2", "gl3"))
 
 
 def test_solver_matches_oracles_on_the_commuting_frame_connection():
@@ -870,9 +945,11 @@ def mutant_hessian(conn, d1, number, curved):
 def mutant_slot_terms(mutation):
     """`_slot_terms` with one fault: "no-doubling" adds gamma[b][s] d_a t once
     at a = b, "no-first-sum" and "no-second-sum" drop a gamma-gamma sum of A."""
-    def slot_terms(conn, s, number, curved):
+    def slot_terms(conn, s, number):
         n = conn.chart.dim
         rows = conn._rows
+        curved = [(number[i][j], rows[i][j]) for i in range(n) for j in range(i, n)
+                  if rows[i][j]]
         spread = [[] for _ in range(n)]
         A = {}
         for j in range(n):
@@ -918,6 +995,8 @@ def nullspace_spans():
     cases = {"empty-0": ([], 0), "empty-5": ([], 5),
              "units": ([[0, 2, 0, 0], [0, 0, 0, 3]], 4),
              "untouched-and-touched": ([[1, 0, 2, 0, 0], [0, 1, Fraction(-1, 3), 0, 0]], 5),
+             # column 2's integer vector (6 at 2, -3 at 0, -6 at 1) is not primitive
+             "lcm-not-primitive": ([[2, 0, 1, 0], [0, 3, 3, 1]], 4),
              "full": ([[2, 1, 0], [1, 1, 1], [0, 0, 5]], 3),
              "full-identity": ([[1, 0], [0, 1]], 2)}
     for seed in range(6):

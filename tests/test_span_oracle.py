@@ -19,7 +19,10 @@ dict comparison of `Polynomial.is_one` as oracles for their fast paths.
 `_FieldSpan` numbers the slots of the cleared numerators as it meets them, so
 its rows are compared with the oracle's dense rows up to the order of the
 columns.  The earlier oracles read the dense coordinate rows, which are kept
-in `helpers.dense_coordinate_rows`.
+in `helpers.dense_coordinate_rows`.  `_FieldSpan.coordinates` tries a
+target's new denominator by dividing the fields' common one by it, with no
+lcm; one test counts the lcm calls and checks both outcomes against the
+solve oracle.
 """
 import random
 from collections import Counter
@@ -686,3 +689,30 @@ def test_targets_are_read_over_the_basis_denominator():
     assert express_outcome(express_in_basis, cases[2][0], basis) == ("not in span", 1)
     assert express_outcome(express_in_basis, cases[3][0], polynomial_basis) == \
         ("not in span", 1)
+
+
+def test_coordinates_decide_divisibility_without_an_lcm(monkeypatch):
+    """A target's denominator that no field has is tried by dividing the
+    fields' common denominator by it: `_FieldSpan.coordinates` takes no lcm,
+    still refuses a denominator that does not divide the common one and
+    reads the same coordinates as the solve oracle for one that does."""
+    calls = []
+
+    def counting_lcm(p, q):
+        calls.append(q)
+        return poly_lcm(p, q)
+
+    chart = chart_xy()
+    basis = [VectorField(chart, ["1/x + 1/y", "0"]), VectorField(chart, ["1/y", "0"])]
+    divides = [VectorField(chart, ["1/x", "0"]), VectorField(chart, ["2/x - 3/y", "0"])]
+    does_not = [VectorField(chart, ["1/x", "0"]), VectorField(chart, ["1/(x+1)", "0"])]
+    expected = [express_outcome(oracle_express_in_basis, targets, basis)
+                for targets in (divides, does_not)]
+    spans = [_FieldSpan(chart, basis) for _ in range(2)]
+    monkeypatch.setattr(geometry, "poly_lcm", counting_lcm)
+    got = [express_outcome(lambda targets, _: span.coordinates(targets), targets, basis)
+           for span, targets in zip(spans, (divides, does_not))]
+    assert calls == []
+    dense = [[dict(row).get(k, Fraction(0)) for k in range(len(basis))] for row in got[0]]
+    assert [dense, got[1]] == expected
+    assert got[1] == ("not in span", 1)
