@@ -9,7 +9,8 @@ Conventions:
     coefficient list is a view derived on demand.
 
 Everything is a pure function of immutable values; the flatness tensors are
-memoized on the connection since they are queried by every higher-level check.
+memoized on the connection since they are queried by every higher-level check,
+and so are the product tables it has built.
 """
 from __future__ import annotations
 
@@ -175,10 +176,12 @@ class Connection:
 
     `_rows[i][m]` lists the nonzero (k, gamma[i][m][k]) in ascending k, the
     sparse components of nabla_{d_i} d_m: the symbols that the kernels
-    contract, derived once from `gamma`.
+    contract, derived once from `gamma`.  Three memos: `_torsion` and
+    `_curvature` (`torsion`, `curvature`) and `_tables`, the product tables
+    built on it (`product_table`).
     """
 
-    __slots__ = ("chart", "gamma", "_rows", "_torsion", "_curvature")
+    __slots__ = ("chart", "gamma", "_rows", "_torsion", "_curvature", "_tables")
 
     def __init__(self, chart: Chart, gamma):
         n = chart.dim
@@ -192,6 +195,7 @@ class Connection:
                                  for vec in row) for row in self.gamma)
         self._torsion = None
         self._curvature = None
+        self._tables = {}
 
     @classmethod
     def zero(cls, chart: Chart) -> "Connection":
@@ -870,6 +874,15 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     field in the span of those before it), fields that are infinitesimal
     affine transformations and a product-closed span; fails loudly (naming the
     pair) when a product falls outside the constant span.
+
+    A built table is memoized on the connection under the set of its field
+    objects, `frozenset(map(id, fields))`; the entry keeps those objects
+    alive, so no id is reused while it exists.  A failed build stores
+    nothing, and a list that repeats an object skips the memo.  A hit in
+    another order is the stored table relabelled by sigma, field i's stored
+    position: it is exact, since flatness is tested first, independence, the
+    IAT property and closure do not depend on the order, and coordinates on
+    independent fields are unique (`_FieldSpan`).
     """
     fields = list(fields)
     if names is None:
@@ -882,6 +895,16 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     n = len(fields)
     for f in fields:   # the span below needs one chart
         require_same_chart(conn, f)
+    key = frozenset(map(id, fields))
+    if len(key) == n and key in conn._tables:
+        built, rows = conn._tables[key]
+        position = {id(f): i for i, f in enumerate(built)}
+        sigma = [position[id(f)] for f in fields]
+        if sigma != list(range(n)):   # row (i, j) is row (sigma i, sigma j), relabelled
+            inverse = {s: i for i, s in enumerate(sigma)}
+            rows = tuple(tuple(tuple(sorted((inverse[k], x) for k, x in rows[s][t]))
+                               for t in sigma) for s in sigma)
+        return SCAlgebra._of(names, rows)
     # the basis is reduced once, before any IAT test: it tells a dependent
     # field first, and the products are read off it
     basis = _FieldSpan(conn.chart, fields)
@@ -911,4 +934,6 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
             f"product {names[i]}·{names[j]} (pair ({i + 1}, {j + 1})) "
             "is not a constant combination of the given fields",
             pair=(i + 1, j + 1)) from None
-    return SCAlgebra._of(names, tuple(tuple(coords[i * n:(i + 1) * n]) for i in range(n)))
+    rows = tuple(tuple(coords[i * n:(i + 1) * n]) for i in range(n))
+    conn._tables[key] = (tuple(fields), rows)
+    return SCAlgebra._of(names, rows)
