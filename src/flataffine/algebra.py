@@ -342,6 +342,10 @@ class Subspace:
             names.append(ambient_names[hot[0]])
         return names
 
+    def to_json_dict(self, ambient_names) -> dict:
+        return {"rank": self.rank, "rows": [[str(x) for x in row] for row in self.rows],
+                "named_basis": self.named_basis(ambient_names)}
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim

@@ -7,7 +7,8 @@ All indices in the file and in reports are 1-based; rationals are serialized
 as strings "p/q" so no numeric precision is lost.
 
 Exit codes: 0 when every task ran and every verdict-type task holds, 1 on any
-negative verdict (the report carries the witness), 2 on input errors.
+negative verdict (the report carries the witness), 2 on input errors and on
+an --out directory that cannot be created or written.
 """
 from __future__ import annotations
 
@@ -237,6 +238,9 @@ def load_document(doc: dict) -> _Document:
         _require(kind in TASK_KINDS,
                  f"unknown task kind {kind!r}; valid kinds: {', '.join(TASK_KINDS)}",
                  f"{path}/kind")
+        for key, kinds in _EXPECT_KINDS.items():
+            _require(key not in task or kind in kinds,
+                     f'a {kind} task does not read "{key}"', f"{path}/{key}")
         if "expect_rank" in task:
             _typed(task["expect_rank"], int, '"expect_rank"', f"{path}/expect_rank")
         _require(isinstance(task.get("expect_zero", False), bool),
@@ -269,6 +273,10 @@ def _generator_vector(algebra, g, path):
              f"generator vectors need length {algebra.dim}", path)
     return [_fraction(x, path) for x in g]
 
+
+# the kinds that read each expectation key; any other kind refuses it
+_EXPECT_KINDS = {"expect_rank": ("closure", "envelope"),
+                 "expect_zero": ("torsion", "curvature"), "expect": ("product-table",)}
 
 # the kinds whose computation needs a flat connection, with the message of
 # the NotFlatError it would raise
@@ -318,7 +326,7 @@ def _task_inputs(doc, task, path) -> dict:
                      f"{path}/fields/{k}")
             fields[name] = field
         inputs["fields"] = names, list(fields.values())
-        if "expect" in task:
+        if "expect" in task:   # a product-table task's: any other kind refuses it
             inputs["expect"] = _get_algebra(doc, task, "expect", path)
         if kind == "envelope":
             gens = inputs["generators"] = task.get("generators")
@@ -370,11 +378,7 @@ def _run_commutator(task):
 def _run_closure(task):
     algebra = task["algebra"]
     space = subalgebra_closure(algebra, task["generators"])
-    payload = {
-        "rank": space.rank,
-        "rows": [[str(x) for x in row] for row in space.rows],
-        "named_basis": space.named_basis(algebra.basis_names),
-    }
+    payload = space.to_json_dict(algebra.basis_names)
     if "expect_rank" in task:
         expected = task["expect_rank"]
         if space.rank != expected:
@@ -504,6 +508,9 @@ def _report_text(report: dict) -> str:
 def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = False):
     """Run all tasks; returns (exit_code, reports).  Reports follow file order."""
     document = load_document(doc)
+    if out_dir is not None:   # before any task runs, so a bad path costs no work
+        out_path = Path(out_dir)
+        out_path.mkdir(parents=True, exist_ok=True)
     reports = []
     any_negative = False
     for index, task in enumerate(document.tasks):
@@ -532,8 +539,6 @@ def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = F
             if fail_fast:
                 break
     if out_dir is not None:
-        out_path = Path(out_dir)
-        out_path.mkdir(parents=True, exist_ok=True)
         for report in reports:
             if fmt in ("json", "both"):
                 (out_path / f"{report['id']}.json").write_text(
@@ -574,6 +579,9 @@ def main(argv=None) -> int:
                                      fail_fast=args.fail_fast)
     except TaskFileError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        print(f"error: cannot write reports to {args.out}: {err}", file=sys.stderr)
         return 2
     for report in reports:
         line = f"{report['id']} ({report['kind']}): {report['status']}"

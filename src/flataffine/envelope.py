@@ -21,7 +21,7 @@ from .algebra import (
     restrict_to_subspace,
     subalgebra_closure,
 )
-from .geometry import Connection, _bracket, _partials, express_in_basis, product_table
+from .geometry import Connection, express_in_basis, lie_bracket, product_table
 from .render import render_table_text
 
 OPPOSITE_CONVENTION = ("envelope constants are the opposite of the ambient "
@@ -43,12 +43,8 @@ class EnvelopeReport:
             "convention": self.convention,
             "generators": list(self.generator_names),
             "ambient": self.ambient.to_json_dict(),
-            "closure": {
-                "ambient_dim": self.closure.ambient_dim,
-                "rank": self.closure.rank,
-                "rows": [[str(x) for x in row] for row in self.closure.rows],
-                "named_basis": self.closure.named_basis(self.ambient.basis_names),
-            },
+            "closure": {"ambient_dim": self.closure.ambient_dim,
+                        **self.closure.to_json_dict(self.ambient.basis_names)},
             "envelope": self.envelope.to_json_dict(),
             "commutator": self.commutator.to_json_dict(),
             "checks": dict(self.checks),
@@ -69,26 +65,23 @@ class EnvelopeReport:
         return "\n".join(lines)
 
 
-def commutator_matches_brackets(conn: Connection, fields, table: SCAlgebra) -> bool:
+def commutator_matches_brackets(fields, table: SCAlgebra) -> bool:
     """Cross-check that antisymmetrized product-table constants equal the
     structure constants computed independently from Lie brackets of the
     fields.
 
-    The brackets use plain partial derivatives, not the product's nabla, so
-    the check does not rest on what it verifies.  Each field's derivative
-    table d_a X^k is taken once (`geometry._partials`) and every bracket is
-    read from two tables by `geometry._bracket`, the kernel `lie_bracket`
-    wraps.  Only the pairs i < j are computed: the kernel is exactly
-    antisymmetric ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and
-    `express_in_basis` is linear, so at a mirrored pair both sides are the
-    negations of those at (i, j), and on the diagonal both sides are zero.
-    Both sides are compared as rows in the table's stored form, which
-    `express_in_basis` returns.
+    The brackets (`lie_bracket`) use plain partial derivatives, not the
+    product's nabla, so the check does not rest on what it verifies.  Only
+    the pairs i < j are computed: the kernel is exactly antisymmetric
+    ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and `express_in_basis` is
+    linear, so at a mirrored pair both sides are the negations of those at
+    (i, j), and on the diagonal both sides are zero.  Both sides are
+    compared as rows in the table's stored form, which `express_in_basis`
+    returns.
     """
     n, rows = table.dim, table.rows
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    d = [_partials(f) for f in fields]
-    brackets = [_bracket(fields[i], d[i], fields[j], d[j]) for i, j in pairs]
+    brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
     return all(got == _difference(rows[i][j], rows[j][i])
                for got, (i, j) in zip(express_in_basis(brackets, fields), pairs))
 
@@ -112,7 +105,7 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     checks.update((f"iat:{name}", True) for name in names)
     checks["ambient_associative"] = check_associative(ambient).holds
     checks["ambient_commutator_matches_lie_brackets"] = \
-        commutator_matches_brackets(conn, fields, ambient)
+        commutator_matches_brackets(fields, ambient)
     generator_vectors = [ambient.basis_vector(ambient.basis_index(g))
                          for g in generator_names]
     closure = subalgebra_closure(ambient, generator_vectors)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from types import MappingProxyType
 
 from . import linalg
 from .algebra import CheckReport, SCAlgebra
@@ -288,14 +289,15 @@ class Frame:
 @dataclass(frozen=True)
 class TensorReport:
     """The nonzero tensor components on a chart, keyed by 1-based index tuples;
-    a component that cancelled to zero is dropped when the report is built."""
+    a component that cancelled to zero is dropped when the report is built.
+    `components` is a read-only view, since a connection keeps its report."""
     kind: str
-    components: dict
+    components: MappingProxyType
     chart: Chart
 
     def __post_init__(self):
-        object.__setattr__(self, "components",
-                           {idx: rf for idx, rf in self.components.items() if rf})
+        object.__setattr__(self, "components", MappingProxyType(
+            {idx: rf for idx, rf in self.components.items() if rf}))
 
     @property
     def is_zero(self) -> bool:
@@ -368,35 +370,28 @@ def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> Ve
         (xi, _nabla_coordinate(conn, i, Y.components)) for i, xi in X.components.items()))
 
 
-def _partials(X: VectorField) -> list:
-    """The derivative table d[a] = {k: d_a X^k}, one sparse vector per axis,
-    with one derivative per axis and nonzero component."""
-    return [{k: d for k, c in X.components.items() if (d := c.diff(var))}
-            for var in X.chart.variables]
-
-
-def _bracket(X: VectorField, dX, Y: VectorField, dY) -> VectorField:
-    """[X, Y]^k = sum_a (X^a dY[a][k] - Y^a dX[a][k]), from the derivative
-    tables dX = _partials(X) and dY = _partials(Y), over the nonzero (a, k)
-    only; the one bracket kernel."""
-    require_same_chart(X, Y)
+def _derivative_along(X: VectorField, Y: VectorField) -> dict:
+    """X(Y)^k = sum_a X^a d_a Y^k, the derivative of Y along X, as a sparse
+    vector over the nonzero X^a and Y^k only; each partial is read from
+    `RationalFunction.diff`, which takes it at most once per value and axis."""
+    variables = X.chart.variables
     out = {}
     for a, xa in X.components.items():
-        for k, d in dY[a].items():
-            _add_at(out, k, xa * d)
-    for a, ya in Y.components.items():
-        for k, d in dX[a].items():
-            _add_at(out, k, -(ya * d))
-    return VectorField._of(X.chart, out)
+        var = variables[a]
+        for k, c in Y.components.items():
+            d = c.diff(var)
+            if d:
+                _add_at(out, k, xa * d)
+    return out
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^k = sum_i (X^i d_i Y^k - Y^i d_i X^k).
-
-    Callers that bracket one field with many others build its `_partials`
-    table once and call `_bracket` directly.
-    """
-    return _bracket(X, _partials(X), Y, _partials(Y))
+    """[X, Y] = X(Y) - Y(X), from two `_derivative_along`; the one bracket kernel."""
+    require_same_chart(X, Y)
+    out = _derivative_along(X, Y)
+    for k, c in _derivative_along(Y, X).items():
+        _add_at(out, k, -c)
+    return VectorField._of(X.chart, out)
 
 
 def torsion(conn: Connection) -> TensorReport:
@@ -809,7 +804,8 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
 
     Extends by function-linearity in the first slot and the Leibniz rule in the
     second.  With A the frame matrix and q[a][b] = E_a E_b - E_a(E_b) the
-    Christoffel part of each defining product, gamma[i][j] = sum_{a,b}
+    Christoffel part of each defining product, E_a(E_b) read off
+    `_derivative_along`, gamma[i][j] = sum_{a,b}
     A^-1[i][a] A^-1[j][b] q[a][b], and A^-1 is taken only when some q[a][b] is
     nonzero.  On an affine chart of the connection, one in which its
     Christoffel symbols vanish (GL(n) in matrix coordinates with E_a E_b the
@@ -819,7 +815,7 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     Frame fields, products, q and gamma are sparse {k: value} vectors.  The
     result is post-verified against the defining products at every one of
     the n^2 frame pairs, through the connection's own kernel rather than the
-    derivatives q was built from: one `_nabla_coordinate` table per field E_b,
+    one q was read from: one `_nabla_coordinate` table per field E_b,
     contracted with each E_a, must give E_a E_b, else AssertionError names
     the first failing pair (a, b) in row-major order.
     """
@@ -833,13 +829,10 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
     expected = [[_combination((x, E[k]) for k, x in constants.rows[a][b])
                  for b in range(n)] for a in range(n)]
-    # E_a(E_b) = sum_i E_a^i d_i E_b, from the frame's derivative tables
-    grads = [_partials(f) for f in frame.fields]
     q = [[dict(expected[a][b]) for b in range(n)] for a in range(n)]
     for a, b in product(range(n), repeat=2):
-        for i, x in E[a].items():
-            for k, d in grads[b][i].items():
-                _add_at(q[a][b], k, -(x * d))
+        for k, d in _derivative_along(frame.fields[a], frame.fields[b]).items():
+            _add_at(q[a][b], k, -d)
     if any(vec for row in q for vec in row):
         A = [f.coeffs for f in frame.fields]
         try:

@@ -6,16 +6,12 @@ from fractions import Fraction
 from .algebra import SCAlgebra
 
 
-def format_combination(vector, names) -> str:
-    """Render a coordinate vector as a combination of named basis elements.
+def _format_terms(terms) -> str:
+    """Render (coefficient, name) terms as a combination of named basis
+    elements; zero coefficients are skipped.
 
     Examples: "0", "e1", "-C4", "2*e1 - 2*C5", "(3/2)*C3 + C4".
     """
-    return _format_terms(zip(vector, names))
-
-
-def _format_terms(terms) -> str:
-    """`format_combination` of (coefficient, name) terms."""
     parts = []
     for coeff, name in terms:
         coeff = Fraction(coeff)

@@ -724,6 +724,43 @@ def test_an_algebra_written_with_brackets_exits_2(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("task_id, key, value", [
+    ("tor", "expect_rank", 99), ("lsa", "expect_zero", False),
+    ("env", "expect", "six-field-table"), ("table", "expect_rank", 6),
+    ("clos", "expect_zero", True), ("curv", "expect", "six-field-table")])
+def test_an_expectation_key_its_kind_never_reads_exits_2(tmp_path, capsys, task_id, key,
+                                                         value):
+    # each would otherwise be dropped, and the task pass without checking it
+    doc = json.loads(SHIPPED.read_text())
+    index, task = next((i, t) for i, t in enumerate(doc["tasks"]) if t["id"] == task_id)
+    task[key] = value
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(doc))
+    assert main(["run", str(taskfile)]) == 2
+    assert capsys.readouterr().err == \
+        f'error: /tasks/{index}/{key}: a {task["kind"]} task does not read "{key}"\n'
+
+
+@pytest.mark.parametrize("where", ["existing-file", "under-a-file", "report-is-a-directory"])
+def test_an_out_path_that_cannot_take_reports_exits_2(tmp_path, capsys, monkeypatch, where):
+    taskfile = tmp_path / "tasks.json"
+    taskfile.write_text(json.dumps(six_field_taskfile()))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = {"existing-file": blocker, "under-a-file": blocker / "reports",
+           "report-is-a-directory": tmp_path / "reports"}[where]
+    if where == "report-is-a-directory":
+        (out / "env.json").mkdir(parents=True)
+    ran = []
+    for kind, runner in list(_RUNNERS.items()):
+        monkeypatch.setitem(_RUNNERS, kind,
+                            lambda task, runner=runner: ran.append(1) or runner(task))
+    assert main(["run", str(taskfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write reports to {out}: ")
+    # the directory is made before the first task runs
+    assert bool(ran) is (where == "report-is-a-directory")
+
+
 @pytest.mark.parametrize("section, key", [
     ("charts", "name"), ("charts", "variables"), ("algebras", "name"), ("fields", "name"),
     ("fields", "chart"), ("fields", "coeffs"), ("connections", "name"),
@@ -885,13 +922,13 @@ def test_power_past_degree_cap_fails_fast(tmp_path, capsys):
 
 def test_format_combination_cases():
     from fractions import Fraction
-    from flataffine.render import format_combination
+    from flataffine.render import _format_terms
     names = ("a", "b", "c")
     F = Fraction
-    assert format_combination((F(0), F(0), F(0)), names) == "0"
-    assert format_combination((F(1), F(0), F(-1)), names) == "a - c"
-    assert format_combination((F(2), F(-3), F(0)), names) == "2*a - 3*b"
-    assert format_combination((F(3, 2), F(0), F(-1, 4)), names) == "(3/2)*a - (1/4)*c"
+    assert _format_terms(zip((F(0), F(0), F(0)), names)) == "0"
+    assert _format_terms(zip((F(1), F(0), F(-1)), names)) == "a - c"
+    assert _format_terms(zip((F(2), F(-3), F(0)), names)) == "2*a - 3*b"
+    assert _format_terms(zip((F(3, 2), F(0), F(-1, 4)), names)) == "(3/2)*a - (1/4)*c"
 
 
 def test_emit_table_six_field():

@@ -1,15 +1,16 @@
 """The envelope's cross-checks against the all-pairs versions they replaced.
 
 `commutator_matches_brackets` takes the Lie brackets and the constant
-differences c[i][j] - c[j][i] for the pairs i < j only, each bracket from one
-derivative table per field, `commutator_algebra` subtracts only where c[j][i]
-is nonzero, and `product_table` takes one nabla_{d_a} X_j per field and axis
-instead of one `covariant_derivative` per pair, the same table that the
-field's infinitesimal-affine test reads.  This module keeps the
+differences c[i][j] - c[j][i] for the pairs i < j only, each bracket
+X(Y) - Y(X) from two derivatives along (`geometry._derivative_along`),
+`commutator_algebra` subtracts only where c[j][i] is nonzero, and
+`product_table` takes one nabla_{d_a} X_j per field and axis instead of one
+`covariant_derivative` per pair, the same table that the field's
+infinitesimal-affine test reads.  This module keeps the
 earlier versions as oracles and compares results, verdicts and errors on the
 GL2 scene, the six half-plane fields and seeded frame connections, including
-tables with one perturbed entry, and the bracket kernel on GL2, GL3 and
-half-plane fields.
+tables with one perturbed entry, and the bracket and derivative-along kernels
+on GL2, GL3 and half-plane fields.
 """
 import random
 from fractions import Fraction
@@ -79,7 +80,17 @@ def oracle_lie_bracket(X, Y):
     return VectorField(chart, out)
 
 
-def oracle_commutator_matches_brackets(conn, fields, table):
+def oracle_derivative_along(X, Y):
+    """X(Y)^k = sum_i X^i d_i Y^k."""
+    chart = X.chart
+    out = [RationalFunction.zero(chart) for _ in range(chart.dim)]
+    for i, var in enumerate(chart.variables):
+        for k in range(chart.dim):
+            out[k] = out[k] + X.coeffs[i] * Y.coeffs[k].diff(var)
+    return VectorField(chart, out)
+
+
+def oracle_commutator_matches_brackets(fields, table):
     """Cross-check that antisymmetrized product-table constants equal the
     structure constants computed independently from Lie brackets of the
     fields."""
@@ -211,8 +222,8 @@ def test_envelope_steps_match_oracles(kind, seed):
     assert table == oracle_product_table(conn, fields, names)
     if kind == "frame":
         assert any(x.denominator > 1 for row in table.c for vec in row for x in vec)
-    assert commutator_matches_brackets(conn, fields, table) is True
-    assert oracle_commutator_matches_brackets(conn, fields, table) is True
+    assert commutator_matches_brackets(fields, table) is True
+    assert oracle_commutator_matches_brackets(fields, table) is True
     assert commutator_algebra(table) == oracle_commutator_algebra(table)
 
 
@@ -237,8 +248,8 @@ def test_one_entry_perturbations_get_the_oracle_verdicts(kind, seed):
     # at c[i][j] (i < j), at its mirror c[j][i] and on the diagonal c[i][i]
     for (a, b), caught in (((i, j), True), ((j, i), True), ((i, i), False)):
         bad = perturbed(table, a, b, k)
-        verdict = commutator_matches_brackets(conn, fields, bad)
-        assert verdict == oracle_commutator_matches_brackets(conn, fields, bad)
+        verdict = commutator_matches_brackets(fields, bad)
+        assert verdict == oracle_commutator_matches_brackets(fields, bad)
         assert verdict is not caught
         assert commutator_outcome(commutator_algebra, bad) == \
             commutator_outcome(oracle_commutator_algebra, bad)
@@ -251,8 +262,8 @@ def test_every_cell_perturbation_of_the_six_field_table():
     for a in range(n):
         for b in range(n):
             bad = perturbed(table, a, b, (a + 2 * b) % n)
-            verdict = commutator_matches_brackets(conn, fields, bad)
-            assert verdict == oracle_commutator_matches_brackets(conn, fields, bad)
+            verdict = commutator_matches_brackets(fields, bad)
+            assert verdict == oracle_commutator_matches_brackets(fields, bad)
             assert verdict is (a == b)
             assert commutator_outcome(commutator_algebra, bad) == \
                 commutator_outcome(oracle_commutator_algebra, bad)
@@ -311,30 +322,29 @@ def bracket_fields(kind):
 @pytest.mark.parametrize("kind", ["halfplane", "gl2", "gl3"])
 def test_bracket_kernel_matches_oracle(kind):
     fields = bracket_fields(kind)
-    tables = [geometry._partials(f) for f in fields]
-    for X, dX in zip(fields, tables):
-        for Y, dY in zip(fields, tables):
-            expected = oracle_lie_bracket(X, Y)
-            assert lie_bracket(X, Y) == expected
-            assert geometry._bracket(X, dX, Y, dY) == expected
+    for X in fields:
+        for Y in fields:
+            assert lie_bracket(X, Y) == oracle_lie_bracket(X, Y)
+            along = geometry._derivative_along(X, Y)
+            assert VectorField._of(X.chart, along) == oracle_derivative_along(X, Y)
 
 
 def test_cross_check_takes_one_bracket_per_pair(monkeypatch):
     conn, fields, names = halfplane_scene()
     table = product_table(conn, fields, names)
-    kernel = geometry._bracket
+    kernel = geometry.lie_bracket
     brackets = []
-    monkeypatch.setattr(envelope, "_bracket",
+    monkeypatch.setattr(envelope, "lie_bracket",
                         lambda *args: brackets.append(1) or kernel(*args))
-    diff = RationalFunction.diff
-    diffs = []
-    monkeypatch.setattr(RationalFunction, "diff",
-                        lambda self, var: diffs.append(1) or diff(self, var))
-    assert commutator_matches_brackets(conn, fields, table)
+    rule = RationalFunction._quotient_rule
+    partials = []
+    monkeypatch.setattr(RationalFunction, "_quotient_rule",
+                        lambda self, var: partials.append(1) or rule(self, var))
+    assert commutator_matches_brackets(fields, table)
     assert len(brackets) == 6 * 5 // 2
-    # at most one derivative per (field, axis, nonzero component)
-    nonzero = sum(1 for f in fields for c in f.coeffs if c)
-    assert 0 < len(diffs) <= nonzero * conn.chart.dim
+    # product_table took every nonzero component's partial along every axis,
+    # and the brackets read them back from RationalFunction.diff's memo
+    assert partials == []
 
 
 def test_product_table_takes_one_derivative_per_field_and_axis(monkeypatch):

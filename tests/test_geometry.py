@@ -153,6 +153,22 @@ def test_curvature_zero_cases():
     assert curvature(aff_line_connection(CH)).is_zero
 
 
+@pytest.mark.parametrize("tensor, index", [(torsion, (1, 1, 2)), (curvature, (1, 2, 1, 1))])
+def test_a_tensor_report_is_read_only_so_its_memo_keeps_flatness(tensor, index):
+    # the report is the connection's memo: a write into it would change
+    # every later verdict on that connection
+    conn = Connection.zero(CH)
+    report = tensor(conn)
+    with pytest.raises(TypeError):
+        report.components[index] = rf("1")
+    assert tensor(conn) is report and report.is_zero and report == tensor(Connection.zero(CH))
+    assert is_flat_affine(conn)
+    curved = tensor(Connection.from_sparse(CH, [(1, 1, 2, "1"), (1, 1, 1, "y")]))
+    with pytest.raises(TypeError):
+        del curved.components[curved.nonzero[0]]
+    assert not curved.is_zero
+
+
 def test_curvature_single_term_oracle():
     # Gamma^1_{11} = y; the formula gives R^1_{211} = d_2 Gamma^1_{11} = 1
     # and R^1_{121} = -1, everything else zero.

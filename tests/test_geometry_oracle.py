@@ -625,22 +625,20 @@ ROUND_TRIP_FAILED = r"^frame round-trip failed at pair \(\d, \d\)$"
 
 
 def test_round_trip_refuses_a_connection_built_from_a_wrong_derivative(monkeypatch):
-    """On the GL2 frame every Christoffel part q is zero.  A frame gradient
-    table that lost one derivative makes q, and so gamma, nonzero; the round
+    """On the GL2 frame every Christoffel part q is zero.  A derivative along
+    E_a(E_b) that lost one entry makes q, and so gamma, nonzero; the round
     trip takes its own derivatives, so it must refuse that connection."""
     scene = gln_scene(2)
-    original = geometry._partials
+    original = geometry._derivative_along
     dropped = []
 
-    def lossy(X):
-        table = original(X)
-        if not dropped:
-            a, k = next((a, k) for a, row in enumerate(table) for k in row)
-            del table[a][k]
-            dropped.append((a, k))
-        return table
+    def lossy(X, Y):
+        along = original(X, Y)
+        if along and not dropped:
+            dropped.append(along.popitem())
+        return along
 
-    monkeypatch.setattr(geometry, "_partials", lossy)
+    monkeypatch.setattr(geometry, "_derivative_along", lossy)
     with pytest.raises(AssertionError, match=ROUND_TRIP_FAILED):
         connection_from_frame(scene.frame, scene.constants)
     assert len(dropped) == 1
