@@ -1,8 +1,10 @@
 """Symbolic differential geometry on a coordinate chart, over exact rationals.
 
 Conventions:
-  * a connection stores Christoffel symbols as gamma[i][j][k], meaning
-    nabla_{d_i} d_j = sum_k gamma[i][j][k] d_k (0-based internally);
+  * a connection's Christoffel symbols are gamma[i][j][k], meaning
+    nabla_{d_i} d_j = sum_k gamma[i][j][k] d_k (0-based internally); it
+    stores them as sparse rows, the nonzero (k, gamma[i][j][k]) of each
+    (i, j), and the dense array is a view derived on demand;
   * all indices in reports, witnesses and tensor component names are 1-based;
   * a vector field stores its nonzero components as a sparse vector
     {k: value}, the form every kernel reads and returns; the dense
@@ -19,7 +21,7 @@ from itertools import product
 from types import MappingProxyType
 
 from . import linalg
-from .algebra import CheckReport, SCAlgebra
+from .algebra import CheckReport, SCAlgebra, _dense
 from .symcore import (
     Chart,
     ExactDivisionError,
@@ -97,14 +99,25 @@ class VectorField:
     __slots__ = ("chart", "components")
 
     def __init__(self, chart: Chart, coeffs):
-        coeffs = tuple(_as_rf(chart, c) for c in coeffs)
-        if len(coeffs) != chart.dim:
-            raise ValueError(
-                f"expected {chart.dim} coefficients, got {len(coeffs)}")
-        if any(c.chart is not chart and c.chart != chart for c in coeffs):
+        # one pass; every coefficient is coerced before the length is checked,
+        # and the length before the charts
+        components = {}
+        foreign = False
+        count = 0
+        for k, c in enumerate(coeffs):
+            c = _as_rf(chart, c)
+            num = c.num
+            if num.chart is not chart and num.chart != chart:
+                foreign = True
+            if num.terms:
+                components[k] = c
+            count = k + 1
+        if count != chart.dim:
+            raise ValueError(f"expected {chart.dim} coefficients, got {count}")
+        if foreign:
             raise ValueError("coefficient chart does not match the field chart")
         self.chart = chart
-        self.components = {k: c for k, c in enumerate(coeffs) if c}
+        self.components = components
 
     @classmethod
     def _of(cls, chart: Chart, components: dict) -> "VectorField":
@@ -175,41 +188,65 @@ class VectorField:
 class Connection:
     """A linear connection given by Christoffel symbols (no symmetry assumed).
 
-    `_rows[i][m]` lists the nonzero (k, gamma[i][m][k]) in ascending k, the
-    sparse components of nabla_{d_i} d_m: the symbols that the kernels
-    contract, derived once from `gamma`.  Three memos: `_torsion` and
+    Its stored form is `_rows`: `_rows[i][m]` lists the nonzero
+    (k, gamma[i][m][k]) in ascending k, the sparse components of
+    nabla_{d_i} d_m, which are the symbols every kernel contracts.  The
+    constructor takes the dense array gamma[i][j][k]; `from_sparse` and
+    `connection_from_frame` build the rows directly, and `gamma` is the dense
+    view, derived from the rows on first access.  Three memos: `_torsion` and
     `_curvature` (`torsion`, `curvature`) and `_tables`, the product tables
     built on it (`product_table`).
     """
 
-    __slots__ = ("chart", "gamma", "_rows", "_torsion", "_curvature", "_tables")
+    __slots__ = ("chart", "_rows", "_gamma", "_torsion", "_curvature", "_tables")
 
     def __init__(self, chart: Chart, gamma):
         n = chart.dim
         if len(gamma) != n or any(len(row) != n for row in gamma) or \
                 any(len(vec) != n for row in gamma for vec in row):
             raise ValueError("Christoffel symbols must form an n x n x n array")
+        self._wrap(chart, tuple(
+            tuple(tuple((k, g) for k, g in enumerate(_as_rf(chart, x) for x in vec) if g)
+                  for vec in row) for row in gamma))
+
+    @classmethod
+    def _of(cls, chart: Chart, rows) -> "Connection":
+        """Wrap rows already in the stored form (an n x n tuple of (k, value)
+        tuples, ascending k, nonzero RationalFunctions), without checks."""
+        self = cls.__new__(cls)
+        self._wrap(chart, rows)
+        return self
+
+    def _wrap(self, chart: Chart, rows) -> None:
         self.chart = chart
-        self.gamma = tuple(tuple(tuple(_as_rf(chart, g) for g in vec)
-                                 for vec in row) for row in gamma)
-        self._rows = tuple(tuple(tuple((k, g) for k, g in enumerate(vec) if g)
-                                 for vec in row) for row in self.gamma)
+        self._rows = rows
         self._torsion = None
         self._curvature = None
         self._tables = {}
 
+    @property
+    def gamma(self) -> tuple:
+        """The dense symbols gamma[i][j][k], the chart's shared 0 where a
+        symbol is absent; derived from the rows on first access."""
+        gamma = getattr(self, "_gamma", None)   # unset until the first access
+        if gamma is None:
+            n = self.chart.dim
+            zero = RationalFunction.zero(self.chart)
+            gamma = self._gamma = tuple(tuple(_dense(n, vec, zero) for vec in row)
+                                        for row in self._rows)
+        return gamma
+
     @classmethod
     def zero(cls, chart: Chart) -> "Connection":
         n = chart.dim
-        return cls(chart, [[[0] * n for _ in range(n)] for _ in range(n)])
+        return cls._of(chart, (((),) * n,) * n)
 
     @classmethod
     def from_sparse(cls, chart: Chart, entries) -> "Connection":
         """Build from sparse entries (k, i, j, expr) with 1-based indices, each
         (k, i, j) at most once."""
         n = chart.dim
-        gamma = [[[RationalFunction.zero(chart) for _ in range(n)]
-                  for _ in range(n)] for _ in range(n)]
+        rows = [[{} for _ in range(n)] for _ in range(n)]
         seen = set()
         for k, i, j, expr in entries:
             if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):
@@ -217,18 +254,25 @@ class Connection:
             if (k, i, j) in seen:
                 raise ValueError(f"Christoffel symbol ({k},{i},{j}) is given twice")
             seen.add((k, i, j))
-            gamma[i - 1][j - 1][k - 1] = _as_rf(chart, expr)
-        return cls(chart, gamma)
+            if g := _as_rf(chart, expr):
+                rows[i - 1][j - 1][k - 1] = g
+        return cls._of(chart, _sorted_rows(rows))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Connection)
-                and self.chart == other.chart and self.gamma == other.gamma)
+                and self.chart == other.chart and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.chart, self.gamma))
+        return hash((self.chart, self._rows))
 
     def __repr__(self):
         return f"<Connection on {self.chart.name!r}>"
+
+
+def _sorted_rows(vectors) -> tuple:
+    """Connection rows from an n x n array of sparse vectors {k: value} that
+    hold no zero: each vector as its (k, value) items in ascending k."""
+    return tuple(tuple(tuple(sorted(vec.items())) for vec in row) for row in vectors)
 
 
 def _primes(count: int) -> list:
@@ -400,20 +444,23 @@ def torsion(conn: Connection) -> TensorReport:
     Only the pairs with a nonzero gamma[i][j][k] or gamma[j][i][k] are
     subtracted: each nonzero symbol off the diagonal i = j sets T^k_{ij},
     and T^k_{ji} = -gamma[i][j][k] when its mirror symbol is zero; every
-    other component is zero.
+    other component is zero.  The mirror symbols are read from the rows.
     """
     if conn._torsion is None:
-        gamma = conn.gamma
+        rows = conn._rows
         comps = {}
-        for i, row in enumerate(conn._rows):
+        for i, row in enumerate(rows):
             for j, vec in enumerate(row):
-                if i == j:
+                if i == j or not vec:
                     continue
+                mirrors = dict(rows[j][i])
                 for k, g in vec:
-                    mirror = gamma[j][i][k]
-                    comps[k + 1, i + 1, j + 1] = g - mirror
-                    if not mirror:
+                    mirror = mirrors.get(k)
+                    if mirror is None:
+                        comps[k + 1, i + 1, j + 1] = g
                         comps[k + 1, j + 1, i + 1] = -g
+                    else:
+                        comps[k + 1, i + 1, j + 1] = g - mirror
         conn._torsion = TensorReport("torsion", comps, conn.chart)
     return conn._torsion
 
@@ -841,11 +888,10 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
             raise SingularFrameError("frame matrix is singular") from None
         half = [[_combination(zip(A_inv[i], (q[a][b] for a in range(n))))
                  for b in range(n)] for i in range(n)]
-        gamma = [[[_combination(zip(A_inv[j], half[i])).get(k, zero) for k in range(n)]
-                  for j in range(n)] for i in range(n)]
+        conn = Connection._of(chart, _sorted_rows(
+            [[_combination(zip(A_inv[j], half[i])) for j in range(n)] for i in range(n)]))
     else:
-        gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    conn = Connection(chart, gamma)
+        conn = Connection.zero(chart)
     # the round trip through the connection's own kernel, which takes its
     # own derivatives: table[b][i] = nabla_{d_i} E_b, and
     # nabla_{E_a} E_b = sum_i E_a^i table[b][i]

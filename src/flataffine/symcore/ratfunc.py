@@ -27,6 +27,10 @@ redundant (one line of proof each):
 - a product with a scalar c is the operand for c = 1, 0 for c = 0, and
   otherwise (c*n)/d: c is a unit, so c*n/d is in lowest terms and the
   canonical d is kept;
+- a product of n/1 with a constant c/1 != 0, both over the chart's shared
+  polynomial 1, is the scalar product n/1 * c: n/1 for c = 1 or n = 0, and
+  otherwise c*n/1, canonical since c is a unit and the denominator is 1,
+  with the terms in the order `_times_term` gives them;
 - `zero` and `one` return the chart's shared 0/1 and 1/1, `variable` the
   chart's shared x/1, and every result that is 0 (a vanishing derivative
   over a denominator free of the variable, a sum that cancels) is the shared
@@ -171,7 +175,7 @@ class RationalFunction:
         return self.num.is_constant() and self.den.is_one()
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
+        return bool(self.num.terms)
 
     # ----- field arithmetic ------------------------------------------------
 
@@ -222,6 +226,15 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        if other.__class__ is RationalFunction:
+            one = self.num.chart._one
+            if self.den is one and other.den is one:   # a constant c/1 takes the scalar path
+                require_same_chart(self, other)
+                constant = self.num.chart.constant_exps
+                if len(b := other.num.terms) == 1 and constant in b:
+                    return self * b[constant]
+                if len(a := self.num.terms) == 1 and constant in a:
+                    return other * a[constant]
         if isinstance(other, (int, Fraction)):
             if other == 1 or not self.num.terms:
                 return self

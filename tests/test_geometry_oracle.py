@@ -53,7 +53,19 @@ A field stores only its nonzero components, and `==` compares those dicts,
 so the last tests check that field arithmetic, brackets, covariant
 derivatives, product-table products and solver outputs keep no zero value,
 including results that cancel, and that equal fields hash alike whatever the
-order of their keys.
+order of their keys.  The field constructor, which coerces, checks and keeps
+each coefficient in one pass, is compared with the three-pass constructor it
+replaced on seeded mixes of str, int, `Fraction`, `Polynomial` and
+`RationalFunction` coefficients, zeros, foreign charts, bad strings and
+wrong lengths: the same components in the same order, or the same exception
+with the same message.
+
+A connection stores its symbols as rows, and `gamma` is a view derived from
+them.  The dense constructor, `from_sparse` and `connection_from_frame` must
+build the same rows, view, value, hash and tensor reports on the seeded
+random connections and frames, and torsion, which reads mirror symbols from
+the rows, must match a dense oracle.  The GL3 frame connection's flatness and
+IAT tests never build the view.
 """
 import json
 import random
@@ -68,6 +80,7 @@ from flataffine import (
     Connection,
     Frame,
     NotFlatError,
+    Polynomial,
     RationalFunction,
     SingularFrameError,
     VectorField,
@@ -1127,3 +1140,184 @@ def test_equal_fields_have_equal_hashes_in_any_key_order():
     assert X == Y == VectorField(chart, [b, 0, a])
     assert hash(X) == hash(Y) == hash(VectorField(chart, [b, 0, a]))
     assert str(X) == str(Y) == "(2)*d/dx + (x)*d/dz"
+
+
+def oracle_field_components(chart, coeffs):
+    """`VectorField.__init__` before it took one pass: every coefficient
+    coerced, then the length checked, then the charts, then the nonzero
+    components kept."""
+    coeffs = tuple(geometry._as_rf(chart, c) for c in coeffs)
+    if len(coeffs) != chart.dim:
+        raise ValueError(f"expected {chart.dim} coefficients, got {len(coeffs)}")
+    if any(c.chart is not chart and c.chart != chart for c in coeffs):
+        raise ValueError("coefficient chart does not match the field chart")
+    return {k: c for k, c in enumerate(coeffs) if c}
+
+
+def field_outcome(build, chart, coeffs):
+    """The components as a list of items, in dict order, or the exception's
+    type and message."""
+    try:
+        components = build(chart, iter(coeffs))
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return list(components.items())
+
+
+FOREIGN = Chart("foreign", ("x", "y", "z"))
+EQUAL_SPACE = Chart("space", ("x", "y", "z"))   # equal to CHARTS[3], another object
+
+
+def random_coefficient(rng, chart):
+    """A zero or nonzero coefficient as a str, int, Fraction, Polynomial or
+    RationalFunction; one draw in eight is instead a value on another chart
+    or on an equal copy of the space chart, an unparsable or unknown-variable
+    string, or a value no coercion accepts."""
+    if rng.random() < 0.125:
+        return rng.choice(["x +", "q", "1/0", 1.5, None, RationalFunction.zero(FOREIGN),
+                           RationalFunction.variable(FOREIGN, "y"),
+                           RationalFunction.variable(EQUAL_SPACE, "y")])
+    entry = random_entry(rng, chart, rng.random() < 0.5)
+    zero = rng.random() < 0.3
+    kind = rng.randrange(5)
+    if kind == 0:
+        return "0" if zero else str(entry)
+    if kind == 1:
+        return 0 if zero else rng.randint(-3, 3) or 1
+    if kind == 2:
+        return Fraction(0) if zero else Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))
+    if kind == 3:
+        return Polynomial.zero(chart) if zero else random_polynomial(rng, chart, 2, 3)
+    return RationalFunction.zero(chart) if zero else entry
+
+
+def field_cases(seed):
+    """Seeded coefficient lists of length dim - 1 to dim + 1 on the line and
+    in space, mostly of the right length."""
+    rng = random.Random(f"field-{seed}")
+    for _ in range(150):
+        chart = CHARTS[rng.choice((1, 3, 3))]
+        length = chart.dim + rng.choice((-1, 0, 0, 0, 0, 1))
+        yield chart, [random_coefficient(rng, chart) for _ in range(length)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_field_constructor_matches_the_three_pass_constructor(seed):
+    kinds = set()
+    for chart, coeffs in field_cases(seed):
+        got = field_outcome(lambda c, cs: VectorField(c, cs).components, chart, coeffs)
+        assert got == field_outcome(oracle_field_components, chart, coeffs)
+        kinds.add(got[0] if isinstance(got, tuple) else "field")
+        if not isinstance(got, tuple):
+            assert all(c for _, c in got)
+    assert {"field", ValueError, TypeError} <= kinds
+
+
+def test_the_field_constructor_keeps_the_error_precedence():
+    space = CHARTS[3]
+    foreign = RationalFunction.variable(FOREIGN, "x")
+    cases = [
+        # an unparsable string inside a too-short list: the parse error first
+        (["x", "x +"], "ExprSyntaxError"),
+        # an uncoercible value after a foreign one in a too-long list
+        ([foreign, 1, 2, 1.5], "TypeError"),
+        # a foreign value in a too-long list: the length first
+        ([foreign, 1, 2, 3], "expected 3 coefficients, got 4"),
+        ([1, foreign, 0], "coefficient chart does not match the field chart"),
+        ([0, "0", Fraction(0)], []),
+        ([RationalFunction.variable(EQUAL_SPACE, "z"), Polynomial.zero(space), "y/x"], [0, 2]),
+        ([], "expected 3 coefficients, got 0"),
+    ]
+    for coeffs, expected in cases:
+        got = field_outcome(lambda c, cs: VectorField(c, cs).components, space, coeffs)
+        assert got == field_outcome(oracle_field_components, space, coeffs)
+        if isinstance(expected, list):
+            assert [k for k, _ in got] == expected
+        elif expected in ("ExprSyntaxError", "TypeError"):
+            assert got[0].__name__ == expected
+        else:
+            assert got == (ValueError, expected)
+
+
+# ----- the stored form of a connection ------------------------------------------------------
+
+
+def oracle_torsion(conn):
+    """The nonzero T^k_{ij} = gamma[i][j][k] - gamma[j][i][k], read off the
+    dense view."""
+    n = conn.chart.dim
+    comps = {}
+    for i, j, k in product(range(n), repeat=3):
+        t = conn.gamma[i][j][k] - conn.gamma[j][i][k]
+        if t:
+            comps[k + 1, i + 1, j + 1] = t
+    return comps
+
+
+def sparse_entries(rng, conn):
+    """The nonzero symbols of `conn` as `from_sparse` entries (k, i, j, value),
+    1-based, in a seeded order, with some absent symbols given as "0"."""
+    n = conn.chart.dim
+    entries = [(k + 1, i + 1, j + 1, g) for i, j, k in product(range(n), repeat=3)
+               if (g := conn.gamma[i][j][k]) or rng.random() < 0.2]
+    entries = [(k, i, j, g if g else "0") for k, i, j, g in entries]
+    rng.shuffle(entries)
+    return entries
+
+
+def assert_same_connections(conns):
+    """The same rows, dense view, value, hash and reports; the view holds the
+    chart's shared 0 where a symbol is absent, and torsion agrees with the
+    dense oracle."""
+    first = conns[0]
+    chart = first.chart
+    zero = RationalFunction.zero(chart)
+    for conn in conns:
+        assert conn._rows == first._rows
+        assert conn == first and hash(conn) == hash(first)
+        assert conn.gamma == first.gamma and conn.gamma is conn.gamma
+        for row, symbols in zip(conn.gamma, conn._rows):
+            for vec, present in zip(row, symbols):
+                present = dict(present)
+                assert all(g is present[k] if k in present else g is zero
+                           for k, g in enumerate(vec))
+        for tensor in (geometry.torsion, curvature):
+            assert list(tensor(conn).components.items()) == \
+                list(tensor(first).components.items())
+    assert dict(geometry.torsion(first).components) == oracle_torsion(first)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_dense_and_sparse_constructors_build_the_same_rows(name):
+    rng, conn = case_connection(name)
+    chart = conn.chart
+    assert_same_connections([conn, Connection.from_sparse(chart, sparse_entries(rng, conn)),
+                             Connection(chart, conn.gamma)])
+    assert_curvature_matches(conn)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["polynomial", "rational"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_frame_connections_are_built_as_rows(dim, rational):
+    rng = random.Random(f"frame-{dim}-{rational}-0")
+    frame = random_frame(rng, CHARTS[dim], rational)
+    algebra = random_algebra(rng, dim)
+    conn = connection_from_frame(frame, algebra)
+    dense = oracle_connection_from_frame(frame, algebra)
+    assert_same_connections([conn, dense, Connection.from_sparse(
+        conn.chart, sparse_entries(rng, dense))])
+
+
+def test_flatness_and_iat_tests_never_build_the_dense_view():
+    scene = gln_scene(3)
+    conn = scene.connect()
+    assert is_flat_affine(conn)
+    _, fields = scene.invariant_fields()
+    assert is_infinitesimal_affine(conn, fields[0]).holds
+    assert not hasattr(conn, "_gamma")
+    twisted = Connection.from_sparse(CHARTS[2], [(1, 1, 2, "x"), (2, 2, 1, "y")])
+    assert not is_flat_affine(twisted)
+    assert not hasattr(twisted, "_gamma")
+    # the first access builds the view once
+    assert twisted.gamma is twisted._gamma is twisted.gamma
+    assert conn.gamma == Connection.zero(scene.chart).gamma

@@ -17,13 +17,15 @@ refused:
   `RationalFunction.diff`; a field's `.components` in `VectorField.__init__`
   and `_of`, and a tensor report's in `TensorReport.__post_init__` (its
   dataclass `__init__` is generated); `Connection`'s memos `._torsion`,
-  `._curvature` and `._tables` in `Connection.__init__` and in `torsion`,
-  `curvature` and `product_table`, which fill them;
+  `._curvature` and `._tables` in `Connection._wrap`, which every
+  constructor calls, and in `torsion`, `curvature` and `product_table`,
+  which fill them; its dense view `._gamma` in the `Connection.gamma`
+  property alone, which derives it from the rows on first access;
 - a write into a value's dict in place, a `.terms` or `.components` dict:
   an item assignment or deletion, a mutating dict method, or an in-place
   kernel (`_add_scaled`, `_add_at`) with the dict as its target, on the
   attribute itself or on a local name bound to it;
-- the same writes into the `._tables` memo dict outside `Connection.__init__`
+- the same writes into the `._tables` memo dict outside `Connection._wrap`
   and `product_table`.
 """
 import ast
@@ -32,7 +34,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flataffine"
 
 GUARDED = {"num", "den", "terms", "_partials", "components",
-           "_torsion", "_curvature", "_tables"}
+           "_torsion", "_curvature", "_tables", "_gamma"}
 BUILDERS = {
     ("symcore/polynomial.py", "Polynomial.__init__"): {"terms"},
     ("symcore/polynomial.py", "Polynomial._of"): {"terms"},
@@ -42,7 +44,8 @@ BUILDERS = {
     ("geometry.py", "VectorField.__init__"): {"components"},
     ("geometry.py", "VectorField._of"): {"components"},
     ("geometry.py", "TensorReport.__post_init__"): {"components"},
-    ("geometry.py", "Connection.__init__"): {"_torsion", "_curvature", "_tables"},
+    ("geometry.py", "Connection._wrap"): {"_torsion", "_curvature", "_tables"},
+    ("geometry.py", "Connection.gamma"): {"_gamma"},
     ("geometry.py", "torsion"): {"_torsion"},
     ("geometry.py", "curvature"): {"_curvature"},
     ("geometry.py", "product_table"): {"_tables"},
@@ -253,13 +256,15 @@ def f(X, report, conn):
     tables = conn._tables
     tables.setdefault(0, 1)
     setattr(conn, "_tables", {})
+    conn._gamma = ()
 
 class Connection:
-    def __init__(self):
+    def _wrap(self):
         self._torsion = None
         self._curvature = None
         self._tables = {}
         self.components = {}
+        self._gamma = None
 
 def product_table(conn, X):
     conn._tables[0] = 1
@@ -273,7 +278,8 @@ def torsion(conn):
 '''
     found = violations(source, "geometry.py")
     lines = sorted(int(f.split(":")[1]) for f in found)
-    assert lines == [3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 13, 14, 16, 17, 24, 29, 30, 34]
+    assert lines == [3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 13, 14, 16, 17, 18, 25, 26, 31, 32,
+                     36]
     # copies and fresh dicts may be written freely, the memos where they are filled
     assert violations('''
 def g(X, conn):
@@ -288,4 +294,10 @@ class TensorReport:
 
 def curvature(conn):
     conn._curvature = 1
+
+class Connection:
+    @property
+    def gamma(self):
+        gamma = self._gamma = ()
+        return gamma
 ''', "geometry.py") == []

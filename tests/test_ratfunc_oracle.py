@@ -19,6 +19,14 @@ A chart's variables and constants are compared with the validating
 constructor, and each variable, and every zero result, must be the chart's
 shared value.
 
+A product in which one operand is a constant c/1 and both are over the
+chart's shared polynomial 1 takes the scalar path.  Its oracle is the general
+route of `__mul__` that the path bypasses, kept verbatim, on c = 1, -1, 3/2
+and 0 over the shared 1 and over an equal copy of it, times polynomials and
+true fractions, on either side.  The results must agree in value and term
+order, be an operand itself exactly where the path promises it, and refuse an
+operand from another chart; five mutants of the path must be caught.
+
 `diff` keeps each partial derivative it takes.  Its oracle is the quotient
 rule without the memo, run afresh on every request; the memo must give the
 same canonical result, the same object on every later request, and no entry
@@ -46,8 +54,8 @@ from flataffine import (
 )
 from flataffine import cli
 from flataffine.cli import run_document
-from flataffine.symcore import ExactDivisionError, UnknownVariableError, exact_div, \
-    grlex_key, poly_gcd
+from flataffine.symcore import ChartMismatchError, ExactDivisionError, \
+    UnknownVariableError, exact_div, grlex_key, poly_gcd, require_same_chart
 from flataffine.symcore.polynomial import _add_scaled
 from helpers import assert_canonical, gln_scene, random_polynomial
 
@@ -505,6 +513,190 @@ def test_scalar_products_match_the_coerce_route(seed):
 def test_the_scalar_product_check_catches_mutants(mutant):
     with pytest.raises(AssertionError):
         _check_scalar_products(mutant, _operands(random.Random("ratfunc-0")))
+
+
+# ----- constant operands over the shared 1, against the general product -------------
+
+
+def parent_mul(a, b):
+    """`RationalFunction.__mul__` on two rational functions before a constant
+    operand took the scalar path: the general route, kept verbatim."""
+    require_same_chart(a, b)
+    if not a.num.terms:
+        return a
+    if not b.num.terms:
+        return b
+    if a.den.is_one() and b.den.is_one():
+        return RationalFunction._reduced(a.num * b.num, a.den)
+    g1 = poly_gcd(a.num, b.den)
+    g2 = poly_gcd(b.num, a.den)
+    n1 = a.num if g1.is_one() else exact_div(a.num, g1)
+    d2 = b.den if g1.is_one() else exact_div(b.den, g1)
+    n2 = b.num if g2.is_one() else exact_div(b.num, g2)
+    d1 = a.den if g2.is_one() else exact_div(a.den, g2)
+    return RationalFunction._reduced(n1 * n2, d1 * d2)
+
+
+CONSTANTS = (1, -1, Fraction(3, 2), 0)
+OTHER = Chart("uvw", ("u", "v", "w"))
+
+
+def _over_copy_of_one(num):
+    """num/1 over a polynomial 1 that equals the chart's shared one but is
+    another object."""
+    return RationalFunction._of(num, Polynomial._of(num.chart, {num.chart.constant_exps:
+                                                                Fraction(1)}))
+
+
+def _constant_operands(rng):
+    """c/1 over the shared 1 and over a copy of it, for each c in CONSTANTS,
+    then polynomials over the shared 1 (variables and random ones, the
+    shared 0 and 1 among them), polynomials over a copy of 1, and true
+    fractions such as 1/x."""
+    constants = []
+    for c in CONSTANTS:
+        constants.append(RationalFunction.constant(CHART, c))
+        constants.append(_over_copy_of_one(Polynomial.constant(CHART, c)))
+    others = [RationalFunction.variable(CHART, v) for v in CHART.variables]
+    others += [RationalFunction(random_polynomial(rng, CHART)) for _ in range(6)]
+    others += [RationalFunction.zero(CHART), RationalFunction.one(CHART)]
+    others += [_over_copy_of_one(random_polynomial(rng, CHART)) for _ in range(2)]
+    others += [1 / RationalFunction.variable(CHART, "x"),
+               RationalFunction(random_polynomial(rng, CHART), X * Y + 1),
+               RationalFunction(X + 1, Polynomial.constant(CHART, 3) * Y)]
+    return constants, others
+
+
+def _promised(a, b):
+    """The operand that a * b returns, or None for a fresh value.  A zero
+    operand is returned, a first.  Over the shared 1 the constant is read
+    from b first: b = 1 returns a, and a = 1 returns b unless b is a
+    constant too (1 * c for c != 1 is a fresh c/1)."""
+    if not a.num.terms:
+        return a
+    if not b.num.terms:
+        return b
+    one = Polynomial.one(CHART)
+    if a.den is one and b.den is one:
+        if b.num.is_one():
+            return a
+        if a.num.is_one() and not b.num.is_constant():
+            return b
+    return None
+
+
+def _check_constant_products(mul, rng):
+    constants, others = _constant_operands(rng)
+    shortcuts = 0
+    for c in constants:
+        for x in constants + others:
+            for a, b in ((c, x), (x, c)):
+                got = mul(a, b)
+                _same_rf_in_order(got, parent_mul(a, b))
+                promised = _promised(a, b)
+                if promised is None:
+                    assert got is not a and got is not b
+                else:
+                    assert got is promised
+                if got.num.terms and a.den is b.den is Polynomial.one(CHART):
+                    assert got.den is Polynomial.one(CHART)
+                    shortcuts += 1
+    assert shortcuts
+    # across charts the product is refused, zero or constant operands too
+    for c in CONSTANTS:
+        foreign = RationalFunction.constant(OTHER, c)
+        for x in constants[:2] + others[:1] + others[-1:]:
+            for a, b in ((foreign, x), (x, foreign)):
+                assert _refused(mul, a, b)
+    # the chart check holds on the scalar path too: a numerator on another
+    # chart over this chart's shared 1 is refused
+    stray = RationalFunction._of(Polynomial.constant(OTHER, 2), Polynomial.one(CHART))
+    for a, b in ((stray, others[0]), (others[0], stray)):
+        assert _refused(mul, a, b)
+
+
+def _refused(mul, a, b):
+    try:
+        mul(a, b)
+    except ChartMismatchError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_constant_products_match_the_general_product(seed):
+    _check_constant_products(lambda a, b: a * b, random.Random(f"constant-{seed}"))
+
+
+def _shortcut(take):
+    """A mutant of the scalar path: `take(x, c)` returns x * c for a constant
+    c, or None for the general route; as in `__mul__`, the constant is looked
+    for on the right first."""
+    def mul(a, b):
+        got = take(a, b)
+        if got is None:
+            got = take(b, a)
+        return parent_mul(a, b) if got is None else got
+    return mul
+
+
+def _constant_of(x):
+    return x.num.terms.get(CHART.constant_exps) if x.num.is_constant() else None
+
+
+@_shortcut
+def _mul_on_any_one(a, b):
+    # the scalar path for any denominator equal to 1, not only the shared one
+    if a.num.terms and a.den.is_one() and b.den.is_one() and _constant_of(b):
+        c = _constant_of(b)
+        return a if c == 1 else RationalFunction._of(a.num * c, a.den)
+    return None
+
+
+@_shortcut
+def _mul_returning_the_constant(a, b):
+    one = Polynomial.one(CHART)
+    if a.num.terms and a.den is one and b.den is one and _constant_of(b) == 1:
+        return b
+    return None
+
+
+@_shortcut
+def _mul_in_reverse_order(a, b):
+    one = Polynomial.one(CHART)
+    c = _constant_of(b) if a.den is one and b.den is one else None
+    if a.num.terms and c == 1:
+        return a
+    if a.num.terms and c:
+        terms = {e: x * c for e, x in reversed(a.num.terms.items())}
+        return RationalFunction._of(Polynomial._of(CHART, terms), one)
+    return None
+
+
+@_shortcut
+def _mul_times_zero(a, b):
+    one = Polynomial.one(CHART)
+    if a.num.terms and a.den is one and b.den is one and b.num.is_constant():
+        c = _constant_of(b) or Fraction(0)
+        return RationalFunction._of(Polynomial._of(CHART, {e: x * c for e, x in
+                                                           a.num.terms.items()}), one)
+    return None
+
+
+def _mul_without_chart_check(a, b):
+    one = Polynomial.one(CHART)
+    c = _constant_of(b) if a.den is one and b.den is one else None
+    if a.num.terms and c:
+        return a if c == 1 else RationalFunction._of(a.num * c, one)
+    return a * b
+
+
+@pytest.mark.parametrize("mutant", [_mul_on_any_one, _mul_returning_the_constant,
+                                    _mul_in_reverse_order, _mul_times_zero,
+                                    _mul_without_chart_check])
+def test_the_constant_product_check_catches_mutants(mutant):
+    with pytest.raises(AssertionError):
+        _check_constant_products(mutant, random.Random("constant-0"))
 
 
 @pytest.mark.parametrize("seed", range(3))
