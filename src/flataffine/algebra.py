@@ -333,14 +333,12 @@ class Subspace:
         return len(self.rows)
 
     def named_basis(self, ambient_names):
-        """Names of the rows when the span is exactly a coordinate subspace."""
-        names = []
-        for row in self.rows:
-            hot = [k for k, x in enumerate(row) if x]
-            if len(hot) != 1 or row[hot[0]] != 1:
-                return None
-            names.append(ambient_names[hot[0]])
-        return names
+        """Names of the rows when the span is exactly a coordinate subspace:
+        then each primitive integer row has one entry, and it is e_p."""
+        rows = self._span.rows
+        if all(len(row) == 1 for row in rows.values()):
+            return [ambient_names[p] for p in sorted(rows)]
+        return None
 
     def to_json_dict(self, ambient_names) -> dict:
         return {"rank": self.rank, "rows": [[str(x) for x in row] for row in self.rows],
@@ -492,14 +490,17 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     every two spanning vectors lies in S, so S·S lies in S by bilinearity: S
     is closed, and it is the smallest closed span, since every vector added
     is a product within it.  Each round that goes on grows the rank, so a
-    round adds nothing after at most dim rounds.
+    round adds nothing after at most dim rounds.  They stop as soon as S has
+    rank dim, partway through a round too: S is then Q^dim, which is closed
+    under any product, and every vector added is a product within the
+    closure, so S is the closure.
     """
     span = linalg._QSpan()
     new = [span.add(linalg._integral(_sparse(_to_vector(g, A.dim)))[0]) for g in generators]
     new = [u for u in new if u is not None]
     old = []
     for _ in range(A.dim + 1):
-        if not new:
+        if not new or len(span.rows) == A.dim:
             return Subspace._of(A.dim, span)
         pairs = [(u, v) for u in new for v in old + new] + [(u, v) for u in old for v in new]
         old += new
@@ -508,13 +509,15 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
             row = span.add(A._product(u, v))
             if row is not None:
                 new.append(row)
+                if len(span.rows) == A.dim:
+                    break
     raise AssertionError("closure rounds went on past the dimension")
 
 
 def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
-    """The algebra induced on a product-closed subspace, in row coordinates,
-    with the ambient names when the rows are basis vectors and v1 ... vr
-    otherwise.
+    """The algebra induced on a product-closed subspace of Q^dim, in row
+    coordinates, with the ambient names when the rows are basis vectors and
+    v1 ... vr otherwise; ValueError if a product leaves it or it is not in Q^dim.
 
     The rows are in reduced row-echelon form: row a has entry 1 at its pivot
     column p_a and 0 at every other row's pivot column.  So a vector
@@ -524,28 +527,40 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
     every product.  The coordinates are read over the support of w, through
     the map p_a -> a.
 
-    The products are taken in integers: the span's row r_a is row_a times
-    its pivot entry r_a[p_a], and `SCAlgebra._product` scales by D, so the
+    When every row is a unit vector e_{p_a}, row_a row_b is the table's cell
+    rows[p_a][p_b]: it lies in the span iff its support lies among the
+    pivots, and its coordinates are the cell re-indexed by p_a -> a, which
+    leaves the table's own rows when every column is a pivot.  Otherwise the
+    products are taken in integers: the span's row r_a is row_a times its
+    pivot entry r_a[p_a], and `SCAlgebra._product` scales by D, so the
     integer product of r_a and r_b is D r_a[p_a] r_b[p_b] times row_a row_b.
     A coordinate, the one `Fraction` built, is its entry over that scale.
     """
-    span = space._span
-    pivots = sorted(span.rows)
-    index = {p: a for a, p in enumerate(pivots)}
-    vectors = [span.rows[p] for p in pivots]
+    if space.ambient_dim != A.dim:
+        raise ValueError(f"the subspace lies in Q^{space.ambient_dim}, not in Q^{A.dim}")
+    echelon = sorted(space._span.rows.items())   # (p_a, r_a) by pivot
+    index = {p: a for a, (p, _) in enumerate(echelon)}
+    names = space.named_basis(A.basis_names)
+    if names is not None:
+        if len(index) == A.dim:
+            return SCAlgebra._of(names, A.rows)
+        cells = [[A.rows[p][q] for q in index] for p in index]
+        if any(m not in index for row in cells for cell in row for m, _ in cell):
+            raise ValueError("subspace is not closed under the product")
+        return SCAlgebra._of(names, tuple(tuple(tuple((index[m], x) for m, x in cell)
+                                                for cell in row) for row in cells))
     D = _scaled_constants(A)[0]
-    basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
     rows = []
-    for u, p in zip(vectors, pivots):
+    for p, u in echelon:
         row = []
-        for v, q in zip(vectors, pivots):
+        for q, v in echelon:
             w = A._product(u, v)
-            if span.reduce(w)[0]:
+            if space._span.reduce(w)[0]:
                 raise ValueError("subspace is not closed under the product")
             coords = {index[m]: x for m, x in w.items() if m in index}
             row.append(tuple(sorted(linalg._read(coords, D * u[p] * v[q]).items())))
         rows.append(tuple(row))
-    return SCAlgebra._of(basis_names, tuple(rows))
+    return SCAlgebra._of([f"v{i + 1}" for i in range(len(echelon))], tuple(rows))
 
 
 def opposite(A: SCAlgebra) -> SCAlgebra:

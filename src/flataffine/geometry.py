@@ -91,6 +91,15 @@ def _as_rf(chart: Chart, value) -> RationalFunction:
     return coerced
 
 
+def _symbol(chart: Chart, value) -> RationalFunction:
+    """A Christoffel symbol given to a `Connection` constructor; ValueError
+    unless it lies on `chart` (or an equal one), as for a field coefficient."""
+    g = _as_rf(chart, value)
+    if g.num.chart is not chart and g.num.chart != chart:
+        raise ValueError("Christoffel symbol chart does not match the connection chart")
+    return g
+
+
 class VectorField:
     """A vector field sum_k X^k d/dx_k stored as its nonzero components:
     `components` maps a 0-based k to X^k and holds no zero value, so equal
@@ -191,7 +200,8 @@ class Connection:
     Its stored form is `_rows`: `_rows[i][m]` lists the nonzero
     (k, gamma[i][m][k]) in ascending k, the sparse components of
     nabla_{d_i} d_m, which are the symbols every kernel contracts.  The
-    constructor takes the dense array gamma[i][j][k]; `from_sparse` and
+    constructor takes the dense array gamma[i][j][k] and `from_sparse` the
+    nonzero entries, each symbol on the chart (`_symbol`); kernels such as
     `connection_from_frame` build the rows directly, and `gamma` is the dense
     view, derived from the rows on first access.  Three memos: `_torsion` and
     `_curvature` (`torsion`, `curvature`) and `_tables`, the product tables
@@ -206,7 +216,7 @@ class Connection:
                 any(len(vec) != n for row in gamma for vec in row):
             raise ValueError("Christoffel symbols must form an n x n x n array")
         self._wrap(chart, tuple(
-            tuple(tuple((k, g) for k, g in enumerate(_as_rf(chart, x) for x in vec) if g)
+            tuple(tuple((k, g) for k, g in enumerate(_symbol(chart, x) for x in vec) if g)
                   for vec in row) for row in gamma))
 
     @classmethod
@@ -254,7 +264,7 @@ class Connection:
             if (k, i, j) in seen:
                 raise ValueError(f"Christoffel symbol ({k},{i},{j}) is given twice")
             seen.add((k, i, j))
-            if g := _as_rf(chart, expr):
+            if g := _symbol(chart, expr):
                 rows[i - 1][j - 1][k - 1] = g
         return cls._of(chart, _sorted_rows(rows))
 

@@ -357,6 +357,15 @@ def test_restrict_rejects_non_closed_subspace():
         restrict_to_subspace(A, space)
 
 
+def test_restrict_refuses_a_subspace_of_another_space():
+    from flataffine import restrict_to_subspace
+    A = aff_line_lsa()
+    # a pivot past the algebra's basis, and a coordinate span that reads as Q^2
+    for rows in ([[0, 0, 1]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match=r"lies in Q\^3, not in Q\^2"):
+            restrict_to_subspace(A, Subspace(3, rows))
+
+
 def test_json_round_trip():
     for A in (six_field_table_algebra(), aff_line_lsa(),
               adjoin_unit(SCAlgebra.from_products(("e",), {("e", "e"): {"e": 1}}))):

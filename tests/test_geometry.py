@@ -458,6 +458,23 @@ def test_field_coefficients_on_an_equal_chart_are_accepted():
             VectorField(CH, [parse_expr("x", other), "0"])
 
 
+def test_christoffel_symbols_on_another_chart_are_refused():
+    """Both public `Connection` constructors refuse a symbol on another chart,
+    a zero one too, as `VectorField` refuses a coefficient, and accept one on
+    an equal chart."""
+    twin = Chart(CH.name, CH.variables)
+    assert Connection.from_sparse(CH, [(1, 1, 2, parse_expr("x", twin))]) == \
+        Connection.from_sparse(CH, [(1, 1, 2, "x")])
+    assert Connection(CH, [[[0, 0], [parse_expr("y", twin), 0]], [[0, 0], [0, 0]]]) == \
+        Connection.from_sparse(CH, [(1, 1, 2, "y")])
+    for other in (plane_chart(), Chart(CH.name, ("x", "z"))):
+        with pytest.raises(ValueError, match="Christoffel symbol chart does not match"):
+            Connection.from_sparse(CH, [(1, 1, 2, parse_expr("x", other))])
+        for symbol in (parse_expr("x", other), RationalFunction.zero(other)):
+            with pytest.raises(ValueError, match="Christoffel symbol chart does not match"):
+                Connection(CH, [[[0, 0], [symbol, 0]], [[0, 0], [0, 0]]])
+
+
 # ----- span helpers ---------------------------------------------------------------------
 
 

@@ -19,12 +19,15 @@ constant moves the first witness away from (1, 1, 1).  Seeded cases whose
 first failing pair fails only past its smallest k, while a later pair fails at
 its smallest k, check that the scans report the pair first and then the k.
 `restrict_to_subspace`, which multiplies the closure's integer rows and
-reads each product's coordinates over its support through a pivot map, is
-compared with the loop over every pivot, run on a division `_Echelon` and
-dense Fraction products, on closures whose echelon rows are not basis vectors
-and on a span that is not closed.  `_product`, the integer kernel behind
-`product`, must give D du dv times the oracle product of u and v, for the
-algebra's denominator lcm D and the vectors' du and dv.  Algebras built by `product_table`, `restrict_to_subspace`,
+reads each product's coordinates over its support through a pivot map, or
+reads a span of unit vectors straight off the table's cells, is compared
+with the loop over every pivot, run on a division `_Echelon` and dense
+Fraction products, on closures whose echelon rows are not basis vectors, on
+coordinate closures (the whole space, and the half-plane rank 5) and on
+spans that are not closed, coordinate spans among them.  `_product`, the
+integer kernel behind `product`, must give D du dv times the oracle product
+of u and v, for the algebra's denominator lcm D and the vectors' du and dv.
+Algebras built by `product_table`, `restrict_to_subspace`,
 `opposite` and `adjoin_unit`, which skip the public constructor's coercion,
 are checked to be in its canonical form.  `SCAlgebra.from_products`, which
 reads only the entries it is given, is compared with the dense dim^3 build
@@ -536,6 +539,53 @@ def test_restriction_matches_the_all_pivot_loop(name):
         assert 0 < space.rank < A.dim
         assert space.named_basis(A.basis_names) is None
         assert any(x not in (0, 1) for row in space.rows for x in row)
+
+
+def coordinate_restriction_cases():
+    """Generators whose closure has unit-vector echelon rows, which the
+    restriction reads off the table: the GL2 envelope's seven E* (rank 16,
+    reached partway through a round), seeded generators that span their
+    algebra, and the half-plane e1-, e2- (rank 5 of 6)."""
+    yield "gl2-envelope", GL2_AMBIENT, [
+        GL2_AMBIENT.basis_vector(i)
+        for i, name in enumerate(GL2_AMBIENT.basis_names) if name.startswith("E")]
+    for seed in range(4):
+        A = CASES[f"rational-{seed}"]
+        rng = random.Random(f"spanning-{seed}")
+        yield (f"spanning-rational-{seed}", A,
+               [[random_rational(rng) for _ in range(A.dim)] for _ in range(A.dim)])
+    table = six_field_table_algebra()
+    yield "half-plane", table, [table.basis_vector(0), table.basis_vector(1)]
+
+
+COORDINATE_RESTRICTIONS = {name: (A, gens) for name, A, gens in coordinate_restriction_cases()}
+
+
+@pytest.mark.parametrize("name", COORDINATE_RESTRICTIONS)
+def test_coordinate_restriction_matches_the_all_pivot_loop(name):
+    A, generators = COORDINATE_RESTRICTIONS[name]
+    space = subalgebra_closure(A, generators)
+    assert space.named_basis(A.basis_names) is not None
+    assert space.rank == {"gl2-envelope": 16, "half-plane": 5}.get(name, A.dim)
+    restricted = restrict_to_subspace(A, space)
+    assert restricted == oracle_restrict_to_subspace(A, space)
+    assert restricted.rows == SCAlgebra(restricted.basis_names, restricted.c).rows
+    if space.rank == A.dim:
+        assert restricted.rows is A.rows
+
+
+@pytest.mark.parametrize("name", ["gl2-envelope", "half-plane"])
+def test_restriction_to_a_coordinate_span_that_is_not_closed(name):
+    # the generators' own span, which their products leave
+    A, generators = COORDINATE_RESTRICTIONS[name]
+    space = Subspace(A.dim, generators)
+    assert space.named_basis(A.basis_names) is not None
+    assert space.rank < subalgebra_closure(A, generators).rank
+    with pytest.raises(ValueError) as oracle:
+        oracle_restrict_to_subspace(A, space)
+    with pytest.raises(ValueError) as err:
+        restrict_to_subspace(A, space)
+    assert str(err.value) == str(oracle.value)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -10,9 +10,13 @@ pivot columns.  This module keeps the earlier versions as oracles: the
 single-right-hand-side solve, the greedy "keep the field if it grows the
 span" loop, `express_in_basis` and `restrict_to_subspace` on `solve`, and the
 `rref`-rounds `subalgebra_closure`, and compares them with the production code
-on seeded random inputs.  `express_in_basis` answers in `SCAlgebra.rows`'
-stored form: its rows are checked for that form, and made dense
-(`helpers.dense_express`) they are compared with the oracle's solution lists.
+on seeded random inputs and on coordinate closures: the whole space, reached
+partway through a round (GL2) or by spanning generators, and the half-plane
+rank 5.  `Subspace.named_basis`, which reads the integer rows, is compared
+with the dense scan it replaced.  `express_in_basis` answers in
+`SCAlgebra.rows`' stored form: its rows are checked for that form, and made
+dense (`helpers.dense_express`) they are compared with the oracle's solution
+lists.
 The module also keeps the per-slot denominator clearing that `_cleared`
 replaced, the normalising quotient rule for polynomial derivatives and the
 dict comparison of `Polynomial.is_one` as oracles for their fast paths.
@@ -40,6 +44,7 @@ from flataffine import (
     Subspace,
     VectorField,
     geometry,
+    linalg,
     parse_expr,
     product_table,
     restrict_to_subspace,
@@ -54,9 +59,11 @@ from helpers import (
     chart_xy,
     dense_coordinate_rows,
     dense_express,
+    gln_scene,
     is_polynomial,
     random_polynomial,
     random_rational_function,
+    six_field_table_algebra,
 )
 
 
@@ -174,6 +181,17 @@ def oracle_restrict_to_subspace(A, space):
     if None in coords:
         raise ValueError("subspace is not closed under the product")
     return SCAlgebra(basis_names, [coords[i * r:(i + 1) * r] for i in range(r)])
+
+
+def oracle_named_basis(space, ambient_names):
+    """Names of the rows when each `Fraction` row is a unit vector."""
+    names = []
+    for row in space.rows:
+        hot = [k for k, x in enumerate(row) if x]
+        if len(hot) != 1 or row[hot[0]] != 1:
+            return None
+        names.append(ambient_names[hot[0]])
+    return names
 
 
 # ----- random inputs --------------------------------------------------------------------
@@ -589,6 +607,65 @@ def test_restriction_of_a_span_that_is_not_closed_raises():
             restrict(A, space)
 
 
+def coordinate_closures():
+    """Closures whose echelon rows are unit vectors: the whole space, reached
+    partway through a round (the GL2 envelope's 16-field table and its seven
+    generators E*) or by generators that span it (seeded), and the
+    half-plane rank-5 closure of e1-, e2-."""
+    scene = gln_scene(2)
+    inv_names, inv_fields = scene.invariant_fields()
+    names, fields = independent_fields(inv_fields + scene.f_fields, inv_names + scene.f_names)
+    A = product_table(scene.connect(), fields, names)
+    generators = [A.basis_vector(i) for i, name in enumerate(names) if name.startswith("E")]
+    assert len(generators) == 7
+    yield "gl2-envelope", A, generators, 16
+    for seed in range(4):
+        rng = random.Random(f"spanning-{seed}")
+        dim = rng.randint(3, 6)
+        yield (f"spanning-{seed}", sparse_algebra(rng, dim, fractional=True, nilpotent=False),
+               [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
+                for _ in range(dim)], dim)
+    A = six_field_table_algebra()
+    yield "half-plane", A, [A.basis_vector(0), A.basis_vector(1)], 5
+
+
+COORDINATE_CLOSURES = {name: case for name, *case in coordinate_closures()}
+
+
+@pytest.mark.parametrize("name", COORDINATE_CLOSURES)
+def test_coordinate_closures_and_restrictions_match_the_oracles(name):
+    A, generators, rank = COORDINATE_CLOSURES[name]
+    closure = subalgebra_closure(A, generators)
+    assert closure == oracle_subalgebra_closure(A, generators)
+    assert closure.rank == rank
+    assert closure.named_basis(A.basis_names) is not None
+    restricted = restrict_to_subspace(A, closure)
+    assert restricted == oracle_restrict_to_subspace(A, closure)
+    assert all(type(x) is Fraction for row in restricted.rows for cell in row for _, x in cell)
+
+
+def test_gl2_closure_stops_adding_at_full_rank(monkeypatch):
+    # the rank reaches 16 at the 28th vector added; run to the end of its
+    # rounds, the closure added 263
+    A, generators, _ = COORDINATE_CLOSURES["gl2-envelope"]
+    adds = []
+    add = linalg._QSpan.add
+    monkeypatch.setattr(linalg._QSpan, "add", lambda span, vec: adds.append(1) or add(span, vec))
+    assert subalgebra_closure(A, generators).rank == 16
+    assert len(adds) == 28
+
+
+@pytest.mark.parametrize("name", ["gl2-envelope", "half-plane"])
+def test_restriction_of_a_coordinate_span_that_is_not_closed(name):
+    # the generators' own span: a coordinate span that their products leave
+    A, generators, rank = COORDINATE_CLOSURES[name]
+    space = Subspace(A.dim, generators)
+    assert space.named_basis(A.basis_names) is not None and space.rank < rank
+    got = restrict_outcome(restrict_to_subspace, A, space)
+    assert got == restrict_outcome(oracle_restrict_to_subspace, A, space)
+    assert got == "subspace is not closed under the product"
+
+
 def test_subspace_rows_are_the_canonical_rref():
     rng = random.Random(600)
     for _ in range(30):
@@ -596,6 +673,24 @@ def test_subspace_rows_are_the_canonical_rref():
         vectors = [sparse_vector(rng, dim) for _ in range(rng.randint(0, 5))]
         reduced, _ = rref([list(v) for v in vectors])
         assert Subspace(dim, vectors).rows == tuple(tuple(r) for r in reduced)
+
+
+def test_named_basis_matches_the_dense_scan():
+    # named_basis reads the integer rows: one entry each, so each is some e_p
+    rng = random.Random(601)
+    coordinate = 0
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        names = [f"b{k + 1}" for k in range(dim)]
+        axes = rng.sample(range(dim), rng.randint(0, dim))
+        vectors = [[Fraction(rng.choice((1, 2, -2, 3))) if k == p else Fraction(0)
+                    for k in range(dim)] for p in axes]
+        if rng.random() < 0.5:
+            vectors.append(sparse_vector(rng, dim))
+        space = Subspace(dim, vectors)
+        assert space.named_basis(names) == oracle_named_basis(space, names)
+        coordinate += space.named_basis(names) is not None
+    assert 0 < coordinate < 60   # both kinds of span occur
 
 
 # ----- the echelon kernel in the coordinate layer ----------------------------------------
