@@ -456,6 +456,23 @@ def _require_jacobi(L: SCAlgebra) -> None:
         raise JacobiError(witness)
 
 
+def _commutator(A: SCAlgebra) -> LieAlgebraSC:
+    """The commutators f[i][j] = c[i][j] - c[j][i], with no Jacobi scan: for a
+    caller that knows A is associative, whose commutator is a Lie algebra.
+
+    Only the pairs i < j are subtracted; f[j][i] = -f[i][j] and f[i][i] = 0
+    are the tuples that subtracting there would give.
+    """
+    rows, n = A.rows, A.dim
+    f = [[()] * n for _ in range(n)]
+    for i in range(n):
+        row, fi = rows[i], f[i]
+        for j in range(i + 1, n):
+            fi[j] = _difference(row[j], rows[j][i])
+            f[j][i] = _negated(fi[j])
+    return LieAlgebraSC._of(A.basis_names, tuple(map(tuple, f)))
+
+
 def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
     """Lie algebra of commutators, f[i][j] = c[i][j] - c[j][i].
 
@@ -463,10 +480,7 @@ def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
     do not satisfy Jacobi, which signals the input is neither associative nor
     left-symmetric.
     """
-    rows = A.rows
-    # row i against column i, which holds c[j][i]; f[j][i] is exactly -f[i][j]
-    f = tuple(tuple(map(_difference, row, col)) for row, col in zip(rows, zip(*rows)))
-    lie = LieAlgebraSC._of(A.basis_names, f)
+    lie = _commutator(A)
     _require_jacobi(lie)
     return lie
 

@@ -14,7 +14,9 @@ from .algebra import (
     LieAlgebraSC,
     SCAlgebra,
     Subspace,
+    _commutator,
     _difference,
+    _negated,
     check_associative,
     commutator_algebra,
     opposite,
@@ -65,32 +67,76 @@ class EnvelopeReport:
         return "\n".join(lines)
 
 
-def commutator_matches_brackets(fields, table: SCAlgebra) -> bool:
-    """Cross-check that antisymmetrized product-table constants equal the
-    structure constants computed independently from Lie brackets of the
-    fields.
+def _bracket_check(fields, table: SCAlgebra) -> tuple:
+    """(holds, brackets): `brackets` is the n x n table of the Lie brackets
+    [X_i, X_j] in the fields' coordinates, rows in the table's stored form,
+    and `holds` says whether c[i][j] - c[j][i] equals [X_i, X_j] at every pair.
 
     The brackets (`lie_bracket`) use plain partial derivatives, not the
     product's nabla, so the check does not rest on what it verifies.  Only
     the pairs i < j are computed: the kernel is exactly antisymmetric
     ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and `express_in_basis` is
     linear, so at a mirrored pair both sides are the negations of those at
-    (i, j), and on the diagonal both sides are zero.  Both sides are
-    compared as rows in the table's stored form, which `express_in_basis`
-    returns.
+    (i, j), and on the diagonal both sides are zero.
     """
     n, rows = table.dim, table.rows
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = [lie_bracket(fields[i], fields[j]) for i, j in pairs]
-    return all(got == _difference(rows[i][j], rows[j][i])
-               for got, (i, j) in zip(express_in_basis(brackets, fields), pairs))
+    brackets = [[()] * n for _ in range(n)]
+    holds = True
+    for got, (i, j) in zip(express_in_basis([lie_bracket(fields[i], fields[j])
+                                             for i, j in pairs], fields), pairs):
+        brackets[i][j], brackets[j][i] = got, _negated(got)
+        holds = holds and got == _difference(rows[i][j], rows[j][i])
+    return holds, tuple(map(tuple, brackets))
+
+
+def commutator_matches_brackets(fields, table: SCAlgebra) -> bool:
+    """Cross-check that antisymmetrized product-table constants equal the
+    structure constants computed independently from Lie brackets of the
+    fields (`_bracket_check`)."""
+    return _bracket_check(fields, table)[0]
 
 
 def compute_envelope(conn: Connection, ambient_fields, names, generators) -> EnvelopeReport:
     """Run the envelope algorithm end to end.
 
     `generators` is a subset of `names`; generator fields are taken from the
-    ambient list by name, never re-parsed.
+    ambient list by name, never re-parsed.  The checks, in report order:
+
+    * `flat_affine` and `iat:<name>` are True whenever a report is made:
+      `product_table` raises NotFlatError or IATViolationError instead (and
+      DependentFieldsError unless the fields are a basis of their span).
+    * `ambient_associative` scans the ambient table on every basis triple.
+    * `ambient_commutator_matches_lie_brackets` compares c[i][j] - c[j][i]
+      with the fields' Lie brackets in their coordinates (`_bracket_check`).
+      It catches an error in the product's antisymmetric part; one in its
+      symmetric part, c[i][j] + c[j][i], is invisible to every commutator.
+    * `closure_product_closed` is the literal True, not a test: the closure
+      rounds stop only when a round adds nothing, or at full rank, where the
+      span is Q^n, closed under any product; and `restrict_to_subspace`
+      raises ValueError on a product that leaves the span, so a span that is
+      not closed never reaches a report.
+    * `envelope_associative` is the ambient verdict when the closure is the
+      whole space and the envelope's rows are the ambient rows transposed,
+      compared cell by cell: A^op is associative iff A is, since
+      (xy)z = x(yz) in A reads z.(y.x) = (z.y).x in A^op.  Otherwise (a
+      proper closure, or an `opposite` that went wrong) the envelope itself
+      is scanned.
+    * `envelope_commutator_is_opposite_of_restricted_brackets` compares the
+      envelope's commutator with the Lie brackets restricted to the closure:
+      the envelope's product at (i, j) is the restricted product at (j, i),
+      so its commutator there is the restricted commutator at (j, i), which
+      is the restricted bracket [v_j, v_i] = -[v_i, v_j].  The
+      expected side comes from `express_in_basis` and `restrict_to_subspace`
+      on the bracket table, and shares no call with the construction, so it
+      catches a missing or partial `opposite` and a wrong `_difference`; it
+      is False when a bracket leaves the closure.  Like the ambient
+      cross-check, it cannot see the symmetric part of the product.
+
+    The envelope's commutator is built without a Jacobi scan when
+    `envelope_associative` holds, since the commutator of an associative
+    algebra is a Lie algebra; otherwise `commutator_algebra` scans it and
+    raises JacobiError at the first failing triple.
     """
     fields = list(ambient_fields)
     names = list(names)
@@ -98,30 +144,30 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     for g in generator_names:
         if g not in names:
             raise KeyError(f"generator {g!r} is not among the ambient field names")
-    # product_table raises NotFlatError or IATViolationError unless these hold,
-    # and DependentFieldsError unless the fields are a basis of their span
     ambient = product_table(conn, fields, names)
     checks = {"flat_affine": True}
     checks.update((f"iat:{name}", True) for name in names)
     checks["ambient_associative"] = check_associative(ambient).holds
-    checks["ambient_commutator_matches_lie_brackets"] = \
-        commutator_matches_brackets(fields, ambient)
+    matches, brackets = _bracket_check(fields, ambient)
+    checks["ambient_commutator_matches_lie_brackets"] = matches
     generator_vectors = [ambient.basis_vector(ambient.basis_index(g))
                          for g in generator_names]
     closure = subalgebra_closure(ambient, generator_vectors)
-    # closed by construction; restrict_to_subspace tests every product of two
-    # basis rows for membership in the span and raises if one leaves it
     checks["closure_product_closed"] = True
     restricted = restrict_to_subspace(ambient, closure)
     envelope = opposite(restricted)
-    checks["envelope_associative"] = check_associative(envelope).holds
-    commutator = commutator_algebra(envelope)
-    # the envelope is an opposite algebra, so its commutator is the negation
-    # of the closure-restricted ambient commutator (= restricted Lie brackets)
-    r = restricted.rows
-    checks["envelope_commutator_is_opposite_of_restricted_brackets"] = all(
-        commutator.rows[i][j] == _difference(r[j][i], r[i][j])
-        for i in range(commutator.dim) for j in range(commutator.dim))
+    if restricted.rows == ambient.rows and envelope.rows == tuple(zip(*ambient.rows)):
+        associative = checks["ambient_associative"]
+    else:
+        associative = check_associative(envelope).holds
+    checks["envelope_associative"] = associative
+    commutator = _commutator(envelope) if associative else commutator_algebra(envelope)
+    try:
+        expected = restrict_to_subspace(SCAlgebra._of(ambient.basis_names, brackets), closure)
+    except ValueError:   # a bracket leaves the closure
+        expected = None
+    checks["envelope_commutator_is_opposite_of_restricted_brackets"] = \
+        expected is not None and commutator.rows == tuple(zip(*expected.rows))
     return EnvelopeReport(
         ambient=ambient,
         generator_names=tuple(generator_names),
@@ -139,5 +185,5 @@ def verify_bi_invariant_criterion(L: LieAlgebraSC, A: SCAlgebra) -> bool:
             f"dimension mismatch: Lie algebra has {L.dim}, algebra has {A.dim}")
     if not check_associative(A).holds:
         return False
-    commutator = commutator_algebra(A)
-    return commutator.rows == L.rows
+    # the commutator of an associative algebra is a Lie algebra: no Jacobi scan
+    return _commutator(A).rows == L.rows

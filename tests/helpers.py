@@ -3,8 +3,10 @@
 The recurring scenes: the half-plane chart with the invariant frame
 e1+ = x*d/dx, e2+ = x*d/dy, the six-field ambient basis it supports together
 with its multiplication table, a one-parameter family of left-symmetric
-products on the same frame, and the GL(n) scene of the benchmark
-(`gln_scene`).
+products on the same frame, the GL(n) scene of the benchmark
+(`gln_scene`) and aff(n) on the zero connection (`aff_scene`).
+`full_route_checks` gives an envelope report's checks by the full routes that
+`compute_envelope` shortcuts.
 """
 from __future__ import annotations
 
@@ -21,8 +23,12 @@ from flataffine import (
     RationalFunction,
     SCAlgebra,
     VectorField,
+    check_associative,
+    commutator_algebra,
     connection_from_frame,
     express_in_basis,
+    lie_bracket,
+    restrict_to_subspace,
 )
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
@@ -359,6 +365,44 @@ def gln_scene(n: int, frame_order=None):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.GLnScene(n, frame_order)
+
+
+def aff_scene(n: int):
+    """aff(n) on the zero connection over u1 ... un: the fields u_a d_b and
+    d_b, named "u{a}d{b}" and "d{b}"; returns (connection, fields, names)."""
+    chart = Chart("aff", [f"u{a}" for a in range(1, n + 1)])
+    u = [RationalFunction.variable(chart, v) for v in chart.variables]
+    names, fields = [], []
+    for a in range(n):
+        for b in range(n):
+            names.append(f"u{a + 1}d{b + 1}")
+            fields.append(VectorField(chart, [u[a] if k == b else 0 for k in range(n)]))
+    for b in range(n):
+        names.append(f"d{b + 1}")
+        fields.append(VectorField.coordinate(chart, b))
+    return Connection.zero(chart), fields, names
+
+
+def full_route_checks(report, fields) -> dict:
+    """The checks of an envelope report, each by its full route: every scan
+    run, every commutator built with its Jacobi scan, all n^2 brackets."""
+    ambient, envelope = report.ambient, report.envelope
+    n = ambient.dim
+    brackets = express_in_basis([lie_bracket(X, Y) for X in fields for Y in fields], fields)
+    restricted = commutator_algebra(restrict_to_subspace(ambient, report.closure))
+    negated = tuple(tuple(tuple((k, -x) for k, x in cell) for cell in row)
+                    for row in restricted.rows)
+    checks = {"flat_affine": True}
+    checks.update((f"iat:{name}", True) for name in ambient.basis_names)
+    checks["ambient_associative"] = check_associative(ambient).holds
+    checks["ambient_commutator_matches_lie_brackets"] = \
+        commutator_algebra(ambient).rows == tuple(tuple(brackets[i * n:(i + 1) * n])
+                                                 for i in range(n))
+    checks["closure_product_closed"] = True
+    checks["envelope_associative"] = check_associative(envelope).holds
+    checks["envelope_commutator_is_opposite_of_restricted_brackets"] = \
+        commutator_algebra(envelope).rows == negated
+    return checks
 
 
 # ----- randomized instances ------------------------------------------------------

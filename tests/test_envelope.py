@@ -1,4 +1,5 @@
-"""Envelope orchestration: closures, opposite convention, bi-invariant criterion."""
+"""Envelope orchestration: closures, opposite convention, planted mutants that
+each check must catch, bi-invariant criterion."""
 import hashlib
 import json
 
@@ -7,6 +8,7 @@ import pytest
 from flataffine import (
     Connection,
     LieAlgebraSC,
+    SCAlgebra,
     VectorField,
     check_associative,
     commutator_algebra,
@@ -15,6 +17,7 @@ from flataffine import (
     subalgebra_closure,
     verify_bi_invariant_criterion,
 )
+from flataffine.algebra import JacobiError
 from flataffine.envelope import OPPOSITE_CONVENTION
 from flataffine.geometry import (
     IATViolationError,
@@ -36,6 +39,7 @@ from helpers import (
     six_field_table_algebra,
     subspace_contains,
     zero_algebra,
+    full_route_checks,
 )
 
 
@@ -144,6 +148,84 @@ def test_final_check_catches_a_missing_opposite(monkeypatch):
     assert failed == ["envelope_commutator_is_opposite_of_restricted_brackets"]
 
 
+def gl2_envelope_scene():
+    scene = gln_scene(2)
+    inv_names, inv_fields = scene.invariant_fields()
+    names, fields = independent_fields(inv_fields + scene.f_fields,
+                                       inv_names + scene.f_names)
+    return scene.connect(), fields, names, [n for n in names if n.startswith("E")]
+
+
+def halfplane_envelope_scene():
+    names, fields = six_iat_fields(chart_xy())
+    return aff_line_connection(chart_xy()), fields, names, ["e1-", "e2-"]
+
+
+@pytest.mark.parametrize("scene, wrong", [
+    (halfplane_envelope_scene, "drop"), (halfplane_envelope_scene, "double"),
+    (gl2_envelope_scene, "drop"), (gl2_envelope_scene, "double")])
+def test_final_check_catches_a_wrong_difference(monkeypatch, scene, wrong):
+    # u - v read as u, or as 2 (u - v), wherever the commutators are taken;
+    # the expected side of the last check subtracts nothing
+    from flataffine import algebra, envelope
+    difference = algebra._difference
+    mutant = {"drop": lambda u, v: u,
+              "double": lambda u, v: tuple((k, 2 * x) for k, x in difference(u, v))}[wrong]
+    monkeypatch.setattr(algebra, "_difference", mutant)
+    monkeypatch.setattr(envelope, "_difference", mutant)
+    report = compute_envelope(*scene())
+    failed = [name for name, ok in report.checks.items() if not ok]
+    assert failed == ["ambient_commutator_matches_lie_brackets",
+                      "envelope_commutator_is_opposite_of_restricted_brackets"]
+
+
+def partial_opposite(a, b):
+    """An `opposite` that leaves the pair (a, b), (b, a) untransposed."""
+    def opposite(algebra):
+        rows = [list(row) for row in zip(*algebra.rows)]
+        rows[a][b], rows[b][a] = algebra.rows[a][b], algebra.rows[b][a]
+        return SCAlgebra._of(algebra.basis_names, tuple(map(tuple, rows)))
+    return opposite
+
+
+@pytest.mark.parametrize("pair, failed", [
+    ((0, 1), ["envelope_associative",
+              "envelope_commutator_is_opposite_of_restricted_brackets"]),
+    ((2, 3), ["envelope_commutator_is_opposite_of_restricted_brackets"])],
+    ids=["not-associative", "associative"])
+def test_final_check_catches_a_partial_opposite(monkeypatch, pair, failed):
+    from flataffine import envelope
+    conn = alpha_connection(2, chart_xy())
+    names, fields = alpha2_fields(chart_xy())
+    scans = []
+    monkeypatch.setattr(envelope, "check_associative",
+                        lambda algebra: scans.append(algebra) or check_associative(algebra))
+    report = compute_envelope(conn, fields, names, names)
+    # the closure is the whole space and the envelope is the ambient's
+    # opposite, so the ambient scan gives the envelope's verdict
+    assert report.closure.rank == 4 and all(report.checks.values())
+    assert scans == [report.ambient]
+    a, b = pair
+    assert report.ambient.rows[a][b] != report.ambient.rows[b][a]
+    monkeypatch.setattr(envelope, "opposite", partial_opposite(a, b))
+    scans.clear()
+    report = compute_envelope(conn, fields, names, names)
+    # the envelope is not the ambient's opposite: it is scanned itself
+    assert scans == [report.ambient, report.envelope]
+    assert report.checks["envelope_associative"] == check_associative(report.envelope).holds
+    assert [name for name, ok in report.checks.items() if not ok] == failed
+
+
+def test_a_non_associative_envelope_keeps_the_jacobi_error(monkeypatch):
+    # the envelope's commutator is built through its Jacobi scan unless the
+    # envelope is associative
+    from flataffine import envelope
+    monkeypatch.setattr(envelope, "opposite", partial_opposite(0, 1))
+    with pytest.raises(JacobiError) as err:
+        compute_envelope(*gl2_envelope_scene())
+    assert err.value.witness == (1, 2, 3)
+
+
 def test_envelope_report_json():
     conn = aff_line_connection(chart_xy())
     names, fields = six_iat_fields(chart_xy())
@@ -245,6 +327,8 @@ def test_gl3_envelope_at_scale():
     doc = report.to_json_dict()
     report.to_text()
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == GL3_ENVELOPE_SHA256
+    assert report.checks == full_route_checks(report, fields)
+    assert report.commutator == commutator_algebra(report.envelope)
     # the library reads the sparse rows only: no dense view was built
     for algebra in (report.ambient, report.envelope, report.commutator):
         assert algebra._c is None

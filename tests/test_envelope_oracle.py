@@ -10,7 +10,17 @@ infinitesimal-affine test reads.  This module keeps the
 earlier versions as oracles and compares results, verdicts and errors on the
 GL2 scene, the six half-plane fields and seeded frame connections, including
 tables with one perturbed entry, and the bracket and derivative-along kernels
-on GL2, GL3 and half-plane fields.
+on GL2, GL3 and half-plane fields.  `commutator_algebra` subtracts at the
+pairs i < j only and negates the mirror; it is compared with the dense oracle
+also on seeded tables that are not antisymmetric, most of whose commutators
+fail Jacobi.  `verify_bi_invariant_criterion` builds the commutator without a
+Jacobi scan once its associativity scan holds; it is compared with the route
+through `commutator_algebra`.  `compute_envelope` takes the envelope's
+associativity verdict from the ambient scan when the closure is the whole
+space, and builds the envelope's commutator without a Jacobi scan when the
+envelope is associative; its checks are compared with the full routes
+(`helpers.full_route_checks`) on proper, coordinate and non-coordinate
+closures and on whole spaces.
 """
 import random
 from fractions import Fraction
@@ -24,11 +34,14 @@ from flataffine import (
     RationalFunction,
     SCAlgebra,
     VectorField,
+    check_associative,
     commutator_algebra,
+    compute_envelope,
     connection_from_frame,
     is_flat_affine,
     lie_bracket,
     solve_iat_ansatz,
+    verify_bi_invariant_criterion,
 )
 from flataffine import envelope, geometry
 from flataffine.algebra import JacobiError
@@ -47,11 +60,14 @@ from helpers import (
     aff_frame,
     aff_line_connection,
     aff_line_lsa,
+    aff_scene,
     alpha_family,
     chart_xy,
     dense_coordinate_rows,
     dense_express,
+    full_route_checks,
     gln_scene,
+    random_algebra,
     random_rational_function,
     six_iat_fields,
 )
@@ -286,6 +302,92 @@ def test_product_table_errors_match_oracle():
             table(conn, fields[:3] + [foreign] + fields[3:])
         messages.add(str(err.value))
     assert messages == {"charts differ: 'halfplane' vs 'uv'"}
+
+
+def seeded_table(seed):
+    """A seeded table of dimension 2 to 5 with integer or rational constants;
+    in general neither antisymmetric nor Lie-admissible."""
+    rng = random.Random(f"table-{seed}")
+    table = random_algebra(rng, rng.randint(2, 5))
+    if seed % 2:
+        c = [[[x / rng.randint(1, 4) for x in vec] for vec in row] for row in table.c]
+        table = SCAlgebra(table.basis_names, c)
+    return table
+
+
+def test_commutator_of_seeded_tables_matches_oracle():
+    outcomes = []
+    for seed in range(40):
+        table = seeded_table(seed)
+        assert any(table.rows[i][j] != tuple((k, -x) for k, x in table.rows[j][i])
+                   for i in range(table.dim) for j in range(table.dim))
+        got = commutator_outcome(commutator_algebra, table)
+        assert got == commutator_outcome(oracle_commutator_algebra, table)
+        outcomes.append(isinstance(got, tuple))
+    # both routes ran: the rows compared, and the first Jacobi witness
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def old_bi_invariant_route(lie, algebra):
+    """The criterion with the commutator built through its Jacobi scan."""
+    return check_associative(algebra).holds and commutator_algebra(algebra).rows == lie.rows
+
+
+def test_bi_invariant_criterion_matches_the_old_route():
+    cases = []
+    for kind, seed in SCENES:
+        conn, fields, names = make_scene(kind, seed)
+        table = product_table(conn, fields, names)   # associative
+        cases += [table, perturbed(table, 0, 1, seed % table.dim)]
+    rng = random.Random("bi-invariant")
+    found = 0
+    while found < 4:   # seeded associative tables among random ones
+        table = random_algebra(rng, rng.randint(2, 3))
+        found += check_associative(table).holds
+        cases.append(table)
+    verdicts = []
+    for algebra in cases:
+        own = commutator_outcome(oracle_commutator_algebra, algebra)
+        zero = LieAlgebraSC(algebra.basis_names, [[[0] * algebra.dim] * algebra.dim]
+                            * algebra.dim)
+        for lie in ([zero] if isinstance(own, tuple) else [own, zero]):
+            verdict = verify_bi_invariant_criterion(lie, algebra)
+            assert verdict == old_bi_invariant_route(lie, algebra)
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+    assert not all(check_associative(A).holds for A in cases)
+
+
+def envelope_scene(kind):
+    """(connection, fields, names, generators) of an envelope: the half-plane
+    rank 5 and its whole space, GL2, aff(2), aff(3), and a seeded frame scene
+    whose closure of f2 and f4 has rank 4 and is not a coordinate span."""
+    if kind == "halfplane":
+        return (*halfplane_scene(), ["e1-", "e2-"])
+    if kind == "halfplane-whole":
+        conn, fields, names = halfplane_scene()
+        return conn, fields, names, names
+    if kind == "gl2":
+        conn, fields, names = gl2_scene(1)
+        return conn, fields, names, [n for n in names if n.startswith("E")]
+    if kind == "frame":
+        return (*frame_scene(0), ["f2", "f4"])
+    conn, fields, names = aff_scene({"aff2": 2, "aff3": 3}[kind])
+    return conn, fields, names, names
+
+
+@pytest.mark.parametrize("kind", ["halfplane", "halfplane-whole", "gl2", "aff2", "aff3",
+                                  "frame"])
+def test_envelope_checks_match_the_full_routes(kind):
+    conn, fields, names, generators = envelope_scene(kind)
+    report = compute_envelope(conn, fields, names, generators)
+    assert report.checks == full_route_checks(report, fields)
+    assert all(report.checks.values())
+    assert report.commutator == commutator_algebra(report.envelope)
+    whole = report.closure.rank == len(names)
+    assert whole is (kind not in ("halfplane", "frame"))
+    if kind == "frame":
+        assert report.closure.named_basis(names) is None
 
 
 # ----- the identities the shortcuts rest on -------------------------------------------------
