@@ -55,6 +55,37 @@ class JacobiError(ValueError):
         self.witness = witness
 
 
+class TaskFileError(ValueError):
+    """Schema violation: `message`, at `path` into the document read."""
+
+    def __init__(self, message: str, path: str):
+        super().__init__(f"{path}: {message}")
+        self.message = message
+        self.path = path
+
+
+def _require(condition, message, path):
+    if not condition:
+        raise TaskFileError(message, path)
+
+
+_KIND_NAMES = {str: "a string", list: "a list", int: "an integer"}
+
+
+def _typed(value, kind, what, path):
+    """`value` when it is a str, list or int (not a bool), as `kind` asks."""
+    ok = type(value) is int if kind is int else isinstance(value, kind)
+    _require(ok, f"{what} must be {_KIND_NAMES[kind]}", path)
+    return value
+
+
+def _index(value, dim, what, path):
+    """`value` when it is an integer between 1 and dim (a 1-based index)."""
+    _require(1 <= _typed(value, int, what, path) <= dim,
+             f"{what} must be between 1 and {dim}", path)
+    return value
+
+
 # Fraction() also reads exponents, and "1e999999999" has no time bound
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
@@ -72,6 +103,14 @@ def parse_rational(x) -> Fraction:
         return Fraction(int(p), int(q) if q else 1)
     except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
         raise ValueError(f"bad rational {x!r}: {err}") from None
+
+
+def _fraction(x, path):
+    """`parse_rational`, with its error at `path`."""
+    try:
+        return parse_rational(x)
+    except ValueError as err:
+        raise TaskFileError(str(err), path) from None
 
 
 def _to_vector(values, dim: int) -> Vector:
@@ -175,6 +214,8 @@ class SCAlgebra:
             raise KeyError(f"no basis element named {name!r}") from None
 
     def basis_vector(self, i: int) -> Vector:
+        if not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i} is not between 0 and {self.dim - 1}")
         return tuple(Fraction(int(j == i)) for j in range(self.dim))
 
     def product(self, u, v) -> Vector:
@@ -234,27 +275,42 @@ class SCAlgebra:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SCAlgebra":
-        """The algebra `to_json_dict` wrote; each result entry must pass
-        `parse_rational`.  The "brackets" of `LieAlgebraSC.to_json_dict` are
-        refused, not read as an algebra with no products."""
-        if "brackets" in doc:
-            raise ValueError('an algebra is read from "products", not "brackets"')
-        n = doc["dim"]
-        names = tuple(doc["basis"])
-        if len(names) != n:
-            raise ValueError("basis length does not match dim")
-        given = {}   # the last entry for a pair wins
-        for entry in doc.get("products", ()):
-            i, j = entry["left"] - 1, entry["right"] - 1
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"product index out of range: {entry}")
-            given[i, j] = [parse_rational(x) for x in entry["result"]]
+        """The algebra `to_json_dict` wrote, every value checked as
+        docs/taskfile.md says: TaskFileError at the first bad one, with its
+        path in `doc`; a bad rational once every entry's shape passed.  The
+        "brackets" of `LieAlgebraSC.to_json_dict` are refused.  The work
+        follows the entries given, not dim^3."""
+        _require(isinstance(doc, dict), "an algebra must be a JSON object", "")
+        n = _typed(doc.get("dim"), int, '"dim"', "/dim")
+        names = doc.get("basis")
+        _require(isinstance(names, list) and all(isinstance(b, str) for b in names),
+                 '"basis" must be a list of strings', "/basis")
+        unit = _index(doc["unit"], n, '"unit"', "/unit") if "unit" in doc else None
+        _require("brackets" not in doc,
+                 'an algebra is read from "products", not "brackets"', "/brackets")
+        cells = {}   # (left, right) -> sparse result
+        bad = None   # the first bad rational, raised once every entry's shape passed
+        for k, item in enumerate(_typed(doc.get("products", []), list, '"products"',
+                                        "/products")):
+            path = f"/products/{k}"
+            _require(isinstance(item, dict), "product entries must be objects", path)
+            pair = tuple(_index(item.get(key), n, f'"{key}"', f"{path}/{key}")
+                         for key in ("left", "right"))
+            _require(pair not in cells, f"product {pair} is given twice", path)
+            result = _typed(item.get("result"), list, '"result"', f"{path}/result")
+            _require(len(result) == n, f'"result" must have {n} entries', f"{path}/result")
+            values = ((m, _fraction(x, f"{path}/result/{m}")) for m, x in enumerate(result))
+            try:
+                cells[pair] = tuple((m, x) for m, x in values if x)
+            except TaskFileError as err:
+                bad = bad or err
+        if bad:
+            raise bad
+        _require(len(names) == n, "basis length does not match dim", "/basis")
+        _require(len(set(names)) == n, "basis names must be unique", "/basis")
         rows = [[()] * n for _ in range(n)]
-        for (i, j), vec in sorted(given.items()):
-            if len(vec) != n:
-                raise ValueError(f"expected a vector of length {n}, got {len(vec)}")
-            rows[i][j] = tuple((k, x) for k, x in enumerate(vec) if x)
-        unit = doc.get("unit")
+        for (i, j), cell in cells.items():
+            rows[i - 1][j - 1] = cell
         return cls._of(names, tuple(map(tuple, rows)), None if unit is None else unit - 1)
 
 
@@ -290,8 +346,8 @@ class LieAlgebraSC(SCAlgebra):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LieAlgebraSC":
         """The Lie algebra whose "products" list gives both [b_i, b_j] and
-        [b_j, b_i], as a task file does; antisymmetry and Jacobi are checked.
-        The "brackets" that `to_json_dict` writes are refused."""
+        [b_j, b_i], as a task file does, read as an SCAlgebra is; antisymmetry
+        and Jacobi are then checked."""
         lie = super().from_json_dict(doc)
         lie._require_lie()
         return lie

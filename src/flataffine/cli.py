@@ -22,12 +22,13 @@ from .algebra import (
     JacobiError,
     LieAlgebraSC,
     SCAlgebra,
+    TaskFileError,
     check_associative,
     check_left_symmetric,
     commutator_algebra,
-    parse_rational,
     subalgebra_closure,
 )
+from .algebra import _fraction, _index, _require, _typed   # the checks with a path
 from .envelope import compute_envelope, verify_bi_invariant_criterion
 from .geometry import (
     Connection,
@@ -61,14 +62,6 @@ _MAX_ANSATZ_SIZE = 256
 # leaves room for the suffix within the usual 255-byte limit on a file name
 _MAX_ID_BYTES = 200
 
-class TaskFileError(ValueError):
-    """Schema violation, with a path into the offending part of the document."""
-
-    def __init__(self, message: str, path: str):
-        super().__init__(f"{path}: {message}")
-        self.path = path
-
-
 class _Document:
     def __init__(self):
         self.charts = {}
@@ -76,21 +69,6 @@ class _Document:
         self.fields = {}  # name -> VectorField
         self.connections = {}
         self.tasks = []
-
-
-def _require(condition, message, path):
-    if not condition:
-        raise TaskFileError(message, path)
-
-
-_KIND_NAMES = {str: "a string", list: "a list", int: "an integer"}
-
-
-def _typed(value, kind, what, path):
-    """`value` when it is a str, list or int (not a bool), as `kind` asks."""
-    ok = type(value) is int if kind is int else isinstance(value, kind)
-    _require(ok, f"{what} must be {_KIND_NAMES[kind]}", path)
-    return value
 
 
 def _lookup(table, name, what, path):
@@ -147,37 +125,10 @@ def load_document(doc: dict) -> _Document:
         dim = _typed(entry.get("dim"), int, '"dim"', f"{path}/dim")
         _require(dim <= _MAX_ALGEBRA_DIM, f'"dim" must be at most {_MAX_ALGEBRA_DIM}',
                  f"{path}/dim")
-        _require(isinstance(entry.get("basis"), list)
-                 and all(isinstance(b, str) for b in entry["basis"]),
-                 '"basis" must be a list of strings', f"{path}/basis")
-        if "unit" in entry:
-            unit = _typed(entry["unit"], int, '"unit"', f"{path}/unit")
-            _require(1 <= unit <= dim, f'"unit" must be between 1 and {dim}',
-                     f"{path}/unit")
-        _require("brackets" not in entry, 'an algebra is read from "products", '
-                 'not "brackets"', f"{path}/brackets")
-        products = _typed(entry.get("products", []), list, '"products"', f"{path}/products")
-        pairs = set()
-        for k, item in enumerate(products):
-            ipath = f"{path}/products/{k}"
-            _require(isinstance(item, dict), "product entries must be objects", ipath)
-            for key in ("left", "right"):
-                index = _typed(item.get(key), int, f'"{key}"', f"{ipath}/{key}")
-                _require(1 <= index <= dim, f'"{key}" must be between 1 and {dim}',
-                         f"{ipath}/{key}")
-            pair = (item["left"], item["right"])
-            _require(pair not in pairs, f"product {pair} is given twice", ipath)
-            pairs.add(pair)
-            result = _typed(item.get("result"), list, '"result"', f"{ipath}/result")
-            _require(len(result) == dim, f'"result" must have {dim} entries',
-                     f"{ipath}/result")
-        try:
+        try:   # every other value is the reader's to check
             out.algebras[entry["name"]] = SCAlgebra.from_json_dict(entry)
-        except (ValueError, KeyError) as err:
-            for k, item in enumerate(products):     # the path of a bad rational
-                for m, x in enumerate(item["result"]):
-                    _fraction(x, f"{path}/products/{k}/result/{m}")
-            raise TaskFileError(f"bad algebra: {err}", path) from None
+        except TaskFileError as err:
+            raise TaskFileError(err.message, path + err.path) from None
     for path, entry in _entries(doc, "fields", "field", ("name", "chart", "coeffs"),
                                 out.fields):
         chart = _lookup(out.charts, entry["chart"], "chart", path)
@@ -196,11 +147,8 @@ def load_document(doc: dict) -> _Document:
                 ipath = f"{path}/christoffel/{k}"
                 _require(isinstance(item, dict) and {"k", "i", "j", "expr"} <= set(item),
                          'christoffel entries need "k", "i", "j", "expr"', ipath)
-                for key in "kij":
-                    _typed(item[key], int, f'"{key}"', f"{ipath}/{key}")
-                    _require(1 <= item[key] <= chart.dim,
-                             f'"{key}" must be between 1 and {chart.dim}', f"{ipath}/{key}")
-                index = (item["k"], item["i"], item["j"])
+                index = tuple(_index(item[key], chart.dim, f'"{key}"', f"{ipath}/{key}")
+                              for key in "kij")
                 _require(index not in sparse, f"Christoffel symbol {index} is given twice",
                          ipath)
                 sparse[index] = _parse(item["expr"], chart, ipath)
@@ -346,14 +294,6 @@ def _task_inputs(doc, task, path) -> dict:
     if kind in _NEEDS_FLAT:
         _require(is_flat_affine(conn), _NEEDS_FLAT[kind], path)
     return inputs
-
-
-def _fraction(x, path):
-    """`parse_rational`, with its error at `path`."""
-    try:
-        return parse_rational(x)
-    except ValueError as err:
-        raise TaskFileError(str(err), path) from None
 
 
 # ----- task runners -----------------------------------------------------------

@@ -150,6 +150,8 @@ class VectorField:
     @classmethod
     def coordinate(cls, chart: Chart, axis: int) -> "VectorField":
         """The coordinate field d/dx_axis (0-based axis)."""
+        if not 0 <= axis < chart.dim:
+            raise ValueError(f"axis {axis} is not between 0 and {chart.dim - 1}")
         return cls(chart, [1 if i == axis else 0 for i in range(chart.dim)])
 
     def is_zero(self) -> bool:
@@ -926,12 +928,13 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
 
     A built table is memoized on the connection under the set of its field
     objects, `frozenset(map(id, fields))`; the entry keeps those objects
-    alive, so no id is reused while it exists.  A failed build stores
-    nothing, and a list that repeats an object skips the memo.  A hit in
-    another order is the stored table relabelled by sigma, field i's stored
-    position: it is exact, since flatness is tested first, independence, the
-    IAT property and closure do not depend on the order, and coordinates on
-    independent fields are unique (`_FieldSpan`).
+    alive, so no id is reused while it exists, and a copy of each one's
+    `components`: a field written to since is a miss, built again.  A failed
+    build stores nothing, and a list that repeats an object skips the memo.
+    A hit in another order is the stored table relabelled by sigma, field
+    i's stored position: it is exact, since flatness is tested first,
+    independence, the IAT property and closure do not depend on the order,
+    and coordinates on independent fields are unique (`_FieldSpan`).
     """
     fields = list(fields)
     if names is None:
@@ -945,9 +948,9 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     for f in fields:   # the span below needs one chart
         require_same_chart(conn, f)
     key = frozenset(map(id, fields))
-    if len(key) == n and key in conn._tables:
-        built, rows = conn._tables[key]
-        position = {id(f): i for i, f in enumerate(built)}
+    built, rows = conn._tables.get(key, ((), None))
+    if built and len(key) == n and all(f.components == c for f, c in built):
+        position = {id(f): i for i, (f, _) in enumerate(built)}
         sigma = [position[id(f)] for f in fields]
         if sigma != list(range(n)):   # row (i, j) is row (sigma i, sigma j), relabelled
             inverse = {s: i for i, s in enumerate(sigma)}
@@ -984,5 +987,5 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
             "is not a constant combination of the given fields",
             pair=(i + 1, j + 1)) from None
     rows = tuple(tuple(coords[i * n:(i + 1) * n]) for i in range(n))
-    conn._tables[key] = (tuple(fields), rows)
+    conn._tables[key] = (tuple((f, dict(f.components)) for f in fields), rows)
     return SCAlgebra._of(names, rows)

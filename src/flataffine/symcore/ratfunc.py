@@ -38,7 +38,9 @@ redundant (one line of proof each):
 - a variable x/1 and a constant c/1 are canonical as built: 1 is a unit
   and primitive with a positive leading coefficient;
 - evaluation over the denominator 1 is the numerator's value: n/1 = n, and
-  1 never vanishes.
+  1 never vanishes;
+- (n/d)^k for k > 0 is n^k/d^k: Q[x] is a UFD, so gcd(n^k, d^k) = 1; by
+  Gauss's lemma d^k is primitive, and lc(d^k) = lc(d)^k > 0 in graded lex.
 
 Each value keeps the partial derivatives it has been asked for, one per
 variable: the first `diff(x)` runs the quotient rule above and stores its
@@ -284,14 +286,12 @@ class RationalFunction:
             raise ValueError("powers must be integers")
         if n < 0:
             return self.inverse() ** (-n)
-        out = RationalFunction.one(self.chart)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if n == 0:
+            return RationalFunction.one(self.chart)
+        if not self.num.terms:
+            return RationalFunction.zero(self.chart)
+        den = self.den
+        return RationalFunction._of(self.num ** n, den if den is self.chart._one else den ** n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):

@@ -19,7 +19,7 @@ from flataffine import (
     opposite,
     subalgebra_closure,
 )
-from flataffine.algebra import parse_rational
+from flataffine.algebra import TaskFileError, parse_rational
 from flataffine.linalg import solve
 from helpers import (
     aff_line_lsa,
@@ -366,6 +366,14 @@ def test_restrict_refuses_a_subspace_of_another_space():
             restrict_to_subspace(A, Subspace(3, rows))
 
 
+def test_basis_vector_refuses_an_index_outside_the_basis():
+    A = aff_line_lsa()
+    assert A.basis_vector(1) == (Fraction(0), Fraction(1))
+    for i in (2, 7, -1):
+        with pytest.raises(ValueError, match="not between 0 and 1"):
+            A.basis_vector(i)
+
+
 def test_json_round_trip():
     for A in (six_field_table_algebra(), aff_line_lsa(),
               adjoin_unit(SCAlgebra.from_products(("e",), {("e", "e"): {"e": 1}}))):
@@ -380,7 +388,7 @@ def test_json_round_trip():
 def test_lie_from_json_dict_builds_no_unchecked_lie_algebra():
     # neither table is antisymmetric, so no LieAlgebraSC may come of it
     for A in (aff_line_lsa(), six_field_table_algebra()):
-        with pytest.raises((TypeError, ValueError)):
+        with pytest.raises(ValueError, match="not antisymmetric"):
             LieAlgebraSC.from_json_dict(A.to_json_dict())
 
 
@@ -444,18 +452,22 @@ def test_parse_rational_reads_what_fraction_reads(seed):
 
 def test_from_json_dict_builds_the_entries_it_is_given():
     doc = {"dim": 2, "basis": ["e", "f"], "products": [
-        {"left": 1, "right": 2, "result": ["1"]},          # replaced below
         {"left": 1, "right": 2, "result": ["0", "-2/3"]},
         {"left": 2, "right": 2, "result": ["0", "0"]}]}
     A = SCAlgebra.from_json_dict(doc)
     assert A.rows == (((), ((1, Fraction(-2, 3)),)), ((), ()))
     assert A == SCAlgebra(("e", "f"), [[[0, 0], [0, Fraction(-2, 3)]], [[0, 0], [0, 0]]])
-    doc["products"].append({"left": 2, "right": 1, "result": ["1"]})
-    with pytest.raises(ValueError, match="expected a vector of length 2, got 1"):
-        SCAlgebra.from_json_dict(doc)
-    doc["products"][-1] = {"left": 3, "right": 1, "result": ["1", "0"]}
-    with pytest.raises(ValueError, match="product index out of range"):
-        SCAlgebra.from_json_dict(doc)
+    # a pair given twice is refused at its second entry, as the task file does
+    for entry, path, message in (
+            ({"left": 1, "right": 2, "result": ["1", "0"]}, "/products/2",
+             r"product \(1, 2\) is given twice"),
+            ({"left": 2, "right": 1, "result": ["1"]}, "/products/2/result",
+             '"result" must have 2 entries'),
+            ({"left": 3, "right": 1, "result": ["1", "0"]}, "/products/2/left",
+             '"left" must be between 1 and 2')):
+        with pytest.raises(TaskFileError, match=message) as err:
+            SCAlgebra.from_json_dict(dict(doc, products=doc["products"] + [entry]))
+        assert err.value.path == path
     # the work follows the entries given, not dim^3
     names = [f"b{k}" for k in range(128)]
     started = time.process_time()

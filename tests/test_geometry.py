@@ -59,6 +59,13 @@ def rf(source):
     return parse_expr(source, CH)
 
 
+def test_coordinate_field_refuses_an_axis_outside_the_chart():
+    assert VectorField.coordinate(CH, 1) == vf("0", "1")
+    for axis in (2, 5, -1):
+        with pytest.raises(ValueError, match="not between 0 and 1"):
+            VectorField.coordinate(CH, axis)
+
+
 # ----- covariant derivative -----------------------------------------------------
 
 

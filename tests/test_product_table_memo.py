@@ -7,10 +7,11 @@ build on an equal connection that has no memo: on seeded permutations of the
 six half-plane fields and of the 16 GL2 fields that `independent_fields`
 keeps, a hit gives the same rows and names, and it takes no derivative table
 and builds no span.  A failed build stores nothing and fails the same way
-again; a list that repeats a field object skips the memo.  The last test
-runs each task of the shipped task file in a document of its own, where
-nothing is memoized, and compares the report with the one the whole file
-gives, whose envelope task reads the product-table task's table.
+again; a list that repeats a field object skips the memo, and a field
+written to since the build is a miss that fails as a fresh build does.  The
+last test runs each task of the shipped task file in a document of its own,
+where nothing is memoized, and compares the report with the one the whole
+file gives, whose envelope task reads the product-table task's table.
 """
 import json
 import random
@@ -149,6 +150,23 @@ def test_a_repeated_field_skips_a_stored_table_of_its_set():
     with pytest.raises(DependentFieldsError) as info:
         product_table(conn, fields + fields[:1], names + ["again"])
     assert info.value.index == len(fields)
+
+
+def test_a_field_written_to_after_a_build_is_a_miss():
+    connect, names, fields = halfplane_scene()
+    conn = connect()
+    table = product_table(conn, fields, names)
+    original = fields[0].components[0]
+    fields[0].components[0] = original * 2   # e1- becomes 2x d/dx + y d/dy: not IAT
+    with pytest.raises(IATViolationError) as fresh:
+        product_table(connect(), fields, names)
+    for _ in range(2):   # the failed rebuild leaves the stale entry a miss
+        with pytest.raises(IATViolationError) as info:
+            product_table(conn, fields, names)
+        assert (str(info.value), info.value.witness) == (str(fresh.value), fresh.value.witness)
+    fields[0].components[0] = original
+    assert product_table(conn, fields, names).rows == table.rows
+    assert len(conn._tables) == 1
 
 
 def without_elapsed(report):

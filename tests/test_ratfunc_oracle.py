@@ -10,6 +10,9 @@ a scale by content and sign for every denominator, a sum normalised by a full
 gcd, and the quotient rule for every derivative.  Both routes must give
 equal, canonical results, and exact division must refuse the same inputs.
 
+A power (n/d)^k is n^k/d^k for k > 0; its oracle is the square-and-multiply
+loop through the general product it replaced, for k from -3 to 4.
+
 The scalar product, the derivative and evaluation are also checked against
 the kernels as they were before the shared constants: a scalar coerced to a
 rational function and multiplied by the general product, a derivative that
@@ -260,6 +263,45 @@ def test_sums_products_and_derivatives_match_the_oracles(seed):
             _same_rf(a * b, oracle_mul(a, b))
         for variable in CHART.variables:
             _same_rf(a.diff(variable), oracle_diff(a, variable))
+
+
+def oracle_pow(a, n):
+    """`RationalFunction.__pow__` as it was: square-and-multiply through `*`."""
+    if n < 0:
+        return oracle_pow(a.inverse(), -n)
+    out = RationalFunction.one(a.chart)
+    base = a
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_powers_match_square_and_multiply(seed):
+    rng = random.Random(f"pow-{seed}")
+    one, zero = RationalFunction.one(CHART), RationalFunction.zero(CHART)
+    operands = _operands(rng) + [RationalFunction(random_polynomial(rng, CHART)),
+                                 RationalFunction.variable(CHART, "x"), one, zero]
+    over_shared_one = 0
+    for a in operands:
+        for n in range(-3, 5):
+            if n < 0 and not a:
+                with pytest.raises(ZeroDivisionError):
+                    a ** n
+                continue
+            got = a ** n
+            _same_rf(got, oracle_pow(a, n))
+            if n == 0:
+                assert got is one
+            elif not a:
+                assert got is zero
+            elif n > 0 and a.den is CHART._one:
+                assert got.den is CHART._one
+                over_shared_one += 1
+    assert over_shared_one
 
 
 def test_the_operands_reach_every_shortcut():

@@ -62,7 +62,9 @@ def mutate(rng, doc, names):
     if kind == "delete":
         del container[key]
     elif kind == "retype":
-        container[key] = rng.choice([v for v in JSON_VALUES if type(v) is not type(value)])
+        # a copy: a later mutation of the same document must not edit JSON_VALUES
+        container[key] = copy.deepcopy(
+            rng.choice([v for v in JSON_VALUES if type(v) is not type(value)]))
     elif kind == "rename":
         container[key] = rng.choice(names + ["undefined", "e1", "x"])
     elif kind == "truncate":
