@@ -114,7 +114,8 @@ def _fraction(x, path):
 
 
 def _to_vector(values, dim: int) -> Vector:
-    vec = tuple(Fraction(v) for v in values)
+    """The values as a tuple of Fractions; an entry that is one already is kept."""
+    vec = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
     if len(vec) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
     return vec
@@ -216,7 +217,7 @@ class SCAlgebra:
     def basis_vector(self, i: int) -> Vector:
         if not 0 <= i < self.dim:
             raise ValueError(f"basis index {i} is not between 0 and {self.dim - 1}")
-        return tuple(Fraction(int(j == i)) for j in range(self.dim))
+        return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
 
     def product(self, u, v) -> Vector:
         """Bilinear product of two coordinate vectors."""

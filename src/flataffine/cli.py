@@ -283,6 +283,8 @@ def _task_inputs(doc, task, path) -> dict:
             for k, g in enumerate(gens):
                 _require(g in names, f"generator {g!r} is not among the task fields",
                          f"{path}/generators/{k}")
+                _require(g not in gens[:k], f"generator {g!r} is listed twice",
+                         f"{path}/generators/{k}")
     elif kind == "closure":
         gens = task.get("generators")
         _require(isinstance(gens, list) and gens, 'task needs "generators"',

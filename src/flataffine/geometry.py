@@ -549,11 +549,29 @@ def _iat_witness(conn: Connection, first):
     return next((pair for pair, res in _iat_residuals(conn, first) if res), None)
 
 
+def _affine_certificate(conn: Connection, X: VectorField) -> bool:
+    """True when the chart is affine for `conn` (no Christoffel symbol) and
+    every component of X is a polynomial of total degree at most 1: every
+    residual of `_iat_residuals` is then d_i d_j X = 0, so X is infinitesimal
+    affine with no witness.  False says nothing; the residuals decide."""
+    if any(map(any, conn._rows)):
+        return False
+    return all(c.den.is_one() and all(sum(e) <= 1 for e in c.num.terms)
+               for c in X.components.values())
+
+
 def is_infinitesimal_affine(conn: Connection, X: VectorField) -> IATReport:
-    """Flat-case infinitesimal-affine test; requires a flat affine connection."""
+    """Flat-case infinitesimal-affine test; requires a flat affine connection.
+
+    An affine field X = Ax + b on a chart with no Christoffel symbol holds at
+    once (`_affine_certificate`: each residual is d_i d_j X = 0); every other
+    field is decided, and its witness found, by `_iat_residuals`.
+    """
     require_same_chart(conn, X)
     if not is_flat_affine(conn):
         raise NotFlatError(NotFlatError.IAT)
+    if _affine_certificate(conn, X):
+        return IATReport(True, None)
     pair = _iat_witness(conn, _first_derivatives(conn, X))
     return IATReport(pair is None, pair)
 
@@ -871,6 +889,8 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     matrix product), every defining product is the plain derivative E_a(E_b),
     so q and gamma are zero; `Frame` has already proved A nonsingular.
 
+    q[a][b] is built only where E_a(E_b) differs from E_a E_b: where they
+    are equal, q[a][b] = E_a E_b - E_a(E_b) = 0, with nothing subtracted.
     Frame fields, products, q and gamma are sparse {k: value} vectors.  The
     result is post-verified against the defining products at every one of
     the n^2 frame pairs, through the connection's own kernel rather than the
@@ -888,10 +908,13 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
     expected = [[_combination((x, E[k]) for k, x in constants.rows[a][b])
                  for b in range(n)] for a in range(n)]
-    q = [[dict(expected[a][b]) for b in range(n)] for a in range(n)]
+    q = [[{} for _ in range(n)] for _ in range(n)]
     for a, b in product(range(n), repeat=2):
-        for k, d in _derivative_along(frame.fields[a], frame.fields[b]).items():
-            _add_at(q[a][b], k, -d)
+        derivative = _derivative_along(frame.fields[a], frame.fields[b])
+        if derivative != expected[a][b]:
+            vec = q[a][b] = dict(expected[a][b])
+            for k, d in derivative.items():
+                _add_at(vec, k, -d)
     if any(vec for row in q for vec in row):
         A = [f.coeffs for f in frame.fields]
         try:
@@ -924,7 +947,10 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     constants (else DependentFieldsError, with the 0-based `index` of the first
     field in the span of those before it), fields that are infinitesimal
     affine transformations and a product-closed span; fails loudly (naming the
-    pair) when a product falls outside the constant span.
+    pair) when a product falls outside the constant span.  A field that
+    `_affine_certificate` passes (affine, with no Christoffel symbol) is an
+    IAT without its residuals, since each is d_i d_j X = 0; its table
+    nabla_{d_a} X is still built, because the products read it.
 
     A built table is memoized on the connection under the set of its field
     objects, `frozenset(map(id, fields))`; the entry keeps those objects
@@ -970,9 +996,10 @@ def product_table(conn: Connection, fields, names=None) -> SCAlgebra:
     nabla = []
     for name, f in zip(names, fields):
         first = _first_derivatives(conn, f)
-        pair = _iat_witness(conn, first)
-        if pair is not None:
-            raise IATViolationError(name, pair)
+        if not _affine_certificate(conn, f):
+            pair = _iat_witness(conn, first)
+            if pair is not None:
+                raise IATViolationError(name, pair)
         nabla.append(first)
     chart = conn.chart
     products = [VectorField._of(chart, _combination((x, nabla[j][a])

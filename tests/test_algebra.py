@@ -19,7 +19,7 @@ from flataffine import (
     opposite,
     subalgebra_closure,
 )
-from flataffine.algebra import TaskFileError, parse_rational
+from flataffine.algebra import TaskFileError, _to_vector, parse_rational
 from flataffine.linalg import solve
 from helpers import (
     aff_line_lsa,
@@ -372,6 +372,16 @@ def test_basis_vector_refuses_an_index_outside_the_basis():
     for i in (2, 7, -1):
         with pytest.raises(ValueError, match="not between 0 and 1"):
             A.basis_vector(i)
+
+
+def test_generator_vectors_reuse_their_fractions():
+    """A basis vector is built from one shared 0 and one shared 1, and the
+    closure's coercion keeps an entry that is a `Fraction` already."""
+    A = six_field_table_algebra()
+    vectors = [A.basis_vector(i) for i in range(A.dim)]
+    assert len({id(x) for vec in vectors for x in vec}) == 2
+    assert all(x is y for x, y in zip(_to_vector(vectors[2], A.dim), vectors[2]))
+    assert _to_vector([1, "1/2", Fraction(3)], 3) == (Fraction(1), Fraction(1, 2), Fraction(3))
 
 
 def test_json_round_trip():

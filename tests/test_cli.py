@@ -453,6 +453,8 @@ def _christoffel(*entries):
      "/tasks/0/fields/6"),
     (_malformed("table", lambda d: d["tasks"][0].update(fields=["e1-", "e1-"])),
      "/tasks/0/fields/1"),
+    (_malformed("env", lambda d: d["tasks"][0].update(generators=["e1-", "e1-", "e2-"])),
+     "/tasks/0/generators/1"),
     (_malformed("lsa", lambda d: d["algebras"][0]["products"].append(
         {"left": 1, "right": 1, "result": ["0", "0"]})), "/algebras/0/products/3"),
     (_malformed("lsa", lambda d: d["algebras"][0]["products"][1].update(left=3)),
@@ -519,7 +521,7 @@ def _christoffel(*entries):
         "generator-zero-denominator", "frame-number", "christoffel-index-string",
         "table-field-list", "expect-zero-string", "coeffs-nested-too-deep",
         "coeffs-power-too-high", "coeffs-literal-too-long", "envelope-field-repeated",
-        "table-field-repeated", "product-pair-repeated", "product-left-past-dim",
+        "table-field-repeated", "envelope-generator-repeated", "product-pair-repeated", "product-left-past-dim",
         "product-right-zero", "product-result-short", "product-result-long",
         "iat-field-other-chart", "table-field-other-chart", "envelope-field-other-chart",
         "frame-on-other-chart", "frame-field-other-chart", "table-field-dependent",
@@ -544,7 +546,8 @@ def test_malformed_values_are_input_errors(tmp_path, capsys, doc, path):
 # fields, generators or ansatz
 RUNNER_SIDE_CASES = {
     "ansatz-past-cap", "generator-zero-denominator", "table-field-list",
-    "envelope-field-repeated", "table-field-repeated", "iat-field-other-chart",
+    "envelope-field-repeated", "table-field-repeated", "envelope-generator-repeated",
+    "iat-field-other-chart",
     "table-field-other-chart", "envelope-field-other-chart", "generator-exponent",
     "generator-bool", "generator-unknown-name"}
 _MALFORMED_CASES = test_malformed_values_are_input_errors.pytestmark[0]

@@ -66,6 +66,18 @@ build the same rows, view, value, hash and tensor reports on the seeded
 random connections and frames, and torsion, which reads mirror symbols from
 the rows, must match a dense oracle.  The GL3 frame connection's flatness and
 IAT tests never build the view.
+
+Two shortcuts hold on an affine chart, one with no Christoffel symbol.
+`_affine_certificate` passes an affine field there without its residuals;
+on GL3's frame connection, aff(3) and `Connection.zero`, with seeded
+affine, quadratic and rational fields, its verdict and witness are those of
+the residuals and of the full-scan oracle, and `product_table` builds the
+same tables and witnesses with the certificate switched off.  A planted
+certificate that skips the symbol test passes d/dx on the half-plane
+connection nabla11, which fails at (1, 1); the comparison catches it.
+`connection_from_frame` subtracts E_a(E_b) from a defining product only
+where the two differ; the kernel that subtracted everywhere is kept as an
+oracle, and the rows agree on seeded frames with zero and nonzero gamma.
 """
 import json
 import random
@@ -92,13 +104,15 @@ from flataffine import (
     lie_bracket,
     solve_iat_ansatz,
 )
-from flataffine.geometry import _add_at, _first_derivatives, _iat_residuals, _nabla_coordinate
+from flataffine.geometry import (
+    _add_at, _first_derivatives, _iat_residuals, _iat_witness, _nabla_coordinate)
 from flataffine import geometry, linalg
 from flataffine.symcore import require_same_chart
 from helpers import (
     aff_frame,
     aff_line_connection,
     aff_line_lsa,
+    aff_scene,
     alpha_connection,
     alpha_family,
     chart_xy,
@@ -1321,3 +1335,164 @@ def test_flatness_and_iat_tests_never_build_the_dense_view():
     # the first access builds the view once
     assert twisted.gamma is twisted._gamma is twisted.gamma
     assert conn.gamma == Connection.zero(scene.chart).gamma
+
+
+# ----- affine-chart shortcuts ------------------------------------------------------------
+
+
+def affine_chart_cases():
+    """(connection, fields) on zero connections: GL3's frame connection, aff(3)
+    and `Connection.zero` in dimensions 2 and 3, each with seeded affine,
+    quadratic and rational fields (besides their own fields on GL3 and aff(3))."""
+    gl3 = gln_scene(3, random.Random(5).sample([(r, s) for r in range(1, 4)
+                                                  for s in range(1, 4)], 9))
+    _, invariant = gl3.invariant_fields()
+    aff_conn, aff_fields, _ = aff_scene(3)
+    cases = {"gl3": (gl3.connect(), invariant[::4] + gl3.f_fields[::20]),
+             "aff3": (aff_conn, aff_fields[::3]),
+             "zero2": (Connection.zero(CHARTS[2]), []),
+             "zero3": (Connection.zero(CHARTS[3]), [])}
+    for name, (conn, fields) in cases.items():
+        rng = random.Random(f"certificate-{name}")
+        chart = conn.chart
+        for entry in (lambda: random_polynomial(rng, chart, max_degree=1),
+                      lambda: random_polynomial(rng, chart, max_degree=2),
+                      lambda: random_rational_function(rng, chart, max_degree=1)):
+            for _ in range(3):
+                fields.append(VectorField(chart, [entry() if rng.random() < 0.5 else 0
+                                                  for _ in range(chart.dim)]))
+    return cases
+
+
+AFFINE_CHART_CASES = affine_chart_cases()
+
+
+def certificate_disagreements(conn, fields):
+    """The fields whose verdict or witness from `is_infinitesimal_affine`, or
+    from the symbolic route the certificate skips, differs from the oracle's;
+    also asserts that a certified field has no oracle witness."""
+    wrong = []
+    for X in fields:
+        expected = oracle_witness(conn, X)
+        report = is_infinitesimal_affine(conn, X)
+        if (report.holds != (expected is None) or report.witness != expected
+                or _iat_witness(conn, _first_derivatives(conn, X)) != expected
+                or geometry._affine_certificate(conn, X) and expected is not None):
+            wrong.append((X, report, expected))
+    return wrong
+
+
+@pytest.mark.parametrize("name", list(AFFINE_CHART_CASES))
+def test_the_affine_certificate_matches_the_residuals_on_zero_connections(name):
+    conn, fields = AFFINE_CHART_CASES[name]
+    assert certificate_disagreements(conn, fields) == []
+    certified = [geometry._affine_certificate(conn, X) for X in fields]
+    # both routes are reached: certified fields, and failures the residuals find
+    assert any(certified)
+    assert any(oracle_witness(conn, X) is not None for X in fields)
+
+
+def test_the_affine_certificate_needs_a_chart_without_symbols(monkeypatch):
+    """On the half-plane connection nabla11 (two symbols) the affine field
+    d/dx fails at (1, 1); a certificate that skips the symbol test passes it,
+    and the oracle comparison catches that."""
+    conn = aff_line_connection()
+    assert sum(map(len, (vec for row in conn._rows for vec in row))) == 2
+    fields = [VectorField.coordinate(conn.chart, 0), VectorField.coordinate(conn.chart, 1)]
+    assert not geometry._affine_certificate(conn, fields[0])
+    assert is_infinitesimal_affine(conn, fields[0]).witness == (1, 1)
+    assert certificate_disagreements(conn, fields) == []
+
+    def no_symbol_test(conn, X):
+        return all(c.den.is_one() and all(sum(e) <= 1 for e in c.num.terms)
+                   for c in X.components.values())
+
+    monkeypatch.setattr(geometry, "_affine_certificate", no_symbol_test)
+    wrong = certificate_disagreements(conn, fields)
+    assert [(X, report.holds, expected) for X, report, expected in wrong] == \
+        [(fields[0], True, (1, 1))]
+
+
+@pytest.mark.parametrize("name", ["gl3", "aff3"])
+def test_product_tables_are_the_same_without_the_certificate(name, monkeypatch):
+    """product_table on certified fields, and on one more field the residuals
+    refuse, gives the same table and the same witness as with every field
+    sent through the residuals."""
+    conn, fields = AFFINE_CHART_CASES[name]
+    chart = conn.chart
+    affine = [X for X in fields if geometry._affine_certificate(conn, X)]
+    names, affine = geometry.independent_fields(affine, [f"a{k}" for k in range(len(affine))])
+    quadratic = VectorField(chart, [RationalFunction.variable(chart, chart.variables[0]) ** 2]
+                            + [0] * (chart.dim - 1))
+    outcomes = []
+    for certificate in (geometry._affine_certificate, lambda conn, X: False):
+        monkeypatch.setattr(geometry, "_affine_certificate", certificate)
+        # a fresh connection each time, so no memoized table answers
+        fresh = Connection._of(chart, conn._rows)
+        table = geometry.product_table(fresh, affine[:3], names[:3])
+        with pytest.raises(geometry.IATViolationError) as err:
+            geometry.product_table(fresh, affine[:2] + [quadratic], names[:2] + ["q"])
+        outcomes.append((table, err.value.field_name, err.value.witness))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1:] == ("q", (1, 1))
+
+
+def previous_connection_from_frame(frame, constants):
+    """`connection_from_frame` as it was before it compared E_a(E_b) with the
+    defining product: every q[a][b] copied and every derivative subtracted."""
+    chart = frame.chart
+    n = chart.dim
+    zero = RationalFunction.zero(chart)
+    E = [f.components for f in frame.fields]
+    expected = [[geometry._combination((x, E[k]) for k, x in constants.rows[a][b])
+                 for b in range(n)] for a in range(n)]
+    q = [[dict(expected[a][b]) for b in range(n)] for a in range(n)]
+    for a, b in product(range(n), repeat=2):
+        for k, d in geometry._derivative_along(frame.fields[a], frame.fields[b]).items():
+            _add_at(q[a][b], k, -d)
+    if any(vec for row in q for vec in row):
+        A = [f.coeffs for f in frame.fields]
+        A_inv = linalg.invert(A, zero=zero, one=RationalFunction.one(chart))
+        half = [[geometry._combination(zip(A_inv[i], (q[a][b] for a in range(n))))
+                 for b in range(n)] for i in range(n)]
+        return Connection._of(chart, geometry._sorted_rows(
+            [[geometry._combination(zip(A_inv[j], half[i])) for j in range(n)]
+             for i in range(n)]))
+    return Connection.zero(chart)
+
+
+def seeded_frames():
+    """(frame, constants) with zero gamma (the GL2 and GL3 frames in seeded
+    orders, constant frames with the zero algebra) and with nonzero gamma
+    (the half-plane frames, seeded frames with seeded algebras)."""
+    pairs2 = [(r, s) for r in range(1, 3) for s in range(1, 3)]
+    pairs3 = [(r, s) for r in range(1, 4) for s in range(1, 4)]
+    cases = []
+    for seed in range(2):
+        rng = random.Random(f"frame-q-{seed}")
+        for scene in (gln_scene(2, rng.sample(pairs2, 4)), gln_scene(3, rng.sample(pairs3, 9))):
+            cases.append((scene.frame, scene.constants))
+        for dim in (2, 3):
+            chart = CHARTS[dim]
+            while True:
+                try:
+                    frame = Frame([VectorField(chart, [rng.randint(-2, 2) for _ in range(dim)])
+                                   for _ in range(dim)])
+                    break
+                except SingularFrameError:
+                    continue
+            cases.append((frame, zero_algebra([f"b{i}" for i in range(dim)])))
+            for rational in (False, True):
+                cases.append((random_frame(rng, chart, rational), random_algebra(rng, dim)))
+    for algebra in (aff_line_lsa(), alpha_family(2), alpha_family(-1)):
+        cases.append((aff_frame(chart_xy()), algebra))
+    return cases
+
+
+def test_frame_connections_match_the_subtract_everywhere_kernel():
+    zero_gamma = 0
+    for frame, constants in seeded_frames():
+        conn = connection_from_frame(frame, constants)
+        assert conn._rows == previous_connection_from_frame(frame, constants)._rows
+        zero_gamma += conn == Connection.zero(conn.chart)
+    assert zero_gamma == 8   # of 19
