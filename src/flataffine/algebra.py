@@ -656,16 +656,10 @@ def adjoin_unit(A: SCAlgebra, unit_name: str = "1") -> SCAlgebra:
 
 
 def left_mult_matrix(A: SCAlgebra, v) -> list:
-    """Matrix of x -> v·x in the basis (rows k, columns j)."""
-    vec = _to_vector(v, A.dim)
-    n = A.dim
-    m = [[_ZERO] * n for _ in range(n)]
-    for i, vi in enumerate(vec):
-        if vi:
-            for j, cell in enumerate(A.rows[i]):
-                for k, x in cell:
-                    m[k][j] += vi * x
-    return m
+    """Matrix of x -> v·x in the basis (rows k, columns j): column j is v·e_j."""
+    v = _to_vector(v, A.dim)
+    columns = (A.product(v, A.basis_vector(j)) for j in range(A.dim))
+    return [list(row) for row in zip(*columns)]
 
 
 def is_unit(A: SCAlgebra, v) -> bool:

@@ -483,8 +483,9 @@ def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = F
     if out_dir is not None:
         for report in reports:
             if fmt in ("json", "both"):
-                (out_path / f"{report['id']}.json").write_text(
-                    json.dumps(report, indent=2) + "\n")
+                with (out_path / f"{report['id']}.json").open("w") as fp:
+                    json.dump(report, fp, indent=2)
+                    fp.write("\n")
             if fmt in ("text", "both"):
                 (out_path / f"{report['id']}.txt").write_text(
                     _report_text(report) + "\n")

@@ -100,8 +100,10 @@ def commutator_matches_brackets(fields, table: SCAlgebra) -> bool:
 def compute_envelope(conn: Connection, ambient_fields, names, generators) -> EnvelopeReport:
     """Run the envelope algorithm end to end.
 
-    `generators` is a subset of `names`; generator fields are taken from the
-    ambient list by name, never re-parsed.  The checks, in report order:
+    `generators` is a subset of `names`, each listed once (KeyError for an
+    unknown name, then ValueError for a repeated one); generator fields are
+    taken from the ambient list by name, never re-parsed.  The checks, in
+    report order:
 
     * `flat_affine` and `iat:<name>` are True whenever a report is made:
       `product_table` raises NotFlatError or IATViolationError instead (and
@@ -144,6 +146,9 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     for g in generator_names:
         if g not in names:
             raise KeyError(f"generator {g!r} is not among the ambient field names")
+    for index, g in enumerate(generator_names):
+        if g in generator_names[:index]:
+            raise ValueError(f"generator {g!r} is listed twice")
     ambient = product_table(conn, fields, names)
     checks = {"flat_affine": True}
     checks.update((f"iat:{name}", True) for name in names)

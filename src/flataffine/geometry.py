@@ -255,13 +255,13 @@ class Connection:
 
     @classmethod
     def from_sparse(cls, chart: Chart, entries) -> "Connection":
-        """Build from sparse entries (k, i, j, expr) with 1-based indices, each
-        (k, i, j) at most once."""
+        """Build from sparse entries (k, i, j, expr) with 1-based `int`
+        indices, each (k, i, j) at most once."""
         n = chart.dim
         rows = [[{} for _ in range(n)] for _ in range(n)]
         seen = set()
         for k, i, j, expr in entries:
-            if not (1 <= k <= n and 1 <= i <= n and 1 <= j <= n):
+            if not all(type(t) is int and 1 <= t <= n for t in (k, i, j)):
                 raise ValueError(f"Christoffel index out of range: ({k},{i},{j})")
             if (k, i, j) in seen:
                 raise ValueError(f"Christoffel symbol ({k},{i},{j}) is given twice")
@@ -453,26 +453,18 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 def torsion(conn: Connection) -> TensorReport:
     """Components T^k_{ij} = gamma^k_{ij} - gamma^k_{ji}.
 
-    Only the pairs with a nonzero gamma[i][j][k] or gamma[j][i][k] are
-    subtracted: each nonzero symbol off the diagonal i = j sets T^k_{ij},
-    and T^k_{ji} = -gamma[i][j][k] when its mirror symbol is zero; every
-    other component is zero.  The mirror symbols are read from the rows.
+    Only the nonzero symbols off the diagonal i = j are read: each
+    gamma[i][j][k] is added at (k, i, j) and subtracted at (k, j, i), the way
+    `curvature` accumulates; every other component is zero.
     """
     if conn._torsion is None:
-        rows = conn._rows
         comps = {}
-        for i, row in enumerate(rows):
-            for j, vec in enumerate(row):
-                if i == j or not vec:
-                    continue
-                mirrors = dict(rows[j][i])
-                for k, g in vec:
-                    mirror = mirrors.get(k)
-                    if mirror is None:
-                        comps[k + 1, i + 1, j + 1] = g
-                        comps[k + 1, j + 1, i + 1] = -g
-                    else:
-                        comps[k + 1, i + 1, j + 1] = g - mirror
+        for i, row in enumerate(conn._rows, 1):
+            for j, vec in enumerate(row, 1):
+                if i != j:
+                    for k, g in vec:
+                        _add_at(comps, (k + 1, i, j), g)
+                        _add_at(comps, (k + 1, j, i), -g)
         conn._torsion = TensorReport("torsion", comps, conn.chart)
     return conn._torsion
 

@@ -20,7 +20,7 @@ unbounded time either.
 """
 from __future__ import annotations
 
-from .chart import Chart, UnknownVariableError
+from .chart import Chart
 from .ratfunc import RationalFunction
 
 
@@ -198,8 +198,6 @@ class _Parser:
         if kind == "num":
             return RationalFunction.constant(self.chart, _integer(text, offset))
         if kind == "name":
-            if text not in self.chart:
-                raise UnknownVariableError(text, self.chart)
             return RationalFunction.variable(self.chart, text)
         if kind == "op" and text == "(":
             if self.depth == _MAX_DEPTH:

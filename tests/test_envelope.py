@@ -246,6 +246,16 @@ def test_envelope_unknown_generator():
         compute_envelope(conn, fields, names, ["nope"])
 
 
+def test_envelope_refuses_a_repeated_generator():
+    conn = aff_line_connection(chart_xy())
+    names, fields = six_iat_fields(chart_xy())
+    with pytest.raises(ValueError, match="generator 'e1-' is listed twice"):
+        compute_envelope(conn, fields, names, ["e1-", "e1-", "e2-"])
+    # an unknown name is reported first, wherever the repeat is
+    with pytest.raises(KeyError):
+        compute_envelope(conn, fields, names, ["e1-", "e1-", "nope"])
+
+
 def test_envelope_records_flatness_and_iat_first():
     conn = aff_line_connection(chart_xy())
     names, fields = six_iat_fields(chart_xy())

@@ -140,6 +140,15 @@ def test_from_sparse_refuses_a_repeated_symbol(entries):
     Connection.from_sparse(plane_chart(), entries[:-1])
 
 
+@pytest.mark.parametrize("entry", [
+    (1.0, 1, 2, "x"), (1, True, 2, "x"), (1, 1, "2", "x"), (0, 1, 2, "x"), (1, 3, 2, "x"),
+], ids=["float", "bool", "string", "zero", "past-dim"])
+def test_from_sparse_refuses_an_index_that_is_not_an_int_in_range(entry):
+    # a float, a bool or a string is refused like an index out of range
+    with pytest.raises(ValueError, match="Christoffel index out of range"):
+        Connection.from_sparse(chart_xy(), [entry])
+
+
 def test_torsion_zero_and_perturbed():
     assert torsion(Connection.zero(CH)).is_zero
     conn = Connection.from_sparse(CH, [(1, 1, 2, "1")])

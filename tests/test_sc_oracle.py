@@ -451,7 +451,16 @@ def test_products_and_matrices_match_oracle(name, A):
         assert sparse == {k: x * scale
                           for k, x in enumerate(oracle_dense_product(A, u, v)) if x}
         assert left_mult_matrix(A, v) == oracle_left_mult_matrix(A, v)
+    zero = [0] * A.dim
+    assert left_mult_matrix(A, zero) == oracle_left_mult_matrix(A, zero)
     assert A.to_json_dict() == oracle_algebra_json(A)
+
+
+def test_left_mult_matrix_in_dimension_zero():
+    A = SCAlgebra((), [])
+    assert left_mult_matrix(A, ()) == oracle_left_mult_matrix(A, ()) == []
+    with pytest.raises(ValueError, match="expected a vector of length 0"):
+        left_mult_matrix(A, (Fraction(1),))
 
 
 SCANS = ("associative", "left-symmetric", "jacobi")
