@@ -215,8 +215,8 @@ class SCAlgebra:
             raise KeyError(f"no basis element named {name!r}") from None
 
     def basis_vector(self, i: int) -> Vector:
-        if not 0 <= i < self.dim:
-            raise ValueError(f"basis index {i} is not between 0 and {self.dim - 1}")
+        if type(i) is not int or not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i!r} is not between 0 and {self.dim - 1}")
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
 
     def product(self, u, v) -> Vector:
@@ -454,7 +454,7 @@ def _first_failure(A: SCAlgebra, pairs, terms):
     split = [[(keys[k], m, y) for k, cell in enumerate(row) for m, y in cell] for row in s]
     # start[l][k]: the first entry of flat[l] and of split[l] at k or past it
     start = [list(accumulate(map(len, row), initial=0)) for row in s]
-    neg = [[tuple((m, -y) for m, y in cell) for cell in row] for row in s]
+    neg = [[cell and tuple([(m, -y) for m, y in cell]) for cell in row] for row in s]
     for i, j in pairs:
         coeffs, composites, low = terms(s, neg, i, j)
         total = {}
@@ -486,13 +486,29 @@ def check_left_symmetric(A: SCAlgebra) -> CheckReport:
     return CheckReport(witness is None, witness)
 
 
-def check_associative(A: SCAlgebra) -> CheckReport:
-    """Associativity on basis triples; the witness is the first failing
-    (i, j, k) in lexicographic order, 1-based."""
+def _associator_failure(A: SCAlgebra, rows):
+    """The first basis triple (i, j, k), 1-based, with i in `rows` (ascending
+    basis indices), at which A is not associative, or None."""
     n = A.dim
     # (b_i b_j) b_k - b_i (b_j b_k)
-    witness = _first_failure(A, ((i, j) for i in range(n) for j in range(n)),
-                             lambda s, neg, i, j: (s[i][j], ((neg[i], j),), 0))
+    return _first_failure(A, ((i, j) for i in rows for j in range(n)),
+                          lambda s, neg, i, j: (s[i][j], ((neg[i], j),), 0))
+
+
+def check_associative(A: SCAlgebra) -> CheckReport:
+    """Associativity on basis triples; the witness is the first failing
+    (i, j, k) in lexicographic order, 1-based.
+
+    Only the rows of a generating set S (`_generating_indices`) are scanned,
+    each as the search yields it, so the search stops at a failing row.
+    T = {x : (xy)z = x(yz) for all y, z} is a subspace closed under the
+    product, since ((x1 x2) y) z = (x1 (x2 y)) z = x1 ((x2 y) z) =
+    x1 (x2 (y z)) = (x1 x2)(y z); so A is associative iff every b_f, f in S,
+    lies in T.  The first row i that fails is in S: otherwise b_i lies in
+    the closure of the b_f with f in S and f < i, which pass, so it lies in
+    T.  So the rows of S give the full scan's first witness.
+    """
+    witness = _associator_failure(A, _generating_indices(A))
     return CheckReport(witness is None, witness)
 
 
@@ -545,6 +561,28 @@ def commutator_algebra(A: SCAlgebra) -> LieAlgebraSC:
 # ----- subspaces and constructions ------------------------------------------
 
 
+def _close(A: SCAlgebra, span, new: list, old: list) -> None:
+    """Run the semi-naive closure rounds on `span`, in place, until a round
+    adds nothing or the span has rank dim.  `old` and `new` span it, every
+    product of two vectors of `old` lies in it, and `new` holds the rows
+    added since; on return `old` holds them all, and `span` is closed (a
+    round stopped at full rank leaves products unread, but Q^dim is closed)."""
+    for _ in range(A.dim + 1):
+        if not new or len(span.rows) == A.dim:
+            old += new
+            return
+        pairs = [(u, v) for u in new for v in old + new] + [(u, v) for u in old for v in new]
+        old += new
+        new = []
+        for u, v in pairs:
+            row = span.add(A._product(u, v))
+            if row is not None:
+                new.append(row)
+                if len(span.rows) == A.dim:
+                    break
+    raise AssertionError("closure rounds went on past the dimension")
+
+
 def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     """Smallest subspace containing the generators and closed under the product.
 
@@ -553,7 +591,7 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     generators cleared of denominators, then integer products of its rows
     (`SCAlgebra._product`), each a nonzero multiple of the true product, so
     a `Fraction` is built only when the `Subspace` reads its rows.  The
-    rounds are semi-naive: a round
+    rounds (`_close`) are semi-naive: a round
     multiplies only the pairs with a vector added in the previous round
     (new·new, new·old, old·new), reduces each product once and adds the ones
     that leave S.  An old·old pair was multiplied in an earlier round, so its
@@ -568,21 +606,24 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     """
     span = linalg._QSpan()
     new = [span.add(linalg._integral(_sparse(_to_vector(g, A.dim)))[0]) for g in generators]
-    new = [u for u in new if u is not None]
-    old = []
-    for _ in range(A.dim + 1):
-        if not new or len(span.rows) == A.dim:
-            return Subspace._of(A.dim, span)
-        pairs = [(u, v) for u in new for v in old + new] + [(u, v) for u in old for v in new]
-        old += new
-        new = []
-        for u, v in pairs:
-            row = span.add(A._product(u, v))
-            if row is not None:
-                new.append(row)
-                if len(span.rows) == A.dim:
-                    break
-    raise AssertionError("closure rounds went on past the dimension")
+    _close(A, span, [u for u in new if u is not None], [])
+    return Subspace._of(A.dim, span)
+
+
+def _generating_indices(A: SCAlgebra):
+    """Yield ascending basis indices whose basis vectors generate A: each b_f
+    that lies outside the closure of those before it, until the closure is
+    Q^dim.  The rounds resume from that closure (`_close`: its spanning
+    vectors' products lie in it already), and only once f is consumed, so a
+    caller that stops early skips the rest of the search."""
+    span, old = linalg._QSpan(), []
+    for f in range(A.dim):
+        if len(span.rows) == A.dim:
+            return
+        row = span.add({f: 1})
+        if row is not None:
+            yield f
+            _close(A, span, [row], old)
 
 
 def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:

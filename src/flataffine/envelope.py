@@ -14,6 +14,7 @@ from .algebra import (
     LieAlgebraSC,
     SCAlgebra,
     Subspace,
+    _associator_failure,
     _commutator,
     _difference,
     _negated,
@@ -108,7 +109,11 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     * `flat_affine` and `iat:<name>` are True whenever a report is made:
       `product_table` raises NotFlatError or IATViolationError instead (and
       DependentFieldsError unless the fields are a basis of their span).
-    * `ambient_associative` scans the ambient table on every basis triple.
+    * `ambient_associative` scans the ambient table's rows of the generators
+      and of the unit vectors off the closure's pivots (`check_associative`
+      has the lemma: a table is associative iff the rows of a generating set
+      pass).  These generate the ambient algebra: the closure's fully reduced
+      rows and those unit vectors have distinct pivots, so they span Q^n.
     * `ambient_commutator_matches_lie_brackets` compares c[i][j] - c[j][i]
       with the fields' Lie brackets in their coordinates (`_bracket_check`).
       It catches an error in the product's antisymmetric part; one in its
@@ -150,14 +155,16 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
         if g in generator_names[:index]:
             raise ValueError(f"generator {g!r} is listed twice")
     ambient = product_table(conn, fields, names)
+    indices = [ambient.basis_index(g) for g in generator_names]
+    closure = subalgebra_closure(ambient, [ambient.basis_vector(i) for i in indices])
+    # the generators and the unit vectors off the closure's pivots generate the ambient
+    pivots = closure._span.rows
+    rows = sorted(set(indices).union(f for f in range(ambient.dim) if f not in pivots))
     checks = {"flat_affine": True}
     checks.update((f"iat:{name}", True) for name in names)
-    checks["ambient_associative"] = check_associative(ambient).holds
+    checks["ambient_associative"] = _associator_failure(ambient, rows) is None
     matches, brackets = _bracket_check(fields, ambient)
     checks["ambient_commutator_matches_lie_brackets"] = matches
-    generator_vectors = [ambient.basis_vector(ambient.basis_index(g))
-                         for g in generator_names]
-    closure = subalgebra_closure(ambient, generator_vectors)
     checks["closure_product_closed"] = True
     restricted = restrict_to_subspace(ambient, closure)
     envelope = opposite(restricted)

@@ -150,8 +150,8 @@ class VectorField:
     @classmethod
     def coordinate(cls, chart: Chart, axis: int) -> "VectorField":
         """The coordinate field d/dx_axis (0-based axis)."""
-        if not 0 <= axis < chart.dim:
-            raise ValueError(f"axis {axis} is not between 0 and {chart.dim - 1}")
+        if type(axis) is not int or not 0 <= axis < chart.dim:
+            raise ValueError(f"axis {axis!r} is not between 0 and {chart.dim - 1}")
         return cls(chart, [1 if i == axis else 0 for i in range(chart.dim)])
 
     def is_zero(self) -> bool:

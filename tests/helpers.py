@@ -452,3 +452,30 @@ def random_algebra(rng, dim: int) -> SCAlgebra:
                 k = rng.randrange(dim)
                 c[i][j][k] = Fraction(rng.choice((-2, -1, 1, 2)))
     return SCAlgebra(names, c)
+
+
+def unit_matrix_algebra(size, strict=False):
+    """M_size(Q), or its strictly upper triangular part, in the matrix-unit
+    basis E_pq E_rs = [q == r] E_ps: associative, with few nonzero cells."""
+    units = [(p, q) for p in range(size) for q in range(size) if not strict or p < q]
+    index = {u: k for k, u in enumerate(units)}
+    n = len(units)
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for a, (p, q) in enumerate(units):
+        for b, (r, t) in enumerate(units):
+            if q == r:
+                c[a][b][index[p, t]] = Fraction(1)
+    return SCAlgebra([f"E{p + 1}{q + 1}" for p, q in units], c)
+
+
+def perturbed(rng, A, fractional=False):
+    """A copy of A with one structure constant moved by a nonzero rational
+    (a non-integer one when `fractional`)."""
+    n = A.dim
+    c = [[list(vec) for vec in row] for row in A.c]
+    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    delta = rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+    while fractional and delta.denominator == 1:
+        delta = rng.choice((-1, 1)) * Fraction(rng.randint(1, 6), rng.randint(2, 7))
+    c[i][j][k] += delta
+    return SCAlgebra(A.basis_names, c)

@@ -374,6 +374,14 @@ def test_basis_vector_refuses_an_index_outside_the_basis():
             A.basis_vector(i)
 
 
+@pytest.mark.parametrize("index", [0.5, 1.0, True, False, "1"],
+                         ids=["half", "float", "true", "false", "string"])
+def test_basis_vector_refuses_an_index_that_is_not_an_int(index):
+    # 0.5 read as the zero vector, and True and 1.0 as index 1
+    with pytest.raises(ValueError, match="not between 0 and 1"):
+        aff_line_lsa().basis_vector(index)
+
+
 def test_generator_vectors_reuse_their_fractions():
     """A basis vector is built from one shared 0 and one shared 1, and the
     closure's coercion keeps an entry that is a `Fraction` already."""

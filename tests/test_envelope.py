@@ -194,24 +194,34 @@ def partial_opposite(a, b):
     ((2, 3), ["envelope_commutator_is_opposite_of_restricted_brackets"])],
     ids=["not-associative", "associative"])
 def test_final_check_catches_a_partial_opposite(monkeypatch, pair, failed):
-    from flataffine import envelope
+    from flataffine import algebra, envelope
     conn = alpha_connection(2, chart_xy())
     names, fields = alpha2_fields(chart_xy())
-    scans = []
+    # every associativity scan runs through `_associator_failure`: the ambient
+    # verdict on the generators' rows, `check_associative` on the rows of a
+    # generating set it finds
+    scans, verdicts = [], []
+    rows_scan = algebra._associator_failure
+
+    def spy(A, rows):
+        scans.append(A)
+        return rows_scan(A, rows)
+    monkeypatch.setattr(algebra, "_associator_failure", spy)
+    monkeypatch.setattr(envelope, "_associator_failure", spy)
     monkeypatch.setattr(envelope, "check_associative",
-                        lambda algebra: scans.append(algebra) or check_associative(algebra))
+                        lambda algebra: verdicts.append(algebra) or check_associative(algebra))
     report = compute_envelope(conn, fields, names, names)
     # the closure is the whole space and the envelope is the ambient's
     # opposite, so the ambient scan gives the envelope's verdict
     assert report.closure.rank == 4 and all(report.checks.values())
-    assert scans == [report.ambient]
+    assert scans == [report.ambient] and verdicts == []
     a, b = pair
     assert report.ambient.rows[a][b] != report.ambient.rows[b][a]
     monkeypatch.setattr(envelope, "opposite", partial_opposite(a, b))
     scans.clear()
     report = compute_envelope(conn, fields, names, names)
     # the envelope is not the ambient's opposite: it is scanned itself
-    assert scans == [report.ambient, report.envelope]
+    assert scans == [report.ambient, report.envelope] and verdicts == [report.envelope]
     assert report.checks["envelope_associative"] == check_associative(report.envelope).holds
     assert [name for name, ok in report.checks.items() if not ok] == failed
 

@@ -66,6 +66,14 @@ def test_coordinate_field_refuses_an_axis_outside_the_chart():
             VectorField.coordinate(CH, axis)
 
 
+@pytest.mark.parametrize("axis", [0.5, 1.0, True, False, "1"],
+                         ids=["half", "float", "true", "false", "string"])
+def test_coordinate_field_refuses_an_axis_that_is_not_an_int(axis):
+    # 0.5 read as the zero field, and True and 1.0 as axis 1
+    with pytest.raises(ValueError, match="not between 0 and 1"):
+        VectorField.coordinate(CH, axis)
+
+
 # ----- covariant derivative -----------------------------------------------------
 
 

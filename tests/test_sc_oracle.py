@@ -61,9 +61,11 @@ from flataffine.linalg import _Echelon, _integral, invert
 from helpers import (
     aff_line_connection,
     gln_scene,
+    perturbed,
     random_algebra,
     six_field_table_algebra,
     six_iat_fields,
+    unit_matrix_algebra,
 )
 
 
@@ -299,20 +301,6 @@ def matrix_algebra(rng, size):
     return SCAlgebra([f"b{k + 1}" for k in range(n)], c)
 
 
-def unit_matrix_algebra(size, strict=False):
-    """M_size(Q), or its strictly upper triangular part, in the matrix-unit
-    basis E_pq E_rs = [q == r] E_ps: associative, with few nonzero cells."""
-    units = [(p, q) for p in range(size) for q in range(size) if not strict or p < q]
-    index = {u: k for k, u in enumerate(units)}
-    n = len(units)
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for a, (p, q) in enumerate(units):
-        for b, (r, t) in enumerate(units):
-            if q == r:
-                c[a][b][index[p, t]] = Fraction(1)
-    return SCAlgebra([f"E{p + 1}{q + 1}" for p, q in units], c)
-
-
 def random_rational_algebra(rng, dim):
     """Sparse constants p/q with q in 2..7, so the common denominator varies."""
     c = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
@@ -344,19 +332,6 @@ def gl2_ambient():
     inv_names, inv_fields = scene.invariant_fields()
     names, fields = independent_fields(inv_fields + scene.f_fields, inv_names + scene.f_names)
     return product_table(scene.connect(), fields, names)
-
-
-def perturbed(rng, A, fractional=False):
-    """A copy of A with one structure constant moved by a nonzero rational
-    (a non-integer one when `fractional`)."""
-    n = A.dim
-    c = [[list(vec) for vec in row] for row in A.c]
-    i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-    delta = rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
-    while fractional and delta.denominator == 1:
-        delta = rng.choice((-1, 1)) * Fraction(rng.randint(1, 6), rng.randint(2, 7))
-    c[i][j][k] += delta
-    return SCAlgebra(A.basis_names, c)
 
 
 def rescaled(rng, A):
