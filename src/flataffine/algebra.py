@@ -1,17 +1,24 @@
 """Finite-dimensional algebras given by structure constants over the rationals.
 
 Conventions:
+  * every rational the layer stores (a structure constant, a coordinate, an
+    entry of a subspace row) is an int when it is integral and a normalised
+    `Fraction` otherwise, never a bool or a float.  Values enter through
+    `_rational` (or `parse_rational`) and leave the integer kernels through
+    `linalg._read`, which both keep that form; an int prints, compares and
+    hashes as the equal `Fraction` does, so reports and keys are unchanged;
   * constants are stored sparse: rows[i][j] is the product basis_i · basis_j
-    as a tuple of (k, x) pairs, one per nonzero coefficient x (a `Fraction`)
-    of basis_k, in ascending k (all indices 0-based internally).  Every
-    library function reads these rows, so its work follows the nonzero cells;
+    as a tuple of (k, x) pairs, one per nonzero coefficient x of basis_k, in
+    ascending k (all indices 0-based internally).  Every library function
+    reads these rows, so its work follows the nonzero cells;
   * `c`, the dense tuple with c[i][j][k] the coefficient of basis_k in
     basis_i · basis_j, is a view derived from the rows on first access, for
     callers outside the library;
   * the integer constants D * c, with D the lcm of the denominators
-    (`_scaled_constants`), are derived on first use as well, and kept: the
-    identity scans, `product`, the closure and the restriction all multiply
-    through them;
+    (`_scaled_constants`), are derived on first use as well, and kept (on an
+    integer table, D = 1 and they are the rows themselves): the identity
+    scans, `product`, the closure and the restriction all multiply through
+    them;
   * every witness and every JSON index is reported 1-based, matching the
     mathematical indexing of the checks;
   * the serialized form is
@@ -29,12 +36,10 @@ from itertools import accumulate
 from math import lcm
 
 from . import linalg
+from .symcore import Rational
 
-Vector = tuple[Fraction, ...]
-Row = tuple[tuple[int, Fraction], ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Vector = tuple[int | Rational, ...]
+Row = tuple[tuple[int, int | Rational], ...]
 
 
 @dataclass(frozen=True)
@@ -90,17 +95,28 @@ def _index(value, dim, what, path):
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(x) -> Fraction:
-    """A rational given as an integer (not a bool) or a string "p/q" or "p";
-    ValueError for anything else, a zero denominator included."""
+def _rational(x):
+    """x, any value `Fraction()` accepts, as a stored rational: an int when
+    it is integral (a bool becomes its int), a normalised `Fraction`
+    otherwise."""
     if type(x) is int:
-        return Fraction(x)
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def parse_rational(x):
+    """A rational given as an integer (not a bool) or a string "p/q" or "p",
+    as a stored rational (`_rational`); ValueError for anything else, a zero
+    denominator included."""
+    if type(x) is int:
+        return x
     if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
         raise ValueError(f'bad rational {x!r}: write an integer, "p" or "p/q"')
     # the grammar's p and q are int() literals: Fraction(x) reads the same value
     p, _, q = x.partition("/")
     try:
-        return Fraction(int(p), int(q) if q else 1)
+        return _rational(Fraction(int(p), int(q) if q else 1))
     except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
         raise ValueError(f"bad rational {x!r}: {err}") from None
 
@@ -114,8 +130,9 @@ def _fraction(x, path):
 
 
 def _to_vector(values, dim: int) -> Vector:
-    """The values as a tuple of Fractions; an entry that is one already is kept."""
-    vec = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    """The values as a tuple of stored rationals (`_rational`); an int entry
+    is kept as it is."""
+    vec = tuple(map(_rational, values))
     if len(vec) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
     return vec
@@ -126,7 +143,7 @@ def _sparse(vec) -> dict:
     return {k: x for k, x in enumerate(vec) if x}
 
 
-def _dense(n: int, items, zero=_ZERO) -> Vector:
+def _dense(n: int, items, zero=0) -> Vector:
     """The length-n tuple with the (k, x) items and `zero` elsewhere."""
     out = [zero] * n
     for k, x in items:
@@ -135,13 +152,14 @@ def _dense(n: int, items, zero=_ZERO) -> Vector:
 
 
 def _difference(u: Row, v: Row) -> Row:
-    """u - v for sparse rows."""
+    """u - v for sparse rows, in stored form."""
     if not v:
         return u
     out = dict(u)
     for k, x in v:
-        out[k] = out.get(k, _ZERO) - x
-    return tuple((k, x) for k, x in sorted(out.items()) if x)
+        out[k] = out.get(k, 0) - x
+    return tuple((k, x if type(x) is int else _rational(x))
+                 for k, x in sorted(out.items()) if x)
 
 
 def _negated(u: Row) -> Row:
@@ -154,7 +172,8 @@ class SCAlgebra:
     __slots__ = ("dim", "basis_names", "rows", "unit_index", "_c", "_scaled")
 
     def __init__(self, basis_names, c, unit_index: int | None = None):
-        """Build from dense constants c[i][j][k] (any values `Fraction` accepts)."""
+        """Build from dense constants c[i][j][k] (any values `Fraction` accepts,
+        stored as `_rational` stores them)."""
         n = len(c)
         if any(len(row) != n for row in c):
             raise ValueError("structure constants must be n x n x n")
@@ -165,8 +184,9 @@ class SCAlgebra:
     @classmethod
     def _of(cls, basis_names, rows, unit_index: int | None = None) -> "SCAlgebra":
         """Wrap sparse rows that are already in the stored form (an n x n tuple
-        of (k, x) tuples, ascending k, nonzero `Fraction` x), without coercing
-        them again; only names and unit are checked."""
+        of (k, x) tuples, ascending k, each x a nonzero int, or a `Fraction`
+        when it is not integral), without coercing them again; only names and
+        unit are checked."""
         self = object.__new__(cls)
         self._wrap(basis_names, rows, unit_index)
         return self
@@ -195,15 +215,16 @@ class SCAlgebra:
     @staticmethod
     def from_products(basis_names, products, unit: str | None = None) -> "SCAlgebra":
         """Build from a sparse table {(left_name, right_name): {name: coeff}};
-        only the given entries are read, and zero coefficients are dropped.
-        The result is a plain SCAlgebra, also when called on a subclass."""
+        only the given entries are read (`_rational`), and zero coefficients
+        are dropped.  The result is a plain SCAlgebra, also when called on a
+        subclass."""
         names = tuple(basis_names)
         n = len(names)
         index = {name: i for i, name in enumerate(names)}
         rows = [[()] * n for _ in range(n)]
         for (left, right), combo in products.items():
             i, j = index[left], index[right]
-            cell = {index[name]: Fraction(coeff) for name, coeff in combo.items()}
+            cell = {index[name]: _rational(coeff) for name, coeff in combo.items()}
             rows[i][j] = tuple((k, x) for k, x in sorted(cell.items()) if x)
         return SCAlgebra._of(names, tuple(map(tuple, rows)),
                              index[unit] if unit is not None else None)
@@ -217,7 +238,7 @@ class SCAlgebra:
     def basis_vector(self, i: int) -> Vector:
         if type(i) is not int or not 0 <= i < self.dim:
             raise ValueError(f"basis index {i!r} is not between 0 and {self.dim - 1}")
-        return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def product(self, u, v) -> Vector:
         """Bilinear product of two coordinate vectors."""
@@ -363,10 +384,11 @@ class LieAlgebraSC(SCAlgebra):
 
 class Subspace:
     """A subspace of Q^n held as its reduced row-echelon basis `rows`
-    (canonical, `Fraction` entries), read off the `linalg._QSpan` it keeps:
-    each primitive integer row over its pivot entry, the one place a
-    `Fraction` is built.  The form is unique, so these are the rows a
-    division-based elimination gives."""
+    (canonical, stored rationals), read off the `linalg._QSpan` it keeps:
+    each primitive integer row over its pivot entry (`linalg._QSpan.basis`),
+    the one place a `Fraction` is built, and only for an entry that is not
+    integral.  The form is unique, so these are the rows a division-based
+    elimination gives."""
 
     __slots__ = ("ambient_dim", "rows", "_span")
 
@@ -419,7 +441,8 @@ class Subspace:
 def _scaled_constants(A: SCAlgebra) -> tuple:
     """(D, s): the sparse integer constants s[i][j] = ((l, D * c[i][j][l]),
     ...), read from the stored rows (so over the nonzero l, ascending), with D
-    the lcm of the constants' denominators (1 on integer tables).  Built on
+    the lcm of the constants' denominators.  On an integer table D = 1 and s
+    is the stored rows themselves: every constant is an int there.  Built on
     first use and kept in the algebra's `_scaled` slot, as `c` is kept.
 
     An associator or a Jacobi sum computed from s is exactly D^2 times the
@@ -428,8 +451,11 @@ def _scaled_constants(A: SCAlgebra) -> tuple:
     """
     if A._scaled is None:
         D = lcm(*{x.denominator for row in A.rows for cell in row for _, x in cell})
-        A._scaled = D, tuple(tuple(tuple((l, x.numerator * (D // x.denominator)) for l, x in cell)
-                                   for cell in row) for row in A.rows)
+        if D == 1:
+            A._scaled = D, A.rows
+        else:
+            A._scaled = D, tuple(tuple(tuple((l, x.numerator * (D // x.denominator)) for l, x in cell)
+                                       for cell in row) for row in A.rows)
     return A._scaled
 
 
@@ -477,10 +503,17 @@ def check_left_symmetric(A: SCAlgebra) -> CheckReport:
 
     Checking on basis triples suffices by trilinearity.  The witness is the
     first failing (i, j, k) in lexicographic order, 1-based.
+
+    Only the pairs i < j are scanned.  The identity at (i, j, k),
+    LS(i, j, k) = (b_i b_j) b_k - b_i (b_j b_k) - (b_j b_i) b_k + b_j (b_i b_k),
+    is -LS(j, i, k), term by term, and LS(i, i, k) = 0.  So (i, j, k) fails
+    iff (j, i, k) does, and a failing (j, i, k) with j > i comes after the
+    failing (i, j, k) in lexicographic order: the first failing triple has
+    i < j, and among those pairs the scan keeps the same order.
     """
     n = A.dim
     # (b_i b_j) b_k - b_i (b_j b_k) - (b_j b_i) b_k + b_j (b_i b_k)
-    witness = _first_failure(A, ((i, j) for i in range(n) for j in range(n) if i != j),
+    witness = _first_failure(A, ((i, j) for i in range(n) for j in range(i + 1, n)),
                              lambda s, neg, i, j: (s[i][j] + neg[j][i],
                                                    ((neg[i], j), (s[j], i)), 0))
     return CheckReport(witness is None, witness)
@@ -575,7 +608,8 @@ def _close(A: SCAlgebra, span, new: list, old: list) -> None:
         old += new
         new = []
         for u, v in pairs:
-            row = span.add(A._product(u, v))
+            w = A._product(u, v)
+            row = span.add(w) if w else None   # a zero product adds nothing
             if row is not None:
                 new.append(row)
                 if len(span.rows) == A.dim:
@@ -590,12 +624,13 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     (`linalg._QSpan`), spanned by the vectors added to it so far: the
     generators cleared of denominators, then integer products of its rows
     (`SCAlgebra._product`), each a nonzero multiple of the true product, so
-    a `Fraction` is built only when the `Subspace` reads its rows.  The
+    no `Fraction` is built until the `Subspace` reads its rows.  The
     rounds (`_close`) are semi-naive: a round
     multiplies only the pairs with a vector added in the previous round
-    (new·new, new·old, old·new), reduces each product once and adds the ones
-    that leave S.  An old·old pair was multiplied in an earlier round, so its
-    product lies in S already.  When a round adds nothing, the product of
+    (new·new, new·old, old·new), reduces each nonzero product once and adds
+    the ones that leave S (a zero vector lies in every span).  An old·old
+    pair was multiplied in an earlier round, so its product lies in S
+    already.  When a round adds nothing, the product of
     every two spanning vectors lies in S, so S·S lies in S by bilinearity: S
     is closed, and it is the smallest closed span, since every vector added
     is a product within it.  Each round that goes on grows the rank, so a
@@ -605,7 +640,8 @@ def subalgebra_closure(A: SCAlgebra, generators) -> Subspace:
     closure, so S is the closure.
     """
     span = linalg._QSpan()
-    new = [span.add(linalg._integral(_sparse(_to_vector(g, A.dim)))[0]) for g in generators]
+    vectors = (linalg._integral(_sparse(_to_vector(g, A.dim)))[0] for g in generators)
+    new = [span.add(vec) for vec in vectors if vec]   # a zero generator adds nothing
     _close(A, span, [u for u in new if u is not None], [])
     return Subspace._of(A.dim, span)
 
@@ -646,7 +682,8 @@ def restrict_to_subspace(A: SCAlgebra, space: Subspace) -> SCAlgebra:
     products are taken in integers: the span's row r_a is row_a times its
     pivot entry r_a[p_a], and `SCAlgebra._product` scales by D, so the
     integer product of r_a and r_b is D r_a[p_a] r_b[p_b] times row_a row_b.
-    A coordinate, the one `Fraction` built, is its entry over that scale.
+    A coordinate is its entry over that scale (`linalg._read`), a `Fraction`
+    only where that is not integral.
     """
     if space.ambient_dim != A.dim:
         raise ValueError(f"the subspace lies in Q^{space.ambient_dim}, not in Q^{A.dim}")
@@ -691,8 +728,8 @@ def adjoin_unit(A: SCAlgebra, unit_name: str = "1") -> SCAlgebra:
         raise ValueError(f"basis already contains {unit_name!r}")
     n = A.dim
     names = A.basis_names + (unit_name,)
-    rows = tuple(row + (((i, _ONE),),) for i, row in enumerate(A.rows))   # x · 1 = x
-    rows += (tuple(((i, _ONE),) for i in range(n + 1)),)                   # 1 · x = x
+    rows = tuple(row + (((i, 1),),) for i, row in enumerate(A.rows))   # x · 1 = x
+    rows += (tuple(((i, 1),) for i in range(n + 1)),)                   # 1 · x = x
     return SCAlgebra._of(names, rows, unit_index=n)
 
 

@@ -618,7 +618,8 @@ class _FieldSpan:
     dependent field's entry, at a pivot column, is zero.  On the independent
     fields lambda is unique, so no column order or row scaling changes it.
     Rows are made integral (a label entry scales with its row); a coefficient
-    becomes a `Fraction` only when it is read out.
+    is read out by `linalg._read`: an int when it is integral, a `Fraction`
+    otherwise.
     """
 
     __slots__ = ("dependent", "_common", "_multiplier", "_slots", "_top", "_last", "_span")
@@ -691,12 +692,14 @@ class _FieldSpan:
 def express_in_basis(targets, basis) -> list:
     """Constants lambda with target = sum lambda_k basis_k, one row per target
     in `SCAlgebra.rows`' stored form: a tuple of (k, lambda_k) pairs in
-    ascending k, one per nonzero `Fraction` lambda_k.
+    ascending k, one per nonzero lambda_k, an int when it is integral and a
+    `Fraction` otherwise.
 
     The basis is reduced once (`_FieldSpan`), and each target is read off it.
     A basis field that depends on the ones before it gets coefficient zero.
-    The rows are integer vectors, and a coefficient is built as a `Fraction`
-    only when it is read out; the coefficients on independent fields are
+    The rows are integer vectors, and a coefficient leaves them only when it
+    is read out (a `Fraction` only where it is not integral); the
+    coefficients on independent fields are
     unique, so they are those any exact elimination gives.
     Raises NotInSpanError, with the 0-based `index` of the first target that
     is not a constant combination of the basis.

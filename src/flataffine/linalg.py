@@ -3,16 +3,18 @@
 The functions other than `nullspace` (Q only) work with any element type
 supporting +, -, *, / and truthiness (Fraction, RationalFunction); pass `zero`
 (and `one` to `invert`) when the field is not the rationals.  Matrices are
-lists of row lists; no input is mutated.  Over Q (a `Fraction` zero, the
-default) the entries may be ints or Fractions and every result entry is a
-`Fraction`.
+lists of row lists; no input is mutated.  Over Q (an int or `Fraction` zero,
+the default) the entries may be ints or Fractions, and every result entry
+is a stored rational: an int when it is integral, a `Fraction` otherwise,
+never a bool or a float.
 
 A span is held as sparse, fully reduced echelon rows by one of two kernels;
 the entry field chooses which.  Over Q, `_QSpan` keeps each row as a
 primitive integer vector with a positive pivot entry and eliminates by
 cross-multiplication (Bareiss, "Sylvester's identity and multistep
-integer-preserving Gaussian elimination", Math. Comp., 1968); a `Fraction`
-is built only where an entry leaves it (`_read`).  Every function here over
+integer-preserving Gaussian elimination", Math. Comp., 1968); an entry
+leaves it through `_read`, which builds a `Fraction` only where the entry is
+not integral.  Every function here over
 Q, and every span question of the algebra and envelope layers, runs on it.
 Over any other field (the rational functions of a frame matrix), `_Echelon`
 divides by the pivot.  The reduced row-echelon form is unique, and each of
@@ -24,8 +26,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+# the default `zero`, which selects Q: a `Fraction`, since the benchmark's
+# tracer tells a Q call from a Q(x) one by it; no result entry is this
+# object, as a zero entry over Q is stored as 0
 _QZERO = Fraction(0)
-_QONE = Fraction(1)
+
+
+def _over_q(zero) -> bool:
+    """Whether `zero` names the rationals: an int or a `Fraction`."""
+    return isinstance(zero, (int, Fraction))
 
 
 def rref(rows, *, zero=_QZERO):
@@ -35,9 +44,10 @@ def rref(rows, *, zero=_QZERO):
     exact field the result is canonical for the row space: the rows go, as
     sparse dicts, into one span kernel (`_QSpan` over Q, `_Echelon`
     otherwise), whose rows sorted by pivot are that canonical form, made
-    dense with `zero`.
+    dense with `zero` (0 over Q).
     """
-    if isinstance(zero, Fraction):
+    if _over_q(zero):
+        zero = 0
         span = _q_span(rows)
         pivots = sorted(span.rows)
         reduced = span.basis()
@@ -61,7 +71,7 @@ def nullspace(rows, ncols: int):
     The rows are those of `_nullspace_rows`, made dense; the ansatz solver
     reads that helper directly on its own sparse equations.
     """
-    return [[r.get(c, _QZERO) for c in range(ncols)]
+    return [[r.get(c, 0) for c in range(ncols)]
             for r in _nullspace_rows(_q_span(rows), ncols)]
 
 
@@ -79,6 +89,8 @@ def solve(rows, rhs_list, *, zero=_QZERO):
     ncols = len(rows[0])
     augmented = [list(r) + [b[i] for b in rhs_list] for i, r in enumerate(rows)]
     reduced, pivots = rref(augmented, zero=zero)
+    if _over_q(zero):
+        zero = 0
     # rows past the rank of `rows` are zero on it: b is consistent iff its
     # column is zero there
     rank_a = sum(1 for c in pivots if c < ncols)
@@ -92,7 +104,7 @@ def solve(rows, rhs_list, *, zero=_QZERO):
     return solutions
 
 
-def invert(rows, *, zero=_QZERO, one=_QONE):
+def invert(rows, *, zero=_QZERO, one=1):
     """Matrix inverse, read off the rref of [rows | I]; raises ValueError on
     singular input."""
     n = len(rows)
@@ -136,7 +148,13 @@ def _q_span(rows) -> "_QSpan":
 
 def _integral(vec: dict):
     """(w, d) for a sparse vector of ints and Fractions: the least d > 0
-    that makes w = d * vec integral, and w as a dict of ints."""
+    that makes w = d * vec integral, and w as a fresh dict of ints.  A vector
+    of ints, the stored form of an integral one, is copied as it is."""
+    for x in vec.values():
+        if x.__class__ is not int:
+            break
+    else:
+        return dict(vec), 1
     d = lcm(*[x.denominator for x in vec.values()])
     if d == 1:
         return {m: x.numerator for m, x in vec.items()}, 1
@@ -144,16 +162,21 @@ def _integral(vec: dict):
 
 
 def _read(vec: dict, d: int) -> dict:
-    """The sparse vector vec / d of an integer vector, as `Fraction`s: where
-    an entry leaves the integer kernel."""
+    """The sparse vector vec / d of an integer vector (d > 0) as stored
+    rationals, where an entry leaves the integer kernel: x // d where d
+    divides x, a `Fraction` only otherwise.  With d == 1 that is vec itself."""
     if d == 1:
-        return {m: Fraction(x) for m, x in vec.items()}
-    return {m: Fraction(x, d) for m, x in vec.items()}
+        return vec
+    out = {}
+    for m, x in vec.items():
+        q, r = divmod(x, d)
+        out[m] = Fraction(x, d) if r else q
+    return out
 
 
 def _nullspace_rows(span: "_QSpan", ncols: int) -> list:
     """The right nullspace in Q^ncols of `span`, as the rows of its reduced
-    row-echelon basis: sparse dicts of `Fraction`s, sorted by pivot.
+    row-echelon basis: sparse dicts of stored rationals, sorted by pivot.
 
     Each free column f (no pivot there) gives the vector with 1 at f and
     -rows[p][f] / rows[p][p] at each pivot column p; every entry of a fully
@@ -176,7 +199,7 @@ def _nullspace_rows(span: "_QSpan", ncols: int) -> list:
     for f, column in sorted(touched.items()):
         L = lcm(*[pivots[p][p] for p in column])
         null.add({f: L} | {p: -x * (L // pivots[p][p]) for p, x in column.items()})
-    units = [{f: _QONE} for f in range(ncols) if f not in pivots and f not in touched]
+    units = [{f: 1} for f in range(ncols) if f not in pivots and f not in touched]
     return sorted(null.basis() + units, key=min)
 
 
@@ -201,7 +224,8 @@ class _QSpan:
 
     def basis(self) -> list:
         """The reduced row-echelon basis, sorted by pivot: each row over its
-        pivot entry, as `Fraction`s."""
+        pivot entry (`_read`), as stored rationals.  A row whose pivot entry
+        is 1 is handed out as it is held; no row dict is ever changed."""
         return [_read(row, row[p]) for p, row in sorted(self.rows.items())]
 
     def reduce(self, vec: dict, scale: int = 1):
@@ -279,6 +303,10 @@ class _Echelon:
     is one pass over them, with no cascade.  A new row takes the lowest column
     of its residual as pivot, so the rows sorted by pivot are the span's
     canonical reduced row-echelon basis.
+
+    Its entries must be field elements (`Fraction` or `RationalFunction`),
+    never bare ints: `add` divides by the pivot, and `/` on two ints gives
+    a float.  Over Q, use `_QSpan`.
     """
 
     __slots__ = ("rows",)

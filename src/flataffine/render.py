@@ -1,20 +1,18 @@
 """Plain-text rendering of structure-constant tables and linear combinations."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import SCAlgebra
 
 
 def _format_terms(terms) -> str:
     """Render (coefficient, name) terms as a combination of named basis
-    elements; zero coefficients are skipped.
+    elements; zero coefficients are skipped.  A coefficient is a stored
+    rational (an int, or a `Fraction`): both print and compare alike.
 
     Examples: "0", "e1", "-C4", "2*e1 - 2*C5", "(3/2)*C3 + C4".
     """
     parts = []
     for coeff, name in terms:
-        coeff = Fraction(coeff)
         if not coeff:
             continue
         mag = abs(coeff)

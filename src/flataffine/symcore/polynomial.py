@@ -51,9 +51,10 @@ from operator import add as _add, neg as _neg, sub as _sub
 
 from .chart import Chart, require_same_chart
 
-# The exact scalar type of the algebra layer (structure constants, span
-# coordinates): arbitrary-precision, gcd-reduced, positive denominator, zero
-# as 0/1.  A polynomial coefficient is this or, when integral, an int.
+# The exact type of a non-integral stored rational: arbitrary-precision,
+# gcd-reduced, positive denominator.  Every stored rational (a polynomial
+# coefficient, a structure constant, a span coordinate) is an int when it is
+# integral and this otherwise.
 Rational = Fraction
 
 

@@ -199,12 +199,12 @@ def dense_coordinate_rows(fields):
 
 def dense_express(targets, basis) -> list:
     """`express_in_basis` with its rows made dense: one list of len(basis)
-    `Fraction`s per target, where the rows hold (k, x) pairs for the nonzero x
-    only.  The form the solve oracles return."""
+    stored rationals per target, 0 where the rows hold no (k, x) pair.  The
+    form the solve oracles return."""
     basis = list(basis)
     solutions = []
     for row in express_in_basis(targets, basis):
-        solution = [_ZERO] * len(basis)
+        solution = [0] * len(basis)
         for k, x in row:
             solution[k] = x
         solutions.append(solution)
@@ -432,6 +432,26 @@ def assert_stored(coeff):
     assert type(coeff) is int or type(coeff) is Fraction, repr(coeff)
     assert coeff, repr(coeff)
     assert (type(coeff) is int) == (coeff.denominator == 1), repr(coeff)
+
+
+def assert_stored_row(row, n):
+    """`row` in `SCAlgebra.rows`' stored form over n basis elements: a tuple
+    of (k, x) pairs in ascending k < n, each x `assert_stored`."""
+    assert type(row) is tuple, repr(row)
+    for pair in row:
+        assert type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int, repr(row)
+        assert 0 <= pair[0] < n, repr(row)
+        assert_stored(pair[1])
+    assert all(a[0] < b[0] for a, b in zip(row, row[1:])), repr(row)
+
+
+def assert_stored_vector(values):
+    """`assert_stored` for each entry of a dense vector, whose zeros are the
+    int 0: the stored form of every rational of the algebra layer."""
+    for x in values:
+        if type(x) is int and x == 0:
+            continue
+        assert_stored(x)
 
 
 def as_fractions(p):

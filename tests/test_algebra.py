@@ -23,6 +23,7 @@ from flataffine.algebra import TaskFileError, _to_vector, parse_rational
 from flataffine.linalg import solve
 from helpers import (
     aff_line_lsa,
+    assert_stored_vector,
     alpha_family,
     mat_mul,
     random_algebra,
@@ -384,12 +385,16 @@ def test_basis_vector_refuses_an_index_that_is_not_an_int(index):
 
 def test_generator_vectors_reuse_their_fractions():
     """A basis vector is built from one shared 0 and one shared 1, and the
-    closure's coercion keeps an entry that is a `Fraction` already."""
+    closure's coercion keeps an int entry as it is; any other value that
+    `Fraction()` accepts is stored as an int when it is integral."""
     A = six_field_table_algebra()
     vectors = [A.basis_vector(i) for i in range(A.dim)]
     assert len({id(x) for vec in vectors for x in vec}) == 2
     assert all(x is y for x, y in zip(_to_vector(vectors[2], A.dim), vectors[2]))
     assert _to_vector([1, "1/2", Fraction(3)], 3) == (Fraction(1), Fraction(1, 2), Fraction(3))
+    got = _to_vector([Fraction(4, 2), "6/3", True, 0.5, "-0", Fraction(-3, 9)], 6)
+    assert got == (2, 2, 1, Fraction(1, 2), 0, Fraction(-1, 3))
+    assert_stored_vector(got)
 
 
 def test_json_round_trip():
@@ -460,7 +465,8 @@ def test_parse_rational_reads_what_fraction_reads(seed):
     for x in _rational_literals(random.Random(f"rational-{seed}")):
         got = _outcome(parse_rational, x)
         assert got == _outcome(oracle, x)
-        if isinstance(got, Fraction):
+        if not isinstance(got, tuple):   # a value, not an error
+            assert_stored_vector([got])
             outcomes.add(Fraction)
         else:
             outcomes.add(got[1].partition(": ")[2].partition("(")[0].split()[0])

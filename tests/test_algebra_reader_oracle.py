@@ -19,13 +19,13 @@ reader raised `TypeError` and `KeyError` there.
 import copy
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from flataffine.algebra import LieAlgebraSC, SCAlgebra, TaskFileError, parse_rational
 from flataffine.cli import load_document
+from helpers import assert_stored_vector
 from test_taskfile_fuzz import JSON_VALUES, _base_document, _names, _slots, mutate
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
@@ -198,8 +198,9 @@ def test_reader_gives_the_values_the_old_reader_gave():
         except TaskFileError:
             continue
         assert algebra == old_from_json_dict(doc), i
-        assert all(type(x) is Fraction for row in algebra.rows for cell in row
-                   for _, x in cell)
+        for row in algebra.rows:
+            for cell in row:
+                assert_stored_vector(x for _, x in cell)
 
 
 # the two whole-entry errors of the oracle, and the reader's path and message for each

@@ -934,6 +934,21 @@ def test_format_combination_cases():
     assert _format_terms(zip((F(3, 2), F(0), F(-1, 4)), names)) == "(3/2)*a - (1/4)*c"
 
 
+def test_format_terms_renders_stored_rationals_as_their_fractions():
+    # the stored forms (an int when integral) print as the equal Fractions did
+    from fractions import Fraction
+    from flataffine.render import _format_terms
+    names = ("a", "b", "c", "d")
+    cases = {(1, -3, Fraction(-1, 4), 0): "a - 3*b - (1/4)*c",
+             (-2, 1, 0, Fraction(3, 2)): "-2*a + b + (3/2)*d",
+             (-1, 0, 0, 7): "-a + 7*d",
+             (Fraction(-5, 3), 0, 0, 0): "-(5/3)*a",
+             (0, 0, 0, 0): "0"}
+    for coeffs, text in cases.items():
+        assert _format_terms(zip(coeffs, names)) == text
+        assert _format_terms(zip(map(Fraction, coeffs), names)) == text
+
+
 def test_emit_table_six_field():
     text = emit_table(six_field_table_algebra(), "text")
     assert "2*e1- - 2*C5" in text

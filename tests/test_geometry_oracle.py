@@ -114,6 +114,7 @@ from helpers import (
     aff_line_lsa,
     aff_scene,
     alpha_connection,
+    assert_stored_vector,
     alpha_family,
     chart_xy,
     dense_component_rows,
@@ -1039,7 +1040,8 @@ NULLSPACE_SPANS = nullspace_spans()
 def test_nullspace_rows_match_the_previous_kernel(span, ncols):
     rows = linalg._nullspace_rows(span, ncols)
     assert rows == previous_nullspace_rows(span, ncols)
-    assert all(type(x) is Fraction for row in rows for x in row.values())
+    for row in rows:
+        assert_stored_vector(row.values())
     assert [min(row) for row in rows] == sorted(min(row) for row in rows)
 
 

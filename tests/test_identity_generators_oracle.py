@@ -27,7 +27,7 @@ from fractions import Fraction
 import pytest
 
 from flataffine import SCAlgebra, Subspace, check_associative, compute_envelope, subalgebra_closure
-from flataffine import algebra, envelope
+from flataffine import algebra, envelope, linalg
 from flataffine.algebra import CheckReport, _first_failure, _generating_indices
 from flataffine.geometry import independent_fields
 from flataffine.linalg import invert
@@ -131,6 +131,27 @@ def test_check_associative_matches_the_all_pairs_scan(name, A):
 def test_the_cases_reach_both_verdicts():
     verdicts = [check_associative(A).holds for A in CASES.values()]
     assert verdicts.count(True) >= 25 and verdicts.count(False) >= 40
+
+
+def test_no_zero_vector_reaches_the_span(monkeypatch):
+    """The closure rounds and the generating-set search skip zero products,
+    and a closure skips zero generators: `_QSpan.add` is never handed an
+    empty vector, and every witness and closure rank is the oracles'."""
+    from test_span_oracle import oracle_subalgebra_closure
+    rng = random.Random("no-zero-vector")
+    runs = []
+    for A in CASES.values():
+        generators = [[0] * A.dim] + [A.basis_vector(f) for f in range(A.dim)
+                                       if rng.random() < 0.4]
+        runs.append((A, generators, oracle_check_associative(A),
+                     oracle_subalgebra_closure(A, generators).rank))
+    added = []
+    add = linalg._QSpan.add
+    monkeypatch.setattr(linalg._QSpan, "add", lambda span, vec: added.append(vec) or add(span, vec))
+    for A, generators, verdict, rank in runs:
+        assert check_associative(A) == verdict
+        assert subalgebra_closure(A, generators).rank == rank
+    assert len(added) > 500 and all(added)
 
 
 @pytest.mark.parametrize("n", range(5))

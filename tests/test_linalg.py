@@ -7,7 +7,7 @@ import pytest
 from flataffine import RationalFunction
 from flataffine.linalg import in_row_space, invert, nullspace, rank, rref, solve
 from flataffine.symcore import parse_expr
-from helpers import chart_xy, mat_mul
+from helpers import assert_stored_vector, chart_xy, mat_mul
 
 
 def F(x):
@@ -95,7 +95,13 @@ def test_int_and_mixed_rows_give_fraction_results():
         assert nullspace(rows, 3) == nullspace(rows_q, 3) == [[F(1), F(-2), F(0)]]
         assert solve(rows, [[1, 5, 6]]) == solve(rows_q, [rhs[0]])
         for result in (rref(rows)[0], solve(rows, rhs)[:1], nullspace(rows, 3)):
-            assert all(type(x) is Fraction for row in result for x in row)
+            for row in result:
+                assert_stored_vector(row)
+    # an int zero selects Q as a Fraction zero does: no division kernel, no float
+    reduced, inverse = rref(rows_int, zero=0)[0], invert([[2, 0], [0, 1]], zero=0, one=1)
+    assert reduced == rref(rows_q)[0] and inverse == [[Fraction(1, 2), 0], [0, 1]]
+    for row in reduced + inverse:
+        assert_stored_vector(row)
 
 
 def test_over_rational_function_field():

@@ -60,6 +60,8 @@ from flataffine.algebra import _scaled_constants
 from flataffine.linalg import _Echelon, _integral, invert
 from helpers import (
     aff_line_connection,
+    assert_stored,
+    assert_stored_vector,
     gln_scene,
     perturbed,
     random_algebra,
@@ -236,11 +238,12 @@ def oracle_jacobi_witness_at(L, i, j, k):
 
 def oracle_restrict_to_subspace(A, space):
     """The restriction loop that read every product at every pivot column,
-    on a division `_Echelon` built from the space's `Fraction` rows and on
-    dense `Fraction` products, so no integer kernel is under it."""
+    on a division `_Echelon` built from the space's rows, read as `Fraction`s
+    (the division kernel's field elements), and on dense `Fraction`
+    products, so no integer kernel is under it."""
     echelon = _Echelon()
     for row in space.rows:
-        echelon.add({k: x for k, x in enumerate(row) if x})
+        echelon.add({k: Fraction(x) for k, x in enumerate(row) if x})
     pivots = sorted(echelon.rows)
     vectors = [echelon.rows[p] for p in pivots]
     basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
@@ -429,6 +432,10 @@ def test_products_and_matrices_match_oracle(name, A):
     zero = [0] * A.dim
     assert left_mult_matrix(A, zero) == oracle_left_mult_matrix(A, zero)
     assert A.to_json_dict() == oracle_algebra_json(A)
+    # an integer table is its own integer constants; any other is scaled once
+    D, scaled = _scaled_constants(A)
+    integral = all(type(x) is int for row in A.rows for cell in row for _, x in cell)
+    assert (D == 1) == integral and (scaled is A.rows) == integral
 
 
 def test_left_mult_matrix_in_dimension_zero():
@@ -608,9 +615,14 @@ def built_algebras():
     yield "unital-six", adjoin_unit(table)
     yield "opposite-unital", opposite(adjoin_unit(table))
     yield "commutator-six", commutator_algebra(table)
+    # c[a][b] - c[b][a] = 1/2 - (-1/2): a difference of Fractions stored as the int 1
+    halves = SCAlgebra.from_products(("a", "b"), {("a", "b"): {"a": Fraction(1, 2)},
+                                                  ("b", "a"): {"a": Fraction(-1, 2)}})
+    yield "commutator-halves", commutator_algebra(halves)
     closure = subalgebra_closure(table, [table.basis_vector(0), table.basis_vector(1)])
     yield "restricted-six", restrict_to_subspace(table, closure)
-    # plain int rows (the closure of e1-, e2- scaled): the subspace holds Fractions
+    # plain int rows (the closure of e1-, e2- scaled), read out over their
+    # pivot entries
     rows = [[2 * int(i == k) for i in range(6)] for k in range(5)]
     yield "restricted-int-rows", restrict_to_subspace(six_field_table_algebra(),
                                                       Subspace(6, rows))
@@ -634,13 +646,14 @@ def test_built_algebras_are_canonical(name, A):
             assert type(cell) is tuple
             assert [k for k, _ in cell] == sorted({k for k, _ in cell})
             assert all(type(k) is int and 0 <= k < A.dim for k, _ in cell)
-            assert all(type(x) is Fraction and x for _, x in cell)
+            for _, x in cell:
+                assert_stored(x)
     assert type(A.c) is tuple and len(A.c) == A.dim
     for row in A.c:
         assert type(row) is tuple and len(row) == A.dim
         for vec in row:
             assert type(vec) is tuple and len(vec) == A.dim
-            assert all(type(x) is Fraction for x in vec)
+            assert_stored_vector(vec)
 
 
 # ----- from_products: the entries given, against the dense build ------------------------
@@ -709,8 +722,10 @@ def test_from_products_matches_the_dense_build(names, products, unit):
     if isinstance(expected, SCAlgebra):
         assert got == expected
         assert got.rows == expected.rows and got.unit_index == expected.unit_index
-        assert all(type(x) is Fraction and x for row in got.rows for cell in row
-                   for _, x in cell)
+        for row in got.rows:
+            for cell in row:
+                for _, x in cell:
+                    assert_stored(x)
     else:
         assert got == expected
 

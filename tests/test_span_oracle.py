@@ -56,6 +56,8 @@ from flataffine.geometry import _cleared, _FieldSpan, express_in_basis, independ
 from flataffine.linalg import rank, rref, solve
 from flataffine.symcore import exact_div, grlex_key, poly_lcm
 from helpers import (
+    assert_stored_row,
+    assert_stored_vector,
     chart_xy,
     dense_coordinate_rows,
     dense_express,
@@ -389,7 +391,8 @@ def test_express_in_basis_matches_one_target_at_a_time(seed):
         assert dense_express(targets, basis) == expected
     inside = [t for t, e in zip(targets, expected) if e is not None]
     assert dense_express(inside, basis) == [e for e in expected if e is not None]
-    assert all(is_stored_row(row, len(basis)) for row in express_in_basis(inside, basis))
+    for row in express_in_basis(inside, basis):
+        assert_stored_row(row, len(basis))
 
 
 def test_express_in_basis_with_empty_basis():
@@ -567,7 +570,8 @@ def test_closure_and_restriction_match_rref_and_solve_oracles(seed):
         closure = subalgebra_closure(A, gens)
         assert closure == oracle_subalgebra_closure(A, gens)
         assert type(closure.rows) is tuple
-        assert all(type(x) is Fraction for row in closure.rows for x in row)
+        for row in closure.rows:
+            assert_stored_vector(row)
         partial += closure.rank < dim
         restricted = restrict_to_subspace(A, closure)
         assert restricted == oracle_restrict_to_subspace(A, closure)
@@ -641,18 +645,21 @@ def test_coordinate_closures_and_restrictions_match_the_oracles(name):
     assert closure.named_basis(A.basis_names) is not None
     restricted = restrict_to_subspace(A, closure)
     assert restricted == oracle_restrict_to_subspace(A, closure)
-    assert all(type(x) is Fraction for row in restricted.rows for cell in row for _, x in cell)
+    for row in restricted.rows:
+        for cell in row:
+            assert_stored_row(cell, restricted.dim)
 
 
 def test_gl2_closure_stops_adding_at_full_rank(monkeypatch):
-    # the rank reaches 16 at the 28th vector added; run to the end of its
-    # rounds, the closure added 263
+    # the rank reaches 16 at the 28th vector formed (generators and
+    # products); 6 of them are zero products, which are skipped, so 22 are
+    # added.  Run to the end of its rounds, the closure added 263
     A, generators, _ = COORDINATE_CLOSURES["gl2-envelope"]
     adds = []
     add = linalg._QSpan.add
-    monkeypatch.setattr(linalg._QSpan, "add", lambda span, vec: adds.append(1) or add(span, vec))
+    monkeypatch.setattr(linalg._QSpan, "add", lambda span, vec: adds.append(vec) or add(span, vec))
     assert subalgebra_closure(A, generators).rank == 16
-    assert len(adds) == 28
+    assert len(adds) == 22 and all(adds)
 
 
 @pytest.mark.parametrize("name", ["gl2-envelope", "half-plane"])
@@ -696,17 +703,6 @@ def test_named_basis_matches_the_dense_scan():
 # ----- the echelon kernel in the coordinate layer ----------------------------------------
 
 
-def is_stored_row(row, n) -> bool:
-    """Whether `row` is in `SCAlgebra.rows`' stored form over n basis
-    elements: a tuple of (k, x) pairs in ascending k < n, x a nonzero
-    `Fraction`."""
-    return (type(row) is tuple
-            and all(type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int
-                    and type(pair[1]) is Fraction and pair[1] for pair in row)
-            and all(0 <= k < n for k, _ in row)
-            and all(a[0] < b[0] for a, b in zip(row, row[1:])))
-
-
 def express_outcome(express, targets, basis):
     try:
         return express(targets, basis)
@@ -730,14 +726,15 @@ def test_express_in_basis_matches_the_solve_oracle(seed):
         if isinstance(got, tuple):
             outside += 1
             continue
-        assert all(is_stored_row(row, len(basis)) for row in express_in_basis(targets, basis))
+        for row in express_in_basis(targets, basis):
+            assert_stored_row(row, len(basis))
         # a basis field that depends on the ones before it gets coefficient zero
         kept = set(independent_fields(basis, list(range(len(basis))))[0])
         dependent += len(basis) - len(kept)
         for solution in got:
             assert len(solution) == len(basis)
             assert all(x == 0 for b, x in enumerate(solution) if b not in kept)
-            assert all(type(x) is Fraction for x in solution)
+            assert_stored_vector(solution)
     assert outside or dependent
 
 

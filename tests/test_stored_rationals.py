@@ -1,0 +1,113 @@
+"""Every rational the algebra layer stores is an int when it is integral.
+
+The invariant, `tests/helpers.py::assert_stored`: a stored rational is an int
+when it is integral and a `Fraction` otherwise, never a bool, a float or a
+`Fraction` over 1.  Two guards hold `algebra.py` and `linalg.py` to it:
+
+- their source has no `/` or `/=` outside `linalg._Echelon`, the division
+  kernel over fields whose elements are never bare ints, since true division
+  of two ints gives a float;
+- spies on `SCAlgebra._wrap` (every algebra's rows), `Subspace._set` (every
+  subspace's rows) and `_FieldSpan.coordinates` (what `express_in_basis` and
+  `product_table` read off) check every value they see during `run_document`
+  on the shipped task file and during one GL2 envelope pass.
+"""
+import ast
+import json
+from pathlib import Path
+
+import pytest
+
+from flataffine import compute_envelope
+from flataffine.algebra import SCAlgebra, Subspace
+from flataffine.cli import run_document
+from flataffine.geometry import _FieldSpan, independent_fields
+from helpers import assert_stored_row, assert_stored_vector, gln_scene
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "flataffine"
+SHIPPED = ROOT / "docs" / "example-tasks.json"
+
+
+# ----- no true division ----------------------------------------------------------------
+
+
+def divisions(source: str):
+    """(line, class) of each `/` and `/=` outside the class `_Echelon`."""
+    found = []
+    stack = [(node, None) for node in ast.parse(source).body]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if owner != "_Echelon" and (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div)):
+            found.append((node.lineno, owner))
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("module", ["algebra.py", "linalg.py"])
+def test_no_true_division_outside_the_division_kernel(module):
+    assert divisions((SOURCE / module).read_text()) == []
+
+
+def test_the_division_guard_finds_each_kind():
+    source = ("class _Echelon:\n    def add(self, a, b):\n        return a / b\n"
+              "def f(a, b):\n    a /= b\n    return [x / b for x in a]\n"
+              "class Other:\n    x = 1 / 2\n")
+    assert sorted(divisions(source)) == [(5, None), (6, None), (8, "Other")]
+
+
+# ----- every stored rational on the real paths -----------------------------------------
+
+
+@pytest.fixture
+def stored(monkeypatch):
+    """Counts the values the spies check: algebra rows, subspace rows and
+    coordinate rows."""
+    seen = {"algebra": 0, "subspace": 0, "coordinates": 0}
+    wrap, set_rows, coordinates = SCAlgebra._wrap, Subspace._set, _FieldSpan.coordinates
+
+    def spy_wrap(self, basis_names, rows, unit_index):
+        wrap(self, basis_names, rows, unit_index)
+        for row in self.rows:
+            for cell in row:
+                assert_stored_row(cell, self.dim)
+                seen["algebra"] += len(cell)
+
+    def spy_set(self, ambient_dim, span):
+        set_rows(self, ambient_dim, span)
+        for row in self.rows:
+            assert_stored_vector(row)
+            seen["subspace"] += len(row)
+
+    def spy_coordinates(self, targets):
+        solutions = coordinates(self, targets)
+        for row in solutions:
+            assert_stored_row(row, self._last + 1 - self._top)
+            seen["coordinates"] += len(row)
+        return solutions
+
+    monkeypatch.setattr(SCAlgebra, "_wrap", spy_wrap)
+    monkeypatch.setattr(Subspace, "_set", spy_set)
+    monkeypatch.setattr(_FieldSpan, "coordinates", spy_coordinates)
+    return seen
+
+
+def test_the_shipped_document_stores_only_stored_rationals(stored):
+    code, reports = run_document(json.loads(SHIPPED.read_text()))
+    assert code == 0 and len(reports) == 11
+    assert all(count > 0 for count in stored.values()), stored
+
+
+def test_a_gl2_envelope_pass_stores_only_stored_rationals(stored):
+    scene = gln_scene(2)
+    inv_names, inv_fields = scene.invariant_fields()
+    names, fields = independent_fields(inv_fields + scene.f_fields,
+                                       inv_names + scene.f_names)
+    generators = [name for name in names if name.startswith("E")]
+    report = compute_envelope(scene.connect(), fields, names, generators)
+    assert report.closure.rank == 16 and all(report.checks.values())
+    assert all(count > 0 for count in stored.values()), stored
