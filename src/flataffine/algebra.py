@@ -107,8 +107,10 @@ def _rational(x):
 
 def parse_rational(x):
     """A rational given as an integer (not a bool) or a string "p/q" or "p",
-    as a stored rational (`_rational`); ValueError for anything else, a zero
-    denominator included."""
+    as a stored rational: `int(p)` for "p", one `Fraction(int(p), int(q))`
+    for "p/q", read back as its numerator when it is integral.  ValueError
+    for anything else, a zero denominator and a p or q past `int()`'s digit
+    limit included."""
     if type(x) is int:
         return x
     if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
@@ -116,17 +118,12 @@ def parse_rational(x):
     # the grammar's p and q are int() literals: Fraction(x) reads the same value
     p, _, q = x.partition("/")
     try:
-        return _rational(Fraction(int(p), int(q) if q else 1))
+        if not q:
+            return int(p)
+        value = Fraction(int(p), int(q))
     except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
         raise ValueError(f"bad rational {x!r}: {err}") from None
-
-
-def _fraction(x, path):
-    """`parse_rational`, with its error at `path`."""
-    try:
-        return parse_rational(x)
-    except ValueError as err:
-        raise TaskFileError(str(err), path) from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _to_vector(values, dim: int) -> Vector:
@@ -321,11 +318,16 @@ class SCAlgebra:
             _require(pair not in cells, f"product {pair} is given twice", path)
             result = _typed(item.get("result"), list, '"result"', f"{path}/result")
             _require(len(result) == n, f'"result" must have {n} entries', f"{path}/result")
-            values = ((m, _fraction(x, f"{path}/result/{m}")) for m, x in enumerate(result))
-            try:
-                cells[pair] = tuple((m, x) for m, x in values if x)
-            except TaskFileError as err:
-                bad = bad or err
+            cell = []
+            for m, x in enumerate(result):
+                try:
+                    x = parse_rational(x)
+                except ValueError as err:   # the value's path, built only here
+                    bad = bad or TaskFileError(str(err), f"{path}/result/{m}")
+                    break
+                if x:
+                    cell.append((m, x))
+            cells[pair] = tuple(cell)   # a pair given again is refused, bad value or not
         if bad:
             raise bad
         _require(len(names) == n, "basis length does not match dim", "/basis")

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii   # the C routine json.dump uses
 from pathlib import Path
 
 from .algebra import (
@@ -28,7 +29,7 @@ from .algebra import (
     commutator_algebra,
     subalgebra_closure,
 )
-from .algebra import _fraction, _index, _require, _typed   # the checks with a path
+from .algebra import _index, _require, _typed, parse_rational   # the checks with a path
 from .envelope import compute_envelope, verify_bi_invariant_criterion
 from .geometry import (
     Connection,
@@ -219,7 +220,10 @@ def _generator_vector(algebra, g, path):
             raise TaskFileError(err.args[0], path) from None
     _require(isinstance(g, list) and len(g) == algebra.dim,
              f"generator vectors need length {algebra.dim}", path)
-    return [_fraction(x, path) for x in g]
+    try:
+        return [parse_rational(x) for x in g]
+    except ValueError as err:
+        raise TaskFileError(str(err), path) from None
 
 
 # the kinds that read each expectation key; any other kind refuses it
@@ -447,6 +451,41 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _write_json(write, value, indent: str = "\n") -> None:
+    """Write `value` through `write` as `json.dump(value, fp, indent=2)`
+    writes it, byte for byte, one piece at a time (json's own encoder is pure
+    Python once `indent` is set).  `indent` is the newline and the spaces
+    that start the value's line; a list of strings is one piece."""
+    if isinstance(value, dict):
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError("keys must be str, int, float, bool or None, "
+                                    f"not {key.__class__.__name__}")
+                key = json.dumps(key)
+            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(write, item, inner)
+            sep = ","
+        write(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        try:   # a non-str item raises before anything is written
+            write(f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, value))}"
+                  f"{indent}]" if value else "[]")
+        except TypeError:
+            sep = "["
+            for item in value:
+                write(sep + inner)
+                _write_json(write, item, inner)
+                sep = ","
+            write(indent + "]")
+    elif type(value) is int:
+        write(repr(value))
+    else:   # a str, float, bool or None as json writes it, or json's TypeError
+        write(json.dumps(value))
+
+
 def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = False):
     """Run all tasks; returns (exit_code, reports).  Reports follow file order."""
     document = load_document(doc)
@@ -484,7 +523,7 @@ def run_document(doc: dict, out_dir=None, fmt: str = "both", fail_fast: bool = F
         for report in reports:
             if fmt in ("json", "both"):
                 with (out_path / f"{report['id']}.json").open("w") as fp:
-                    json.dump(report, fp, indent=2)
+                    _write_json(fp.write, report)
                     fp.write("\n")
             if fmt in ("text", "both"):
                 (out_path / f"{report['id']}.txt").write_text(

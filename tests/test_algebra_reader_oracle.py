@@ -15,17 +15,25 @@ those at `/algebras/N/basis`.  On seeded type-swap and index mutants of the
 shipped algebra documents, both readers load or raise the path error at a
 path that names a value of the document or a key its object lacks; the old
 reader raised `TypeError` and `KeyError` there.
+
+`parse_rational` reads "p" as `int(p)` and "p/q" through one `Fraction`; the
+oracle is the route it replaced, a second `Fraction` through `_rational`.  On
+seeded literals both give the same value, the same type (an int exactly when
+it is integral) and the same error text.
 """
 import copy
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from flataffine.algebra import _RATIONAL, _rational
 from flataffine.algebra import LieAlgebraSC, SCAlgebra, TaskFileError, parse_rational
 from flataffine.cli import load_document
 from helpers import assert_stored_vector
+from test_algebra import _outcome as _parse_outcome, _rational_literals
 from test_taskfile_fuzz import JSON_VALUES, _base_document, _names, _slots, mutate
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
@@ -234,3 +242,70 @@ def test_loader_gives_the_old_paths_and_messages(monkeypatch):
             moved += 1
     assert moved >= 2
     assert sum(old is not None for old in expected) > LOADER_MUTANTS // 4
+
+
+# ----- parse_rational against the route it replaced -----------------------------------
+
+
+def old_parse_rational(x):
+    """`parse_rational` as it was: the same grammar check, then a second
+    `Fraction` through `_rational`."""
+    if type(x) is int:
+        return x
+    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ValueError(f'bad rational {x!r}: write an integer, "p" or "p/q"')
+    p, _, q = x.partition("/")
+    try:
+        return _rational(Fraction(int(p), int(q) if q else 1))
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError(f"bad rational {x!r}: {err}") from None
+
+
+# signs, leading zeros, a zero numerator, integral and reducible quotients, the
+# digit limit in p and in q, q = 0, and values outside the grammar
+RATIONAL_CASES = ["+5", "-5", "+0", "-0", "0007", "-007/010", "0/7", "-0/7", "6/3", "-4/6",
+                  "+12/-4", "4/-6", "1" * 4301, "1/" + "1" * 4301, "1" * 4300, "1/0", "-1/00",
+                  "0/0", "", "/", "1/", "/2", " 1", "1 ", "1e5", "1.5", "1_0", "\u0661",
+                  "1/2/3", 7, -7, 0, 2 ** 80, True, False, 1.0, None, [1], Fraction(1, 2)]
+
+
+def _reads(parse, x):
+    outcome = _parse_outcome(parse, x)
+    return outcome if isinstance(outcome, tuple) else (type(outcome), outcome)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_rational_reads_what_the_old_route_read(seed):
+    values = 0
+    literals = _rational_literals(random.Random(f"old-route-{seed}"))
+    for x in RATIONAL_CASES + literals:
+        got = _reads(parse_rational, x)
+        assert got == _reads(old_parse_rational, x), x
+        if got[0] in (int, Fraction):
+            assert (got[0] is int) == (got[1].denominator == 1), x
+            values += 1
+    assert values > len(literals) // 2
+
+
+def test_a_refused_value_reports_its_path_once_every_shape_passed():
+    doc = json.loads(EXAMPLE.read_text())
+    products = doc["algebras"][1]["products"]
+    products[2]["result"][1] = "1/0"
+    products[4]["result"][0] = "one"      # a later bad value: the first one is reported
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == "/algebras/1/products/2/result/1"
+    assert err.value.message == "bad rational '1/0': Fraction(1, 0)"
+    products[5]["left"] = 0               # a bad shape after both is reported first
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == "/algebras/1/products/5/left"
+    # so is a pair given again after an entry with a bad value, as the oracle has it
+    products[5] = dict(products[2], result=products[5]["result"])
+    with pytest.raises(TaskFileError) as err:
+        load_document(copy.deepcopy(doc))
+    assert err.value.path == "/algebras/1/products/5"
+    assert err.value.message == f"product ({products[2]['left']}, {products[2]['right']}) " \
+                                "is given twice"
+    entry = doc["algebras"][1]
+    assert _outcome(oracle_read, entry) == _outcome(SCAlgebra.from_json_dict, entry)
