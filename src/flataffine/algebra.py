@@ -4,19 +4,18 @@ Conventions:
   * every rational the layer stores (a structure constant, a coordinate, an
     entry of a subspace row) is an int when it is integral and a normalised
     `Fraction` otherwise, never a bool or a float.  Values enter through
-    `_rational` (or `parse_rational`) and leave the integer kernels through
-    `linalg._read`, which both keep that form; an int prints, compares and
-    hashes as the equal `Fraction` does, so reports and keys are unchanged;
-  * constants are stored sparse: rows[i][j] is the product basis_i · basis_j
-    as a tuple of (k, x) pairs, one per nonzero coefficient x of basis_k, in
-    ascending k (all indices 0-based internally).  Every library function
-    reads these rows, so its work follows the nonzero cells;
-  * `c`, the dense tuple with c[i][j][k] the coefficient of basis_k in
-    basis_i · basis_j, is a view derived from the rows on first access, for
-    callers outside the library;
-  * the integer constants D * c, with D the lcm of the denominators
-    (`_scaled_constants`), are derived on first use as well, and kept (on an
-    integer table, D = 1 and they are the rows themselves): the identity
+    `_rational` (symcore's rule) or `parse_rational` and leave the integer
+    kernels through `linalg._read`, which all keep that form; an int prints,
+    compares and hashes as the equal `Fraction` does, so reports and keys are
+    unchanged;
+  * constants have one stored form, sparse: rows[i][j] is the product
+    basis_i · basis_j as a tuple of (k, x) pairs, one per nonzero coefficient
+    x = c[i][j][k] of basis_k, in ascending k (all indices 0-based
+    internally).  Every library function reads these rows, so its work
+    follows the nonzero cells;
+  * beside them, the integer constants D * c, with D the lcm of the
+    denominators (`_scaled_constants`), are derived on first use and kept (on
+    an integer table, D = 1 and they are the rows themselves): the identity
     scans, `product`, the closure and the restriction all multiply through
     them;
   * every witness and every JSON index is reported 1-based, matching the
@@ -37,6 +36,7 @@ from math import lcm
 
 from . import linalg
 from .symcore import Rational
+from .symcore.polynomial import _rational
 
 Vector = tuple[int | Rational, ...]
 Row = tuple[tuple[int, int | Rational], ...]
@@ -93,16 +93,6 @@ def _index(value, dim, what, path):
 
 # Fraction() also reads exponents, and "1e999999999" has no time bound
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
-def _rational(x):
-    """x, any value `Fraction()` accepts, as a stored rational: an int when
-    it is integral (a bool becomes its int), a normalised `Fraction`
-    otherwise."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
 
 
 def parse_rational(x):
@@ -166,7 +156,7 @@ def _negated(u: Row) -> Row:
 class SCAlgebra:
     """An algebra presented by structure constants; no identity is assumed."""
 
-    __slots__ = ("dim", "basis_names", "rows", "unit_index", "_c", "_scaled")
+    __slots__ = ("dim", "basis_names", "rows", "unit_index", "_scaled")
 
     def __init__(self, basis_names, c, unit_index: int | None = None):
         """Build from dense constants c[i][j][k] (any values `Fraction` accepts,
@@ -199,15 +189,7 @@ class SCAlgebra:
             raise ValueError("unit index out of range")
         self.rows = rows
         self.unit_index = unit_index
-        self._c = self._scaled = None
-
-    @property
-    def c(self) -> tuple:
-        """The dense constants c[i][j][k], derived from `rows` on first access."""
-        if self._c is None:
-            n = self.dim
-            self._c = tuple(tuple(_dense(n, cell) for cell in row) for row in self.rows)
-        return self._c
+        self._scaled = None
 
     @staticmethod
     def from_products(basis_names, products, unit: str | None = None) -> "SCAlgebra":

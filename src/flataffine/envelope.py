@@ -68,10 +68,11 @@ class EnvelopeReport:
         return "\n".join(lines)
 
 
-def _bracket_check(fields, table: SCAlgebra) -> tuple:
+def commutator_matches_brackets(fields, table: SCAlgebra) -> tuple:
     """(holds, brackets): `brackets` is the n x n table of the Lie brackets
     [X_i, X_j] in the fields' coordinates, rows in the table's stored form,
-    and `holds` says whether c[i][j] - c[j][i] equals [X_i, X_j] at every pair.
+    and `holds` says whether c[i][j] - c[j][i] equals [X_i, X_j] at every
+    pair: the table's commutator checked against the fields' own brackets.
 
     The brackets (`lie_bracket`) use plain partial derivatives, not the
     product's nabla, so the check does not rest on what it verifies.  Only
@@ -91,13 +92,6 @@ def _bracket_check(fields, table: SCAlgebra) -> tuple:
     return holds, tuple(map(tuple, brackets))
 
 
-def commutator_matches_brackets(fields, table: SCAlgebra) -> bool:
-    """Cross-check that antisymmetrized product-table constants equal the
-    structure constants computed independently from Lie brackets of the
-    fields (`_bracket_check`)."""
-    return _bracket_check(fields, table)[0]
-
-
 def compute_envelope(conn: Connection, ambient_fields, names, generators) -> EnvelopeReport:
     """Run the envelope algorithm end to end.
 
@@ -115,9 +109,10 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
       pass).  These generate the ambient algebra: the closure's fully reduced
       rows and those unit vectors have distinct pivots, so they span Q^n.
     * `ambient_commutator_matches_lie_brackets` compares c[i][j] - c[j][i]
-      with the fields' Lie brackets in their coordinates (`_bracket_check`).
-      It catches an error in the product's antisymmetric part; one in its
-      symmetric part, c[i][j] + c[j][i], is invisible to every commutator.
+      with the fields' Lie brackets in their coordinates
+      (`commutator_matches_brackets`).  It catches an error in the product's
+      antisymmetric part; one in its symmetric part, c[i][j] + c[j][i], is
+      invisible to every commutator.
     * `closure_product_closed` is the literal True, not a test: the closure
       rounds stop only when a round adds nothing, or at full rank, where the
       span is Q^n, closed under any product; and `restrict_to_subspace`
@@ -163,7 +158,7 @@ def compute_envelope(conn: Connection, ambient_fields, names, generators) -> Env
     checks = {"flat_affine": True}
     checks.update((f"iat:{name}", True) for name in names)
     checks["ambient_associative"] = _associator_failure(ambient, rows) is None
-    matches, brackets = _bracket_check(fields, ambient)
+    matches, brackets = commutator_matches_brackets(fields, ambient)
     checks["ambient_commutator_matches_lie_brackets"] = matches
     checks["closure_product_closed"] = True
     restricted = restrict_to_subspace(ambient, closure)

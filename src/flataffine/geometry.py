@@ -2,9 +2,9 @@
 
 Conventions:
   * a connection's Christoffel symbols are gamma[i][j][k], meaning
-    nabla_{d_i} d_j = sum_k gamma[i][j][k] d_k (0-based internally); it
-    stores them as sparse rows, the nonzero (k, gamma[i][j][k]) of each
-    (i, j), and the dense array is a view derived on demand;
+    nabla_{d_i} d_j = sum_k gamma[i][j][k] d_k (0-based internally); their
+    one stored form is the sparse rows, the nonzero (k, gamma[i][j][k]) of
+    each (i, j), beside the torsion, curvature and product-table memos;
   * all indices in reports, witnesses and tensor component names are 1-based;
   * a vector field stores its nonzero components as a sparse vector
     {k: value}, the form every kernel reads and returns; the dense
@@ -21,7 +21,7 @@ from itertools import product
 from types import MappingProxyType
 
 from . import linalg
-from .algebra import CheckReport, SCAlgebra, _dense
+from .algebra import CheckReport, SCAlgebra
 from .symcore import (
     Chart,
     ExactDivisionError,
@@ -204,13 +204,12 @@ class Connection:
     nabla_{d_i} d_m, which are the symbols every kernel contracts.  The
     constructor takes the dense array gamma[i][j][k] and `from_sparse` the
     nonzero entries, each symbol on the chart (`_symbol`); kernels such as
-    `connection_from_frame` build the rows directly, and `gamma` is the dense
-    view, derived from the rows on first access.  Three memos: `_torsion` and
-    `_curvature` (`torsion`, `curvature`) and `_tables`, the product tables
-    built on it (`product_table`).
+    `connection_from_frame` build the rows directly.  Three memos: `_torsion`
+    and `_curvature` (`torsion`, `curvature`) and `_tables`, the product
+    tables built on it (`product_table`).
     """
 
-    __slots__ = ("chart", "_rows", "_gamma", "_torsion", "_curvature", "_tables")
+    __slots__ = ("chart", "_rows", "_torsion", "_curvature", "_tables")
 
     def __init__(self, chart: Chart, gamma):
         n = chart.dim
@@ -235,18 +234,6 @@ class Connection:
         self._torsion = None
         self._curvature = None
         self._tables = {}
-
-    @property
-    def gamma(self) -> tuple:
-        """The dense symbols gamma[i][j][k], the chart's shared 0 where a
-        symbol is absent; derived from the rows on first access."""
-        gamma = getattr(self, "_gamma", None)   # unset until the first access
-        if gamma is None:
-            n = self.chart.dim
-            zero = RationalFunction.zero(self.chart)
-            gamma = self._gamma = tuple(tuple(_dense(n, vec, zero) for vec in row)
-                                        for row in self._rows)
-        return gamma
 
     @classmethod
     def zero(cls, chart: Chart) -> "Connection":
@@ -897,7 +884,6 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     n = chart.dim
     if constants.dim != n:
         raise ValueError("structure constants must match the frame dimension")
-    zero = RationalFunction.zero(chart)
     E = [f.components for f in frame.fields]
     # nabla_{E_a} E_b = E_a(E_b) + sum_{i,j} E_a^i E_b^j gamma[i][j], so the
     # Christoffel part of each defining product is expected[a][b] - E_a(E_b)
@@ -913,7 +899,7 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     if any(vec for row in q for vec in row):
         A = [f.coeffs for f in frame.fields]
         try:
-            A_inv = linalg.invert(A, zero=zero, one=RationalFunction.one(chart))
+            A_inv = linalg.invert(A, zero=RationalFunction.zero(chart))
         except ValueError:
             raise SingularFrameError("frame matrix is singular") from None
         half = [[_combination(zip(A_inv[i], (q[a][b] for a in range(n))))

@@ -104,10 +104,12 @@ def solve(rows, rhs_list, *, zero=_QZERO):
     return solutions
 
 
-def invert(rows, *, zero=_QZERO, one=1):
+def invert(rows, *, zero=_QZERO):
     """Matrix inverse, read off the rref of [rows | I]; raises ValueError on
-    singular input."""
+    singular input.  The unit of I is `zero ** 0`: 1, `Fraction(1)` or the
+    chart's shared 1 for the chart's shared 0."""
     n = len(rows)
+    one = zero ** 0
     augmented = []
     for i, r in enumerate(rows):
         if len(r) != n:

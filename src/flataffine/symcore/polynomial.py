@@ -74,6 +74,15 @@ def _canonical(value):
     return value
 
 
+def _rational(x):
+    """x, any value `Fraction()` accepts, as a stored rational: an int when
+    it is integral (a bool becomes its int), a normalised `Fraction`
+    otherwise."""
+    if x.__class__ is int:
+        return x
+    return _canonical(Fraction(x))
+
+
 def _coerce_scalar(value):
     if isinstance(value, Fraction):
         return _canonical(value)
@@ -157,7 +166,7 @@ class Polynomial:
         if terms:
             width = chart.dim
             for exps, coeff in terms.items():
-                coeff = _canonical(Fraction(coeff))
+                coeff = _rational(coeff)
                 if not coeff:
                     continue
                 exps = tuple(exps)

@@ -61,7 +61,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chart import Chart, require_same_chart
-from .polynomial import Polynomial, _canonical, _divided, _quotient, exact_div, poly_gcd
+from .polynomial import Polynomial, _divided, _quotient, _rational, exact_div, poly_gcd
 
 
 def _coerce(chart: Chart, value):
@@ -147,7 +147,7 @@ class RationalFunction:
     @classmethod
     def constant(cls, chart: Chart, value) -> "RationalFunction":
         """c/1, or the chart's shared 0 for c = 0."""
-        value = _canonical(Fraction(value))
+        value = _rational(value)
         if not value:
             return cls.zero(chart)
         return cls._of(Polynomial._of(chart, {chart.constant_exps: value}), Polynomial.one(chart))

@@ -6,7 +6,8 @@ with its multiplication table, a one-parameter family of left-symmetric
 products on the same frame, the GL(n) scene of the benchmark
 (`gln_scene`) and aff(n) on the zero connection (`aff_scene`).
 `full_route_checks` gives an envelope report's checks by the full routes that
-`compute_envelope` shortcuts.
+`compute_envelope` shortcuts; `dense_constants` and `dense_gamma` build the
+dense arrays of an algebra's and a connection's sparse rows.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from flataffine import (
     lie_bracket,
     restrict_to_subspace,
 )
+from flataffine.algebra import _dense
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
 from flataffine.symcore import Polynomial, exact_div, grlex_key, poly_lcm
@@ -158,6 +160,22 @@ def zero_algebra(basis_names) -> SCAlgebra:
     """The algebra on the given basis whose products are all zero."""
     n = len(tuple(basis_names))
     return SCAlgebra(basis_names, [[[0] * n for _ in range(n)] for _ in range(n)])
+
+
+def dense_constants(A: SCAlgebra) -> tuple:
+    """The dense constants c[i][j][k], the coefficient of basis_k in
+    basis_i · basis_j, built from A's sparse rows with 0 where a cell lists
+    no k."""
+    return tuple(tuple(_dense(A.dim, cell) for cell in row) for row in A.rows)
+
+
+def dense_gamma(conn: Connection) -> tuple:
+    """The dense Christoffel symbols gamma[i][j][k], built from the
+    connection's sparse rows with the chart's shared 0 where a symbol is
+    absent."""
+    zero = RationalFunction.zero(conn.chart)
+    n = conn.chart.dim
+    return tuple(tuple(_dense(n, vec, zero) for vec in row) for row in conn._rows)
 
 
 # ----- rational functions ----------------------------------------------------------
@@ -426,6 +444,16 @@ def random_polynomial(rng, chart: Chart, max_degree: int = 3, max_terms: int = 4
     return Polynomial(chart, {e: c for e, c in terms.items() if c})
 
 
+def oracle_rational(x):
+    """The scalar rule as `algebra._rational` spelled it before it moved
+    into `symcore/polynomial.py`: x, any value `Fraction()` accepts, as an int
+    when it is integral (a bool becomes its int), a `Fraction` otherwise."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def assert_stored(coeff):
     """A coefficient in stored form: a nonzero int when it is integral, a
     Fraction otherwise; never a bool, a float or a Fraction over 1."""
@@ -511,7 +539,7 @@ def perturbed(rng, A, fractional=False):
     """A copy of A with one structure constant moved by a nonzero rational
     (a non-integer one when `fractional`)."""
     n = A.dim
-    c = [[list(vec) for vec in row] for row in A.c]
+    c = [[list(vec) for vec in row] for row in dense_constants(A)]
     i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
     delta = rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
     while fractional and delta.denominator == 1:

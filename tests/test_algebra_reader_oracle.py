@@ -17,7 +17,8 @@ path that names a value of the document or a key its object lacks; the old
 reader raised `TypeError` and `KeyError` there.
 
 `parse_rational` reads "p" as `int(p)` and "p/q" through one `Fraction`; the
-oracle is the route it replaced, a second `Fraction` through `_rational`.  On
+oracle is the route it replaced, a second `Fraction` through the old
+`_rational` (`helpers.oracle_rational`).  On
 seeded literals both give the same value, the same type (an int exactly when
 it is integral) and the same error text.
 """
@@ -29,10 +30,10 @@ from pathlib import Path
 
 import pytest
 
-from flataffine.algebra import _RATIONAL, _rational
+from flataffine.algebra import _RATIONAL
 from flataffine.algebra import LieAlgebraSC, SCAlgebra, TaskFileError, parse_rational
 from flataffine.cli import load_document
-from helpers import assert_stored_vector
+from helpers import assert_stored_vector, oracle_rational
 from test_algebra import _outcome as _parse_outcome, _rational_literals
 from test_taskfile_fuzz import JSON_VALUES, _base_document, _names, _slots, mutate
 
@@ -249,14 +250,14 @@ def test_loader_gives_the_old_paths_and_messages(monkeypatch):
 
 def old_parse_rational(x):
     """`parse_rational` as it was: the same grammar check, then a second
-    `Fraction` through `_rational`."""
+    `Fraction` through the old `_rational`."""
     if type(x) is int:
         return x
     if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
         raise ValueError(f'bad rational {x!r}: write an integer, "p" or "p/q"')
     p, _, q = x.partition("/")
     try:
-        return _rational(Fraction(int(p), int(q) if q else 1))
+        return oracle_rational(Fraction(int(p), int(q) if q else 1))
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"bad rational {x!r}: {err}") from None
 

@@ -21,7 +21,13 @@ from flataffine.cli import (
     main,
     run_document,
 )
-from helpers import SIX_IAT_FIELDS, emit_table, six_field_table_algebra, zero_algebra
+from helpers import (
+    SIX_IAT_FIELDS,
+    dense_constants,
+    emit_table,
+    six_field_table_algebra,
+    zero_algebra,
+)
 
 SHIPPED = Path(__file__).resolve().parent.parent / "docs" / "example-tasks.json"
 
@@ -45,12 +51,13 @@ def six_field_table_json(name="six-field-table"):
 
 def six_field_brackets_json(name="six-field-brackets"):
     lie = commutator_algebra(six_field_table_algebra())
+    c = dense_constants(lie)
     entries = []
     for i in range(lie.dim):
         for j in range(lie.dim):
-            if any(lie.c[i][j]):
+            if any(c[i][j]):
                 entries.append({"left": i + 1, "right": j + 1,
-                                "result": [str(x) for x in lie.c[i][j]]})
+                                "result": [str(x) for x in c[i][j]]})
     return {"name": name, "dim": lie.dim, "basis": list(lie.basis_names),
             "products": entries}
 

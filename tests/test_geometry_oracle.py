@@ -7,7 +7,8 @@ through one kernel, `geometry._nabla_coordinate`, on the sparse rows
 outputs are made dense here before they are compared.  `connection_from_frame`
 builds its products with `geometry._combination`.  This module keeps the
 earlier versions, each of which wrote the contraction out by hand over the
-dense `gamma`, as oracles and compares them value by value on seeded random
+dense symbols (`helpers.dense_gamma`), as oracles and compares them value by
+value on seeded random
 connections in dimensions 1 to 3 (all-zero, sparse and dense symbols,
 polynomial and non-polynomial entries), on fields with zero slots, on the
 half-plane frame connections and on the GL2 frame connection.  Two tests
@@ -60,12 +61,11 @@ replaced on seeded mixes of str, int, `Fraction`, `Polynomial` and
 wrong lengths: the same components in the same order, or the same exception
 with the same message.
 
-A connection stores its symbols as rows, and `gamma` is a view derived from
-them.  The dense constructor, `from_sparse` and `connection_from_frame` must
-build the same rows, view, value, hash and tensor reports on the seeded
-random connections and frames, and torsion, which reads mirror symbols from
-the rows, must match a dense oracle.  The GL3 frame connection's flatness and
-IAT tests never build the view.
+A connection stores its symbols as rows only.  The dense constructor,
+`from_sparse` and `connection_from_frame` must build the same rows, dense
+symbols, value, hash and tensor reports on the seeded random connections and
+frames, and torsion, which reads mirror symbols from the rows, must match a
+dense oracle.
 
 Two shortcuts hold on an affine chart, one with no Christoffel symbol.
 `_affine_certificate` passes an affine field there without its residuals;
@@ -118,7 +118,9 @@ from helpers import (
     alpha_family,
     chart_xy,
     dense_component_rows,
+    dense_constants,
     dense_coordinate_rows,
+    dense_gamma,
     field_span_rank,
     gln_scene,
     mat_mul,
@@ -141,6 +143,7 @@ def oracle_covariant_derivative(conn, X, Y):
     require_same_chart(conn, Y)
     chart = conn.chart
     n = chart.dim
+    gamma = dense_gamma(conn)
     out = [RationalFunction.zero(chart) for _ in range(n)]
     for i, xi in enumerate(X.coeffs):
         if xi.is_zero():
@@ -155,7 +158,7 @@ def oracle_covariant_derivative(conn, X, Y):
                 continue
             xy = xi * yj
             for k in range(n):
-                g = conn.gamma[i][j][k]
+                g = gamma[i][j][k]
                 if g:
                     out[k] = out[k] + g * xy
     return VectorField(chart, out)
@@ -170,20 +173,21 @@ def oracle_curvature(conn):
     """
     chart = conn.chart
     n = chart.dim
+    gamma = dense_gamma(conn)
     comps = {}
     for l in range(n):
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    term = conn.gamma[j][k][l].diff(chart.variables[i]) \
-                        - conn.gamma[i][k][l].diff(chart.variables[j])
+                    term = gamma[j][k][l].diff(chart.variables[i]) \
+                        - gamma[i][k][l].diff(chart.variables[j])
                     for m in range(n):
-                        a = conn.gamma[i][m][l]
-                        b = conn.gamma[j][k][m]
+                        a = gamma[i][m][l]
+                        b = gamma[j][k][m]
                         if a and b:
                             term = term + a * b
-                        a = conn.gamma[j][m][l]
-                        b = conn.gamma[i][k][m]
+                        a = gamma[j][m][l]
+                        b = gamma[i][k][m]
                         if a and b:
                             term = term - a * b
                     comps[(l + 1, i + 1, j + 1, k + 1)] = term
@@ -195,11 +199,12 @@ def oracle_nabla_coordinate(conn, axis, X):
     chart = conn.chart
     var = chart.variables[axis]
     n = chart.dim
+    gamma = dense_gamma(conn)
     out = []
     for k in range(n):
         total = X.coeffs[k].diff(var)
         for m, xm in enumerate(X.coeffs):
-            g = conn.gamma[axis][m][k]
+            g = gamma[axis][m][k]
             if g and xm:
                 total = total + g * xm
         out.append(total)
@@ -210,13 +215,14 @@ def oracle_iat_residuals(conn, X):
     """residual(i, j) = nabla_{d_i} nabla_{d_j} X - nabla_{(nabla_{d_i} d_j)} X."""
     chart = conn.chart
     n = chart.dim
+    gamma = dense_gamma(conn)
     first = [oracle_nabla_coordinate(conn, j, X) for j in range(n)]
     residuals = []
     for i in range(n):
         for j in range(n):
             field = oracle_nabla_coordinate(conn, i, first[j])
             for m in range(n):
-                g = conn.gamma[i][j][m]
+                g = gamma[i][j][m]
                 if g:
                     field = field - first[m].scaled(g)
             residuals.append(((i + 1, j + 1), field))
@@ -378,9 +384,9 @@ def oracle_connection_from_frame(frame, constants):
     chart = frame.chart
     n = chart.dim
     zero = RationalFunction.zero(chart)
-    one = RationalFunction.one(chart)
+    c = dense_constants(constants)
     A = [[f.coeffs[i] for i in range(n)] for f in frame.fields]
-    A_inv = linalg.invert(A, zero=zero, one=one)
+    A_inv = linalg.invert(A, zero=zero)
     A_inv_t = [[A_inv[j][i] for j in range(n)] for i in range(n)]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for k in range(n):
@@ -390,7 +396,7 @@ def oracle_connection_from_frame(frame, constants):
             for b in range(n):
                 total = zero
                 for m in range(n):
-                    cm = constants.c[a][b][m]
+                    cm = c[a][b][m]
                     if cm:
                         total = total + A[m][k] * cm
                 for i in range(n):
@@ -409,7 +415,7 @@ def oracle_connection_from_frame(frame, constants):
         for b in range(n):
             expected = VectorField.zero(chart)
             for m in range(n):
-                cm = constants.c[a][b][m]
+                cm = c[a][b][m]
                 if cm:
                     expected = expected + frame.fields[m].scaled(cm)
             got = oracle_covariant_derivative(conn, frame.fields[a], frame.fields[b])
@@ -531,11 +537,11 @@ def test_curvature_of_one_christoffel_vector_off_the_diagonal():
 
 def test_rows_list_the_nonzero_symbols_in_order():
     _, conn = case_connection("dim3-sparse-rational")
-    n = conn.chart.dim
+    n, gamma = conn.chart.dim, dense_gamma(conn)
     for i in range(n):
         for m in range(n):
-            assert conn._rows[i][m] == tuple((k, conn.gamma[i][m][k])
-                                             for k in range(n) if conn.gamma[i][m][k])
+            assert conn._rows[i][m] == tuple((k, gamma[i][m][k])
+                                             for k in range(n) if gamma[i][m][k])
     assert any(len(conn._rows[i][m]) not in (0, n) for i in range(n) for m in range(n))
     zero = Connection.zero(CHARTS[2])
     assert zero._rows == (((), ()), ((), ()))
@@ -624,7 +630,7 @@ def test_seeded_frame_connections_match_oracle(dim, rational, seed, invert_calls
     algebra = random_algebra(rng, dim)
     conn = connection_from_frame(frame, algebra)
     # a frame on an affine chart of its connection (gamma = 0) needs no inverse
-    assert len(invert_calls) == any(g for row in conn.gamma for vec in row for g in vec)
+    assert len(invert_calls) == any(g for row in dense_gamma(conn) for vec in row for g in vec)
     assert conn == oracle_connection_from_frame(frame, algebra)
 
 
@@ -879,7 +885,7 @@ def test_the_commuting_frame_connection_reaches_every_residual_part():
     chart = conn.chart
     assert is_flat_affine(conn)
     x = RationalFunction.variable(chart, "x")
-    symbols = [g for row in conn.gamma for vec in row for g in vec if g]
+    symbols = [g for row in dense_gamma(conn) for vec in row for g in vec if g]
     assert len(symbols) == 4 and 4 * x in symbols
     n = chart.dim
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -1260,11 +1266,11 @@ def test_the_field_constructor_keeps_the_error_precedence():
 
 def oracle_torsion(conn):
     """The nonzero T^k_{ij} = gamma[i][j][k] - gamma[j][i][k], read off the
-    dense view."""
-    n = conn.chart.dim
+    dense symbols."""
+    n, gamma = conn.chart.dim, dense_gamma(conn)
     comps = {}
     for i, j, k in product(range(n), repeat=3):
-        t = conn.gamma[i][j][k] - conn.gamma[j][i][k]
+        t = gamma[i][j][k] - gamma[j][i][k]
         if t:
             comps[k + 1, i + 1, j + 1] = t
     return comps
@@ -1273,26 +1279,27 @@ def oracle_torsion(conn):
 def sparse_entries(rng, conn):
     """The nonzero symbols of `conn` as `from_sparse` entries (k, i, j, value),
     1-based, in a seeded order, with some absent symbols given as "0"."""
-    n = conn.chart.dim
+    n, gamma = conn.chart.dim, dense_gamma(conn)
     entries = [(k + 1, i + 1, j + 1, g) for i, j, k in product(range(n), repeat=3)
-               if (g := conn.gamma[i][j][k]) or rng.random() < 0.2]
+               if (g := gamma[i][j][k]) or rng.random() < 0.2]
     entries = [(k, i, j, g if g else "0") for k, i, j, g in entries]
     rng.shuffle(entries)
     return entries
 
 
 def assert_same_connections(conns):
-    """The same rows, dense view, value, hash and reports; the view holds the
-    chart's shared 0 where a symbol is absent, and torsion agrees with the
-    dense oracle."""
+    """The same rows, dense symbols, value, hash and reports; the dense
+    symbols hold the chart's shared 0 where a symbol is absent, and torsion
+    agrees with the dense oracle."""
     first = conns[0]
     chart = first.chart
     zero = RationalFunction.zero(chart)
     for conn in conns:
         assert conn._rows == first._rows
         assert conn == first and hash(conn) == hash(first)
-        assert conn.gamma == first.gamma and conn.gamma is conn.gamma
-        for row, symbols in zip(conn.gamma, conn._rows):
+        gamma = dense_gamma(conn)
+        assert gamma == dense_gamma(first)
+        for row, symbols in zip(gamma, conn._rows):
             for vec, present in zip(row, symbols):
                 present = dict(present)
                 assert all(g is present[k] if k in present else g is zero
@@ -1308,7 +1315,7 @@ def test_dense_and_sparse_constructors_build_the_same_rows(name):
     rng, conn = case_connection(name)
     chart = conn.chart
     assert_same_connections([conn, Connection.from_sparse(chart, sparse_entries(rng, conn)),
-                             Connection(chart, conn.gamma)])
+                             Connection(chart, dense_gamma(conn))])
     assert_curvature_matches(conn)
 
 
@@ -1322,21 +1329,6 @@ def test_frame_connections_are_built_as_rows(dim, rational):
     dense = oracle_connection_from_frame(frame, algebra)
     assert_same_connections([conn, dense, Connection.from_sparse(
         conn.chart, sparse_entries(rng, dense))])
-
-
-def test_flatness_and_iat_tests_never_build_the_dense_view():
-    scene = gln_scene(3)
-    conn = scene.connect()
-    assert is_flat_affine(conn)
-    _, fields = scene.invariant_fields()
-    assert is_infinitesimal_affine(conn, fields[0]).holds
-    assert not hasattr(conn, "_gamma")
-    twisted = Connection.from_sparse(CHARTS[2], [(1, 1, 2, "x"), (2, 2, 1, "y")])
-    assert not is_flat_affine(twisted)
-    assert not hasattr(twisted, "_gamma")
-    # the first access builds the view once
-    assert twisted.gamma is twisted._gamma is twisted.gamma
-    assert conn.gamma == Connection.zero(scene.chart).gamma
 
 
 # ----- affine-chart shortcuts ------------------------------------------------------------
@@ -1454,7 +1446,7 @@ def previous_connection_from_frame(frame, constants):
             _add_at(q[a][b], k, -d)
     if any(vec for row in q for vec in row):
         A = [f.coeffs for f in frame.fields]
-        A_inv = linalg.invert(A, zero=zero, one=RationalFunction.one(chart))
+        A_inv = linalg.invert(A, zero=zero)
         half = [[geometry._combination(zip(A_inv[i], (q[a][b] for a in range(n))))
                  for b in range(n)] for i in range(n)]
         return Connection._of(chart, geometry._sorted_rows(

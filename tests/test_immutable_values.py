@@ -19,8 +19,7 @@ refused:
   dataclass `__init__` is generated); `Connection`'s memos `._torsion`,
   `._curvature` and `._tables` in `Connection._wrap`, which every
   constructor calls, and in `torsion`, `curvature` and `product_table`,
-  which fill them; its dense view `._gamma` in the `Connection.gamma`
-  property alone, which derives it from the rows on first access;
+  which fill them;
 - a write into a value's dict in place, a `.terms` or `.components` dict:
   an item assignment or deletion, a mutating dict method, or an in-place
   kernel (`_add_scaled`, `_add_at`, `_stored`) with the dict as its target,
@@ -34,7 +33,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "flataffine"
 
 GUARDED = {"num", "den", "terms", "_partials", "components",
-           "_torsion", "_curvature", "_tables", "_gamma"}
+           "_torsion", "_curvature", "_tables"}
 BUILDERS = {
     ("symcore/polynomial.py", "Polynomial.__init__"): {"terms"},
     ("symcore/polynomial.py", "Polynomial._of"): {"terms"},
@@ -45,7 +44,6 @@ BUILDERS = {
     ("geometry.py", "VectorField._of"): {"components"},
     ("geometry.py", "TensorReport.__post_init__"): {"components"},
     ("geometry.py", "Connection._wrap"): {"_torsion", "_curvature", "_tables"},
-    ("geometry.py", "Connection.gamma"): {"_gamma"},
     ("geometry.py", "torsion"): {"_torsion"},
     ("geometry.py", "curvature"): {"_curvature"},
     ("geometry.py", "product_table"): {"_tables"},
@@ -256,7 +254,6 @@ def f(X, report, conn):
     tables = conn._tables
     tables.setdefault(0, 1)
     setattr(conn, "_tables", {})
-    conn._gamma = ()
 
 class Connection:
     def _wrap(self):
@@ -264,7 +261,6 @@ class Connection:
         self._curvature = None
         self._tables = {}
         self.components = {}
-        self._gamma = None
 
 def product_table(conn, X):
     conn._tables[0] = 1
@@ -278,8 +274,7 @@ def torsion(conn):
 '''
     found = violations(source, "geometry.py")
     lines = sorted(int(f.split(":")[1]) for f in found)
-    assert lines == [3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 13, 14, 16, 17, 18, 25, 26, 31, 32,
-                     36]
+    assert lines == [3, 4, 6, 7, 8, 9, 10, 11, 12, 13, 13, 14, 16, 17, 24, 29, 30, 34]
     # copies and fresh dicts may be written freely, the memos where they are filled
     assert violations('''
 def g(X, conn):
@@ -294,10 +289,4 @@ class TensorReport:
 
 def curvature(conn):
     conn._curvature = 1
-
-class Connection:
-    @property
-    def gamma(self):
-        gamma = self._gamma = ()
-        return gamma
 ''', "geometry.py") == []

@@ -62,6 +62,7 @@ from helpers import (
     aff_line_connection,
     assert_stored,
     assert_stored_vector,
+    dense_constants,
     gln_scene,
     perturbed,
     random_algebra,
@@ -75,6 +76,7 @@ from helpers import (
 
 
 def oracle_product(A, u, v):
+    c = dense_constants(A)
     out = [Fraction(0)] * A.dim
     for i, ui in enumerate(u):
         if not ui:
@@ -83,7 +85,7 @@ def oracle_product(A, u, v):
             if not vj:
                 continue
             scale = ui * vj
-            for k, ck in enumerate(A.c[i][j]):
+            for k, ck in enumerate(c[i][j]):
                 if ck:
                     out[k] += scale * ck
     return tuple(out)
@@ -100,49 +102,51 @@ def oracle_lincomb(n, terms):
     return tuple(out)
 
 
-def oracle_dense_product(A, u, v):
-    """The dense `SCAlgebra._product` of Fraction vectors, over the cells of c."""
-    return oracle_lincomb(A.dim, ((ui * vj, A.c[i][j])
+def oracle_dense_product(c, u, v):
+    """The dense `SCAlgebra._product` of Fraction vectors, over the cells of
+    the dense constants c."""
+    return oracle_lincomb(len(c), ((ui * vj, c[i][j])
                                   for i, ui in enumerate(u) if ui
                                   for j, vj in enumerate(v) if vj))
 
 
-def oracle_associator(A, i, j, k):
-    n = A.dim
+def oracle_associator(c, i, j, k):
+    """(e_i e_j) e_k - e_i (e_j e_k) over the dense constants c."""
+    n = len(c)
     left = [Fraction(0)] * n
-    for l, cl in enumerate(A.c[i][j]):
+    for l, cl in enumerate(c[i][j]):
         if cl:
-            for m, cm in enumerate(A.c[l][k]):
+            for m, cm in enumerate(c[l][k]):
                 if cm:
                     left[m] += cl * cm
     right = [Fraction(0)] * n
-    for l, cl in enumerate(A.c[j][k]):
+    for l, cl in enumerate(c[j][k]):
         if cl:
-            for m, cm in enumerate(A.c[i][l]):
+            for m, cm in enumerate(c[i][l]):
                 if cm:
                     right[m] += cl * cm
     return tuple(a - b for a, b in zip(left, right))
 
 
 def oracle_check_associative(A):
-    n = A.dim
+    n, c = A.dim, dense_constants(A)
     zero = (Fraction(0),) * n
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if oracle_associator(A, i, j, k) != zero:
+                if oracle_associator(c, i, j, k) != zero:
                     return False, (i + 1, j + 1, k + 1)
     return True, None
 
 
 def oracle_check_left_symmetric(A):
-    n = A.dim
+    n, c = A.dim, dense_constants(A)
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             for k in range(n):
-                if oracle_associator(A, i, j, k) != oracle_associator(A, j, i, k):
+                if oracle_associator(c, i, j, k) != oracle_associator(c, j, i, k):
                     return False, (i + 1, j + 1, k + 1)
     return True, None
 
@@ -166,13 +170,13 @@ def oracle_jacobi_witness(f, n):
 
 
 def oracle_left_mult_matrix(A, vec):
-    n = A.dim
+    n, c = A.dim, dense_constants(A)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i, vi in enumerate(vec):
         if not vi:
             continue
         for j in range(n):
-            for k, ck in enumerate(A.c[i][j]):
+            for k, ck in enumerate(c[i][j]):
                 if ck:
                     m[k][j] += vi * ck
     return m
@@ -191,47 +195,49 @@ def oracle_entries(c, pairs):
 def oracle_lie_json(L):
     n = L.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return {"dim": n, "basis": list(L.basis_names), "brackets": oracle_entries(L.c, pairs)}
+    return {"dim": n, "basis": list(L.basis_names),
+            "brackets": oracle_entries(dense_constants(L), pairs)}
 
 
 def oracle_algebra_json(A):
     n = A.dim
     pairs = [(i, j) for i in range(n) for j in range(n)]
-    doc = {"dim": n, "basis": list(A.basis_names), "products": oracle_entries(A.c, pairs)}
+    doc = {"dim": n, "basis": list(A.basis_names),
+           "products": oracle_entries(dense_constants(A), pairs)}
     if A.unit_index is not None:
         doc["unit"] = A.unit_index + 1
     return doc
 
 
 def oracle_commutator_constants(A):
-    n = A.dim
-    return [[tuple(a - b for a, b in zip(A.c[i][j], A.c[j][i])) for j in range(n)]
+    n, c = A.dim, dense_constants(A)
+    return [[tuple(a - b for a, b in zip(c[i][j], c[j][i])) for j in range(n)]
             for i in range(n)]
 
 
 def oracle_failures(A, kind):
     """Every failing basis triple (0-based, lexicographic) of one scan: the
     associator, the left-symmetric identity, or Jacobi for the commutators."""
-    n = A.dim
+    n, c = A.dim, dense_constants(A)
     zero = (Fraction(0),) * n
     if kind == "associative":
         return [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
-                if oracle_associator(A, i, j, k) != zero]
+                if oracle_associator(c, i, j, k) != zero]
     if kind == "left-symmetric":
         return [(i, j, k) for i in range(n) for j in range(n) if i != j for k in range(n)
-                if oracle_associator(A, i, j, k) != oracle_associator(A, j, i, k)]
-    f = oracle_commutator_constants(A)
-    L = SCAlgebra(A.basis_names, f)
+                if oracle_associator(c, i, j, k) != oracle_associator(c, j, i, k)]
+    f = dense_constants(SCAlgebra(A.basis_names, oracle_commutator_constants(A)))
     return [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
-            if oracle_jacobi_witness_at(L, i, j, k)]
+            if oracle_jacobi_witness_at(f, i, j, k)]
 
 
-def oracle_jacobi_witness_at(L, i, j, k):
-    """True iff the Jacobi sum of L at (i, j, k) is nonzero."""
-    total = [Fraction(0)] * L.dim
+def oracle_jacobi_witness_at(f, i, j, k):
+    """True iff the Jacobi sum of the dense bracket constants f at (i, j, k)
+    is nonzero."""
+    total = [Fraction(0)] * len(f)
     for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
-        for l, il in enumerate(L.c[b][d]):
-            for m, fm in enumerate(L.c[a][l]):
+        for l, il in enumerate(f[b][d]):
+            for m, fm in enumerate(f[a][l]):
                 total[m] += il * fm
     return any(total)
 
@@ -247,11 +253,12 @@ def oracle_restrict_to_subspace(A, space):
     pivots = sorted(echelon.rows)
     vectors = [echelon.rows[p] for p in pivots]
     basis_names = space.named_basis(A.basis_names) or [f"v{i + 1}" for i in range(len(vectors))]
+    c = dense_constants(A)
     rows = []
     for u in vectors:
         row = []
         for v in vectors:
-            dense = oracle_dense_product(A, [u.get(k, 0) for k in range(A.dim)],
+            dense = oracle_dense_product(c, [u.get(k, 0) for k in range(A.dim)],
                                          [v.get(k, 0) for k in range(A.dim)])
             w = {k: x for k, x in enumerate(dense) if x}
             if echelon.reduce(w):
@@ -343,7 +350,7 @@ def rescaled(rng, A):
     lam = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(A.dim)]
     return SCAlgebra(A.basis_names, [[[lam[i] * lam[j] / lam[k] * x for k, x in enumerate(vec)]
                                       for j, vec in enumerate(row)]
-                                     for i, row in enumerate(A.c)])
+                                     for i, row in enumerate(dense_constants(A))])
 
 
 GL2_AMBIENT = gl2_ambient()
@@ -403,7 +410,7 @@ def test_commutator_and_jacobi_match_oracle(name, A):
         assert expected is None
     if expected is None:
         lie = commutator_algebra(A)
-        assert [list(row) for row in lie.c] == f
+        assert [list(row) for row in dense_constants(lie)] == f
         assert lie.to_json_dict() == oracle_lie_json(lie)
         assert isinstance(lie, SCAlgebra) and lie != SCAlgebra(A.basis_names, f)
     else:
@@ -418,16 +425,17 @@ def test_commutator_and_jacobi_match_oracle(name, A):
 @pytest.mark.parametrize("name, A", CASES.items(), ids=list(CASES))
 def test_products_and_matrices_match_oracle(name, A):
     rng = random.Random(name)
+    c = dense_constants(A)
     for _ in range(5):
         u, v = random_vector(rng, A.dim), random_vector(rng, A.dim)
-        assert A.product(u, v) == oracle_product(A, u, v) == oracle_dense_product(A, u, v)
+        assert A.product(u, v) == oracle_product(A, u, v) == oracle_dense_product(c, u, v)
         # the integer kernel: D du dv times the product of u and v
         (iu, du), (iv, dv) = (_integral({k: x for k, x in enumerate(w) if x}) for w in (u, v))
         sparse = A._product(iu, iv)
         assert all(type(x) is int for x in sparse.values())
         scale = _scaled_constants(A)[0] * du * dv
         assert sparse == {k: x * scale
-                          for k, x in enumerate(oracle_dense_product(A, u, v)) if x}
+                          for k, x in enumerate(oracle_dense_product(c, u, v)) if x}
         assert left_mult_matrix(A, v) == oracle_left_mult_matrix(A, v)
     zero = [0] * A.dim
     assert left_mult_matrix(A, zero) == oracle_left_mult_matrix(A, zero)
@@ -525,7 +533,8 @@ def test_restriction_matches_the_all_pivot_loop(name):
     A, space = RESTRICTIONS[name]
     restricted = restrict_to_subspace(A, space)
     assert restricted == oracle_restrict_to_subspace(A, space)
-    assert restricted.rows == SCAlgebra(restricted.basis_names, restricted.c).rows
+    assert restricted.rows == SCAlgebra(restricted.basis_names,
+                                        dense_constants(restricted)).rows
     if not name.startswith("rational"):
         assert 0 < space.rank < A.dim
         assert space.named_basis(A.basis_names) is None
@@ -560,7 +569,8 @@ def test_coordinate_restriction_matches_the_all_pivot_loop(name):
     assert space.rank == {"gl2-envelope": 16, "half-plane": 5}.get(name, A.dim)
     restricted = restrict_to_subspace(A, space)
     assert restricted == oracle_restrict_to_subspace(A, space)
-    assert restricted.rows == SCAlgebra(restricted.basis_names, restricted.c).rows
+    assert restricted.rows == SCAlgebra(restricted.basis_names,
+                                        dense_constants(restricted)).rows
     if space.rank == A.dim:
         assert restricted.rows is A.rows
 
@@ -638,7 +648,8 @@ BUILT = dict(built_algebras())
 
 @pytest.mark.parametrize("name, A", BUILT.items(), ids=list(BUILT))
 def test_built_algebras_are_canonical(name, A):
-    assert A.rows == SCAlgebra(A.basis_names, A.c, A.unit_index).rows
+    c = dense_constants(A)
+    assert A.rows == SCAlgebra(A.basis_names, c, A.unit_index).rows
     assert type(A.rows) is tuple and len(A.rows) == A.dim
     for row in A.rows:
         assert type(row) is tuple and len(row) == A.dim
@@ -648,8 +659,8 @@ def test_built_algebras_are_canonical(name, A):
             assert all(type(k) is int and 0 <= k < A.dim for k, _ in cell)
             for _, x in cell:
                 assert_stored(x)
-    assert type(A.c) is tuple and len(A.c) == A.dim
-    for row in A.c:
+    assert type(c) is tuple and len(c) == A.dim
+    for row in c:
         assert type(row) is tuple and len(row) == A.dim
         for vec in row:
             assert type(vec) is tuple and len(vec) == A.dim

@@ -11,18 +11,26 @@ when it is integral and a `Fraction` otherwise, never a bool, a float or a
   subspace's rows) and `_FieldSpan.coordinates` (what `express_in_basis` and
   `product_table` read off) check every value they see during `run_document`
   on the shipped task file and during one GL2 envelope pass.
+
+Every scalar that enters a polynomial, a constant rational function or an
+algebra's constants goes through one rule, `symcore.polynomial._rational`; it
+is compared in value and type with the copy the algebra layer kept before
+(`helpers.oracle_rational`), and so are the coefficients that
+`Polynomial(...)` and `RationalFunction.constant` store.
 """
 import ast
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from flataffine import compute_envelope
+from flataffine import Chart, Polynomial, RationalFunction, compute_envelope
 from flataffine.algebra import SCAlgebra, Subspace
 from flataffine.cli import run_document
 from flataffine.geometry import _FieldSpan, independent_fields
-from helpers import assert_stored_row, assert_stored_vector, gln_scene
+from flataffine.symcore.polynomial import _rational
+from helpers import assert_stored_row, assert_stored_vector, gln_scene, oracle_rational
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "flataffine"
@@ -58,6 +66,25 @@ def test_the_division_guard_finds_each_kind():
               "def f(a, b):\n    a /= b\n    return [x / b for x in a]\n"
               "class Other:\n    x = 1 / 2\n")
     assert sorted(divisions(source)) == [(5, None), (6, None), (8, "Other")]
+
+
+# ----- one scalar rule --------------------------------------------------------------
+
+
+SCALARS = [0, 7, -3, 10 ** 30, True, False, Fraction(6, 3), Fraction(-4), Fraction(1, 3),
+           Fraction(-10 ** 20, 3), "5", "-6/4", "2/3", "8/4", "0/7", 0.5, 2.0, -0.0, -1.25]
+
+
+@pytest.mark.parametrize("value", SCALARS, ids=[repr(v) for v in SCALARS])
+def test_the_scalar_rule_matches_the_copy_it_replaced(value):
+    expected = oracle_rational(value)
+    chart = Chart("line", ("x",))
+    stored = [_rational(value),
+              Polynomial(chart, {(0,): value}).terms.get((0,), 0),
+              RationalFunction.constant(chart, value).num.terms.get((0,), 0)]
+    for got in stored:
+        assert got == expected and type(got) is type(expected), (got, expected)
+    assert type(expected) is (int if expected.denominator == 1 else Fraction)
 
 
 # ----- every stored rational on the real paths -----------------------------------------
