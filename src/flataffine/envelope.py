@@ -24,7 +24,7 @@ from .algebra import (
     restrict_to_subspace,
     subalgebra_closure,
 )
-from .geometry import Connection, express_in_basis, lie_bracket, product_table
+from .geometry import Connection, _bracket, _partials, express_in_basis, product_table
 from .render import render_table_text
 
 OPPOSITE_CONVENTION = ("envelope constants are the opposite of the ambient "
@@ -74,18 +74,21 @@ def commutator_matches_brackets(fields, table: SCAlgebra) -> tuple:
     and `holds` says whether c[i][j] - c[j][i] equals [X_i, X_j] at every
     pair: the table's commutator checked against the fields' own brackets.
 
-    The brackets (`lie_bracket`) use plain partial derivatives, not the
-    product's nabla, so the check does not rest on what it verifies.  Only
-    the pairs i < j are computed: the kernel is exactly antisymmetric
+    The brackets are `lie_bracket`'s, plain partial derivatives, not the
+    product's nabla, so the check does not rest on what it verifies: one
+    table of nonzero partials per field (`geometry._partials`), read by two
+    `_derivative_along` per pair; a zero bracket skips the span.  Only the
+    pairs i < j are computed: the kernel is exactly antisymmetric
     ([X_j, X_i] = -[X_i, X_j], [X_i, X_i] = 0) and `express_in_basis` is
     linear, so at a mirrored pair both sides are the negations of those at
     (i, j), and on the diagonal both sides are zero.
     """
     n, rows = table.dim, table.rows
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    tables = [_partials(f) for f in fields]
     brackets = [[()] * n for _ in range(n)]
     holds = True
-    for got, (i, j) in zip(express_in_basis([lie_bracket(fields[i], fields[j])
+    for got, (i, j) in zip(express_in_basis([_bracket(fields[i], tables[i], fields[j], tables[j])
                                              for i, j in pairs], fields), pairs):
         brackets[i][j], brackets[j][i] = got, _negated(got)
         holds = holds and got == _difference(rows[i][j], rows[j][i])

@@ -413,28 +413,39 @@ def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> Ve
         (xi, _nabla_coordinate(conn, i, Y.components)) for i, xi in X.components.items()))
 
 
-def _derivative_along(X: VectorField, Y: VectorField) -> dict:
+def _partials(Y: VectorField) -> dict:
+    """The table {a: {k: d_a Y^k}} of Y's nonzero partials only, each read from
+    `RationalFunction.diff`'s memo; built per call, nothing kept on Y."""
+    columns = ((a, {k: d for k, c in Y.components.items() if (d := c.diff(var))})
+               for a, var in enumerate(Y.chart.variables))
+    return {a: column for a, column in columns if column}
+
+
+def _derivative_along(X: VectorField, partials: dict) -> dict:
     """X(Y)^k = sum_a X^a d_a Y^k, the derivative of Y along X, as a sparse
-    vector over the nonzero X^a and Y^k only; each partial is read from
-    `RationalFunction.diff`, which takes it at most once per value and axis."""
-    variables = X.chart.variables
+    vector, from Y's `_partials` table: over the nonzero X^a and column a's
+    nonzero partials only, in the order of X's and Y's components."""
     out = {}
     for a, xa in X.components.items():
-        var = variables[a]
-        for k, c in Y.components.items():
-            d = c.diff(var)
-            if d:
-                _add_at(out, k, xa * d)
+        for k, d in partials.get(a, {}).items():
+            _add_at(out, k, xa * d)
     return out
 
 
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y] = X(Y) - Y(X), from two `_derivative_along`; the one bracket kernel."""
+def _bracket(X: VectorField, dX: dict, Y: VectorField, dY: dict) -> VectorField:
+    """[X, Y] = X(Y) - Y(X) from the fields and their `_partials` tables."""
     require_same_chart(X, Y)
-    out = _derivative_along(X, Y)
-    for k, c in _derivative_along(Y, X).items():
+    out = _derivative_along(X, dY)
+    for k, c in _derivative_along(Y, dX).items():
         _add_at(out, k, -c)
     return VectorField._of(X.chart, out)
+
+
+def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y] = X(Y) - Y(X), from one `_partials` table per field and two
+    `_derivative_along`; the one bracket kernel, whose all-pairs callers
+    build one table per field and read it at every pair (`_bracket`)."""
+    return _bracket(X, _partials(X), Y, _partials(Y))
 
 
 def torsion(conn: Connection) -> TensorReport:
@@ -661,9 +672,13 @@ class _FieldSpan:
         return linalg._integral(row)
 
     def coordinates(self, targets) -> list:
-        """`express_in_basis` of the targets in the fields."""
+        """`express_in_basis` of the targets in the fields.  A zero target lies
+        in every span, with all-zero coordinates: it gets the row () at once."""
         solutions = []
         for index, t in enumerate(targets):
+            if not t.components:
+                solutions.append(())
+                continue
             row = self._row(t.components)
             if row is not None:
                 residual, scale = self._span.reduce(*row)
@@ -838,7 +853,7 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
                 residuals[p].append((c, vec))
     # one sparse equation {c: x} per (component, monomial) at each pair
     span = linalg._QSpan()
-    for at_pair in residuals:
+    for at_pair in filter(None, residuals):   # an empty pair gives no equation
         slots = {}
         numerators = _cleared(chart, [res for _, res in at_pair])[2]
         for (c, _), polys in zip(at_pair, numerators):
@@ -864,9 +879,9 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     Extends by function-linearity in the first slot and the Leibniz rule in the
     second.  With A the frame matrix and q[a][b] = E_a E_b - E_a(E_b) the
     Christoffel part of each defining product, E_a(E_b) read off
-    `_derivative_along`, gamma[i][j] = sum_{a,b}
-    A^-1[i][a] A^-1[j][b] q[a][b], and A^-1 is taken only when some q[a][b] is
-    nonzero.  On an affine chart of the connection, one in which its
+    `_derivative_along` and one `_partials` table per frame field, gamma[i][j]
+    = sum_{a,b} A^-1[i][a] A^-1[j][b] q[a][b], and A^-1 is taken only when
+    some q[a][b] is nonzero.  On an affine chart of the connection, one in which its
     Christoffel symbols vanish (GL(n) in matrix coordinates with E_a E_b the
     matrix product), every defining product is the plain derivative E_a(E_b),
     so q and gamma are zero; `Frame` has already proved A nonsingular.
@@ -890,8 +905,9 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     expected = [[_combination((x, E[k]) for k, x in constants.rows[a][b])
                  for b in range(n)] for a in range(n)]
     q = [[{} for _ in range(n)] for _ in range(n)]
+    tables = [_partials(f) for f in frame.fields]
     for a, b in product(range(n), repeat=2):
-        derivative = _derivative_along(frame.fields[a], frame.fields[b])
+        derivative = _derivative_along(frame.fields[a], tables[b])
         if derivative != expected[a][b]:
             vec = q[a][b] = dict(expected[a][b])
             for k, d in derivative.items():

@@ -32,9 +32,10 @@ from flataffine import (
     restrict_to_subspace,
 )
 from flataffine.algebra import _dense
+from flataffine.geometry import _add_at
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
-from flataffine.symcore import Polynomial, exact_div, grlex_key, poly_lcm
+from flataffine.symcore import Polynomial, exact_div, grlex_key, poly_lcm, require_same_chart
 
 _ZERO = Fraction(0)   # shared by the empty cells of the dense oracle rows
 
@@ -202,6 +203,33 @@ def apply_field(X: VectorField, f: RationalFunction) -> RationalFunction:
         if c:
             out = out + c * f.diff(var)
     return out
+
+
+def pairwise_derivative_along(X: VectorField, Y: VectorField) -> dict:
+    """X(Y)^k = sum_a X^a d_a Y^k as a sparse vector, with one
+    `RationalFunction.diff` and one truth test per pair (a, k) of X's and Y's
+    components: the kernel that `geometry._derivative_along` on Y's table
+    `geometry._partials(Y)` replaced, kept as its oracle in value and in
+    insertion order."""
+    variables = X.chart.variables
+    out = {}
+    for a, xa in X.components.items():
+        var = variables[a]
+        for k, c in Y.components.items():
+            d = c.diff(var)
+            if d:
+                _add_at(out, k, xa * d)
+    return out
+
+
+def pairwise_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y] = X(Y) - Y(X) from two `pairwise_derivative_along`: `lie_bracket`
+    as it was before the per-field tables."""
+    require_same_chart(X, Y)
+    out = pairwise_derivative_along(X, Y)
+    for k, c in pairwise_derivative_along(Y, X).items():
+        _add_at(out, k, -c)
+    return VectorField._of(X.chart, out)
 
 
 def dense_coordinate_rows(fields):

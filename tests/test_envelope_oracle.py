@@ -3,7 +3,8 @@
 `commutator_matches_brackets` takes the Lie brackets and the constant
 differences c[i][j] - c[j][i] for the pairs i < j only (and `compute_envelope`
 calls it by that module name, once per envelope), each bracket
-X(Y) - Y(X) from two derivatives along (`geometry._derivative_along`),
+X(Y) - Y(X) from two derivatives along (`geometry._derivative_along`) that
+read one table of partials per field (`geometry._partials`),
 `commutator_algebra` subtracts only where c[j][i] is nonzero, and
 `product_table` takes one nabla_{d_a} X_j per field and axis instead of one
 `covariant_derivative` per pair, the same table that the field's
@@ -445,23 +446,29 @@ def test_bracket_kernel_matches_oracle(kind):
     for X in fields:
         for Y in fields:
             assert lie_bracket(X, Y) == oracle_lie_bracket(X, Y)
-            along = geometry._derivative_along(X, Y)
+            along = geometry._derivative_along(X, geometry._partials(Y))
             assert VectorField._of(X.chart, along) == oracle_derivative_along(X, Y)
 
 
 def test_cross_check_takes_one_bracket_per_pair(monkeypatch):
     conn, fields, names = halfplane_scene()
     table = product_table(conn, fields, names)
-    kernel = geometry.lie_bracket
-    brackets = []
-    monkeypatch.setattr(envelope, "lie_bracket",
-                        lambda *args: brackets.append(1) or kernel(*args))
+    build = geometry._partials
+    tables = []
+    monkeypatch.setattr(envelope, "_partials",
+                        lambda field: tables.append(field) or build(field))
+    kernel = geometry._derivative_along
+    along = []
+    monkeypatch.setattr(geometry, "_derivative_along",
+                        lambda *args: along.append(1) or kernel(*args))
     rule = RationalFunction._quotient_rule
     partials = []
     monkeypatch.setattr(RationalFunction, "_quotient_rule",
                         lambda self, var: partials.append(1) or rule(self, var))
     assert commutator_matches_brackets(fields, table)[0]
-    assert len(brackets) == 6 * 5 // 2
+    # one table per field, read at each of the 15 pairs i < j by two kernel calls
+    assert tables == fields
+    assert len(along) == 2 * (6 * 5 // 2)
     # product_table took every nonzero component's partial along every axis,
     # and the brackets read them back from RationalFunction.diff's memo
     assert partials == []
