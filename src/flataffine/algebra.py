@@ -28,15 +28,13 @@ Conventions:
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
 from . import linalg
 from .symcore import Rational
-from .symcore.polynomial import _rational
+from .symcore.polynomial import _NOT_RATIONAL, _rational
 
 Vector = tuple[int | Rational, ...]
 Row = tuple[tuple[int, int | Rational], ...]
@@ -91,34 +89,19 @@ def _index(value, dim, what, path):
     return value
 
 
-# Fraction() also reads exponents, and "1e999999999" has no time bound
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def parse_rational(x):
-    """A rational given as an integer (not a bool) or a string "p/q" or "p",
-    as a stored rational: `int(p)` for "p", one `Fraction(int(p), int(q))`
-    for "p/q", read back as its numerator when it is integral.  ValueError
-    for anything else, a zero denominator and a p or q past `int()`'s digit
-    limit included."""
-    if type(x) is int:
-        return x
-    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        raise ValueError(f'bad rational {x!r}: write an integer, "p" or "p/q"')
-    # the grammar's p and q are int() literals: Fraction(x) reads the same value
-    p, _, q = x.partition("/")
-    try:
-        if not q:
-            return int(p)
-        value = Fraction(int(p), int(q))
-    except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
-        raise ValueError(f"bad rational {x!r}: {err}") from None
-    return value.numerator if value.denominator == 1 else value
+    """A task file's rational, an integer (not a bool) or a string "p/q" or
+    "p", as a stored rational (`_rational`, which holds the grammar and its
+    errors).  ValueError, with `_rational`'s first message, for a value of
+    any other type."""
+    if type(x) is int or isinstance(x, str):
+        return _rational(x)
+    raise ValueError(_NOT_RATIONAL.format(x))
 
 
 def _to_vector(values, dim: int) -> Vector:
-    """The values as a tuple of stored rationals (`_rational`); an int entry
-    is kept as it is."""
+    """The values as a tuple of stored rationals, each read by `_rational`
+    (a string by the task-file grammar); an int entry is kept as it is."""
     vec = tuple(map(_rational, values))
     if len(vec) != dim:
         raise ValueError(f"expected a vector of length {dim}, got {len(vec)}")
@@ -159,8 +142,8 @@ class SCAlgebra:
     __slots__ = ("dim", "basis_names", "rows", "unit_index", "_scaled")
 
     def __init__(self, basis_names, c, unit_index: int | None = None):
-        """Build from dense constants c[i][j][k] (any values `Fraction` accepts,
-        stored as `_rational` stores them)."""
+        """Build from dense constants c[i][j][k], each an int, `Fraction`,
+        float or task-file string "p" or "p/q", read by `_rational`."""
         n = len(c)
         if any(len(row) != n for row in c):
             raise ValueError("structure constants must be n x n x n")

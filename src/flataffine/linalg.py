@@ -26,6 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from .symcore.polynomial import _quotient
+
 # the default `zero`, which selects Q: a `Fraction`, since the benchmark's
 # tracer tells a Q call from a Q(x) one by it; no result entry is this
 # object, as a zero entry over Q is stored as 0
@@ -165,15 +167,11 @@ def _integral(vec: dict):
 
 def _read(vec: dict, d: int) -> dict:
     """The sparse vector vec / d of an integer vector (d > 0) as stored
-    rationals, where an entry leaves the integer kernel: x // d where d
-    divides x, a `Fraction` only otherwise.  With d == 1 that is vec itself."""
+    rationals, where an entry leaves the integer kernel: symcore's one exact
+    quotient `_quotient(x, d)` of each.  With d == 1 that is vec itself."""
     if d == 1:
         return vec
-    out = {}
-    for m, x in vec.items():
-        q, r = divmod(x, d)
-        out[m] = Fraction(x, d) if r else q
-    return out
+    return {m: _quotient(x, d) for m, x in vec.items()}
 
 
 def _nullspace_rows(span: "_QSpan", ncols: int) -> list:

@@ -33,7 +33,7 @@ Shortcuts that return the general path's value (one line of proof each):
   has cancelled are skipped;
 - `one` returns the chart's shared 1, built once: no kernel changes a
   polynomial's terms after it is built;
-- evaluation converts a coordinate that is not an int to Fraction only where
+- evaluation reads a coordinate that is not an int (`_rational`) only where
   a term's exponent uses it: the other factors are x^0 = 1, which the general
   product skips too.
 
@@ -45,6 +45,7 @@ throughout.  No floating point enters anywhere.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import add as _add, neg as _neg, sub as _sub
@@ -74,21 +75,32 @@ def _canonical(value):
     return value
 
 
+# the task-file grammar: Fraction() also reads "1e999999999", with no time bound
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_NOT_RATIONAL = 'bad rational {!r}: write an integer, "p" or "p/q"'
+
+
 def _rational(x):
-    """x, any value `Fraction()` accepts, as a stored rational: an int when
-    it is integral (a bool becomes its int), a normalised `Fraction`
-    otherwise."""
+    """x as a stored rational: an int when it is integral (a bool becomes its
+    int), a normalised `Fraction` otherwise.  A string must be "p" or "p/q",
+    read as `int(p)` or one `Fraction(int(p), int(q))`; ValueError for any
+    other string, a zero q and a p or q past `int()`'s digit limit.  Any other
+    value is read by `Fraction()`: a float by its exact binary value."""
     if x.__class__ is int:
         return x
-    return _canonical(Fraction(x))
+    if not isinstance(x, str):
+        return _canonical(Fraction(x))
+    if not _RATIONAL.fullmatch(x):
+        raise ValueError(_NOT_RATIONAL.format(x))
+    p, _, q = x.partition("/")
+    try:
+        return _canonical(Fraction(int(p), int(q))) if q else int(p)
+    except (ValueError, ZeroDivisionError) as err:   # too many digits, q = 0
+        raise ValueError(f"bad rational {x!r}: {err}") from None
 
 
 def _coerce_scalar(value):
-    if isinstance(value, Fraction):
-        return _canonical(value)
-    if isinstance(value, int):
-        return int(value)   # a bool or an int subclass becomes a plain int
-    return None
+    return _rational(value) if isinstance(value, (int, Fraction)) else None
 
 
 def _quotient(a, b):
@@ -371,16 +383,16 @@ class Polynomial:
         return Polynomial._of(self.chart, out)
 
     def evaluate(self, point) -> Fraction:
-        """Evaluate at a mapping variable -> int or Fraction (exact), as a
-        Fraction.  Every chart variable is read; a value that is not an int is
-        converted only where a term uses it, so ints multiply as ints."""
+        """Evaluate at a mapping variable -> value (exact), as a Fraction.
+        Every chart variable is looked up; a value that is not an int is read
+        by `_rational` only where a term uses it, so ints multiply as ints."""
         values = [point[v] for v in self.chart.variables]
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff
             for val, e in zip(values, exps):
                 if e:
-                    term *= (val if val.__class__ is int else Fraction(val)) ** e
+                    term *= (val if val.__class__ is int else _rational(val)) ** e
             total += term
         return Fraction(total)
 

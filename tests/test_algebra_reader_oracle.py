@@ -30,9 +30,9 @@ from pathlib import Path
 
 import pytest
 
-from flataffine.algebra import _RATIONAL
 from flataffine.algebra import LieAlgebraSC, SCAlgebra, TaskFileError, parse_rational
 from flataffine.cli import load_document
+from flataffine.symcore.polynomial import _RATIONAL
 from helpers import assert_stored_vector, oracle_rational
 from test_algebra import _outcome as _parse_outcome, _rational_literals
 from test_taskfile_fuzz import JSON_VALUES, _base_document, _names, _slots, mutate

@@ -990,6 +990,48 @@ def test_emit_table_bad_format():
         emit_table(six_field_table_algebra(), "yaml")
 
 
+# (task file, --out, exit code, text stderr must hold) of each process run; a
+# None task file is the shipped one, and --out is a fresh directory or an
+# existing file under tmp_path
+PROCESS_RUNS = {
+    "shipped-smoke-run": (None, "dir", 0, None),
+    "malformed": ({"schema": 1, "tasks": [{"kind": "closure"}]}, None, 2, None),
+    "brackets": ({"schema": 1, "algebras": [
+        {"name": "L", "dim": 2, "basis": ["a", "b"],
+         "brackets": [{"left": 1, "right": 2, "result": ["0", "1"]}]}],
+        "tasks": [{"kind": "check-associative", "algebra": "L"}]}, None, 2, None),
+    "string-index": ({"schema": 1, "algebras": [
+        {"name": "A", "dim": 2, "basis": ["a", "b"],
+         "products": [{"left": "1", "right": 1, "result": ["1", "0"]}]}],
+        "tasks": [{"kind": "check-associative", "algebra": "A"}]},
+        None, 2, "/algebras/0/products/0/left"),
+    "out-names-a-file": (None, "file", 2, None),
+}
+
+
+@pytest.mark.parametrize("doc, out, code, needle", PROCESS_RUNS.values(), ids=list(PROCESS_RUNS))
+def test_python_m_flataffine_exits_with_its_code_and_no_traceback(tmp_path, doc, out, code,
+                                                                   needle):
+    taskfile = SHIPPED
+    if doc is not None:
+        taskfile = tmp_path / "task.json"
+        taskfile.write_text(json.dumps(doc))
+    args = [sys.executable, "-m", "flataffine", "run", str(taskfile)]
+    if out == "file":
+        (tmp_path / "out").touch()
+    if out:
+        args += ["--out", str(tmp_path / "out")]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(args, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == code, done.stderr
+    assert needle is None or needle in done.stderr, done.stderr
+    if out == "dir":
+        suffixes = sorted(p.suffix for p in (tmp_path / "out").iterdir())
+        assert suffixes == [".json"] * 11 + [".txt"] * 11
+
+
 def test_empty_dim_128_algebras_load_within_a_cpu_limit(tmp_path):
     # three algebras at the dim cap and no task: loading must follow the
     # product entries given, not build dim^3 constants for each algebra

@@ -16,17 +16,21 @@ Every scalar that enters a polynomial, a constant rational function or an
 algebra's constants goes through one rule, `symcore.polynomial._rational`; it
 is compared in value and type with the copy the algebra layer kept before
 (`helpers.oracle_rational`), and so are the coefficients that
-`Polynomial(...)` and `RationalFunction.constant` store.
+`Polynomial(...)` and `RationalFunction.constant` store.  A string is read
+only by the task-file grammar: each of the seven readers refuses a decimal,
+a space, a zero denominator and an exponent with `parse_rational`'s message,
+in bounded time (`Fraction("1e5000000")` alone takes seconds).
 """
 import ast
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from flataffine import Chart, Polynomial, RationalFunction, compute_envelope
-from flataffine.algebra import SCAlgebra, Subspace
+from flataffine.algebra import SCAlgebra, Subspace, parse_rational
 from flataffine.cli import run_document
 from flataffine.geometry import _FieldSpan, independent_fields
 from flataffine.symcore.polynomial import _rational
@@ -85,6 +89,31 @@ def test_the_scalar_rule_matches_the_copy_it_replaced(value):
     for got in stored:
         assert got == expected and type(got) is type(expected), (got, expected)
     assert type(expected) is (int if expected.denominator == 1 else Fraction)
+
+
+_LINE = Chart("line", ("x",))
+_UNIT = SCAlgebra(["a"], [[[1]]])
+READERS = {
+    "SCAlgebra": lambda v: SCAlgebra(["a"], [[[v]]]),
+    "from_products": lambda v: SCAlgebra.from_products(["a"], {("a", "a"): {"a": v}}),
+    "product": lambda v: _UNIT.product([v], [1]),
+    "Subspace": lambda v: Subspace(1, [[v]]),
+    "Polynomial": lambda v: Polynomial(_LINE, {(0,): v}),
+    "RationalFunction.constant": lambda v: RationalFunction.constant(_LINE, v),
+    "Polynomial.evaluate": lambda v: Polynomial(_LINE, {(1,): 1}).evaluate({"x": v}),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_refuses_what_the_task_file_refuses_in_bounded_time(reader):
+    for value in ["1.5", " 1", "1/0", "1e5000000"]:
+        with pytest.raises(ValueError) as expected:
+            parse_rational(value)
+        start = time.process_time()
+        with pytest.raises(ValueError) as got:
+            READERS[reader](value)
+        assert time.process_time() - start < 0.5, value
+        assert str(got.value) == str(expected.value)
 
 
 # ----- every stored rational on the real paths -----------------------------------------
