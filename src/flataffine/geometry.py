@@ -114,7 +114,8 @@ class VectorField:
         foreign = False
         count = 0
         for k, c in enumerate(coeffs):
-            c = _as_rf(chart, c)
+            if c.__class__ is not RationalFunction:
+                c = _as_rf(chart, c)
             num = c.num
             if num.chart is not chart and num.chart != chart:
                 foreign = True
@@ -285,16 +286,22 @@ def _primes(count: int) -> list:
     return primes
 
 
-def _full_rank_at_primes(chart: Chart, matrix) -> bool:
-    """Whether a square matrix of rational functions has full rank over Q at
-    the point with the i-th prime at the i-th chart variable; False, not an
-    error, when a denominator vanishes there."""
+def _full_rank_at_primes(chart: Chart, fields) -> bool:
+    """Whether the coefficient matrix of n fields has full rank over Q at the
+    point with the i-th prime at the i-th chart variable; False, not an
+    error, when a denominator vanishes there.  Only the nonzero components
+    are evaluated; every other entry is 0."""
     point = dict(zip(chart.variables, _primes(chart.dim)))
+    values = []
     try:
-        values = [[c.evaluate(point) for c in row] for row in matrix]
+        for f in fields:
+            row = [0] * chart.dim
+            for k, c in f.components.items():
+                row[k] = c.evaluate(point)
+            values.append(row)
     except ZeroDivisionError:
         return False
-    return linalg.rank(values) == len(matrix)
+    return linalg.rank(values) == len(fields)
 
 
 class Frame:
@@ -320,9 +327,9 @@ class Frame:
         for f in fields:
             if f.chart != chart:
                 raise ValueError("all frame fields must share the chart")
-        matrix = [f.coeffs for f in fields]
-        if not _full_rank_at_primes(chart, matrix) and \
-                linalg.rank(matrix, zero=RationalFunction.zero(chart)) != chart.dim:
+        if not _full_rank_at_primes(chart, fields) and \
+                linalg.rank([f.coeffs for f in fields],
+                            zero=RationalFunction.zero(chart)) != chart.dim:
             raise SingularFrameError(
                 "frame coefficient matrix is singular over the rational functions")
         self.chart = chart

@@ -2,7 +2,7 @@
 
 The functions other than `nullspace` (Q only) work with any element type
 supporting +, -, *, / and truthiness (Fraction, RationalFunction); pass `zero`
-(and `one` to `invert`) when the field is not the rationals.  Matrices are
+when the field is not the rationals.  Matrices are
 lists of row lists; no input is mutated.  Over Q (an int or `Fraction` zero,
 the default) the entries may be ints or Fractions, and every result entry
 is a stored rational: an int when it is integral, a `Fraction` otherwise,

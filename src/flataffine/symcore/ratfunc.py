@@ -52,9 +52,14 @@ because the value is immutable: `num` and `den` are set only while it is
 built, and polynomial terms are never written after that (an AST test
 over the package holds every module to both), so the quotient rule on the
 same operands would build an equal canonical result.  The memo
-starts unset, so building a value costs nothing more, and no partial is
-taken that was not asked for.  The chart's shared 0, 1 and variables, which
-every derivative table meets again, thus differentiate once per variable.
+starts unset, so building a value costs nothing more.  A constant c/1 or a
+variable x/1 over the chart's shared polynomial 1 fills its whole row on
+its first `diff`: the chart's shared 0 at every variable, and its shared 1
+at x.  That is exact, since d x_i/d x_j = delta_ij and dc/dx = 0, and the
+shared 0 and 1 are the canonical 0/1 and 1/1, so no quotient rule runs and
+no value is built; every derivative that is 1 is the one shared 1.  Any
+other value takes the quotient rule lazily, so no partial is taken that was
+not asked for.
 """
 from __future__ import annotations
 
@@ -309,14 +314,39 @@ class RationalFunction:
     # ----- calculus ---------------------------------------------------------
 
     def diff(self, variable: str) -> "RationalFunction":
-        """Quotient-rule derivative, normalized; taken once per variable."""
+        """Quotient-rule derivative, normalized; taken once per variable.  A
+        constant or a variable over the shared 1 fills its whole row at once."""
         partials = getattr(self, "_partials", None)   # unset until the first one
         if partials is None:
+            row = self._shared_row()
+            if row is not None:
+                self.num.chart.axis(variable)   # an unknown variable stores nothing
+                self._partials = row
+                return row[variable]
             partials = self._partials = {}
         elif variable in partials:
             return partials[variable]
         out = partials[variable] = self._quotient_rule(variable)
         return out
+
+    def _shared_row(self) -> dict | None:
+        """Every partial of a constant c/1 or a variable x/1 over the chart's
+        shared 1, as the chart's shared 0 and 1 (d x_i/d x_j = delta_ij);
+        None for any other value."""
+        chart = self.num.chart
+        terms = self.num.terms
+        if self.den is not chart._one or len(terms) > 1:
+            return None
+        own = None
+        for exps, c in terms.items():
+            if exps != chart.constant_exps:
+                if c != 1 or sum(exps) != 1:
+                    return None
+                own = chart.variables[exps.index(1)]
+        row = dict.fromkeys(chart.variables, RationalFunction.zero(chart))
+        if own is not None:
+            row[own] = RationalFunction.one(chart)
+        return row
 
     def _quotient_rule(self, variable: str) -> "RationalFunction":
         dn = self.num.diff(variable)

@@ -20,7 +20,11 @@ GL3 frame; it now inverts the frame matrix only when some Christoffel part is
 nonzero.  `Frame` proves its matrix nonsingular by its rank at one integer
 point and takes the rank over Q(x) only when that point cannot; its verdict
 is compared with the rank over Q(x) on seeded dense binomial matrices,
-singular ones included.
+singular ones included.  The point's matrix is built from the fields'
+nonzero components only; the dense evaluation of every entry that it
+replaced is kept as an oracle and gives the same verdict on seeded
+polynomial and rational frames, on frames with a pole or a vanishing
+determinant at the point, and on a singular frame.
 
 `solve_iat_ansatz` is compared with the earlier solver, which ran the full
 residual over all n^2 coordinate pairs on every one-slot candidate t·d_s, on
@@ -59,7 +63,10 @@ each coefficient in one pass, is compared with the three-pass constructor it
 replaced on seeded mixes of str, int, `Fraction`, `Polynomial` and
 `RationalFunction` coefficients, zeros, foreign charts, bad strings and
 wrong lengths: the same components in the same order, or the same exception
-with the same message.
+with the same message.  One case per kind of coefficient (str, int,
+`Fraction`, `Polynomial`, a `RationalFunction` on the field's chart, on an
+equal copy of it and on a foreign chart, and an unreadable value) pins the
+components or the error, in a list of the right length and in a too-long one.
 
 A connection stores its symbols as rows only.  The dense constructor,
 `from_sparse` and `connection_from_frame` must build the same rows, dense
@@ -699,11 +706,7 @@ def test_round_trip_refuses_a_connection_built_from_a_wrong_inverse(monkeypatch)
 
 def test_singular_frames_are_refused():
     chart = CHARTS[3]
-    x, y, z = (RationalFunction.variable(chart, v) for v in chart.variables)
-    rows = [[x, y / z, x], [x * y, 1 / (x + 1), z]]
-    # the third row is x/y times the first plus z times the second
-    rows.append([x / y * a + z * b for a, b in zip(*rows)])
-    fields = [VectorField(chart, row) for row in rows]
+    fields = singular_frame_fields()
     with pytest.raises(SingularFrameError):
         Frame(fields)
     # past the constructor, a singular frame matrix is still refused where
@@ -752,6 +755,52 @@ def test_a_frame_the_point_cannot_certify_takes_the_symbolic_rank(dim, rows,
     fields = [VectorField(chart, row) for row in rows]
     assert Frame(fields).fields == tuple(fields)
     assert len(symbolic_rank_calls) == 1
+
+
+def oracle_full_rank_at_primes(chart, matrix):
+    """`geometry._full_rank_at_primes` before it read the fields: every entry
+    of the dense matrix evaluated at the prime point."""
+    point = dict(zip(chart.variables, geometry._primes(chart.dim)))
+    try:
+        values = [[c.evaluate(point) for c in row] for row in matrix]
+    except ZeroDivisionError:
+        return False
+    return linalg.rank(values) == len(matrix)
+
+
+def singular_frame_fields():
+    chart = CHARTS[3]
+    x, y, z = (RationalFunction.variable(chart, v) for v in chart.variables)
+    rows = [[x, y / z, x], [x * y, 1 / (x + 1), z]]
+    # the third row is x/y times the first plus z times the second
+    rows.append([x / y * a + z * b for a, b in zip(*rows)])
+    return [VectorField(chart, row) for row in rows]
+
+
+def certificate_cases():
+    """Seeded frames, polynomial and rational; frames with a pole or a zero
+    determinant at the prime point; the singular frame."""
+    for dim in (1, 2, 3):
+        for rational in (False, True):
+            for seed in range(4):
+                rng = random.Random(f"certificate-frame-{dim}-{rational}-{seed}")
+                yield random_frame(rng, CHARTS[dim], rational).fields
+    for dim, rows in [(1, [["x - 2"]]), (2, [["y", "x"], ["3", "2"]]), (1, [["1/(x - 2)"]]),
+                      (2, [["x", "1/(y - 3)"], ["1", "0"]]),
+                      (3, [["1/(z - 5)", "0", "0"], ["0", "y", "0"], ["0", "0", "x"]]),
+                      (3, [["0", "0", "1/(z - 5)"], ["0", "y", "0"], ["x", "0", "0"]])]:
+        yield [VectorField(CHARTS[dim], row) for row in rows]
+    yield singular_frame_fields()
+
+
+def test_the_certificate_matches_the_dense_evaluation():
+    verdicts = []
+    for fields in certificate_cases():
+        chart = fields[0].chart
+        verdict = geometry._full_rank_at_primes(chart, fields)
+        assert verdict == oracle_full_rank_at_primes(chart, [f.coeffs for f in fields])
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_frame_verdict_matches_the_symbolic_rank():
@@ -1260,6 +1309,39 @@ def test_the_field_constructor_keeps_the_error_precedence():
             assert got[0].__name__ == expected
         else:
             assert got == (ValueError, expected)
+
+
+LENGTH_3_OF_4 = (ValueError, "expected 3 coefficients, got 4")
+
+
+@pytest.mark.parametrize("value, expected, too_long", [
+    ("x*y/2", {0: "1/2*x*y", 2: "y"}, LENGTH_3_OF_4),
+    (3, {0: "3", 2: "y"}, LENGTH_3_OF_4),
+    (Fraction(2, 3), {0: "2/3", 2: "y"}, LENGTH_3_OF_4),
+    (Polynomial.variable(CHARTS[3], "x") + 1, {0: "x + 1", 2: "y"}, LENGTH_3_OF_4),
+    (RationalFunction.variable(CHARTS[3], "z"), {0: "z", 2: "y"}, LENGTH_3_OF_4),
+    (RationalFunction.variable(EQUAL_SPACE, "z") / RationalFunction.variable(EQUAL_SPACE, "x"),
+     {0: "(z)/(x)", 2: "y"}, LENGTH_3_OF_4),
+    (RationalFunction.variable(FOREIGN, "y"),
+     (ValueError, "coefficient chart does not match the field chart"), LENGTH_3_OF_4),
+    (1.5, (TypeError, "cannot interpret 1.5 as a rational function"),
+     (TypeError, "cannot interpret 1.5 as a rational function")),
+], ids=["str", "int", "fraction", "polynomial", "same-chart", "equal-chart", "foreign-chart",
+        "unreadable"])
+def test_each_kind_of_coefficient_gives_the_same_field(value, expected, too_long):
+    """The components, or the exception and message, of a field built from one
+    coefficient of each kind; a too-long list is refused for its length
+    before its chart, and after every coefficient is read."""
+    space = CHARTS[3]
+    for coeffs, outcome in (([value, 0, "y"], expected), ([value, 0, "y", 1], too_long)):
+        got = field_outcome(lambda c, cs: VectorField(c, cs).components, space, coeffs)
+        assert got == field_outcome(oracle_field_components, space, coeffs)
+        if isinstance(outcome, dict):
+            assert {k: str(c) for k, c in got} == outcome
+            if isinstance(value, RationalFunction):   # kept as given
+                assert got[0][1] is value
+        else:
+            assert got == outcome
 
 
 # ----- the stored form of a connection ------------------------------------------------------

@@ -35,9 +35,13 @@ operand from another chart; five mutants of the path must be caught.
 `diff` keeps each partial derivative it takes.  Its oracle is the quotient
 rule without the memo, run afresh on every request; the memo must give the
 same canonical result, the same object on every later request, and no entry
-for a variable it refuses.  After real workloads, every memo entry still
-held by a live rational function must equal the oracle's derivative of its
-owner.
+for a variable it refuses.  A constant or a variable over the chart's shared
+1 fills its whole row on its first request, with the chart's shared 0 and 1
+and no quotient rule; a variable or a 1 over an equal copy of 1, and every
+other value, takes one quotient rule per request.  After real workloads,
+every memo entry still held by a live rational function must equal the
+oracle's derivative of its owner, and a GL3 pass must leave the full rows of
+the chart's variables and its shared 1.
 """
 import gc
 import json
@@ -948,6 +952,45 @@ def test_an_unknown_variable_raises_and_caches_nothing():
     assert used.diff("y") is dy
 
 
+def _constant_or_variable_over_one(a):
+    terms = a.num.terms
+    return a.den.is_one() and (a.num.is_constant() or (
+        len(terms) == 1 and list(terms.values()) == [1] and a.num.total_degree() == 1))
+
+
+def _axis_exps(chart, variable):
+    exps = [0] * chart.dim
+    exps[chart.axis(variable)] = 1
+    return tuple(exps)
+
+
+def test_a_constant_or_variable_over_the_shared_one_fills_its_row_at_once():
+    chart = Chart("memo-row", ("x", "y", "z"))
+    zero, one = RationalFunction.zero(chart), RationalFunction.one(chart)
+    variables = [RationalFunction.variable(chart, v) for v in chart.variables]
+    fresh_y = RationalFunction._of(Polynomial.variable(chart, "y"), Polynomial.one(chart))
+    constants = [zero, one, RationalFunction.constant(chart, Fraction(-2, 3)),
+                 RationalFunction.constant(chart, 5), -zero]
+    for a in variables + [fresh_y] + constants:
+        assert _constant_or_variable_over_one(a)
+        for variable in ("z", "x", "y"):
+            got = a.diff(variable)
+            _same_rf_in_order(got, oracle_quotient_rule(a, variable))
+            assert got is (one if a.num.terms.get(_axis_exps(chart, variable)) else zero)
+        assert list(a._partials) == list(chart.variables)
+    # any other value keeps the lazy quotient rule: one entry per request
+    equal_one = Polynomial.constant(chart, 1)
+    lazy = [RationalFunction._of(Polynomial.variable(chart, "x"), equal_one),
+            RationalFunction._of(equal_one, equal_one),
+            RationalFunction(Polynomial.variable(chart, "x") * 2),
+            RationalFunction(Polynomial.variable(chart, "x") ** 2),
+            RationalFunction(Polynomial.variable(chart, "x") + 1),
+            one / variables[0]]
+    for a in lazy:
+        _same_rf_in_order(a.diff("y"), oracle_quotient_rule(a, "y"))
+        assert list(a._partials) == ["y"]
+
+
 def _gl3_pass():
     """The gl3-iat pass of the benchmark, on the scene's own frame order."""
     scene = gln_scene(3)
@@ -981,6 +1024,9 @@ def test_a_gl3_pass_takes_each_derivative_at_most_once(monkeypatch):
     assert taken and max(taken.values()) == 1
     # most requests are answered from the memo
     assert len(requests) > 2 * len(taken)
+    # a constant or a variable over 1 fills its row without the quotient rule
+    assert not any(_constant_or_variable_over_one(a) for a in owners)
+    assert len(taken) <= 10
 
 
 def test_the_shipped_document_gives_the_same_reports_twice_in_one_process():
@@ -1011,6 +1057,15 @@ def test_every_live_memo_entry_is_its_owners_derivative(monkeypatch):
             _same_rf_in_order(d, oracle_quotient_rule(owner, variable))
             assert owner.diff(variable) is d
             entries[id(owner.chart)] += 1
+    # a GL3 pass leaves the full row of each chart variable and of the shared
+    # 1, every entry the shared 0 or 1, and the control's x11^2 keeps its row
     gl3_chart = kept[0].chart
-    assert entries[id(gl3_chart)] > 100
+    zero, one = RationalFunction.zero(gl3_chart), RationalFunction.one(gl3_chart)
+    for owner in [one] + [RationalFunction.variable(gl3_chart, v) for v in gl3_chart.variables]:
+        row = owner._partials
+        assert list(row) == list(gl3_chart.variables)
+        assert all(d is (one if owner.num.terms.get(_axis_exps(gl3_chart, v)) else zero)
+                   for v, d in row.items())
+    square = kept[2].components[0]
+    assert str(square) == "x11^2" and set(square._partials) == set(gl3_chart.variables)
     assert sum(entries[id(chart)] for chart in documents[0].charts.values()) > 50

@@ -1,8 +1,8 @@
 """Structure-constant kernels against the dense loops they replaced.
 
 `SCAlgebra` stores its constants as sparse rows, rows[i][j] = ((k, x), ...)
-over the nonzero x; `product`, `left_mult_matrix`, serialisation and the
-commutator read them, and the dense `c` is only a derived view.  The
+over the nonzero x, its only form; `product`, `left_mult_matrix`,
+serialisation and the commutator read them.  The
 associativity, left-symmetry and Jacobi scans run on integer constants scaled
 by their common denominator, one pass per basis pair (i, j) that sums the
 identity for every k at once and reports the pair's smallest failing k;
