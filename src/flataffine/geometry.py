@@ -17,6 +17,7 @@ and so are the product tables it has built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from types import MappingProxyType
 
@@ -32,6 +33,7 @@ from .symcore import (
     poly_lcm,
     require_same_chart,
 )
+from .symcore.polynomial import _quotient
 from .symcore.ratfunc import _coerce
 
 
@@ -275,8 +277,9 @@ def _sorted_rows(vectors) -> tuple:
     return tuple(tuple(tuple(sorted(vec.items())) for vec in row) for row in vectors)
 
 
-def _primes(count: int) -> list:
-    """The first `count` primes."""
+@cache
+def _primes(count: int) -> tuple:
+    """The first `count` primes, computed once per count."""
     primes = []
     candidate = 2
     while len(primes) < count:
@@ -290,17 +293,24 @@ def _full_rank_at_primes(chart: Chart, fields) -> bool:
     """Whether the coefficient matrix of n fields has full rank over Q at the
     point with the i-th prime at the i-th chart variable; False, not an
     error, when a denominator vanishes there.  Only the nonzero components
-    are evaluated; every other entry is 0."""
-    point = dict(zip(chart.variables, _primes(chart.dim)))
+    are evaluated; every other entry is 0.  Each entry is a stored rational,
+    an int wherever it is integral: numerator and denominator are evaluated
+    by `Polynomial._value_at` and divided by `_quotient`, and a denominator
+    that is the chart's shared 1 is not evaluated."""
+    primes = _primes(chart.dim)
+    one = chart._one
     values = []
-    try:
-        for f in fields:
-            row = [0] * chart.dim
-            for k, c in f.components.items():
-                row[k] = c.evaluate(point)
-            values.append(row)
-    except ZeroDivisionError:
-        return False
+    for f in fields:
+        row = [0] * chart.dim
+        for k, c in f.components.items():
+            value = c.num._value_at(primes)
+            if c.den is not one:
+                den = c.den._value_at(primes)
+                if not den:
+                    return False
+                value = _quotient(value, den)
+            row[k] = value
+        values.append(row)
     return linalg.rank(values) == len(fields)
 
 
@@ -374,12 +384,18 @@ IATReport = CheckReport
 
 
 def _add_at(vec: dict, k, x) -> None:
-    """vec[k] += x on a sparse vector or tensor {k: value}, which keeps no zero entry."""
-    total = vec[k] + x if k in vec else x
-    if total:
+    """vec[k] += x on a sparse vector or tensor {k: value}, which keeps no
+    zero entry, for a nonzero x.  Q(x) has no zero divisors, so only a sum
+    can vanish and only the sum is tested.  Every caller passes a nonzero x:
+    a component, a tested partial, a Christoffel symbol, or a product or
+    negation of such values."""
+    total = vec.get(k)
+    if total is None:
+        vec[k] = x
+    elif total := total + x:
         vec[k] = total
     else:
-        vec.pop(k, None)
+        del vec[k]
 
 
 def _combination(terms) -> dict:

@@ -33,7 +33,8 @@ Shortcuts that return the general path's value (one line of proof each):
   has cancelled are skipped;
 - `one` returns the chart's shared 1, built once: no kernel changes a
   polynomial's terms after it is built;
-- evaluation reads a coordinate that is not an int (`_rational`) only where
+- evaluation (`_value_at`, a stored rational; `evaluate` returns it as a
+  Fraction) reads a coordinate that is not an int (`_rational`) only where
   a term's exponent uses it: the other factors are x^0 = 1, which the general
   product skips too.
 
@@ -383,10 +384,14 @@ class Polynomial:
         return Polynomial._of(self.chart, out)
 
     def evaluate(self, point) -> Fraction:
-        """Evaluate at a mapping variable -> value (exact), as a Fraction.
-        Every chart variable is looked up; a value that is not an int is read
-        by `_rational` only where a term uses it, so ints multiply as ints."""
-        values = [point[v] for v in self.chart.variables]
+        """Evaluate at a mapping variable -> value (exact), as a Fraction;
+        every chart variable is looked up."""
+        return Fraction(self._value_at([point[v] for v in self.chart.variables]))
+
+    def _value_at(self, values):
+        """The value at the coordinates `values`, in chart order, as a stored
+        rational.  A value that is not an int is read by `_rational` only
+        where a term uses it, so ints multiply as ints."""
         total = 0
         for exps, coeff in self.terms.items():
             term = coeff
@@ -394,7 +399,7 @@ class Polynomial:
                 if e:
                     term *= (val if val.__class__ is int else _rational(val)) ** e
             total += term
-        return Fraction(total)
+        return _canonical(total)
 
     # ----- canonical scaling ---------------------------------------------
 

@@ -34,10 +34,15 @@ redundant (one line of proof each):
   polynomial 1, is the scalar product n/1 * c: n/1 for c = 1 or n = 0, and
   otherwise c*n/1, canonical since c is a unit and the denominator is 1,
   with the terms in the order `_times_term` gives them;
+- a product with the chart's shared 1 is the other operand, returned
+  before the scalar and the general path: 1 is the unit of Q(x) and the
+  operand is canonical already (the shared 1 of one chart times a value on
+  another is still refused);
 - `zero` and `one` return the chart's shared 0/1 and 1/1, `variable` the
   chart's shared x/1, and every result that is 0 (a vanishing derivative
-  over a denominator free of the variable, a sum that cancels) is the shared
-  0: no operation changes a rational function after it is built;
+  over a denominator free of the variable, a sum that cancels, the negation
+  of a 0) is the shared 0: no operation changes a rational function after
+  it is built;
 - a variable x/1 and a constant c/1 are canonical as built: 1 is a unit
   and primitive with a positive leading coefficient;
 - evaluation over the denominator 1 is the numerator's value: n/1 = n, and
@@ -219,6 +224,8 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.num.terms:
+            return RationalFunction.zero(self.num.chart)
         return RationalFunction._of(-self.num, self.den)
 
     def __sub__(self, other):
@@ -234,11 +241,17 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        chart = self.num.chart
         if other.__class__ is RationalFunction:
-            one = self.num.chart._one
+            if other is chart._rf_one:   # x * 1 = x
+                return self
+            if self is chart._rf_one:   # 1 * x = x
+                require_same_chart(self, other)
+                return other
+            one = chart._one
             if self.den is one and other.den is one:   # a constant c/1 takes the scalar path
                 require_same_chart(self, other)
-                constant = self.num.chart.constant_exps
+                constant = chart.constant_exps
                 if len(b := other.num.terms) == 1 and constant in b:
                     return self * b[constant]
                 if len(a := self.num.terms) == 1 and constant in a:

@@ -32,7 +32,6 @@ from flataffine import (
     restrict_to_subspace,
 )
 from flataffine.algebra import _dense
-from flataffine.geometry import _add_at
 from flataffine.linalg import in_row_space, rank, rref, solve
 from flataffine.render import render_table_text
 from flataffine.symcore import Polynomial, exact_div, grlex_key, poly_lcm, require_same_chart
@@ -205,6 +204,17 @@ def apply_field(X: VectorField, f: RationalFunction) -> RationalFunction:
     return out
 
 
+def oracle_add_at(vec: dict, k, x) -> None:
+    """`geometry._add_at` before it required a nonzero x: vec[k] += x on a
+    sparse vector {k: value}, testing every result, x itself included, for
+    zero; the oracle of the accumulator in value and in insertion order."""
+    total = vec[k] + x if k in vec else x
+    if total:
+        vec[k] = total
+    else:
+        vec.pop(k, None)
+
+
 def pairwise_derivative_along(X: VectorField, Y: VectorField) -> dict:
     """X(Y)^k = sum_a X^a d_a Y^k as a sparse vector, with one
     `RationalFunction.diff` and one truth test per pair (a, k) of X's and Y's
@@ -218,7 +228,7 @@ def pairwise_derivative_along(X: VectorField, Y: VectorField) -> dict:
         for k, c in Y.components.items():
             d = c.diff(var)
             if d:
-                _add_at(out, k, xa * d)
+                oracle_add_at(out, k, xa * d)
     return out
 
 
@@ -228,7 +238,7 @@ def pairwise_lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     require_same_chart(X, Y)
     out = pairwise_derivative_along(X, Y)
     for k, c in pairwise_derivative_along(Y, X).items():
-        _add_at(out, k, -c)
+        oracle_add_at(out, k, -c)
     return VectorField._of(X.chart, out)
 
 

@@ -24,7 +24,11 @@ singular ones included.  The point's matrix is built from the fields'
 nonzero components only; the dense evaluation of every entry that it
 replaced is kept as an oracle and gives the same verdict on seeded
 polynomial and rational frames, on frames with a pole or a vanishing
-determinant at the point, and on a singular frame.
+determinant at the point, and on a singular frame.  Wherever no denominator
+vanishes, the certificate's matrix, evaluated in stored rationals, is the
+dense `Fraction` evaluation entry by entry, with an int exactly where an
+entry is integral.  The oracles here sum through `helpers.oracle_add_at`,
+the accumulator that tests every summand for zero.
 
 `solve_iat_ansatz` is compared with the earlier solver, which ran the full
 residual over all n^2 coordinate pairs on every one-slot candidate t·d_s, on
@@ -112,7 +116,7 @@ from flataffine import (
     solve_iat_ansatz,
 )
 from flataffine.geometry import (
-    _add_at, _first_derivatives, _iat_residuals, _iat_witness, _nabla_coordinate)
+    _first_derivatives, _iat_residuals, _iat_witness, _nabla_coordinate)
 from flataffine import geometry, linalg
 from flataffine.symcore import require_same_chart
 from helpers import (
@@ -131,6 +135,7 @@ from helpers import (
     field_span_rank,
     gln_scene,
     mat_mul,
+    oracle_add_at,
     pairwise_derivative_along,
     random_algebra,
     random_polynomial,
@@ -311,18 +316,18 @@ def previous_solve_iat_ansatz(conn, ansatz):
         for j in range(n):
             comps = {s: d1[j]} if d1[j] else {}
             for k, g in rows[j][s]:
-                _add_at(comps, k, g * t)
+                oracle_add_at(comps, k, g * t)
             first.append(comps)
         for (i, j), at_pair in zip(pairs, residuals):
             res = {s: d2[i, j]} if d2[i, j] else {}
             for k, g in rows[j][s]:
-                _add_at(res, k, d_gamma[i, j, s, k] * t + g * d1[i])
+                oracle_add_at(res, k, d_gamma[i, j, s, k] * t + g * d1[i])
             for m, v in first[j].items():
                 for k, g in rows[i][m]:
-                    _add_at(res, k, g * v)
+                    oracle_add_at(res, k, g * v)
             for l, g in rows[i][j]:
                 for k, v in first[l].items():
-                    _add_at(res, k, -(g * v))
+                    oracle_add_at(res, k, -(g * v))
             if res:
                 at_pair.append((c, res))
     span = linalg._QSpan()
@@ -358,14 +363,14 @@ def previous_slot_terms(conn, s, number, curved):
                 vec = A.setdefault(number[i][j], {})
                 d = g.diff(variables[i])
                 if d:
-                    _add_at(vec, m, d)
+                    oracle_add_at(vec, m, d)
                 for k, h in rows[i][m]:
-                    _add_at(vec, k, g * h)
+                    oracle_add_at(vec, k, g * h)
     for p, symbols in curved:
         vec = A.setdefault(p, {})
         for l, g in symbols:
             for k, h in rows[l][s]:
-                _add_at(vec, k, -(g * h))
+                oracle_add_at(vec, k, -(g * h))
     return spread, {p: vec for p, vec in A.items() if vec}
 
 
@@ -757,15 +762,16 @@ def test_a_frame_the_point_cannot_certify_takes_the_symbolic_rank(dim, rows,
     assert len(symbolic_rank_calls) == 1
 
 
-def oracle_full_rank_at_primes(chart, matrix):
-    """`geometry._full_rank_at_primes` before it read the fields: every entry
-    of the dense matrix evaluated at the prime point."""
+def oracle_values_at_primes(chart, matrix):
+    """The matrix of `geometry._full_rank_at_primes` before it read the
+    fields and worked in stored rationals: every entry of the dense matrix
+    evaluated at the prime point as a `Fraction`, or None when a
+    denominator vanishes there (the verdict is then False)."""
     point = dict(zip(chart.variables, geometry._primes(chart.dim)))
     try:
-        values = [[c.evaluate(point) for c in row] for row in matrix]
+        return [[c.evaluate(point) for c in row] for row in matrix]
     except ZeroDivisionError:
-        return False
-    return linalg.rank(values) == len(matrix)
+        return None
 
 
 def singular_frame_fields():
@@ -778,29 +784,49 @@ def singular_frame_fields():
 
 
 def certificate_cases():
-    """Seeded frames, polynomial and rational; frames with a pole or a zero
-    determinant at the prime point; the singular frame."""
+    """(fields, pinned verdict): seeded frames, polynomial and rational, with
+    no pin; frames with a pole or a zero determinant at the prime point, and
+    the singular frame, each pinned False."""
     for dim in (1, 2, 3):
         for rational in (False, True):
             for seed in range(4):
                 rng = random.Random(f"certificate-frame-{dim}-{rational}-{seed}")
-                yield random_frame(rng, CHARTS[dim], rational).fields
+                yield random_frame(rng, CHARTS[dim], rational).fields, None
     for dim, rows in [(1, [["x - 2"]]), (2, [["y", "x"], ["3", "2"]]), (1, [["1/(x - 2)"]]),
                       (2, [["x", "1/(y - 3)"], ["1", "0"]]),
                       (3, [["1/(z - 5)", "0", "0"], ["0", "y", "0"], ["0", "0", "x"]]),
                       (3, [["0", "0", "1/(z - 5)"], ["0", "y", "0"], ["x", "0", "0"]])]:
-        yield [VectorField(CHARTS[dim], row) for row in rows]
-    yield singular_frame_fields()
+        yield [VectorField(CHARTS[dim], row) for row in rows], False
+    yield singular_frame_fields(), False
 
 
-def test_the_certificate_matches_the_dense_evaluation():
+def test_the_certificate_matches_the_dense_evaluation(monkeypatch):
+    """The same verdict as the dense `Fraction` evaluation, and, wherever no
+    denominator vanishes, the same matrix entry by entry, each entry a
+    stored rational: an int exactly when it is integral."""
+    ranked = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows, **kw: ranked.append(rows) or rank(rows, **kw))
     verdicts = []
-    for fields in certificate_cases():
+    kinds = set()
+    for fields, pinned in certificate_cases():
         chart = fields[0].chart
+        del ranked[:]
         verdict = geometry._full_rank_at_primes(chart, fields)
-        assert verdict == oracle_full_rank_at_primes(chart, [f.coeffs for f in fields])
+        expected = oracle_values_at_primes(chart, [f.coeffs for f in fields])
+        if expected is None:   # a pole: no matrix is ranked
+            assert ranked == [] and verdict is False
+        else:
+            (values,) = ranked
+            assert values == expected
+            for x in (x for row in values for x in row):
+                assert type(x) in (int, Fraction) and (type(x) is int) == (x.denominator == 1)
+                kinds.add(type(x))
+            assert verdict == (rank(expected) == len(fields))
+        assert pinned is None or verdict is pinned
         verdicts.append(verdict)
     assert True in verdicts and False in verdicts
+    assert kinds == {int, Fraction}
 
 
 def test_frame_verdict_matches_the_symbolic_rank():
@@ -1043,16 +1069,16 @@ def mutant_slot_terms(mutation):
                     vec = A.setdefault(number[i][j], {})
                     d = g.diff(conn.chart.variables[i])
                     if d:
-                        _add_at(vec, m, d)
+                        oracle_add_at(vec, m, d)
                     if mutation != "no-first-sum":
                         for k, h in rows[i][m]:
-                            _add_at(vec, k, g * h)
+                            oracle_add_at(vec, k, g * h)
         if mutation != "no-second-sum":
             for p, symbols in curved:
                 vec = A.setdefault(p, {})
                 for l, g in symbols:
                     for k, h in rows[l][s]:
-                        _add_at(vec, k, -(g * h))
+                        oracle_add_at(vec, k, -(g * h))
         return spread, {p: vec for p, vec in A.items() if vec}
     return slot_terms
 
@@ -1526,7 +1552,7 @@ def previous_connection_from_frame(frame, constants):
     q = [[dict(expected[a][b]) for b in range(n)] for a in range(n)]
     for a, b in product(range(n), repeat=2):
         for k, d in pairwise_derivative_along(frame.fields[a], frame.fields[b]).items():
-            _add_at(q[a][b], k, -d)
+            oracle_add_at(q[a][b], k, -d)
     if any(vec for row in q for vec in row):
         A = [f.coeffs for f in frame.fields]
         A_inv = linalg.invert(A, zero=zero)

@@ -21,8 +21,8 @@ rational function and multiplied by the general product, a derivative that
 builds a fresh 0, and evaluation that converts every coordinate.  Each check
 is run on hand-made mutants of the new paths as well, and must catch them.
 A chart's variables and constants are compared with the validating
-constructor, and each variable, and every zero result, must be the chart's
-shared value.
+constructor, and each variable, and every zero result, a negated 0 among
+them, must be the chart's shared value.
 
 A product in which one operand is a constant c/1 and both are over the
 chart's shared polynomial 1 takes the scalar path.  Its oracle is the general
@@ -30,7 +30,9 @@ route of `__mul__` that the path bypasses, kept verbatim, on c = 1, -1, 3/2
 and 0 over the shared 1 and over an equal copy of it, times polynomials and
 true fractions, on either side.  The results must agree in value and term
 order, be an operand itself exactly where the path promises it, and refuse an
-operand from another chart; five mutants of the path must be caught.
+operand from another chart; five mutants of the path must be caught.  The
+chart's shared 1 is the unit of every product: x * 1 and 1 * x are x itself,
+whatever x's denominator, and the shared 1 of another chart is refused.
 
 `diff` keeps each partial derivative it takes.  Its oracle is the quotient
 rule without the memo, run afresh on every request; the memo must give the
@@ -617,12 +619,17 @@ def _constant_operands(rng):
 
 def _promised(a, b):
     """The operand that a * b returns, or None for a fresh value.  A zero
-    operand is returned, a first.  Over the shared 1 the constant is read
+    operand is returned, a first.  The chart's shared 1 is the unit: x * 1
+    and 1 * x are x.  Over the shared polynomial 1 the constant is read
     from b first: b = 1 returns a, and a = 1 returns b unless b is a
-    constant too (1 * c for c != 1 is a fresh c/1)."""
+    constant too (a fresh 1/1 times c for c != 1 is a fresh c/1)."""
     if not a.num.terms:
         return a
     if not b.num.terms:
+        return b
+    if b is RationalFunction.one(CHART):
+        return a
+    if a is RationalFunction.one(CHART):
         return b
     one = Polynomial.one(CHART)
     if a.den is one and b.den is one:
@@ -650,10 +657,11 @@ def _check_constant_products(mul, rng):
                     assert got.den is Polynomial.one(CHART)
                     shortcuts += 1
     assert shortcuts
-    # across charts the product is refused, zero or constant operands too
-    for c in CONSTANTS:
-        foreign = RationalFunction.constant(OTHER, c)
-        for x in constants[:2] + others[:1] + others[-1:]:
+    # across charts the product is refused, zero, constant and unit operands
+    # too: the shared 1 of one chart is no unit on another
+    for foreign in [RationalFunction.constant(OTHER, c) for c in CONSTANTS] + \
+            [RationalFunction.one(OTHER)]:
+        for x in constants[:2] + others[:1] + others[-1:] + [RationalFunction.one(CHART)]:
             for a, b in ((foreign, x), (x, foreign)):
                 assert _refused(mul, a, b)
     # the chart check holds on the scalar path too: a numerator on another
@@ -674,6 +682,21 @@ def _refused(mul, a, b):
 @pytest.mark.parametrize("seed", range(3))
 def test_constant_products_match_the_general_product(seed):
     _check_constant_products(lambda a, b: a * b, random.Random(f"constant-{seed}"))
+
+
+def test_a_chart_whose_shared_one_is_unset_still_refuses_a_non_value():
+    """The unit check compares the operand with the chart's shared 1, which
+    is unset (None) until it is first asked for: x * None must still be a
+    TypeError there, not x."""
+    chart = Chart("unset-one", ("u",))
+    u = RationalFunction.variable(chart, "u")
+    assert chart._rf_one is None
+    for bad in (None, object(), "u"):
+        with pytest.raises(TypeError):
+            u * bad
+        with pytest.raises(TypeError):
+            bad * u
+    assert chart._rf_one is None
 
 
 def _shortcut(take):
@@ -777,6 +800,26 @@ def test_the_evaluation_check_catches_mutants(poly_evaluate, rf_evaluate):
 
 
 # ----- the shared constants ---------------------------------------------------------
+
+
+def test_a_negated_zero_is_the_shared_zero():
+    """-0 and c - 0 for a zero c, whether or not the 0 is the shared one,
+    and x - x through `__rsub__`, are the shared 0; a nonzero value still
+    negates to a fresh value equal to the oracle's."""
+    zero = RationalFunction.zero(CHART)
+    fresh = RationalFunction(Polynomial.zero(CHART))   # a 0 that is not the shared one
+    assert fresh is not zero and fresh == zero
+    for z in (zero, fresh):
+        assert -z is zero
+        for c in (0, Fraction(0), Polynomial.zero(CHART)):
+            assert c - z is zero
+    two = RationalFunction.constant(CHART, 2)
+    assert 2 - two is zero and Polynomial.constant(CHART, 2) - two is zero
+    for a in _operands(random.Random("ratfunc-0")):
+        if a:
+            assert -a is not a
+            _same_rf(-a, oracle_neg(a))
+
 
 
 def test_shared_constants_are_built_once_and_never_changed(monkeypatch):
