@@ -111,11 +111,15 @@ class VectorField:
 
     def __init__(self, chart: Chart, coeffs):
         # one pass; every coefficient is coerced before the length is checked,
-        # and the length before the charts
+        # and the length before the charts; the chart's own shared 0 is
+        # skipped at once
+        zero = RationalFunction.zero(chart)
         components = {}
         foreign = False
-        count = 0
+        k = -1
         for k, c in enumerate(coeffs):
+            if c is zero:
+                continue
             if c.__class__ is not RationalFunction:
                 c = _as_rf(chart, c)
             num = c.num
@@ -123,9 +127,8 @@ class VectorField:
                 foreign = True
             if num.terms:
                 components[k] = c
-            count = k + 1
-        if count != chart.dim:
-            raise ValueError(f"expected {chart.dim} coefficients, got {count}")
+        if k + 1 != chart.dim:
+            raise ValueError(f"expected {chart.dim} coefficients, got {k + 1}")
         if foreign:
             raise ValueError("coefficient chart does not match the field chart")
         self.chart = chart
@@ -413,15 +416,15 @@ def _nabla_coordinate(conn: Connection, axis: int, vec: dict) -> dict:
     """nabla_{d_axis} Y from the sparse components {m: Y^m} of Y, as sparse
     components: d_axis Y^m at m plus Y^m gamma[axis][m][k] at each k.
 
-    The one place where Christoffel symbols meet field components; only the
-    nonzero components are differentiated and contracted.
+    Only the nonzero components are contracted, and each partial is read off
+    the component's gradient (`RationalFunction._gradient`), which holds no
+    zero; `_first_derivatives` builds the same vectors for every axis at once.
     """
-    var = conn.chart.variables[axis]
     rows = conn._rows[axis]
     out = {}
     for m, c in vec.items():
-        d = c.diff(var)
-        if d:
+        d = c._gradient().get(axis)
+        if d is not None:
             _add_at(out, m, d)
         for k, g in rows[m]:
             _add_at(out, k, g * c)
@@ -437,11 +440,15 @@ def covariant_derivative(conn: Connection, X: VectorField, Y: VectorField) -> Ve
 
 
 def _partials(Y: VectorField) -> dict:
-    """The table {a: {k: d_a Y^k}} of Y's nonzero partials only, each read from
-    `RationalFunction.diff`'s memo; built per call, nothing kept on Y."""
-    columns = ((a, {k: d for k, c in Y.components.items() if (d := c.diff(var))})
-               for a, var in enumerate(Y.chart.variables))
-    return {a: column for a, column in columns if column}
+    """The table {a: {k: d_a Y^k}} of Y's nonzero partials only, in ascending
+    a and each column in Y's component order, from one sweep over the
+    components' gradients (`RationalFunction._gradient`); built per call,
+    nothing kept on Y."""
+    table = {}
+    for k, c in Y.components.items():
+        for a, d in c._gradient().items():
+            table.setdefault(a, {})[k] = d
+    return {a: table[a] for a in sorted(table)}
 
 
 def _derivative_along(X: VectorField, partials: dict) -> dict:
@@ -526,8 +533,20 @@ def is_flat_affine(conn: Connection) -> bool:
 
 
 def _first_derivatives(conn: Connection, X: VectorField) -> list:
-    """The table first[a] = nabla_{d_a} X, one sparse vector per axis."""
-    return [_nabla_coordinate(conn, a, X.components) for a in range(conn.chart.dim)]
+    """The table first[a] = nabla_{d_a} X, one sparse vector per axis, built
+    in one sweep over X's components: each component's gradient entries, then
+    its Christoffel terms.  Each axis gets the values, and the insertion
+    order, of `_nabla_coordinate(conn, a, X.components)`: the same additions
+    in the same order, since the axes' vectors are separate dicts."""
+    rows = conn._rows
+    first = [{} for _ in rows]
+    for m, c in X.components.items():
+        for a, d in c._gradient().items():
+            _add_at(first[a], m, d)
+        for a, row in enumerate(rows):
+            for k, g in row[m]:
+                _add_at(first[a], k, g * c)
+    return first
 
 
 def _iat_residuals(conn: Connection, first):
@@ -754,22 +773,22 @@ def independent_fields(fields, names):
 # ----- the ansatz solver -------------------------------------------------------
 
 
-def _hessian(conn: Connection, d1, number, curved) -> dict:
+def _hessian(gradient: dict, number, curved) -> dict:
     """H_t(i, j) = d_i d_j t - sum_l gamma[i][j][l] d_l t at the pairs i <= j
-    where it is nonzero, keyed by pair number, from d1 = [d_a t]; `number`
-    and `curved` are those of `solve_iat_ansatz`."""
-    variables = conn.chart.variables
+    where it is nonzero, keyed by pair number, from t's gradient {a: d_a t}
+    (`RationalFunction._gradient`): each d_j t's own gradient is walked in
+    ascending i up to j; `number` and `curved` are those of
+    `solve_iat_ansatz`."""
     out = {}
-    for j, dj in enumerate(d1):
-        if dj:
-            for i in range(j + 1):
-                h = dj.diff(variables[i])
-                if h:
-                    out[number[i][j]] = h
+    for j, dj in gradient.items():
+        for i, h in dj._gradient().items():
+            if i > j:
+                break
+            out[number[i][j]] = h
     for p, symbols in curved:
         for l, g in symbols:
-            if d1[l]:
-                _add_at(out, p, -(g * d1[l]))
+            if (dl := gradient.get(l)) is not None:
+                _add_at(out, p, -(g * dl))
     return out
 
 
@@ -813,9 +832,10 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
                            + gamma[i][s][k] d_j t + A_s(i, j)^k t,
 
     where H_t (`_hessian`) depends on the term alone and is taken once per
-    term, and A_s (`_slot_terms`), the residual of d_s, on the slot and the
-    connection alone, taken once per slot.  The connection is flat, so
-    residual(i, j) = residual(j, i) and only the pairs i <= j give
+    term, from its gradient (`RationalFunction._gradient`), which also gives
+    the nonzero d_a t, and A_s (`_slot_terms`), the residual of d_s, on the
+    slot and the connection alone, taken once per slot.  The connection is
+    flat, so residual(i, j) = residual(j, i) and only the pairs i <= j give
     equations.  Each candidate's residuals are built sparsely, keyed by
     pair: H_t at its nonzero pairs, the middle terms from the nonzero d_a t
     and the nonzero symbols gamma[b][s] (the pair (a, b) lands on
@@ -828,11 +848,11 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     (`linalg._nullspace_rows`, which `linalg.nullspace` also uses) is
     returned, one field per basis vector (coefficient vectors in reduced
     row-echelon form, candidates ordered slot by slot, then by term), each
-    built from its nonzero weights.  Every residual is a canonical
-    `RationalFunction`, whatever the order its parts were summed in, so each
-    pair has one common denominator and one set of equations, in some order;
-    the reduced echelon form is unique, so the output does not depend on
-    that order.  Dependent terms raise DependentFieldsError at the first
+    summed by `_add_at` over its nonzero weights.  Every residual is a
+    canonical `RationalFunction`, whatever the order its parts were summed
+    in, so each pair has one common denominator and one set of equations, in
+    some order; the reduced echelon form is unique, so the output does not
+    depend on that order.  Dependent terms raise DependentFieldsError at the first
     term in the span of those before it, read off one `_FieldSpan` of the
     fields t·d_1.
     """
@@ -855,9 +875,8 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
     slot_terms = [_slot_terms(conn, s, number) for s in range(n)]
     tables = []
     for t in terms:
-        d1 = [t.diff(var) for var in chart.variables]
-        tables.append((t, [(a, da) for a, da in enumerate(d1) if da],
-                       _hessian(conn, d1, number, curved)))
+        gradient = t._gradient()
+        tables.append((t, gradient.items(), _hessian(gradient, number, curved)))
     # residuals[p] lists (c, components) for each candidate c whose residual
     # at pairs[p] is nonzero, in ascending c; components are sparse {k: value}
     residuals = [[] for _ in pairs]
@@ -885,12 +904,17 @@ def solve_iat_ansatz(conn: Connection, ansatz) -> list:
                     slots.setdefault((k, exps), {})[c] = x
         for equation in slots.values():
             span.add(linalg._integral(equation)[0])
-    # candidate c is t_a·d_s with (s, a) = divmod(c, len(terms)), the sparse
-    # vector {s: t_a}; a solution is built from its nonzero weights
+    # candidate c is t_a·d_s with (s, a) = divmod(c, len(terms)); a solution
+    # adds w t_a at s over its nonzero weights w
     size = len(terms)
-    return [VectorField._of(chart, _combination((w, {c // size: terms[c % size]})
-                                                for c, w in row.items()))
-            for row in linalg._nullspace_rows(span, n * size)]
+    solutions = []
+    for row in linalg._nullspace_rows(span, n * size):
+        vec = {}
+        for c, w in row.items():
+            s, a = divmod(c, size)
+            _add_at(vec, s, terms[a] * w)
+        solutions.append(VectorField._of(chart, vec))
+    return solutions
 
 
 # ----- frames, product tables --------------------------------------------------
@@ -914,7 +938,7 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
     Frame fields, products, q and gamma are sparse {k: value} vectors.  The
     result is post-verified against the defining products at every one of
     the n^2 frame pairs, through the connection's own kernel rather than the
-    one q was read from: one `_nabla_coordinate` table per field E_b,
+    one q was read from: one `_first_derivatives` table per field E_b,
     contracted with each E_a, must give E_a E_b, else AssertionError names
     the first failing pair (a, b) in row-major order.
     """
@@ -947,10 +971,10 @@ def connection_from_frame(frame: Frame, constants: SCAlgebra) -> Connection:
             [[_combination(zip(A_inv[j], half[i])) for j in range(n)] for i in range(n)]))
     else:
         conn = Connection.zero(chart)
-    # the round trip through the connection's own kernel, which takes its
-    # own derivatives: table[b][i] = nabla_{d_i} E_b, and
+    # the round trip through the connection's own kernel, which reads the
+    # gradients itself: table[b][i] = nabla_{d_i} E_b, and
     # nabla_{E_a} E_b = sum_i E_a^i table[b][i]
-    table = [[_nabla_coordinate(conn, i, E[b]) for i in range(n)] for b in range(n)]
+    table = [_first_derivatives(conn, f) for f in frame.fields]
     for a in range(n):
         for b in range(n):
             got = _combination((x, table[b][i]) for i, x in E[a].items())

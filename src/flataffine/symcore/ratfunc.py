@@ -50,21 +50,22 @@ redundant (one line of proof each):
 - (n/d)^k for k > 0 is n^k/d^k: Q[x] is a UFD, so gcd(n^k, d^k) = 1; by
   Gauss's lemma d^k is primitive, and lc(d^k) = lc(d)^k > 0 in graded lex.
 
-Each value keeps the partial derivatives it has been asked for, one per
-variable: the first `diff(x)` runs the quotient rule above and stores its
-result, and every later `diff(x)` returns that same object.  The memo is exact
-because the value is immutable: `num` and `den` are set only while it is
-built, and polynomial terms are never written after that (an AST test
-over the package holds every module to both), so the quotient rule on the
-same operands would build an equal canonical result.  The memo
-starts unset, so building a value costs nothing more.  A constant c/1 or a
-variable x/1 over the chart's shared polynomial 1 fills its whole row on
-its first `diff`: the chart's shared 0 at every variable, and its shared 1
-at x.  That is exact, since d x_i/d x_j = delta_ij and dc/dx = 0, and the
-shared 0 and 1 are the canonical 0/1 and 1/1, so no quotient rule runs and
-no value is built; every derivative that is 1 is the one shared 1.  Any
-other value takes the quotient rule lazily, so no partial is taken that was
-not asked for.
+Each value keeps one gradient, built on its first `diff`: {axis: partial}
+over the variables that its numerator or denominator contains (the
+denominator is not read when it is the chart's shared 1), in ascending axis,
+with every zero partial dropped.  That is exact: along a variable that
+neither n nor d contains, (n'd - nd')/d^2 = 0, so that partial is never
+computed or stored, and `diff` answers it with the chart's shared 0.  Over the
+shared 1 a partial is n'/1, canonical as built since 1 is a unit, and the
+chart's shared 1 when n' = 1, so a variable's gradient is {axis: shared 1}
+and a constant's is {}; any other value takes the quotient rule above along
+each of its variables.  The partials along the variables a value contains
+are taken together, so a later `diff` and every derivative kernel read the
+same objects.  The memo is exact because the value is immutable: `num` and
+`den` are set only while it is built, and polynomial terms are never written
+after that (an AST test over the package holds every module to both), so the
+quotient rule on the same operands would build an equal canonical result.
+The memo starts unset, so building a value costs nothing more.
 """
 from __future__ import annotations
 
@@ -327,39 +328,41 @@ class RationalFunction:
     # ----- calculus ---------------------------------------------------------
 
     def diff(self, variable: str) -> "RationalFunction":
-        """Quotient-rule derivative, normalized; taken once per variable.  A
-        constant or a variable over the shared 1 fills its whole row at once."""
-        partials = getattr(self, "_partials", None)   # unset until the first one
-        if partials is None:
-            row = self._shared_row()
-            if row is not None:
-                self.num.chart.axis(variable)   # an unknown variable stores nothing
-                self._partials = row
-                return row[variable]
-            partials = self._partials = {}
-        elif variable in partials:
-            return partials[variable]
-        out = partials[variable] = self._quotient_rule(variable)
-        return out
-
-    def _shared_row(self) -> dict | None:
-        """Every partial of a constant c/1 or a variable x/1 over the chart's
-        shared 1, as the chart's shared 0 and 1 (d x_i/d x_j = delta_ij);
-        None for any other value."""
+        """The partial derivative along `variable`, normalized: its entry in
+        `_gradient`, or the chart's shared 0 along a variable the value does
+        not contain.  An unknown variable raises before anything is stored."""
         chart = self.num.chart
-        terms = self.num.terms
-        if self.den is not chart._one or len(terms) > 1:
-            return None
-        own = None
-        for exps, c in terms.items():
-            if exps != chart.constant_exps:
-                if c != 1 or sum(exps) != 1:
-                    return None
-                own = chart.variables[exps.index(1)]
-        row = dict.fromkeys(chart.variables, RationalFunction.zero(chart))
-        if own is not None:
-            row[own] = RationalFunction.one(chart)
-        return row
+        axis = chart.axis(variable)
+        d = self._gradient().get(axis)
+        return RationalFunction.zero(chart) if d is None else d
+
+    def _gradient(self) -> dict:
+        """{axis: nonzero partial} over the variables that `num`, or `den`
+        unless it is the chart's shared 1, contains, in ascending axis; built
+        on first need and kept (see the module docstring)."""
+        try:
+            return self._partials
+        except AttributeError:
+            pass
+        num, den = self.num, self.den
+        chart = num.chart
+        shared = den is chart._one
+        # the exponent columns of num's terms, and of den's unless it is the
+        # shared 1: an axis is a variable of the value iff its column is nonzero
+        columns = zip(*num.terms) if shared else zip(*num.terms, *den.terms)
+        gradient = {}
+        for axis, column in enumerate(columns):
+            if not any(column):
+                continue
+            variable = chart.variables[axis]
+            if shared:   # n'/1 is canonical, and n' != 0 along a variable of n
+                dn = num.diff(variable)
+                gradient[axis] = RationalFunction.one(chart) if dn.is_one() \
+                    else RationalFunction._of(dn, den)
+            elif d := self._quotient_rule(variable):
+                gradient[axis] = d
+        self._partials = gradient
+        return gradient
 
     def _quotient_rule(self, variable: str) -> "RationalFunction":
         dn = self.num.diff(variable)

@@ -7,7 +7,8 @@ products on the same frame, the GL(n) scene of the benchmark
 (`gln_scene`) and aff(n) on the zero connection (`aff_scene`).
 `full_route_checks` gives an envelope report's checks by the full routes that
 `compute_envelope` shortcuts; `dense_constants` and `dense_gamma` build the
-dense arrays of an algebra's and a connection's sparse rows.
+dense arrays of an algebra's and a connection's sparse rows; `oracle_diff` is
+the per-variable derivative that `RationalFunction`'s gradient replaced.
 """
 from __future__ import annotations
 
@@ -179,6 +180,33 @@ def dense_gamma(conn: Connection) -> tuple:
 
 
 # ----- rational functions ----------------------------------------------------------
+
+
+def oracle_diff(a: RationalFunction, variable: str) -> RationalFunction:
+    """`RationalFunction.diff` before the gradient, without its memo: one
+    partial per request, taken only along the variable asked for.  A constant
+    c/1 or a variable x/1 over the chart's shared 1 answers from its row of
+    the chart's shared 0 and 1 (d x_i/d x_j = delta_ij); any other value takes
+    the quotient rule with the canonical-operand shortcuts.  An unknown
+    variable raises UnknownVariableError."""
+    chart = a.num.chart
+    axis = chart.axis(variable)
+    terms = a.num.terms
+    if a.den is chart._one and len(terms) <= 1:
+        exps, c = next(iter(terms.items()), (chart.constant_exps, 0))
+        if exps == chart.constant_exps:
+            return RationalFunction.zero(chart)
+        if c == 1 and sum(exps) == 1:
+            return RationalFunction.one(chart) if exps[axis] else RationalFunction.zero(chart)
+    dn = a.num.diff(variable)
+    if a.den.is_one():
+        return RationalFunction._reduced(dn, a.den)
+    dd = a.den.diff(variable)
+    if not dd.terms:
+        if not dn.terms:
+            return RationalFunction.zero(chart)
+        return RationalFunction(dn, a.den)
+    return RationalFunction(dn * a.den - a.num * dd, a.den * a.den)
 
 
 def is_polynomial(f: RationalFunction) -> bool:

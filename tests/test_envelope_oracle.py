@@ -477,15 +477,19 @@ def test_cross_check_takes_one_bracket_per_pair(monkeypatch):
 def test_product_table_takes_one_derivative_per_field_and_axis(monkeypatch):
     conn, fields, names = halfplane_scene()
     assert is_flat_affine(conn)   # the flatness tensors are cached from here on
-    kernel = geometry._nabla_coordinate
-    calls = []
+    kernel, first_derivatives = geometry._nabla_coordinate, geometry._first_derivatives
+    calls, tables = [], []
     monkeypatch.setattr(geometry, "_nabla_coordinate",
                         lambda *args: calls.append(1) or kernel(*args))
+    monkeypatch.setattr(geometry, "_first_derivatives",
+                        lambda *args: tables.append(args[1]) or first_derivatives(*args))
     product_table(conn, fields, names)
-    # the IAT tests take nabla_{d_a} X once per field and axis, and one more per
-    # pair a <= b; the products read the same first table and take none
+    # the IAT tests take the table nabla_{d_a} X of every axis once per field,
+    # in one sweep, and one more nabla_{d_a} per pair a <= b; the products
+    # read the same first table and take none
     dim = conn.chart.dim
-    assert len(calls) == len(fields) * (dim + dim * (dim + 1) // 2) == 30
+    assert tables == fields
+    assert len(calls) == len(fields) * dim * (dim + 1) // 2 == 18
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])

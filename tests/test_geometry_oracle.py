@@ -69,8 +69,11 @@ replaced on seeded mixes of str, int, `Fraction`, `Polynomial` and
 wrong lengths: the same components in the same order, or the same exception
 with the same message.  One case per kind of coefficient (str, int,
 `Fraction`, `Polynomial`, a `RationalFunction` on the field's chart, on an
-equal copy of it and on a foreign chart, and an unreadable value) pins the
-components or the error, in a list of the right length and in a too-long one.
+equal copy of it and on a foreign chart, an unreadable value, and the shared
+0 of the field's chart, of an equal copy and of a foreign chart) pins the
+components or the error, in a list of the right length and in a too-long
+one; a list of the chart's shared 0 alone gives the zero field or the
+length error.
 
 A connection stores its symbols as rows only.  The dense constructor,
 `from_sparse` and `connection_from_frame` must build the same rows, dense
@@ -90,6 +93,7 @@ connection nabla11, which fails at (1, 1); the comparison catches it.
 where the two differ; the kernel that subtracted everywhere is kept as an
 oracle, and the rows agree on seeded frames with zero and nonzero gamma.
 """
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -530,6 +534,19 @@ def test_random_connection_matches_oracles(name):
     rng, conn = case_connection(name)
     assert_curvature_matches(conn)
     assert_kernel_matches(conn, random_fields(rng, conn.chart, 1))
+
+
+def test_dense_rational_curvature_keeps_its_hash():
+    """Every symbol nonzero and over x or x + 1 on five variables: the
+    heaviest quotient-rule load of the curvature kernel, pinned by the sha256
+    of its sorted nonzero components."""
+    conn = random_connection(random.Random("c5"), Chart("c5", ("x", "y", "z", "w", "v")),
+                             1.0, True)
+    components = sorted(curvature(conn).components.items())
+    assert len(components) == 500
+    text = "\n".join(f"{idx} {value}" for idx, value in components)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "1b64ec370fa671f3307193e5d312aa88ebec4a9b612ad78c514ac84b7beb25ee"
 
 
 def test_curvature_of_one_christoffel_vector_off_the_diagonal():
@@ -978,7 +995,7 @@ def test_the_commuting_frame_connection_reaches_every_residual_part():
                 if d1[a] and spread[a]:
                     middle = True
                     diagonal |= any(p == number[a][a] for p, _, _ in spread[a])
-        H = geometry._hessian(conn, d1, number, curved)
+        H = geometry._hessian(t._gradient(), number, curved)
         plain = {number[i][j]: d1[j].diff(chart.variables[i]) for i, j in pairs}
         hessian |= bool(H)
         corrected |= H != {p: h for p, h in plain.items() if h}
@@ -1039,12 +1056,12 @@ def test_solver_matches_the_previous_solver(seed):
         assert solve_iat_ansatz(conn, ansatz) == previous_solve_iat_ansatz(conn, ansatz)
 
 
-def mutant_hessian(conn, d1, number, curved):
+def mutant_hessian(gradient, number, curved):
     """H_t without its gamma correction: the plain second derivatives."""
     out = {}
-    for j, dj in enumerate(d1):
+    for j, dj in gradient.items():
         for i in range(j + 1):
-            h = dj.diff(conn.chart.variables[i])
+            h = dj.diff(dj.chart.variables[i])
             if h:
                 out[number[i][j]] = h
     return out
@@ -1352,22 +1369,32 @@ LENGTH_3_OF_4 = (ValueError, "expected 3 coefficients, got 4")
      (ValueError, "coefficient chart does not match the field chart"), LENGTH_3_OF_4),
     (1.5, (TypeError, "cannot interpret 1.5 as a rational function"),
      (TypeError, "cannot interpret 1.5 as a rational function")),
+    (RationalFunction.zero(CHARTS[3]), {2: "y"}, LENGTH_3_OF_4),
+    (RationalFunction.zero(EQUAL_SPACE), {2: "y"}, LENGTH_3_OF_4),
+    (RationalFunction.zero(FOREIGN),
+     (ValueError, "coefficient chart does not match the field chart"), LENGTH_3_OF_4),
 ], ids=["str", "int", "fraction", "polynomial", "same-chart", "equal-chart", "foreign-chart",
-        "unreadable"])
+        "unreadable", "shared-zero", "equal-chart-zero", "foreign-chart-zero"])
 def test_each_kind_of_coefficient_gives_the_same_field(value, expected, too_long):
     """The components, or the exception and message, of a field built from one
     coefficient of each kind; a too-long list is refused for its length
-    before its chart, and after every coefficient is read."""
+    before its chart, and after every coefficient is read.  A list of the
+    chart's shared 0 alone is the zero field, or refused for its length."""
     space = CHARTS[3]
     for coeffs, outcome in (([value, 0, "y"], expected), ([value, 0, "y", 1], too_long)):
         got = field_outcome(lambda c, cs: VectorField(c, cs).components, space, coeffs)
         assert got == field_outcome(oracle_field_components, space, coeffs)
         if isinstance(outcome, dict):
             assert {k: str(c) for k, c in got} == outcome
-            if isinstance(value, RationalFunction):   # kept as given
+            if isinstance(value, RationalFunction) and value:   # kept as given
                 assert got[0][1] is value
         else:
             assert got == outcome
+    zero = RationalFunction.zero(space)
+    for coeffs, outcome in (([zero] * 3, []), ([zero] * 4, LENGTH_3_OF_4),
+                            ([zero] * 2, (ValueError, "expected 3 coefficients, got 2"))):
+        got = field_outcome(lambda c, cs: VectorField(c, cs).components, space, coeffs)
+        assert got == field_outcome(oracle_field_components, space, coeffs) == outcome
 
 
 # ----- the stored form of a connection ------------------------------------------------------

@@ -13,8 +13,8 @@ refused:
   `object.__setattr__`, outside the places that build it: `.terms` in
   `Polynomial.__init__` and `_of`; `.num` and `.den` in
   `RationalFunction._of` and `_scale` (which the constructor and
-  `_reduced` call); `._partials` (the derivative memo) in
-  `RationalFunction.diff`; a field's `.components` in `VectorField.__init__`
+  `_reduced` call); `._partials` (the gradient memo) in
+  `RationalFunction._gradient`; a field's `.components` in `VectorField.__init__`
   and `_of`, and a tensor report's in `TensorReport.__post_init__` (its
   dataclass `__init__` is generated); `Connection`'s memos `._torsion`,
   `._curvature` and `._tables` in `Connection._wrap`, which every
@@ -39,7 +39,7 @@ BUILDERS = {
     ("symcore/polynomial.py", "Polynomial._of"): {"terms"},
     ("symcore/ratfunc.py", "RationalFunction._of"): {"num", "den"},
     ("symcore/ratfunc.py", "RationalFunction._scale"): {"num", "den"},
-    ("symcore/ratfunc.py", "RationalFunction.diff"): {"_partials"},
+    ("symcore/ratfunc.py", "RationalFunction._gradient"): {"_partials"},
     ("geometry.py", "VectorField.__init__"): {"components"},
     ("geometry.py", "VectorField._of"): {"components"},
     ("geometry.py", "TensorReport.__post_init__"): {"components"},
@@ -213,7 +213,7 @@ def f(p, q, r):
         pass
 
 class RationalFunction:
-    def diff(self, variable):
+    def _gradient(self):
         self._partials = {}
         self.num = 0
 

@@ -87,27 +87,33 @@ def test_a_field_set_with_the_same_names_is_not_a_hit():
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts of the derivative tables and the spans that `product_table` builds."""
-    counts = {"derivatives": 0, "spans": 0}
-    first_derivatives, field_span = geometry._first_derivatives, geometry._FieldSpan
+    """Starts counting the derivative tables and the spans that
+    `product_table` builds, and returns the counts."""
+    def start():
+        counts = {"derivatives": 0, "spans": 0}
+        first_derivatives, field_span = geometry._first_derivatives, geometry._FieldSpan
 
-    def counted_derivatives(conn, X):
-        counts["derivatives"] += 1
-        return first_derivatives(conn, X)
+        def counted_derivatives(conn, X):
+            counts["derivatives"] += 1
+            return first_derivatives(conn, X)
 
-    def counted_span(chart, fields):
-        counts["spans"] += 1
-        return field_span(chart, fields)
+        def counted_span(chart, fields):
+            counts["spans"] += 1
+            return field_span(chart, fields)
 
-    monkeypatch.setattr(geometry, "_first_derivatives", counted_derivatives)
-    monkeypatch.setattr(geometry, "_FieldSpan", counted_span)
-    return counts
+        monkeypatch.setattr(geometry, "_first_derivatives", counted_derivatives)
+        monkeypatch.setattr(geometry, "_FieldSpan", counted_span)
+        return counts
+    return start
 
 
 @pytest.mark.parametrize("seed", [None, 0])
 def test_a_hit_takes_no_derivatives_and_builds_no_span(scene, work, seed):
     connect, names, fields = scene
+    # the connection is built before counting starts: its round trip reads
+    # one derivative table per frame field
     conn = connect()
+    work = work()
     product_table(conn, fields, names)
     assert work == {"derivatives": len(fields), "spans": 1}
     again = (names, fields) if seed is None else permuted(seed, names, fields)

@@ -34,16 +34,18 @@ operand from another chart; five mutants of the path must be caught.  The
 chart's shared 1 is the unit of every product: x * 1 and 1 * x are x itself,
 whatever x's denominator, and the shared 1 of another chart is refused.
 
-`diff` keeps each partial derivative it takes.  Its oracle is the quotient
-rule without the memo, run afresh on every request; the memo must give the
-same canonical result, the same object on every later request, and no entry
-for a variable it refuses.  A constant or a variable over the chart's shared
-1 fills its whole row on its first request, with the chart's shared 0 and 1
-and no quotient rule; a variable or a 1 over an equal copy of 1, and every
-other value, takes one quotient rule per request.  After real workloads,
-every memo entry still held by a live rational function must equal the
-oracle's derivative of its owner, and a GL3 pass must leave the full rows of
-the chart's variables and its shared 1.
+`diff` reads one gradient per value, {axis: nonzero partial} over the
+variables the value contains, built on the first request.  Its oracle is the
+quotient rule without the memo, run afresh on every request; `diff` must give
+the same canonical result, the same object on every later request, and no
+entry for a variable it refuses.  A constant or a variable over the chart's
+shared 1 gets its gradient with no quotient rule: {} for a constant and
+{axis: the chart's shared 1} for a variable; a variable or a 1 over an equal
+copy of 1, and every other value, holds the axes of the variables it
+contains.  After real workloads, every gradient entry still held by a live
+rational function must equal the oracle's derivative of its owner, every
+axis it lacks must have a zero oracle derivative, and a GL3 pass, every value
+of which is over the shared 1, runs no quotient rule.
 """
 import gc
 import json
@@ -976,7 +978,7 @@ def test_a_repeated_request_returns_the_same_object():
     a = oracle_rf(X * X * Y + 1, X + Y)
     assert getattr(a, "_partials", None) is None
     dx = a.diff("x")
-    assert a.diff("x") is dx and a._partials == {"x": dx}
+    assert a.diff("x") is dx and a._partials == {0: dx, 1: a.diff("y")}
     assert a.diff("y") is a.diff("y") is not dx
     z = RationalFunction.variable(CHART, "z")
     assert z.diff("z") is z.diff("z") == 1
@@ -1020,8 +1022,11 @@ def test_a_constant_or_variable_over_the_shared_one_fills_its_row_at_once():
             got = a.diff(variable)
             _same_rf_in_order(got, oracle_quotient_rule(a, variable))
             assert got is (one if a.num.terms.get(_axis_exps(chart, variable)) else zero)
-        assert list(a._partials) == list(chart.variables)
-    # any other value keeps the lazy quotient rule: one entry per request
+        # the whole gradient at once: {axis: shared 1} for a variable, {} for a constant
+        assert a._partials == {axis: one for axis, v in enumerate(chart.variables)
+                               if a.num.terms.get(_axis_exps(chart, v))}
+        assert all(d is one for d in a._partials.values())
+    # any other value holds the axes of the variables it contains, here x
     equal_one = Polynomial.constant(chart, 1)
     lazy = [RationalFunction._of(Polynomial.variable(chart, "x"), equal_one),
             RationalFunction._of(equal_one, equal_one),
@@ -1029,9 +1034,9 @@ def test_a_constant_or_variable_over_the_shared_one_fills_its_row_at_once():
             RationalFunction(Polynomial.variable(chart, "x") ** 2),
             RationalFunction(Polynomial.variable(chart, "x") + 1),
             one / variables[0]]
-    for a in lazy:
+    for a, axes in zip(lazy, [[0], [], [0], [0], [0], [0]]):
         _same_rf_in_order(a.diff("y"), oracle_quotient_rule(a, "y"))
-        assert list(a._partials) == ["y"]
+        assert a.diff("y") is zero and list(a._partials) == axes
 
 
 def _gl3_pass():
@@ -1049,27 +1054,30 @@ def _gl3_pass():
 
 
 def test_a_gl3_pass_takes_each_derivative_at_most_once(monkeypatch):
-    taken = Counter()
+    built = Counter()
     owners = []   # keeps every owner alive, so that no id is reused
-    quotient_rule = RationalFunction._quotient_rule
+    gradient = RationalFunction._gradient
 
-    def counting_quotient_rule(self, variable):
-        owners.append(self)
-        taken[id(self), variable] += 1
-        return quotient_rule(self, variable)
+    def counting_gradient(self):
+        requests.append(1)
+        if getattr(self, "_partials", None) is None:
+            owners.append(self)
+            built[id(self)] += 1
+        return gradient(self)
 
     requests = []
-    diff = RationalFunction.diff
-    monkeypatch.setattr(RationalFunction, "_quotient_rule", counting_quotient_rule)
-    monkeypatch.setattr(RationalFunction, "diff",
-                        lambda self, var: requests.append(1) or diff(self, var))
+    taken = []
+    quotient_rule = RationalFunction._quotient_rule
+    monkeypatch.setattr(RationalFunction, "_quotient_rule",
+                        lambda self, var: taken.append(self) or quotient_rule(self, var))
+    monkeypatch.setattr(RationalFunction, "_gradient", counting_gradient)
     _gl3_pass()
-    assert taken and max(taken.values()) == 1
+    assert built and max(built.values()) == 1
     # most requests are answered from the memo
-    assert len(requests) > 2 * len(taken)
-    # a constant or a variable over 1 fills its row without the quotient rule
-    assert not any(_constant_or_variable_over_one(a) for a in owners)
-    assert len(taken) <= 10
+    assert len(requests) > 2 * len(built)
+    # every value of the pass is over the shared 1, so no quotient rule runs
+    assert all(a.den is a.chart._one for a in owners)
+    assert taken == []
 
 
 def test_the_shipped_document_gives_the_same_reports_twice_in_one_process():
@@ -1096,19 +1104,24 @@ def test_every_live_memo_entry_is_its_owners_derivative(monkeypatch):
     for owner in gc.get_objects():
         if type(owner) is not RationalFunction:
             continue
-        for variable, d in (getattr(owner, "_partials", None) or {}).items():
-            _same_rf_in_order(d, oracle_quotient_rule(owner, variable))
-            assert owner.diff(variable) is d
+        gradient = getattr(owner, "_partials", None)
+        if gradient is None:
+            continue
+        for axis, variable in enumerate(owner.chart.variables):
+            if axis in gradient:
+                _same_rf_in_order(gradient[axis], oracle_quotient_rule(owner, variable))
+                assert owner.diff(variable) is gradient[axis]
+            else:
+                assert oracle_quotient_rule(owner, variable).is_zero()
             entries[id(owner.chart)] += 1
-    # a GL3 pass leaves the full row of each chart variable and of the shared
-    # 1, every entry the shared 0 or 1, and the control's x11^2 keeps its row
+    # a GL3 pass leaves the gradient {axis: shared 1} of each chart variable
+    # and {} of the shared 1, and the control's x11^2 holds its one partial
     gl3_chart = kept[0].chart
-    zero, one = RationalFunction.zero(gl3_chart), RationalFunction.one(gl3_chart)
-    for owner in [one] + [RationalFunction.variable(gl3_chart, v) for v in gl3_chart.variables]:
-        row = owner._partials
-        assert list(row) == list(gl3_chart.variables)
-        assert all(d is (one if owner.num.terms.get(_axis_exps(gl3_chart, v)) else zero)
-                   for v, d in row.items())
+    one = RationalFunction.one(gl3_chart)
+    assert one._partials == {}
+    for axis, v in enumerate(gl3_chart.variables):
+        gradient = RationalFunction.variable(gl3_chart, v)._partials
+        assert list(gradient) == [axis] and gradient[axis] is one
     square = kept[2].components[0]
-    assert str(square) == "x11^2" and set(square._partials) == set(gl3_chart.variables)
+    assert str(square) == "x11^2" and list(square._partials) == [gl3_chart.axis("x11")]
     assert sum(entries[id(chart)] for chart in documents[0].charts.values()) > 50
